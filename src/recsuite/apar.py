@@ -149,17 +149,19 @@ def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem):
 def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: float):
     """Multiplicative step that never lets the objective rise.
 
-    Returns (P, Q, used_fallback). If the multiplicative proposal raises
-    the objective, retries with a projected (clamped at 0) gradient step
-    under backtracking halving; if even that finds no descent, stays put.
+    Returns (P, Q, used_fallback, objective at the returned P, Q). If the
+    multiplicative proposal raises the objective, retries with a projected
+    (clamped at 0) gradient step under backtracking halving; if even that
+    finds no descent, stays put and returns prev_obj, the objective there.
     """
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise FloatingPointError("non-finite factor entries")
     P2, Q2 = multiplicative_step(P, Q, prob)
     if not (np.all(np.isfinite(P2)) and np.all(np.isfinite(Q2))):
         raise FloatingPointError("multiplicative update produced non-finite entries")
-    if objective(P2, Q2, prob) <= prev_obj + 1e-12:
-        return P2, Q2, False
+    val = objective(P2, Q2, prob)
+    if val <= prev_obj + 1e-12:
+        return P2, Q2, False, val
 
     gP, gQ = objective_grads(P, Q, prob)
     step = 1.0
@@ -168,9 +170,9 @@ def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: floa
         Q3 = np.maximum(Q - step * gQ, 0.0)
         val = objective(P3, Q3, prob)
         if np.isfinite(val) and val <= prev_obj:
-            return P3, Q3, True
+            return P3, Q3, True, val
         step *= 0.5
-    return P, Q, True  # no descent direction small enough; hold position
+    return P, Q, True, prev_obj  # no descent direction small enough; hold position
 
 
 @dataclass
@@ -225,11 +227,10 @@ def train_apar(W, mask, L, gamma, config: AparConfig) -> AparState:
     fallbacks = 0
     for t in range(config.max_iters):
         try:
-            P, Q, used_fallback = guarded_step(P, Q, prob, prev)
+            P, Q, used_fallback, cur = guarded_step(P, Q, prob, prev)
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {t}: {exc}") from exc
         fallbacks += int(used_fallback)
-        cur = objective(P, Q, prob)
         trace.append(float(cur))
         if abs(prev - cur) / max(prev, _EPS) < config.tol:
             converged = True

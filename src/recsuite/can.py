@@ -10,17 +10,21 @@ outputs.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from . import data
+from . import data, minibatch
+from .minibatch import Batch
 from .numeric import (
+    add_rows,
     init_normal,
     init_uniform_attention,
     make_rng,
+    pooled_attention,
+    pooled_attention_backward,
     sigmoid,
     softmax,
-    softmax_backward,
 )
 
 _PARAM_BASE = ("E", "U", "K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4")
@@ -121,23 +125,31 @@ def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanStat
 # Forward pieces
 
 
-def _windows(state: CanState, items) -> np.ndarray:
-    """Row i = concatenated embeddings of positions i-K..i+K, zero-padded."""
+def _windows(state: CanState, lists):
+    """Conv windows over the positions of ragged ordered item lists.
+
+    Returns (windows, items, src). Row r of windows is position i of its
+    list: the concatenated embeddings of positions i-K..i+K, zero outside
+    the list. `items` is the lists concatenated, and src[r, j] indexes
+    into it the item window slot j reads, or is -1 for zero padding.
+    """
     cfg = state.config
     K = (cfg.window - 1) // 2
-    X = state.E[list(items)]
-    if K:
-        pad = np.zeros((K, cfg.D))
-        X = np.vstack([pad, X, pad])
-    n = len(items)
-    return np.stack([X[i : i + cfg.window].ravel() for i in range(n)])
+    lengths = np.array([len(x) for x in lists], dtype=np.int64)
+    items = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(lengths.sum()))
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    offset = np.arange(items.size)[:, None] - starts[:, None] + np.arange(cfg.window) - K
+    inside = (offset >= 0) & (offset < np.repeat(lengths, lengths)[:, None])
+    src = np.where(inside, starts[:, None] + offset, -1)
+    X = np.vstack([state.E[items], np.zeros(cfg.D)])  # row -1: the zero padding
+    return X[src].reshape(items.size, -1), items, src
 
 
 def conv_context(state: CanState, items) -> np.ndarray:
     """relu(K_w · window_i + b_w) for each position of the ordered item list."""
     if not len(items):
         raise ValueError("convolution needs at least one item")
-    pre = _windows(state, items) @ state.K_w.T + state.b_w
+    pre = _windows(state, [items])[0] @ state.K_w.T + state.b_w
     return np.maximum(pre, 0.0)
 
 
@@ -159,14 +171,6 @@ def preference_encode(state: CanState, short_items, m: np.ndarray):
     Q = np.tanh(PD @ state.W4.T + state.b4)
     ap = softmax(Q @ m)
     return Q.T @ ap, ap
-
-
-def can_score(state: CanState, u: np.ndarray, item: int) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (state.V_out.shape[1],):
-        raise ValueError(f"user vector has shape {u.shape}, output table wants "
-                         f"({state.V_out.shape[1]},)")
-    return float(state.V_out[item] @ u)
 
 
 def dropout_mask(rng, shape, rate: float) -> np.ndarray:
@@ -194,121 +198,101 @@ def user_vector(state: CanState, user: int, long_items, short_items) -> np.ndarr
 # Loss and gradients
 
 
-@dataclass
-class Batch:
-    users: list
-    longs: list
-    shorts: list
-    positives: list
-    negatives: list  # one negative item index per instance (pairwise loss)
-
-
-def loss_and_grads(state: CanState, batch: Batch, rng=None):
+def loss_and_grads(state: CanState, batch: Batch, rng=None, out=None):
     """Pairwise BPR loss + L2, gradients aligned with state.params().
 
-    Pass a generator to enable dropout on the conv outputs (training);
-    with rng=None the forward is the deterministic inference path.
+    All instances go through each layer at once. Pass a generator to enable
+    dropout on the conv outputs (training): one draw covers every conv row
+    of the batch, in instance order, which gives the same values as one
+    draw per instance. With rng=None the forward is the deterministic
+    inference path. `out`, arrays shaped like params(), receives the
+    gradients in place of new arrays.
     """
     cfg = state.config
     names = _PARAM_BASE if cfg.tie_embeddings else _PARAM_BASE + ("V_out",)
-    g = {n: np.zeros_like(getattr(state, n)) for n in names}
+    grads = [np.empty_like(p) for p in state.params()] if out is None else out
+    g = dict(zip(names, grads))
+    # every gradient starts as its L2 term; the data terms add to the rows
+    # (or columns) the batch touched
+    total = 0.0
+    for name, param, grad in zip(names, state.params(), grads):
+        lam = cfg.lam_uv if name in ("E", "U", "V_out") else cfg.lam_a
+        np.multiply(param, 2.0 * lam, out=grad)
+        total += lam * np.vdot(param, param)
     gV = g["E"] if cfg.tie_embeddings else g["V_out"]
     vout = state.V_out
-    K = (cfg.window - 1) // 2
-    total = 0.0
+    users = np.asarray(batch.users, dtype=np.int64)
+    pos = np.asarray(batch.positives, dtype=np.int64)
+    neg = np.asarray(batch.negatives, dtype=np.int64)
+    # instances that run the purpose / preference encoder
+    rp = [b for b, G in enumerate(batch.longs) if len(G) and not cfg.disable_purpose]
+    rq = [b for b, S in enumerate(batch.shorts) if len(S) and not cfg.disable_preference]
 
-    for user, G, S, pos, neg in zip(
-        batch.users, batch.longs, batch.shorts, batch.positives, batch.negatives
-    ):
-        use_purpose = bool(len(G)) and not cfg.disable_purpose
-        use_pref = bool(len(S)) and not cfg.disable_preference
-        if use_purpose:
-            Wins = _windows(state, G)
-            pre_c = Wins @ state.K_w.T + state.b_w
-            C = np.maximum(pre_c, 0.0)
-            M = dropout_mask(rng, C.shape, cfg.dropout) if rng is not None else 1.0
-            Cd = C * M
-            u_emb = state.U[:, user]
-            pre1 = state.W1 @ u_emb + state.b1
-            p = np.maximum(pre1, 0.0)
-            pre2 = state.W2 @ p + state.b2
-            t = np.tanh(pre2)
-            alpha = softmax(Cd @ t)
-            m = Cd.T @ alpha
-        else:
-            m = np.zeros(cfg.N_f)
-        if use_pref:
-            Es = state.E[S]
-            pre_pd = Es @ state.W3.T + state.b3
-            PD = np.maximum(pre_pd, 0.0)
-            pre_q = PD @ state.W4.T + state.b4
-            Q = np.tanh(pre_q)
-            ap = softmax(Q @ m)
-            u = Q.T @ ap
-        else:
-            u = m
+    m = np.zeros((len(users), cfg.N_f))
+    if rp:
+        longs = [batch.longs[b] for b in rp]
+        _, g_mask = minibatch.pad(longs)
+        wins, g_flat, src = _windows(state, longs)
+        pre_c = wins @ state.K_w.T + state.b_w
+        M = dropout_mask(rng, pre_c.shape, cfg.dropout) if rng is not None else 1.0
+        Cd = np.zeros(g_mask.shape + (cfg.N_f,))
+        Cd[g_mask] = np.maximum(pre_c, 0.0) * M
+        u_emb = state.U[:, users[rp]].T
+        pre1 = u_emb @ state.W1.T + state.b1
+        p = np.maximum(pre1, 0.0)
+        t = np.tanh(p @ state.W2.T + state.b2)
+        m[rp], alpha = pooled_attention(Cd, t, g_mask)
+    u = m.copy()
+    if rq:
+        s_idx, s_mask = minibatch.pad([batch.shorts[b] for b in rq])
+        s_flat = s_idx[s_mask]
+        Es = state.E[s_flat]
+        pre_pd = Es @ state.W3.T + state.b3
+        PD = np.maximum(pre_pd, 0.0)
+        Qv = np.tanh(PD @ state.W4.T + state.b4)
+        Q = np.zeros(s_mask.shape + (cfg.N_f,))
+        Q[s_mask] = Qv
+        u[rq], ap = pooled_attention(Q, m[rq], s_mask)
 
-        x = u @ (vout[pos] - vout[neg])
-        total += -np.log(np.clip(sigmoid(x), 1e-12, 1.0 - 1e-12))
+    diff = vout[pos] - vout[neg]
+    x = (u * diff).sum(axis=1)
+    total += -np.log(np.clip(sigmoid(x), 1e-12, 1.0 - 1e-12)).sum()
 
-        s = sigmoid(x) - 1.0  # d(-ln sigma(x))/dx
-        gV[pos] += s * u
-        gV[neg] -= s * u
-        du = s * (vout[pos] - vout[neg])
+    s = (sigmoid(x) - 1.0)[:, None]  # d(-ln sigma(x))/dx
+    add_rows(gV, np.concatenate([pos, neg]), np.vstack([s * u, -s * u]))
+    dm = s * diff
 
-        if use_pref:
-            dap = Q @ du
-            dQ = np.outer(ap, du)
-            dl = softmax_backward(ap, dap)
-            dm = Q.T @ dl
-            dQ += np.outer(dl, m)
-            dpre_q = dQ * (1.0 - Q**2)
-            g["W4"] += dpre_q.T @ PD
-            g["b4"] += dpre_q.sum(axis=0)
-            dPD = dpre_q @ state.W4
-            dpre_pd = dPD * (pre_pd > 0)
-            g["W3"] += dpre_pd.T @ Es
-            g["b3"] += dpre_pd.sum(axis=0)
-            np.add.at(g["E"], S, dpre_pd @ state.W3)
-        else:
-            dm = du
+    if rq:
+        dQ, dm[rq] = pooled_attention_backward(Q, m[rq], ap, dm[rq])
+        dpre_q = dQ[s_mask] * (1.0 - Qv**2)
+        g["W4"] += dpre_q.T @ PD
+        g["b4"] += dpre_q.sum(axis=0)
+        dpre_pd = (dpre_q @ state.W4) * (pre_pd > 0)
+        g["W3"] += dpre_pd.T @ Es
+        g["b3"] += dpre_pd.sum(axis=0)
+        add_rows(g["E"], s_flat, dpre_pd @ state.W3)
 
-        if use_purpose:
-            dalpha = Cd @ dm
-            dCd = np.outer(alpha, dm)
-            dl = softmax_backward(alpha, dalpha)
-            dt = Cd.T @ dl
-            dCd += np.outer(dl, t)
-            dpre2 = dt * (1.0 - t**2)
-            g["W2"] += np.outer(dpre2, p)
-            g["b2"] += dpre2
-            dp = state.W2.T @ dpre2
-            dpre1 = dp * (pre1 > 0)
-            g["W1"] += np.outer(dpre1, u_emb)
-            g["b1"] += dpre1
-            g["U"][:, user] += state.W1.T @ dpre1
-            dC = dCd * M
-            dpre_c = dC * (pre_c > 0)
-            g["K_w"] += dpre_c.T @ Wins
-            g["b_w"] += dpre_c.sum(axis=0)
-            dWins = dpre_c @ state.K_w
-            n = len(G)
-            dXp = np.zeros((n + 2 * K, cfg.D))
-            for i in range(n):
-                dXp[i : i + cfg.window] += dWins[i].reshape(cfg.window, cfg.D)
-            np.add.at(g["E"], G, dXp[K : K + n] if K else dXp)
+    if rp:
+        dCd, dt = pooled_attention_backward(Cd, t, alpha, dm[rp])
+        dpre2 = dt * (1.0 - t**2)
+        g["W2"] += dpre2.T @ p
+        g["b2"] += dpre2.sum(axis=0)
+        dpre1 = (dpre2 @ state.W2) * (pre1 > 0)
+        g["W1"] += dpre1.T @ u_emb
+        g["b1"] += dpre1.sum(axis=0)
+        add_rows(g["U"].T, users[rp], dpre1 @ state.W1)
+        dpre_c = dCd[g_mask] * M * (pre_c > 0)
+        g["K_w"] += dpre_c.T @ wins
+        g["b_w"] += dpre_c.sum(axis=0)
+        # each window slot's gradient lands on the position it read; within
+        # one slot every position is read at most once, padding aside
+        d_wins = (dpre_c @ state.K_w).reshape(len(src), cfg.window, cfg.D)
+        dX = np.zeros((len(g_flat) + 1, cfg.D))  # row -1 collects the padding's
+        for j in range(cfg.window):
+            dX[src[:, j]] += d_wins[:, j]
+        add_rows(g["E"], g_flat, dX[:-1])
 
-    total += cfg.lam_uv * ((state.E**2).sum() + (state.U**2).sum())
-    g["E"] += 2.0 * cfg.lam_uv * state.E
-    g["U"] += 2.0 * cfg.lam_uv * state.U
-    if not cfg.tie_embeddings:
-        total += cfg.lam_uv * (state.V_out**2).sum()
-        g["V_out"] += 2.0 * cfg.lam_uv * state.V_out
-    for n_ in ("K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4"):
-        arr = getattr(state, n_)
-        total += cfg.lam_a * (arr**2).sum()
-        g[n_] += 2.0 * cfg.lam_a * arr
-    return float(total), [g[n_] for n_ in names]
+    return float(total), grads
 
 
 # ---------------------------------------------------------------------------
@@ -325,39 +309,8 @@ def train_can(split: data.Split, dataset: data.Dataset, config: CanConfig) -> Ca
     rng = make_rng(config.seed)
     state = init_can(dataset.n_users, dataset.n_items, config, rng)
     prepared = data.prepared_instances(split, dataset)
-    plist = state.params()
     drop_rng = rng if config.dropout > 0 else None
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(prepared))
-            epoch_total, n_batches = 0.0, 0
-            for lo in range(0, len(order), config.batch):
-                batch = Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
-                for idx in order[lo : lo + config.batch]:
-                    u, G, S, pos, pool = prepared[idx]
-                    if pool.size == 0:
-                        continue
-                    batch.users.append(u)
-                    batch.longs.append(G)
-                    batch.shorts.append(S)
-                    batch.positives.append(pos)
-                    batch.negatives.append(int(pool[rng.integers(pool.size)]))
-                if not batch.users:
-                    continue
-                try:
-                    loss, grads = loss_and_grads(state, batch, drop_rng)
-                except ValueError as exc:
-                    # conv activations are unbounded, so intermediates can
-                    # overflow while the parameters are still finite
-                    raise FloatingPointError(
-                        f"epoch {epoch}: training diverged ({exc})"
-                    ) from exc
-                if not np.isfinite(loss):
-                    raise FloatingPointError(f"epoch {epoch}: loss is {loss}")
-                for p, gr in zip(plist, grads):
-                    p -= config.lr * gr
-                epoch_total += loss
-                n_batches += 1
-            state.trace.append(epoch_total / max(n_batches, 1))
-    return state
+    return minibatch.train(
+        state, prepared, config, rng,
+        lambda st, batch, out: loss_and_grads(st, batch, drop_rng, out),
+    )

@@ -4,22 +4,25 @@ Items and users live in sigmoid-squashed embedding tables. Two attention
 heads summarize the user's long-term item set and current session into
 one vector each; a relu mixture layer fuses them, and a per-item output
 layer scores the whole catalog at once. Training is pairwise binary
-cross-entropy against sampled negatives.
+cross-entropy against sampled negatives, batched, and reads only the
+output rows of each instance's positive and negatives.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, metrics
+from . import data, minibatch
+from .minibatch import Batch
 from .numeric import (
+    add_rows,
     init_normal,
     init_uniform_attention,
     make_rng,
+    pooled_attention,
+    pooled_attention_backward,
     sigmoid,
     softmax,
-    softmax_backward,
 )
 
 PARAM_NAMES = ("W1", "W2", "w_alpha", "w_beta", "W", "b", "Wout", "bout")
@@ -99,10 +102,6 @@ def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasStat
 # Forward pieces
 
 
-def embed_item(state: DasState, item: int) -> np.ndarray:
-    return sigmoid(state.W1[:, item])
-
-
 def embed_user(state: DasState, user: int) -> np.ndarray:
     return sigmoid(state.W2[:, user])
 
@@ -129,97 +128,84 @@ def score_all(state: DasState, u_mixture: np.ndarray, user: int) -> np.ndarray:
 # Loss and gradients
 
 
-@dataclass
-class Batch:
-    users: list
-    longs: list  # per instance: long-term item indices (may be empty)
-    shorts: list  # per instance: context item indices (duplicates allowed)
-    positives: list
-    negatives: list  # per instance: list of negative item indices
+def _encode(items: np.ndarray, lists, w: np.ndarray):
+    """Attention-pool the sigmoid-ed item columns of each ragged list.
 
-
-def _attention_backward(H, w, alpha, d_out, gw):
-    """Backprop d_out through (H @ softmax(w @ H)).
-
-    Accumulates dL/dw into gw in place and returns dL/dH; the caller
-    applies the sigmoid derivative before scattering into the item table.
+    `items` is W1.T. Returns the pooled B x k block (zero rows for empty
+    lists) and what the backward pass needs.
     """
-    d_alpha = H.T @ d_out
-    dH = np.outer(d_out, alpha)
-    d_logits = softmax_backward(alpha, d_alpha)
-    gw += H @ d_logits
-    dH += np.outer(w, d_logits)
-    return dH
+    idx, mask = minibatch.pad(lists)
+    flat = idx[mask]
+    Hv = sigmoid(items[flat])
+    H = np.zeros(mask.shape + (items.shape[1],))
+    H[mask] = Hv
+    q = np.broadcast_to(w, (len(lists), w.size))
+    pooled, alpha = pooled_attention(H, q, mask)
+    return pooled, (H, q, alpha, mask, flat, Hv)
 
 
-def loss_and_grads(state: DasState, batch: Batch):
+def loss_and_grads(state: DasState, batch: Batch, out=None):
     """Batch pairwise cross-entropy + L2, with gradients in params() order.
 
+    All instances go through each layer at once. The output layer computes
+    logits only for the rows of each instance's positive and negatives
+    (`batch.negatives` holds one index or a list per instance), the only
+    rows the loss reads, and adds gradients to those rows alone.
     Regularization enters once per call, so this is the exact objective a
-    single SGD step descends.
+    single SGD step descends. `out`, arrays shaped like params(), receives
+    the gradients in place of new arrays: the trainer reuses one set, so
+    no catalog-sized array is allocated per batch.
     """
     cfg = state.config
     k = cfg.k
-    n_items = state.n_items
-    grads = [np.zeros_like(p) for p in state.params()]
+    users = np.asarray(batch.users, dtype=np.int64)
+
+    u_long, long_cache = _encode(state.W1.T, batch.longs, state.w_alpha)
+    u_short, short_cache = _encode(state.W1.T, batch.shorts, state.w_beta)
+    x = np.hstack([u_long, u_short])
+    pre = x @ state.W.T + state.b
+    u_mix = np.maximum(pre, 0.0)
+    h_u = sigmoid(state.W2[:, users].T)
+    z = np.hstack([u_mix, h_u])
+
+    negs, neg_mask = minibatch.pad(
+        [[n] if isinstance(n, (int, np.integer)) else n for n in batch.negatives]
+    )
+    rows = np.hstack([np.asarray(batch.positives, dtype=np.int64)[:, None], negs])
+    live = np.hstack([np.ones((len(users), 1), dtype=bool), neg_mask])
+    Wr = state.Wout[rows]
+    R = (Wr @ z[:, :, None])[:, :, 0] + state.bout[rows]
+    sig = np.clip(sigmoid(R), 1e-12, 1.0 - 1e-12)
+    total = float(-np.log(sig[:, 0]).sum() - np.log(1.0 - sig[:, 1:][neg_mask]).sum())
+
+    # every gradient starts as its L2 term; the data terms add to the rows
+    # (or columns) the batch touched
+    grads = [np.empty_like(p) for p in state.params()] if out is None else out
     gW1, gW2, gwa, gwb, gW, gb, gWout, gbout = grads
-    total = 0.0
-
-    for user, G, S, pos, negs in zip(
-        batch.users, batch.longs, batch.shorts, batch.positives, batch.negatives
-    ):
-        if G:
-            HG = sigmoid(state.W1[:, G])
-            u_long, alpha = attend(HG, state.w_alpha)
+    dense = cfg.lam_uv if cfg.reg_dense else 0.0
+    l2 = (cfg.lam_uv, cfg.lam_uv, cfg.lam_at, cfg.lam_at, dense, 0.0, dense, 0.0)  # PARAM_NAMES
+    for p, g, lam in zip(state.params(), grads, l2):
+        if lam:
+            np.multiply(p, 2.0 * lam, out=g)
+            total += lam * np.vdot(p, p)
         else:
-            u_long = np.zeros(k)
-        if S:
-            HS = sigmoid(state.W1[:, S])
-            u_short, beta = attend(HS, state.w_beta)
-        else:
-            u_short = np.zeros(k)
-        x = np.concatenate([u_long, u_short])
-        pre = state.W @ x + state.b
-        u_mix = np.maximum(pre, 0.0)
-        h_u = sigmoid(state.W2[:, user])
-        z = np.concatenate([u_mix, h_u])
-        R = state.Wout @ z + state.bout
-        sig = np.clip(sigmoid(R), 1e-12, 1.0 - 1e-12)
+            g.fill(0.0)
 
-        negs = list(negs)
-        total += -np.log(sig[pos]) - np.log(1.0 - sig[negs]).sum()
-
-        dR = np.zeros(n_items)
-        dR[pos] += sig[pos] - 1.0
-        np.add.at(dR, negs, sig[negs])
-
-        gWout += np.outer(dR, z)
-        gbout += dR
-        dz = state.Wout.T @ dR
-        du_mix, dh_u = dz[:k], dz[k:]
-        gW2[:, user] += dh_u * h_u * (1.0 - h_u)
-        dpre = du_mix * (pre > 0)
-        gW += np.outer(dpre, x)
-        gb += dpre
-        dx = state.W.T @ dpre
-        du_long, du_short = dx[:k], dx[k:]
-        if G:
-            dHG = _attention_backward(HG, state.w_alpha, alpha, du_long, gwa)
-            np.add.at(gW1, (slice(None), G), dHG * HG * (1.0 - HG))
-        if S:
-            dHS = _attention_backward(HS, state.w_beta, beta, du_short, gwb)
-            np.add.at(gW1, (slice(None), S), dHS * HS * (1.0 - HS))
-
-    total += cfg.lam_uv * ((state.W1**2).sum() + (state.W2**2).sum())
-    total += cfg.lam_at * ((state.w_alpha**2).sum() + (state.w_beta**2).sum())
-    gW1 += 2.0 * cfg.lam_uv * state.W1
-    gW2 += 2.0 * cfg.lam_uv * state.W2
-    gwa += 2.0 * cfg.lam_at * state.w_alpha
-    gwb += 2.0 * cfg.lam_at * state.w_beta
-    if cfg.reg_dense:
-        total += cfg.lam_uv * ((state.W**2).sum() + (state.Wout**2).sum())
-        gW += 2.0 * cfg.lam_uv * state.W
-        gWout += 2.0 * cfg.lam_uv * state.Wout
+    dR = sig * live
+    dR[:, 0] -= 1.0
+    add_rows(gWout, rows[live], (dR[:, :, None] * z[:, None, :])[live])
+    add_rows(gbout, rows[live], dR[live])
+    dz = (dR[:, None, :] @ Wr)[:, 0, :]
+    add_rows(gW2.T, users, dz[:, k:] * h_u * (1.0 - h_u))
+    dpre = dz[:, :k] * (pre > 0)
+    gW += dpre.T @ x
+    gb += dpre.sum(axis=0)
+    dx = dpre @ state.W
+    for cache, d_pooled, gw in ((long_cache, dx[:, :k], gwa), (short_cache, dx[:, k:], gwb)):
+        H, q, alpha, mask, flat, Hv = cache
+        dH, dq = pooled_attention_backward(H, q, alpha, d_pooled)
+        gw += dq.sum(axis=0)
+        add_rows(gW1.T, flat, dH[mask] * Hv * (1.0 - Hv))
     return float(total), grads
 
 
@@ -237,53 +223,4 @@ def train_das(split: data.Split, dataset: data.Dataset, config: DasConfig) -> Da
     rng = make_rng(config.seed)
     state = init_das(dataset.n_users, dataset.n_items, config, rng)
     prepared = data.prepared_instances(split, dataset)
-    plist = state.params()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(prepared))
-            epoch_total, n_batches = 0.0, 0
-            for lo in range(0, len(order), config.batch):
-                chunk = order[lo : lo + config.batch]
-                batch = Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
-                for idx in chunk:
-                    u, G, S, pos, pool = prepared[idx]
-                    if pool.size == 0:
-                        continue
-                    batch.users.append(u)
-                    batch.longs.append(G)
-                    batch.shorts.append(S)
-                    batch.positives.append(pos)
-                    batch.negatives.append([int(pool[rng.integers(pool.size)])])
-                if not batch.users:
-                    continue
-                try:
-                    loss, grads = loss_and_grads(state, batch)
-                except ValueError as exc:
-                    if any(not np.all(np.isfinite(p)) for p in plist):
-                        raise FloatingPointError(
-                            f"epoch {epoch}: parameters diverged ({exc})"
-                        ) from exc
-                    raise
-                if not np.isfinite(loss):
-                    raise FloatingPointError(f"epoch {epoch}: loss is {loss}")
-                for p, g in zip(plist, grads):
-                    p -= config.lr * g
-                epoch_total += loss
-                n_batches += 1
-            state.trace.append(epoch_total / max(n_batches, 1))
-    return state
-
-
-def recommend_das(
-    state: DasState, user: int, long_items, short_items, n: int, exclude_context=False
-):
-    """Top-n (item, score) pairs; optionally drops the short-term context items."""
-    scores = state.score_items(user, long_items, short_items)
-    order = metrics.rank_items(scores)
-    if exclude_context:
-        drop = set(short_items)
-        order = [i for i in order if i not in drop]
-    if n > len(order):
-        warnings.warn(f"asked for {n} items but only {len(order)} are rankable")
-        n = len(order)
-    return [(int(i), float(scores[i])) for i in list(order)[:n]]
+    return minibatch.train(state, prepared, config, rng, loss_and_grads)

@@ -6,7 +6,6 @@ score, ties broken by ascending item index.
 """
 
 import csv
-import time
 import warnings as _warnings
 from dataclasses import dataclass, field
 
@@ -118,7 +117,6 @@ class EvalReport:
     model: str
     split_id: str
     rows: list  # (metric, cutoff-or-None, value), fixed order
-    runtime_s: float = 0.0
     n_instances: int = 0
     failures: list = field(default_factory=list)
 
@@ -136,8 +134,7 @@ class EvalReport:
                 w.writerow([self.model, self.split_id, name, "" if c is None else c, f"{v:.17g}"])
 
     def to_text(self) -> str:
-        lines = [f"model={self.model} split={self.split_id} "
-                 f"instances={self.n_instances} time={self.runtime_s:.2f}s"]
+        lines = [f"model={self.model} split={self.split_id} instances={self.n_instances}"]
         for name, c, v in self.rows:
             label = name if c is None else f"{name}@{c}"
             lines.append(f"  {label:<14} {v:.6f}")
@@ -176,7 +173,6 @@ def evaluate(
         raise ValueError(f"unknown auc_negatives mode: {auc_negatives!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    t0 = time.perf_counter()
 
     train_sessions: dict[str, list[data.Session]] = {}
     history: dict[str, set[int]] = {}
@@ -248,7 +244,6 @@ def evaluate(
         model=model_name,
         split_id=split_id,
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
         n_instances=n_done,
         failures=failures,
     )
@@ -256,7 +251,6 @@ def evaluate(
 
 def evaluate_ratings(predictor, triplets, model_name: str, split_id: str = "test") -> EvalReport:
     """MAE/RMSE of predictor.predict_rating over (user, item, rating) triplets."""
-    t0 = time.perf_counter()
     true, pred, failures = [], [], []
     for u, i, r in triplets:
         try:
@@ -269,7 +263,6 @@ def evaluate_ratings(predictor, triplets, model_name: str, split_id: str = "test
         model=model_name,
         split_id=split_id,
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
         n_instances=len(true),
         failures=failures,
     )

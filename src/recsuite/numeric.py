@@ -32,8 +32,61 @@ def softmax(scores) -> np.ndarray:
 
 
 def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product: gradient w.r.t. logits given d(loss)/d(alpha)."""
-    return alpha * (d_alpha - float(alpha @ d_alpha))
+    """Jacobian-vector product: gradient w.r.t. logits given d(loss)/d(alpha).
+
+    Works row-wise along the last axis, so a batch of distributions goes
+    through in one call.
+    """
+    return alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True))
+
+
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the entries where `mask` holds; the rest get 0.
+
+    A row with no unmasked entry comes out all zero. Like `softmax`, raises
+    ValueError when an unmasked logit is not finite; masked entries may
+    hold anything.
+    """
+    if not np.all(np.isfinite(logits[mask])):
+        raise ValueError("softmax input must be finite")
+    x = np.where(mask, logits, -np.inf)
+    top = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - np.where(np.isfinite(top), top, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    return e / np.where(total > 0, total, 1.0)
+
+
+def pooled_attention(V: np.ndarray, q: np.ndarray, mask: np.ndarray):
+    """Batched attention pooling: row b is sum_l alpha[b, l] V[b, l].
+
+    V is B x L x n (padded), q is B x n, and alpha = masked_softmax of the
+    scores V[b, l] · q[b]. Returns (pooled B x n, alpha B x L); a row with
+    an empty mask pools to zero.
+    """
+    alpha = masked_softmax((V @ q[:, :, None])[:, :, 0], mask)
+    return (alpha[:, None, :] @ V)[:, 0, :], alpha
+
+
+def pooled_attention_backward(V, q, alpha, d_pooled):
+    """Backprop d_pooled through `pooled_attention`: returns (dV, dq)."""
+    d_logits = softmax_backward(alpha, (V @ d_pooled[:, :, None])[:, :, 0])
+    dV = alpha[:, :, None] * d_pooled[:, None, :]
+    dV += d_logits[:, :, None] * q[:, None, :]
+    return dV, (d_logits[:, None, :] @ V)[:, 0, :]
+
+
+def add_rows(target: np.ndarray, index, values) -> None:
+    """target[index[i]] += values[i] along the first axis, repeats summed.
+
+    Like np.add.at, except that the terms of each row are summed first (in
+    input order, by one bincount) and then added to the row once. Touches
+    only the rows that occur in `index`.
+    """
+    rows, inv = np.unique(np.asarray(index, dtype=np.int64), return_inverse=True)
+    m = int(np.prod(values.shape[1:]))
+    sums = np.bincount((inv[:, None] * m + np.arange(m)).ravel(),
+                       weights=values.ravel(), minlength=rows.size * m)
+    target[rows] += sums.reshape((rows.size,) + values.shape[1:])
 
 
 def sigmoid(x):

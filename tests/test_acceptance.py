@@ -434,21 +434,22 @@ def _run_pipeline(base, kind, model, train_extra):
         "--out", str(eval_dir), "--seed", "5",
     ])
     assert res.exit_code == 0, res.output
-    return (eval_dir / "report.csv").read_bytes()
+    artifacts = [train_dir / f"{model}.npz", train_dir / f"{model}_trace.csv",
+                 eval_dir / "report.csv", eval_dir / "report.txt"]
+    return {path.name: path.read_bytes() for path in artifacts}
 
 
 def test_09_rerun_reproduces_metrics_bit_identically(tmp_path):
-    first = _run_pipeline(tmp_path / "a", "sequential", "bpr",
-                          ["--k", "4", "--epochs", "5"])
-    second = _run_pipeline(tmp_path / "b", "sequential", "bpr",
-                           ["--k", "4", "--epochs", "5"])
-    assert first == second
-
-    first = _run_pipeline(tmp_path / "c", "personality", "apar",
-                          ["--k", "4", "--epochs", "300"])
-    second = _run_pipeline(tmp_path / "d", "personality", "apar",
-                           ["--k", "4", "--epochs", "300"])
-    assert first == second
+    runs = [
+        ("sequential", "bpr", ["--k", "4", "--epochs", "5"]),
+        ("sequential", "das", ["--k", "4", "--epochs", "3"]),
+        ("sequential", "can", ["--k", "4", "--epochs", "3", "--dropout", "0.2"]),
+        ("personality", "apar", ["--k", "4", "--epochs", "300"]),
+    ]
+    for kind, model, train_extra in runs:
+        first = _run_pipeline(tmp_path / model / "a", kind, model, train_extra)
+        second = _run_pipeline(tmp_path / model / "b", kind, model, train_extra)
+        assert first == second, model
 
 
 # ---------------------------------------------------------------------------

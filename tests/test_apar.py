@@ -217,11 +217,21 @@ class TestMultiplicativeStep:
         start = apar.objective(P, Q, prob)
         prev = start
         for _ in range(50):
-            P, Q, _used = apar.guarded_step(P, Q, prob, prev)
-            cur = apar.objective(P, Q, prob)
+            P, Q, _used, cur = apar.guarded_step(P, Q, prob, prev)
+            assert cur == apar.objective(P, Q, prob)
             assert cur <= prev + 1e-9
             prev = cur
         assert prev <= 0.1 * start
+
+    def test_holding_position_returns_prev_objective(self):
+        # no step can reach an objective below zero, so the step holds
+        prob = small_problem()
+        rng = make_rng(5)
+        P = rng.random((6, 2))
+        Q = rng.random((8, 2))
+        P2, Q2, used, val = apar.guarded_step(P, Q, prob, -1.0)
+        assert used and val == -1.0
+        assert P2 is P and Q2 is Q
 
     def test_non_finite_rejected(self):
         prob = small_problem()
@@ -279,6 +289,30 @@ class TestTrainApar:
         assert np.all(np.isfinite(tr))
         assert np.all(np.diff(tr) <= 1e-9)
         assert state.converged
+
+    def test_trace_matches_recomputed_objective(self):
+        # the trace holds the objective guarded_step accepted; recomputing
+        # it after each step gives the same floats and the same factors
+        rng = make_rng(4)
+        W = rng.random((8, 9)) * 4 + 1
+        mask = rng.random((8, 9)) < 0.6
+        L = np.zeros((8, 8))
+        L[:4, :4] = 1.0 - np.eye(4)
+        gamma = np.full(8, 0.6)
+        cfg = apar.AparConfig(d=3, lam=0.3, seed=2, max_iters=60, tol=1e-9)
+        state = apar.train_apar(W, mask, L, gamma, cfg)
+
+        prob = apar.AparProblem.build(W, mask, L, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
+        init = make_rng(cfg.seed)
+        P = 0.1 * (1.0 - init.random((8, cfg.d)))
+        Q = 0.1 * (1.0 - init.random((9, cfg.d)))
+        prev, trace = apar.objective(P, Q, prob), []
+        for _ in range(len(state.trace)):
+            P, Q, _used, _val = apar.guarded_step(P, Q, prob, prev)
+            prev = apar.objective(P, Q, prob)
+            trace.append(prev)
+        assert state.trace == trace
+        assert np.array_equal(state.P, P) and np.array_equal(state.Q, Q)
 
     def test_non_convergence_flagged(self):
         rng = make_rng(0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recsuite import can, data, metrics
+from recsuite import can, data
 from recsuite.numeric import grad_check, make_rng
 
 
@@ -159,22 +159,10 @@ class TestPreferenceEncode:
 
 class TestScore:
     def test_zero_user_vector(self):
+        # with no history the user vector is zero, so every item scores 0
         st_ = zeros_state()
         st_.V_out[:] = make_rng(0).random(st_.V_out.shape)
-        assert can.can_score(st_, np.zeros(4), 2) == 0.0
-
-    def test_positive_scaling_keeps_ranking(self):
-        st_ = can.init_can(2, 8, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2, seed=7))
-        u = make_rng(3).random(4)
-        s1 = np.array([can.can_score(st_, u, i) for i in range(8)])
-        s3 = np.array([can.can_score(st_, 3.0 * u, i) for i in range(8)])
-        assert np.allclose(s3, 3.0 * s1)
-        assert list(metrics.rank_items(s1)) == list(metrics.rank_items(s3))
-
-    def test_dimension_mismatch(self):
-        st_ = zeros_state()
-        with pytest.raises(ValueError):
-            can.can_score(st_, np.zeros(7), 0)
+        assert np.array_equal(st_.score_items(0, [], []), np.zeros(5))
 
 
 def one_triple(user=0, G=(0, 1), S=(2,), pos=3, neg=4):

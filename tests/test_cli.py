@@ -254,6 +254,17 @@ class TestEval:
         assert (out / "report.txt").exists()
         assert "precision@2" in res.output
 
+    def test_rerun_writes_identical_report_txt(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", "top")
+        texts = []
+        for out in (tmp_path / "e1", tmp_path / "e2"):
+            res = runner.invoke(main, ["eval", str(ck), str(corpus), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            texts.append((out / "report.txt").read_bytes())
+        assert texts[0] == texts[1]
+        assert b"time=" not in texts[0]
+
     def test_metrics_filter_and_k_shorthand(self, tmp_path):
         corpus = synth_sequential(tmp_path / "s")
         ck = train(corpus, tmp_path / "t", "top")

@@ -23,24 +23,18 @@ def zero_state(k=2, n_items=3, n_users=2, **cfg_kwargs):
 
 
 class TestEmbed:
+    """Item embeddings are sigmoid-ed columns of W1, read by score_items."""
+
     def test_zero_column_is_half(self):
         st_ = zero_state()
-        assert np.allclose(das.embed_item(st_, 1), 0.5)
-
-    def test_pure(self):
-        st_ = das.init_das(2, 3, das.DasConfig(k=4, seed=1))
-        assert np.array_equal(das.embed_item(st_, 2), das.embed_item(st_, 2))
-
-    def test_open_unit_interval(self):
-        st_ = das.init_das(2, 5, das.DasConfig(k=3, seed=0))
-        for j in range(5):
-            h = das.embed_item(st_, j)
-            assert np.all(h > 0) and np.all(h < 1)
+        st_.W[:, 2:] = np.eye(2)  # mixture passes the short-term vector through
+        st_.Wout[0, 0] = st_.Wout[1, 1] = 1.0
+        assert np.allclose(st_.score_items(0, [], [1]), [0.5, 0.5, 0.0])
 
     def test_unknown_item(self):
         st_ = zero_state()
         with pytest.raises(IndexError):
-            das.embed_item(st_, 99)
+            st_.score_items(0, [], [99])
 
 
 class TestAttend:
@@ -258,31 +252,15 @@ class TestTrain:
 
 
 class TestRecommend:
+    """The recommend command ranks score_items with metrics.rank_items."""
+
     def setup_method(self):
         self.state = das.init_das(3, 6, das.DasConfig(k=3, seed=5))
 
     def test_full_catalog_is_permutation(self):
-        recs = das.recommend_das(self.state, 0, [0], [1], 6)
-        assert sorted(i for i, _ in recs) == list(range(6))
+        order = metrics.rank_items(self.state.score_items(0, [0], [1]))
+        assert sorted(int(i) for i in order) == list(range(6))
 
     def test_top1_is_argmax(self):
         scores = self.state.score_items(0, [0], [1])
-        recs = das.recommend_das(self.state, 0, [0], [1], 1)
-        assert recs[0][0] == metrics.rank_items(scores)[0]
-        assert recs[0][1] == pytest.approx(scores[recs[0][0]])
-
-    def test_prefix_property(self):
-        top3 = das.recommend_das(self.state, 1, [2], [3], 3)
-        top5 = das.recommend_das(self.state, 1, [2], [3], 5)
-        assert top5[:3] == top3
-
-    def test_overlong_n_warns_and_returns_catalog(self):
-        with pytest.warns(UserWarning):
-            recs = das.recommend_das(self.state, 0, [], [1], 99)
-        assert len(recs) == 6
-
-    def test_exclude_context_flag(self):
-        with pytest.warns(UserWarning):  # 6 asked, only 4 rankable after exclusion
-            recs = das.recommend_das(self.state, 0, [0], [1, 2], 6, exclude_context=True)
-        items = [i for i, _ in recs]
-        assert 1 not in items and 2 not in items and len(items) == 4
+        assert metrics.rank_items(scores)[0] == int(np.argmax(scores))
