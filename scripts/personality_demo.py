@@ -3,13 +3,11 @@
 factorizer beating the mean baselines on cluster-disjoint ratings.
 
 The synthetic corpus plants users in clusters that share no rated items,
-so any transfer between clusters has to come through the personality
-similarity graph rather than co-rated items.
+so any transfer between clusters has to come through the trait groups
+(users who share a dominant trait) rather than co-rated items.
 """
 
 import argparse
-
-import numpy as np
 
 from recsuite import apar, baselines, data, metrics, personality
 from recsuite.numeric import make_rng
@@ -46,25 +44,14 @@ def main():
     matrix = data.RatingMatrix.from_interactions(interactions)
     train_t, test_t = data.split_ratings(matrix, 0.2, make_rng(args.seed + 1))
 
-    sim = personality.build_L(list(profiles.values()))
-    pos = {u: i for i, u in enumerate(sim.users)}
-    L = np.zeros((matrix.n_users, matrix.n_users))
-    for a, ua in enumerate(matrix.users):
-        for b, ub in enumerate(matrix.users):
-            if a != b and ua in pos and ub in pos:
-                L[a, b] = sim.matrix[pos[ua], pos[ub]]
     kl_map = {
         u: lvl.kl_normalized
         for u, lvl in personality.knowledge_levels(interactions).items()
     }
-    cfg = apar.AparConfig(d=8, max_iters=800, seed=args.seed)
-    gamma = apar.gamma_vector(matrix.users, kl_map, cfg.beta, cfg.gamma_override)
-    W = np.zeros((matrix.n_users, matrix.n_items))
-    mask = np.zeros_like(W, dtype=bool)
-    for u, i, r in train_t:
-        W[u, i] = r
-        mask[u, i] = True
-    state = apar.train_apar(W, mask, L, gamma, cfg)
+    state = apar.fit_ratings(
+        matrix, train_t, personality.trait_groups(profiles, matrix.users), kl_map,
+        apar.AparConfig(d=8, max_iters=800, seed=args.seed),
+    )
 
     print(f"\n{'model':<10}{'mae':>8}{'rmse':>8}")
     for name, predictor in (

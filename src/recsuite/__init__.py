@@ -18,4 +18,6 @@ deterministic under a fixed seed.
 
 __version__ = "0.1.0"
 
-CHECKPOINT_FORMAT_VERSION = 1
+# 2: APAR checkpoints store one trait-group label per user ("groups") in
+# place of the n x n similarity matrix "L"
+CHECKPOINT_FORMAT_VERSION = 2

@@ -26,28 +26,55 @@ def gamma_vector(users, kl_map, beta: float, override: float | None = None) -> n
     return np.array([gamma_value(beta, kl_map.get(u, 0.0)) for u in users])
 
 
-def mix_matrix(gamma: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Row-stochastic blend of self-weight gamma and mean over L-neighbors.
+class CliqueGraph:
+    """The trait graph as one label per user: users sharing a label form a clique.
 
-    Users with no neighbors fall back to themselves entirely, so gamma
-    becomes irrelevant for them and predictions degrade to plain MF.
+    Every product with the n x n similarity L, its Laplacian Y = D - L and
+    the row-stochastic mixing matrix A reduces to per-group row sums S_g and
+    group sizes n_g, at O(n*d) per product:
+
+        L.X = S_g - X            Y.X = n_g*X - S_g          degree = n_g - 1
+        A.X = gamma*X + (1 - gamma)*(S_g - X)/(n_g - 1)
+        A'.X = gamma*X + S_g(c*X) - c*X,   c = (1 - gamma)/(n_g - 1)
+
+    A user alone in their group has no neighbors: their row of A is the
+    identity, so their gamma has no effect and predictions fall back to
+    plain MF.
     """
-    n = len(gamma)
-    A = np.zeros((n, n))
-    for i in range(n):
-        row = np.asarray(L[i], dtype=np.float64)
-        s = row.sum()
-        if s > 0:
-            A[i] = (1.0 - gamma[i]) * row / s
-            A[i, i] += gamma[i]
-        else:
-            A[i, i] = 1.0
-    return A
 
+    def __init__(self, labels, gamma):
+        labels = np.asarray(labels)
+        gamma = np.asarray(gamma, dtype=np.float64)
+        if labels.ndim != 1 or gamma.shape != labels.shape:
+            raise ValueError("need one group label and one gamma per user")
+        _, self._index, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        self._order = np.argsort(self._index, kind="stable")
+        self._starts = np.cumsum(counts) - counts
+        self.degree = (counts[self._index] - 1).astype(np.float64)[:, None]
+        alone = self.degree == 0
+        self._self_weight = np.where(alone, 1.0, gamma[:, None])
+        self._coef = np.where(alone, 0.0, (1.0 - gamma[:, None]) / np.maximum(self.degree, 1.0))
 
-def laplacian(L: np.ndarray) -> np.ndarray:
-    L = np.asarray(L, dtype=np.float64)
-    return np.diag(L.sum(axis=1)) - L
+    def sums(self, X):
+        """Row i holds S_g, the sum of X's rows over user i's group."""
+        return np.add.reduceat(X[self._order], self._starts, axis=0)[self._index]
+
+    def adjacent(self, X):
+        """L.X: the sum over each user's neighbors."""
+        return self.sums(X) - X
+
+    def laplacian(self, X):
+        """Y.X = n_g*X - S_g."""
+        return (self.degree + 1.0) * X - self.sums(X)
+
+    def mix(self, X):
+        """A.X: each row blended with the mean of its neighbors' rows."""
+        return self._self_weight * X + self._coef * self.adjacent(X)
+
+    def mix_t(self, X):
+        """A'.X, the product with A's transpose."""
+        cX = self._coef * X
+        return self._self_weight * X + self.sums(cX) - cX
 
 
 @dataclass
@@ -65,37 +92,33 @@ class AparConfig:
 
 @dataclass
 class AparProblem:
-    """Fixed quantities of one training problem (data, masks, graph pieces)."""
+    """Fixed quantities of one training problem: ratings, mask and trait graph."""
 
-    W: np.ndarray
+    W: np.ndarray  # observed ratings, 0 elsewhere
     mask: np.ndarray
-    L: np.ndarray
+    groups: np.ndarray
     gamma: np.ndarray
-    A: np.ndarray
-    Y: np.ndarray
-    degrees: np.ndarray
+    graph: CliqueGraph
     alpha1: float
     alpha2: float
     lam: float
 
     @classmethod
-    def build(cls, W, mask, L, gamma, alpha1, alpha2, lam) -> "AparProblem":
+    def build(cls, W, mask, groups, gamma, alpha1, alpha2, lam) -> "AparProblem":
         W = np.asarray(W, dtype=np.float64)
         mask = np.asarray(mask, dtype=bool)
-        L = np.asarray(L, dtype=np.float64)
+        groups = np.asarray(groups, dtype=np.int64)
         gamma = np.asarray(gamma, dtype=np.float64)
         if W.shape != mask.shape:
             raise ValueError("ratings and mask shapes differ")
-        if L.shape != (W.shape[0], W.shape[0]) or gamma.shape != (W.shape[0],):
-            raise ValueError("similarity/gamma shapes do not match the user count")
+        if groups.shape != (W.shape[0],) or gamma.shape != (W.shape[0],):
+            raise ValueError("group/gamma shapes do not match the user count")
         return cls(
-            W=W,
+            W=mask * W,
             mask=mask,
-            L=L,
+            groups=groups,
             gamma=gamma,
-            A=mix_matrix(gamma, L),
-            Y=laplacian(L),
-            degrees=L.sum(axis=1),
+            graph=CliqueGraph(groups, gamma),
             alpha1=alpha1,
             alpha2=alpha2,
             lam=lam,
@@ -103,18 +126,20 @@ class AparProblem:
 
 
 def objective(P: np.ndarray, Q: np.ndarray, prob: AparProblem) -> float:
-    E = prob.mask * (prob.A @ P @ Q.T - prob.W)
+    E = prob.mask * (prob.graph.mix(P) @ Q.T - prob.W)
     val = 0.5 * float((E**2).sum())
     val += prob.alpha1 * float((P**2).sum()) + prob.alpha2 * float((Q**2).sum())
     if prob.lam:
-        val += prob.lam * float(np.trace(P.T @ prob.Y @ P))
+        val += prob.lam * float((P * prob.graph.laplacian(P)).sum())  # tr(P'YP)
     return val
 
 
 def objective_grads(P: np.ndarray, Q: np.ndarray, prob: AparProblem):
-    E = prob.mask * (prob.A @ P @ Q.T - prob.W)
-    gP = prob.A.T @ E @ Q + 2.0 * prob.alpha1 * P + 2.0 * prob.lam * (prob.Y @ P)
-    gQ = E.T @ (prob.A @ P) + 2.0 * prob.alpha2 * Q
+    AP = prob.graph.mix(P)
+    E = prob.mask * (AP @ Q.T - prob.W)
+    gP = prob.graph.mix_t(E @ Q) + 2.0 * prob.alpha1 * P
+    gP += 2.0 * prob.lam * prob.graph.laplacian(P)
+    gQ = E.T @ AP + 2.0 * prob.alpha2 * Q
     return gP, gQ
 
 
@@ -124,21 +149,20 @@ def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem):
     Each factor is scaled by (negative gradient part) / (positive gradient
     part): entries with zero gradient keep ratio 1 and stay put.
     """
-    A, mask, W = prob.A, prob.mask, prob.W
-    obs_W = mask * W
+    g, mask, obs_W = prob.graph, prob.mask, prob.W
 
-    AP = A @ P
+    AP = g.mix(P)
     fitted = mask * (AP @ Q.T)
-    num_P = A.T @ obs_W @ Q + 2.0 * prob.lam * (prob.L @ P)
+    num_P = g.mix_t(obs_W @ Q) + 2.0 * prob.lam * g.adjacent(P)
     den_P = (
-        A.T @ fitted @ Q
+        g.mix_t(fitted @ Q)
         + 2.0 * prob.alpha1 * P
-        + 2.0 * prob.lam * (prob.degrees[:, None] * P)
+        + 2.0 * prob.lam * (g.degree * P)
         + _EPS
     )
     P2 = P * (num_P / den_P)
 
-    AP2 = A @ P2
+    AP2 = g.mix(P2)
     fitted2 = mask * (AP2 @ Q.T)
     num_Q = obs_W.T @ AP2
     den_Q = fitted2.T @ AP2 + 2.0 * prob.alpha2 * Q + _EPS
@@ -180,42 +204,40 @@ class AparState:
     P: np.ndarray
     Q: np.ndarray
     gamma: np.ndarray
-    L: np.ndarray
+    groups: np.ndarray
     config: AparConfig
     converged: bool = True
     trace: list = field(default_factory=list)
     fallback_steps: int = 0
+    # A.P, each user's gamma-weighted blend of their own row and their
+    # neighbors' mean; derived from the fields above and never saved
+    blended: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _blend_row(self, user: int) -> np.ndarray:
-        """gamma-weighted mix of the user's own latent row and neighbors' mean."""
-        own = self.P[user]
-        neigh = np.nonzero(self.L[user])[0]
-        if neigh.size == 0:
-            return own
-        g = self.gamma[user]
-        return g * own + (1.0 - g) * self.P[neigh].mean(axis=0)
+    def __post_init__(self):
+        self.blended = CliqueGraph(self.groups, self.gamma).mix(self.P)
 
     def predict_rating(self, user: int, item: int) -> float:
-        return float(self._blend_row(user) @ self.Q[item])
+        return float(self.blended[user] @ self.Q[item])
 
     def score_items(self, user, long_items, short_items) -> np.ndarray:
-        return self._blend_row(user) @ self.Q.T
+        return self.Q @ self.blended[user]
 
 
-def train_apar(W, mask, L, gamma, config: AparConfig) -> AparState:
+def train_apar(W, mask, groups, gamma, config: AparConfig) -> AparState:
     """Alternate guarded multiplicative updates until the objective settles.
 
-    gamma may be a per-user vector or None (then the config's override or
-    plain beta applies to everyone). Stops when the relative objective
-    change drops below config.tol; hitting max_iters first leaves
-    converged=False on the returned state.
+    groups holds one trait-group label per user. gamma may be a per-user
+    vector or None (then the config's override or plain beta applies to
+    everyone). Stops when the relative objective change drops below
+    config.tol; hitting max_iters first leaves converged=False on the
+    returned state.
     """
     W = np.asarray(W, dtype=np.float64)
     n_users, n_items = W.shape
     if gamma is None:
         g = config.gamma_override
         gamma = np.full(n_users, g if g is not None else gamma_value(config.beta, 0.0))
-    prob = AparProblem.build(W, mask, L, gamma, config.alpha1, config.alpha2, config.lam)
+    prob = AparProblem.build(W, mask, groups, gamma, config.alpha1, config.alpha2, config.lam)
 
     rng = make_rng(config.seed)
     P = 0.1 * (1.0 - rng.random((n_users, config.d)))  # strictly positive (0, 0.1]
@@ -241,7 +263,7 @@ def train_apar(W, mask, L, gamma, config: AparConfig) -> AparState:
         P=P,
         Q=Q,
         gamma=prob.gamma,
-        L=prob.L,
+        groups=prob.groups,
         config=config,
         converged=converged,
         trace=trace,
@@ -249,8 +271,17 @@ def train_apar(W, mask, L, gamma, config: AparConfig) -> AparState:
     )
 
 
-def fit_ratings(matrix, L, kl_map, config: AparConfig) -> AparState:
-    """Train from a RatingMatrix plus token-keyed normalized knowledge levels."""
-    W, mask = matrix.dense()
+def fit_ratings(matrix, triplets, groups, kl_map, config: AparConfig) -> AparState:
+    """Train on (user, item, rating) triplets indexed by a RatingMatrix.
+
+    groups holds one trait-group label per matrix user, and kl_map maps
+    user tokens to normalized knowledge levels for the blend weights.
+    """
+    W = np.zeros((matrix.n_users, matrix.n_items))
+    mask = np.zeros_like(W, dtype=bool)
+    if triplets:
+        users, items, ratings = zip(*triplets)
+        W[users, items] = ratings
+        mask[users, items] = True
     gamma = gamma_vector(matrix.users, kl_map, config.beta, config.gamma_override)
-    return train_apar(W, mask, L, gamma, config)
+    return train_apar(W, mask, groups, gamma, config)

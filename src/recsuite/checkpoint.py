@@ -35,7 +35,7 @@ class Checkpoint:
 def _pack(state):
     """(kind, arrays, extra-meta) for every supported state type."""
     if isinstance(state, apar.AparState):
-        arrays = {"P": state.P, "Q": state.Q, "gamma": state.gamma, "L": state.L}
+        arrays = {"P": state.P, "Q": state.Q, "gamma": state.gamma, "groups": state.groups}
         extra = {
             "config": asdict(state.config),
             "trace": [float(v) for v in state.trace],
@@ -105,7 +105,7 @@ def _unpack(kind, blobs, meta):
             P=blobs["P"],
             Q=blobs["Q"],
             gamma=blobs["gamma"],
-            L=blobs["L"],
+            groups=blobs["groups"],
             config=apar.AparConfig(**meta["config"]),
             converged=meta["converged"],
             trace=list(meta["trace"]),

@@ -169,17 +169,6 @@ def _rating_context(interactions, test_fraction, seed):
     return matrix, train_trips, test_trips
 
 
-def _aligned_L(sim: personality.SimilarityMatrix, users) -> np.ndarray:
-    """Expand a similarity matrix over profiled users to the full user list."""
-    pos = {u: i for i, u in enumerate(sim.users)}
-    L = np.zeros((len(users), len(users)))
-    for a, ua in enumerate(users):
-        for b, ub in enumerate(users):
-            if a != b and ua in pos and ub in pos:
-                L[a, b] = sim.matrix[pos[ua], pos[ub]]
-    return L
-
-
 @click.group()
 def main():
     """Recommender-systems engine: data, personality profiles, models, metrics."""
@@ -459,21 +448,14 @@ def train(input_path, model, k, lr, epochs, batch, l2, lam_uv, lam_at, alpha1,
                 profiles = personality.profile_all(
                     interactions, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
                 )
-                sim = personality.build_L(list(profiles.values()))
-                L = _aligned_L(sim, matrix.users)
                 kl_map = {
                     u: lvl.kl_normalized
                     for u, lvl in personality.knowledge_levels(interactions).items()
                 }
-                gamma_vec = apar.gamma_vector(
-                    matrix.users, kl_map, cfg.beta, cfg.gamma_override
+                state = apar.fit_ratings(
+                    matrix, train_trips, personality.trait_groups(profiles, users),
+                    kl_map, cfg,
                 )
-                W = np.zeros((matrix.n_users, matrix.n_items))
-                mask = np.zeros_like(W, dtype=bool)
-                for u, i, rating in train_trips:
-                    W[u, i] = rating
-                    mask[u, i] = True
-                state = apar.train_apar(W, mask, L, gamma_vec, cfg)
         else:
             ds, sp = _ranking_context(interactions, policy, seed)
             users, items = ds.users, ds.items
@@ -586,6 +568,10 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
             )
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    if not report.n_instances:
+        reason = (f"all {len(report.failures)} failed; first: {report.failures[0]}"
+                  if report.failures else "the split holds none")
+        raise click.ClickException(f"no test instance was scored: {reason}")
 
     if wanted is not None:
         report.rows = [row for row in report.rows if row[0] in wanted]

@@ -212,20 +212,6 @@ def ordered_dedup(items) -> list:
     return out
 
 
-def build_long_short(user_sessions: list[Session], t: int):
-    """(long-term item list, short-term item list) for 1-based session ordinal t.
-
-    The long-term side is a set in spirit; it is returned as a list ordered
-    by first interaction so convolution-style consumers have a stable order.
-    """
-    ordered = sorted(user_sessions, key=lambda s: s.t)
-    if not 1 <= t <= len(ordered):
-        raise ValueError(f"session ordinal {t} out of range 1..{len(ordered)}")
-    long_term = ordered_dedup(it for s in ordered[: t - 1] for it in s.items)
-    short_term = list(ordered[t - 1].items)
-    return long_term, short_term
-
-
 def long_term_before(user_sessions: list[Session], day: int) -> list[str]:
     """Deduplicated items of the user's sessions strictly before `day`."""
     ordered = sorted(user_sessions, key=lambda s: (s.day, s.t))
@@ -292,17 +278,6 @@ def split(sessions: list[Session], policy: str, rng, test_fraction: float = 0.2)
             TestInstance(user=s.user, day=s.day, t=s.t, context=context, target=s.items[hold])
         )
     return Split(train=train, test=test, policy=policy, warnings=warnings)
-
-
-def sample_negatives(history, universe, n: int, rng) -> list:
-    """n items uniformly without replacement from universe minus history."""
-    candidates = sorted(set(universe) - set(history))
-    if len(candidates) < n:
-        raise ValueError(
-            f"asked for {n} negatives but only {len(candidates)} candidates exist"
-        )
-    picked = rng.choice(len(candidates), size=n, replace=False)
-    return [candidates[int(i)] for i in picked]
 
 
 def training_instances(train_sessions: list[Session]) -> list[TestInstance]:
@@ -611,14 +586,6 @@ class RatingMatrix:
                 latest[key] = (e.timestamp, order, e.rating)
         triplets = [(u, i, r) for (u, i), (_, _, r) in sorted(latest.items())]
         return cls(users, items, uidx, iidx, triplets)
-
-    def dense(self):
-        W = np.zeros((self.n_users, self.n_items))
-        mask = np.zeros_like(W, dtype=bool)
-        for u, i, r in self.triplets:
-            W[u, i] = r
-            mask[u, i] = True
-        return W, mask
 
 
 def split_ratings(matrix: RatingMatrix, test_fraction: float, rng):

@@ -143,6 +143,10 @@ class EvalReport:
         return "\n".join(lines)
 
 
+class _ShapeError(ValueError):
+    """A scorer returned the wrong number of scores for one instance."""
+
+
 def _user_mean_then_global(per_user: dict) -> float:
     user_means = [sum(vals) / len(vals) for vals in per_user.values() if vals]
     return sum(user_means) / len(user_means)
@@ -168,6 +172,10 @@ def evaluate(
     taken (novelty is then 1 by construction). AUC negatives are the
     items outside train history, context, and target; "sampled-100" caps
     that pool at 100 draws per instance.
+
+    A lookup error (KeyError, IndexError: an unknown user or item) or a
+    score vector of the wrong length fails only its instance and is listed
+    in the report's failures; any other exception propagates.
     """
     if auc_negatives not in ("all", "sampled-100"):
         raise ValueError(f"unknown auc_negatives mode: {auc_negatives!r}")
@@ -202,7 +210,7 @@ def evaluate(
 
             scores = np.asarray(scorer.score_items(uidx, g_idx, ctx_idx), dtype=np.float64)
             if scores.shape != (n,):
-                raise ValueError(f"scorer returned shape {scores.shape}, expected ({n},)")
+                raise _ShapeError(f"scorer returned shape {scores.shape}, expected ({n},)")
 
             order = rank_items(scores)
             if exclude_context:
@@ -229,7 +237,7 @@ def evaluate(
                     auc([scores[target]], scores[pool])
                 )
             n_done += 1
-        except Exception as exc:  # record and move on; one bad user can't sink a run
+        except (KeyError, IndexError, _ShapeError) as exc:  # data errors only
             failures.append(f"user {inst.user} day {inst.day}: {exc}")
 
     rows = []
@@ -250,15 +258,19 @@ def evaluate(
 
 
 def evaluate_ratings(predictor, triplets, model_name: str, split_id: str = "test") -> EvalReport:
-    """MAE/RMSE of predictor.predict_rating over (user, item, rating) triplets."""
+    """MAE/RMSE of predictor.predict_rating over (user, item, rating) triplets.
+
+    A KeyError or IndexError fails only its triplet; no rows are reported
+    when no triplet was scored.
+    """
     true, pred, failures = [], [], []
     for u, i, r in triplets:
         try:
             pred.append(float(predictor.predict_rating(u, i)))
             true.append(r)
-        except Exception as exc:
+        except (KeyError, IndexError) as exc:
             failures.append(f"user {u} item {i}: {exc}")
-    rows = [("mae", None, mae(true, pred)), ("rmse", None, rmse(true, pred))]
+    rows = [("mae", None, mae(true, pred)), ("rmse", None, rmse(true, pred))] if true else []
     return EvalReport(
         model=model_name,
         split_id=split_id,

@@ -129,15 +129,6 @@ def dense_forward(
     return ACTIVATIONS[activation](W @ v + b)
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, l2: float = 0.0) -> np.ndarray:
-    """p - lr * (g + 2*l2*p); the l2 term is decoupled weight decay."""
-    p = np.asarray(params, dtype=np.float64)
-    g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ValueError(f"param shape {p.shape} != grad shape {g.shape}")
-    return p - lr * (g + 2.0 * l2 * p)
-
-
 def grad_check(
     loss_and_grad: Callable,
     params,

@@ -140,19 +140,24 @@ DEMO_WEIGHTS = parse_weights_text(DEMO_WEIGHTS_TEXT)
 
 
 def categorize(text: str, lexicon: dict[str, list[str]]) -> dict[str, float]:
-    """Per-category proportion of tokens matching that category's words."""
+    """Per-category proportion of tokens matching that category's words.
+
+    Each distinct token is matched once per category and weighted by its
+    count: exact words by lookup, ``stem*`` words by one startswith call.
+    """
     tokens = tokenize(text)
     if not tokens:
         return {cat: 0.0 for cat in lexicon}
+    counts = collections.Counter(tokens)
     proportions = {}
     for cat, words in lexicon.items():
         exact = {w for w in words if not w.endswith("*")}
-        stems = [w[:-1] for w in words if w.endswith("*")]
-        matched = sum(
-            1
-            for tok in tokens
-            if tok in exact or any(tok.startswith(s) for s in stems)
-        )
+        stems = tuple(w[:-1] for w in words if w.endswith("*"))
+        matched = sum(counts[w] for w in exact)
+        if stems:
+            matched += sum(
+                n for tok, n in counts.items() if tok not in exact and tok.startswith(stems)
+            )
         proportions[cat] = matched / len(tokens)
     return proportions
 
@@ -223,26 +228,22 @@ def profile_all(
 
 
 # ---------------------------------------------------------------------------
-# Similarity matrix over users
+# Trait groups over users
 
 
-@dataclass
-class SimilarityMatrix:
-    users: list[str]
-    matrix: np.ndarray  # symmetric binary, zero diagonal
+def trait_groups(profiles: dict[str, PersonalityProfile], users) -> np.ndarray:
+    """One integer label per user; users sharing a dominant trait share a label.
 
-
-def build_L(profiles: list[PersonalityProfile]) -> SimilarityMatrix:
-    """L[j,k] = 1 iff users j and k share a dominant trait (j != k)."""
-    if not profiles:
-        raise ValueError("need at least one profile")
-    n = len(profiles)
-    L = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j != k and profiles[j].dominant == profiles[k].dominant:
-                L[j, k] = 1.0
-    return SimilarityMatrix(users=[p.user for p in profiles], matrix=L)
+    profiles maps user tokens to profiles, as `profile_all` returns them. A
+    user with no profile gets a label of their own, a group of one. Each
+    label is the position in `users` of the group's first member.
+    """
+    first: dict[str, int] = {}
+    labels = np.empty(len(users), dtype=np.int64)
+    for i, user in enumerate(users):
+        prof = profiles.get(user)
+        labels[i] = i if prof is None else first.setdefault(prof.dominant, i)
+    return labels
 
 
 # ---------------------------------------------------------------------------

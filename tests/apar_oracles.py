@@ -1,0 +1,147 @@
+"""Reference implementations that the APAR pipeline replaced.
+
+`recsuite.apar` works on one trait-group label per user; these are the
+dense originals it is tested against: the n x n similarity L over users who
+share a dominant trait, the mixing matrix A and the Laplacian Y built from
+it, and the objective, gradients, multiplicative step and blended
+prediction as products with those matrices. `categorize` is the trait
+scorer that matches every token against every category word in turn.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from recsuite import personality
+
+_EPS = 1e-12
+
+
+def categorize(text, lexicon):
+    """Per-category proportion of tokens matching that category's words."""
+    tokens = personality.tokenize(text)
+    if not tokens:
+        return {cat: 0.0 for cat in lexicon}
+    proportions = {}
+    for cat, words in lexicon.items():
+        exact = {w for w in words if not w.endswith("*")}
+        stems = [w[:-1] for w in words if w.endswith("*")]
+        matched = sum(
+            1
+            for tok in tokens
+            if tok in exact or any(tok.startswith(s) for s in stems)
+        )
+        proportions[cat] = matched / len(tokens)
+    return proportions
+
+
+def similarity(profiles, users):
+    """L[a, b] = 1 iff users a != b both have a profile with the same dominant trait."""
+    by_user = {p.user: p for p in profiles}
+    L = np.zeros((len(users), len(users)))
+    for a, ua in enumerate(users):
+        for b, ub in enumerate(users):
+            if a != b and ua in by_user and ub in by_user:
+                L[a, b] = float(by_user[ua].dominant == by_user[ub].dominant)
+    return L
+
+
+def clique_matrix(groups):
+    """L of the clique graph given by one label per user."""
+    groups = np.asarray(groups)
+    return (groups[:, None] == groups[None, :]).astype(float) - np.eye(len(groups))
+
+
+def mix_matrix(gamma, L):
+    """Row-stochastic blend of self-weight gamma and mean over L-neighbors.
+
+    Users with no neighbors fall back to themselves entirely.
+    """
+    n = len(gamma)
+    A = np.zeros((n, n))
+    for i in range(n):
+        row = np.asarray(L[i], dtype=np.float64)
+        s = row.sum()
+        if s > 0:
+            A[i] = (1.0 - gamma[i]) * row / s
+            A[i, i] += gamma[i]
+        else:
+            A[i, i] = 1.0
+    return A
+
+
+def laplacian(L):
+    L = np.asarray(L, dtype=np.float64)
+    return np.diag(L.sum(axis=1)) - L
+
+
+@dataclass
+class DenseProblem:
+    W: np.ndarray
+    mask: np.ndarray
+    L: np.ndarray
+    gamma: np.ndarray
+    A: np.ndarray
+    Y: np.ndarray
+    degrees: np.ndarray
+    alpha1: float
+    alpha2: float
+    lam: float
+
+    @classmethod
+    def build(cls, W, mask, L, gamma, alpha1, alpha2, lam):
+        W = np.asarray(W, dtype=np.float64)
+        L = np.asarray(L, dtype=np.float64)
+        gamma = np.asarray(gamma, dtype=np.float64)
+        return cls(W=W, mask=np.asarray(mask, dtype=bool), L=L, gamma=gamma,
+                   A=mix_matrix(gamma, L), Y=laplacian(L), degrees=L.sum(axis=1),
+                   alpha1=alpha1, alpha2=alpha2, lam=lam)
+
+
+def objective(P, Q, prob):
+    E = prob.mask * (prob.A @ P @ Q.T - prob.W)
+    val = 0.5 * float((E**2).sum())
+    val += prob.alpha1 * float((P**2).sum()) + prob.alpha2 * float((Q**2).sum())
+    if prob.lam:
+        val += prob.lam * float(np.trace(P.T @ prob.Y @ P))
+    return val
+
+
+def objective_grads(P, Q, prob):
+    E = prob.mask * (prob.A @ P @ Q.T - prob.W)
+    gP = prob.A.T @ E @ Q + 2.0 * prob.alpha1 * P + 2.0 * prob.lam * (prob.Y @ P)
+    gQ = E.T @ (prob.A @ P) + 2.0 * prob.alpha2 * Q
+    return gP, gQ
+
+
+def multiplicative_step(P, Q, prob):
+    A, mask, W = prob.A, prob.mask, prob.W
+    obs_W = mask * W
+
+    AP = A @ P
+    fitted = mask * (AP @ Q.T)
+    num_P = A.T @ obs_W @ Q + 2.0 * prob.lam * (prob.L @ P)
+    den_P = (
+        A.T @ fitted @ Q
+        + 2.0 * prob.alpha1 * P
+        + 2.0 * prob.lam * (prob.degrees[:, None] * P)
+        + _EPS
+    )
+    P2 = P * (num_P / den_P)
+
+    AP2 = A @ P2
+    fitted2 = mask * (AP2 @ Q.T)
+    num_Q = obs_W.T @ AP2
+    den_Q = fitted2.T @ AP2 + 2.0 * prob.alpha2 * Q + _EPS
+    Q2 = Q * (num_Q / den_Q)
+    return P2, Q2
+
+
+def blend_row(P, L, gamma, user):
+    """gamma-weighted mix of the user's own latent row and neighbors' mean."""
+    own = P[user]
+    neigh = np.nonzero(L[user])[0]
+    if neigh.size == 0:
+        return own
+    g = gamma[user]
+    return g * own + (1.0 - g) * P[neigh].mean(axis=0)

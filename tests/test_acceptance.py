@@ -132,16 +132,16 @@ def test_02_multiplicative_updates_descend():
     assert 0 < mask.sum() < W.size
 
     cfg = apar.AparConfig(d=3, max_iters=50, tol=0.0, gamma_override=1.0, seed=0)
-    L = np.zeros((20, 20))
+    groups = np.arange(20)
     gamma = np.full(20, 1.0)
-    prob = apar.AparProblem.build(W, mask, L, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
+    prob = apar.AparProblem.build(W, mask, groups, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
     init = make_rng(cfg.seed)
     P0 = 0.1 * (1.0 - init.random((20, 3)))
     Q0 = 0.1 * (1.0 - init.random((30, 3)))
     start = apar.objective(P0, Q0, prob)
 
     t0 = time.perf_counter()
-    state = apar.train_apar(W, mask, L, gamma, cfg)
+    state = apar.train_apar(W, mask, groups, gamma, cfg)
     elapsed = time.perf_counter() - t0
 
     assert len(state.trace) == 50
@@ -344,25 +344,13 @@ def test_07_cluster_transfer_beats_user_mean():
     profiles = personality.profile_all(
         interactions, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
     )
-    sim = personality.build_L(list(profiles.values()))
-    pos = {u: i for i, u in enumerate(sim.users)}
-    L = np.zeros((matrix.n_users, matrix.n_users))
-    for a, ua in enumerate(matrix.users):
-        for b, ub in enumerate(matrix.users):
-            if a != b and ua in pos and ub in pos:
-                L[a, b] = sim.matrix[pos[ua], pos[ub]]
+    groups = personality.trait_groups(profiles, matrix.users)
     kl_map = {
         u: lvl.kl_normalized
         for u, lvl in personality.knowledge_levels(interactions).items()
     }
     cfg = apar.AparConfig(d=8, max_iters=800, seed=0)
-    gamma = apar.gamma_vector(matrix.users, kl_map, cfg.beta, cfg.gamma_override)
-    W = np.zeros((matrix.n_users, matrix.n_items))
-    mask = np.zeros_like(W, dtype=bool)
-    for u, i, r in train_t:
-        W[u, i] = r
-        mask[u, i] = True
-    state = apar.train_apar(W, mask, L, gamma, cfg)
+    state = apar.fit_ratings(matrix, train_t, groups, kl_map, cfg)
     elapsed = time.perf_counter() - t0
 
     model_mae = metrics.evaluate_ratings(state, test_t, "apar").value("mae")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recsuite import apar
+import apar_oracles as dense
+from recsuite import apar, personality
 from recsuite.numeric import grad_check, make_rng
 
 
@@ -30,9 +31,9 @@ class TestGamma:
 def two_user_state(gamma, neighbors=True):
     P = np.array([[2.0, 0.0], [1.0, 0.0]])
     Q = np.array([[2.0, 0.0]])  # p0·q0 = 4, p1·q0 = 2
-    L = np.array([[0.0, 1.0], [1.0, 0.0]]) if neighbors else np.zeros((2, 2))
+    groups = np.array([0, 0]) if neighbors else np.array([0, 1])
     return apar.AparState(
-        P=P, Q=Q, gamma=np.array([gamma, gamma]), L=L, config=apar.AparConfig(d=2)
+        P=P, Q=Q, gamma=np.array([gamma, gamma]), groups=groups, config=apar.AparConfig(d=2)
     )
 
 
@@ -62,28 +63,31 @@ class TestPredict:
     def test_neighbor_mean_of_clique(self):
         P = np.array([[1.0], [3.0], [5.0]])
         Q = np.array([[1.0]])
-        L = np.ones((3, 3)) - np.eye(3)
         st_ = apar.AparState(
-            P=P, Q=Q, gamma=np.zeros(3), L=L, config=apar.AparConfig(d=1)
+            P=P, Q=Q, gamma=np.zeros(3), groups=np.zeros(3, dtype=int),
+            config=apar.AparConfig(d=1),
         )
         assert st_.predict_rating(0, 0) == pytest.approx((3.0 + 5.0) / 2)
 
 
+def mix_matrix(groups, gamma):
+    """A itself, as the group kernel's product with the identity."""
+    return apar.CliqueGraph(groups, gamma).mix(np.eye(len(groups)))
+
+
 class TestMixMatrix:
     def test_pair_half(self):
-        A = apar.mix_matrix(np.array([0.5, 0.5]), np.array([[0, 1], [1, 0]], dtype=float))
+        A = mix_matrix([0, 0], np.array([0.5, 0.5]))
         assert np.allclose(A, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_isolated_row_is_identity(self):
-        A = apar.mix_matrix(np.array([0.3]), np.zeros((1, 1)))
+        A = mix_matrix([0], np.array([0.3]))
         assert np.allclose(A, [[1.0]])
 
     def test_rows_sum_to_one(self):
         rng = make_rng(0)
-        L = (rng.random((6, 6)) < 0.4).astype(float)
-        L = np.triu(L, 1)
-        L = L + L.T
-        A = apar.mix_matrix(rng.random(6), L)
+        groups = rng.integers(0, 3, size=6)
+        A = mix_matrix(groups, rng.random(6))
         assert np.allclose(A.sum(axis=1), 1.0)
         assert A.min() >= 0
 
@@ -94,7 +98,7 @@ class TestObjective:
         Q = np.array([[3.0, 0.5]])
         W = P @ Q.T
         prob = apar.AparProblem.build(
-            W, np.ones_like(W, dtype=bool), np.zeros((1, 1)), np.array([1.0]),
+            W, np.ones_like(W, dtype=bool), np.array([0]), np.array([1.0]),
             alpha1=0.0, alpha2=0.0, lam=0.0,
         )
         assert apar.objective(P, Q, prob) == 0.0
@@ -104,7 +108,7 @@ class TestObjective:
         Q = np.array([[3.0]])
         W = np.array([[1.0]])  # error = 2
         prob = apar.AparProblem.build(
-            W, np.ones_like(W, dtype=bool), np.zeros((1, 1)), np.array([1.0]),
+            W, np.ones_like(W, dtype=bool), np.array([0]), np.array([1.0]),
             alpha1=0.0, alpha2=0.0, lam=0.0,
         )
         assert apar.objective(P, Q, prob) == pytest.approx(2.0)
@@ -112,11 +116,11 @@ class TestObjective:
     def test_equal_rows_kill_personality_term(self):
         P = np.array([[1.0, 2.0], [1.0, 2.0]])
         Q = np.array([[1.0, 1.0]])
-        L = np.array([[0, 1], [1, 0]], dtype=float)
+        groups = np.array([0, 0])
         W = np.zeros((2, 1))
         mask = np.zeros_like(W, dtype=bool)
-        with_lam = apar.AparProblem.build(W, mask, L, np.ones(2), 0.0, 0.0, lam=5.0)
-        without = apar.AparProblem.build(W, mask, L, np.ones(2), 0.0, 0.0, lam=0.0)
+        with_lam = apar.AparProblem.build(W, mask, groups, np.ones(2), 0.0, 0.0, lam=5.0)
+        without = apar.AparProblem.build(W, mask, groups, np.ones(2), 0.0, 0.0, lam=0.0)
         assert apar.objective(P, Q, with_lam) == apar.objective(P, Q, without)
 
     def test_brute_force_oracle(self):
@@ -128,9 +132,9 @@ class TestObjective:
         L = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
         gam = np.array([0.5, 0.5, 1.0])
         a1, a2, lam = 0.07, 0.03, 0.2
-        prob = apar.AparProblem.build(W, mask, L, gam, a1, a2, lam)
+        prob = apar.AparProblem.build(W, mask, np.array([0, 0, 1]), gam, a1, a2, lam)
 
-        A = apar.mix_matrix(gam, L)
+        A = dense.mix_matrix(gam, L)
         total = 0.0
         for i in range(3):
             for j in range(4):
@@ -149,12 +153,11 @@ class TestLaplacianIdentity:
     def test_trace_equals_pairwise_sum(self, seed):
         rng = make_rng(seed)
         n = int(rng.integers(2, 7))
-        L = (rng.random((n, n)) < 0.5).astype(float)
-        L = np.triu(L, 1)
-        L = L + L.T
+        groups = rng.integers(0, n, size=n)
+        L = dense.clique_matrix(groups)
         P = rng.normal(size=(n, 3))
-        Y = apar.laplacian(L)
-        trace_form = float(np.trace(P.T @ Y @ P))
+        YP = apar.CliqueGraph(groups, np.ones(n)).laplacian(P)
+        trace_form = float((P * YP).sum())
         pairwise = 0.5 * sum(
             L[j, jp] * ((P[j] - P[jp]) ** 2).sum()
             for j in range(n)
@@ -169,15 +172,9 @@ def small_problem(seed=0, n_users=6, n_items=8, d=2, lam=0.1):
     Q0 = rng.uniform(0.5, 1.5, size=(n_items, d))
     W = P0 @ Q0.T
     mask = rng.random((n_users, n_items)) < 0.6
-    half = n_users // 2
-    L = np.zeros((n_users, n_users))
-    for blk in (range(half), range(half, n_users)):
-        for a in blk:
-            for b in blk:
-                if a != b:
-                    L[a, b] = 1.0
+    groups = np.arange(n_users) >= n_users // 2  # two cliques
     prob = apar.AparProblem.build(
-        W, mask, L, np.full(n_users, 0.5), alpha1=0.01, alpha2=0.01, lam=lam
+        W, mask, groups, np.full(n_users, 0.5), alpha1=0.01, alpha2=0.01, lam=lam
     )
     return prob
 
@@ -189,7 +186,7 @@ class TestMultiplicativeStep:
         Q = rng.uniform(0.5, 1.5, size=(5, 2))
         W = P @ Q.T
         prob = apar.AparProblem.build(
-            W, np.ones_like(W, dtype=bool), np.zeros((4, 4)), np.ones(4), 0.0, 0.0, 0.0
+            W, np.ones_like(W, dtype=bool), np.arange(4), np.ones(4), 0.0, 0.0, 0.0
         )
         P2, Q2 = apar.multiplicative_step(P, Q, prob)
         assert np.allclose(P2, P, rtol=1e-9)
@@ -210,8 +207,7 @@ class TestMultiplicativeStep:
         Q0 = rng.uniform(0.5, 1.5, size=(30, 3))
         W = P0 @ Q0.T
         mask = rng.random((20, 30)) < 0.4
-        L = np.zeros((20, 20))
-        prob = apar.AparProblem.build(W, mask, L, np.ones(20), 0.01, 0.01, 0.0)
+        prob = apar.AparProblem.build(W, mask, np.arange(20), np.ones(20), 0.01, 0.01, 0.0)
         P = 0.1 * (1.0 - rng.random((20, 3)))
         Q = 0.1 * (1.0 - rng.random((30, 3)))
         start = apar.objective(P, Q, prob)
@@ -243,12 +239,12 @@ class TestMultiplicativeStep:
 
 class TestGradients:
     def test_reduces_to_mf_and_passes_grad_check(self):
-        # lam=0, L=0, gamma=1 -> plain regularized MF
+        # lam=0, every user alone, gamma=1 -> plain regularized MF
         rng = make_rng(3)
         W = rng.random((4, 5)) * 4 + 1
         mask = rng.random((4, 5)) < 0.7
         prob = apar.AparProblem.build(
-            W, mask, np.zeros((4, 4)), np.ones(4), alpha1=0.05, alpha2=0.05, lam=0.0
+            W, mask, np.arange(4), np.ones(4), alpha1=0.05, alpha2=0.05, lam=0.0
         )
         P = rng.uniform(0.2, 1.0, size=(4, 3))
         Q = rng.uniform(0.2, 1.0, size=(5, 3))
@@ -281,10 +277,9 @@ class TestTrainApar:
         Q0 = rng.uniform(0.5, 1.5, size=(12, 2))
         W = P0 @ Q0.T
         mask = rng.random((10, 12)) < 0.6
-        L = np.zeros((10, 10))
         cfg = apar.AparConfig(d=2, alpha1=0.01, alpha2=0.01, lam=0.0, seed=1,
                               gamma_override=1.0, max_iters=2000)
-        state = apar.train_apar(W, mask, L, None, cfg)
+        state = apar.train_apar(W, mask, np.arange(10), None, cfg)
         tr = np.array(state.trace)
         assert np.all(np.isfinite(tr))
         assert np.all(np.diff(tr) <= 1e-9)
@@ -296,13 +291,12 @@ class TestTrainApar:
         rng = make_rng(4)
         W = rng.random((8, 9)) * 4 + 1
         mask = rng.random((8, 9)) < 0.6
-        L = np.zeros((8, 8))
-        L[:4, :4] = 1.0 - np.eye(4)
+        groups = np.array([0, 0, 0, 0, 4, 5, 6, 7])  # one clique of four
         gamma = np.full(8, 0.6)
         cfg = apar.AparConfig(d=3, lam=0.3, seed=2, max_iters=60, tol=1e-9)
-        state = apar.train_apar(W, mask, L, gamma, cfg)
+        state = apar.train_apar(W, mask, groups, gamma, cfg)
 
-        prob = apar.AparProblem.build(W, mask, L, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
+        prob = apar.AparProblem.build(W, mask, groups, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
         init = make_rng(cfg.seed)
         P = 0.1 * (1.0 - init.random((8, cfg.d)))
         Q = 0.1 * (1.0 - init.random((9, cfg.d)))
@@ -319,7 +313,7 @@ class TestTrainApar:
         W = rng.random((5, 6)) * 4 + 1
         mask = np.ones_like(W, dtype=bool)
         cfg = apar.AparConfig(d=2, seed=0, max_iters=2, tol=0.0)
-        state = apar.train_apar(W, mask, np.zeros((5, 5)), None, cfg)
+        state = apar.train_apar(W, mask, np.arange(5), None, cfg)
         assert not state.converged
         assert len(state.trace) == 2
 
@@ -328,18 +322,17 @@ class TestTrainApar:
         W = rng.random((5, 6)) * 4 + 1
         mask = rng.random((5, 6)) < 0.7
         cfg = apar.AparConfig(d=2, seed=3, max_iters=20)
-        a = apar.train_apar(W, mask, np.zeros((5, 5)), None, cfg)
-        b = apar.train_apar(W, mask, np.zeros((5, 5)), None, cfg)
+        a = apar.train_apar(W, mask, np.arange(5), None, cfg)
+        b = apar.train_apar(W, mask, np.arange(5), None, cfg)
         assert np.array_equal(a.P, b.P) and np.array_equal(a.Q, b.Q)
 
     def test_nonnegative_after_training(self):
         rng = make_rng(0)
         W = rng.random((6, 7)) * 4 + 1
         mask = rng.random((6, 7)) < 0.5
-        L = np.zeros((6, 6))
-        L[0, 1] = L[1, 0] = 1.0
+        groups = np.array([0, 0, 2, 3, 4, 5])
         cfg = apar.AparConfig(d=3, lam=0.2, seed=2, max_iters=40)
-        state = apar.train_apar(W, mask, L, np.full(6, 0.7), cfg)
+        state = apar.train_apar(W, mask, groups, np.full(6, 0.7), cfg)
         assert state.P.min() >= 0 and state.Q.min() >= 0
 
     def test_fit_ratings_wires_knowledge(self):
@@ -353,5 +346,85 @@ class TestTrainApar:
         ]
         m = data.RatingMatrix.from_interactions(evs)
         cfg = apar.AparConfig(d=1, seed=0, max_iters=10, beta=0.25)
-        state = apar.fit_ratings(m, np.zeros((2, 2)), {"u1": 0.5}, cfg)
+        state = apar.fit_ratings(m, m.triplets, np.arange(2), {"u1": 0.5}, cfg)
         assert list(state.gamma) == [0.75, 0.25]  # beta + kl, kl=0 fallback
+
+
+@st.composite
+def group_problems(draw):
+    """A random problem over a clique partition with singletons and unprofiled users.
+
+    Users draw a dominant trait or none (no profile); trait_groups turns
+    that into labels and the dense oracle into L. Returns (groups, L, W,
+    mask, gamma, alpha1, alpha2, lam, P, Q).
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    m = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=3))
+    dominants = draw(st.lists(st.sampled_from("OCEN-"), min_size=n, max_size=n))
+    gamma = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    lam = draw(st.sampled_from([0.0, 0.3]))
+    rng = make_rng(draw(st.integers(min_value=0, max_value=10_000)))
+
+    users = [f"u{i}" for i in range(n)]
+    profiles = {
+        u: personality.PersonalityProfile(user=u, scores={}, dominant=t)
+        for u, t in zip(users, dominants) if t != "-"
+    }
+    groups = personality.trait_groups(profiles, users)
+    L = dense.similarity(profiles.values(), users)
+    W = rng.uniform(1.0, 5.0, size=(n, m))
+    mask = rng.random((n, m)) < 0.6
+    P = rng.uniform(0.1, 1.0, size=(n, d))
+    Q = rng.uniform(0.1, 1.0, size=(m, d))
+    return groups, L, W, mask, gamma, 0.05, 0.02, lam, P, Q
+
+
+def close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+class TestGroupKernelsMatchDense:
+    @given(group_problems())
+    def test_objective_and_gradients(self, case):
+        groups, L, W, mask, gamma, a1, a2, lam, P, Q = case
+        prob = apar.AparProblem.build(W, mask, groups, gamma, a1, a2, lam)
+        ref = dense.DenseProblem.build(W, mask, L, gamma, a1, a2, lam)
+        close(apar.objective(P, Q, prob), dense.objective(P, Q, ref))
+        for got, want in zip(apar.objective_grads(P, Q, prob),
+                             dense.objective_grads(P, Q, ref)):
+            close(got, want)
+
+    @given(group_problems())
+    def test_multiplicative_step(self, case):
+        groups, L, W, mask, gamma, a1, a2, lam, P, Q = case
+        prob = apar.AparProblem.build(W, mask, groups, gamma, a1, a2, lam)
+        ref = dense.DenseProblem.build(W, mask, L, gamma, a1, a2, lam)
+        for got, want in zip(apar.multiplicative_step(P, Q, prob),
+                             dense.multiplicative_step(P, Q, ref)):
+            close(got, want)
+
+    @given(group_problems())
+    def test_predictions(self, case):
+        groups, L, _W, _mask, gamma, _a1, _a2, _lam, P, Q = case
+        state = apar.AparState(P=P, Q=Q, gamma=gamma, groups=groups,
+                               config=apar.AparConfig(d=P.shape[1]))
+        for u in range(P.shape[0]):
+            want = dense.blend_row(P, L, gamma, u) @ Q.T
+            close(state.score_items(u, [], []), want)
+            close(state.predict_rating(u, Q.shape[0] - 1), want[-1])
+
+    def test_group_problem_grad_check(self):
+        rng = make_rng(11)
+        groups = np.array([0, 0, 0, 1, 2, 2, 6])
+        W = rng.uniform(1.0, 5.0, size=(7, 5))
+        mask = rng.random((7, 5)) < 0.6
+        prob = apar.AparProblem.build(W, mask, groups, rng.random(7), 0.03, 0.02, 0.4)
+        P = rng.uniform(0.2, 1.0, size=(7, 3))
+        Q = rng.uniform(0.2, 1.0, size=(5, 3))
+
+        def f(params):
+            val = apar.objective(params[0], params[1], prob)
+            return val, list(apar.objective_grads(params[0], params[1], prob))
+
+        assert grad_check(f, [P, Q]) < 1e-4

@@ -34,13 +34,12 @@ class TestRoundTripModels:
 
     def test_apar(self, tmp_path):
         rng = make_rng(0)
-        L = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         cfg = apar.AparConfig(d=2, seed=1)
         st = apar.AparState(
             P=rng.random((3, 2)),
             Q=rng.random((8, 2)),
             gamma=np.array([0.5, 0.25, 1.0]),
-            L=L,
+            groups=np.array([0, 0, 2]),
             config=cfg,
             converged=False,
             trace=[3.0, 2.0, 1.0],
@@ -50,7 +49,7 @@ class TestRoundTripModels:
         checkpoint.save_checkpoint(p, st, *_users_items())
         ck = checkpoint.load_checkpoint(p)
         assert ck.kind == "apar"
-        for name in ("P", "Q", "gamma", "L"):
+        for name in ("P", "Q", "gamma", "groups", "blended"):
             assert np.array_equal(getattr(ck.state, name), getattr(st, name))
         assert ck.state.config == cfg
         assert ck.state.converged is False
@@ -152,6 +151,33 @@ class TestFormatGuards:
         checkpoint.save_checkpoint(a, st, *_users_items())
         checkpoint.save_checkpoint(b, st, *_users_items())
         assert _sha(a) == _sha(b)
+
+    def test_trained_apar_same_bytes(self, tmp_path):
+        rng = make_rng(3)
+        W = rng.uniform(1.0, 5.0, size=(6, 5))
+        cfg = apar.AparConfig(d=2, seed=1, max_iters=5, lam=0.2)
+        st = apar.train_apar(W, rng.random((6, 5)) < 0.6, np.array([0, 0, 0, 3, 3, 5]),
+                             np.full(6, 0.5), cfg)
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        checkpoint.save_checkpoint(a, st, [f"u{i}" for i in range(6)], list("abcde"))
+        checkpoint.save_checkpoint(b, st, [f"u{i}" for i in range(6)], list("abcde"))
+        assert _sha(a) == _sha(b)
+        assert "blended" not in np.load(a).files
+
+    def test_v1_apar_with_similarity_matrix_rejected(self, tmp_path):
+        # format 1 stored the n x n similarity "L"; format 2 stores "groups"
+        users, items = _users_items()
+        p = tmp_path / "v1.npz"
+        meta = {"format_version": 1, "kind": "apar",
+                "index_hash": checkpoint.index_maps_hash(users, items),
+                "config": {"d": 2}, "trace": [], "converged": True, "fallback_steps": 0}
+        np.savez(p, __meta__=np.array(json.dumps(meta)),
+                 __users__=np.array(users), __items__=np.array(items),
+                 P=np.ones((3, 2)), Q=np.ones((8, 2)), gamma=np.ones(3),
+                 L=np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_checkpoint(p)
+        assert "version 1" in str(err.value) and "version 2" in str(err.value)
 
     def test_unknown_version_rejected(self, tmp_path):
         st = baselines.TopScorer(counts=np.zeros(4))

@@ -317,6 +317,21 @@ class TestEval:
         assert len(hashes) == 2  # checkpoint's and the dataset's
 
 
+    def test_every_instance_failing_exits_nonzero(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", "top")
+        loaded = checkpoint.load_checkpoint(ck)
+        # one score too many for every instance: a data error, recorded per instance
+        loaded.state.counts = np.append(loaded.state.counts, 0.0)
+        checkpoint.save_checkpoint(ck, loaded.state, loaded.users, loaded.items)
+        out = tmp_path / "e"
+        res = runner.invoke(main, ["eval", str(ck), str(corpus), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "no test instance was scored" in res.output
+        assert "expected (12,)" in res.output
+        assert not (out / "report.csv").exists()
+
+
 class TestRecommend:
     def test_exact_n_lines_sorted(self, tmp_path):
         corpus = synth_sequential(tmp_path / "s")

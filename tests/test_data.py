@@ -187,6 +187,8 @@ class TestFilter:
 
 
 class TestLongShort:
+    """The long-term side of a session: the user's earlier-day items, deduplicated."""
+
     def sessions(self):
         return [
             data.Session(user="u", t=0, day=0, items=["a", "b"]),
@@ -195,22 +197,17 @@ class TestLongShort:
         ]
 
     def test_first_session_boundary(self):
-        G, S = data.build_long_short(self.sessions(), 1)
-        assert G == [] and S == ["a", "b"]
+        assert data.long_term_before(self.sessions(), 0) == []
 
     def test_union_definition(self):
-        G, S = data.build_long_short(self.sessions(), 2)
-        assert G == ["a", "b"] and S == ["b", "c"]
+        assert data.long_term_before(self.sessions(), 1) == ["a", "b"]
 
     def test_third_session(self):
-        G, S = data.build_long_short(self.sessions(), 3)
-        assert G == ["a", "b", "c"] and S == ["d"]
+        assert data.long_term_before(self.sessions(), 2) == ["a", "b", "c"]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            data.build_long_short(self.sessions(), 0)
-        with pytest.raises(ValueError):
-            data.build_long_short(self.sessions(), 4)
+        assert data.long_term_before(self.sessions(), -1) == []
+        assert data.long_term_before(self.sessions(), 99) == ["a", "b", "c", "d"]
 
     @given(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), min_size=1, max_size=5))
     def test_growth_property(self, item_lists):
@@ -218,13 +215,12 @@ class TestLongShort:
             data.Session(user="u", t=i, day=i, items=list(its))
             for i, its in enumerate(item_lists)
         ]
-        for t in range(1, len(sessions) + 1):
-            G, S = data.build_long_short(sessions, t)
+        for day in range(len(sessions)):
+            G = data.long_term_before(sessions, day)
             assert len(set(G)) == len(G)  # deduplicated
-            if t < len(sessions):
-                G_next, _ = data.build_long_short(sessions, t + 1)
-                assert set(G) <= set(G_next)
-                assert set(G_next) == set(G) | set(S)
+            G_next = data.long_term_before(sessions, day + 1)
+            assert set(G) <= set(G_next)
+            assert set(G_next) == set(G) | set(sessions[day].items)
 
 
 def make_sessions(n_users, per_user, length=3, start_item=0, n_items=20):
@@ -290,35 +286,6 @@ class TestSplit:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             data.split(make_sessions(2, 2), "bogus", make_rng(0))
-
-
-class TestSampleNegatives:
-    def test_membership(self):
-        out = data.sample_negatives({"i1", "i2"}, ["i1", "i2", "i3", "i4", "i5"], 1, make_rng(0))
-        assert out[0] in {"i3", "i4", "i5"}
-
-    def test_exact_complement(self):
-        out = data.sample_negatives({"a"}, ["a", "b", "c"], 2, make_rng(1))
-        assert sorted(out) == ["b", "c"]
-
-    def test_insufficient_candidates(self):
-        with pytest.raises(ValueError):
-            data.sample_negatives({"a", "b"}, ["a", "b", "c"], 2, make_rng(0))
-
-    def test_uniformity(self):
-        rng = make_rng(11)
-        counts = collections.Counter()
-        for _ in range(10_000):
-            counts[data.sample_negatives({"h"}, ["h", "a", "b", "c", "d", "e"], 1, rng)[0]] += 1
-        for cand in ["a", "b", "c", "d", "e"]:
-            assert abs(counts[cand] / 10_000 - 0.2) <= 0.05
-
-    @given(st.sets(st.sampled_from("abcdefgh"), max_size=4))
-    def test_never_returns_history(self, history):
-        universe = list("abcdefgh")
-        n = len(universe) - len(history)
-        out = data.sample_negatives(history, universe, n, make_rng(5))
-        assert not (set(out) & history)
 
 
 class TestSynthSequential:
@@ -421,9 +388,8 @@ class TestRatingMatrix:
         ]
         m = data.RatingMatrix.from_interactions(evs)
         assert m.n_users == 2 and m.n_items == 2  # c never rated
-        W, mask = m.dense()
-        assert W.shape == mask.shape == (2, 2)
-        assert W[mask].min() > 0
+        assert len(m.triplets) == 3
+        assert min(r for _, _, r in m.triplets) > 0
 
     def test_last_rating_wins(self):
         evs = [

@@ -266,11 +266,41 @@ class TestEvaluate:
         class Flaky:
             def score_items(self, user, long_items, short_items):
                 if user == ds.user_index[bad_user]:
-                    raise RuntimeError("boom")
+                    raise KeyError("boom")
                 return np.zeros(ds.n_items)
 
         report = metrics.evaluate(Flaky(), ds, sp, cutoffs=[1], model_name="flaky")
         assert report.failures and bad_user in report.failures[0]
+
+    @pytest.mark.parametrize("broken", ["index", "shape"])
+    def test_data_errors_fail_only_their_instance(self, broken):
+        ds = tiny_dataset()
+        sp = data.split(ds.sessions, "random-80-20", make_rng(5))
+        bad_user = ds.user_index[sp.test[0].user]
+
+        class Broken:
+            def score_items(self, user, long_items, short_items):
+                if user != bad_user:
+                    return np.zeros(ds.n_items)
+                if broken == "index":
+                    return np.zeros(ds.n_items)[[ds.n_items]]
+                return np.zeros(ds.n_items + 1)
+
+        report = metrics.evaluate(Broken(), ds, sp, cutoffs=[1], model_name="broken")
+        n_bad = sum(1 for inst in sp.test if ds.user_index[inst.user] == bad_user)
+        assert len(report.failures) == n_bad
+        assert report.n_instances == len(sp.test) - n_bad
+
+    def test_other_errors_propagate(self):
+        ds = tiny_dataset()
+        sp = data.split(ds.sessions, "random-80-20", make_rng(5))
+
+        class Buggy:
+            def score_items(self, user, long_items, short_items):
+                raise ZeroDivisionError("a bug, not a data error")
+
+        with pytest.raises(ZeroDivisionError):
+            metrics.evaluate(Buggy(), ds, sp, cutoffs=[1], model_name="buggy")
 
     def test_csv_column_order(self, tmp_path):
         ds = tiny_dataset()
@@ -307,3 +337,29 @@ class TestEvaluateRatings:
         )
         assert report.value("mae") == pytest.approx((1 + 1 + 0) / 3)
         assert report.value("rmse") == pytest.approx(math.sqrt(2 / 3))
+
+    def test_lookup_errors_recorded(self):
+        class Table:
+            def predict_rating(self, u, i):
+                return {(0, 0): 3.0}[(u, i)]
+
+        report = metrics.evaluate_ratings(Table(), [(0, 0, 4.0), (0, 1, 2.0)], "table")
+        assert report.n_instances == 1 and report.value("mae") == 1.0
+        assert len(report.failures) == 1 and "item 1" in report.failures[0]
+
+    def test_no_rows_when_nothing_scored(self):
+        class Empty:
+            def predict_rating(self, u, i):
+                return np.zeros(0)[i]
+
+        report = metrics.evaluate_ratings(Empty(), [(0, 0, 4.0), (1, 0, 2.0)], "empty")
+        assert report.n_instances == 0 and report.rows == []
+        assert len(report.failures) == 2
+
+    def test_other_errors_propagate(self):
+        class Buggy:
+            def predict_rating(self, u, i):
+                raise TypeError("a bug, not a data error")
+
+        with pytest.raises(TypeError):
+            metrics.evaluate_ratings(Buggy(), [(0, 0, 4.0)], "buggy")

@@ -121,26 +121,6 @@ class TestDenseForward:
             numeric.dense_forward(np.eye(2), np.zeros(2), np.zeros(2), "softplus")
 
 
-class TestSgdStep:
-    def test_zero_gradient_fixed_point(self):
-        p = np.array([1.0])
-        out = numeric.sgd_step(p, np.array([0.0]), lr=0.1, l2=0.0)
-        np.testing.assert_allclose(out, [1.0])
-
-    def test_forced_arithmetic(self):
-        out = numeric.sgd_step(np.array([1.0]), np.array([1.0]), lr=0.1, l2=0.0)
-        np.testing.assert_allclose(out, [0.9])
-
-    def test_weight_decay_oracle(self):
-        # 2 - 0.1 * (0 + 2*0.5*2) = 1.8
-        out = numeric.sgd_step(np.array([2.0]), np.array([0.0]), lr=0.1, l2=0.5)
-        np.testing.assert_allclose(out, [1.8])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            numeric.sgd_step(np.zeros(2), np.zeros(3), lr=0.1, l2=0.0)
-
-
 class TestGradCheck:
     def test_quadratic_exact(self):
         def fn(p):

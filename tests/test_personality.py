@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import apar_oracles
 from recsuite import data, personality
 from recsuite.numeric import make_rng
+
+_WORD = st.text(alphabet="abc", min_size=1, max_size=4)
 
 
 class TestTokenize:
@@ -89,6 +92,26 @@ class TestCategorize:
         twice = personality.categorize(text + " " + text, lex)
         for cat in lex:
             assert once[cat] == pytest.approx(twice[cat])
+
+    @given(
+        st.lists(st.sampled_from(["a", "ab", "abc", "ba", "c", "cab", "A,b", "  "]),
+                 max_size=40).map(" ".join),
+        st.dictionaries(
+            st.sampled_from(["p", "q", "r"]),
+            st.lists(st.one_of(_WORD, _WORD.map(lambda w: w + "*"), st.just("*")),
+                     min_size=1, max_size=5),
+            min_size=1,
+        ),
+    )
+    def test_matches_per_token_oracle_exactly(self, text, lex):
+        assert personality.categorize(text, lex) == apar_oracles.categorize(text, lex)
+
+    def test_demo_corpus_matches_per_token_oracle(self):
+        interactions, _ = data.synth_personality_clusters(2, 5, 4, rng=make_rng(3))
+        for e in interactions:
+            text = e.review or ""
+            want = apar_oracles.categorize(text, personality.DEMO_LEXICON)
+            assert personality.categorize(text, personality.DEMO_LEXICON) == want
 
 
 class TestTraitScore:
@@ -190,6 +213,8 @@ class TestProfileUser:
 
 
 class TestSimilarityMatrix:
+    """trait_groups labels: users share a label iff they share a dominant trait."""
+
     def mk(self, dominants):
         return [
             personality.PersonalityProfile(
@@ -200,27 +225,35 @@ class TestSimilarityMatrix:
             for i, d in enumerate(dominants)
         ]
 
+    def groups(self, dominants):
+        users = [f"u{i}" for i in range(len(dominants))]
+        return personality.trait_groups({p.user: p for p in self.mk(dominants)}, users)
+
     def test_same_dominant_connected(self):
-        sim = personality.build_L(self.mk(["E", "E"]))
-        assert sim.matrix[0, 1] == 1 and sim.matrix[1, 0] == 1
+        g = self.groups(["E", "E"])
+        assert g[0] == g[1]
 
     def test_different_dominant_disconnected(self):
-        sim = personality.build_L(self.mk(["E", "N"]))
-        assert sim.matrix[0, 1] == 0
+        g = self.groups(["E", "N"])
+        assert g[0] != g[1]
 
     def test_diagonal_zero(self):
-        sim = personality.build_L(self.mk(["A", "A", "A"]))
-        assert np.all(np.diag(sim.matrix) == 0)
+        # the dense graph the labels stand for has no self-loops
+        L = apar_oracles.clique_matrix(self.groups(["A", "A", "A"]))
+        assert np.all(np.diag(L) == 0)
 
-    @given(st.lists(st.sampled_from("OCEAN"), min_size=1, max_size=12))
+    @given(st.lists(st.sampled_from("OCEAN-"), min_size=1, max_size=12))
     def test_clique_partition(self, dominants):
-        sim = personality.build_L(self.mk(dominants))
-        L = sim.matrix
-        assert np.array_equal(L, L.T)
+        # "-" marks a user without a profile: a group of their own
+        users = [f"u{i}" for i in range(len(dominants))]
+        profiles = {p.user: p for p in self.mk(dominants) if p.dominant != "-"}
+        g = personality.trait_groups(profiles, users)
         for j in range(len(dominants)):
             for k in range(len(dominants)):
-                expected = int(j != k and dominants[j] == dominants[k])
-                assert L[j, k] == expected
+                same = dominants[j] == dominants[k] != "-"
+                assert (g[j] == g[k]) == (j == k or same)
+        assert np.array_equal(apar_oracles.clique_matrix(g),
+                              apar_oracles.similarity(profiles.values(), users))
 
 
 class TestKnowledgeLevels:
