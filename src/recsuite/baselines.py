@@ -119,24 +119,41 @@ class BprState:
         return float(self.P[user] @ self.Q[item])
 
 
+def _bpr_triple(pu, qi, qj, l2):
+    """Data loss softplus(-x), x = p_u·(q_i - q_j), and the triple's gradients.
+
+    The gradients (w.r.t. p_u, q_i, q_j) are those of the data loss plus
+    l2(|p_u|^2 + |q_i|^2 + |q_j|^2), the per-step objective `train_bpr`
+    descends.
+    """
+    x = pu @ (qi - qj)
+    s = sigmoid(x) - 1.0  # dloss/dx
+    return (
+        np.logaddexp(0.0, -x),
+        s * (qi - qj) + 2 * l2 * pu,
+        s * pu + 2 * l2 * qi,
+        -s * pu + 2 * l2 * qj,
+    )
+
+
 def bpr_loss_and_grad(P, Q, triples, l2):
     """Summed pairwise loss and gradients over (user, pos, neg) triples.
 
     Per triple: softplus(-p_u·(q_i - q_j)) + l2(|p_u|^2 + |q_i|^2 + |q_j|^2),
-    matching the per-step objective the trainer descends.
+    the per-step objective the trainer descends; the per-triple terms are
+    the trainer's own (`_bpr_triple`).
     """
     loss = 0.0
     gP = np.zeros_like(P)
     gQ = np.zeros_like(Q)
     for u, i, j in triples:
         pu, qi, qj = P[u], Q[i], Q[j]
-        x = pu @ (qi - qj)
-        loss += np.logaddexp(0.0, -x)
+        data_loss, gp, gqi, gqj = _bpr_triple(pu, qi, qj, l2)
+        loss += data_loss
         loss += l2 * (pu @ pu + qi @ qi + qj @ qj)
-        s = sigmoid(x) - 1.0  # dloss/dx
-        gP[u] += s * (qi - qj) + 2 * l2 * pu
-        gQ[i] += s * pu + 2 * l2 * qi
-        gQ[j] += -s * pu + 2 * l2 * qj
+        gP[u] += gp
+        gQ[i] += gqi
+        gQ[j] += gqj
     return float(loss), [gP, gQ]
 
 
@@ -187,13 +204,9 @@ def train_bpr(pairs, n_users, n_items, config: BprConfig) -> BprState:
                     continue
                 j = pool[rng.integers(pool.size)]
                 pu, qi, qj = P[u], Q[i], Q[j]
-                x = pu @ (qi - qj)
-                total += np.logaddexp(0.0, -x)
+                data_loss, gp, gqi, gqj = _bpr_triple(pu, qi, qj, l2)
+                total += data_loss
                 n_seen += 1
-                s = sigmoid(x) - 1.0
-                gp = s * (qi - qj) + 2 * l2 * pu
-                gqi = s * pu + 2 * l2 * qi
-                gqj = -s * pu + 2 * l2 * qj
                 P[u] = pu - lr * gp
                 Q[i] = qi - lr * gqi
                 Q[j] = qj - lr * gqj

@@ -5,17 +5,18 @@ odd window) into contextual vectors; a user-conditioned attention head
 collapses them into one purpose vector m. Each short-term item is
 re-encoded through two small layers, attended against m, and the
 weighted sum u scores the catalog by inner product with an output item
-table. Training is pairwise BPR with inverted dropout on the conv
-outputs.
+table. `forward` is the one forward pass: training runs it on a minibatch,
+`CanState.score_items` on a batch of one. Training is pairwise BPR with
+inverted dropout on the conv outputs.
 """
 
 from dataclasses import dataclass, field
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import data, minibatch
-from .minibatch import Batch
 from .numeric import (
     add_rows,
     init_normal,
@@ -24,10 +25,9 @@ from .numeric import (
     pooled_attention,
     pooled_attention_backward,
     sigmoid,
-    softmax,
 )
 
-_PARAM_BASE = ("E", "U", "K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4")
+PARAM_NAMES = ("E", "U", "K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4", "V_out")
 
 
 @dataclass
@@ -78,8 +78,7 @@ class CanState:
     trace: list = field(default_factory=list)
 
     def params(self) -> list:
-        names = _PARAM_BASE if self.config.tie_embeddings else _PARAM_BASE + ("V_out",)
-        return [getattr(self, n) for n in names]
+        return [getattr(self, n) for n in param_names(self.config)]
 
     @classmethod
     def from_params(cls, plist, config: CanConfig) -> "CanState":
@@ -88,7 +87,13 @@ class CanState:
         return cls(*plist, config=config)
 
     def score_items(self, user, long_items, short_items) -> np.ndarray:
-        return self.V_out @ user_vector(self, user, long_items, short_items)
+        u, _ = forward(self, [user], [long_items], [short_items])
+        return self.V_out @ u[0]
+
+
+def param_names(config: CanConfig) -> tuple:
+    """The names of params(): PARAM_NAMES without V_out when it is E itself."""
+    return PARAM_NAMES[:-1] if config.tie_embeddings else PARAM_NAMES
 
 
 def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanState:
@@ -122,7 +127,7 @@ def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanStat
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward
 
 
 def _windows(state: CanState, lists):
@@ -145,34 +150,6 @@ def _windows(state: CanState, lists):
     return X[src].reshape(items.size, -1), items, src
 
 
-def conv_context(state: CanState, items) -> np.ndarray:
-    """relu(K_w · window_i + b_w) for each position of the ordered item list."""
-    if not len(items):
-        raise ValueError("convolution needs at least one item")
-    pre = _windows(state, [items])[0] @ state.K_w.T + state.b_w
-    return np.maximum(pre, 0.0)
-
-
-def purpose_vector(state: CanState, user: int) -> np.ndarray:
-    return np.maximum(state.W1 @ state.U[:, user] + state.b1, 0.0)
-
-
-def purpose_encode(state: CanState, C: np.ndarray, p: np.ndarray):
-    """Attention over contextual rows of C, queried by the user's purpose p."""
-    t = np.tanh(state.W2 @ p + state.b2)
-    alpha = softmax(C @ t)
-    return C.T @ alpha, alpha
-
-
-def preference_encode(state: CanState, short_items, m: np.ndarray):
-    """Re-encode short-term items and attend them against the purpose vector."""
-    Es = state.E[list(short_items)]
-    PD = np.maximum(Es @ state.W3.T + state.b3, 0.0)
-    Q = np.tanh(PD @ state.W4.T + state.b4)
-    ap = softmax(Q @ m)
-    return Q.T @ ap, ap
-
-
 def dropout_mask(rng, shape, rate: float) -> np.ndarray:
     """Inverted-dropout mask: entries are 0 or 1/(1-rate), expectation 1."""
     if rate <= 0.0:
@@ -180,36 +157,73 @@ def dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def user_vector(state: CanState, user: int, long_items, short_items) -> np.ndarray:
-    """Inference-path user representation (no dropout)."""
+def forward(state: CanState, users, longs, shorts, rng=None):
+    """User vectors u, one row per instance, and the cache of the backward pass.
+
+    `longs` (ordered) and `shorts` hold one ragged item-index list per
+    user. An instance with an empty long-term list (or with the purpose
+    encoder disabled) gets m = 0; one with an empty context (or with the
+    preference encoder disabled) gets u = m. Pass a generator to enable
+    dropout on the conv outputs (training): one draw covers every conv row
+    of the batch, in instance order, which gives the same values as one
+    draw per instance. With rng=None the forward is deterministic.
+
+    The cache holds `users`, `m`, the instances `rp` that run the purpose
+    encoder and `rq` that run the preference encoder, and each encoder's
+    intermediates, one row per instance of `rp` or `rq`: the padded conv
+    rows `Cd`, the user queries `t` and the weights `alpha` of the purpose
+    attention; the padded re-encoded context `Q`, its mask `s_mask` and the
+    weights `ap` of the preference attention.
+    """
     cfg = state.config
-    if len(long_items) and not cfg.disable_purpose:
-        C = conv_context(state, long_items)
-        m, _ = purpose_encode(state, C, purpose_vector(state, user))
-    else:
-        m = np.zeros(cfg.N_f)
-    if cfg.disable_preference or not len(short_items):
-        return m
-    u, _ = preference_encode(state, short_items, m)
-    return u
+    c = SimpleNamespace(users=np.asarray(users, dtype=np.int64))
+    c.rp = [b for b, G in enumerate(longs) if len(G) and not cfg.disable_purpose]
+    c.rq = [b for b, S in enumerate(shorts) if len(S) and not cfg.disable_preference]
+
+    c.m = np.zeros((len(c.users), cfg.N_f))
+    if c.rp:
+        rp_longs = [longs[b] for b in c.rp]
+        _, c.g_mask = minibatch.pad(rp_longs)
+        c.wins, c.g_flat, c.src = _windows(state, rp_longs)
+        c.pre_c = c.wins @ state.K_w.T + state.b_w
+        c.M = dropout_mask(rng, c.pre_c.shape, cfg.dropout) if rng is not None else 1.0
+        c.Cd = np.zeros(c.g_mask.shape + (cfg.N_f,))
+        c.Cd[c.g_mask] = np.maximum(c.pre_c, 0.0) * c.M
+        c.u_emb = state.U[:, c.users[c.rp]].T
+        c.pre1 = c.u_emb @ state.W1.T + state.b1
+        c.p = np.maximum(c.pre1, 0.0)
+        c.t = np.tanh(c.p @ state.W2.T + state.b2)
+        c.m[c.rp], c.alpha = pooled_attention(c.Cd, c.t, c.g_mask)
+    u = c.m.copy()
+    if c.rq:
+        s_idx, c.s_mask = minibatch.pad([shorts[b] for b in c.rq])
+        c.s_flat = s_idx[c.s_mask]
+        c.Es = state.E[c.s_flat]
+        c.pre_pd = c.Es @ state.W3.T + state.b3
+        c.PD = np.maximum(c.pre_pd, 0.0)
+        c.Qv = np.tanh(c.PD @ state.W4.T + state.b4)
+        c.Q = np.zeros(c.s_mask.shape + (cfg.N_f,))
+        c.Q[c.s_mask] = c.Qv
+        u[c.rq], c.ap = pooled_attention(c.Q, c.m[c.rq], c.s_mask)
+    return u, c
 
 
 # ---------------------------------------------------------------------------
 # Loss and gradients
 
 
-def loss_and_grads(state: CanState, batch: Batch, rng=None, out=None):
+def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, out=None):
     """Pairwise BPR loss + L2, gradients aligned with state.params().
 
-    All instances go through each layer at once. Pass a generator to enable
-    dropout on the conv outputs (training): one draw covers every conv row
-    of the batch, in instance order, which gives the same values as one
-    draw per instance. With rng=None the forward is the deterministic
-    inference path. `out`, arrays shaped like params(), receives the
-    gradients in place of new arrays.
+    `forward` encodes every instance at once; `rng` enables its dropout
+    (training), and rng=None gives the deterministic inference path.
+    `out`, arrays shaped like params(), receives the gradients in place of
+    new arrays.
     """
     cfg = state.config
-    names = _PARAM_BASE if cfg.tie_embeddings else _PARAM_BASE + ("V_out",)
+    names = param_names(cfg)
+    u, c = forward(state, batch.users, batch.longs, batch.shorts, rng)
+    rp, rq = c.rp, c.rq
     grads = [np.empty_like(p) for p in state.params()] if out is None else out
     g = dict(zip(names, grads))
     # every gradient starts as its L2 term; the data terms add to the rows
@@ -221,38 +235,8 @@ def loss_and_grads(state: CanState, batch: Batch, rng=None, out=None):
         total += lam * np.vdot(param, param)
     gV = g["E"] if cfg.tie_embeddings else g["V_out"]
     vout = state.V_out
-    users = np.asarray(batch.users, dtype=np.int64)
     pos = np.asarray(batch.positives, dtype=np.int64)
     neg = np.asarray(batch.negatives, dtype=np.int64)
-    # instances that run the purpose / preference encoder
-    rp = [b for b, G in enumerate(batch.longs) if len(G) and not cfg.disable_purpose]
-    rq = [b for b, S in enumerate(batch.shorts) if len(S) and not cfg.disable_preference]
-
-    m = np.zeros((len(users), cfg.N_f))
-    if rp:
-        longs = [batch.longs[b] for b in rp]
-        _, g_mask = minibatch.pad(longs)
-        wins, g_flat, src = _windows(state, longs)
-        pre_c = wins @ state.K_w.T + state.b_w
-        M = dropout_mask(rng, pre_c.shape, cfg.dropout) if rng is not None else 1.0
-        Cd = np.zeros(g_mask.shape + (cfg.N_f,))
-        Cd[g_mask] = np.maximum(pre_c, 0.0) * M
-        u_emb = state.U[:, users[rp]].T
-        pre1 = u_emb @ state.W1.T + state.b1
-        p = np.maximum(pre1, 0.0)
-        t = np.tanh(p @ state.W2.T + state.b2)
-        m[rp], alpha = pooled_attention(Cd, t, g_mask)
-    u = m.copy()
-    if rq:
-        s_idx, s_mask = minibatch.pad([batch.shorts[b] for b in rq])
-        s_flat = s_idx[s_mask]
-        Es = state.E[s_flat]
-        pre_pd = Es @ state.W3.T + state.b3
-        PD = np.maximum(pre_pd, 0.0)
-        Qv = np.tanh(PD @ state.W4.T + state.b4)
-        Q = np.zeros(s_mask.shape + (cfg.N_f,))
-        Q[s_mask] = Qv
-        u[rq], ap = pooled_attention(Q, m[rq], s_mask)
 
     diff = vout[pos] - vout[neg]
     x = (u * diff).sum(axis=1)
@@ -263,34 +247,34 @@ def loss_and_grads(state: CanState, batch: Batch, rng=None, out=None):
     dm = s * diff
 
     if rq:
-        dQ, dm[rq] = pooled_attention_backward(Q, m[rq], ap, dm[rq])
-        dpre_q = dQ[s_mask] * (1.0 - Qv**2)
-        g["W4"] += dpre_q.T @ PD
+        dQ, dm[rq] = pooled_attention_backward(c.Q, c.m[rq], c.ap, dm[rq])
+        dpre_q = dQ[c.s_mask] * (1.0 - c.Qv**2)
+        g["W4"] += dpre_q.T @ c.PD
         g["b4"] += dpre_q.sum(axis=0)
-        dpre_pd = (dpre_q @ state.W4) * (pre_pd > 0)
-        g["W3"] += dpre_pd.T @ Es
+        dpre_pd = (dpre_q @ state.W4) * (c.pre_pd > 0)
+        g["W3"] += dpre_pd.T @ c.Es
         g["b3"] += dpre_pd.sum(axis=0)
-        add_rows(g["E"], s_flat, dpre_pd @ state.W3)
+        add_rows(g["E"], c.s_flat, dpre_pd @ state.W3)
 
     if rp:
-        dCd, dt = pooled_attention_backward(Cd, t, alpha, dm[rp])
-        dpre2 = dt * (1.0 - t**2)
-        g["W2"] += dpre2.T @ p
+        dCd, dt = pooled_attention_backward(c.Cd, c.t, c.alpha, dm[rp])
+        dpre2 = dt * (1.0 - c.t**2)
+        g["W2"] += dpre2.T @ c.p
         g["b2"] += dpre2.sum(axis=0)
-        dpre1 = (dpre2 @ state.W2) * (pre1 > 0)
-        g["W1"] += dpre1.T @ u_emb
+        dpre1 = (dpre2 @ state.W2) * (c.pre1 > 0)
+        g["W1"] += dpre1.T @ c.u_emb
         g["b1"] += dpre1.sum(axis=0)
-        add_rows(g["U"].T, users[rp], dpre1 @ state.W1)
-        dpre_c = dCd[g_mask] * M * (pre_c > 0)
-        g["K_w"] += dpre_c.T @ wins
+        add_rows(g["U"].T, c.users[rp], dpre1 @ state.W1)
+        dpre_c = dCd[c.g_mask] * c.M * (c.pre_c > 0)
+        g["K_w"] += dpre_c.T @ c.wins
         g["b_w"] += dpre_c.sum(axis=0)
         # each window slot's gradient lands on the position it read; within
         # one slot every position is read at most once, padding aside
-        d_wins = (dpre_c @ state.K_w).reshape(len(src), cfg.window, cfg.D)
-        dX = np.zeros((len(g_flat) + 1, cfg.D))  # row -1 collects the padding's
+        d_wins = (dpre_c @ state.K_w).reshape(len(c.src), cfg.window, cfg.D)
+        dX = np.zeros((len(c.g_flat) + 1, cfg.D))  # row -1 collects the padding's
         for j in range(cfg.window):
-            dX[src[:, j]] += d_wins[:, j]
-        add_rows(g["E"], g_flat, dX[:-1])
+            dX[c.src[:, j]] += d_wins[:, j]
+        add_rows(g["E"], c.g_flat, dX[:-1])
 
     return float(total), grads
 

@@ -48,11 +48,7 @@ def _pack(state):
         extra = {"config": asdict(state.config), "trace": [float(v) for v in state.trace]}
         return "das", arrays, extra
     if isinstance(state, can.CanState):
-        arrays = {"E": state.E, "U": state.U}
-        for n in ("K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4"):
-            arrays[n] = getattr(state, n)
-        if not state.config.tie_embeddings:
-            arrays["V_out"] = state.V_out
+        arrays = {n: getattr(state, n) for n in can.param_names(state.config)}
         extra = {"config": asdict(state.config), "trace": [float(v) for v in state.trace]}
         return "can", arrays, extra
     if isinstance(state, baselines.BprState):
@@ -118,11 +114,7 @@ def _unpack(kind, blobs, meta):
         return st
     if kind == "can":
         cfg = can.CanConfig(**meta["config"])
-        names = ("E", "U", "K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4")
-        plist = [blobs[n] for n in names]
-        if not cfg.tie_embeddings:
-            plist.append(blobs["V_out"])
-        st = can.CanState.from_params(plist, cfg)
+        st = can.CanState.from_params([blobs[n] for n in can.param_names(cfg)], cfg)
         st.trace = list(meta["trace"])
         return st
     if kind == "bpr":

@@ -640,9 +640,7 @@ def recommend(checkpoint_path, input_path, user, count, seed, config_path, out_d
                 (s for s in ds.sessions if s.user == user), key=lambda s: (s.day, s.t)
             )
             short = mine[-1].items if mine else []
-            long_tokens = data.ordered_dedup(
-                [it for s in mine[:-1] for it in s.items]
-            )
+            long_tokens = data.long_term_before(mine, mine[-1].day) if mine else []
             scores = np.asarray(ck.state.score_items(
                 u_idx,
                 [ds.item_index[t] for t in long_tokens],

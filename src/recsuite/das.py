@@ -3,9 +3,10 @@
 Items and users live in sigmoid-squashed embedding tables. Two attention
 heads summarize the user's long-term item set and current session into
 one vector each; a relu mixture layer fuses them, and a per-item output
-layer scores the whole catalog at once. Training is pairwise binary
-cross-entropy against sampled negatives, batched, and reads only the
-output rows of each instance's positive and negatives.
+layer scores the whole catalog at once. `forward` is the one forward pass:
+training runs it on a minibatch, `DasState.score_items` on a batch of one.
+Training is pairwise binary cross-entropy against sampled negatives and
+reads only the output rows of each instance's positive and negatives.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data, minibatch
-from .minibatch import Batch
 from .numeric import (
     add_rows,
     init_normal,
@@ -22,7 +22,6 @@ from .numeric import (
     pooled_attention,
     pooled_attention_backward,
     sigmoid,
-    softmax,
 )
 
 PARAM_NAMES = ("W1", "W2", "w_alpha", "w_beta", "W", "b", "Wout", "bout")
@@ -67,18 +66,8 @@ class DasState:
         return self.W1.shape[1]
 
     def score_items(self, user, long_items, short_items) -> np.ndarray:
-        k = self.config.k
-        u_long = (
-            attend(sigmoid(self.W1[:, list(long_items)]), self.w_alpha)[0]
-            if len(long_items)
-            else np.zeros(k)
-        )
-        u_short = (
-            attend(sigmoid(self.W1[:, list(short_items)]), self.w_beta)[0]
-            if len(short_items)
-            else np.zeros(k)
-        )
-        return score_all(self, mixture(self, u_long, u_short), user)
+        z, _ = forward(self, [user], [long_items], [short_items])
+        return self.Wout @ z[0] + self.bout
 
 
 def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasState:
@@ -99,33 +88,7 @@ def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasStat
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
-
-
-def embed_user(state: DasState, user: int) -> np.ndarray:
-    return sigmoid(state.W2[:, user])
-
-
-def attend(H: np.ndarray, w: np.ndarray):
-    """Weighted sum of H's columns; weights = softmax of w·column scores."""
-    if H.ndim != 2 or H.shape[1] == 0:
-        raise ValueError("attention needs at least one embedding column")
-    alpha = softmax(w @ H)
-    return H @ alpha, alpha
-
-
-def mixture(state: DasState, u_long: np.ndarray, u_short: np.ndarray) -> np.ndarray:
-    pre = state.W @ np.concatenate([u_long, u_short]) + state.b
-    return np.maximum(pre, 0.0)
-
-
-def score_all(state: DasState, u_mixture: np.ndarray, user: int) -> np.ndarray:
-    z = np.concatenate([u_mixture, embed_user(state, user)])
-    return state.Wout @ z + state.bout
-
-
-# ---------------------------------------------------------------------------
-# Loss and gradients
+# Forward, loss and gradients
 
 
 def _encode(items: np.ndarray, lists, w: np.ndarray):
@@ -144,10 +107,28 @@ def _encode(items: np.ndarray, lists, w: np.ndarray):
     return pooled, (H, q, alpha, mask, flat, Hv)
 
 
-def loss_and_grads(state: DasState, batch: Batch, out=None):
+def forward(state: DasState, users, longs, shorts):
+    """User representations z = [u_mix, h_u], one row per instance.
+
+    `longs` and `shorts` hold one ragged item-index list per user; an empty
+    list pools to the zero vector. Every layer runs on the whole batch at
+    once. Returns z (B x 2k) and the cache `loss_and_grads` backpropagates
+    through.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    u_long, long_cache = _encode(state.W1.T, longs, state.w_alpha)
+    u_short, short_cache = _encode(state.W1.T, shorts, state.w_beta)
+    x = np.hstack([u_long, u_short])
+    pre = x @ state.W.T + state.b
+    h_u = sigmoid(state.W2[:, users].T)
+    z = np.hstack([np.maximum(pre, 0.0), h_u])
+    return z, (users, long_cache, short_cache, x, pre, h_u)
+
+
+def loss_and_grads(state: DasState, batch: minibatch.Batch, out=None):
     """Batch pairwise cross-entropy + L2, with gradients in params() order.
 
-    All instances go through each layer at once. The output layer computes
+    `forward` encodes every instance at once. The output layer computes
     logits only for the rows of each instance's positive and negatives
     (`batch.negatives` holds one index or a list per instance), the only
     rows the loss reads, and adds gradients to those rows alone.
@@ -158,15 +139,9 @@ def loss_and_grads(state: DasState, batch: Batch, out=None):
     """
     cfg = state.config
     k = cfg.k
-    users = np.asarray(batch.users, dtype=np.int64)
-
-    u_long, long_cache = _encode(state.W1.T, batch.longs, state.w_alpha)
-    u_short, short_cache = _encode(state.W1.T, batch.shorts, state.w_beta)
-    x = np.hstack([u_long, u_short])
-    pre = x @ state.W.T + state.b
-    u_mix = np.maximum(pre, 0.0)
-    h_u = sigmoid(state.W2[:, users].T)
-    z = np.hstack([u_mix, h_u])
+    z, (users, long_cache, short_cache, x, pre, h_u) = forward(
+        state, batch.users, batch.longs, batch.shorts
+    )
 
     negs, neg_mask = minibatch.pad(
         [[n] if isinstance(n, (int, np.integer)) else n for n in batch.negatives]

@@ -644,11 +644,6 @@ class Dataset:
             sessions=sessionize(interactions),
         )
 
-    @classmethod
-    def from_csv(cls, path, schema=None):
-        rows, errors = ingest_csv(path, schema)
-        return cls.from_interactions(rows), errors
-
     @property
     def n_users(self) -> int:
         return len(self.users)
@@ -656,6 +651,3 @@ class Dataset:
     @property
     def n_items(self) -> int:
         return len(self.items)
-
-    def item_indices(self, tokens) -> list[int]:
-        return [self.item_index[t] for t in tokens]

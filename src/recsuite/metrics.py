@@ -214,8 +214,9 @@ def evaluate(
 
             order = rank_items(scores)
             if exclude_context:
-                drop = set(ctx_idx)
-                order = [i for i in order if i not in drop]
+                keep = np.ones(n, dtype=bool)
+                keep[ctx_idx] = False
+                order = order[keep[order]]
             for k in cutoffs:
                 topk = list(order[:k])
                 per_user[("precision", k)].setdefault(inst.user, []).append(
@@ -229,7 +230,9 @@ def evaluate(
                 )
 
             seen = history.get(inst.user, set()) | set(ctx_idx) | {target}
-            pool = all_items[~np.isin(all_items, sorted(seen))]
+            outside = np.ones(n, dtype=bool)
+            outside[list(seen)] = False
+            pool = all_items[outside]
             if pool.size:
                 if auc_negatives == "sampled-100" and pool.size > 100:
                     pool = rng.choice(pool, size=100, replace=False)

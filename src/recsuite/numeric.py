@@ -12,23 +12,10 @@ from typing import Callable
 
 import numpy as np
 
-RNG_ALGORITHM = "pcg64"
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seed means identical draws."""
     return np.random.default_rng(seed)
-
-
-def softmax(scores) -> np.ndarray:
-    """Probability vector via exp-normalization with max subtraction."""
-    x = np.asarray(scores, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("softmax of empty vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("softmax input must be finite")
-    e = np.exp(x - x.max())
-    return e / e.sum()
 
 
 def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
@@ -43,9 +30,8 @@ def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the entries where `mask` holds; the rest get 0.
 
-    A row with no unmasked entry comes out all zero. Like `softmax`, raises
-    ValueError when an unmasked logit is not finite; masked entries may
-    hold anything.
+    A row with no unmasked entry comes out all zero. Raises ValueError when
+    an unmasked logit is not finite; masked entries may hold anything.
     """
     if not np.all(np.isfinite(logits[mask])):
         raise ValueError("softmax input must be finite")
@@ -97,36 +83,6 @@ def sigmoid(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": lambda v: v,
-    "relu": relu,
-    "tanh": np.tanh,
-    "sigmoid": sigmoid,
-}
-
-
-def dense_forward(
-    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, activation: str = "identity"
-) -> np.ndarray:
-    """act(W @ x + b) with explicit shape validation."""
-    W = np.asarray(weights, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    v = np.asarray(x, dtype=np.float64)
-    if W.ndim != 2 or v.ndim != 1 or b.ndim != 1:
-        raise ValueError("dense_forward expects a matrix, a bias vector and an input vector")
-    if W.shape[1] != v.shape[0]:
-        raise ValueError(f"weight cols {W.shape[1]} != input length {v.shape[0]}")
-    if W.shape[0] != b.shape[0]:
-        raise ValueError(f"weight rows {W.shape[0]} != bias length {b.shape[0]}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    return ACTIVATIONS[activation](W @ v + b)
 
 
 def grad_check(

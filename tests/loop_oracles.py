@@ -1,20 +1,53 @@
-"""Per-instance loop implementations of the DAS and CAN training kernels.
+"""Per-instance loop implementations of the DAS and CAN forward and kernels.
 
-These are the reference the batched kernels in `recsuite.das` and
-`recsuite.can` are tested against: one Python iteration per instance, the
+These are the reference the batched code in `recsuite.das` and
+`recsuite.can` is tested against: one Python iteration per instance, the
 whole DAS catalog scored per instance, and one dropout draw per instance.
+`das_scores` / `can_scores` score one instance the way the models'
+`score_items` did before scoring went through the batched `forward`.
 `train_das` / `train_can` are the per-model trainers the shared minibatch
 loop replaced; they fix the order of every random draw.
 """
 
 import numpy as np
 
-from recsuite import can, das, data
-from recsuite.numeric import make_rng, sigmoid, softmax, softmax_backward
+from recsuite import can, das, data, minibatch
+from recsuite.numeric import make_rng, sigmoid, softmax_backward
+
+
+def softmax(scores) -> np.ndarray:
+    """Probability vector via exp-normalization with max subtraction."""
+    x = np.asarray(scores, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("softmax of empty vector")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("softmax input must be finite")
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------
 # DAS
+
+
+def attend(H: np.ndarray, w: np.ndarray):
+    """Weighted sum of H's columns; weights = softmax of w·column scores."""
+    if H.ndim != 2 or H.shape[1] == 0:
+        raise ValueError("attention needs at least one embedding column")
+    alpha = softmax(w @ H)
+    return H @ alpha, alpha
+
+
+def das_scores(state, user, long_items, short_items):
+    """Catalog scores of one instance: Wout·[relu(W·[u_long, u_short] + b), h_u] + bout."""
+    k = state.config.k
+    u_long = (attend(sigmoid(state.W1[:, list(long_items)]), state.w_alpha)[0]
+              if len(long_items) else np.zeros(k))
+    u_short = (attend(sigmoid(state.W1[:, list(short_items)]), state.w_beta)[0]
+               if len(short_items) else np.zeros(k))
+    u_mix = np.maximum(state.W @ np.concatenate([u_long, u_short]) + state.b, 0.0)
+    z = np.concatenate([u_mix, sigmoid(state.W2[:, user])])
+    return state.Wout @ z + state.bout
 
 
 def _attention_backward(H, w, alpha, d_out, gw):
@@ -45,12 +78,12 @@ def das_loss_and_grads(state, batch):
     ):
         if G:
             HG = sigmoid(state.W1[:, G])
-            u_long, alpha = das.attend(HG, state.w_alpha)
+            u_long, alpha = attend(HG, state.w_alpha)
         else:
             u_long = np.zeros(k)
         if S:
             HS = sigmoid(state.W1[:, S])
-            u_short, beta = das.attend(HS, state.w_beta)
+            u_short, beta = attend(HS, state.w_beta)
         else:
             u_short = np.zeros(k)
         x = np.concatenate([u_long, u_short])
@@ -110,7 +143,7 @@ def train_das(split, dataset, config):
             epoch_total, n_batches = 0.0, 0
             for lo in range(0, len(order), config.batch):
                 chunk = order[lo : lo + config.batch]
-                batch = das.Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
+                batch = minibatch.Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
                 for idx in chunk:
                     u, G, S, pos, pool = prepared[idx]
                     if pool.size == 0:
@@ -137,12 +170,38 @@ def train_das(split, dataset, config):
 # CAN
 
 
+def conv_context(state, items):
+    """relu(K_w · window_i + b_w) for each position of the ordered item list."""
+    cfg = state.config
+    K = (cfg.window - 1) // 2
+    pad = np.zeros((K, cfg.D))
+    X = np.vstack([pad, state.E[list(items)], pad])
+    wins = np.stack([X[i : i + cfg.window].ravel() for i in range(len(items))])
+    return np.maximum(wins @ state.K_w.T + state.b_w, 0.0)
+
+
+def can_scores(state, user, long_items, short_items):
+    """Catalog scores of one instance, without dropout: V_out · u."""
+    cfg = state.config
+    if len(long_items) and not cfg.disable_purpose:
+        C = conv_context(state, long_items)
+        p = np.maximum(state.W1 @ state.U[:, user] + state.b1, 0.0)
+        t = np.tanh(state.W2 @ p + state.b2)
+        m = C.T @ softmax(C @ t)
+    else:
+        m = np.zeros(cfg.N_f)
+    u = m
+    if len(short_items) and not cfg.disable_preference:
+        PD = np.maximum(state.E[list(short_items)] @ state.W3.T + state.b3, 0.0)
+        Q = np.tanh(PD @ state.W4.T + state.b4)
+        u = Q.T @ softmax(Q @ m)
+    return state.V_out @ u
+
+
 def can_loss_and_grads(state, batch, rng=None):
     """Pairwise BPR loss + L2, gradients aligned with state.params()."""
     cfg = state.config
-    names = [n for n in can._PARAM_BASE]
-    if not cfg.tie_embeddings:
-        names.append("V_out")
+    names = can.param_names(cfg)
     g = {n: np.zeros_like(getattr(state, n)) for n in names}
     gV = g["E"] if cfg.tie_embeddings else g["V_out"]
     vout = state.V_out
@@ -260,7 +319,7 @@ def train_can(split, dataset, config):
             order = rng.permutation(len(prepared))
             epoch_total, n_batches = 0.0, 0
             for lo in range(0, len(order), config.batch):
-                batch = can.Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
+                batch = minibatch.Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
                 for idx in order[lo : lo + config.batch]:
                     u, G, S, pos, pool = prepared[idx]
                     if pool.size == 0:

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from recsuite import apar, baselines, can, das, data, metrics, personality
+from recsuite import apar, baselines, can, das, data, metrics, minibatch, personality
 from recsuite.cli import main
-from recsuite.numeric import grad_check, make_rng
+from recsuite.numeric import grad_check, make_rng, pooled_attention
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_01_gradients_match_finite_differences():
     das_state = das.init_das(3, 12, das_cfg)
     for p in das_state.params():
         p += perturb.normal(0, 0.3, size=p.shape)
-    das_batch = das.Batch(
+    das_batch = minibatch.Batch(
         users=[0, 2], longs=[[0, 1, 2], []], shorts=[[3, 4], [5, 5]],
         positives=[6, 7], negatives=[[8, 9], [10]],
     )
@@ -95,7 +95,7 @@ def test_01_gradients_match_finite_differences():
     can_state = can.init_can(2, 8, can_cfg)
     for p in can_state.params():
         p += perturb.normal(0, 0.3, size=p.shape)
-    can_batch = can.Batch(
+    can_batch = minibatch.Batch(
         users=[1], longs=[[0, 1, 2, 3]], shorts=[[4, 4, 5]],
         positives=[6], negatives=[7],
     )
@@ -384,9 +384,8 @@ def test_08_identical_items_personalized_attention():
         config=cfg,
     )
     shared_items = [0, 1]
-    C = can.conv_context(state, shared_items)
-    _, alpha0 = can.purpose_encode(state, C, can.purpose_vector(state, 0))
-    _, alpha1 = can.purpose_encode(state, C, can.purpose_vector(state, 1))
+    _, cache = can.forward(state, [0, 1], [shared_items, shared_items], [[], []])
+    alpha0, alpha1 = cache.alpha
     assert np.max(np.abs(alpha0 - alpha1)) > 0.05
 
 
@@ -445,15 +444,22 @@ def test_09_rerun_reproduces_metrics_bit_identically(tmp_path):
 
 
 def test_10_attention_sums_to_one_and_permutes_with_input():
+    def weights(V, q, mask=None):
+        # the attention of the live forward passes: query q (1 x n) over V's rows
+        V = V.reshape((1,) + V.shape[-2:])
+        if mask is None:
+            mask = np.ones(V.shape[:2], dtype=bool)
+        return pooled_attention(V, q, mask)[1][0]
+
     rng = make_rng(6)
     for _ in range(100):
         H = rng.normal(0, 1, (5, 7))
         w = rng.normal(0, 1, 5)
-        _, alpha = das.attend(H, w)
+        alpha = weights(H.T, w[None])  # das.forward pools W1's columns by w
         assert alpha.min() >= 0.0
         assert abs(alpha.sum() - 1.0) <= 1e-9
         perm = rng.permutation(7)
-        _, permuted = das.attend(H[:, perm], w)
+        permuted = weights(H[:, perm].T, w[None])
         assert np.abs(permuted - alpha[perm]).max() <= 1e-9
 
     cfg = can.CanConfig(D=5, D_u=3, N_f=4, window=3, D_p=3, D_q=4,
@@ -463,22 +469,29 @@ def test_10_attention_sums_to_one_and_permutes_with_input():
     for p in state.params():
         p += perturb.normal(0, 0.3, size=p.shape)
 
+    def encoded(items):
+        # can.forward's re-encoded context rows and their mask
+        _, cache = can.forward(state, [0], [[]], [items])
+        return cache.Q, cache.s_mask
+
     for _ in range(100):
         C = rng.normal(0, 1, (6, 4))
-        query = can.purpose_vector(state, 1)
-        _, alpha = can.purpose_encode(state, C, query)
+        query = can.forward(state, [1], [[0]], [[]])[1].t  # user 1's purpose query
+        alpha = weights(C, query)
         assert alpha.min() >= 0.0
         assert abs(alpha.sum() - 1.0) <= 1e-9
         perm = rng.permutation(6)
         # same rows, same user query -> weights must follow the rows
-        _, permuted = can.purpose_encode(state, C[perm], query)
+        permuted = weights(C[perm], query)
         assert np.abs(permuted - alpha[perm]).max() <= 1e-9
 
         items = [int(j) for j in rng.integers(0, 9, size=5)]
         m = rng.normal(0, 1, 4)
-        _, ap = can.preference_encode(state, items, m)
+        Q, mask = encoded(items)
+        ap = weights(Q, m[None], mask)
         assert ap.min() >= 0.0
         assert abs(ap.sum() - 1.0) <= 1e-9
         sperm = rng.permutation(5)
-        _, ap2 = can.preference_encode(state, [items[int(j)] for j in sperm], m)
+        Q2, mask2 = encoded([items[int(j)] for j in sperm])
+        ap2 = weights(Q2, m[None], mask2)
         assert np.abs(ap2 - ap[sperm]).max() <= 1e-9

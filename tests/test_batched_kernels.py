@@ -1,8 +1,9 @@
 """Batched DAS and CAN kernels and the shared minibatch loop against loops.
 
-`loop_oracles` holds the per-instance kernels and per-model trainers the
-batched code replaced. Batching changes only the order of floating-point
-sums, so kernels must agree to 1e-10 and two trained epochs to 1e-9.
+`loop_oracles` holds the per-instance kernels, scorers and per-model
+trainers the batched code replaced. Batching changes only the order of
+floating-point sums, so kernels must agree to 1e-10, scores to 1e-12 and
+two trained epochs to 1e-9.
 """
 
 import numpy as np
@@ -104,6 +105,40 @@ def test_can_kernel_matches_loop(batch, seed, window, tie, no_purpose, no_prefer
                  loop_oracles.can_loss_and_grads(state, batch, rng_b), 1e-10)
     if dropout:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@given(st.integers(0, N_USERS - 1), item_lists, item_lists, st.integers(0, 1000),
+       st.sampled_from([1, 3, 5]), st.booleans(), st.booleans(), st.booleans())
+@example(0, [], [], 0, 3, False, False, False)
+@example(2, [1, 1, 4], [], 1, 3, True, False, False)
+@example(1, [], [3, 3], 2, 5, False, True, True)
+def test_score_items_match_per_instance_oracle(user, longs, shorts, seed, window, tie,
+                                               no_purpose, no_preference):
+    def assert_scores(got, want):
+        assert got.shape == (N_ITEMS,)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    das_state = perturbed(das.init_das(N_USERS, N_ITEMS, das.DasConfig(k=4, seed=seed)),
+                          seed + 1)
+    assert_scores(das_state.score_items(user, longs, shorts),
+                  loop_oracles.das_scores(das_state, user, longs, shorts))
+    cfg = can.CanConfig(
+        D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=0.2, seed=seed,
+        tie_embeddings=tie, disable_purpose=no_purpose, disable_preference=no_preference,
+    )
+    can_state = perturbed(can.init_can(N_USERS, N_ITEMS, cfg), seed + 1)
+    assert_scores(can_state.score_items(user, longs, shorts),
+                  loop_oracles.can_scores(can_state, user, longs, shorts))
+
+
+def test_score_items_reject_out_of_range_indices():
+    das_state = das.init_das(N_USERS, N_ITEMS, das.DasConfig(k=3))
+    can_state = can.init_can(N_USERS, N_ITEMS, can.CanConfig(D=4, D_u=3, N_f=4, D_p=3, D_q=5))
+    for state in (das_state, can_state):
+        for user, longs, shorts in ((N_USERS, [0], [1]), (0, [N_ITEMS], [1]),
+                                    (0, [0], [N_ITEMS])):
+            with pytest.raises(IndexError):
+                state.score_items(user, longs, shorts)
 
 
 def test_one_dropout_draw_equals_per_instance_draws():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recsuite import can, data
-from recsuite.numeric import grad_check, make_rng
+from recsuite import can, data, minibatch
+from recsuite.numeric import grad_check, make_rng, pooled_attention
 
 
 def zeros_state(n_items=5, n_users=2, D=3, D_u=2, N_f=4, window=3, D_p=3, D_q=2, **kw):
@@ -29,11 +29,37 @@ def zeros_state(n_items=5, n_users=2, D=3, D_u=2, N_f=4, window=3, D_p=3, D_q=2,
     )
 
 
+def conv(state, items):
+    """The conv rows `can.forward` computes for one long-term list."""
+    _, cache = can.forward(state, [0], [items], [[]])
+    return cache.Cd[0]
+
+
+def purpose(state, user):
+    """The user's purpose vector p, as `can.forward` computes it."""
+    _, cache = can.forward(state, [user], [[0]], [[]])
+    return cache.p[0]
+
+
+def purpose_attention(state, C, user):
+    """Attention over contextual rows C, queried by the user's purpose query t."""
+    _, cache = can.forward(state, [user], [[0]], [[]])
+    m, alpha = pooled_attention(C[None], cache.t, np.ones((1, len(C)), dtype=bool))
+    return m[0], alpha[0]
+
+
+def preference_attention(state, short_items, m):
+    """Re-encoded short-term items of `can.forward`, attended against m."""
+    _, cache = can.forward(state, [0], [[]], [short_items])
+    u, ap = pooled_attention(cache.Q, m[None], cache.s_mask)
+    return u[0], ap[0]
+
+
 class TestConv:
     def test_zero_kernel_gives_relu_bias(self):
         st_ = zeros_state()
         st_.b_w[:] = [-1.0, 0.0, 2.0, 0.5]
-        C = can.conv_context(st_, [0, 1, 2])
+        C = conv(st_, [0, 1, 2])
         assert C.shape == (3, 4)
         assert np.allclose(C, [[0.0, 0.0, 2.0, 0.5]] * 3)
 
@@ -43,18 +69,18 @@ class TestConv:
         e = np.array([0.7, -0.3])
         st_.E[1] = e
         st_.K_w[:, 2:4] = np.eye(2)  # center block -> c = relu(e)
-        C = can.conv_context(st_, [1])
+        C = conv(st_, [1])
         assert np.allclose(C, [np.maximum(e, 0.0)])
         st_.K_w[:] = 0.0
         st_.K_w[:, 0:2] = np.eye(2)  # left block sees zero padding
-        assert np.allclose(can.conv_context(st_, [1]), 0.0)
+        assert np.allclose(conv(st_, [1]), 0.0)
 
     def test_neighbor_block_reads_neighbor(self):
         st_ = zeros_state(D=1, N_f=1, window=3)
         st_.E[0] = [2.0]
         st_.E[1] = [5.0]
         st_.K_w[0, 2] = 1.0  # right-neighbor block
-        C = can.conv_context(st_, [0, 1])
+        C = conv(st_, [0, 1])
         assert np.allclose(C.ravel(), [5.0, 0.0])  # item 0 sees item 1; item 1 sees pad
 
     def test_window_one_is_per_item_map(self):
@@ -63,7 +89,7 @@ class TestConv:
         st_.b_w = np.array([0.1, -10.0])
         st_.E[0] = [0.5, 3.0]
         st_.E[1] = [-2.0, 1.0]
-        C = can.conv_context(st_, [0, 1])
+        C = conv(st_, [0, 1])
         expected = np.maximum(st_.E[[0, 1]] + st_.b_w, 0.0)
         assert np.allclose(C, expected)
 
@@ -71,30 +97,26 @@ class TestConv:
         with pytest.raises(ValueError):
             can.CanConfig(window=2).validate()
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            can.conv_context(zeros_state(), [])
-
 
 class TestPurposeVector:
     def test_zero_layer(self):
-        assert np.allclose(can.purpose_vector(zeros_state(), 0), 0.0)
+        assert np.allclose(purpose(zeros_state(), 0), 0.0)
 
     def test_nonnegative(self):
         st_ = can.init_can(3, 6, can.CanConfig(D=4, D_u=3, N_f=4, D_p=3, D_q=3, seed=2))
         for u in range(3):
-            assert np.all(can.purpose_vector(st_, u) >= 0)
+            assert np.all(purpose(st_, u) >= 0)
 
     def test_unknown_user(self):
         with pytest.raises(IndexError):
-            can.purpose_vector(zeros_state(n_users=2), 9)
+            purpose(zeros_state(n_users=2), 9)
 
 
 class TestPurposeEncode:
     def test_single_vector_passthrough(self):
         st_ = zeros_state()
         C = np.array([[1.0, 2.0, 3.0, 4.0]])
-        m, alpha = can.purpose_encode(st_, C, np.zeros(3))
+        m, alpha = purpose_attention(st_, C, 0)
         assert np.allclose(alpha, [1.0])
         assert np.allclose(m, C[0])
 
@@ -102,14 +124,14 @@ class TestPurposeEncode:
         st_ = zeros_state()
         row = np.array([0.5, 0.1, 0.9, 0.3])
         C = np.tile(row, (4, 1))
-        m, _ = can.purpose_encode(st_, C, np.ones(3))
+        m, _ = purpose_attention(st_, C, 0)
         assert np.allclose(m, row)
 
     def test_convex_hull(self):
         st_ = can.init_can(2, 5, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2, seed=0))
         rng = make_rng(1)
         C = rng.random((5, 4))
-        m, alpha = can.purpose_encode(st_, C, can.purpose_vector(st_, 0))
+        m, alpha = purpose_attention(st_, C, 0)
         assert np.all(m >= C.min(axis=0) - 1e-12)
         assert np.all(m <= C.max(axis=0) + 1e-12)
         assert abs(alpha.sum() - 1.0) <= 1e-9 and np.all(alpha >= 0)
@@ -122,15 +144,15 @@ class TestPurposeEncode:
         st_.W1[:2, :2] = np.eye(2)
         st_.W2[:2, :2] = [[2.0, -2.0], [-2.0, 2.0]]
         C = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        _, a0 = can.purpose_encode(st_, C, can.purpose_vector(st_, 0))
-        _, a1 = can.purpose_encode(st_, C, can.purpose_vector(st_, 1))
+        _, a0 = purpose_attention(st_, C, 0)
+        _, a1 = purpose_attention(st_, C, 1)
         assert np.max(np.abs(a0 - a1)) > 0.05
 
 
 class TestPreferenceEncode:
     def test_single_item(self):
         st_ = can.init_can(2, 6, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2, seed=3))
-        u, ap = can.preference_encode(st_, [4], np.ones(4))
+        u, ap = preference_attention(st_, [4], np.ones(4))
         e = st_.E[4]
         pd = np.maximum(st_.W3 @ e + st_.b3, 0.0)
         q = np.tanh(st_.W4 @ pd + st_.b4)
@@ -139,7 +161,7 @@ class TestPreferenceEncode:
 
     def test_zero_purpose_uniform_weights(self):
         st_ = can.init_can(2, 6, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2, seed=4))
-        _, ap = can.preference_encode(st_, [0, 2, 5], np.zeros(4))
+        _, ap = preference_attention(st_, [0, 2, 5], np.zeros(4))
         assert np.allclose(ap, 1 / 3)
 
     @given(st.permutations(range(4)))
@@ -147,13 +169,13 @@ class TestPreferenceEncode:
         st_ = can.init_can(2, 6, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2, seed=5))
         m = make_rng(0).random(4)
         items = [0, 2, 3, 5]
-        u0, _ = can.preference_encode(st_, items, m)
-        u1, _ = can.preference_encode(st_, [items[p] for p in perm], m)
+        u0, _ = preference_attention(st_, items, m)
+        u1, _ = preference_attention(st_, [items[p] for p in perm], m)
         assert np.allclose(u0, u1, atol=1e-12)
 
     def test_weights_sum_to_one(self):
         st_ = can.init_can(2, 6, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2, seed=6))
-        _, ap = can.preference_encode(st_, [1, 1, 4], make_rng(2).random(4))
+        _, ap = preference_attention(st_, [1, 1, 4], make_rng(2).random(4))
         assert abs(ap.sum() - 1.0) <= 1e-9 and np.all(ap >= 0)
 
 
@@ -166,7 +188,7 @@ class TestScore:
 
 
 def one_triple(user=0, G=(0, 1), S=(2,), pos=3, neg=4):
-    return can.Batch(
+    return minibatch.Batch(
         users=[user], longs=[list(G)], shorts=[list(S)],
         positives=[pos], negatives=[neg],
     )
@@ -225,7 +247,7 @@ class TestGradCheck:
         rng = make_rng(11)
         for p in st_.params():
             p += rng.normal(0, 0.3, size=p.shape)
-        batch = can.Batch(
+        batch = minibatch.Batch(
             users=[1], longs=[list(G)], shorts=[list(S)],
             positives=[pos], negatives=[neg],
         )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from recsuite import checkpoint
+from recsuite import checkpoint, data, metrics
 from recsuite.cli import main
 
 runner = CliRunner()
@@ -368,6 +368,31 @@ class TestRecommend:
         )
         assert res.exit_code == 1
         assert "nobody" in (res.output + res.stderr)
+
+    @pytest.mark.parametrize("model", ["das", "can"])
+    def test_sequential_listing_scores_what_evaluate_would(self, tmp_path, model):
+        # the last session is the context and the user's earlier days the
+        # long-term list, built as evaluate builds it for a test instance
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", model, "--k", "8", "--epochs", "1")
+        res = runner.invoke(
+            main, ["recommend", str(ck), str(corpus), "--user", "u000", "-n", "12"]
+        )
+        assert res.exit_code == 0, res.output
+        ds = data.Dataset.from_interactions(data.ingest_csv(corpus)[0])
+        mine = [s for s in ds.sessions if s.user == "u000"]
+        last = max(mine, key=lambda s: (s.day, s.t))
+        long_items = data.long_term_before(mine, last.day)
+        assert len(mine) > 1 and long_items
+        scores = checkpoint.load_checkpoint(ck).state.score_items(
+            ds.user_index["u000"],
+            [ds.item_index[i] for i in long_items],
+            [ds.item_index[i] for i in last.items],
+        )
+        assert _lines(res.stdout) == [
+            f"{rank},{ds.items[j]},{scores[j]:.17g}"
+            for rank, j in enumerate(metrics.rank_items(scores), start=1)
+        ]
 
     def test_rating_checkpoint_recommends_by_predicted_rating(self, tmp_path):
         corpus, _ = synth_personality(tmp_path / "s", upc=4, ipc=3)

