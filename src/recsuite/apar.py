@@ -10,6 +10,7 @@ gradient fallback on any step that would raise the objective.
 import numpy as np
 from dataclasses import dataclass, field
 
+from . import metrics
 from .numeric import make_rng
 
 _EPS = 1e-12
@@ -200,7 +201,7 @@ def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: floa
 
 
 @dataclass
-class AparState:
+class AparState(metrics.Ranker):
     P: np.ndarray
     Q: np.ndarray
     gamma: np.ndarray
@@ -219,8 +220,8 @@ class AparState:
     def predict_rating(self, user: int, item: int) -> float:
         return float(self.blended[user] @ self.Q[item])
 
-    def score_items(self, user, long_items, short_items) -> np.ndarray:
-        return self.Q @ self.blended[user]
+    def score_batch(self, users, longs, shorts) -> np.ndarray:
+        return self.blended[np.asarray(users, dtype=np.int64)] @ self.Q.T
 
 
 def train_apar(W, mask, groups, gamma, config: AparConfig) -> AparState:

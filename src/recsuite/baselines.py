@@ -2,14 +2,17 @@
 
 Top, Random, UserMean, and ItemMean need no training loop; the pairwise
 matrix-factorization ranker (`train_bpr`) is the only learned baseline.
-All ranking scorers follow the `score_items(user, long_items, short_items)
--> (n_items,) array` protocol the evaluator expects.
+All ranking scorers follow the protocol of `metrics.Ranker`: the evaluator
+calls `score_batch(users, longs, shorts) -> (B, n_items) array` on chunks
+of test instances, and `score_items(user, long_items, short_items) ->
+(n_items,) array` is its one-instance case.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .numeric import make_rng, sigmoid
 
 
@@ -18,11 +21,11 @@ from .numeric import make_rng, sigmoid
 
 
 @dataclass
-class TopScorer:
+class TopScorer(metrics.Ranker):
     counts: np.ndarray  # training interaction count per item index
 
-    def score_items(self, user, long_items, short_items):
-        return self.counts.astype(np.float64)
+    def score_batch(self, users, longs, shorts):
+        return np.broadcast_to(self.counts.astype(np.float64), (len(users), self.counts.size))
 
 
 def top_scorer(train_sessions, item_index, n_items) -> TopScorer:
@@ -40,13 +43,14 @@ def top_scorer(train_sessions, item_index, n_items) -> TopScorer:
 
 
 @dataclass
-class RandomScorer:
+class RandomScorer(metrics.Ranker):
     rng: np.random.Generator
     n_items: int
     seed: int | None = None  # kept so the scorer can be checkpointed
 
-    def score_items(self, user, long_items, short_items):
-        return self.rng.random(self.n_items)
+    def score_batch(self, users, longs, shorts):
+        # one draw of B rows takes the same stream values as B draws of one
+        return self.rng.random((len(users), self.n_items))
 
 
 def random_scorer(rng, n_items, seed=None) -> RandomScorer:
@@ -106,14 +110,14 @@ class BprConfig:
 
 
 @dataclass
-class BprState:
+class BprState(metrics.Ranker):
     P: np.ndarray  # n_users x d
     Q: np.ndarray  # n_items x d
     trace: list = field(default_factory=list)  # mean pairwise loss per epoch
     config: BprConfig | None = None
 
-    def score_items(self, user, long_items, short_items):
-        return self.P[user] @ self.Q.T
+    def score_batch(self, users, longs, shorts):
+        return self.P[np.asarray(users, dtype=np.int64)] @ self.Q.T
 
     def predict_rating(self, user, item) -> float:
         return float(self.P[user] @ self.Q[item])
@@ -134,27 +138,6 @@ def _bpr_triple(pu, qi, qj, l2):
         s * pu + 2 * l2 * qi,
         -s * pu + 2 * l2 * qj,
     )
-
-
-def bpr_loss_and_grad(P, Q, triples, l2):
-    """Summed pairwise loss and gradients over (user, pos, neg) triples.
-
-    Per triple: softplus(-p_u·(q_i - q_j)) + l2(|p_u|^2 + |q_i|^2 + |q_j|^2),
-    the per-step objective the trainer descends; the per-triple terms are
-    the trainer's own (`_bpr_triple`).
-    """
-    loss = 0.0
-    gP = np.zeros_like(P)
-    gQ = np.zeros_like(Q)
-    for u, i, j in triples:
-        pu, qi, qj = P[u], Q[i], Q[j]
-        data_loss, gp, gqi, gqj = _bpr_triple(pu, qi, qj, l2)
-        loss += data_loss
-        loss += l2 * (pu @ pu + qi @ qi + qj @ qj)
-        gP[u] += gp
-        gQ[i] += gqi
-        gQ[j] += gqj
-    return float(loss), [gP, gQ]
 
 
 def init_bpr(n_users, n_items, config: BprConfig, rng=None) -> BprState:

@@ -6,8 +6,8 @@ collapses them into one purpose vector m. Each short-term item is
 re-encoded through two small layers, attended against m, and the
 weighted sum u scores the catalog by inner product with an output item
 table. `forward` is the one forward pass: training runs it on a minibatch,
-`CanState.score_items` on a batch of one. Training is pairwise BPR with
-inverted dropout on the conv outputs.
+`CanState.score_batch` on the instances it scores. Training is pairwise
+BPR with inverted dropout on the conv outputs.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import data, minibatch
+from . import data, metrics, minibatch
 from .numeric import (
     add_rows,
     init_normal,
@@ -60,7 +60,7 @@ class CanConfig:
 
 
 @dataclass
-class CanState:
+class CanState(metrics.Ranker):
     E: np.ndarray  # n_items x D
     U: np.ndarray  # D_u x n_users
     K_w: np.ndarray  # N_f x window*D
@@ -86,9 +86,9 @@ class CanState:
             return cls(*plist, V_out=plist[0], config=config)
         return cls(*plist, config=config)
 
-    def score_items(self, user, long_items, short_items) -> np.ndarray:
-        u, _ = forward(self, [user], [long_items], [short_items])
-        return self.V_out @ u[0]
+    def score_batch(self, users, longs, shorts) -> np.ndarray:
+        u, _ = forward(self, users, longs, shorts)
+        return u @ self.V_out.T
 
 
 def param_names(config: CanConfig) -> tuple:

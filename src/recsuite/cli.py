@@ -649,14 +649,13 @@ def recommend(checkpoint_path, input_path, user, count, seed, config_path, out_d
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
-    order = metrics.rank_items(scores)
-    if count > len(order):
+    if count > len(scores):
         click.echo(
-            f"asked for {count} items but the catalog holds {len(order)}; "
+            f"asked for {count} items but the catalog holds {len(scores)}; "
             "returning all of them", err=True,
         )
-        count = len(order)
-    for rank, j in enumerate(order[:count], start=1):
+        count = len(scores)
+    for rank, j in enumerate(metrics.top_k(scores, count), start=1):
         click.echo(f"{rank},{items[j]},{scores[j]:.17g}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -4,7 +4,8 @@ Items and users live in sigmoid-squashed embedding tables. Two attention
 heads summarize the user's long-term item set and current session into
 one vector each; a relu mixture layer fuses them, and a per-item output
 layer scores the whole catalog at once. `forward` is the one forward pass:
-training runs it on a minibatch, `DasState.score_items` on a batch of one.
+training runs it on a minibatch, `DasState.score_batch` on the instances
+it scores.
 Training is pairwise binary cross-entropy against sampled negatives and
 reads only the output rows of each instance's positive and negatives.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, minibatch
+from . import data, metrics, minibatch
 from .numeric import (
     add_rows,
     init_normal,
@@ -42,7 +43,7 @@ class DasConfig:
 
 
 @dataclass
-class DasState:
+class DasState(metrics.Ranker):
     W1: np.ndarray  # k x n_items, sigmoid-ed per column to get h_i
     W2: np.ndarray  # k x n_users
     w_alpha: np.ndarray  # long-term attention scorer, length k
@@ -65,9 +66,11 @@ class DasState:
     def n_items(self) -> int:
         return self.W1.shape[1]
 
-    def score_items(self, user, long_items, short_items) -> np.ndarray:
-        z, _ = forward(self, [user], [long_items], [short_items])
-        return self.Wout @ z[0] + self.bout
+    def score_batch(self, users, longs, shorts) -> np.ndarray:
+        z, _ = forward(self, users, longs, shorts)
+        scores = z @ self.Wout.T
+        scores += self.bout
+        return scores
 
 
 def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasState:

@@ -82,57 +82,67 @@ def ingest_csv(path, schema: dict[str, str] | None = None):
     """Parse a CSV of interactions.
 
     Returns (interactions, row_errors). Malformed rows become RowError
-    records instead of being dropped silently. `schema` maps the logical
-    column names (user, item, timestamp, action, rating, review, helpful)
-    to the actual header names.
+    records, numbered by the file line the row starts on, instead of being
+    dropped silently. `schema` maps the logical column names (user, item,
+    timestamp, action, rating, review, helpful) to the actual header names.
+    As with csv.DictReader, blank lines are skipped, a short row reads ""
+    in its missing columns, extra fields are ignored, and a header name
+    that repeats names its last column.
     """
     mapping = {c: c for c in CSV_COLUMNS}
     if schema:
         mapping.update(schema)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, no header")
+        position = {name: j for j, name in enumerate(header)}  # the last one wins
         for logical in ("user", "item", "timestamp"):
-            if mapping[logical] not in reader.fieldnames:
+            if mapping[logical] not in position:
                 raise ValueError(
                     f"{path}: required column {mapping[logical]!r} not in header"
                 )
+        width = len(header)
+        # a column missing from the header reads the "" appended to every row
+        columns = [position.get(mapping[c], width) for c in CSV_COLUMNS]
         rows: list[Interaction] = []
         errors: list[RowError] = []
-        for line_no, row in enumerate(reader, start=2):
-            def col(logical):
-                value = row.get(mapping[logical])
-                return value.strip() if value is not None else ""
-
+        line_no = reader.line_num + 1  # where the next record starts
+        for row in reader:
+            start, line_no = line_no, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != width:
+                row = (row + [""] * width)[:width]
+            row.append("")
+            user, item, ts_text, action, rating_text, review, helpful_text = [
+                row[j].strip() for j in columns
+            ]
             try:
-                user, item = col("user"), col("item")
                 if not user:
                     raise ValueError("empty user id")
                 if not item:
                     raise ValueError("empty item id")
-                ts = _parse_timestamp(col("timestamp"))
+                ts = _parse_timestamp(ts_text)
                 if ts < 0:
                     raise ValueError("negative timestamp")
-                action = col("action") or "view"
+                action = action or "view"
                 if action not in ACTIONS:
                     raise ValueError(f"unknown action {action!r}")
-                rating_text = col("rating")
                 rating = float(rating_text) if rating_text else None
                 if (action == "rate") != (rating is not None):
                     raise ValueError("rating must be present exactly when action is rate")
                 if rating is not None and not (1.0 <= rating <= 5.0):
                     raise ValueError(f"rating {rating} outside [1, 5]")
-                helpful_text = col("helpful")
                 helpful = int(helpful_text) if helpful_text else None
                 if helpful is not None and helpful < 0:
                     raise ValueError("negative helpfulness votes")
-                review = col("review") or None
                 rows.append(
-                    Interaction(user, item, ts, action, rating, review, helpful)
+                    Interaction(user, item, ts, action, rating, review or None, helpful)
                 )
             except ValueError as exc:
-                errors.append(RowError(line=line_no, message=str(exc)))
+                errors.append(RowError(line=start, message=str(exc)))
     return rows, errors
 
 
@@ -170,36 +180,6 @@ def sessionize(events, bucket: str = "calendar-day") -> list[Session]:
             sessions.append(Session(user=e.user, t=counters[e.user], day=day, items=[e.item]))
             counters[e.user] += 1
     return sessions
-
-
-def filter_dataset(
-    sessions: list[Session], min_session_len: int, min_item_support: int
-) -> list[Session]:
-    """Drop short sessions and rare items, iterated to a fixed point.
-
-    Removing a rare item can push a session under the length threshold, and
-    removing that session lowers other items' support, so one pass is not
-    enough.
-    """
-    current = [Session(s.user, s.t, s.day, list(s.items)) for s in sessions]
-    while True:
-        counts = collections.Counter(it for s in current for it in s.items)
-        keep_items = {it for it, c in counts.items() if c >= min_item_support}
-        nxt = []
-        for s in current:
-            items = [it for it in s.items if it in keep_items]
-            if len(items) >= max(min_session_len, 1):
-                nxt.append(Session(s.user, s.t, s.day, items))
-        if [(s.user, s.day, s.items) for s in nxt] == [
-            (s.user, s.day, s.items) for s in current
-        ]:
-            break
-        current = nxt
-    counters: dict[str, int] = collections.defaultdict(int)
-    for s in current:
-        s.t = counters[s.user]
-        counters[s.user] += 1
-    return current
 
 
 def ordered_dedup(items) -> list:

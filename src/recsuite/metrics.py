@@ -1,8 +1,8 @@
 """Accuracy, ranking, and novelty metrics plus the shared evaluation loop.
 
 All ranking metrics consume an already-ordered item list produced by
-`rank_items`, so every model is ranked under the same rule: descending
-score, ties broken by ascending item index.
+`top_k`, so every model is ranked under the same rule: descending score,
+ties broken by ascending item index.
 """
 
 import csv
@@ -90,22 +90,44 @@ def can_novelty(recommended, consumed) -> float:
     return 1.0 - len(R & set(consumed)) / len(R)
 
 
-def mcan_at_k(pairs) -> float:
-    """Mean of can_novelty over (recommended, consumed) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no recommendation/consumption pairs")
-    return sum(can_novelty(R, C) for R, C in pairs) / len(pairs)
-
-
 # ---------------------------------------------------------------------------
 # Shared ranking rule
 
 
-def rank_items(scores: np.ndarray) -> np.ndarray:
-    """Item indices ordered by descending score, ties by ascending index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.lexsort((np.arange(scores.size), -scores))
+def top_k(scores, k: int, drop=()) -> np.ndarray:
+    """The first k items of the ranking of `scores`, leaving out `drop`.
+
+    The ranking is by descending score, ties by ascending index, NaN last.
+    A partition finds the k-th best score without sorting the catalog; only
+    the items at least as good as it, every tie with it included, are then
+    sorted under the exact rule. Returns fewer than k items when fewer
+    remain.
+    """
+    key = -np.asarray(scores, dtype=np.float64)
+    items = np.arange(key.size)
+    if k < 1:
+        return items[:0]
+    if len(drop):
+        keep = np.ones(key.size, dtype=bool)
+        keep[drop] = False
+        items, key = items[keep], key[keep]
+    if k < key.size:
+        kth = np.partition(key, k - 1)[k - 1]
+        if not np.isnan(kth):  # a NaN k-th key: fewer than k numbers, keep all
+            near = key <= kth
+            items, key = items[near], key[near]
+    return items[np.lexsort((items, key))][:k]
+
+
+class Ranker:
+    """A ranking model: `score_batch` scores many instances, `score_items` one.
+
+    Subclasses define `score_batch(users, longs, shorts) -> B x n_items`,
+    one row per (user, long-term list, short-term list) instance.
+    """
+
+    def score_items(self, user, long_items, short_items) -> np.ndarray:
+        return self.score_batch([user], [long_items], [short_items])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +169,46 @@ class _ShapeError(ValueError):
     """A scorer returned the wrong number of scores for one instance."""
 
 
+# what fails a single instance (an unknown user or item, a wrong-length
+# score vector); any other exception is a bug and propagates
+_DATA_ERRORS = (KeyError, IndexError, _ShapeError)
+
+
+# Most score rows, and most scores (2**18 float64 values, 2 MB), one chunk
+# of `evaluate` holds; wider catalogs get fewer rows per chunk.
+_CHUNK_ROWS = 64
+_CHUNK_SCORES = 1 << 18
+
+
+def _score_rows(scorer, users, longs, shorts, n):
+    """One score row per instance of a chunk, or the data error it raised.
+
+    A scorer with `score_batch` scores the chunk at once. If that raises a
+    data error or returns the wrong shape, or the scorer has only
+    `score_items`, every instance is scored on its own, so a bad instance
+    fails alone.
+    """
+    batch = getattr(scorer, "score_batch", None)
+    if batch is not None:
+        try:
+            rows = np.asarray(batch(users, longs, shorts), dtype=np.float64)
+            if rows.shape == (len(users), n):
+                return list(rows)
+        except _DATA_ERRORS:
+            pass
+    out = []
+    for user, long_items, short_items in zip(users, longs, shorts):
+        try:
+            row = np.asarray(scorer.score_items(user, long_items, short_items),
+                             dtype=np.float64)
+            if row.shape != (n,):
+                raise _ShapeError(f"scorer returned shape {row.shape}, expected ({n},)")
+            out.append(row)
+        except _DATA_ERRORS as exc:
+            out.append(exc)
+    return out
+
+
 def _user_mean_then_global(per_user: dict) -> float:
     user_means = [sum(vals) / len(vals) for vals in per_user.values() if vals]
     return sum(user_means) / len(user_means)
@@ -167,15 +229,19 @@ def evaluate(
 
     For each test instance the scorer sees the user's long-term items
     (train sessions from strictly earlier days) and the instance context,
-    and must return one score per catalog item. With exclude_context on,
-    context items are dropped from the ranking before top-k metrics are
-    taken (novelty is then 1 by construction). AUC negatives are the
-    items outside train history, context, and target; "sampled-100" caps
-    that pool at 100 draws per instance.
+    and must return one score per catalog item. Instances are scored in
+    chunks of consecutive instances (`score_batch`, or `score_items` one at
+    a time for a scorer without it), each chunk at most 64 rows and 2**18
+    scores. With exclude_context on, context items are dropped from the
+    ranking before top-k metrics are taken (novelty is then 1 by
+    construction). AUC negatives are the items outside train history,
+    context, and target; "sampled-100" caps that pool at 100 draws per
+    instance, drawn from `rng` in instance order.
 
     A lookup error (KeyError, IndexError: an unknown user or item) or a
     score vector of the wrong length fails only its instance and is listed
-    in the report's failures; any other exception propagates.
+    in the report's failures, in instance order; any other exception
+    propagates.
     """
     if auc_negatives not in ("all", "sampled-100"):
         raise ValueError(f"unknown auc_negatives mode: {auc_negatives!r}")
@@ -200,25 +266,35 @@ def evaluate(
     failures: list[str] = []
     n_done = 0
 
-    for inst in split.test:
-        try:
-            uidx = dataset.user_index[inst.user]
-            long_items = data.long_term_before(train_sessions.get(inst.user, []), inst.day)
-            g_idx = [dataset.item_index[i] for i in long_items]
-            ctx_idx = [dataset.item_index[i] for i in inst.context]
-            target = dataset.item_index[inst.target]
+    chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // max(n, 1)))
+    for start in range(0, len(split.test), chunk):
+        part = split.test[start:start + chunk]
+        inputs = []  # per instance: (user, long items, context, target) or its error
+        for inst in part:
+            try:
+                long_items = data.long_term_before(train_sessions.get(inst.user, []), inst.day)
+                inputs.append((
+                    dataset.user_index[inst.user],
+                    [dataset.item_index[i] for i in long_items],
+                    [dataset.item_index[i] for i in inst.context],
+                    dataset.item_index[inst.target],
+                ))
+            except _DATA_ERRORS as exc:
+                inputs.append(exc)
+        found = [x for x in inputs if not isinstance(x, Exception)]
+        scored = iter(_score_rows(scorer, [x[0] for x in found], [x[1] for x in found],
+                                  [x[2] for x in found], n) if found else ())
 
-            scores = np.asarray(scorer.score_items(uidx, g_idx, ctx_idx), dtype=np.float64)
-            if scores.shape != (n,):
-                raise _ShapeError(f"scorer returned shape {scores.shape}, expected ({n},)")
-
-            order = rank_items(scores)
-            if exclude_context:
-                keep = np.ones(n, dtype=bool)
-                keep[ctx_idx] = False
-                order = order[keep[order]]
+        for inst, x in zip(part, inputs):
+            scores = x if isinstance(x, Exception) else next(scored)
+            if isinstance(scores, Exception):
+                failures.append(f"user {inst.user} day {inst.day}: {scores}")
+                continue
+            _, _, ctx_idx, target = x
+            if cutoffs:
+                ranked = top_k(scores, cutoffs[-1], ctx_idx if exclude_context else ())
             for k in cutoffs:
-                topk = list(order[:k])
+                topk = list(ranked[:k])
                 per_user[("precision", k)].setdefault(inst.user, []).append(
                     precision_at_k(topk, {target}, k)
                 )
@@ -240,8 +316,6 @@ def evaluate(
                     auc([scores[target]], scores[pool])
                 )
             n_done += 1
-        except (KeyError, IndexError, _ShapeError) as exc:  # data errors only
-            failures.append(f"user {inst.user} day {inst.day}: {exc}")
 
     rows = []
     for name in ("precision", "recall", "mcan"):

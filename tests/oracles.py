@@ -1,0 +1,93 @@
+"""Reference implementations that production code replaced.
+
+`rank_items` sorts the whole catalog under the ranking rule that
+`metrics.top_k` applies to its candidates only. `ingest_csv` is the
+`csv.DictReader` parser that `data.ingest_csv` replaced; it numbers rows
+by record ordinal, which equals the file line only when no blank line and
+no multi-line field precedes the row. `bpr_loss_and_grad` sums the BPR
+trainer's own per-triple terms (`baselines._bpr_triple`) over a list of
+triples, so gradient checks gate the arithmetic training runs.
+"""
+
+import csv
+
+import numpy as np
+
+from recsuite import baselines, data
+
+
+def rank_items(scores) -> np.ndarray:
+    """Item indices ordered by descending score, ties by ascending index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return np.lexsort((np.arange(scores.size), -scores))
+
+
+def ingest_csv(path, schema=None):
+    """(interactions, row errors) of a CSV, parsed through csv.DictReader."""
+    mapping = {c: c for c in data.CSV_COLUMNS}
+    if schema:
+        mapping.update(schema)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file, no header")
+        for logical in ("user", "item", "timestamp"):
+            if mapping[logical] not in reader.fieldnames:
+                raise ValueError(
+                    f"{path}: required column {mapping[logical]!r} not in header"
+                )
+        rows, errors = [], []
+        for line_no, row in enumerate(reader, start=2):
+            def col(logical):
+                value = row.get(mapping[logical])
+                return value.strip() if value is not None else ""
+
+            try:
+                user, item = col("user"), col("item")
+                if not user:
+                    raise ValueError("empty user id")
+                if not item:
+                    raise ValueError("empty item id")
+                ts = data._parse_timestamp(col("timestamp"))
+                if ts < 0:
+                    raise ValueError("negative timestamp")
+                action = col("action") or "view"
+                if action not in data.ACTIONS:
+                    raise ValueError(f"unknown action {action!r}")
+                rating_text = col("rating")
+                rating = float(rating_text) if rating_text else None
+                if (action == "rate") != (rating is not None):
+                    raise ValueError("rating must be present exactly when action is rate")
+                if rating is not None and not (1.0 <= rating <= 5.0):
+                    raise ValueError(f"rating {rating} outside [1, 5]")
+                helpful_text = col("helpful")
+                helpful = int(helpful_text) if helpful_text else None
+                if helpful is not None and helpful < 0:
+                    raise ValueError("negative helpfulness votes")
+                review = col("review") or None
+                rows.append(
+                    data.Interaction(user, item, ts, action, rating, review, helpful)
+                )
+            except ValueError as exc:
+                errors.append(data.RowError(line=line_no, message=str(exc)))
+    return rows, errors
+
+
+def bpr_loss_and_grad(P, Q, triples, l2):
+    """Summed pairwise loss and gradients over (user, pos, neg) triples.
+
+    Per triple: softplus(-p_u·(q_i - q_j)) + l2(|p_u|^2 + |q_i|^2 + |q_j|^2),
+    the per-step objective the trainer descends.
+    """
+    loss = 0.0
+    gP = np.zeros_like(P)
+    gQ = np.zeros_like(Q)
+    for u, i, j in triples:
+        pu, qi, qj = P[u], Q[i], Q[j]
+        data_loss, gp, gqi, gqj = baselines._bpr_triple(pu, qi, qj, l2)
+        loss += data_loss
+        loss += l2 * (pu @ pu + qi @ qi + qj @ qj)
+        gP[u] += gp
+        gQ[i] += gqi
+        gQ[j] += gqj
+    return float(loss), [gP, gQ]

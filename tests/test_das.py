@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import loop_oracles
+import oracles
 from recsuite import das, data, metrics, minibatch
 from recsuite.numeric import grad_check, make_rng, pooled_attention, sigmoid
 
@@ -127,7 +128,7 @@ class TestScoreAll:
         st_.bout += 10.0
         s1 = st_.score_items(0, [0, 1], [2])
         assert np.allclose(s1 - s0, 10.0)
-        assert list(metrics.rank_items(s0)) == list(metrics.rank_items(s1))
+        assert list(oracles.rank_items(s0)) == list(oracles.rank_items(s1))
 
     def test_empty_long_term_uses_zero_vector(self):
         st_ = das.init_das(2, 4, das.DasConfig(k=2, seed=3))
@@ -258,15 +259,15 @@ class TestTrain:
 
 
 class TestRecommend:
-    """The recommend command ranks score_items with metrics.rank_items."""
+    """The recommend command ranks score_items with metrics.top_k."""
 
     def setup_method(self):
         self.state = das.init_das(3, 6, das.DasConfig(k=3, seed=5))
 
     def test_full_catalog_is_permutation(self):
-        order = metrics.rank_items(self.state.score_items(0, [0], [1]))
+        order = metrics.top_k(self.state.score_items(0, [0], [1]), 6)
         assert sorted(int(i) for i in order) == list(range(6))
 
     def test_top1_is_argmax(self):
         scores = self.state.score_items(0, [0], [1])
-        assert metrics.rank_items(scores)[0] == int(np.argmax(scores))
+        assert metrics.top_k(scores, 1)[0] == int(np.argmax(scores))

@@ -1,10 +1,12 @@
 import collections
+import csv
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from recsuite import data
 from recsuite.numeric import make_rng
 
@@ -89,6 +91,63 @@ class TestIngest:
         rows, errors = data.ingest_csv(p)
         assert not rows and len(errors) == 1
 
+    def test_lines_are_file_lines(self, tmp_path):
+        # a blank line (3) and a review over two lines (5-6) precede the faults
+        p = write_csv(
+            tmp_path,
+            "user,item,timestamp,action,rating,review\n"
+            "u1,a,100,view,,\n"
+            "\n"
+            ",b,200,view,,\n"
+            'u1,c,300,rate,4,"good,\nvery good"\n'
+            "u1,d,400,teleport,,\n"
+            "u2,,500,view,,\n",
+        )
+        rows, errors = data.ingest_csv(p)
+        assert [r.item for r in rows] == ["a", "c"]
+        assert rows[1].review == "good,\nvery good"
+        assert [(e.line, e.message) for e in errors] == [
+            (4, "empty user id"), (7, "unknown action 'teleport'"), (8, "empty item id"),
+        ]
+
+    def test_short_extra_and_repeated_columns(self, tmp_path):
+        p = write_csv(
+            tmp_path,
+            "user,item,timestamp,item,rating\n"
+            "u1,a,100,b\n"  # short: rating reads ""
+            "u1,a,200,c,,surplus,fields\n"
+            "u1,a,300\n",  # the item column named last is missing: ""
+        )
+        rows, errors = data.ingest_csv(p)
+        assert [(r.item, r.timestamp) for r in rows] == [("b", 100), ("c", 200)]
+        assert [(e.line, e.message) for e in errors] == [(4, "empty item id")]
+
+
+# cells that parse, that fail each check, and that need quoting
+CELLS = st.sampled_from([
+    "", " ", "u1", " u2 ", "a", "100", "-5", "2020-01-15", "x", "view", "rate",
+    "teleport", "4", "4.5", "0.5", "nan", "3", "-1", "1.5", 'say "hi"', "a,b",
+])
+
+
+@st.composite
+def csv_files(draw):
+    """A header holding the required columns, some names repeated, and rows
+    of any width; no blank line and no multi-line cell."""
+    extra = draw(st.lists(st.sampled_from(data.CSV_COLUMNS + ["extra"]), max_size=6))
+    names = draw(st.permutations(["user", "item", "timestamp"] + extra))
+    rows = draw(st.lists(st.lists(CELLS, min_size=1, max_size=len(names) + 2),
+                         max_size=12))
+    return [names] + rows
+
+
+@given(csv_files())
+def test_ingest_equals_dictreader_oracle(tmp_path_factory, table):
+    p = tmp_path_factory.mktemp("ingest") / "in.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(table)
+    assert data.ingest_csv(p) == oracles.ingest_csv(p)
+
 
 def I(user, item, ts, **kw):
     return data.Interaction(user=user, item=item, timestamp=ts, **kw)
@@ -133,57 +192,6 @@ class TestSessionize:
                 [e for e in evs if e.user == user], key=lambda e: e.timestamp
             )]
             assert concat == expected
-
-
-class TestFilter:
-    def mk(self, *item_lists):
-        return [
-            data.Session(user="u", t=i, day=i, items=list(items))
-            for i, items in enumerate(item_lists)
-        ]
-
-    def test_short_session_removed(self):
-        out = data.filter_dataset(self.mk(["a"], ["a", "b"]), 2, 0)
-        assert len(out) == 1 and out[0].items == ["a", "b"]
-
-    def test_rare_item_removed_everywhere(self):
-        out = data.filter_dataset(self.mk(["a", "b", "a"], ["a", "c"]), 0, 2)
-        # b and c each occur once; a occurs three times
-        items = [it for s in out for it in s.items]
-        assert set(items) == {"a"}
-
-    def test_zero_thresholds_identity(self):
-        sessions = self.mk(["a"], ["b", "c"])
-        out = data.filter_dataset(sessions, 0, 0)
-        assert [s.items for s in out] == [["a"], ["b", "c"]]
-
-    def test_cascade_to_fixed_point(self):
-        # removing rare item x shortens the first session below min length,
-        # whose removal drops the support of y below threshold too
-        sessions = self.mk(["x", "y"], ["y", "z"], ["z", "w", "z"])
-        out = data.filter_dataset(sessions, 2, 2)
-        items = [it for s in out for it in s.items]
-        assert "x" not in items and "y" not in items
-
-    @given(
-        st.lists(
-            st.lists(st.sampled_from("abcde"), max_size=6),
-            max_size=8,
-        ),
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=3),
-    )
-    def test_fixed_point_property(self, item_lists, min_len, min_support):
-        sessions = [
-            data.Session(user="u", t=i, day=i, items=list(its))
-            for i, its in enumerate(item_lists)
-        ]
-        out = data.filter_dataset(sessions, min_len, min_support)
-        counts = collections.Counter(it for s in out for it in s.items)
-        for s in out:
-            assert len(s.items) >= min_len
-        for item, c in counts.items():
-            assert c >= min_support
 
 
 class TestLongShort:

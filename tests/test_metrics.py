@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from recsuite import data, metrics
+import oracles
+from recsuite import apar, baselines, can, das, data, metrics
 from recsuite.numeric import make_rng
 
 
@@ -152,38 +153,46 @@ class TestNovelty:
         with pytest.raises(ValueError):
             metrics.can_novelty(set(), {"a"})
 
-    def test_mcan_all_novel(self):
-        assert metrics.mcan_at_k([({"a"}, {"x"}), ({"b"}, {"y"})]) == 1.0
-
-    def test_mcan_mean(self):
-        assert metrics.mcan_at_k([({"a"}, {"x"}), ({"a"}, {"a"})]) == 0.5
-
-    def test_mcan_brute_force_five_users(self):
-        pairs = [
-            ({"a", "b"}, {"a"}),        # 0.5
-            ({"c", "d"}, {"x"}),        # 1.0
-            ({"e"}, {"e"}),             # 0.0
-            ({"f", "g", "h", "i"}, {"f", "g", "i"}),  # 0.25
-            ({"j", "k"}, {"j", "k"}),   # 0.0
-        ]
-        total = 0.0
-        for R, C in pairs:
-            total += 1.0 - len(R & C) / len(R)
-        assert metrics.mcan_at_k(pairs) == pytest.approx(total / 5, abs=1e-12)
-
-    def test_mcan_empty(self):
-        with pytest.raises(ValueError):
-            metrics.mcan_at_k([])
-
 
 class TestRankItems:
+    """`metrics.top_k`, the one ranking routine, against the full sort."""
+
     def test_descending_scores(self):
-        order = metrics.rank_items(np.array([0.1, 0.9, 0.5]))
+        order = metrics.top_k(np.array([0.1, 0.9, 0.5]), 3)
         assert list(order) == [1, 2, 0]
 
     def test_ties_broken_by_ascending_index(self):
-        order = metrics.rank_items(np.array([0.5, 0.9, 0.5, 0.9]))
+        order = metrics.top_k(np.array([0.5, 0.9, 0.5, 0.9]), 4)
         assert list(order) == [1, 3, 0, 2]
+
+    def test_tie_at_the_cutoff_takes_the_lower_index(self):
+        order = metrics.top_k(np.array([0.2, 0.7, 0.9, 0.7, 0.7]), 2)
+        assert list(order) == [2, 1]
+
+    def test_nan_ranks_last(self):
+        scores = np.array([np.nan, -np.inf, 0.0, np.nan])
+        assert list(metrics.top_k(scores, 4)) == [2, 1, 0, 3]
+        assert list(metrics.top_k(scores, 3)) == [2, 1, 0]
+
+    def test_k_below_one_is_empty(self):
+        assert metrics.top_k(np.array([0.5, 0.1]), 0).size == 0
+
+    # few distinct values, so ties are the rule; ±inf, -0.0 and NaN among them
+    values = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    score_lists = st.lists(values | st.floats(-2, 2), max_size=40)
+
+    @given(score_lists, st.integers(1, 44), st.lists(st.integers(0, 39), max_size=40))
+    @example([0.5, 0.5, 0.5], 1, [])
+    @example([np.nan, 1.0, np.nan], 2, [])
+    @example([np.nan, 1.0, np.nan, -np.inf], 6, [1])
+    def test_equals_oracle_prefix(self, scores, k, drop):
+        scores = np.array(scores, dtype=np.float64)
+        drop = [j for j in drop if j < scores.size]
+        keep = np.ones(scores.size, dtype=bool)
+        keep[drop] = False
+        order = oracles.rank_items(scores)
+        want = order[keep[order]][:k]
+        assert list(metrics.top_k(scores, k, drop)) == list(want)
 
 
 class _OracleScorer:
@@ -317,6 +326,149 @@ class TestEvaluate:
         assert lines[0] == "model,split,metric,cutoff,value"
         assert all(line.startswith("zero,") for line in lines[1:])
         assert "auc" in report.to_text()
+
+
+class _OneAtATime:
+    """A model seen through `score_items` alone: the per-instance path."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def score_items(self, user, long_items, short_items):
+        return self.model.score_items(user, long_items, short_items)
+
+
+N_USERS, N_ITEMS = 100, 130
+
+
+def perturbed(state, seed):
+    rng = make_rng(seed)
+    for p in state.params():
+        p += rng.normal(0, 0.3, size=p.shape)
+    return state
+
+
+def ranking_models():
+    """One scorer of every ranking model kind over N_USERS x N_ITEMS."""
+    rng = make_rng(21)
+    P, Q = rng.random((N_USERS, 3)), rng.random((N_ITEMS, 3))
+    return {
+        "das": perturbed(das.init_das(N_USERS, N_ITEMS, das.DasConfig(k=4, seed=1)), 2),
+        "can": perturbed(can.init_can(N_USERS, N_ITEMS, can.CanConfig(
+            D=4, D_u=3, N_f=4, D_p=3, D_q=5, seed=1)), 2),
+        "apar": apar.AparState(P=P, Q=Q, gamma=rng.random(N_USERS),
+                               groups=rng.integers(0, 5, N_USERS),
+                               config=apar.AparConfig(d=3)),
+        "bpr": baselines.BprState(P=rng.normal(size=(N_USERS, 3)),
+                                  Q=rng.normal(size=(N_ITEMS, 3))),
+        "top": baselines.TopScorer(counts=rng.integers(0, 4, N_ITEMS).astype(float)),
+        "random": baselines.random_scorer(make_rng(8), N_ITEMS),
+    }
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """N_USERS users with four one-day sessions each: 80 test instances."""
+    rng = make_rng(6)
+    sessions = data.synth_sequential(N_ITEMS, N_USERS, 4,
+                                     data.make_successor_map(N_ITEMS, rng), 0.3, rng)
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
+    assert (ds.n_users, ds.n_items) == (N_USERS, N_ITEMS)
+    return ds, data.split(ds.sessions, "random-80-20", make_rng(6))
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("kind", ["das", "can", "apar", "bpr", "top"])
+    def test_rows_equal_score_items(self, kind):
+        model = ranking_models()[kind]
+        rng = make_rng(4)
+        users = list(rng.integers(0, N_USERS, 9))
+        longs = [list(rng.integers(0, N_ITEMS, int(rng.integers(0, 6)))) for _ in users]
+        shorts = [list(rng.integers(0, N_ITEMS, int(rng.integers(0, 4)))) for _ in users]
+        rows = model.score_batch(users, longs, shorts)
+        assert rows.shape == (len(users), N_ITEMS)
+        for row, u, g, c in zip(rows, users, longs, shorts):
+            want = model.score_items(u, g, c)
+            assert np.abs(row - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_random_batch_draws_equal_single_draws(self):
+        batch = baselines.random_scorer(make_rng(3), 17).score_batch([0] * 5, [[]] * 5, [[]] * 5)
+        single = baselines.random_scorer(make_rng(3), 17)
+        assert np.array_equal(batch, [single.score_items(0, [], []) for _ in range(5)])
+
+
+class TestChunkedEvaluate:
+    """`evaluate` in chunks reports what scoring one instance at a time does."""
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("kind", ["das", "can", "apar", "bpr", "top", "random"])
+    def test_rows_equal_per_instance_loop(self, wide, monkeypatch, kind, chunk):
+        ds, sp = wide
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", chunk)
+        kw = dict(cutoffs=[1, 5, 10], model_name=kind, auc_negatives="sampled-100")
+        got = metrics.evaluate(ranking_models()[kind], ds, sp, rng=make_rng(2), **kw)
+        want = metrics.evaluate(_OneAtATime(ranking_models()[kind]), ds, sp,
+                                rng=make_rng(2), **kw)
+        assert got.n_instances == want.n_instances == len(sp.test) > chunk
+        assert [r[:2] for r in got.rows] == [r[:2] for r in want.rows]
+        for (_, _, a), (_, _, b) in zip(got.rows, want.rows):
+            assert abs(a - b) <= 1e-12
+
+    def test_chunk_bound_follows_the_catalog(self, wide, monkeypatch):
+        ds, sp = wide
+        monkeypatch.setattr(metrics, "_CHUNK_SCORES", 3 * N_ITEMS)
+        sizes = []
+
+        class Sizes:
+            def score_batch(self, users, longs, shorts):
+                sizes.append(len(users))
+                return np.zeros((len(users), N_ITEMS))
+
+        metrics.evaluate(Sizes(), ds, sp, [5], "sizes")
+        assert max(sizes) == 3 and sum(sizes) == len(sp.test)
+
+    @pytest.mark.parametrize("broken", ["index", "shape"])
+    def test_a_failed_batch_is_rescored_one_at_a_time(self, wide, broken):
+        ds, sp = wide
+        bad_user = ds.user_index[sp.test[3].user]
+
+        class Broken(metrics.Ranker):
+            def score_batch(self, users, longs, shorts):
+                if bad_user not in users:
+                    return np.zeros((len(users), N_ITEMS))
+                if broken == "index":
+                    raise IndexError("no such user")
+                return np.zeros((len(users), N_ITEMS + 1))
+
+        report = metrics.evaluate(Broken(), ds, sp, cutoffs=[1], model_name="broken")
+        bad = [inst for inst in sp.test if ds.user_index[inst.user] == bad_user]
+        assert report.n_instances == len(sp.test) - len(bad)
+        expected = ("no such user" if broken == "index"
+                    else f"scorer returned shape ({N_ITEMS + 1},), expected ({N_ITEMS},)")
+        assert report.failures == [f"user {inst.user} day {inst.day}: {expected}"
+                                   for inst in bad]
+
+    def test_failures_stay_in_instance_order(self, wide):
+        ds, sp = wide
+        bad_user = ds.user_index[sp.test[1].user]
+        unknown = data.TestInstance(user="nobody", day=9, t=0, context=[], target="i0")
+        test = list(sp.test[:6])
+        test.insert(0, unknown)
+        test.insert(4, unknown)
+        split = data.Split(train=sp.train, test=test, policy="fixed")
+
+        class Flaky:
+            def score_items(self, user, long_items, short_items):
+                if user == bad_user:
+                    raise KeyError("boom")
+                return np.zeros(N_ITEMS)
+
+        report = metrics.evaluate(Flaky(), ds, split, cutoffs=[1], model_name="flaky")
+        want = [f"user {inst.user} day {inst.day}: "
+                + ("'nobody'" if inst is unknown else "'boom'")
+                for inst in test
+                if inst is unknown or ds.user_index[inst.user] == bad_user]
+        assert report.failures == want
 
 
 class TestEvaluateRatings:
