@@ -45,21 +45,25 @@ def _load_config_file(path):
     """Parse a key=value file with optional [section] scoping."""
     values = {"": {}}
     section = ""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                values.setdefault(section, {})
-                continue
-            if "=" not in line:
-                raise click.ClickException(
-                    f"{path}:{line_no}: expected key = value, got {line!r}"
-                )
-            key, val = line.split("=", 1)
-            values[section][key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"{path}: not UTF-8 text ({exc})")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            values.setdefault(section, {})
+            continue
+        if "=" not in line:
+            raise click.ClickException(
+                f"{path}:{line_no}: expected key = value, got {line!r}"
+            )
+        key, val = line.split("=", 1)
+        values[section][key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -600,8 +604,8 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
 @click.argument("checkpoint_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--user", required=True, help="user token as it appears in the corpus")
-@click.option("-n", "count", type=int, default=10, show_default=True,
-              help="list length")
+@click.option("-n", "count", type=click.IntRange(min=1), default=10,
+              show_default=True, help="list length")
 @common_options
 @out_option(required=False)
 def recommend(checkpoint_path, input_path, user, count, seed, config_path, out_dir):

@@ -1,6 +1,8 @@
 """Interaction logs, sessions, splits, negative sampling, synthetic corpora.
 
-A session is everything one user did in one calendar day, ordered by
+An interaction log is read into `Interaction` named tuples, one checked
+row at a time, and each faulty row is reported with its file line. A
+session is everything one user did in one calendar day, ordered by
 timestamp. Long-term context for session t is the deduplicated union of the
 user's earlier sessions; short-term context is session t itself, order kept.
 """
@@ -8,9 +10,12 @@ user's earlier sessions; short-term context is session t itself, order kept.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import datetime
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +26,7 @@ ACTIONS = {"view", "click", "cart", "wishlist", "purchase", "checkin", "rate"}
 CSV_COLUMNS = ["user", "item", "timestamp", "action", "rating", "review", "helpful"]
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(NamedTuple):
     user: str
     item: str
     timestamp: int
@@ -78,6 +82,17 @@ def _parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A csv.reader over `path`; a csv.Error leaves it as a ValueError naming the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def ingest_csv(path, schema: dict[str, str] | None = None):
     """Parse a CSV of interactions.
 
@@ -87,13 +102,13 @@ def ingest_csv(path, schema: dict[str, str] | None = None):
     timestamp, action, rating, review, helpful) to the actual header names.
     As with csv.DictReader, blank lines are skipped, a short row reads ""
     in its missing columns, extra fields are ignored, and a header name
-    that repeats names its last column.
+    that repeats names its last column. A cell the csv module cannot read
+    (one past its field size limit, say) raises ValueError with the line.
     """
     mapping = {c: c for c in CSV_COLUMNS}
     if schema:
         mapping.update(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header")
@@ -169,7 +184,7 @@ def sessionize(events, bucket: str = "calendar-day") -> list[Session]:
     """One session per (user, day), items in timestamp order, duplicates kept."""
     if bucket != "calendar-day":
         raise ValueError(f"unknown bucket {bucket!r}")
-    ordered = sorted(events, key=lambda e: (e.user, e.timestamp))
+    ordered = sorted(events, key=operator.attrgetter("user", "timestamp"))
     sessions: list[Session] = []
     counters: dict[str, int] = collections.defaultdict(int)
     for e in ordered:
@@ -526,6 +541,16 @@ def cross_cluster_disjointness(interactions, labels: dict[str, int]) -> float:
 # Explicit-rating view
 
 
+_USER = operator.attrgetter("user")
+_ITEM = operator.attrgetter("item")
+
+
+def _first_appearance(tokens) -> tuple[list, dict]:
+    """The distinct tokens in order of first appearance, and their indices."""
+    order = list(dict.fromkeys(tokens))
+    return order, dict(zip(order, range(len(order))))
+
+
 @dataclass
 class RatingMatrix:
     """Observed (user, item, rating) triplets with dense index maps."""
@@ -546,25 +571,27 @@ class RatingMatrix:
 
     @classmethod
     def from_interactions(cls, interactions) -> "RatingMatrix":
-        users: list[str] = []
-        items: list[str] = []
-        uidx: dict[str, int] = {}
-        iidx: dict[str, int] = {}
-        latest: dict[tuple[int, int], tuple[int, int, float]] = {}
-        for order, e in enumerate(interactions):
-            if e.action != "rate" or e.rating is None:
-                continue
-            if e.user not in uidx:
-                uidx[e.user] = len(users)
-                users.append(e.user)
-            if e.item not in iidx:
-                iidx[e.item] = len(items)
-                items.append(e.item)
-            key = (uidx[e.user], iidx[e.item])
-            stamp = (e.timestamp, order)
-            if key not in latest or stamp >= latest[key][:2]:
-                latest[key] = (e.timestamp, order, e.rating)
-        triplets = [(u, i, r) for (u, i), (_, _, r) in sorted(latest.items())]
+        rated = [e for e in interactions if e.action == "rate" and e.rating is not None]
+        users, uidx = _first_appearance(map(_USER, rated))
+        items, iidx = _first_appearance(map(_ITEM, rated))
+        n = len(rated)
+        u = np.fromiter(map(uidx.__getitem__, map(_USER, rated)), np.int64, n)
+        i = np.fromiter(map(iidx.__getitem__, map(_ITEM, rated)), np.int64, n)
+        stamps = list(map(operator.attrgetter("timestamp"), rated))
+        try:
+            t = np.array(stamps, dtype=np.int64)
+        except OverflowError:  # seconds past int64 still order as Python ints
+            t = np.array(stamps, dtype=object)
+        # the latest rating of each (user, item) wins, the later row on a tie:
+        # lexsort is stable, so it is the last row of its pair's run
+        pair = u * len(items) + i
+        order = np.lexsort((t, pair))
+        pair = pair[order]
+        last = order[np.append(pair[1:] != pair[:-1], True)] if n else order
+        ratings = list(map(operator.attrgetter("rating"), rated))
+        triplets = list(zip(
+            u[last].tolist(), i[last].tolist(), map(ratings.__getitem__, last.tolist())
+        ))
         return cls(users, items, uidx, iidx, triplets)
 
 
@@ -604,17 +631,8 @@ class Dataset:
 
     @classmethod
     def from_interactions(cls, interactions) -> "Dataset":
-        users: list[str] = []
-        items: list[str] = []
-        uidx: dict[str, int] = {}
-        iidx: dict[str, int] = {}
-        for e in interactions:
-            if e.user not in uidx:
-                uidx[e.user] = len(users)
-                users.append(e.user)
-            if e.item not in iidx:
-                iidx[e.item] = len(items)
-                items.append(e.item)
+        users, uidx = _first_appearance(map(_USER, interactions))
+        items, iidx = _first_appearance(map(_ITEM, interactions))
         return cls(
             interactions=list(interactions),
             users=users,

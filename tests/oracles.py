@@ -4,11 +4,14 @@
 `metrics.top_k` applies to its candidates only. `ingest_csv` is the
 `csv.DictReader` parser that `data.ingest_csv` replaced; it numbers rows
 by record ordinal, which equals the file line only when no blank line and
-no multi-line field precedes the row. `bpr_loss_and_grad` sums the BPR
+no multi-line field precedes the row. `rating_matrix` and `sessionize` are
+the per-row loops that `data.RatingMatrix.from_interactions` and
+`data.sessionize` replaced. `bpr_loss_and_grad` sums the BPR
 trainer's own per-triple terms (`baselines._bpr_triple`) over a list of
 triples, so gradient checks gate the arithmetic training runs.
 """
 
+import collections
 import csv
 
 import numpy as np
@@ -71,6 +74,44 @@ def ingest_csv(path, schema=None):
             except ValueError as exc:
                 errors.append(data.RowError(line=line_no, message=str(exc)))
     return rows, errors
+
+
+def rating_matrix(interactions) -> data.RatingMatrix:
+    """The latest rating of each (user, item), the later row on a tie."""
+    users, items, uidx, iidx = [], [], {}, {}
+    latest = {}
+    for order, e in enumerate(interactions):
+        if e.action != "rate" or e.rating is None:
+            continue
+        if e.user not in uidx:
+            uidx[e.user] = len(users)
+            users.append(e.user)
+        if e.item not in iidx:
+            iidx[e.item] = len(items)
+            items.append(e.item)
+        key = (uidx[e.user], iidx[e.item])
+        stamp = (e.timestamp, order)
+        if key not in latest or stamp >= latest[key][:2]:
+            latest[key] = (e.timestamp, order, e.rating)
+    triplets = [(u, i, r) for (u, i), (_, _, r) in sorted(latest.items())]
+    return data.RatingMatrix(users, items, uidx, iidx, triplets)
+
+
+def sessionize(events):
+    """One session per (user, calendar day), items in timestamp order."""
+    ordered = sorted(events, key=lambda e: (e.user, e.timestamp))
+    sessions = []
+    counters = collections.defaultdict(int)
+    for e in ordered:
+        day = e.timestamp // data.SECONDS_PER_DAY
+        if sessions and sessions[-1].user == e.user and sessions[-1].day == day:
+            sessions[-1].items.append(e.item)
+        else:
+            sessions.append(
+                data.Session(user=e.user, t=counters[e.user], day=day, items=[e.item])
+            )
+            counters[e.user] += 1
+    return sessions
 
 
 def bpr_loss_and_grad(P, Q, triples, l2):

@@ -58,6 +58,34 @@ def train(corpus, out_dir, model, *extra):
     return out_dir / f"{model}.npz"
 
 
+class TestUnreadableInput:
+    """Inputs the readers reject end the command with a message, not a traceback."""
+
+    def _fails_cleanly(self, res, *fragments):
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        for fragment in fragments:
+            assert fragment in res.stderr
+
+    def test_cell_past_the_csv_field_limit(self, tmp_path):
+        corpus, _ = synth_personality(tmp_path / "s", upc=4, ipc=3)
+        ck = train(corpus, tmp_path / "t", "usermean")
+        big = tmp_path / "big.csv"
+        big.write_text(corpus.read_text() + f"c0_u000,c0_i000,9,rate,4,{'x' * 140_000},1\n")
+        line = len(corpus.read_text().splitlines()) + 1
+        for args in (["recommend", str(ck), str(big), "--user", "c0_u000"],
+                     ["profile", str(big), "--out", str(tmp_path / "p")]):
+            self._fails_cleanly(runner.invoke(main, args),
+                                f"big.csv:{line}: field larger than field limit")
+
+    def test_config_file_not_utf8(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs = 1\n# caf\xe9\n")
+        res = runner.invoke(main, ["train", str(corpus), "--model", "top",
+                                   "--config", str(cfg), "--out", str(tmp_path / "t")])
+        self._fails_cleanly(res, "run.cfg: not UTF-8 text")
+
+
 class TestSynth:
     def test_sequential_row_count(self, tmp_path):
         corpus = synth_sequential(tmp_path, users=5, spu=3, slen=4)
@@ -360,6 +388,16 @@ class TestRecommend:
         assert res.exit_code == 0, res.output
         assert len(_lines(res.stdout)) == 9
         assert "9" in res.stderr  # warning mentions actual catalog size
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_n_is_usage_error(self, tmp_path, n):
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", "top")
+        res = runner.invoke(
+            main, ["recommend", str(ck), str(corpus), "--user", "u000", "-n", n]
+        )
+        assert res.exit_code == 2
+        assert not res.stdout
 
     def test_unknown_user_fails(self, tmp_path):
         corpus = synth_sequential(tmp_path / "s")

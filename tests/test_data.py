@@ -149,6 +149,115 @@ def test_ingest_equals_dictreader_oracle(tmp_path_factory, table):
     assert data.ingest_csv(p) == oracles.ingest_csv(p)
 
 
+def _padded(texts):
+    """`texts` with spaces around them, which every reader strips."""
+    return st.tuples(st.sampled_from(["", "  "]), texts, st.sampled_from(["", " "])).map("".join)
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+               max_size=12)
+IDS = _padded(st.sampled_from(["u1", "u2", "a", "b", "c0_i001", "Ünï", "x,y", 'q"t']))
+STAMPS = _padded(
+    st.one_of(st.integers(0, 10**6), st.integers(0, 2**70)).flatmap(
+        lambda n: st.sampled_from([str(n), f"{n:08d}"])
+    )
+)
+RATINGS = _padded(st.sampled_from(["1", "5", "4.5", "3.25", "1e0", "2.000", "4.693368257549446"]))
+COUNTS = _padded(st.sampled_from(["0", "3", "007", "120"]))
+
+
+@st.composite
+def valid_csv_files(draw):
+    """Headers in any column order, with repeated and extra names, over rows
+    that every check accepts (`csv_files` almost always draws a faulty row)."""
+    optional = draw(st.lists(st.sampled_from(data.CSV_COLUMNS[3:]), unique=True))
+    names = draw(st.permutations(["user", "item", "timestamp"] + optional))
+    names += draw(st.lists(st.sampled_from(names + ["extra"]), max_size=3))
+    table = [names]
+    # a rate row needs its rating, so there is none without a rating column
+    actions = sorted(data.ACTIONS - ({"rate"} if "rating" not in names else set())) + [""]
+    for _ in range(draw(st.integers(0, 12))):
+        action = draw(st.sampled_from(actions)) if "action" in names else ""
+        cells = {
+            "user": draw(IDS),
+            "item": draw(IDS),
+            "timestamp": draw(STAMPS),
+            "action": action,
+            "rating": draw(RATINGS) if action == "rate" else draw(st.sampled_from(["", " "])),
+            "review": draw(TEXT),
+            "helpful": draw(st.one_of(COUNTS, st.just(""))),
+        }
+        # a repeated name is read from its last column; earlier ones hold anything
+        last = {name: j for j, name in enumerate(names)}
+        table.append([
+            cells[name] if last.get(name) == j and name in cells else draw(TEXT)
+            for j, name in enumerate(names)
+        ])
+    return table
+
+
+@given(valid_csv_files())
+def test_valid_files_equal_dictreader_oracle(tmp_path_factory, table):
+    p = tmp_path_factory.mktemp("ingest") / "in.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(table)
+    got = data.ingest_csv(p)
+    assert got == oracles.ingest_csv(p)
+    assert not got[1] and len(got[0]) == len(table) - 1
+
+
+HEADER = "user,item,timestamp,action,rating,review,helpful\n"
+
+
+@pytest.mark.parametrize("body, items, errors", [
+    pytest.param(
+        "".join(f"u{k},i{k},{k},rate,4,,\n" for k in range(5))
+        + "u9,i9,9,rate,9,,\n"
+        + "".join(f"u{k},j{k},{k},view,,ok,1\n" for k in range(5)),
+        [f"i{k}" for k in range(5)] + [f"j{k}" for k in range(5)],
+        [(7, "rating 9.0 outside [1, 5]")],
+        id="one-bad-row-among-clean",
+    ),
+    pytest.param(
+        "u1,a,100,view,,,\nu1,b,2020-01-15T06:30:00,view,,,\nu1,c, 0170 ,view,,,\n",
+        ["a", "b", "c"], [], id="iso-timestamp-among-integers",
+    ),
+    pytest.param(
+        "u1,a,100,view,,,\n\nu1,b,200,rate,4,\"good,\nvery good\",2\nu1,c,300,rate,,,\n",
+        ["a", "b"], [(6, "rating must be present exactly when action is rate")],
+        id="blank-line-and-multiline-review-before-bad-row",
+    ),
+    pytest.param("u1,a,1,view,,,\n ,b,2,view,,,\n", ["a"], [(3, "empty user id")],
+                 id="empty-user-id"),
+    pytest.param("u1,a,+5,view,,,\nu1,b,1_0,view,,,\n", ["a", "b"], [],
+                 id="signed-and-underscored-timestamps"),
+    pytest.param("u1,a,1,view,,,\nu1,b,-5,view,,,\n", ["a"], [(3, "negative timestamp")],
+                 id="negative-timestamp"),
+    pytest.param("u1,a,1,view,,,+2\nu1,b,2,view,,,-0\n", ["a", "b"], [],
+                 id="signed-helpful-votes"),
+    pytest.param("u1,a,1,view,,,2\nu1,b,2,view,,,-1\n", ["a"],
+                 [(3, "negative helpfulness votes")], id="negative-helpful-votes"),
+    pytest.param("u1,a,\u0661\u0662,view,,,\nu1,b,\u00b2,view,,,\n", ["a"],
+                 [(3, "unparseable timestamp '\u00b2'")], id="non-ascii-digits"),
+    pytest.param(
+        "u1,a,1,rate,4,,\nu1,b,2,rate,nan,,\n", ["a"], [(3, "rating nan outside [1, 5]")],
+        id="nan-rating",
+    ),
+    pytest.param(
+        "u1,a,1,rate,4,,\nu1,b,2,rate,abc,,\n", ["a"],
+        [(3, "could not convert string to float: 'abc'")], id="unparseable-rating",
+    ),
+    pytest.param(
+        "u1,a,1,view,,,\nu1,b,2,view\nu1,c,3,view,,,,surplus\n",
+        ["a", "b", "c"], [], id="rows-of-other-widths",
+    ),
+])
+def test_one_fault_among_clean_rows(tmp_path, body, items, errors):
+    rows, errs = data.ingest_csv(write_csv(tmp_path, HEADER + body))
+    assert [r.item for r in rows] == items
+    assert [(e.line, e.message) for e in errs] == errors
+
+
 def I(user, item, ts, **kw):
     return data.Interaction(user=user, item=item, timestamp=ts, **kw)
 
@@ -419,3 +528,36 @@ class TestRatingMatrix:
         assert not (set(train) & set(test))
         train2, test2 = data.split_ratings(m, 0.2, make_rng(0))
         assert test == test2
+
+
+EVENTS = st.lists(
+    st.builds(
+        data.Interaction,
+        user=st.sampled_from(["u1", "u2", "u3"]),
+        item=st.sampled_from(["a", "b", "c", "d"]),
+        timestamp=st.one_of(
+            st.sampled_from([0, 5, data.SECONDS_PER_DAY, 2**64]),
+            st.integers(0, 3 * data.SECONDS_PER_DAY),
+        ),
+        action=st.sampled_from(["rate", "rate", "view"]),
+        rating=st.one_of(st.none(), st.sampled_from([1.0, 2.5, 4.0, 5.0])),
+    ),
+    max_size=30,
+)
+
+
+@given(EVENTS)
+def test_rating_matrix_equals_per_row_oracle(events):
+    assert data.RatingMatrix.from_interactions(events) == oracles.rating_matrix(events)
+
+
+@given(EVENTS)
+def test_dataset_equals_per_row_oracle(events):
+    ds = data.Dataset.from_interactions(events)
+    assert ds.sessions == oracles.sessionize(events)
+    users = [e.user for e in events]
+    items = [e.item for e in events]
+    assert ds.users == sorted(set(users), key=users.index)
+    assert ds.items == sorted(set(items), key=items.index)
+    assert ds.user_index == {u: ds.users.index(u) for u in users}
+    assert ds.item_index == {i: ds.items.index(i) for i in items}
