@@ -6,15 +6,19 @@ synthetic corpora, ``ingest`` normalizes raw interaction logs,
 model to a corpus, ``eval`` scores a checkpoint against a corpus, and
 ``recommend`` prints a ranked item list for one user.
 
-Options resolve in one fixed order: command-line flag, then the
-``--config`` file (a ``[command]``-scoped ``key = value`` entry wins
-over a bare one), then the built-in default. Every artifact-producing
-run writes a JSON manifest (seed, resolved config and its hash, input
-file hashes, package version, wall time) next to its outputs, and the
-same inputs with the same seed produce byte-identical artifacts.
+Every default is declared once, on its click option, and ``--help``
+shows it. A ``--config`` file of ``key = value`` lines becomes the
+command's click defaults: each key is the long flag name of an option
+of that command (dashes or underscores), so every option can be set
+from the file, and a ``[command]``-scoped entry wins over a bare one.
+A flag on the command line wins over both. File values are converted
+and checked by the option's own type, so click's boolean words work and
+a bad value exits 2 naming the flag. Every artifact-producing run writes
+a JSON manifest (seed, resolved config and its hash, input file hashes,
+package version, wall time) next to its outputs, and the same inputs
+with the same seed produce byte-identical artifacts.
 """
 
-import collections
 import hashlib
 import json
 import os
@@ -30,15 +34,12 @@ from .numeric import make_rng
 MODELS = ("apar", "das", "can", "top", "random", "usermean", "itemmean", "bpr")
 RATING_MODELS = ("apar", "usermean", "itemmean")
 METRIC_NAMES = ("precision", "recall", "mcan", "auc", "mae", "rmse")
-
-_BOOL_WORDS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
+POSITIVE = click.IntRange(min=1)
+FRACTION = click.FloatRange(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Config-file resolution
+# Config files
 
 
 def _load_config_file(path):
@@ -67,34 +68,19 @@ def _load_config_file(path):
     return values
 
 
-class _Resolver:
-    """Applies the flag > config-file > default precedence."""
-
-    def __init__(self, command: str, config_path):
-        self.command = command
-        self.values = _load_config_file(config_path) if config_path else {"": {}}
-
-    def get(self, name, flag_value, cast):
-        if flag_value is not None:
-            return flag_value
-        key = name.replace("-", "_")
-        raw = self.values.get(self.command, {}).get(key)
-        if raw is None:
-            raw = self.values[""].get(key)
-        if raw is None:
-            return None
-        if cast is bool:
-            if raw.lower() not in _BOOL_WORDS:
-                raise click.ClickException(
-                    f"config value {name}={raw!r} is not a boolean"
-                )
-            return _BOOL_WORDS[raw.lower()]
-        try:
-            return cast(raw)
-        except ValueError:
-            raise click.ClickException(
-                f"config value {name}={raw!r} is not a valid {cast.__name__}"
-            )
+def _apply_config(ctx, param, path):
+    """Make the file's entries the command's defaults, keyed by long flag."""
+    if path is None:
+        return
+    values = _load_config_file(path)
+    entries = {**values[""], **values.get(ctx.command.name, {})}
+    by_flag = {
+        opt.lstrip("-").replace("-", "_"): option.name
+        for option in ctx.command.params
+        if isinstance(option, click.Option) and option is not param
+        for opt in option.opts
+    }
+    ctx.default_map = {by_flag[k]: v for k, v in entries.items() if k in by_flag}
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +88,11 @@ class _Resolver:
 
 
 def common_options(fn):
-    fn = click.option("--seed", type=int, default=None, help="rng seed [default: 0]")(fn)
+    fn = click.option("--seed", type=int, default=0, show_default=True, help="rng seed")(fn)
     fn = click.option(
-        "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-        default=None, help="key=value config file; flags override it",
+        "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+        expose_value=False, callback=_apply_config,
+        help="key = value file of option defaults; flags override it",
     )(fn)
     return fn
 
@@ -127,7 +114,7 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s, extra=None):
+def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s):
     config_json = json.dumps(config, sort_keys=True)
     record = {
         "command": command,
@@ -138,25 +125,23 @@ def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s, extra=N
         "version": __version__,
         "wall_time_s": round(wall_time_s, 6),
     }
-    if extra:
-        record.update(extra)
     path = os.path.join(out_dir, f"{command}_manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _read_corpus(path):
-    """Canonical-format interactions; per-row problems go to stderr."""
+def _read_corpus(path, schema=None):
+    """(interactions, row errors); per-row problems go to stderr."""
     try:
-        interactions, errors = data.ingest_csv(path)
+        interactions, errors = data.ingest_csv(path, schema)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     for err in errors:
         click.echo(f"row {err.line}: {err.message}", err=True)
     if not interactions:
         raise click.ClickException(f"{path}: no valid interaction rows")
-    return interactions
+    return interactions, errors
 
 
 def _ranking_context(interactions, policy, seed):
@@ -185,39 +170,33 @@ def main():
 @main.command()
 @click.option("--kind", type=click.Choice(["sequential", "personality"]),
               default="sequential", show_default=True)
-@click.option("--items", type=int, default=None, help="sequential: catalog size [50]")
-@click.option("--users", type=int, default=None, help="sequential: user count [20]")
-@click.option("--sessions-per-user", type=int, default=None, help="[100]")
-@click.option("--session-len", type=int, default=None, help="[5]")
-@click.option("--noise", type=float, default=None,
-              help="sequential: per-step random-jump rate [0.1]")
-@click.option("--clusters", type=int, default=None, help="personality: [2]")
-@click.option("--users-per-cluster", type=int, default=None, help="[20]")
-@click.option("--items-per-cluster", type=int, default=None, help="[10]")
-@click.option("--rating-density", type=float, default=None, help="[0.6]")
+@click.option("--items", type=POSITIVE, default=50, show_default=True,
+              help="sequential: catalog size")
+@click.option("--users", type=POSITIVE, default=20, show_default=True,
+              help="sequential: user count")
+@click.option("--sessions-per-user", type=POSITIVE, default=100, show_default=True)
+@click.option("--session-len", type=POSITIVE, default=5, show_default=True)
+@click.option("--noise", type=FRACTION, default=0.1, show_default=True,
+              help="sequential: per-step random-jump rate")
+@click.option("--clusters", type=click.IntRange(min=2), default=2, show_default=True,
+              help="personality: cluster count")
+@click.option("--users-per-cluster", type=POSITIVE, default=20, show_default=True)
+@click.option("--items-per-cluster", type=POSITIVE, default=10, show_default=True)
+@click.option("--rating-density", type=FRACTION, default=0.6, show_default=True)
 @common_options
 @out_option()
 def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
-          users_per_cluster, items_per_cluster, rating_density, seed, config_path,
-          out_dir):
+          users_per_cluster, items_per_cluster, rating_density, seed, out_dir):
     """Write a reproducible synthetic corpus."""
     t0 = time.perf_counter()
-    r = _Resolver("synth", config_path)
-    seed = r.get("seed", seed, int) or 0
     os.makedirs(out_dir, exist_ok=True)
     corpus_path = os.path.join(out_dir, "corpus.csv")
     rng = make_rng(seed)
 
     if kind == "sequential":
-        items = r.get("items", items, int) or 50
-        users = r.get("users", users, int) or 20
-        spu = r.get("sessions_per_user", sessions_per_user, int) or 100
-        slen = r.get("session_len", session_len, int) or 5
-        noise = r.get("noise", noise, float)
-        noise = 0.1 if noise is None else noise
         transition = data.make_successor_map(items, rng)
-        sessions = data.synth_sequential(items, users, spu, transition, noise, rng,
-                                         session_len=slen)
+        sessions = data.synth_sequential(items, users, sessions_per_user, transition,
+                                         noise, rng, session_len=session_len)
         interactions = data.sessions_to_interactions(sessions)
         data.write_csv(corpus_path, interactions)
         click.echo(
@@ -225,15 +204,12 @@ def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
             f"{len(sessions)} sessions, {items} items"
         )
         cfg = {"kind": kind, "items": items, "users": users,
-               "sessions_per_user": spu, "session_len": slen, "noise": noise}
+               "sessions_per_user": sessions_per_user, "session_len": session_len,
+               "noise": noise}
     else:
-        clusters = r.get("clusters", clusters, int) or 2
-        upc = r.get("users_per_cluster", users_per_cluster, int) or 20
-        ipc = r.get("items_per_cluster", items_per_cluster, int) or 10
-        density = r.get("rating_density", rating_density, float)
-        density = 0.6 if density is None else density
         interactions, truth = data.synth_personality_clusters(
-            clusters, upc, ipc, rng=rng, rating_density=density
+            clusters, users_per_cluster, items_per_cluster, rng=rng,
+            rating_density=rating_density,
         )
         data.write_csv(corpus_path, interactions)
         labels_path = os.path.join(out_dir, "clusters.csv")
@@ -250,8 +226,8 @@ def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
                    f"{100 * separation:.1f}%")
         click.echo(f"fully isolated users (no items shared with anyone): "
                    f"{100 * isolated:.1f}%")
-        cfg = {"kind": kind, "clusters": clusters, "users_per_cluster": upc,
-               "items_per_cluster": ipc, "rating_density": density}
+        cfg = {"kind": kind, "clusters": clusters, "users_per_cluster": users_per_cluster,
+               "items_per_cluster": items_per_cluster, "rating_density": rating_density}
 
     _write_manifest(out_dir, "synth", seed, cfg, [], time.perf_counter() - t0)
 
@@ -267,26 +243,16 @@ def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
                    "review, helpful) to the input header name; repeatable")
 @common_options
 @out_option()
-def ingest(input_path, columns, seed, config_path, out_dir):
+def ingest(input_path, columns, seed, out_dir):
     """Normalize a raw interaction CSV and write it with its index maps."""
     t0 = time.perf_counter()
-    r = _Resolver("ingest", config_path)
-    seed = r.get("seed", seed, int) or 0
     schema = {}
     for pair in columns:
         if "=" not in pair:
             raise click.BadParameter(f"--column needs LOGICAL=ACTUAL, got {pair!r}")
         logical, actual = pair.split("=", 1)
         schema[logical.strip()] = actual.strip()
-
-    try:
-        interactions, errors = data.ingest_csv(input_path, schema or None)
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
-    for err in errors:
-        click.echo(f"row {err.line}: {err.message}", err=True)
-    if not interactions:
-        raise click.ClickException(f"{input_path}: no valid interaction rows")
+    interactions, errors = _read_corpus(input_path, schema)
 
     ds = data.Dataset.from_interactions(interactions)
     os.makedirs(out_dir, exist_ok=True)
@@ -312,19 +278,15 @@ def ingest(input_path, columns, seed, config_path, out_dir):
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lexicon", "lexicon_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="category lexicon file [built-in demo]")
+              help="category lexicon file [default: built-in demo]")
 @click.option("--weights", "weights_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="trait weight file [built-in demo]")
+              help="trait weight file [default: built-in demo]")
 @common_options
 @out_option()
-def profile(input_path, lexicon_path, weights_path, seed, config_path, out_dir):
+def profile(input_path, lexicon_path, weights_path, seed, out_dir):
     """Score five-trait profiles from the review text in a corpus."""
     t0 = time.perf_counter()
-    r = _Resolver("profile", config_path)
-    seed = r.get("seed", seed, int) or 0
-    lexicon_path = r.get("lexicon", lexicon_path, str)
-    weights_path = r.get("weights", weights_path, str)
-    interactions = _read_corpus(input_path)
+    interactions, _ = _read_corpus(input_path)
     try:
         lexicon = (personality.load_lexicon(lexicon_path)
                    if lexicon_path else personality.DEMO_LEXICON)
@@ -386,63 +348,39 @@ def _build_model_config(model, p):
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", type=click.Choice(MODELS), required=True)
-@click.option("--k", type=int, default=None, help="latent dimension / model width")
-@click.option("--lr", type=float, default=None, help="learning rate")
-@click.option("--epochs", type=int, default=None,
-              help="training epochs (iteration cap for apar)")
-@click.option("--batch", type=int, default=None, help="minibatch size")
-@click.option("--l2", type=float, default=None, help="bpr: L2 penalty")
-@click.option("--lam-uv", type=float, default=None, help="embedding-table penalty")
-@click.option("--lam-at", type=float, default=None, help="attention-layer penalty")
-@click.option("--alpha1", type=float, default=None, help="apar: user-factor penalty")
-@click.option("--alpha2", type=float, default=None, help="apar: item-factor penalty")
-@click.option("--lam", type=float, default=None, help="apar: trait-similarity penalty")
-@click.option("--beta", type=float, default=None, help="apar: blend-weight floor")
-@click.option("--gamma", type=float, default=None, help="apar: global blend override")
-@click.option("--window", type=int, default=None, help="can: conv window (odd)")
-@click.option("--dropout", type=float, default=None, help="can: dropout rate")
+@click.option("--k", type=int, help="latent dimension / model width")
+@click.option("--lr", type=float, help="learning rate")
+@click.option("--epochs", type=int, help="training epochs (iteration cap for apar)")
+@click.option("--batch", type=int, help="minibatch size")
+@click.option("--l2", type=float, help="bpr: L2 penalty")
+@click.option("--lam-uv", type=float, help="embedding-table penalty")
+@click.option("--lam-at", type=float, help="attention-layer penalty")
+@click.option("--alpha1", type=float, help="apar: user-factor penalty")
+@click.option("--alpha2", type=float, help="apar: item-factor penalty")
+@click.option("--lam", type=float, help="apar: trait-similarity penalty")
+@click.option("--beta", type=float, help="apar: blend-weight floor")
+@click.option("--gamma", type=float, help="apar: global blend override")
+@click.option("--window", type=int, help="can: conv window (odd)")
+@click.option("--dropout", type=float, help="can: dropout rate")
 @click.option("--tie-embeddings/--no-tie-embeddings", default=None,
               help="can: share the output table with the item embeddings")
-@click.option("--split-policy", type=str, default=None,
-              help="session split policy [random-80-20]")
-@click.option("--test-fraction", type=float, default=None,
-              help="rating models: held-out fraction [0.2]")
+@click.option("--split-policy", default="random-80-20", show_default=True,
+              help="session split policy")
+@click.option("--test-fraction", type=float, default=0.2, show_default=True,
+              help="rating models: held-out fraction")
 @common_options
 @out_option()
-def train(input_path, model, k, lr, epochs, batch, l2, lam_uv, lam_at, alpha1,
-          alpha2, lam, beta, gamma, window, dropout, tie_embeddings, split_policy,
-          test_fraction, seed, config_path, out_dir):
-    """Fit a model to a corpus and write checkpoint, trace, and manifest."""
-    t0 = time.perf_counter()
-    r = _Resolver("train", config_path)
-    p = {
-        "seed": r.get("seed", seed, int) or 0,
-        "k": r.get("k", k, int),
-        "lr": r.get("lr", lr, float),
-        "epochs": r.get("epochs", epochs, int),
-        "batch": r.get("batch", batch, int),
-        "l2": r.get("l2", l2, float),
-        "lam_uv": r.get("lam_uv", lam_uv, float),
-        "lam_at": r.get("lam_at", lam_at, float),
-        "alpha1": r.get("alpha1", alpha1, float),
-        "alpha2": r.get("alpha2", alpha2, float),
-        "lam": r.get("lam", lam, float),
-        "beta": r.get("beta", beta, float),
-        "gamma": r.get("gamma", gamma, float),
-        "window": r.get("window", window, int),
-        "dropout": r.get("dropout", dropout, float),
-        "tie_embeddings": r.get("tie_embeddings", tie_embeddings, bool),
-    }
-    policy = r.get("split_policy", split_policy, str) or "random-80-20"
-    test_frac = r.get("test_fraction", test_fraction, float)
-    test_frac = 0.2 if test_frac is None else test_frac
-    seed = p["seed"]
+def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_model_flags):
+    """Fit a model to a corpus and write checkpoint, trace, and manifest.
 
-    interactions = _read_corpus(input_path)
-    cfg = _build_model_config(model, p)
+    Model flags left unset (None) keep the model's own default.
+    """
+    t0 = time.perf_counter()
+    interactions, _ = _read_corpus(input_path)
+    cfg = _build_model_config(model, click.get_current_context().params)
     try:
         if model in RATING_MODELS:
-            matrix, train_trips, _ = _rating_context(interactions, test_frac, seed)
+            matrix, train_trips, _ = _rating_context(interactions, test_fraction, seed)
             users, items = matrix.users, matrix.items
             if model == "usermean":
                 state = baselines.user_mean(train_trips)
@@ -461,7 +399,7 @@ def train(input_path, model, k, lr, epochs, batch, l2, lam_uv, lam_at, alpha1,
                     kl_map, cfg,
                 )
         else:
-            ds, sp = _ranking_context(interactions, policy, seed)
+            ds, sp = _ranking_context(interactions, split_policy, seed)
             users, items = ds.users, ds.items
             if model == "das":
                 state = das.train_das(sp, ds, cfg)
@@ -489,8 +427,8 @@ def train(input_path, model, k, lr, epochs, batch, l2, lam_uv, lam_at, alpha1,
         for i, v in enumerate(trace):
             fh.write(f"{i},{v:.17g}\n")
 
-    cfg_record = {"model": model, "split_policy": policy,
-                  "test_fraction": test_frac}
+    cfg_record = {"model": model, "split_policy": split_policy,
+                  "test_fraction": test_fraction}
     if cfg is not None:
         cfg_record.update(asdict(cfg))
     _write_manifest(out_dir, "train", seed, cfg_record, [input_path],
@@ -506,35 +444,24 @@ def train(input_path, model, k, lr, epochs, batch, l2, lam_uv, lam_at, alpha1,
 @main.command("eval")
 @click.argument("checkpoint_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--cutoffs", type=str, default=None,
-              help="comma-separated ranking cutoffs [5,10,20]")
-@click.option("--k", type=int, default=None, help="single-cutoff shorthand")
-@click.option("--metrics", "metrics_filter", type=str, default=None,
-              help=f"only report these (comma-separated from "
-                   f"{','.join(METRIC_NAMES)})")
-@click.option("--include-context", is_flag=True, default=False,
+@click.option("--cutoffs", default="5,10,20", show_default=True,
+              help="comma-separated ranking cutoffs")
+@click.option("--k", type=int, help="single-cutoff shorthand")
+@click.option("--metrics", "metrics_filter",
+              help=f"only report these (comma-separated from {','.join(METRIC_NAMES)})")
+@click.option("--include-context", is_flag=True,
               help="keep current-session items rankable instead of excluding them")
 @click.option("--auc-negatives", type=click.Choice(["all", "sampled-100"]),
-              default=None, help="[all]")
-@click.option("--split-policy", type=str, default=None, help="[random-80-20]")
-@click.option("--test-fraction", type=float, default=None, help="[0.2]")
+              default="all", show_default=True)
+@click.option("--split-policy", default="random-80-20", show_default=True)
+@click.option("--test-fraction", type=float, default=0.2, show_default=True)
 @common_options
 @out_option()
 def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
              include_context, auc_negatives, split_policy, test_fraction, seed,
-             config_path, out_dir):
+             out_dir):
     """Evaluate a checkpoint on a corpus; writes report.csv and report.txt."""
     t0 = time.perf_counter()
-    r = _Resolver("eval", config_path)
-    seed = r.get("seed", seed, int) or 0
-    cutoffs = r.get("cutoffs", cutoffs, str) or "5,10,20"
-    k = r.get("k", k, int)
-    policy = r.get("split_policy", split_policy, str) or "random-80-20"
-    test_frac = r.get("test_fraction", test_fraction, float)
-    test_frac = 0.2 if test_frac is None else test_frac
-    negatives = r.get("auc_negatives", auc_negatives, str) or "all"
-    metrics_filter = r.get("metrics", metrics_filter, str)
-
     try:
         cutoff_list = [int(c) for c in cutoffs.split(",") if c.strip()]
     except ValueError:
@@ -554,21 +481,20 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
         ck = checkpoint.load_checkpoint(checkpoint_path)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
-    interactions = _read_corpus(input_path)
+    interactions, _ = _read_corpus(input_path)
 
     try:
         if ck.kind in RATING_MODELS:
-            matrix, _, test_trips = _rating_context(interactions, test_frac, seed)
+            matrix, _, test_trips = _rating_context(interactions, test_fraction, seed)
             checkpoint.verify_compatible(ck, matrix.users, matrix.items)
             report = metrics.evaluate_ratings(ck.state, test_trips, ck.kind)
         else:
-            ds = data.Dataset.from_interactions(interactions)
+            ds, sp = _ranking_context(interactions, split_policy, seed)
             checkpoint.verify_compatible(ck, ds.users, ds.items)
-            sp = data.split(ds.sessions, policy, make_rng(seed))
             report = metrics.evaluate(
                 ck.state, ds, sp, cutoff_list, ck.kind,
                 exclude_context=not include_context,
-                auc_negatives=negatives, rng=make_rng(seed),
+                auc_negatives=auc_negatives, rng=make_rng(seed),
             )
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -590,8 +516,8 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
     _write_manifest(
         out_dir, "eval", seed,
         {"cutoffs": cutoff_list, "metrics": sorted(wanted) if wanted else "all",
-         "split_policy": policy, "test_fraction": test_frac,
-         "auc_negatives": negatives, "exclude_context": not include_context},
+         "split_policy": split_policy, "test_fraction": test_fraction,
+         "auc_negatives": auc_negatives, "exclude_context": not include_context},
         [checkpoint_path, input_path], time.perf_counter() - t0,
     )
 
@@ -604,20 +530,18 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
 @click.argument("checkpoint_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--user", required=True, help="user token as it appears in the corpus")
-@click.option("-n", "count", type=click.IntRange(min=1), default=10,
-              show_default=True, help="list length")
+@click.option("-n", "count", type=POSITIVE, default=10, show_default=True,
+              help="list length")
 @common_options
 @out_option(required=False)
-def recommend(checkpoint_path, input_path, user, count, seed, config_path, out_dir):
+def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
     """Print the top-N items for one user as rank,item,score lines."""
     t0 = time.perf_counter()
-    r = _Resolver("recommend", config_path)
-    seed = r.get("seed", seed, int) or 0
     try:
         ck = checkpoint.load_checkpoint(checkpoint_path)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
-    interactions = _read_corpus(input_path)
+    interactions, _ = _read_corpus(input_path)
 
     try:
         if ck.kind in RATING_MODELS:

@@ -103,10 +103,17 @@ def ingest_csv(path, schema: dict[str, str] | None = None):
     As with csv.DictReader, blank lines are skipped, a short row reads ""
     in its missing columns, extra fields are ignored, and a header name
     that repeats names its last column. A cell the csv module cannot read
-    (one past its field size limit, say) raises ValueError with the line.
+    (one past its field size limit, say) raises ValueError with the line,
+    and so does a `schema` key that names no logical column.
     """
     mapping = {c: c for c in CSV_COLUMNS}
     if schema:
+        unknown = sorted(set(schema) - set(mapping))
+        if unknown:
+            raise ValueError(
+                f"unknown logical column {', '.join(map(repr, unknown))}; "
+                f"expected one of {', '.join(CSV_COLUMNS)}"
+            )
         mapping.update(schema)
     with _csv_reader(path) as reader:
         header = next(reader, None)

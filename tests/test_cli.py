@@ -3,13 +3,16 @@ import hashlib
 import json
 import re
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from recsuite import checkpoint, data
-from recsuite.cli import main
+from recsuite.cli import _load_config_file, main
 
 runner = CliRunner()
 
@@ -114,6 +117,17 @@ class TestSynth:
         res = runner.invoke(main, ["synth", "--kind", "nope", "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--users", "0"], "--users"),
+        (["--items", "-3"], "--items"),
+        (["--kind", "personality", "--clusters", "1"], "--clusters"),
+    ])
+    def test_out_of_range_size_is_usage_error(self, tmp_path, flags, named):
+        res = runner.invoke(main, ["synth", *flags, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert f"Invalid value for '{named}'" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_written(self, tmp_path):
         synth_sequential(tmp_path, seed=4)
         man = json.loads((tmp_path / "synth_manifest.json").read_text())
@@ -155,6 +169,15 @@ class TestIngest:
         )
         assert res.exit_code == 0, res.output
         assert re.search(r"items=2\b", res.output)
+
+    def test_unknown_logical_column_fails(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("uid,item,timestamp\nu1,i1,2020-01-01\n")
+        res = runner.invoke(main, ["ingest", str(raw), "--out", str(tmp_path / "o"),
+                                   "--column", "usr=uid"])
+        assert res.exit_code == 1
+        assert "unknown logical column 'usr'" in res.output
+        assert "user, item, timestamp, action, rating, review, helpful" in res.output
 
     def test_empty_file_fails(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -258,6 +281,101 @@ class TestTrain:
             assert len(list(csv.DictReader(fh))) == 1  # flag overrides file
         man = json.loads((out2 / "train_manifest.json").read_text())
         assert man["config"]["k"] == 4  # file still supplies what flags omit
+
+
+class TestConfigFile:
+    """A --config file supplies click's defaults: flag > [command] > bare key > default."""
+
+    LAYERS = ("", "users = 3\n", "users = 3\n[synth]\nusers = 4\n")
+
+    def _config(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        return str(cfg)
+
+    def _manifest(self, out, command):
+        return json.loads((out / f"{command}_manifest.json").read_text())["config"]
+
+    @pytest.mark.parametrize("text, flags, users", [
+        (LAYERS[0], [], 20),
+        (LAYERS[1], [], 3),
+        (LAYERS[2], [], 4),
+        (LAYERS[2], ["--users", "5"], 5),
+    ])
+    def test_synth_users_precedence(self, tmp_path, text, flags, users):
+        out = tmp_path / "s"
+        res = runner.invoke(main, ["synth", "--config", self._config(tmp_path, text),
+                                   "--items", "6", "--sessions-per-user", "1",
+                                   *flags, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert self._manifest(out, "synth")["users"] == users
+
+    @pytest.mark.parametrize("text, flags, cutoffs", [
+        ("", [], [5, 10, 20]),
+        ("cutoffs = 2\n", [], [2]),
+        ("cutoffs = 2\n[eval_cmd]\ncutoffs = 7\n[eval]\ncutoffs = 3\n", [], [3]),
+        ("cutoffs = 2\n[eval]\ncutoffs = 3\n", ["--cutoffs", "4"], [4]),
+    ])
+    def test_eval_cutoffs_precedence(self, tmp_path, text, flags, cutoffs):
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", "top")
+        out = tmp_path / "e"
+        res = runner.invoke(main, ["eval", str(ck), str(corpus), *flags, "--out", str(out),
+                                   "--config", self._config(tmp_path, text)])
+        assert res.exit_code == 0, res.output
+        assert self._manifest(out, "eval")["cutoffs"] == cutoffs
+
+    def test_config_after_the_flags_it_fills(self, tmp_path):
+        text = "out = {}\nsessions-per-user = 2\nsession_len = 3\n".format(tmp_path / "s")
+        res = runner.invoke(main, ["synth", "--users", "2", "--config",
+                                   self._config(tmp_path, text)])
+        assert res.exit_code == 0, res.output
+        cfg = self._manifest(tmp_path / "s", "synth")
+        assert (cfg["users"], cfg["sessions_per_user"], cfg["session_len"]) == (2, 2, 3)
+
+    @pytest.mark.parametrize("word, tied", [("yes", True), ("off", False)])
+    def test_boolean_words(self, tmp_path, word, tied):
+        corpus = synth_sequential(tmp_path / "s")
+        cfg = self._config(tmp_path, f"[train]\ntie_embeddings = {word}\n")
+        train(corpus, tmp_path / "t", "can", "--k", "4", "--epochs", "1", "--config", cfg)
+        assert self._manifest(tmp_path / "t", "train")["tie_embeddings"] is tied
+
+    def test_bad_value_names_the_flag(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        res = runner.invoke(main, ["train", str(corpus), "--model", "top",
+                                   "--config", self._config(tmp_path, "k = abc\n"),
+                                   "--out", str(tmp_path / "t")])
+        assert res.exit_code == 2
+        assert "Invalid value for '--k'" in res.output
+
+    def test_repeatable_option_in_file_is_rejected(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        res = runner.invoke(main, ["ingest", str(corpus), "--out", str(tmp_path / "o"),
+                                   "--config", self._config(tmp_path, "column = user=user\n")])
+        assert res.exit_code == 2
+        assert "Value must be an iterable" in res.output
+
+    def test_unknown_key_is_ignored(self, tmp_path):
+        out = tmp_path / "s"
+        text = "no_such_option = 1\n[synth]\nsection-nobody-reads = x\nusers = 2\n"
+        res = runner.invoke(main, ["synth", "--config", self._config(tmp_path, text),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert self._manifest(out, "synth")["users"] == 2
+
+
+@given(st.text(st.characters(codec="utf-8")))
+def test_load_config_file_parses_or_names_the_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "any.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        values = _load_config_file(path)
+    except click.ClickException as exc:
+        assert re.match(re.escape(str(path)) + r":\d+: ", exc.message)
+    else:
+        assert "" in values
+        for section in values.values():
+            assert all(isinstance(v, str) and "-" not in k for k, v in section.items())
 
 
 class TestEval:

@@ -64,6 +64,13 @@ class TestIngest:
         )
         assert len(rows) == 1 and not errors
 
+    def test_unknown_logical_name_in_schema(self, tmp_path):
+        p = write_csv(tmp_path, "uid,item,timestamp\nu1,a,100\n")
+        with pytest.raises(ValueError) as err:
+            data.ingest_csv(p, schema={"usr": "uid"})
+        assert "'usr'" in str(err.value)
+        assert "user, item, timestamp, action, rating, review, helpful" in str(err.value)
+
     def test_rating_requires_rate_action(self, tmp_path):
         p = write_csv(
             tmp_path,
