@@ -1,7 +1,9 @@
 """Non-personalized and matrix-factorization reference scorers.
 
 Top, Random, UserMean, and ItemMean need no training loop; the pairwise
-matrix-factorization ranker (`train_bpr`) is the only learned baseline.
+matrix-factorization ranker (`train_bpr`) is the only learned baseline,
+and it trains through the shared `minibatch.train` loop on the same
+instances as DAS and CAN.
 All ranking scorers follow the protocol of `metrics.Ranker`: the evaluator
 calls `score_batch(users, longs, shorts) -> (B, n_items) array` on chunks
 of test instances, and `score_items(user, long_items, short_items) ->
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
+from . import data, metrics, minibatch
 from .numeric import make_rng, sigmoid
 
 
@@ -150,51 +152,26 @@ def init_bpr(n_users, n_items, config: BprConfig, rng=None) -> BprState:
     )
 
 
-def pairs_from_sessions(sessions, user_index, item_index):
-    """Flatten sessions into implicit (user_idx, item_idx) training pairs."""
-    return [
-        (user_index[s.user], item_index[it])
-        for s in sessions
-        for it in s.items
-        if s.user in user_index and it in item_index
-    ]
+def train_bpr(split, dataset, config: BprConfig) -> BprState:
+    """SGD with one uniform negative per positive, drawn outside the user's history.
 
-
-def train_bpr(pairs, n_users, n_items, config: BprConfig) -> BprState:
-    """SGD with one uniform negative per positive, drawn outside the user's history."""
+    The positives are the targets of `data.prepared_instances`. The whole
+    epoch is one `minibatch.train` batch, whose step updates pair by pair.
+    """
     rng = make_rng(config.seed)
-    state = init_bpr(n_users, n_items, config, rng)
-    P, Q = state.P, state.Q
+    state = init_bpr(dataset.n_users, dataset.n_items, config, rng)
+    P, Q, lr, l2 = state.P, state.Q, config.lr, config.l2
 
-    history: dict[int, set] = {}
-    for u, i in pairs:
-        history.setdefault(u, set()).add(i)
-    complement = {
-        u: np.array(sorted(set(range(n_items)) - seen), dtype=np.int64)
-        for u, seen in history.items()
-    }
+    def step(batch):
+        total = 0.0
+        for u, i, j in zip(batch.users, batch.positives, batch.negatives):
+            pu, qi, qj = P[u], Q[i], Q[j]
+            data_loss, gp, gqi, gqj = _bpr_triple(pu, qi, qj, l2)
+            total += data_loss
+            P[u] = pu - lr * gp
+            Q[i] = qi - lr * gqi
+            Q[j] = qj - lr * gqj
+        return float(total / len(batch.users))
 
-    pairs = np.asarray(pairs, dtype=np.int64)
-    lr, l2 = config.lr, config.l2
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            order = rng.permutation(len(pairs))
-            total, n_seen = 0.0, 0
-            for idx in order:
-                u, i = pairs[idx]
-                pool = complement[u]
-                if pool.size == 0:
-                    continue
-                j = pool[rng.integers(pool.size)]
-                pu, qi, qj = P[u], Q[i], Q[j]
-                data_loss, gp, gqi, gqj = _bpr_triple(pu, qi, qj, l2)
-                total += data_loss
-                n_seen += 1
-                P[u] = pu - lr * gp
-                Q[i] = qi - lr * gqi
-                Q[j] = qj - lr * gqj
-            epoch_loss = total / max(n_seen, 1)
-            if not np.isfinite(epoch_loss):
-                raise FloatingPointError(f"training diverged (epoch loss {epoch_loss})")
-            state.trace.append(float(epoch_loss))
-    return state
+    prepared = data.prepared_instances(split, dataset)
+    return minibatch.train(state, prepared, config.epochs, max(len(prepared), 1), rng, step)

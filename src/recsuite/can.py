@@ -294,7 +294,7 @@ def train_can(split: data.Split, dataset: data.Dataset, config: CanConfig) -> Ca
     state = init_can(dataset.n_users, dataset.n_items, config, rng)
     prepared = data.prepared_instances(split, dataset)
     drop_rng = rng if config.dropout > 0 else None
-    return minibatch.train(
-        state, prepared, config, rng,
-        lambda st, batch, out: loss_and_grads(st, batch, drop_rng, out),
+    step = minibatch.sgd(
+        state, lambda st, batch, out: loss_and_grads(st, batch, drop_rng, out), config.lr
     )
+    return minibatch.train(state, prepared, config.epochs, config.batch, rng, step)

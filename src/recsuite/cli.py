@@ -36,6 +36,7 @@ RATING_MODELS = ("apar", "usermean", "itemmean")
 METRIC_NAMES = ("precision", "recall", "mcan", "auc", "mae", "rmse")
 POSITIVE = click.IntRange(min=1)
 FRACTION = click.FloatRange(0, 1)
+NONNEGATIVE = click.FloatRange(min=0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +349,25 @@ def _build_model_config(model, p):
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", type=click.Choice(MODELS), required=True)
-@click.option("--k", type=int, help="latent dimension / model width")
-@click.option("--lr", type=float, help="learning rate")
-@click.option("--epochs", type=int, help="training epochs (iteration cap for apar)")
-@click.option("--batch", type=int, help="minibatch size")
-@click.option("--l2", type=float, help="bpr: L2 penalty")
-@click.option("--lam-uv", type=float, help="embedding-table penalty")
-@click.option("--lam-at", type=float, help="attention-layer penalty")
-@click.option("--alpha1", type=float, help="apar: user-factor penalty")
-@click.option("--alpha2", type=float, help="apar: item-factor penalty")
-@click.option("--lam", type=float, help="apar: trait-similarity penalty")
+@click.option("--k", type=POSITIVE, help="latent dimension / model width")
+@click.option("--lr", type=click.FloatRange(min=0, min_open=True), help="learning rate")
+@click.option("--epochs", type=POSITIVE, help="training epochs (iteration cap for apar)")
+@click.option("--batch", type=POSITIVE, help="minibatch size")
+@click.option("--l2", type=NONNEGATIVE, help="bpr: L2 penalty")
+@click.option("--lam-uv", type=NONNEGATIVE, help="embedding-table penalty")
+@click.option("--lam-at", type=NONNEGATIVE, help="attention-layer penalty")
+@click.option("--alpha1", type=NONNEGATIVE, help="apar: user-factor penalty")
+@click.option("--alpha2", type=NONNEGATIVE, help="apar: item-factor penalty")
+@click.option("--lam", type=NONNEGATIVE, help="apar: trait-similarity penalty")
 @click.option("--beta", type=float, help="apar: blend-weight floor")
-@click.option("--gamma", type=float, help="apar: global blend override")
+@click.option("--gamma", type=FRACTION, help="apar: global blend override")
 @click.option("--window", type=int, help="can: conv window (odd)")
-@click.option("--dropout", type=float, help="can: dropout rate")
+@click.option("--dropout", type=click.FloatRange(0, 1, max_open=True), help="can: dropout")
 @click.option("--tie-embeddings/--no-tie-embeddings", default=None,
               help="can: share the output table with the item embeddings")
 @click.option("--split-policy", default="random-80-20", show_default=True,
               help="session split policy")
-@click.option("--test-fraction", type=float, default=0.2, show_default=True,
+@click.option("--test-fraction", type=FRACTION, default=0.2, show_default=True,
               help="rating models: held-out fraction")
 @common_options
 @out_option()
@@ -406,10 +407,7 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
             elif model == "can":
                 state = can.train_can(sp, ds, cfg)
             elif model == "bpr":
-                pairs = baselines.pairs_from_sessions(
-                    sp.train, ds.user_index, ds.item_index
-                )
-                state = baselines.train_bpr(pairs, ds.n_users, ds.n_items, cfg)
+                state = baselines.train_bpr(sp, ds, cfg)
             elif model == "top":
                 state = baselines.top_scorer(sp.train, ds.item_index, ds.n_items)
             else:  # random
@@ -446,7 +444,7 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--cutoffs", default="5,10,20", show_default=True,
               help="comma-separated ranking cutoffs")
-@click.option("--k", type=int, help="single-cutoff shorthand")
+@click.option("--k", type=POSITIVE, help="single-cutoff shorthand")
 @click.option("--metrics", "metrics_filter",
               help=f"only report these (comma-separated from {','.join(METRIC_NAMES)})")
 @click.option("--include-context", is_flag=True,
@@ -454,7 +452,7 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
 @click.option("--auc-negatives", type=click.Choice(["all", "sampled-100"]),
               default="all", show_default=True)
 @click.option("--split-policy", default="random-80-20", show_default=True)
-@click.option("--test-fraction", type=float, default=0.2, show_default=True)
+@click.option("--test-fraction", type=FRACTION, default=0.2, show_default=True)
 @common_options
 @out_option()
 def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
@@ -464,8 +462,11 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
     t0 = time.perf_counter()
     try:
         cutoff_list = [int(c) for c in cutoffs.split(",") if c.strip()]
+        if min(cutoff_list, default=1) < 1:
+            raise ValueError
     except ValueError:
-        raise click.BadParameter(f"--cutoffs must be integers, got {cutoffs!r}")
+        raise click.BadParameter(f"must be positive integers, got {cutoffs!r}",
+                                 param_hint="'--cutoffs'")
     if k is not None:
         cutoff_list = [k]
     wanted = None
@@ -564,15 +565,12 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
             u_idx = ds.user_index.get(user)
             if u_idx is None:
                 raise click.ClickException(f"unknown user {user!r}")
-            mine = sorted(
-                (s for s in ds.sessions if s.user == user), key=lambda s: (s.day, s.t)
-            )
-            short = mine[-1].items if mine else []
-            long_tokens = data.long_term_before(mine, mine[-1].day) if mine else []
+            history = data.Histories([s for s in ds.sessions if s.user == user], ds)
+            last = history.by_user[user][-1]
             scores = np.asarray(ck.state.score_items(
                 u_idx,
-                [ds.item_index[t] for t in long_tokens],
-                [ds.item_index[t] for t in short],
+                history.long_term(user, last.day),
+                [ds.item_index[t] for t in last.items],
             ))
     except ValueError as exc:
         raise click.ClickException(str(exc))

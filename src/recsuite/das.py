@@ -201,4 +201,5 @@ def train_das(split: data.Split, dataset: data.Dataset, config: DasConfig) -> Da
     rng = make_rng(config.seed)
     state = init_das(dataset.n_users, dataset.n_items, config, rng)
     prepared = data.prepared_instances(split, dataset)
-    return minibatch.train(state, prepared, config, rng, loss_and_grads)
+    return minibatch.train(state, prepared, config.epochs, config.batch, rng,
+                           minibatch.sgd(state, loss_and_grads, config.lr))

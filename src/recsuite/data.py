@@ -5,6 +5,8 @@ row at a time, and each faulty row is reported with its file line. A
 session is everything one user did in one calendar day, ordered by
 timestamp. Long-term context for session t is the deduplicated union of the
 user's earlier sessions; short-term context is session t itself, order kept.
+`Histories` answers every per-user question (long-term lists, touched items,
+negative pools) for the trainers, the evaluator and `recommend`.
 """
 
 from __future__ import annotations
@@ -282,64 +284,61 @@ def split(sessions: list[Session], policy: str, rng, test_fraction: float = 0.2)
     return Split(train=train, test=test, policy=policy, warnings=warnings)
 
 
-def training_instances(train_sessions: list[Session]) -> list[TestInstance]:
-    """One instance per session position: that item held out, the rest as context."""
-    out = []
-    for s in train_sessions:
-        for p in range(len(s.items)):
-            out.append(
-                TestInstance(
-                    user=s.user,
-                    day=s.day,
-                    t=s.t,
-                    context=s.items[:p] + s.items[p + 1 :],
-                    target=s.items[p],
-                )
-            )
-    return out
+class Histories:
+    """Each user's sessions in (day, t) order, and what they say in index space.
 
+    `long_term(user, day)` is the long-term list before a day, `seen(user)`
+    the items the user touched and `unseen(user)` the rest of the catalog,
+    the pool every negative and every AUC comparison is drawn from. Long-term
+    lists and pools are cached, so equal questions share one object. A user
+    with no session has an empty history.
+    """
 
-def train_histories(sessions: list[Session]) -> dict:
-    """user -> set of every item the user touched in these sessions."""
-    hist: dict[str, set] = {}
-    for s in sessions:
-        hist.setdefault(s.user, set()).update(s.items)
-    return hist
+    def __init__(self, sessions, dataset):
+        self.by_user: dict[str, list[Session]] = {}
+        for s in sorted(sessions, key=operator.attrgetter("day", "t")):
+            self.by_user.setdefault(s.user, []).append(s)
+        self.dataset = dataset
+        self._long: dict[tuple, list[int]] = {}
+        self._unseen: dict[str, np.ndarray] = {}
+
+    def long_term(self, user, day) -> list[int]:
+        """Item indices of `long_term_before(day)` over the user's sessions."""
+        if (user, day) not in self._long:
+            tokens = long_term_before(self.by_user.get(user, []), day)
+            self._long[user, day] = [self.dataset.item_index[it] for it in tokens]
+        return self._long[user, day]
+
+    def seen(self, user) -> np.ndarray:
+        """Indices of every item the user touched, ascending."""
+        index = self.dataset.item_index
+        touched = {index[it] for s in self.by_user.get(user, ()) for it in s.items}
+        return np.array(sorted(touched), dtype=np.int64)
+
+    def unseen(self, user) -> np.ndarray:
+        """Indices of every catalog item the user did not touch, ascending."""
+        if user not in self._unseen:
+            outside = np.ones(self.dataset.n_items, dtype=bool)
+            outside[self.seen(user)] = False
+            self._unseen[user] = np.flatnonzero(outside)
+        return self._unseen[user]
 
 
 def prepared_instances(split: Split, dataset) -> list:
-    """Index-space training instances for the sequential trainers.
+    """Index-space training instances for the ranking trainers.
 
     One tuple (user_idx, long_idx, context_idx, target_idx, negative_pool)
-    per held-out position; the long-term side is the user's earlier-day
-    train sessions and the pool excludes the user's full train history.
+    per position of each train session, in order: that item held out, the
+    rest as context. Long lists and pools come from the train `Histories`.
     """
-    sessions_by_user: dict[str, list[Session]] = {}
-    for s in split.train:
-        sessions_by_user.setdefault(s.user, []).append(s)
-    complement = {
-        u: np.array(
-            sorted(set(range(dataset.n_items)) - {dataset.item_index[i] for i in items}),
-            dtype=np.int64,
-        )
-        for u, items in train_histories(split.train).items()
-    }
-    long_cache: dict[tuple, list] = {}
+    hist = Histories(split.train, dataset)
     prepared = []
-    for inst in training_instances(split.train):
-        key = (inst.user, inst.day)
-        if key not in long_cache:
-            toks = long_term_before(sessions_by_user[inst.user], inst.day)
-            long_cache[key] = [dataset.item_index[i] for i in toks]
-        prepared.append(
-            (
-                dataset.user_index[inst.user],
-                long_cache[key],
-                [dataset.item_index[i] for i in inst.context],
-                dataset.item_index[inst.target],
-                complement[inst.user],
-            )
-        )
+    for s in split.train:
+        u = dataset.user_index[s.user]
+        long_items, pool = hist.long_term(s.user, s.day), hist.unseen(s.user)
+        items = [dataset.item_index[it] for it in s.items]
+        for p, target in enumerate(items):
+            prepared.append((u, long_items, items[:p] + items[p + 1:], target, pool))
     return prepared
 
 

@@ -248,15 +248,9 @@ def evaluate(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    train_sessions: dict[str, list[data.Session]] = {}
-    history: dict[str, set[int]] = {}
-    for s in split.train:
-        train_sessions.setdefault(s.user, []).append(s)
-        history.setdefault(s.user, set()).update(dataset.item_index[i] for i in s.items)
-
+    history = data.Histories(split.train, dataset)
     cutoffs = sorted(set(int(k) for k in cutoffs))
     n = dataset.n_items
-    all_items = np.arange(n)
     per_user: dict[tuple, dict[str, list[float]]] = {}
     for k in cutoffs:
         per_user[("precision", k)] = {}
@@ -272,10 +266,9 @@ def evaluate(
         inputs = []  # per instance: (user, long items, context, target) or its error
         for inst in part:
             try:
-                long_items = data.long_term_before(train_sessions.get(inst.user, []), inst.day)
                 inputs.append((
                     dataset.user_index[inst.user],
-                    [dataset.item_index[i] for i in long_items],
+                    history.long_term(inst.user, inst.day),
                     [dataset.item_index[i] for i in inst.context],
                     dataset.item_index[inst.target],
                 ))
@@ -305,10 +298,10 @@ def evaluate(
                     can_novelty(topk, ctx_idx)
                 )
 
-            seen = history.get(inst.user, set()) | set(ctx_idx) | {target}
             outside = np.ones(n, dtype=bool)
-            outside[list(seen)] = False
-            pool = all_items[outside]
+            outside[history.seen(inst.user)] = False
+            outside[ctx_idx + [target]] = False
+            pool = np.flatnonzero(outside)
             if pool.size:
                 if auc_negatives == "sampled-100" and pool.size > 100:
                     pool = rng.choice(pool, size=100, replace=False)

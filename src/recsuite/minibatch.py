@@ -1,11 +1,13 @@
-"""Minibatch SGD shared by the sequential models (DAS and CAN).
+"""Minibatch training shared by the ranking models (DAS, CAN and BPR).
 
-Both train on the per-position holdout instances of `data.prepared_instances`
-with one uniform negative per instance. `train` owns everything the two
-have in common: the epoch permutation, batch assembly, the negative draws,
-divergence checks, the SGD update and the per-epoch trace. Each model only
-supplies its batched loss-and-gradients kernel, which reads the ragged
-per-instance lists through `pad`.
+All three train on the per-position holdout instances of
+`data.prepared_instances` with one uniform negative per instance. `train`
+owns everything they have in common: the epoch permutation, batch
+assembly, the negative draws, divergence checks and the per-epoch trace.
+Each model supplies the step that updates it from one batch. DAS and CAN
+step through `sgd` with their batched loss-and-gradients kernels, which
+read the ragged per-instance lists through `pad`; BPR takes the whole
+epoch as one batch and updates pair by pair.
 """
 
 from dataclasses import dataclass
@@ -37,40 +39,31 @@ def pad(lists):
     return idx, mask
 
 
-def train(state, prepared, config, rng, kernel):
-    """Run config.epochs epochs of minibatch SGD on `state` in place.
+def train(state, prepared, epochs, batch_size, rng, step):
+    """Run `epochs` epochs of minibatch training on `state` in place.
 
     Each epoch draws a permutation of `prepared`, then walks it in chunks
-    of config.batch. Instances with an empty negative pool are skipped; the
+    of batch_size. Instances with an empty negative pool are skipped; the
     others draw one negative from their pool, in chunk order, from `rng`.
-    `kernel(state, batch, out)` returns (loss, grads aligned with
-    state.params()); from the second batch on, `out` is the previous
-    batch's grads, for the kernel to overwrite.
-    A kernel ValueError (a non-finite attention score) or a non-finite loss
-    means training diverged and raises FloatingPointError. Appends the mean
-    batch loss of each epoch to state.trace and returns state.
+    `step(batch)` updates the state from one batch and returns its loss.
+    A ValueError from the step (a non-finite attention score) or a
+    non-finite loss means training diverged and raises FloatingPointError.
+    Appends the mean batch loss of each epoch to state.trace and returns
+    state.
     """
-    plist = state.params()
-    grads = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
+        for epoch in range(epochs):
             order = rng.permutation(len(prepared))
             epoch_total, n_batches = 0.0, 0
-            for lo in range(0, len(order), config.batch):
-                batch = Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
-                for idx in order[lo : lo + config.batch]:
-                    u, G, S, pos, pool = prepared[idx]
-                    if pool.size == 0:
-                        continue
-                    batch.users.append(u)
-                    batch.longs.append(G)
-                    batch.shorts.append(S)
-                    batch.positives.append(pos)
-                    batch.negatives.append(int(pool[rng.integers(pool.size)]))
-                if not batch.users:
+            for lo in range(0, len(order), batch_size):
+                rows = [prepared[i] for i in order[lo : lo + batch_size] if prepared[i][4].size]
+                if not rows:
                     continue
+                users, longs, shorts, positives, pools = map(list, zip(*rows))
+                negatives = [int(pool[rng.integers(pool.size)]) for pool in pools]
+                batch = Batch(users, longs, shorts, positives, negatives)
                 try:
-                    loss, grads = kernel(state, batch, grads)
+                    loss = step(batch)
                 except ValueError as exc:
                     # activations are unbounded, so attention scores can
                     # overflow while the parameters are still finite
@@ -79,10 +72,28 @@ def train(state, prepared, config, rng, kernel):
                     ) from exc
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"epoch {epoch}: loss is {loss}")
-                for p, g in zip(plist, grads):
-                    g *= config.lr  # the kernel overwrites g next batch
-                    p -= g
                 epoch_total += loss
                 n_batches += 1
             state.trace.append(epoch_total / max(n_batches, 1))
     return state
+
+
+def sgd(state, kernel, lr):
+    """A `train` step: plain SGD on state.params() at learning rate lr.
+
+    `kernel(state, batch, out)` returns (loss, grads aligned with
+    state.params()); from the second batch on, `out` is the previous
+    batch's grads, for the kernel to overwrite.
+    """
+    plist = state.params()
+    grads = None
+
+    def step(batch):
+        nonlocal grads
+        loss, grads = kernel(state, batch, grads)
+        for p, g in zip(plist, grads):
+            g *= lr  # the kernel overwrites g next batch
+            p -= g
+        return loss
+
+    return step

@@ -6,12 +6,14 @@ whole DAS catalog scored per instance, and one dropout draw per instance.
 `das_scores` / `can_scores` score one instance the way the models'
 `score_items` did before scoring went through the batched `forward`.
 `train_das` / `train_can` are the per-model trainers the shared minibatch
-loop replaced; they fix the order of every random draw.
+loop replaced; they fix the order of every random draw. `train_bpr` is
+BPR's own per-pair epoch loop over (user, item) index pairs, with its
+set-difference negative pools, which `minibatch.train` replaced.
 """
 
 import numpy as np
 
-from recsuite import can, das, data, minibatch
+from recsuite import baselines, can, das, data, minibatch
 from recsuite.numeric import make_rng, sigmoid, softmax_backward
 
 
@@ -339,4 +341,48 @@ def train_can(split, dataset, config):
                 epoch_total += loss
                 n_batches += 1
             state.trace.append(epoch_total / max(n_batches, 1))
+    return state
+
+
+# ---------------------------------------------------------------------------
+# BPR
+
+
+def train_bpr(pairs, n_users, n_items, config):
+    """SGD with one uniform negative per positive, drawn outside the user's history."""
+    rng = make_rng(config.seed)
+    state = baselines.init_bpr(n_users, n_items, config, rng)
+    P, Q = state.P, state.Q
+
+    history = {}
+    for u, i in pairs:
+        history.setdefault(u, set()).add(i)
+    complement = {
+        u: np.array(sorted(set(range(n_items)) - seen), dtype=np.int64)
+        for u, seen in history.items()
+    }
+
+    pairs = np.asarray(pairs, dtype=np.int64)
+    lr, l2 = config.lr, config.l2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(len(pairs))
+            total, n_seen = 0.0, 0
+            for idx in order:
+                u, i = pairs[idx]
+                pool = complement[u]
+                if pool.size == 0:
+                    continue
+                j = pool[rng.integers(pool.size)]
+                pu, qi, qj = P[u], Q[i], Q[j]
+                data_loss, gp, gqi, gqj = baselines._bpr_triple(pu, qi, qj, l2)
+                total += data_loss
+                n_seen += 1
+                P[u] = pu - lr * gp
+                Q[i] = qi - lr * gqi
+                Q[j] = qj - lr * gqj
+            epoch_loss = total / max(n_seen, 1)
+            if not np.isfinite(epoch_loss):
+                raise FloatingPointError(f"training diverged (epoch loss {epoch_loss})")
+            state.trace.append(float(epoch_loss))
     return state

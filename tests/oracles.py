@@ -9,6 +9,10 @@ the per-row loops that `data.RatingMatrix.from_interactions` and
 `data.sessionize` replaced. `bpr_loss_and_grad` sums the BPR
 trainer's own per-triple terms (`baselines._bpr_triple`) over a list of
 triples, so gradient checks gate the arithmetic training runs.
+`prepared_instances` builds the trainers' instances from token-space
+`training_instances`, per-user `train_histories` sets and a set-difference
+complement per user, the way `data.prepared_instances` did before
+`data.Histories`.
 """
 
 import collections
@@ -132,3 +136,59 @@ def bpr_loss_and_grad(P, Q, triples, l2):
         gQ[i] += gqi
         gQ[j] += gqj
     return float(loss), [gP, gQ]
+
+
+def training_instances(train_sessions):
+    """One instance per session position: that item held out, the rest as context."""
+    out = []
+    for s in train_sessions:
+        for p in range(len(s.items)):
+            out.append(
+                data.TestInstance(
+                    user=s.user,
+                    day=s.day,
+                    t=s.t,
+                    context=s.items[:p] + s.items[p + 1 :],
+                    target=s.items[p],
+                )
+            )
+    return out
+
+
+def train_histories(sessions):
+    """user -> set of every item the user touched in these sessions."""
+    hist = {}
+    for s in sessions:
+        hist.setdefault(s.user, set()).update(s.items)
+    return hist
+
+
+def prepared_instances(split, dataset):
+    """(user_idx, long_idx, context_idx, target_idx, negative_pool) per position."""
+    sessions_by_user = {}
+    for s in split.train:
+        sessions_by_user.setdefault(s.user, []).append(s)
+    complement = {
+        u: np.array(
+            sorted(set(range(dataset.n_items)) - {dataset.item_index[i] for i in items}),
+            dtype=np.int64,
+        )
+        for u, items in train_histories(split.train).items()
+    }
+    long_cache = {}
+    prepared = []
+    for inst in training_instances(split.train):
+        key = (inst.user, inst.day)
+        if key not in long_cache:
+            toks = data.long_term_before(sessions_by_user[inst.user], inst.day)
+            long_cache[key] = [dataset.item_index[i] for i in toks]
+        prepared.append(
+            (
+                dataset.user_index[inst.user],
+                long_cache[key],
+                [dataset.item_index[i] for i in inst.context],
+                dataset.item_index[inst.target],
+                complement[inst.user],
+            )
+        )
+    return prepared

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import loop_oracles
 import oracles
 from recsuite import baselines, data, metrics
 from recsuite.numeric import grad_check, make_rng
@@ -140,11 +141,32 @@ def two_block_pairs(rng, n_users=20, n_items=20, per_user=6):
     return pairs
 
 
+def bpr_inputs(pairs, n_users=20, n_items=20):
+    """(split, dataset) whose train sessions hold `pairs` in order, one pair each.
+
+    User u and item i keep index u and i, so the trainer sees the pairs as
+    given.
+    """
+    users = [f"u{u}" for u in range(n_users)]
+    items = [f"i{i}" for i in range(n_items)]
+    train = [
+        data.Session(user=users[u], t=t, day=t, items=[items[i]])
+        for t, (u, i) in enumerate(pairs)
+    ]
+    ds = data.Dataset(
+        interactions=[], users=users, items=items,
+        user_index={u: k for k, u in enumerate(users)},
+        item_index={i: k for k, i in enumerate(items)},
+        sessions=train,
+    )
+    return data.Split(train=train, test=[], policy="random-80-20"), ds
+
+
 class TestBprTraining:
     def test_zero_lr_leaves_parameters(self):
         cfg = baselines.BprConfig(d=4, lr=0.0, epochs=3, seed=1)
         pairs = two_block_pairs(make_rng(0))
-        st0 = baselines.train_bpr(pairs, 20, 20, cfg)
+        st0 = baselines.train_bpr(*bpr_inputs(pairs), cfg)
         init = baselines.init_bpr(20, 20, cfg)
         assert np.array_equal(st0.P, init.P) and np.array_equal(st0.Q, init.Q)
 
@@ -152,7 +174,7 @@ class TestBprTraining:
         rng = make_rng(0)
         pairs = two_block_pairs(rng)
         cfg = baselines.BprConfig(d=8, lr=0.1, l2=0.01, epochs=20, seed=5)
-        state = baselines.train_bpr(pairs, 20, 20, cfg)
+        state = baselines.train_bpr(*bpr_inputs(pairs), cfg)
         seen = {}
         for u, i in pairs:
             seen.setdefault(u, set()).add(i)
@@ -170,15 +192,23 @@ class TestBprTraining:
     def test_deterministic(self):
         pairs = two_block_pairs(make_rng(0))
         cfg = baselines.BprConfig(d=4, lr=0.05, epochs=2, seed=9)
-        a = baselines.train_bpr(pairs, 20, 20, cfg)
-        b = baselines.train_bpr(pairs, 20, 20, cfg)
+        a = baselines.train_bpr(*bpr_inputs(pairs), cfg)
+        b = baselines.train_bpr(*bpr_inputs(pairs), cfg)
         assert np.array_equal(a.P, b.P) and np.array_equal(a.Q, b.Q)
 
     def test_divergence_aborts(self):
         pairs = two_block_pairs(make_rng(0))
         cfg = baselines.BprConfig(d=4, lr=1e9, epochs=5, seed=1)
         with pytest.raises(FloatingPointError):
-            baselines.train_bpr(pairs, 20, 20, cfg)
+            baselines.train_bpr(*bpr_inputs(pairs), cfg)
+
+    def test_equals_per_pair_loop_oracle(self):
+        pairs = two_block_pairs(make_rng(0))
+        cfg = baselines.BprConfig(d=8, lr=0.1, l2=0.01, epochs=5, seed=5)
+        got = baselines.train_bpr(*bpr_inputs(pairs), cfg)
+        want = loop_oracles.train_bpr(pairs, 20, 20, cfg)
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.Q, want.Q)
+        assert got.trace == want.trace and len(got.trace) == 5
 
     def test_ranking_invariant_under_rotation(self):
         rng = make_rng(11)

@@ -479,6 +479,37 @@ class TestEval:
         assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("train", ["--model", "bpr", "--k", "0"], "--k"),
+    ("train", ["--model", "das", "--epochs", "-1"], "--epochs"),
+    ("train", ["--model", "das", "--lr", "-1"], "--lr"),
+    ("train", ["--model", "bpr", "--lr", "0"], "--lr"),
+    ("train", ["--model", "das", "--batch", "0"], "--batch"),
+    ("train", ["--model", "can", "--dropout", "1"], "--dropout"),
+    ("train", ["--model", "bpr", "--l2", "-0.5"], "--l2"),
+    ("train", ["--model", "das", "--lam-uv", "-1"], "--lam-uv"),
+    ("train", ["--model", "can", "--lam-at", "-1"], "--lam-at"),
+    ("train", ["--model", "apar", "--lam", "-5"], "--lam"),
+    ("train", ["--model", "apar", "--alpha1", "-3"], "--alpha1"),
+    ("train", ["--model", "apar", "--alpha2", "-3"], "--alpha2"),
+    ("train", ["--model", "apar", "--gamma", "3"], "--gamma"),
+    ("train", ["--model", "apar", "--test-fraction", "1.5"], "--test-fraction"),
+    ("eval", ["--cutoffs", "0"], "--cutoffs"),
+    ("eval", ["--cutoffs", "5,-3"], "--cutoffs"),
+    ("eval", ["--k", "0"], "--k"),
+    ("eval", ["--test-fraction", "1.5"], "--test-fraction"),
+    ("eval", ["--test-fraction", "-1"], "--test-fraction"),
+])
+def test_out_of_range_model_flag_is_usage_error(tmp_path, command, flags, named):
+    corpus = synth_sequential(tmp_path / "s", users=3, spu=2, items=6)
+    # eval rejects the flag before it reads the checkpoint argument
+    paths = [str(corpus)] * (2 if command == "eval" else 1)
+    res = runner.invoke(main, [command, *paths, *flags, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{named}'" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 class TestRecommend:
     def test_exact_n_lines_sorted(self, tmp_path):
         corpus = synth_sequential(tmp_path / "s")

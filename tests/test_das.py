@@ -209,8 +209,10 @@ class TestGradCheck:
 class TestInstancePlumbing:
     def test_every_position_held_out(self):
         s = data.Session(user="u", t=0, day=0, items=["a", "b", "c"])
-        inst = data.training_instances([s])
-        assert [(i.target, i.context) for i in inst] == [
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions([s]))
+        sp = data.Split(train=[s], test=[], policy="random-80-20")
+        inst = data.prepared_instances(sp, ds)
+        assert [(ds.items[i[3]], [ds.items[j] for j in i[2]]) for i in inst] == [
             ("a", ["b", "c"]),
             ("b", ["a", "c"]),
             ("c", ["a", "b"]),
@@ -222,7 +224,11 @@ class TestInstancePlumbing:
             data.Session(user="u", t=1, day=1, items=["b", "a"]),
             data.Session(user="v", t=0, day=0, items=["c"]),
         ]
-        assert data.train_histories(ss) == {"u": {"a", "b"}, "v": {"c"}}
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions(ss))
+        hist = data.Histories(ss, ds)
+        assert {u: {ds.items[i] for i in hist.seen(u)} for u in ("u", "v")} == {
+            "u": {"a", "b"}, "v": {"c"}
+        }
 
 
 def tiny_corpus(seed=0, n_items=8, n_users=4, spu=3):

@@ -568,3 +568,68 @@ def test_dataset_equals_per_row_oracle(events):
     assert ds.items == sorted(set(items), key=items.index)
     assert ds.user_index == {u: ds.users.index(u) for u in users}
     assert ds.item_index == {i: ds.items.index(i) for i in items}
+
+
+CATALOG = ["a", "b", "c", "d", "e", "f"]
+
+TRAIN_SESSIONS = st.lists(
+    st.builds(
+        data.Session,
+        user=st.sampled_from(["u1", "u2", "u3"]),
+        t=st.integers(0, 3),
+        day=st.integers(0, 4),
+        items=st.lists(st.sampled_from(CATALOG[:5]), min_size=1, max_size=4),
+    ),
+    max_size=12,
+)
+
+
+@given(TRAIN_SESSIONS, st.integers(0, 12))
+def test_prepared_instances_equal_set_based_oracle(train, at):
+    # "all" touches the whole catalog, so its negative pool is empty
+    train = train[:at] + [data.Session(user="all", t=0, day=2, items=list(CATALOG))] + train[at:]
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions(train))
+    sp = data.Split(train=train, test=[], policy="random-80-20")
+    got = data.prepared_instances(sp, ds)
+    want = oracles.prepared_instances(sp, ds)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:4] == w[:4]
+        assert g[4].dtype == w[4].dtype and np.array_equal(g[4], w[4])
+    # one pool per user and one long-term list per (user, day), shared
+    assert len({id(g[4]) for g in got}) == len({id(w[4]) for w in want})
+    assert len({id(g[1]) for g in got}) == len({id(w[1]) for w in want})
+    assert all(g[4].size == 0 for g in got if ds.users[g[0]] == "all")
+
+
+class TestHistories:
+    def sessions(self):
+        return [
+            # day, not t, orders the sessions
+            data.Session(user="u", t=0, day=3, items=["c", "a"]),
+            data.Session(user="u", t=1, day=1, items=["b", "a", "b"]),
+            data.Session(user="v", t=0, day=1, items=["d"]),
+        ]
+
+    def test_groups_each_user_in_day_order(self):
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions(self.sessions()))
+        hist = data.Histories(self.sessions(), ds)
+        assert [s.day for s in hist.by_user["u"]] == [1, 3]
+
+    def test_long_term_is_cached_and_in_index_space(self):
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions(self.sessions()))
+        hist = data.Histories(self.sessions(), ds)
+        long_items = hist.long_term("u", 3)
+        assert [ds.items[i] for i in long_items] == ["b", "a"]
+        assert hist.long_term("u", 3) is long_items
+        assert hist.long_term("u", 1) == [] and hist.long_term("nobody", 9) == []
+
+    def test_seen_and_unseen_split_the_catalog(self):
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions(self.sessions()))
+        hist = data.Histories(self.sessions(), ds)
+        seen, unseen = hist.seen("u"), hist.unseen("u")
+        assert sorted(ds.items[i] for i in seen) == ["a", "b", "c"]
+        assert unseen.tolist() == [ds.item_index["d"]]
+        assert hist.unseen("u") is unseen
+        assert hist.seen("nobody").size == 0
+        assert hist.unseen("nobody").tolist() == list(range(ds.n_items))
