@@ -20,4 +20,5 @@ __version__ = "0.1.0"
 
 # 2: APAR checkpoints store one trait-group label per user ("groups") in
 # place of the n x n similarity matrix "L"
-CHECKPOINT_FORMAT_VERSION = 2
+# 3: DAS, CAN and BPR configs lose five fields that no command set
+CHECKPOINT_FORMAT_VERSION = 3

@@ -108,7 +108,6 @@ class BprConfig:
     l2: float = 0.01
     epochs: int = 20
     seed: int = 0
-    init_std: float = 0.1
 
 
 @dataclass
@@ -146,8 +145,8 @@ def init_bpr(n_users, n_items, config: BprConfig, rng=None) -> BprState:
     if rng is None:
         rng = make_rng(config.seed)
     return BprState(
-        P=rng.normal(0.0, config.init_std, size=(n_users, config.d)),
-        Q=rng.normal(0.0, config.init_std, size=(n_items, config.d)),
+        P=rng.normal(0.0, 0.1, size=(n_users, config.d)),
+        Q=rng.normal(0.0, 0.1, size=(n_items, config.d)),
         config=config,
     )
 

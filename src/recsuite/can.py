@@ -46,8 +46,6 @@ class CanConfig:
     epochs: int = 10
     seed: int = 0
     tie_embeddings: bool = False  # V_out is E itself; requires N_f == D
-    disable_purpose: bool = False  # ablation: m = 0 always
-    disable_preference: bool = False  # ablation: u = m directly
 
     def validate(self) -> "CanConfig":
         if self.window < 1 or self.window % 2 == 0:
@@ -161,9 +159,9 @@ def forward(state: CanState, users, longs, shorts, rng=None):
     """User vectors u, one row per instance, and the cache of the backward pass.
 
     `longs` (ordered) and `shorts` hold one ragged item-index list per
-    user. An instance with an empty long-term list (or with the purpose
-    encoder disabled) gets m = 0; one with an empty context (or with the
-    preference encoder disabled) gets u = m. Pass a generator to enable
+    user. An instance with an empty long-term list gets m = 0, and one with
+    an empty context gets u = m, so withholding an input is the ablation of
+    its encoder. Pass a generator to enable
     dropout on the conv outputs (training): one draw covers every conv row
     of the batch, in instance order, which gives the same values as one
     draw per instance. With rng=None the forward is deterministic.
@@ -177,8 +175,8 @@ def forward(state: CanState, users, longs, shorts, rng=None):
     """
     cfg = state.config
     c = SimpleNamespace(users=np.asarray(users, dtype=np.int64))
-    c.rp = [b for b, G in enumerate(longs) if len(G) and not cfg.disable_purpose]
-    c.rq = [b for b, S in enumerate(shorts) if len(S) and not cfg.disable_preference]
+    c.rp = [b for b, G in enumerate(longs) if len(G)]
+    c.rq = [b for b, S in enumerate(shorts) if len(S)]
 
     c.m = np.zeros((len(c.users), cfg.N_f))
     if c.rp:

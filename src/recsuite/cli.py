@@ -444,7 +444,6 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--cutoffs", default="5,10,20", show_default=True,
               help="comma-separated ranking cutoffs")
-@click.option("--k", type=POSITIVE, help="single-cutoff shorthand")
 @click.option("--metrics", "metrics_filter",
               help=f"only report these (comma-separated from {','.join(METRIC_NAMES)})")
 @click.option("--include-context", is_flag=True,
@@ -455,20 +454,18 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
 @click.option("--test-fraction", type=FRACTION, default=0.2, show_default=True)
 @common_options
 @out_option()
-def eval_cmd(checkpoint_path, input_path, cutoffs, k, metrics_filter,
+def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
              include_context, auc_negatives, split_policy, test_fraction, seed,
              out_dir):
     """Evaluate a checkpoint on a corpus; writes report.csv and report.txt."""
     t0 = time.perf_counter()
     try:
         cutoff_list = [int(c) for c in cutoffs.split(",") if c.strip()]
-        if min(cutoff_list, default=1) < 1:
+        if not cutoff_list or min(cutoff_list) < 1:
             raise ValueError
     except ValueError:
-        raise click.BadParameter(f"must be positive integers, got {cutoffs!r}",
+        raise click.BadParameter(f"must name positive integers, got {cutoffs!r}",
                                  param_hint="'--cutoffs'")
-    if k is not None:
-        cutoff_list = [k]
     wanted = None
     if metrics_filter:
         wanted = {m.strip() for m in metrics_filter.split(",") if m.strip()}

@@ -31,15 +31,13 @@ PARAM_NAMES = ("W1", "W2", "w_alpha", "w_beta", "W", "b", "Wout", "bout")
 @dataclass
 class DasConfig:
     k: int = 100
-    lr: float = 0.001
+    lr: float = 0.02
     lam_uv: float = 1e-5
     lam_at: float = 1e-5
     batch: int = 50
     epochs: int = 10
     seed: int = 0
-    reg_dense: bool = False  # also penalize the dense layers W, Wout
-    init_std: float = 0.01
-    dense_init_std: float = 0.1
+    init_std: float = 0.5  # W1, W2 spread; at 0.01 all items look alike
 
 
 @dataclass
@@ -82,9 +80,9 @@ def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasStat
         W2=init_normal(k, n_users, 0.0, config.init_std, rng),
         w_alpha=init_uniform_attention(1, k, k, rng)[0],
         w_beta=init_uniform_attention(1, k, k, rng)[0],
-        W=init_normal(k, 2 * k, 0.0, config.dense_init_std, rng),
+        W=init_normal(k, 2 * k, 0.0, 0.1, rng),
         b=np.zeros(k),
-        Wout=init_normal(n_items, 2 * k, 0.0, config.dense_init_std, rng),
+        Wout=init_normal(n_items, 2 * k, 0.0, 0.1, rng),
         bout=np.zeros(n_items),
         config=config,
     )
@@ -135,10 +133,11 @@ def loss_and_grads(state: DasState, batch: minibatch.Batch, out=None):
     logits only for the rows of each instance's positive and negatives
     (`batch.negatives` holds one index or a list per instance), the only
     rows the loss reads, and adds gradients to those rows alone.
-    Regularization enters once per call, so this is the exact objective a
-    single SGD step descends. `out`, arrays shaped like params(), receives
-    the gradients in place of new arrays: the trainer reuses one set, so
-    no catalog-sized array is allocated per batch.
+    L2 covers the embedding tables (lam_uv) and the attention scorers
+    (lam_at), not the dense layers. It enters once per call, so this is the
+    exact objective a single SGD step descends. `out`, arrays shaped like
+    params(), receives the gradients in place of new arrays: the trainer
+    reuses one set, so no catalog-sized array is allocated per batch.
     """
     cfg = state.config
     k = cfg.k
@@ -160,8 +159,7 @@ def loss_and_grads(state: DasState, batch: minibatch.Batch, out=None):
     # (or columns) the batch touched
     grads = [np.empty_like(p) for p in state.params()] if out is None else out
     gW1, gW2, gwa, gwb, gW, gb, gWout, gbout = grads
-    dense = cfg.lam_uv if cfg.reg_dense else 0.0
-    l2 = (cfg.lam_uv, cfg.lam_uv, cfg.lam_at, cfg.lam_at, dense, 0.0, dense, 0.0)  # PARAM_NAMES
+    l2 = (cfg.lam_uv, cfg.lam_uv, cfg.lam_at, cfg.lam_at, 0.0, 0.0, 0.0, 0.0)  # PARAM_NAMES
     for p, g, lam in zip(state.params(), grads, l2):
         if lam:
             np.multiply(p, 2.0 * lam, out=g)

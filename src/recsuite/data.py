@@ -4,13 +4,14 @@ An interaction log is read into `Interaction` named tuples, one checked
 row at a time, and each faulty row is reported with its file line. A
 session is everything one user did in one calendar day, ordered by
 timestamp. Long-term context for session t is the deduplicated union of the
-user's earlier sessions; short-term context is session t itself, order kept.
-`Histories` answers every per-user question (long-term lists, touched items,
+user's earlier-day sessions; short-term context is session t itself, order
+kept. `Histories` answers every per-user question (long-term lists, touched items,
 negative pools) for the trainers, the evaluator and `recommend`.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
 import csv
@@ -48,7 +49,7 @@ class RowError:
 class Session:
     user: str
     t: int  # ordinal among this user's sessions, 0-based
-    day: int  # epoch-day bucket
+    day: int  # days since the epoch
     items: list[str]
 
 
@@ -189,10 +190,8 @@ def write_csv(path, interactions) -> None:
             )
 
 
-def sessionize(events, bucket: str = "calendar-day") -> list[Session]:
-    """One session per (user, day), items in timestamp order, duplicates kept."""
-    if bucket != "calendar-day":
-        raise ValueError(f"unknown bucket {bucket!r}")
+def sessionize(events) -> list[Session]:
+    """One session per (user, calendar day), items in timestamp order, duplicates kept."""
     ordered = sorted(events, key=operator.attrgetter("user", "timestamp"))
     sessions: list[Session] = []
     counters: dict[str, int] = collections.defaultdict(int)
@@ -214,12 +213,6 @@ def ordered_dedup(items) -> list:
             seen.add(it)
             out.append(it)
     return out
-
-
-def long_term_before(user_sessions: list[Session], day: int) -> list[str]:
-    """Deduplicated items of the user's sessions strictly before `day`."""
-    ordered = sorted(user_sessions, key=lambda s: (s.day, s.t))
-    return ordered_dedup(it for s in ordered if s.day < day for it in s.items)
 
 
 def split(sessions: list[Session], policy: str, rng, test_fraction: float = 0.2) -> Split:
@@ -289,31 +282,47 @@ class Histories:
 
     `long_term(user, day)` is the long-term list before a day, `seen(user)`
     the items the user touched and `unseen(user)` the rest of the catalog,
-    the pool every negative and every AUC comparison is drawn from. Long-term
-    lists and pools are cached, so equal questions share one object. A user
-    with no session has an empty history.
+    the pool every negative and every AUC comparison is drawn from. Answers
+    are cached, so equal questions share one object. A user with no session
+    has an empty history.
     """
+
+    _NO_WALK = ([], [0], [])
 
     def __init__(self, sessions, dataset):
         self.by_user: dict[str, list[Session]] = {}
         for s in sorted(sessions, key=operator.attrgetter("day", "t")):
             self.by_user.setdefault(s.user, []).append(s)
         self.dataset = dataset
+        # one walk per user: session days, and items first-seen first, of which
+        # the first counts[j] come from the first j sessions; so a long-term
+        # list is a prefix
+        self._walks: dict[str, tuple] = {}
+        for user, user_sessions in self.by_user.items():
+            order, counts = {}, [0]
+            for s in user_sessions:
+                order.update(dict.fromkeys(s.items))
+                counts.append(len(order))
+            self._walks[user] = ([s.day for s in user_sessions], counts, list(order))
         self._long: dict[tuple, list[int]] = {}
+        self._seen: dict[str, np.ndarray] = {}
         self._unseen: dict[str, np.ndarray] = {}
 
     def long_term(self, user, day) -> list[int]:
-        """Item indices of `long_term_before(day)` over the user's sessions."""
+        """Indices of the user's items from sessions before `day`, first-seen first."""
         if (user, day) not in self._long:
-            tokens = long_term_before(self.by_user.get(user, []), day)
-            self._long[user, day] = [self.dataset.item_index[it] for it in tokens]
+            days, counts, order = self._walks.get(user, self._NO_WALK)
+            head = order[:counts[bisect.bisect_left(days, day)]]
+            self._long[user, day] = [self.dataset.item_index[it] for it in head]
         return self._long[user, day]
 
     def seen(self, user) -> np.ndarray:
         """Indices of every item the user touched, ascending."""
-        index = self.dataset.item_index
-        touched = {index[it] for s in self.by_user.get(user, ()) for it in s.items}
-        return np.array(sorted(touched), dtype=np.int64)
+        if user not in self._seen:
+            order = self._walks.get(user, self._NO_WALK)[2]
+            touched = sorted(self.dataset.item_index[it] for it in order)
+            self._seen[user] = np.array(touched, dtype=np.int64)
+        return self._seen[user]
 
     def unseen(self, user) -> np.ndarray:
         """Indices of every catalog item the user did not touch, ascending."""
@@ -626,9 +635,8 @@ def split_ratings(matrix: RatingMatrix, test_fraction: float, rng):
 
 @dataclass
 class Dataset:
-    """Interactions plus interned token maps and their sessions."""
+    """Interned token maps of an interaction log, and its sessions."""
 
-    interactions: list[Interaction]
     users: list[str]
     items: list[str]
     user_index: dict[str, int]
@@ -640,7 +648,6 @@ class Dataset:
         users, uidx = _first_appearance(map(_USER, interactions))
         items, iidx = _first_appearance(map(_ITEM, interactions))
         return cls(
-            interactions=list(interactions),
             users=users,
             items=items,
             user_index=uidx,

@@ -136,8 +136,9 @@ class Ranker:
 
 @dataclass
 class EvalReport:
+    """One model's metric rows on the test side of a split."""
+
     model: str
-    split_id: str
     rows: list  # (metric, cutoff-or-None, value), fixed order
     n_instances: int = 0
     failures: list = field(default_factory=list)
@@ -153,10 +154,10 @@ class EvalReport:
             w = csv.writer(fh)
             w.writerow(["model", "split", "metric", "cutoff", "value"])
             for name, c, v in self.rows:
-                w.writerow([self.model, self.split_id, name, "" if c is None else c, f"{v:.17g}"])
+                w.writerow([self.model, "test", name, "" if c is None else c, f"{v:.17g}"])
 
     def to_text(self) -> str:
-        lines = [f"model={self.model} split={self.split_id} instances={self.n_instances}"]
+        lines = [f"model={self.model} split=test instances={self.n_instances}"]
         for name, c, v in self.rows:
             label = name if c is None else f"{name}@{c}"
             lines.append(f"  {label:<14} {v:.6f}")
@@ -220,7 +221,6 @@ def evaluate(
     split: data.Split,
     cutoffs,
     model_name: str,
-    split_id: str = "test",
     exclude_context: bool = True,
     auc_negatives: str = "all",
     rng=None,
@@ -320,14 +320,13 @@ def evaluate(
 
     return EvalReport(
         model=model_name,
-        split_id=split_id,
         rows=rows,
         n_instances=n_done,
         failures=failures,
     )
 
 
-def evaluate_ratings(predictor, triplets, model_name: str, split_id: str = "test") -> EvalReport:
+def evaluate_ratings(predictor, triplets, model_name: str) -> EvalReport:
     """MAE/RMSE of predictor.predict_rating over (user, item, rating) triplets.
 
     A KeyError or IndexError fails only its triplet; no rows are reported
@@ -343,7 +342,6 @@ def evaluate_ratings(predictor, triplets, model_name: str, split_id: str = "test
     rows = [("mae", None, mae(true, pred)), ("rmse", None, rmse(true, pred))] if true else []
     return EvalReport(
         model=model_name,
-        split_id=split_id,
         rows=rows,
         n_instances=len(true),
         failures=failures,

@@ -253,13 +253,12 @@ def trait_groups(profiles: dict[str, PersonalityProfile], users) -> np.ndarray:
 @dataclass
 class KnowledgeLevel:
     user: str
-    domain: str
     kl: float
     kl_normalized: float
     defined: bool
 
 
-def knowledge_levels(interactions, domain: str = "default") -> dict[str, KnowledgeLevel]:
+def knowledge_levels(interactions) -> dict[str, KnowledgeLevel]:
     """Mean helpfulness votes per user, min-max normalized across users.
 
     Users with no reviewed interaction get kl 0, normalized 0, defined=False.
@@ -281,11 +280,11 @@ def knowledge_levels(interactions, domain: str = "default") -> dict[str, Knowled
     for u in seen:
         v = raw[u]
         if v is None:
-            out[u] = KnowledgeLevel(u, domain, 0.0, 0.0, defined=False)
+            out[u] = KnowledgeLevel(u, 0.0, 0.0, defined=False)
         elif hi == lo:
-            out[u] = KnowledgeLevel(u, domain, v, 0.5, defined=True)
+            out[u] = KnowledgeLevel(u, v, 0.5, defined=True)
         else:
-            out[u] = KnowledgeLevel(u, domain, v, (v - lo) / (hi - lo), defined=True)
+            out[u] = KnowledgeLevel(u, v, (v - lo) / (hi - lo), defined=True)
     return out
 
 

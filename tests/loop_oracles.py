@@ -126,10 +126,6 @@ def das_loss_and_grads(state, batch):
     gW2 += 2.0 * cfg.lam_uv * state.W2
     gwa += 2.0 * cfg.lam_at * state.w_alpha
     gwb += 2.0 * cfg.lam_at * state.w_beta
-    if cfg.reg_dense:
-        total += cfg.lam_uv * ((state.W**2).sum() + (state.Wout**2).sum())
-        gW += 2.0 * cfg.lam_uv * state.W
-        gWout += 2.0 * cfg.lam_uv * state.Wout
     return float(total), grads
 
 
@@ -185,7 +181,7 @@ def conv_context(state, items):
 def can_scores(state, user, long_items, short_items):
     """Catalog scores of one instance, without dropout: V_out · u."""
     cfg = state.config
-    if len(long_items) and not cfg.disable_purpose:
+    if len(long_items):
         C = conv_context(state, long_items)
         p = np.maximum(state.W1 @ state.U[:, user] + state.b1, 0.0)
         t = np.tanh(state.W2 @ p + state.b2)
@@ -193,7 +189,7 @@ def can_scores(state, user, long_items, short_items):
     else:
         m = np.zeros(cfg.N_f)
     u = m
-    if len(short_items) and not cfg.disable_preference:
+    if len(short_items):
         PD = np.maximum(state.E[list(short_items)] @ state.W3.T + state.b3, 0.0)
         Q = np.tanh(PD @ state.W4.T + state.b4)
         u = Q.T @ softmax(Q @ m)
@@ -213,8 +209,8 @@ def can_loss_and_grads(state, batch, rng=None):
     for user, G, S, pos, neg in zip(
         batch.users, batch.longs, batch.shorts, batch.positives, batch.negatives
     ):
-        use_purpose = bool(len(G)) and not cfg.disable_purpose
-        use_pref = bool(len(S)) and not cfg.disable_preference
+        use_purpose = bool(len(G))
+        use_pref = bool(len(S))
         if use_purpose:
             X = state.E[list(G)]
             if K:

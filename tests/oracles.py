@@ -12,7 +12,9 @@ triples, so gradient checks gate the arithmetic training runs.
 `prepared_instances` builds the trainers' instances from token-space
 `training_instances`, per-user `train_histories` sets and a set-difference
 complement per user, the way `data.prepared_instances` did before
-`data.Histories`.
+`data.Histories`. `long_term_before` re-sorts and re-walks a user's
+sessions for each day, the quadratic way `Histories.long_term` built its
+lists before it took them as prefixes of one walk.
 """
 
 import collections
@@ -118,6 +120,12 @@ def sessionize(events):
     return sessions
 
 
+def long_term_before(user_sessions, day):
+    """Deduplicated items of the user's sessions strictly before `day`."""
+    ordered = sorted(user_sessions, key=lambda s: (s.day, s.t))
+    return data.ordered_dedup(it for s in ordered if s.day < day for it in s.items)
+
+
 def bpr_loss_and_grad(P, Q, triples, l2):
     """Summed pairwise loss and gradients over (user, pos, neg) triples.
 
@@ -180,7 +188,7 @@ def prepared_instances(split, dataset):
     for inst in training_instances(split.train):
         key = (inst.user, inst.day)
         if key not in long_cache:
-            toks = data.long_term_before(sessions_by_user[inst.user], inst.day)
+            toks = long_term_before(sessions_by_user[inst.user], inst.day)
             long_cache[key] = [dataset.item_index[i] for i in toks]
         prepared.append(
             (

@@ -154,7 +154,7 @@ def bpr_inputs(pairs, n_users=20, n_items=20):
         for t, (u, i) in enumerate(pairs)
     ]
     ds = data.Dataset(
-        interactions=[], users=users, items=items,
+        users=users, items=items,
         user_index={u: k for k, u in enumerate(users)},
         item_index={i: k for k, i in enumerate(items)},
         sessions=train,

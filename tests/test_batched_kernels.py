@@ -63,11 +63,10 @@ EMPTY_LISTS = minibatch.Batch(
 )
 
 
-@given(batches(st.lists(items, min_size=1, max_size=4)),
-       st.integers(0, 1000), st.booleans())
-@example(EMPTY_LISTS, 0, False)
-def test_das_kernel_matches_loop(batch, seed, reg_dense):
-    cfg = das.DasConfig(k=4, lam_uv=0.01, lam_at=0.02, seed=seed, reg_dense=reg_dense)
+@given(batches(st.lists(items, min_size=1, max_size=4)), st.integers(0, 1000))
+@example(EMPTY_LISTS, 0)
+def test_das_kernel_matches_loop(batch, seed):
+    cfg = das.DasConfig(k=4, lam_uv=0.01, lam_at=0.02, seed=seed)
     state = perturbed(das.init_das(N_USERS, N_ITEMS, cfg), seed + 1)
     assert_close(das.loss_and_grads(state, batch),
                  loop_oracles.das_loss_and_grads(state, batch), 1e-10)
@@ -83,20 +82,15 @@ def test_das_kernel_takes_single_negatives():
 
 
 @given(batches(items), st.integers(0, 1000), st.sampled_from([1, 3, 5]),
-       st.booleans(), st.booleans(), st.booleans(), st.sampled_from([0.0, 0.3]))
-@example(EMPTY_LISTS, 0, 3, False, False, False, 0.3)
-@example(EMPTY_LISTS, 1, 3, True, True, False, 0.0)
-@example(EMPTY_LISTS, 2, 3, False, False, True, 0.3)
-def test_can_kernel_matches_loop(batch, seed, window, tie, no_purpose, no_preference,
-                                 dropout):
+       st.booleans(), st.sampled_from([0.0, 0.3]))
+@example(EMPTY_LISTS, 0, 3, False, 0.3)
+@example(EMPTY_LISTS, 1, 3, True, 0.0)
+def test_can_kernel_matches_loop(batch, seed, window, tie, dropout):
     if isinstance(batch.negatives[0], list):  # the shared example carries DAS lists
         batch = minibatch.Batch(**{**vars(batch),
                                    "negatives": [n[0] for n in batch.negatives]})
-    cfg = can.CanConfig(
-        D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=dropout,
-        lam_uv=0.01, lam_a=0.02, seed=seed, tie_embeddings=tie,
-        disable_purpose=no_purpose, disable_preference=no_preference,
-    )
+    cfg = can.CanConfig(D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=dropout,
+                        lam_uv=0.01, lam_a=0.02, seed=seed, tie_embeddings=tie)
     state = perturbed(can.init_can(N_USERS, N_ITEMS, cfg), seed + 1)
     # dropout masks: both kernels draw from equally seeded generators and
     # must leave them in the same state
@@ -108,12 +102,11 @@ def test_can_kernel_matches_loop(batch, seed, window, tie, no_purpose, no_prefer
 
 
 @given(st.integers(0, N_USERS - 1), item_lists, item_lists, st.integers(0, 1000),
-       st.sampled_from([1, 3, 5]), st.booleans(), st.booleans(), st.booleans())
-@example(0, [], [], 0, 3, False, False, False)
-@example(2, [1, 1, 4], [], 1, 3, True, False, False)
-@example(1, [], [3, 3], 2, 5, False, True, True)
-def test_score_items_match_per_instance_oracle(user, longs, shorts, seed, window, tie,
-                                               no_purpose, no_preference):
+       st.sampled_from([1, 3, 5]), st.booleans())
+@example(0, [], [], 0, 3, False)
+@example(2, [1, 1, 4], [], 1, 3, True)
+@example(1, [], [3, 3], 2, 5, False)
+def test_score_items_match_per_instance_oracle(user, longs, shorts, seed, window, tie):
     def assert_scores(got, want):
         assert got.shape == (N_ITEMS,)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -122,10 +115,8 @@ def test_score_items_match_per_instance_oracle(user, longs, shorts, seed, window
                           seed + 1)
     assert_scores(das_state.score_items(user, longs, shorts),
                   loop_oracles.das_scores(das_state, user, longs, shorts))
-    cfg = can.CanConfig(
-        D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=0.2, seed=seed,
-        tie_embeddings=tie, disable_purpose=no_purpose, disable_preference=no_preference,
-    )
+    cfg = can.CanConfig(D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=0.2,
+                        seed=seed, tie_embeddings=tie)
     can_state = perturbed(can.init_can(N_USERS, N_ITEMS, cfg), seed + 1)
     assert_scores(can_state.score_items(user, longs, shorts),
                   loop_oracles.can_scores(can_state, user, longs, shorts))

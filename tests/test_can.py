@@ -268,10 +268,8 @@ class TestGradCheck:
         assert self._run(small_cfg(N_f=6, tie_embeddings=True)) < 1e-4
 
     def test_purpose_only(self):
-        assert self._run(small_cfg(disable_preference=True)) < 1e-4
-
-    def test_preference_only(self):
-        assert self._run(small_cfg(disable_purpose=True)) < 1e-4
+        # an empty context leaves u = m: the purpose encoder alone
+        assert self._run(small_cfg(), S=()) < 1e-4
 
 
 class TestDropout:

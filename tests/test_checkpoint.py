@@ -177,7 +177,24 @@ class TestFormatGuards:
                  L=np.ones((3, 3)) - np.eye(3))
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 1" in str(err.value) and "version 2" in str(err.value)
+        assert "version 1" in str(err.value) and "version 3" in str(err.value)
+
+    def test_v2_das_with_deleted_config_fields_rejected(self, tmp_path):
+        # format 2 configs carried fields DasConfig no longer has; the version
+        # check names both versions before the config is read
+        users, items = _users_items()
+        p = tmp_path / "v2.npz"
+        st = das.init_das(len(users), len(items), das.DasConfig(k=2))
+        checkpoint.save_checkpoint(p, st, users, items)
+        blobs = dict(np.load(p, allow_pickle=False))
+        meta = json.loads(str(blobs["__meta__"]))
+        meta["format_version"] = 2
+        meta["config"].update(reg_dense=False, dense_init_std=0.1)
+        blobs["__meta__"] = np.array(json.dumps(meta))
+        np.savez(p, **blobs)
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_checkpoint(p)
+        assert "version 2" in str(err.value) and "version 3" in str(err.value)
 
     def test_unknown_version_rejected(self, tmp_path):
         st = baselines.TopScorer(counts=np.zeros(4))

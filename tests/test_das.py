@@ -178,8 +178,8 @@ class TestLoss:
 
 
 class TestGradCheck:
-    def _check(self, G, S, reg_dense=False):
-        cfg = das.DasConfig(k=3, lam_uv=0.01, lam_at=0.02, seed=4, reg_dense=reg_dense)
+    def _check(self, G, S):
+        cfg = das.DasConfig(k=3, lam_uv=0.01, lam_at=0.02, seed=4)
         st_ = das.init_das(2, 6, cfg)
         # perturb dense layers away from tiny init so relu isn't near kinks
         rng = make_rng(11)
@@ -201,9 +201,6 @@ class TestGradCheck:
 
     def test_empty_long_term(self):
         assert self._check(G=[], S=[3]) < 1e-4
-
-    def test_dense_regularization_flag(self):
-        assert self._check(G=[0, 1], S=[2], reg_dense=True) < 1e-4
 
 
 class TestInstancePlumbing:

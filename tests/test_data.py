@@ -3,7 +3,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -320,18 +320,23 @@ class TestLongShort:
             data.Session(user="u", t=2, day=2, items=["d"]),
         ]
 
+    def long_term(self, day, sessions=None):
+        sessions = sessions or self.sessions()
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
+        return [ds.items[i] for i in data.Histories(sessions, ds).long_term("u", day)]
+
     def test_first_session_boundary(self):
-        assert data.long_term_before(self.sessions(), 0) == []
+        assert self.long_term(0) == []
 
     def test_union_definition(self):
-        assert data.long_term_before(self.sessions(), 1) == ["a", "b"]
+        assert self.long_term(1) == ["a", "b"]
 
     def test_third_session(self):
-        assert data.long_term_before(self.sessions(), 2) == ["a", "b", "c"]
+        assert self.long_term(2) == ["a", "b", "c"]
 
     def test_out_of_range(self):
-        assert data.long_term_before(self.sessions(), -1) == []
-        assert data.long_term_before(self.sessions(), 99) == ["a", "b", "c", "d"]
+        assert self.long_term(-1) == []
+        assert self.long_term(99) == ["a", "b", "c", "d"]
 
     @given(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), min_size=1, max_size=5))
     def test_growth_property(self, item_lists):
@@ -340,9 +345,10 @@ class TestLongShort:
             for i, its in enumerate(item_lists)
         ]
         for day in range(len(sessions)):
-            G = data.long_term_before(sessions, day)
+            G = self.long_term(day, sessions)
+            assert G == oracles.long_term_before(sessions, day)
             assert len(set(G)) == len(G)  # deduplicated
-            G_next = data.long_term_before(sessions, day + 1)
+            G_next = self.long_term(day + 1, sessions)
             assert set(G) <= set(G_next)
             assert set(G_next) == set(G) | set(sessions[day].items)
 
@@ -584,7 +590,17 @@ TRAIN_SESSIONS = st.lists(
 )
 
 
+# hundreds of sessions per user, several a day, given newest first; new items
+# keep arriving, so the long-term lists are prefixes of many lengths
+MANY_SESSIONS = [
+    data.Session(user=f"u{1 + d % 2}", t=d // 2, day=d // 6,
+                 items=[CATALOG[min(4, d // 60)], CATALOG[d * 3 % (1 + min(4, d // 60))]])
+    for d in reversed(range(400))
+]
+
+
 @given(TRAIN_SESSIONS, st.integers(0, 12))
+@example(MANY_SESSIONS, 200)
 def test_prepared_instances_equal_set_based_oracle(train, at):
     # "all" touches the whole catalog, so its negative pool is empty
     train = train[:at] + [data.Session(user="all", t=0, day=2, items=list(CATALOG))] + train[at:]

@@ -484,9 +484,7 @@ class TestEvaluateRatings:
             def predict_rating(self, u, i):
                 return 3.0
 
-        report = metrics.evaluate_ratings(
-            Const(), m.triplets, model_name="const", split_id="all"
-        )
+        report = metrics.evaluate_ratings(Const(), m.triplets, model_name="const")
         assert report.value("mae") == pytest.approx((1 + 1 + 0) / 3)
         assert report.value("rmse") == pytest.approx(math.sqrt(2 / 3))
 
