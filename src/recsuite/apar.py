@@ -227,17 +227,13 @@ class AparState(metrics.Ranker):
 def train_apar(W, mask, groups, gamma, config: AparConfig) -> AparState:
     """Alternate guarded multiplicative updates until the objective settles.
 
-    groups holds one trait-group label per user. gamma may be a per-user
-    vector or None (then the config's override or plain beta applies to
-    everyone). Stops when the relative objective change drops below
-    config.tol; hitting max_iters first leaves converged=False on the
-    returned state.
+    groups holds one trait-group label per user and gamma one blend weight
+    per user (`gamma_vector` builds it). Stops when the relative objective
+    change drops below config.tol; hitting max_iters first leaves
+    converged=False on the returned state.
     """
     W = np.asarray(W, dtype=np.float64)
     n_users, n_items = W.shape
-    if gamma is None:
-        g = config.gamma_override
-        gamma = np.full(n_users, g if g is not None else gamma_value(config.beta, 0.0))
     prob = AparProblem.build(W, mask, groups, gamma, config.alpha1, config.alpha2, config.lam)
 
     rng = make_rng(config.seed)

@@ -46,17 +46,16 @@ def top_scorer(train_sessions, item_index, n_items) -> TopScorer:
 
 @dataclass
 class RandomScorer(metrics.Ranker):
-    rng: np.random.Generator
     n_items: int
-    seed: int | None = None  # kept so the scorer can be checkpointed
+    seed: int  # the stream restarts from it, so a checkpoint needs only this
+    rng: np.random.Generator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rng = make_rng(self.seed)
 
     def score_batch(self, users, longs, shorts):
         # one draw of B rows takes the same stream values as B draws of one
         return self.rng.random((len(users), self.n_items))
-
-
-def random_scorer(rng, n_items, seed=None) -> RandomScorer:
-    return RandomScorer(rng=rng, n_items=n_items, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +113,8 @@ class BprConfig:
 class BprState(metrics.Ranker):
     P: np.ndarray  # n_users x d
     Q: np.ndarray  # n_items x d
+    config: BprConfig
     trace: list = field(default_factory=list)  # mean pairwise loss per epoch
-    config: BprConfig | None = None
 
     def score_batch(self, users, longs, shorts):
         return self.P[np.asarray(users, dtype=np.int64)] @ self.Q.T

@@ -94,31 +94,52 @@ def param_names(config: CanConfig) -> tuple:
     return PARAM_NAMES[:-1] if config.tie_embeddings else PARAM_NAMES
 
 
+def param_shapes(config: CanConfig, n_users: int, n_items: int) -> dict:
+    """The shape of each of params(), by name, in param_names(config) order."""
+    c = config.validate()
+    shape = {
+        "E": (n_items, c.D),
+        "U": (c.D_u, n_users),
+        "K_w": (c.N_f, c.window * c.D),
+        "b_w": (c.N_f,),
+        "W1": (c.D_p, c.D_u),
+        "b1": (c.D_p,),
+        "W2": (c.N_f, c.D_p),
+        "b2": (c.N_f,),
+        "W3": (c.D_q, c.D),
+        "b3": (c.D_q,),
+        "W4": (c.N_f, c.D_q),
+        "b4": (c.N_f,),
+        "V_out": (n_items, c.N_f),
+    }
+    return {name: shape[name] for name in param_names(config)}
+
+
 def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanState:
-    config.validate()
+    shape = param_shapes(config, n_users, n_items)
     if rng is None:
         rng = make_rng(config.seed)
-    E = init_normal(n_items, config.D, 0.0, 0.01, rng)
-    U = init_normal(config.D_u, n_users, 0.0, 0.01, rng)
-    wd = config.window * config.D
+    E = init_normal(*shape["E"], 0.0, 0.01, rng)
+    U = init_normal(*shape["U"], 0.0, 0.01, rng)
+    V_out = E if config.tie_embeddings else init_normal(*shape["V_out"], 0.0, 0.01, rng)
 
-    def attn(rows, cols):
+    def attn(name):
+        rows, cols = shape[name]
         return init_uniform_attention(rows, cols, cols, rng)
 
-    V_out = E if config.tie_embeddings else init_normal(n_items, config.N_f, 0.0, 0.01, rng)
     return CanState(
         E=E,
         U=U,
-        K_w=attn(config.N_f, wd),
-        b_w=np.zeros(config.N_f),
-        W1=attn(config.D_p, config.D_u),
-        b1=np.zeros(config.D_p),
-        W2=attn(config.N_f, config.D_p),
-        b2=np.zeros(config.N_f),
-        W3=attn(config.D_q, config.D),
-        b3=np.zeros(config.D_q),
-        W4=attn(config.N_f, config.D_q),
-        b4=np.zeros(config.N_f),
+        K_w=attn("K_w"),
+        b_w=np.zeros(shape["b_w"]),
+        W1=attn("W1"),
+        b1=np.zeros(shape["b1"]),
+        W2=attn("W2"),
+        b2=np.zeros(shape["b2"]),
+        W3=attn("W3"),
+        b3=np.zeros(shape["b3"]),
+        W4=attn("W4"),
+        b4=np.zeros(shape["b4"]),
         V_out=V_out,
         config=config,
     )

@@ -411,7 +411,7 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
             elif model == "top":
                 state = baselines.top_scorer(sp.train, ds.item_index, ds.n_items)
             else:  # random
-                state = baselines.random_scorer(make_rng(seed), ds.n_items, seed=seed)
+                state = baselines.RandomScorer(ds.n_items, seed)
     except (ValueError, FloatingPointError) as exc:
         raise click.ClickException(f"training failed: {exc}")
 
@@ -477,7 +477,7 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
 
     try:
         ck = checkpoint.load_checkpoint(checkpoint_path)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     interactions, _ = _read_corpus(input_path)
 
@@ -537,7 +537,7 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
     t0 = time.perf_counter()
     try:
         ck = checkpoint.load_checkpoint(checkpoint_path)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     interactions, _ = _read_corpus(input_path)
 

@@ -71,19 +71,39 @@ class DasState(metrics.Ranker):
         return scores
 
 
+def param_shapes(config: DasConfig, n_users: int, n_items: int) -> dict:
+    """The shape of each parameter, by name, in PARAM_NAMES order."""
+    k = config.k
+    return {
+        "W1": (k, n_items),
+        "W2": (k, n_users),
+        "w_alpha": (k,),
+        "w_beta": (k,),
+        "W": (k, 2 * k),
+        "b": (k,),
+        "Wout": (n_items, 2 * k),
+        "bout": (n_items,),
+    }
+
+
 def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasState:
     if rng is None:
         rng = make_rng(config.seed)
-    k = config.k
+    shape = param_shapes(config, n_users, n_items)
+
+    def attention(name):
+        (k,) = shape[name]
+        return init_uniform_attention(1, k, k, rng)[0]
+
     return DasState(
-        W1=init_normal(k, n_items, 0.0, config.init_std, rng),
-        W2=init_normal(k, n_users, 0.0, config.init_std, rng),
-        w_alpha=init_uniform_attention(1, k, k, rng)[0],
-        w_beta=init_uniform_attention(1, k, k, rng)[0],
-        W=init_normal(k, 2 * k, 0.0, 0.1, rng),
-        b=np.zeros(k),
-        Wout=init_normal(n_items, 2 * k, 0.0, 0.1, rng),
-        bout=np.zeros(n_items),
+        W1=init_normal(*shape["W1"], 0.0, config.init_std, rng),
+        W2=init_normal(*shape["W2"], 0.0, config.init_std, rng),
+        w_alpha=attention("w_alpha"),
+        w_beta=attention("w_beta"),
+        W=init_normal(*shape["W"], 0.0, 0.1, rng),
+        b=np.zeros(shape["b"]),
+        Wout=init_normal(*shape["Wout"], 0.0, 0.1, rng),
+        bout=np.zeros(shape["bout"]),
         config=config,
     )
 

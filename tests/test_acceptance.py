@@ -271,7 +271,7 @@ def test_04_null_calibration():
     )
     assert pairs >= 2000
 
-    rnd = baselines.random_scorer(make_rng(4), ds.n_items)
+    rnd = baselines.RandomScorer(n_items=ds.n_items, seed=4)
     auc = metrics.evaluate(rnd, ds, sp, [10], "random", exclude_context=False).value("auc")
     assert 0.48 <= auc <= 0.52
 

@@ -279,7 +279,8 @@ class TestTrainApar:
         mask = rng.random((10, 12)) < 0.6
         cfg = apar.AparConfig(d=2, alpha1=0.01, alpha2=0.01, lam=0.0, seed=1,
                               gamma_override=1.0, max_iters=2000)
-        state = apar.train_apar(W, mask, np.arange(10), None, cfg)
+        gamma = apar.gamma_vector(range(10), {}, cfg.beta, cfg.gamma_override)
+        state = apar.train_apar(W, mask, np.arange(10), gamma, cfg)
         tr = np.array(state.trace)
         assert np.all(np.isfinite(tr))
         assert np.all(np.diff(tr) <= 1e-9)
@@ -313,7 +314,8 @@ class TestTrainApar:
         W = rng.random((5, 6)) * 4 + 1
         mask = np.ones_like(W, dtype=bool)
         cfg = apar.AparConfig(d=2, seed=0, max_iters=2, tol=0.0)
-        state = apar.train_apar(W, mask, np.arange(5), None, cfg)
+        gamma = apar.gamma_vector(range(5), {}, cfg.beta, cfg.gamma_override)
+        state = apar.train_apar(W, mask, np.arange(5), gamma, cfg)
         assert not state.converged
         assert len(state.trace) == 2
 
@@ -322,8 +324,9 @@ class TestTrainApar:
         W = rng.random((5, 6)) * 4 + 1
         mask = rng.random((5, 6)) < 0.7
         cfg = apar.AparConfig(d=2, seed=3, max_iters=20)
-        a = apar.train_apar(W, mask, np.arange(5), None, cfg)
-        b = apar.train_apar(W, mask, np.arange(5), None, cfg)
+        gamma = apar.gamma_vector(range(5), {}, cfg.beta, cfg.gamma_override)
+        a = apar.train_apar(W, mask, np.arange(5), gamma, cfg)
+        b = apar.train_apar(W, mask, np.arange(5), gamma, cfg)
         assert np.array_equal(a.P, b.P) and np.array_equal(a.Q, b.Q)
 
     def test_nonnegative_after_training(self):

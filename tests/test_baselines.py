@@ -54,17 +54,17 @@ class TestTop:
 
 class TestRandom:
     def test_same_seed_same_ranking(self):
-        a = baselines.random_scorer(make_rng(7), 30).score_items(0, [], [])
-        b = baselines.random_scorer(make_rng(7), 30).score_items(0, [], [])
+        a = baselines.RandomScorer(n_items=30, seed=7).score_items(0, [], [])
+        b = baselines.RandomScorer(n_items=30, seed=7).score_items(0, [], [])
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = baselines.random_scorer(make_rng(1), 30).score_items(0, [], [])
-        b = baselines.random_scorer(make_rng(2), 30).score_items(0, [], [])
+        a = baselines.RandomScorer(n_items=30, seed=1).score_items(0, [], [])
+        b = baselines.RandomScorer(n_items=30, seed=2).score_items(0, [], [])
         assert not np.array_equal(a, b)
 
     def test_null_auc_near_half(self):
-        s = baselines.random_scorer(make_rng(0), 2)
+        s = baselines.RandomScorer(n_items=2, seed=0)
         wins = 0.0
         n_pairs = 2000
         for _ in range(n_pairs):
@@ -215,8 +215,9 @@ class TestBprTraining:
         P = rng.normal(size=(6, 4))
         Q = rng.normal(size=(15, 4))
         O, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        base = baselines.BprState(P=P, Q=Q, trace=[])
-        spun = baselines.BprState(P=P @ O, Q=Q @ O, trace=[])
+        cfg = baselines.BprConfig(d=4)
+        base = baselines.BprState(P=P, Q=Q, config=cfg)
+        spun = baselines.BprState(P=P @ O, Q=Q @ O, config=cfg)
         for u in range(6):
             s0 = base.score_items(u, [], [])
             s1 = spun.score_items(u, [], [])

@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from recsuite import apar, baselines, can, checkpoint, das
 from recsuite.numeric import make_rng
@@ -96,7 +100,7 @@ class TestRoundTripModels:
 
 class TestRoundTripBaselines:
     def test_top(self, tmp_path):
-        st = baselines.TopScorer(counts=np.array([3.0, 0.0, 5.0, 1.0]))
+        st = baselines.TopScorer(counts=np.array([3.0, 0.0, 5.0, 1.0, 0.0, 2.0, 7.0, 1.0]))
         p = tmp_path / "m.npz"
         checkpoint.save_checkpoint(p, st, *_users_items())
         ck = checkpoint.load_checkpoint(p)
@@ -126,17 +130,12 @@ class TestRoundTripBaselines:
         assert ck.state.table == {0: 4.5, 3: 1.25}
         assert ck.state.predict_rating(9, 3) == 1.25
 
-    def test_random_needs_seed(self, tmp_path):
-        st = baselines.random_scorer(make_rng(3), 8)  # no seed recorded
-        with pytest.raises(ValueError):
-            checkpoint.save_checkpoint(tmp_path / "m.npz", st, *_users_items())
-
     def test_random_round_trip_reproduces_stream(self, tmp_path):
-        st = baselines.random_scorer(make_rng(3), 8, seed=3)
+        st = baselines.RandomScorer(n_items=8, seed=3)
         p = tmp_path / "m.npz"
         checkpoint.save_checkpoint(p, st, *_users_items())
         ck = checkpoint.load_checkpoint(p)
-        fresh = baselines.random_scorer(make_rng(3), 8, seed=3)
+        fresh = baselines.RandomScorer(n_items=8, seed=3)
         for _ in range(4):
             assert np.array_equal(
                 ck.state.score_items(0, [], []), fresh.score_items(0, [], [])
@@ -246,3 +245,143 @@ class TestCompatibility:
         h = checkpoint.index_maps_hash
         assert h(users, items) != h(list(reversed(users)), items)
         assert h(users, items) != h(items, users)
+
+
+# ---------------------------------------------------------------------------
+# Damaged files: each loads to the saved state or is rejected naming its path
+
+
+def _one_of_each_kind():
+    users, items = _users_items()
+    rng = make_rng(0)
+    states = {
+        "apar": apar.AparState(
+            P=rng.random((3, 2)), Q=rng.random((8, 2)), gamma=np.array([0.5, 0.25, 1.0]),
+            groups=np.array([0, 0, 2]), config=apar.AparConfig(d=2), trace=[3.0, 2.0],
+        ),
+        "das": das.init_das(3, 8, das.DasConfig(k=2)),
+        "can": can.init_can(3, 8, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2)),
+        "can-tied": can.init_can(3, 8, can.CanConfig(D=4, D_u=2, N_f=4, D_p=3, D_q=2,
+                                                     tie_embeddings=True)),
+        "bpr": baselines.init_bpr(3, 8, baselines.BprConfig(d=2)),
+        "top": baselines.TopScorer(counts=np.arange(8.0)),
+        "random": baselines.RandomScorer(n_items=8, seed=3),
+        "usermean": baselines.MeanPredictor(by="user", table={"alice": 3.5, 1: 2.0},
+                                            global_mean=2.25),
+        "itemmean": baselines.MeanPredictor(by="item", table={"i0": 4.0}, global_mean=3.0),
+    }
+    for name in ("das", "can", "can-tied", "bpr"):
+        states[name].trace.append(0.5)
+    return states, users, items
+
+
+STATES, USERS, ITEMS = _one_of_each_kind()
+# the kinds none of whose arrays is sized by the user list or the item list
+NO_USER_ARRAYS = {"top", "random", "usermean", "itemmean"}
+NO_ITEM_ARRAYS = {"usermean", "itemmean"}
+
+
+def _assert_same_state(saved, loaded):
+    assert type(loaded) is type(saved)
+    for f in dataclasses.fields(saved):
+        if f.compare:
+            a, b = getattr(saved, f.name), getattr(loaded, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            else:
+                assert a == b
+    if isinstance(saved, can.CanState):
+        assert (loaded.V_out is loaded.E) == saved.config.tie_embeddings
+
+
+def _saved(state):
+    buf = io.BytesIO()
+    checkpoint.save_checkpoint(buf, state, USERS, ITEMS)
+    with np.load(io.BytesIO(buf.getvalue())) as npz:
+        blobs = dict(npz)
+    return buf.getvalue(), blobs, json.loads(str(blobs["__meta__"]))
+
+
+SAVED = {name: _saved(state) for name, state in STATES.items()}
+FAULTS = ("version", "kind", "meta-not-object", "meta-not-json", "field", "config", "missing",
+          "extra", "dtype", "shape", "non-finite")
+
+
+@st.composite
+def damaged(draw, name, fault):
+    """The members of the saved `name` file with `fault`; None if it has no such part."""
+    _, blobs, meta = SAVED[name]
+    blobs, meta = dict(blobs), json.loads(json.dumps(meta))
+    floats = [a for a in blobs if not a.startswith("__") and a != "groups"]
+    if fault == "version":
+        meta["format_version"] = draw(st.sampled_from([1, 2, 4, 99, "3", None]))
+    elif fault == "kind":
+        others = sorted(set(checkpoint.KINDS) - {meta["kind"]})
+        meta["kind"] = draw(st.sampled_from(others + ["svd", "", 3, None, ["das"]]))
+    elif fault == "meta-not-object":
+        meta = draw(st.sampled_from([[meta], "das", 3, None]))
+    elif fault == "meta-not-json":
+        return {**blobs, "__meta__": np.array(json.dumps(meta)[:-1])}
+    elif fault == "field":
+        del meta[draw(st.sampled_from(sorted(meta)))]
+    elif fault == "config" and "config" in meta:
+        meta["config"][draw(st.sampled_from(["reg_dense", "K", "extra"]))] = 1
+    elif fault == "missing":
+        del blobs[draw(st.sampled_from(sorted(blobs)))]
+        return blobs
+    elif fault == "extra":
+        blobs[draw(st.sampled_from(["extra", "L", "V_out"]))] = np.zeros(8)
+    elif fault == "dtype" and len(blobs) > 3:
+        a = draw(st.sampled_from(sorted(set(blobs) - {"__meta__", "__users__", "__items__"})))
+        wrong = [np.float32, np.int32, np.float64 if a == "groups" else np.int64]
+        blobs[a] = blobs[a].astype(draw(st.sampled_from(wrong)))
+    elif fault == "shape" and len(blobs) > 3:
+        a = draw(st.sampled_from(sorted(set(blobs) - {"__meta__", "__users__", "__items__"})))
+        arr = blobs[a]
+        blobs[a] = [arr[:-1], np.concatenate([arr, arr[:1]]), arr.reshape(-1)[:, None],
+                    arr[None]][draw(st.integers(0, 3))]
+    elif fault == "non-finite" and floats:
+        a = draw(st.sampled_from(sorted(floats)))
+        arr = blobs[a] = blobs[a].copy()
+        arr.reshape(-1)[draw(st.integers(0, arr.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        return None  # the kind has no part this fault can damage
+    return {**blobs, "__meta__": np.array(json.dumps(meta))}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(sorted(STATES)),
+       how=st.sampled_from(("truncate", "flip", "users", "items") + FAULTS))
+def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name, how):
+    raw, blobs, _ = SAVED[name]
+    path = tmp_path / "damaged.npz"
+    must_reject = True
+    if how == "truncate":
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+    elif how == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        flipped = bytearray(raw)
+        flipped[at] ^= data.draw(st.integers(1, 255), label="mask")
+        path.write_bytes(bytes(flipped))
+        must_reject = False  # the archive format ignores some bytes
+    elif how in ("users", "items"):
+        key = f"__{how}__"
+        tokens = blobs[key].tolist()
+        longer = data.draw(st.booleans(), label="longer")
+        blobs = {**blobs, key: np.array(tokens + ["new"] if longer else tokens[:-1])}
+        np.savez(path, **blobs)
+        must_reject = name not in (NO_USER_ARRAYS if how == "users" else NO_ITEM_ARRAYS)
+    else:
+        blobs = data.draw(damaged(name, how), label="members")
+        if blobs is None:
+            return
+        np.savez(path, **blobs)
+    try:
+        ck = checkpoint.load_checkpoint(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: "), err
+        return
+    assert not must_reject, f"{how} damage to a {name} file was accepted"
+    _assert_same_state(STATES[name], ck.state)

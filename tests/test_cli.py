@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from recsuite import checkpoint, data
+from recsuite import baselines, checkpoint, data
 from recsuite.cli import _load_config_file, main
 
 runner = CliRunner()
@@ -87,6 +87,24 @@ class TestUnreadableInput:
         res = runner.invoke(main, ["train", str(corpus), "--model", "top",
                                    "--config", str(cfg), "--out", str(tmp_path / "t")])
         self._fails_cleanly(res, "run.cfg: not UTF-8 text")
+
+    @pytest.mark.parametrize("damage", ["truncated", "without Wout"])
+    def test_damaged_checkpoint(self, tmp_path, damage):
+        corpus = synth_sequential(tmp_path / "s", items=20)
+        ck = train(corpus, tmp_path / "t", "das", "--k", "4", "--epochs", "1")
+        bad = tmp_path / "bad.npz"
+        if damage == "truncated":
+            bad.write_bytes(ck.read_bytes()[:3000])
+        else:
+            with np.load(ck) as npz:
+                np.savez(bad, **{k: npz[k] for k in npz.files if k != "Wout"})
+        out = tmp_path / "e"
+        for args in (["eval", str(bad), str(corpus), "--out", str(out)],
+                     ["recommend", str(bad), str(corpus), "--user", "u000"]):
+            res = runner.invoke(main, args)
+            self._fails_cleanly(res, f"{bad}: ")
+            assert "Traceback" not in res.output
+        assert not (out / "report.csv").exists()
 
 
 class TestSynth:
@@ -477,19 +495,28 @@ class TestEval:
         assert len(hashes) == 2  # checkpoint's and the dataset's
 
 
-    def test_every_instance_failing_exits_nonzero(self, tmp_path):
+    def test_every_instance_failing_exits_nonzero(self, tmp_path, monkeypatch):
         corpus = synth_sequential(tmp_path / "s")
         ck = train(corpus, tmp_path / "t", "top")
-        loaded = checkpoint.load_checkpoint(ck)
-        # one score too many for every instance: a data error, recorded per instance
-        loaded.state.counts = np.append(loaded.state.counts, 0.0)
-        checkpoint.save_checkpoint(ck, loaded.state, loaded.users, loaded.items)
+
+        def one_score_too_many(self, users, longs, shorts):
+            return np.zeros((len(users), self.counts.size + 1))
+
+        # a data error for every instance, recorded per instance
+        monkeypatch.setattr(baselines.TopScorer, "score_batch", one_score_too_many)
         out = tmp_path / "e"
         res = runner.invoke(main, ["eval", str(ck), str(corpus), "--out", str(out)])
         assert res.exit_code == 1
         assert "no test instance was scored" in res.output
         assert "expected (12,)" in res.output
         assert not (out / "report.csv").exists()
+
+        # a checkpoint with one count too many does not get that far
+        loaded = checkpoint.load_checkpoint(ck)
+        loaded.state.counts = np.append(loaded.state.counts, 0.0)
+        checkpoint.save_checkpoint(ck, loaded.state, loaded.users, loaded.items)
+        with pytest.raises(ValueError, match=r"counts has shape \(13,\), expected \(12,\)"):
+            checkpoint.load_checkpoint(ck)
 
 
 @pytest.mark.parametrize("command, flags, named", [

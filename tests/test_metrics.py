@@ -360,9 +360,10 @@ def ranking_models():
                                groups=rng.integers(0, 5, N_USERS),
                                config=apar.AparConfig(d=3)),
         "bpr": baselines.BprState(P=rng.normal(size=(N_USERS, 3)),
-                                  Q=rng.normal(size=(N_ITEMS, 3))),
+                                  Q=rng.normal(size=(N_ITEMS, 3)),
+                                  config=baselines.BprConfig(d=3)),
         "top": baselines.TopScorer(counts=rng.integers(0, 4, N_ITEMS).astype(float)),
-        "random": baselines.random_scorer(make_rng(8), N_ITEMS),
+        "random": baselines.RandomScorer(n_items=N_ITEMS, seed=8),
     }
 
 
@@ -392,8 +393,8 @@ class TestScoreBatch:
             assert np.abs(row - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_random_batch_draws_equal_single_draws(self):
-        batch = baselines.random_scorer(make_rng(3), 17).score_batch([0] * 5, [[]] * 5, [[]] * 5)
-        single = baselines.random_scorer(make_rng(3), 17)
+        batch = baselines.RandomScorer(n_items=17, seed=3).score_batch([0] * 5, [[]] * 5, [[]] * 5)
+        single = baselines.RandomScorer(n_items=17, seed=3)
         assert np.array_equal(batch, [single.score_items(0, [], []) for _ in range(5)])
 
 
