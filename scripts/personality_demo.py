@@ -22,11 +22,11 @@ def main():
     args = ap.parse_args()
 
     rng = make_rng(args.seed)
-    interactions, truth = data.synth_personality_clusters(
+    corpus, truth = data.synth_personality_clusters(
         args.clusters, args.users_per_cluster, args.items_per_cluster, rng=rng
     )
     labels = {u: info.cluster for u, info in truth.items()}
-    sep = data.cross_cluster_disjointness(interactions, labels)
+    sep = data.cross_cluster_disjointness(corpus, labels)
     print(
         f"{len(labels)} users in {args.clusters} clusters; "
         f"cross-cluster item disjointness {sep:.0%}"
@@ -36,17 +36,17 @@ def main():
     # shipped default table spreads categories across traits and cannot
     # recover a planted argmax winner
     profiles = personality.profile_all(
-        interactions, personality.DEMO_LEXICON, data.planted_cluster_weights()
+        corpus, personality.DEMO_LEXICON, data.planted_cluster_weights()
     )
     hit = sum(1 for u, prof in profiles.items() if prof.dominant == truth[u].trait)
     print(f"dominant trait matches the planted trait for {hit}/{len(profiles)} users")
 
-    matrix = data.RatingMatrix.from_interactions(interactions)
+    matrix = data.RatingMatrix.from_interactions(corpus)
     train_t, test_t = data.split_ratings(matrix, 0.2, make_rng(args.seed + 1))
 
     kl_map = {
         u: lvl.kl_normalized
-        for u, lvl in personality.knowledge_levels(interactions).items()
+        for u, lvl in personality.knowledge_levels(corpus).items()
     }
     state = apar.fit_ratings(
         matrix, train_t, personality.trait_groups(profiles, matrix.users), kl_map,

@@ -133,26 +133,26 @@ def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s):
 
 
 def _read_corpus(path, schema=None):
-    """(interactions, row errors); per-row problems go to stderr."""
+    """(corpus, row errors); per-row problems go to stderr."""
     try:
-        interactions, errors = data.ingest_csv(path, schema)
+        corpus, errors = data.ingest_csv(path, schema)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     for err in errors:
         click.echo(f"row {err.line}: {err.message}", err=True)
-    if not interactions:
+    if not len(corpus):
         raise click.ClickException(f"{path}: no valid interaction rows")
-    return interactions, errors
+    return corpus, errors
 
 
-def _ranking_context(interactions, policy, seed):
-    ds = data.Dataset.from_interactions(interactions)
+def _ranking_context(corpus, policy, seed):
+    ds = data.Dataset.from_interactions(corpus)
     sp = data.split(ds.sessions, policy, make_rng(seed))
     return ds, sp
 
 
-def _rating_context(interactions, test_fraction, seed):
-    matrix = data.RatingMatrix.from_interactions(interactions)
+def _rating_context(corpus, test_fraction, seed):
+    matrix = data.RatingMatrix.from_interactions(corpus)
     if not matrix.triplets:
         raise click.ClickException("input has no explicit ratings")
     train_trips, test_trips = data.split_ratings(matrix, test_fraction, make_rng(seed))
@@ -198,31 +198,31 @@ def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
         transition = data.make_successor_map(items, rng)
         sessions = data.synth_sequential(items, users, sessions_per_user, transition,
                                          noise, rng, session_len=session_len)
-        interactions = data.sessions_to_interactions(sessions)
-        data.write_csv(corpus_path, interactions)
+        corpus = data.sessions_to_interactions(sessions)
+        data.write_csv(corpus_path, corpus)
         click.echo(
-            f"wrote {corpus_path}: {len(interactions)} events, "
+            f"wrote {corpus_path}: {len(corpus)} events, "
             f"{len(sessions)} sessions, {items} items"
         )
         cfg = {"kind": kind, "items": items, "users": users,
                "sessions_per_user": sessions_per_user, "session_len": session_len,
                "noise": noise}
     else:
-        interactions, truth = data.synth_personality_clusters(
+        corpus, truth = data.synth_personality_clusters(
             clusters, users_per_cluster, items_per_cluster, rng=rng,
             rating_density=rating_density,
         )
-        data.write_csv(corpus_path, interactions)
+        data.write_csv(corpus_path, corpus)
         labels_path = os.path.join(out_dir, "clusters.csv")
         with open(labels_path, "w", encoding="utf-8") as fh:
             fh.write("user,cluster,trait\n")
             for user, info in truth.items():
                 fh.write(f"{user},{info.cluster},{info.trait}\n")
         separation = data.cross_cluster_disjointness(
-            interactions, {u: info.cluster for u, info in truth.items()}
+            corpus, {u: info.cluster for u, info in truth.items()}
         )
-        isolated = data.dsw_degree(interactions)
-        click.echo(f"wrote {corpus_path}: {len(interactions)} events")
+        isolated = data.dsw_degree(corpus)
+        click.echo(f"wrote {corpus_path}: {len(corpus)} events")
         click.echo(f"cluster separation (no items shared across clusters): "
                    f"{100 * separation:.1f}%")
         click.echo(f"fully isolated users (no items shared with anyone): "
@@ -253,11 +253,11 @@ def ingest(input_path, columns, seed, out_dir):
             raise click.BadParameter(f"--column needs LOGICAL=ACTUAL, got {pair!r}")
         logical, actual = pair.split("=", 1)
         schema[logical.strip()] = actual.strip()
-    interactions, errors = _read_corpus(input_path, schema)
+    corpus, errors = _read_corpus(input_path, schema)
 
-    ds = data.Dataset.from_interactions(interactions)
+    ds = data.Dataset.from_interactions(corpus)
     os.makedirs(out_dir, exist_ok=True)
-    data.write_csv(os.path.join(out_dir, "interactions.csv"), interactions)
+    data.write_csv(os.path.join(out_dir, "interactions.csv"), corpus)
     for fname, tokens in (("users.txt", ds.users), ("items.txt", ds.items)):
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
             fh.write("\n".join(tokens) + "\n")
@@ -287,16 +287,16 @@ def ingest(input_path, columns, seed, out_dir):
 def profile(input_path, lexicon_path, weights_path, seed, out_dir):
     """Score five-trait profiles from the review text in a corpus."""
     t0 = time.perf_counter()
-    interactions, _ = _read_corpus(input_path)
+    corpus, _ = _read_corpus(input_path)
     try:
         lexicon = (personality.load_lexicon(lexicon_path)
                    if lexicon_path else personality.DEMO_LEXICON)
         weights = (personality.load_weights(weights_path)
                    if weights_path else personality.DEMO_WEIGHTS)
-        profiles = personality.profile_all(interactions, lexicon, weights)
+        profiles = personality.profile_all(corpus, lexicon, weights)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
-    total_users = len({e.user for e in interactions})
+    total_users = len(corpus.users)
     os.makedirs(out_dir, exist_ok=True)
     personality.profiles_to_csv(list(profiles.values()),
                                 os.path.join(out_dir, "profiles.csv"))
@@ -377,11 +377,11 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
     Model flags left unset (None) keep the model's own default.
     """
     t0 = time.perf_counter()
-    interactions, _ = _read_corpus(input_path)
+    corpus, _ = _read_corpus(input_path)
     cfg = _build_model_config(model, click.get_current_context().params)
     try:
         if model in RATING_MODELS:
-            matrix, train_trips, _ = _rating_context(interactions, test_fraction, seed)
+            matrix, train_trips, _ = _rating_context(corpus, test_fraction, seed)
             users, items = matrix.users, matrix.items
             if model == "usermean":
                 state = baselines.user_mean(train_trips)
@@ -389,18 +389,18 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
                 state = baselines.item_mean(train_trips)
             else:
                 profiles = personality.profile_all(
-                    interactions, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
+                    corpus, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
                 )
                 kl_map = {
                     u: lvl.kl_normalized
-                    for u, lvl in personality.knowledge_levels(interactions).items()
+                    for u, lvl in personality.knowledge_levels(corpus).items()
                 }
                 state = apar.fit_ratings(
                     matrix, train_trips, personality.trait_groups(profiles, users),
                     kl_map, cfg,
                 )
         else:
-            ds, sp = _ranking_context(interactions, split_policy, seed)
+            ds, sp = _ranking_context(corpus, split_policy, seed)
             users, items = ds.users, ds.items
             if model == "das":
                 state = das.train_das(sp, ds, cfg)
@@ -479,15 +479,15 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
         ck = checkpoint.load_checkpoint(checkpoint_path)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    interactions, _ = _read_corpus(input_path)
+    corpus, _ = _read_corpus(input_path)
 
     try:
         if ck.kind in RATING_MODELS:
-            matrix, _, test_trips = _rating_context(interactions, test_fraction, seed)
+            matrix, _, test_trips = _rating_context(corpus, test_fraction, seed)
             checkpoint.verify_compatible(ck, matrix.users, matrix.items)
             report = metrics.evaluate_ratings(ck.state, test_trips, ck.kind)
         else:
-            ds, sp = _ranking_context(interactions, split_policy, seed)
+            ds, sp = _ranking_context(corpus, split_policy, seed)
             checkpoint.verify_compatible(ck, ds.users, ds.items)
             report = metrics.evaluate(
                 ck.state, ds, sp, cutoff_list, ck.kind,
@@ -539,11 +539,11 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
         ck = checkpoint.load_checkpoint(checkpoint_path)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    interactions, _ = _read_corpus(input_path)
+    corpus, _ = _read_corpus(input_path)
 
     try:
         if ck.kind in RATING_MODELS:
-            matrix = data.RatingMatrix.from_interactions(interactions)
+            matrix = data.RatingMatrix.from_interactions(corpus)
             checkpoint.verify_compatible(ck, matrix.users, matrix.items)
             items = matrix.items
             u_idx = matrix.user_index.get(user)
@@ -556,13 +556,14 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
                     ck.state.predict_rating(u_idx, j) for j in range(len(items))
                 ])
         else:
-            ds = data.Dataset.from_interactions(interactions)
-            checkpoint.verify_compatible(ck, ds.users, ds.items)
-            items = ds.items
-            u_idx = ds.user_index.get(user)
-            if u_idx is None:
+            checkpoint.verify_compatible(ck, corpus.users, corpus.items)
+            items = corpus.items
+            if user not in corpus.users:
                 raise click.ClickException(f"unknown user {user!r}")
-            history = data.Histories([s for s in ds.sessions if s.user == user], ds)
+            u_idx = corpus.users.index(user)
+            # only the user's own rows are sessionized
+            ds = data.Dataset.from_interactions(corpus.take(corpus.user == u_idx))
+            history = data.Histories(ds.sessions, ds)
             last = history.by_user[user][-1]
             scores = np.asarray(ck.state.score_items(
                 u_idx,

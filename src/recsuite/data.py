@@ -1,8 +1,10 @@
 """Interaction logs, sessions, splits, negative sampling, synthetic corpora.
 
-An interaction log is read into `Interaction` named tuples, one checked
-row at a time, and each faulty row is reported with its file line. A
-session is everything one user did in one calendar day, ordered by
+An interaction log is held as a `Corpus`, one array per field, with user
+and item tokens interned in order of first appearance. `ingest_csv` reads
+a file in one `csv.reader` pass, checks each column as a whole and reports
+each faulty row, with its first fault, at the file line the row starts on.
+A session is everything one user did in one calendar day, ordered by
 timestamp. Long-term context for session t is the deduplicated union of the
 user's earlier-day sessions; short-term context is session t itself, order
 kept. `Histories` answers every per-user question (long-term lists, touched items,
@@ -16,6 +18,7 @@ import collections
 import contextlib
 import csv
 import datetime
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,12 +27,23 @@ import numpy as np
 
 SECONDS_PER_DAY = 86_400
 
-ACTIONS = {"view", "click", "cart", "wishlist", "purchase", "checkin", "rate"}
+# a corpus stores each row's action as its position here
+ACTIONS = ("view", "click", "cart", "wishlist", "purchase", "checkin", "rate")
+RATE = ACTIONS.index("rate")
+_ACTION_CODES = {**{name: code for code, name in enumerate(ACTIONS)}, "": ACTIONS.index("view")}
 
 CSV_COLUMNS = ["user", "item", "timestamp", "action", "rating", "review", "helpful"]
 
+INT64_MAX = 2**63 - 1
+_INT64 = range(-INT64_MAX - 1, INT64_MAX + 1)
+_BLOCK_ROWS = 4096  # rows the parser holds as lists at once
+_EPOCH = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
+_SECOND = datetime.timedelta(seconds=1)
+
 
 class Interaction(NamedTuple):
+    """One row of a log, as generators and tests write it for `Corpus.from_rows`."""
+
     user: str
     item: str
     timestamp: int
@@ -37,6 +51,79 @@ class Interaction(NamedTuple):
     rating: float | None = None
     review: str | None = None
     helpful: int | None = None
+
+
+def _index(vocab: list) -> dict:
+    """Each token's position in `vocab`."""
+    return dict(zip(vocab, range(len(vocab))))
+
+
+def _intern(tokens) -> tuple[list, np.ndarray]:
+    """The distinct tokens in order of first appearance, and each token's code."""
+    vocab = list(dict.fromkeys(tokens))
+    codes = np.fromiter(map(_index(vocab).__getitem__, tokens), np.int64, len(tokens))
+    return vocab, codes
+
+
+def _recode(codes: np.ndarray, vocab: list) -> tuple[list, np.ndarray]:
+    """The tokens `codes` use, in order of first appearance, and the codes renumbered."""
+    present, first = np.unique(codes, return_index=True)
+    kept = present[np.argsort(first)]
+    remap = np.zeros(len(vocab), np.int64)
+    remap[kept] = np.arange(len(kept))
+    return [vocab[c] for c in kept.tolist()], remap[codes]
+
+
+@dataclass(eq=False)
+class Corpus:
+    """An interaction log as columns, one entry per row.
+
+    `user` and `item` are int64 codes into the `users` and `items`
+    vocabularies. `ingest_csv` and `from_rows` list each token of the rows
+    once, in order of first appearance; `take` keeps the vocabularies of the
+    corpus it selects from. `timestamp` holds int64 seconds, `action`
+    positions in `ACTIONS`, and `rating`, `helpful` and `review` hold NaN, -1
+    and "" where a row has none.
+    """
+
+    users: list[str]
+    items: list[str]
+    user: np.ndarray
+    item: np.ndarray
+    timestamp: np.ndarray
+    action: np.ndarray
+    rating: np.ndarray
+    helpful: np.ndarray
+    review: list[str]
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Corpus":
+        """The `Interaction` rows as columns, in their order; nothing is checked."""
+        rows = list(rows)
+        user, item, stamp, action, rating, review, helpful = (
+            zip(*rows) if rows else [()] * len(Interaction._fields)
+        )
+        users, user_codes = _intern(user)
+        items, item_codes = _intern(item)
+        return cls(
+            users, items, user_codes, item_codes,
+            np.array(stamp, dtype=np.int64),
+            np.fromiter(map(ACTIONS.index, action), np.int8, len(action)),
+            np.array([np.nan if r is None else r for r in rating], dtype=np.float64),
+            np.array([-1 if h is None else h for h in helpful], dtype=np.int64),
+            [r or "" for r in review],
+        )
+
+    def take(self, mask: np.ndarray) -> "Corpus":
+        """The rows `mask` selects, in order, with this corpus's vocabularies."""
+        return Corpus(
+            self.users, self.items, self.user[mask], self.item[mask],
+            self.timestamp[mask], self.action[mask], self.rating[mask],
+            self.helpful[mask], list(itertools.compress(self.review, mask)),
+        )
 
 
 @dataclass(frozen=True)
@@ -71,18 +158,39 @@ class Split:
 
 
 def _parse_timestamp(text: str) -> int:
+    """Whole seconds since the epoch of an integer or an ISO date or time.
+
+    A fractional time is floored, so any time before the epoch is negative.
+    Naive times are UTC. A value an int64 cannot hold is out of range.
+    """
     s = text.strip()
     try:
-        return int(s)
+        ts = int(s)
     except ValueError:
-        pass
-    try:
-        dt = datetime.datetime.fromisoformat(s)
-    except ValueError:
-        raise ValueError(f"unparseable timestamp {text!r}")
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=datetime.timezone.utc)
-    return int(dt.timestamp())
+        try:
+            dt = datetime.datetime.fromisoformat(s)
+        except ValueError:
+            raise ValueError(f"unparseable timestamp {text!r}")
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=datetime.timezone.utc)
+        ts = (dt - _EPOCH) // _SECOND
+    if ts not in _INT64:
+        raise ValueError("timestamp out of range")
+    return ts
+
+
+def _parse_votes(text: str) -> int:
+    votes = int(text)
+    if votes not in _INT64:
+        raise ValueError("helpful votes out of range")
+    return votes
+
+
+def _action_cell(text: str) -> int:
+    name = text or "view"
+    if name not in _ACTION_CODES:
+        raise ValueError(f"unknown action {name!r}")
+    return _ACTION_CODES[name]
 
 
 @contextlib.contextmanager
@@ -96,18 +204,110 @@ def _csv_reader(path):
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def _start_lines(rows, first: int) -> np.ndarray:
+    """The file line each record starts on, the first on line `first`.
+
+    A record spans one line more than the line breaks inside its quoted
+    cells, each counted as the file iterator splits lines: \\r\\n, \\n or \\r.
+    """
+    spans = [
+        1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+        for row in rows
+    ]
+    return first + np.concatenate(([0], np.cumsum(spans[:-1], dtype=np.int64)))
+
+
+def _convert(texts, bulk, cell, dtype, faults: dict, none=None):
+    """(values, present) of a column of cell texts.
+
+    `bulk` converts the cells all at once. Only if that fails anywhere is
+    the column stripped and converted again by `cell`, one cell at a time,
+    and each cell it rejects becomes its row's fault unless the row has one.
+    With `none` given, an empty cell is absent and holds `none`.
+    """
+    n = len(texts)
+    empty = texts.count("") if none is not None else 0
+    present = np.fromiter(map(bool, texts), bool, n) if empty else np.ones(n, bool)
+    values = np.full(n, 0 if none is None else none, dtype)
+    try:
+        if empty < n:
+            values[present] = np.fromiter(
+                map(bulk, itertools.compress(texts, present) if empty else texts),
+                dtype, n - empty,
+            )
+    except (ValueError, KeyError, OverflowError):
+        texts = [t.strip() for t in texts]
+        if none is not None:
+            present = np.fromiter(map(bool, texts), bool, n)
+        for k in np.flatnonzero(present).tolist():
+            try:
+                values[k] = cell(texts[k])
+            except ValueError as exc:
+                faults.setdefault(k, str(exc))
+    return values, present
+
+
+def _flag(faults: dict, rows: np.ndarray, message) -> None:
+    """Give each of `rows` without a fault yet `message(row)`, or `message`."""
+    for k in rows.tolist():
+        faults.setdefault(k, message(k) if callable(message) else message)
+
+
+def _checked_block(cells: dict, index: dict) -> tuple[dict, dict[int, str]]:
+    """A block's columns as arrays, and the fault of each row that fails a check.
+
+    `cells` maps each logical column to the block's cells, unstripped. User
+    and item cells become codes of their raw tokens in `index[logical]`,
+    which numbers each token it has not seen. The checks run a column at a
+    time in the order a row reads: user, item, timestamp and its sign,
+    action, rating, the rating's pairing with `rate` and its range, helpful
+    votes and their sign. A row's fault is the first check it fails; rows
+    are numbered from 0 within the block.
+    """
+    faults: dict[int, str] = {}
+    arrays = {}
+    for logical in ("user", "item"):
+        codes, block = index[logical], cells[logical]
+        distinct = dict.fromkeys(block)
+        for token in distinct:
+            codes.setdefault(token, len(codes))
+        arrays[logical] = np.fromiter(map(codes.__getitem__, block), np.int64, len(block))
+        blank = [codes[token] for token in distinct if not token.strip()]
+        if blank:
+            _flag(faults, np.flatnonzero(np.isin(arrays[logical], blank)),
+                  f"empty {logical} id")
+    stamp, _ = _convert(cells["timestamp"], int, _parse_timestamp, np.int64, faults)
+    _flag(faults, np.flatnonzero(stamp < 0), "negative timestamp")
+    action, _ = _convert(cells["action"], _ACTION_CODES.__getitem__, _action_cell,
+                         np.int8, faults)
+    rating, rated = _convert(cells["rating"], float, float, np.float64, faults, none=np.nan)
+    _flag(faults, np.flatnonzero((action == RATE) != rated),
+          "rating must be present exactly when action is rate")
+    _flag(faults, np.flatnonzero(rated & ~((rating >= 1.0) & (rating <= 5.0))),
+          lambda k: f"rating {float(rating[k])} outside [1, 5]")
+    helpful, voted = _convert(cells["helpful"], int, _parse_votes, np.int64, faults, none=-1)
+    _flag(faults, np.flatnonzero(voted & (helpful < 0)), "negative helpfulness votes")
+    arrays.update(timestamp=stamp, action=action, rating=rating, helpful=helpful,
+                  review=list(map(str.strip, cells["review"])))
+    return arrays, faults
+
+
 def ingest_csv(path, schema: dict[str, str] | None = None):
     """Parse a CSV of interactions.
 
-    Returns (interactions, row_errors). Malformed rows become RowError
-    records, numbered by the file line the row starts on, instead of being
-    dropped silently. `schema` maps the logical column names (user, item,
-    timestamp, action, rating, review, helpful) to the actual header names.
-    As with csv.DictReader, blank lines are skipped, a short row reads ""
-    in its missing columns, extra fields are ignored, and a header name
-    that repeats names its last column. A cell the csv module cannot read
-    (one past its field size limit, say) raises ValueError with the line,
-    and so does a `schema` key that names no logical column.
+    Returns (corpus, row_errors). Malformed rows become RowError records,
+    numbered by the file line the row starts on and giving the row's first
+    fault, instead of being dropped silently. `schema` maps the logical
+    column names (user, item, timestamp, action, rating, review, helpful)
+    to the actual header names. As with csv.DictReader, blank lines are
+    skipped, a short row reads "" in its missing columns, extra fields are
+    ignored, and a header name that repeats names its last column. A cell
+    the csv module cannot read (one past its field size limit, say) raises
+    ValueError with the line, and so does a `schema` key that names no
+    logical column.
+
+    The rows are read in blocks. Each block is transposed and checked a
+    column at a time, so only one block's cells exist as strings at once.
     """
     mapping = {c: c for c in CSV_COLUMNS}
     if schema:
@@ -118,6 +318,11 @@ def ingest_csv(path, schema: dict[str, str] | None = None):
                 f"expected one of {', '.join(CSV_COLUMNS)}"
             )
         mapping.update(schema)
+    index: dict[str, dict[str, int]] = {"user": {}, "item": {}}
+    # an empty block first gives every column its dtype
+    blocks = [_checked_block(dict.fromkeys(CSV_COLUMNS, ()), index)[0]]
+    line_blocks = [np.empty(0, np.int64)]
+    faults: dict[int, str] = {}
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
@@ -129,80 +334,97 @@ def ingest_csv(path, schema: dict[str, str] | None = None):
                     f"{path}: required column {mapping[logical]!r} not in header"
                 )
         width = len(header)
-        # a column missing from the header reads the "" appended to every row
-        columns = [position.get(mapping[c], width) for c in CSV_COLUMNS]
-        rows: list[Interaction] = []
-        errors: list[RowError] = []
-        line_no = reader.line_num + 1  # where the next record starts
-        for row in reader:
-            start, line_no = line_no, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != width:
-                row = (row + [""] * width)[:width]
-            row.append("")
-            user, item, ts_text, action, rating_text, review, helpful_text = [
-                row[j].strip() for j in columns
-            ]
-            try:
-                if not user:
-                    raise ValueError("empty user id")
-                if not item:
-                    raise ValueError("empty item id")
-                ts = _parse_timestamp(ts_text)
-                if ts < 0:
-                    raise ValueError("negative timestamp")
-                action = action or "view"
-                if action not in ACTIONS:
-                    raise ValueError(f"unknown action {action!r}")
-                rating = float(rating_text) if rating_text else None
-                if (action == "rate") != (rating is not None):
-                    raise ValueError("rating must be present exactly when action is rate")
-                if rating is not None and not (1.0 <= rating <= 5.0):
-                    raise ValueError(f"rating {rating} outside [1, 5]")
-                helpful = int(helpful_text) if helpful_text else None
-                if helpful is not None and helpful < 0:
-                    raise ValueError("negative helpfulness votes")
-                rows.append(
-                    Interaction(user, item, ts, action, rating, review or None, helpful)
-                )
-            except ValueError as exc:
-                errors.append(RowError(line=start, message=str(exc)))
-    return rows, errors
+        taken = [position.get(mapping[c]) for c in CSV_COLUMNS]
+        n = 0
+        start = reader.line_num + 1  # where the next record starts
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            lines = (np.arange(start, start + len(block))
+                     if reader.line_num - start + 1 == len(block)
+                     else _start_lines(block, start))
+            start = reader.line_num + 1
+            lengths = set(map(len, block))
+            if 0 in lengths:  # blank lines
+                nonblank = np.fromiter(map(bool, block), bool, len(block))
+                block, lines = list(itertools.compress(block, nonblank)), lines[nonblank]
+            if lengths - {0, width}:
+                block = [r if len(r) == width else (r + [""] * width)[:width] for r in block]
+            columns = list(zip(*block)) or [()] * width
+            missing = ("",) * len(block)
+            arrays, block_faults = _checked_block(
+                {c: missing if j is None else columns[j] for c, j in zip(CSV_COLUMNS, taken)},
+                index,
+            )
+            faults.update((n + k, message) for k, message in block_faults.items())
+            n += len(block)
+            blocks.append(arrays)
+            line_blocks.append(lines)
+
+    lines = np.concatenate(line_blocks)
+    users, user_remap = _intern([token.strip() for token in index["user"]])
+    items, item_remap = _intern([token.strip() for token in index["item"]])
+    corpus = Corpus(
+        users, items,
+        user_remap[np.concatenate([b["user"] for b in blocks])],
+        item_remap[np.concatenate([b["item"] for b in blocks])],
+        *(np.concatenate([b[f] for b in blocks])
+          for f in ("timestamp", "action", "rating", "helpful")),
+        [text for b in blocks for text in b["review"]],
+    )
+    if faults:
+        keep = np.ones(n, bool)
+        keep[list(faults)] = False
+        corpus = corpus.take(keep)
+        corpus.users, corpus.user = _recode(corpus.user, corpus.users)
+        corpus.items, corpus.item = _recode(corpus.item, corpus.items)
+    errors = [RowError(line=int(lines[k]), message=m) for k, m in sorted(faults.items())]
+    return corpus, errors
 
 
-def write_csv(path, interactions) -> None:
-    """Serialize interactions in the canonical column order."""
+def write_csv(path, corpus: Corpus) -> None:
+    """Write a corpus in the canonical column order, one line per row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        for e in interactions:
-            w.writerow(
-                [
-                    e.user,
-                    e.item,
-                    e.timestamp,
-                    e.action,
-                    "" if e.rating is None else e.rating,
-                    e.review or "",
-                    "" if e.helpful is None else e.helpful,
-                ]
-            )
+        w.writerows(zip(
+            map(corpus.users.__getitem__, corpus.user.tolist()),
+            map(corpus.items.__getitem__, corpus.item.tolist()),
+            corpus.timestamp.tolist(),
+            map(ACTIONS.__getitem__, corpus.action.tolist()),
+            np.where(np.isnan(corpus.rating), None, corpus.rating).tolist(),
+            corpus.review,
+            np.where(corpus.helpful < 0, None, corpus.helpful).tolist(),
+        ))
 
 
-def sessionize(events) -> list[Session]:
-    """One session per (user, calendar day), items in timestamp order, duplicates kept."""
-    ordered = sorted(events, key=operator.attrgetter("user", "timestamp"))
-    sessions: list[Session] = []
-    counters: dict[str, int] = collections.defaultdict(int)
-    for e in ordered:
-        day = e.timestamp // SECONDS_PER_DAY
-        if sessions and sessions[-1].user == e.user and sessions[-1].day == day:
-            sessions[-1].items.append(e.item)
-        else:
-            sessions.append(Session(user=e.user, t=counters[e.user], day=day, items=[e.item]))
-            counters[e.user] += 1
-    return sessions
+def sessionize(corpus: Corpus) -> list[Session]:
+    """One session per (user, calendar day), items in timestamp order, duplicates kept.
+
+    Sessions come user by user in token order; one stable sort on (user,
+    timestamp) orders the rows, and a session ends wherever the user or the
+    day changes.
+    """
+    if not len(corpus):
+        return []
+    n_users = len(corpus.users)
+    rank = np.empty(n_users, np.int64)
+    rank[sorted(range(n_users), key=corpus.users.__getitem__)] = np.arange(n_users)
+    order = np.lexsort((corpus.timestamp, rank[corpus.user]))
+    user = corpus.user[order]
+    day = corpus.timestamp[order] // SECONDS_PER_DAY
+    starts = np.flatnonzero(np.concatenate((
+        [True], (user[1:] != user[:-1]) | (day[1:] != day[:-1])
+    )))
+    ends = np.append(starts[1:], len(order))
+    owner = user[starts]
+    first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+    # each session's ordinal: its position minus that of its user's first
+    t = np.arange(len(starts)) - np.repeat(first, np.diff(np.append(first, len(starts))))
+    items = list(map(corpus.items.__getitem__, corpus.item[order].tolist()))
+    return [
+        Session(user=corpus.users[u], t=k, day=d, items=items[a:b])
+        for u, k, d, a, b in zip(owner.tolist(), t.tolist(), day[starts].tolist(),
+                                 starts.tolist(), ends.tolist())
+    ]
 
 
 def ordered_dedup(items) -> list:
@@ -394,19 +616,21 @@ def synth_sequential(
     return sessions
 
 
-def sessions_to_interactions(sessions: list[Session], action: str = "view"):
-    out = []
-    for s in sessions:
-        for pos, item in enumerate(s.items):
-            out.append(
-                Interaction(
-                    user=s.user,
-                    item=item,
-                    timestamp=s.day * SECONDS_PER_DAY + pos,
-                    action=action,
-                )
-            )
-    return out
+def sessions_to_interactions(sessions: list[Session], action: str = "view") -> Corpus:
+    """The corpus of the sessions' items, the p-th of a session p seconds into its day."""
+    sessions = [s for s in sessions if s.items]
+    lengths = np.array([len(s.items) for s in sessions], dtype=np.int64)
+    n = int(lengths.sum())
+    users, user = _intern([s.user for s in sessions])
+    items, item = _intern([it for s in sessions for it in s.items])
+    days = np.array([s.day for s in sessions], dtype=np.int64)
+    position = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return Corpus(
+        users, items, np.repeat(user, lengths), item,
+        np.repeat(days * SECONDS_PER_DAY, lengths) + position,
+        np.full(n, ACTIONS.index(action), np.int8), np.full(n, np.nan),
+        np.full(n, -1, np.int64), [""] * n,
+    )
 
 
 TRAITS = ["O", "C", "E", "A", "N"]
@@ -449,8 +673,8 @@ def synth_personality_clusters(
 
     Users of one cluster rate only that cluster's items (zero co-rated items
     across clusters) and write reviews dominated by one lexicon category, so
-    trait scoring separates the clusters. Returns (interactions, truth) with
-    truth mapping user token -> ClusterInfo.
+    trait scoring separates the clusters. Returns (corpus, truth) with truth
+    mapping user token -> ClusterInfo.
     """
     if n_clusters < 2:
         raise ValueError("need at least 2 clusters")
@@ -464,7 +688,7 @@ def synth_personality_clusters(
     def words_of(category: str) -> list[str]:
         return [w.rstrip("*") for w in lexicon[category]]
 
-    interactions: list[Interaction] = []
+    rows: list[Interaction] = []
     truth: dict[str, ClusterInfo] = {}
     for c in range(n_clusters):
         trait = TRAITS[c % len(TRAITS)]
@@ -499,7 +723,7 @@ def synth_personality_clusters(
                     else:
                         pool = background
                     review_words.append(pool[int(rng.integers(len(pool)))])
-                interactions.append(
+                rows.append(
                     Interaction(
                         user=user,
                         item=item_ids[j],
@@ -510,60 +734,45 @@ def synth_personality_clusters(
                         helpful=int(rng.integers(0, 6)),
                     )
                 )
-    return interactions, truth
+    return Corpus.from_rows(rows), truth
 
 
-def _items_by_user(interactions):
-    by_user: dict[str, set] = collections.defaultdict(set)
-    for e in interactions:
-        by_user[e.user].add(e.item)
-    return by_user
+def _touched(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """(user codes, item codes) of each distinct pair the corpus holds."""
+    n_items = len(corpus.items)
+    pair = np.unique(corpus.user * n_items + corpus.item)
+    return pair // n_items, pair % n_items
 
 
-def dsw_degree(interactions) -> float:
+def _share_of_users_without(user: np.ndarray, flagged: np.ndarray) -> float:
+    """Fraction of the users in `user` with no flagged pair."""
+    n_users = len(np.unique(user))
+    if not n_users:
+        return 0.0
+    return (n_users - len(np.unique(user[flagged]))) / n_users
+
+
+def dsw_degree(corpus: Corpus) -> float:
     """Fraction of users sharing no interacted item with any other user."""
-    by_user = _items_by_user(interactions)
-    holders: dict[str, int] = collections.Counter()
-    for items in by_user.values():
-        for it in items:
-            holders[it] += 1
-    if not by_user:
-        return 0.0
-    isolated = sum(
-        1 for items in by_user.values() if all(holders[it] == 1 for it in items)
-    )
-    return isolated / len(by_user)
+    user, item = _touched(corpus)
+    holders = np.bincount(item, minlength=len(corpus.items))
+    return _share_of_users_without(user, holders[item] > 1)
 
 
-def cross_cluster_disjointness(interactions, labels: dict[str, int]) -> float:
+def cross_cluster_disjointness(corpus: Corpus, labels: dict[str, int]) -> float:
     """Fraction of users sharing no item with any user of another cluster."""
-    by_user = _items_by_user(interactions)
-    item_clusters: dict[str, set] = collections.defaultdict(set)
-    for user, items in by_user.items():
-        for it in items:
-            item_clusters[it].add(labels[user])
-    if not by_user:
-        return 0.0
-    disjoint = sum(
-        1
-        for user, items in by_user.items()
-        if all(item_clusters[it] == {labels[user]} for it in items)
-    )
-    return disjoint / len(by_user)
+    user, item = _touched(corpus)
+    label = np.array([labels[u] for u in corpus.users], dtype=np.int64)[user]
+    # an item is shared across clusters when its users' labels differ
+    lowest = np.full(len(corpus.items), INT64_MAX)
+    highest = np.full(len(corpus.items), -INT64_MAX - 1)
+    np.minimum.at(lowest, item, label)
+    np.maximum.at(highest, item, label)
+    return _share_of_users_without(user, (lowest != highest)[item])
 
 
 # ---------------------------------------------------------------------------
 # Explicit-rating view
-
-
-_USER = operator.attrgetter("user")
-_ITEM = operator.attrgetter("item")
-
-
-def _first_appearance(tokens) -> tuple[list, dict]:
-    """The distinct tokens in order of first appearance, and their indices."""
-    order = list(dict.fromkeys(tokens))
-    return order, dict(zip(order, range(len(order))))
 
 
 @dataclass
@@ -585,29 +794,21 @@ class RatingMatrix:
         return len(self.items)
 
     @classmethod
-    def from_interactions(cls, interactions) -> "RatingMatrix":
-        rated = [e for e in interactions if e.action == "rate" and e.rating is not None]
-        users, uidx = _first_appearance(map(_USER, rated))
-        items, iidx = _first_appearance(map(_ITEM, rated))
-        n = len(rated)
-        u = np.fromiter(map(uidx.__getitem__, map(_USER, rated)), np.int64, n)
-        i = np.fromiter(map(iidx.__getitem__, map(_ITEM, rated)), np.int64, n)
-        stamps = list(map(operator.attrgetter("timestamp"), rated))
-        try:
-            t = np.array(stamps, dtype=np.int64)
-        except OverflowError:  # seconds past int64 still order as Python ints
-            t = np.array(stamps, dtype=object)
+    def from_interactions(cls, corpus: Corpus) -> "RatingMatrix":
+        """The rated rows' users and items, first appearance first, and their triplets."""
+        rated = (corpus.action == RATE) & ~np.isnan(corpus.rating)
+        users, u = _recode(corpus.user[rated], corpus.users)
+        items, i = _recode(corpus.item[rated], corpus.items)
         # the latest rating of each (user, item) wins, the later row on a tie:
         # lexsort is stable, so it is the last row of its pair's run
         pair = u * len(items) + i
-        order = np.lexsort((t, pair))
+        order = np.lexsort((corpus.timestamp[rated], pair))
         pair = pair[order]
-        last = order[np.append(pair[1:] != pair[:-1], True)] if n else order
-        ratings = list(map(operator.attrgetter("rating"), rated))
+        last = order[np.append(pair[1:] != pair[:-1], True)] if len(pair) else order
         triplets = list(zip(
-            u[last].tolist(), i[last].tolist(), map(ratings.__getitem__, last.tolist())
+            u[last].tolist(), i[last].tolist(), corpus.rating[rated][last].tolist()
         ))
-        return cls(users, items, uidx, iidx, triplets)
+        return cls(users, items, _index(users), _index(items), triplets)
 
 
 def split_ratings(matrix: RatingMatrix, test_fraction: float, rng):
@@ -644,15 +845,14 @@ class Dataset:
     sessions: list[Session]
 
     @classmethod
-    def from_interactions(cls, interactions) -> "Dataset":
-        users, uidx = _first_appearance(map(_USER, interactions))
-        items, iidx = _first_appearance(map(_ITEM, interactions))
+    def from_interactions(cls, corpus: Corpus) -> "Dataset":
+        """The corpus's vocabularies with their index maps, and its sessions."""
         return cls(
-            users=users,
-            items=items,
-            user_index=uidx,
-            item_index=iidx,
-            sessions=sessionize(interactions),
+            users=corpus.users,
+            items=corpus.items,
+            user_index=_index(corpus.users),
+            item_index=_index(corpus.items),
+            sessions=sessionize(corpus),
         )
 
     @property

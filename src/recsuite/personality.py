@@ -206,22 +206,18 @@ def profile_user(
 
 
 def profile_all(
-    interactions,
+    corpus,
     lexicon: dict[str, list[str]],
     weights: dict[str, list[tuple[str, float]]],
 ) -> dict[str, PersonalityProfile]:
-    reviews: dict[str, list[str]] = collections.defaultdict(list)
-    order: list[str] = []
-    for e in interactions:
-        if e.user not in reviews:
-            order.append(e.user)
-        if e.review:
-            reviews[e.user].append(e.review)
-        else:
-            reviews.setdefault(e.user, [])
+    """Profiles of the corpus's users with review text, in vocabulary order."""
+    reviews: list[list[str]] = [[] for _ in corpus.users]
+    for u, text in zip(corpus.user.tolist(), corpus.review):
+        if text:
+            reviews[u].append(text)
     profiles = {}
-    for user in order:
-        prof = profile_user(user, reviews[user], lexicon, weights)
+    for user, texts in zip(corpus.users, reviews):
+        prof = profile_user(user, texts, lexicon, weights)
         if prof is not None:
             profiles[user] = prof
     return profiles
@@ -258,27 +254,26 @@ class KnowledgeLevel:
     defined: bool
 
 
-def knowledge_levels(interactions) -> dict[str, KnowledgeLevel]:
+def knowledge_levels(corpus) -> dict[str, KnowledgeLevel]:
     """Mean helpfulness votes per user, min-max normalized across users.
 
-    Users with no reviewed interaction get kl 0, normalized 0, defined=False.
-    A constant column (everyone equal, or a single reviewer) normalizes to 0.5.
+    Every user of the corpus's vocabulary gets a level, and the mean runs
+    over the user's reviewed rows, a row without votes counting 0. Users with
+    no reviewed row get kl 0, normalized 0, defined=False. A constant column
+    (everyone equal, or a single reviewer) normalizes to 0.5.
     """
-    votes: dict[str, list[int]] = collections.defaultdict(list)
-    seen: list[str] = []
-    for e in interactions:
-        if e.user not in votes:
-            seen.append(e.user)
-            votes.setdefault(e.user, [])
-        if e.review:
-            votes[e.user].append(e.helpful or 0)
-    raw = {u: (float(np.mean(v)) if v else None) for u, v in votes.items()}
-    defined_vals = [v for v in raw.values() if v is not None]
+    reviewed = np.fromiter(map(bool, corpus.review), bool, len(corpus))
+    user = corpus.user[reviewed]
+    n_users = len(corpus.users)
+    counts = np.bincount(user, minlength=n_users).tolist()
+    sums = np.bincount(user, weights=np.maximum(corpus.helpful[reviewed], 0),
+                       minlength=n_users).tolist()
+    raw = [total / count if count else None for total, count in zip(sums, counts)]
+    defined_vals = [v for v in raw if v is not None]
     out = {}
     lo = min(defined_vals) if defined_vals else 0.0
     hi = max(defined_vals) if defined_vals else 0.0
-    for u in seen:
-        v = raw[u]
+    for u, v in zip(corpus.users, raw):
         if v is None:
             out[u] = KnowledgeLevel(u, 0.0, 0.0, defined=False)
         elif hi == lo:

@@ -4,11 +4,17 @@
 `metrics.top_k` applies to its candidates only. `ingest_csv` is the
 `csv.DictReader` parser that `data.ingest_csv` replaced; it numbers rows
 by record ordinal, which equals the file line only when no blank line and
-no multi-line field precedes the row. `rating_matrix` and `sessionize` are
-the per-row loops that `data.RatingMatrix.from_interactions` and
-`data.sessionize` replaced. `bpr_loss_and_grad` sums the BPR
-trainer's own per-triple terms (`baselines._bpr_triple`) over a list of
-triples, so gradient checks gate the arithmetic training runs.
+no multi-line field precedes the row. `ingest_rows` is the per-row
+`csv.reader` loop that `data.ingest_csv` ran before it checked whole
+columns; it numbers each row by the file line it starts on. Both return
+`Interaction` rows, and `rows` turns a `data.Corpus` into them.
+`rating_matrix`, `sessionize`, `profile_all`, `knowledge_levels`,
+`dsw_degree` and `cross_cluster_disjointness` are the per-row loops over
+`Interaction` rows that the `data` and `personality` functions of those
+names (`data.RatingMatrix.from_interactions` for the first) replaced.
+`bpr_loss_and_grad` sums the BPR trainer's own per-triple terms
+(`baselines._bpr_triple`) over a list of triples, so gradient checks gate
+the arithmetic training runs.
 `prepared_instances` builds the trainers' instances from token-space
 `training_instances`, per-user `train_histories` sets and a set-difference
 complement per user, the way `data.prepared_instances` did before
@@ -22,7 +28,7 @@ import csv
 
 import numpy as np
 
-from recsuite import baselines, data
+from recsuite import baselines, data, personality
 
 
 def rank_items(scores) -> np.ndarray:
@@ -71,6 +77,8 @@ def ingest_csv(path, schema=None):
                     raise ValueError(f"rating {rating} outside [1, 5]")
                 helpful_text = col("helpful")
                 helpful = int(helpful_text) if helpful_text else None
+                if helpful is not None and not -(2**63) <= helpful < 2**63:
+                    raise ValueError("helpful votes out of range")
                 if helpful is not None and helpful < 0:
                     raise ValueError("negative helpfulness votes")
                 review = col("review") or None
@@ -80,6 +88,149 @@ def ingest_csv(path, schema=None):
             except ValueError as exc:
                 errors.append(data.RowError(line=line_no, message=str(exc)))
     return rows, errors
+
+
+def ingest_rows(path, schema=None):
+    """(interactions, row errors) of a CSV, checked one csv.reader row at a time."""
+    mapping = {c: c for c in data.CSV_COLUMNS}
+    if schema:
+        mapping.update(schema)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        position = {name: j for j, name in enumerate(header)}
+        width = len(header)
+        columns = [position.get(mapping[c], width) for c in data.CSV_COLUMNS]
+        rows, errors = [], []
+        line_no = reader.line_num + 1  # where the next record starts
+        for row in reader:
+            start, line_no = line_no, reader.line_num + 1
+            if not row:
+                continue
+            row = (row + [""] * width)[:width] + [""]
+            user, item, ts_text, action, rating_text, review, helpful_text = [
+                row[j].strip() for j in columns
+            ]
+            try:
+                if not user:
+                    raise ValueError("empty user id")
+                if not item:
+                    raise ValueError("empty item id")
+                ts = data._parse_timestamp(ts_text)
+                if ts < 0:
+                    raise ValueError("negative timestamp")
+                action = action or "view"
+                if action not in data.ACTIONS:
+                    raise ValueError(f"unknown action {action!r}")
+                rating = float(rating_text) if rating_text else None
+                if (action == "rate") != (rating is not None):
+                    raise ValueError("rating must be present exactly when action is rate")
+                if rating is not None and not (1.0 <= rating <= 5.0):
+                    raise ValueError(f"rating {rating} outside [1, 5]")
+                helpful = int(helpful_text) if helpful_text else None
+                if helpful is not None and not -(2**63) <= helpful < 2**63:
+                    raise ValueError("helpful votes out of range")
+                if helpful is not None and helpful < 0:
+                    raise ValueError("negative helpfulness votes")
+                rows.append(
+                    data.Interaction(user, item, ts, action, rating, review or None, helpful)
+                )
+            except ValueError as exc:
+                errors.append(data.RowError(line=start, message=str(exc)))
+    return rows, errors
+
+
+def rows(corpus):
+    """The corpus's rows as `Interaction`s, None where a row has no value."""
+    return [
+        data.Interaction(
+            corpus.users[u], corpus.items[i], t, data.ACTIONS[a],
+            None if np.isnan(r) else r, v or None, None if h < 0 else h,
+        )
+        for u, i, t, a, r, v, h in zip(
+            corpus.user.tolist(), corpus.item.tolist(), corpus.timestamp.tolist(),
+            corpus.action.tolist(), corpus.rating.tolist(), corpus.review,
+            corpus.helpful.tolist(),
+        )
+    ]
+
+
+def profile_all(interactions, lexicon, weights):
+    """user -> profile of each user with review text, first appearance first."""
+    reviews = collections.defaultdict(list)
+    order = []
+    for e in interactions:
+        if e.user not in reviews:
+            order.append(e.user)
+        if e.review:
+            reviews[e.user].append(e.review)
+        else:
+            reviews.setdefault(e.user, [])
+    profiles = {}
+    for user in order:
+        prof = personality.profile_user(user, reviews[user], lexicon, weights)
+        if prof is not None:
+            profiles[user] = prof
+    return profiles
+
+
+def knowledge_levels(interactions):
+    """user -> min-max normalized mean votes over the user's reviewed rows."""
+    votes = collections.defaultdict(list)
+    seen = []
+    for e in interactions:
+        if e.user not in votes:
+            seen.append(e.user)
+            votes.setdefault(e.user, [])
+        if e.review:
+            votes[e.user].append(e.helpful or 0)
+    raw = {u: (float(np.mean(v)) if v else None) for u, v in votes.items()}
+    defined_vals = [v for v in raw.values() if v is not None]
+    lo = min(defined_vals) if defined_vals else 0.0
+    hi = max(defined_vals) if defined_vals else 0.0
+    out = {}
+    for u in seen:
+        v = raw[u]
+        if v is None:
+            out[u] = personality.KnowledgeLevel(u, 0.0, 0.0, defined=False)
+        elif hi == lo:
+            out[u] = personality.KnowledgeLevel(u, v, 0.5, defined=True)
+        else:
+            out[u] = personality.KnowledgeLevel(u, v, (v - lo) / (hi - lo), defined=True)
+    return out
+
+
+def _items_by_user(interactions):
+    by_user = collections.defaultdict(set)
+    for e in interactions:
+        by_user[e.user].add(e.item)
+    return by_user
+
+
+def dsw_degree(interactions):
+    """Fraction of users sharing no interacted item with any other user."""
+    by_user = _items_by_user(interactions)
+    holders = collections.Counter(it for items in by_user.values() for it in items)
+    if not by_user:
+        return 0.0
+    isolated = sum(1 for items in by_user.values() if all(holders[it] == 1 for it in items))
+    return isolated / len(by_user)
+
+
+def cross_cluster_disjointness(interactions, labels):
+    """Fraction of users sharing no item with any user of another cluster."""
+    by_user = _items_by_user(interactions)
+    item_clusters = collections.defaultdict(set)
+    for user, items in by_user.items():
+        for it in items:
+            item_clusters[it].add(labels[user])
+    if not by_user:
+        return 0.0
+    disjoint = sum(
+        1 for user, items in by_user.items()
+        if all(item_clusters[it] == {labels[user]} for it in items)
+    )
+    return disjoint / len(by_user)
 
 
 def rating_matrix(interactions) -> data.RatingMatrix:

@@ -347,7 +347,7 @@ class TestTrainApar:
             data.Interaction("u2", "a", 2, "rate", 5.0),
             data.Interaction("u2", "b", 3, "rate", 1.0),
         ]
-        m = data.RatingMatrix.from_interactions(evs)
+        m = data.RatingMatrix.from_interactions(data.Corpus.from_rows(evs))
         cfg = apar.AparConfig(d=1, seed=0, max_iters=10, beta=0.25)
         state = apar.fit_ratings(m, m.triplets, np.arange(2), {"u1": 0.5}, cfg)
         assert list(state.gamma) == [0.75, 0.25]  # beta + kl, kl=0 fallback

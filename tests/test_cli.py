@@ -216,9 +216,15 @@ class TestIngest:
 
     def test_all_rows_bad_fails(self, tmp_path):
         raw = tmp_path / "raw.csv"
-        raw.write_text("user,item,timestamp\nu1,,2020-01-01\n")
+        raw.write_text("user,item,timestamp,action\nu1,,2020-01-01,view\n\n"
+                       "u1,a,x,view\nu1,a,-1,view\nu1,a,1,teleport\n")
         res = runner.invoke(main, ["ingest", str(raw), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
+        assert "no valid interaction rows" in res.output
+        assert [line for line in res.stderr.splitlines() if line.startswith("row ")] == [
+            "row 2: empty item id", "row 4: unparseable timestamp 'x'",
+            "row 5: negative timestamp", "row 6: unknown action 'teleport'",
+        ]
 
 
 class TestProfile:

@@ -1,5 +1,7 @@
 import collections
 import csv
+import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from recsuite import data
+from recsuite import data, personality
 from recsuite.numeric import make_rng
 
 
@@ -17,19 +19,38 @@ def write_csv(tmp_path, text, name="in.csv"):
     return p
 
 
+def ingest(path, schema=None):
+    """(rows, errors) of data.ingest_csv, its corpus as `Interaction` rows.
+
+    The corpus must list each user and item once, in order of first
+    appearance among its rows, and no other, and reading the file two rows
+    a block must give the same corpus and errors.
+    """
+    corpus, errors = data.ingest_csv(path, schema)
+    rows = oracles.rows(corpus)
+    assert len(rows) == len(corpus)
+    assert corpus.users == list(dict.fromkeys(r.user for r in rows))
+    assert corpus.items == list(dict.fromkeys(r.item for r in rows))
+    with mock.patch.object(data, "_BLOCK_ROWS", 2):
+        blocked, blocked_errors = data.ingest_csv(path, schema)
+    assert (oracles.rows(blocked), blocked_errors) == (rows, errors)
+    assert (blocked.users, blocked.items) == (corpus.users, corpus.items)
+    return rows, errors
+
+
 class TestIngest:
     def test_happy_path(self, tmp_path):
         p = write_csv(
             tmp_path,
             "user,item,timestamp\nu1,a,100\nu1,b,200\nu2,a,300\n",
         )
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert len(rows) == 3 and not errors
         assert rows[0].user == "u1" and rows[0].item == "a" and rows[0].timestamp == 100
 
     def test_empty_item_is_error_record(self, tmp_path):
         p = write_csv(tmp_path, "user,item,timestamp\nu1,a,100\nu1,,200\nu2,b,300\n")
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert len(rows) == 2
         assert len(errors) == 1 and errors[0].line == 3
 
@@ -38,14 +59,32 @@ class TestIngest:
             tmp_path,
             "user,item,timestamp\nu1,a,2020-01-15\nu1,b,2020-01-15T06:30:00\n",
         )
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert not errors
         assert rows[1].timestamp - rows[0].timestamp == 6 * 3600 + 30 * 60
         assert rows[0].timestamp % data.SECONDS_PER_DAY == 0
 
+    def test_fractional_times_are_floored(self, tmp_path):
+        p = write_csv(
+            tmp_path,
+            "user,item,timestamp\n"
+            "u1,a,1970-01-01T00:00:00.5\n"
+            "u1,b,2020-01-15T06:30:00.999999\n"
+            "u1,c,1970-01-01T01:00:00.5+01:00\n"
+            "u1,d,1969-12-31T23:59:59.5\n"
+            "u1,e,1969-12-31T23:59:59\n",
+        )
+        rows, errors = ingest(p)
+        assert [(r.item, r.timestamp) for r in rows] == [
+            ("a", 0), ("b", 1579069800), ("c", 0),
+        ]
+        assert [(e.line, e.message) for e in errors] == [
+            (5, "negative timestamp"), (6, "negative timestamp"),
+        ]
+
     def test_bad_timestamp_is_error_record(self, tmp_path):
         p = write_csv(tmp_path, "user,item,timestamp\nu1,a,not-a-time\n")
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert not rows and len(errors) == 1
 
     def test_missing_file(self, tmp_path):
@@ -59,7 +98,7 @@ class TestIngest:
 
     def test_schema_remap(self, tmp_path):
         p = write_csv(tmp_path, "uid,sku,ts\nu1,a,100\n")
-        rows, errors = data.ingest_csv(
+        rows, errors = ingest(
             p, schema={"user": "uid", "item": "sku", "timestamp": "ts"}
         )
         assert len(rows) == 1 and not errors
@@ -79,7 +118,7 @@ class TestIngest:
             "u1,b,200,view,3.0\n"
             "u1,c,300,rate,\n",
         )
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert len(rows) == 1 and rows[0].rating == 4.5
         assert len(errors) == 2
 
@@ -89,13 +128,13 @@ class TestIngest:
             'user,item,timestamp,action,rating,review,helpful\n'
             'u1,a,100,rate,4,"love, nice, sweet",3\n',
         )
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert not errors
         assert rows[0].review == "love, nice, sweet" and rows[0].helpful == 3
 
     def test_unknown_action_is_error(self, tmp_path):
         p = write_csv(tmp_path, "user,item,timestamp,action\nu1,a,100,teleport\n")
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert not rows and len(errors) == 1
 
     def test_lines_are_file_lines(self, tmp_path):
@@ -110,7 +149,7 @@ class TestIngest:
             "u1,d,400,teleport,,\n"
             "u2,,500,view,,\n",
         )
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert [r.item for r in rows] == ["a", "c"]
         assert rows[1].review == "good,\nvery good"
         assert [(e.line, e.message) for e in errors] == [
@@ -125,7 +164,7 @@ class TestIngest:
             "u1,a,200,c,,surplus,fields\n"
             "u1,a,300\n",  # the item column named last is missing: ""
         )
-        rows, errors = data.ingest_csv(p)
+        rows, errors = ingest(p)
         assert [(r.item, r.timestamp) for r in rows] == [("b", 100), ("c", 200)]
         assert [(e.line, e.message) for e in errors] == [(4, "empty item id")]
 
@@ -148,12 +187,42 @@ def csv_files(draw):
     return [names] + rows
 
 
+MULTILINE = st.sampled_from(["good,\nvery good", "a\r\nb", "x\ry", "\n", "4\n", "\r\n\r\n"])
+
+
+@st.composite
+def ragged_csv_texts(draw):
+    """`csv_files` tables written with blank lines before some rows and
+    multi-line cells in some, every line ended by \\n or by \\r\\n."""
+    table = draw(csv_files())
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=end)
+    writer.writerow(table[0])
+    for row in table[1:]:
+        buf.write(end * draw(st.integers(0, 2)))
+        writer.writerow([draw(MULTILINE) if draw(st.integers(0, 4)) == 0 else c for c in row])
+    return buf.getvalue()
+
+
+@given(ragged_csv_texts())
+def test_ingest_equals_per_row_oracle_at_file_lines(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("ingest") / "in.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    want = oracles.ingest_rows(p)
+    assert ingest(p) == want
+    assert len(data.ingest_csv(p)[0]) == len(want[0])
+
+
 @given(csv_files())
 def test_ingest_equals_dictreader_oracle(tmp_path_factory, table):
     p = tmp_path_factory.mktemp("ingest") / "in.csv"
     with open(p, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(table)
-    assert data.ingest_csv(p) == oracles.ingest_csv(p)
+    want = oracles.ingest_csv(p)
+    assert ingest(p) == want
+    assert len(data.ingest_csv(p)[0]) == len(want[0])
 
 
 def _padded(texts):
@@ -165,7 +234,7 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=
                max_size=12)
 IDS = _padded(st.sampled_from(["u1", "u2", "a", "b", "c0_i001", "Ünï", "x,y", 'q"t']))
 STAMPS = _padded(
-    st.one_of(st.integers(0, 10**6), st.integers(0, 2**70)).flatmap(
+    st.one_of(st.integers(0, 10**6), st.integers(0, data.INT64_MAX)).flatmap(
         lambda n: st.sampled_from([str(n), f"{n:08d}"])
     )
 )
@@ -182,7 +251,7 @@ def valid_csv_files(draw):
     names += draw(st.lists(st.sampled_from(names + ["extra"]), max_size=3))
     table = [names]
     # a rate row needs its rating, so there is none without a rating column
-    actions = sorted(data.ACTIONS - ({"rate"} if "rating" not in names else set())) + [""]
+    actions = sorted(set(data.ACTIONS) - ({"rate"} if "rating" not in names else set())) + [""]
     for _ in range(draw(st.integers(0, 12))):
         action = draw(st.sampled_from(actions)) if "action" in names else ""
         cells = {
@@ -208,9 +277,9 @@ def test_valid_files_equal_dictreader_oracle(tmp_path_factory, table):
     p = tmp_path_factory.mktemp("ingest") / "in.csv"
     with open(p, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(table)
-    got = data.ingest_csv(p)
+    got = ingest(p)
     assert got == oracles.ingest_csv(p)
-    assert not got[1] and len(got[0]) == len(table) - 1
+    assert not got[1] and len(data.ingest_csv(p)[0]) == len(table) - 1
 
 
 HEADER = "user,item,timestamp,action,rating,review,helpful\n"
@@ -258,9 +327,47 @@ HEADER = "user,item,timestamp,action,rating,review,helpful\n"
         "u1,a,1,view,,,\nu1,b,2,view\nu1,c,3,view,,,,surplus\n",
         ["a", "b", "c"], [], id="rows-of-other-widths",
     ),
+    pytest.param(
+        "u1,a,9223372036854775807,view,,,\nu1,b,9223372036854775808,view,,,\n"
+        "u1,c,18446744073709551616,view,,,\nu1,d,-9223372036854775809,view,,,\n",
+        ["a"], [(3, "timestamp out of range"), (4, "timestamp out of range"),
+                (5, "timestamp out of range")],
+        id="timestamps-past-int64",
+    ),
+    pytest.param(
+        "u1,a,1,view,,,9223372036854775807\nu1,b,2,view,,,9223372036854775808\n"
+        "u1,c,3,view,,,-9223372036854775809\n",
+        ["a"], [(3, "helpful votes out of range"), (4, "helpful votes out of range")],
+        id="helpful-votes-past-int64",
+    ),
+    pytest.param(
+        # each row fails every check from its own onward, in the order a
+        # row reads; a blank line and a two-line review shift the lines
+        ",,x,teleport,abc,,-1\n"
+        "u1,,x,teleport,abc,,-1\n"
+        "\n"
+        "u1,a,x,teleport,abc,\"two\nlines\",-1\n"
+        "u1,a,-5,teleport,abc,,-1\n"
+        "u1,a,5,teleport,abc,,-1\n"
+        "u1,a,5,view,abc,,-1\n"
+        "u1,a,5,view,9,,-1\n"
+        "u1,a,5,rate,9,,-1\n"
+        "u1,a,5,rate,4,,x\n"
+        "u1,a,5,rate,4,,-1\n"
+        "u1,b,5,rate,4,,1\n",
+        ["b"],
+        [(2, "empty user id"), (3, "empty item id"), (5, "unparseable timestamp 'x'"),
+         (7, "negative timestamp"), (8, "unknown action 'teleport'"),
+         (9, "could not convert string to float: 'abc'"),
+         (10, "rating must be present exactly when action is rate"),
+         (11, "rating 9.0 outside [1, 5]"),
+         (12, "invalid literal for int() with base 10: 'x'"),
+         (13, "negative helpfulness votes")],
+        id="faults-in-several-columns-report-the-first",
+    ),
 ])
 def test_one_fault_among_clean_rows(tmp_path, body, items, errors):
-    rows, errs = data.ingest_csv(write_csv(tmp_path, HEADER + body))
+    rows, errs = ingest(write_csv(tmp_path, HEADER + body))
     assert [r.item for r in rows] == items
     assert [(e.line, e.message) for e in errs] == errors
 
@@ -269,22 +376,26 @@ def I(user, item, ts, **kw):
     return data.Interaction(user=user, item=item, timestamp=ts, **kw)
 
 
+def rows_corpus(*rows):
+    return data.Corpus.from_rows(rows)
+
+
 class TestSessionize:
     def test_same_day_one_session(self):
-        out = data.sessionize([I("u", "a", 100), I("u", "b", 50)])
+        out = data.sessionize(rows_corpus(I("u", "a", 100), I("u", "b", 50)))
         assert len(out) == 1
         assert out[0].items == ["b", "a"]  # timestamp order
 
     def test_different_days_two_sessions(self):
-        out = data.sessionize([I("u", "a", 0), I("u", "b", data.SECONDS_PER_DAY)])
+        out = data.sessionize(rows_corpus(I("u", "a", 0), I("u", "b", data.SECONDS_PER_DAY)))
         assert len(out) == 2
         assert [s.t for s in out] == [0, 1]
 
     def test_empty(self):
-        assert data.sessionize([]) == []
+        assert data.sessionize(rows_corpus()) == []
 
     def test_duplicates_retained(self):
-        out = data.sessionize([I("u", "a", 1), I("u", "a", 2)])
+        out = data.sessionize(rows_corpus(I("u", "a", 1), I("u", "a", 2)))
         assert out[0].items == ["a", "a"]
 
     events = st.lists(
@@ -299,7 +410,7 @@ class TestSessionize:
     @given(events)
     def test_concat_reproduces_per_user_sequence(self, tuples):
         evs = [I(u, i, ts) for u, i, ts in tuples]
-        sessions = data.sessionize(evs)
+        sessions = data.sessionize(rows_corpus(*evs))
         for user in {e.user for e in evs}:
             per_user = [s for s in sessions if s.user == user]
             assert [s.t for s in per_user] == list(range(len(per_user)))
@@ -472,9 +583,9 @@ class TestSynthPersonalityClusters:
         return data.synth_personality_clusters(2, 8, 10, rng=make_rng(0))
 
     def test_disjoint_item_blocks(self):
-        evs, truth = self.corpus()
+        corpus, truth = self.corpus()
         by_cluster = collections.defaultdict(set)
-        for e in evs:
+        for e in oracles.rows(corpus):
             by_cluster[truth[e.user].cluster].add(e.item)
         assert not (by_cluster[0] & by_cluster[1])
 
@@ -489,11 +600,13 @@ class TestSynthPersonalityClusters:
         assert data.dsw_degree(evs) < 1.0
 
     def test_dsw_degree_all_isolated(self):
-        evs = [I("u1", "a", 0, action="rate", rating=4.0), I("u2", "b", 0, action="rate", rating=2.0)]
+        evs = rows_corpus(I("u1", "a", 0, action="rate", rating=4.0),
+                          I("u2", "b", 0, action="rate", rating=2.0))
         assert data.dsw_degree(evs) == 1.0
 
     def test_ratings_valid_and_reviews_present(self):
-        evs, _ = self.corpus()
+        corpus, _ = self.corpus()
+        evs = oracles.rows(corpus)
         assert evs
         for e in evs:
             assert e.action == "rate"
@@ -503,6 +616,7 @@ class TestSynthPersonalityClusters:
     def test_deterministic(self):
         a, _ = data.synth_personality_clusters(2, 3, 4, rng=make_rng(9))
         b, _ = data.synth_personality_clusters(2, 3, 4, rng=make_rng(9))
+        a, b = oracles.rows(a), oracles.rows(b)
         assert [(e.user, e.item, e.rating, e.review) for e in a] == [
             (e.user, e.item, e.rating, e.review) for e in b
         ]
@@ -516,7 +630,7 @@ class TestRatingMatrix:
             I("u2", "a", 2, action="rate", rating=5.0),
             I("u2", "c", 3, action="view"),
         ]
-        m = data.RatingMatrix.from_interactions(evs)
+        m = data.RatingMatrix.from_interactions(rows_corpus(*evs))
         assert m.n_users == 2 and m.n_items == 2  # c never rated
         assert len(m.triplets) == 3
         assert min(r for _, _, r in m.triplets) > 0
@@ -526,7 +640,7 @@ class TestRatingMatrix:
             I("u1", "a", 0, action="rate", rating=1.0),
             I("u1", "a", 5, action="rate", rating=3.0),
         ]
-        m = data.RatingMatrix.from_interactions(evs)
+        m = data.RatingMatrix.from_interactions(rows_corpus(*evs))
         assert m.triplets == [(0, 0, 3.0)]
 
     def test_split_ratings(self):
@@ -534,7 +648,7 @@ class TestRatingMatrix:
         evs = [
             I("u1", f"i{k}", k, action="rate", rating=float(1 + k % 5)) for k in range(10)
         ] + [I("u2", "i0", 99, action="rate", rating=2.0)]
-        m = data.RatingMatrix.from_interactions(evs)
+        m = data.RatingMatrix.from_interactions(rows_corpus(*evs))
         train, test = data.split_ratings(m, 0.2, rng)
         assert len(train) + len(test) == 11
         assert len(test) == 2  # 20% of u1's ten; u2 has one rating, stays in train
@@ -549,11 +663,15 @@ EVENTS = st.lists(
         user=st.sampled_from(["u1", "u2", "u3"]),
         item=st.sampled_from(["a", "b", "c", "d"]),
         timestamp=st.one_of(
-            st.sampled_from([0, 5, data.SECONDS_PER_DAY, 2**64]),
+            st.sampled_from([0, 5, data.SECONDS_PER_DAY, data.INT64_MAX]),
             st.integers(0, 3 * data.SECONDS_PER_DAY),
         ),
-        action=st.sampled_from(["rate", "rate", "view"]),
+        action=st.sampled_from(["rate", "rate", "view", "click", "purchase"]),
         rating=st.one_of(st.none(), st.sampled_from([1.0, 2.5, 4.0, 5.0])),
+        review=st.one_of(st.none(), st.sampled_from(
+            ["love nice", "sad crying grief", "think win", "hero talk us", " ", "x"]
+        )),
+        helpful=st.one_of(st.none(), st.integers(0, 40)),
     ),
     max_size=30,
 )
@@ -561,12 +679,51 @@ EVENTS = st.lists(
 
 @given(EVENTS)
 def test_rating_matrix_equals_per_row_oracle(events):
-    assert data.RatingMatrix.from_interactions(events) == oracles.rating_matrix(events)
+    got = data.RatingMatrix.from_interactions(rows_corpus(*events))
+    assert got == oracles.rating_matrix(events)
+
+
+@given(EVENTS)
+def test_profiles_and_knowledge_levels_equal_per_row_oracles(events):
+    corpus = rows_corpus(*events)
+    lexicon, weights = personality.DEMO_LEXICON, data.planted_cluster_weights()
+    got = personality.profile_all(corpus, lexicon, weights)
+    assert list(got.items()) == list(oracles.profile_all(events, lexicon, weights).items())
+    got = personality.knowledge_levels(corpus)
+    assert list(got.items()) == list(oracles.knowledge_levels(events).items())
+
+
+@given(EVENTS, st.fixed_dictionaries({u: st.integers(0, 2) for u in ["u1", "u2", "u3"]}))
+def test_overlap_measures_equal_per_row_oracles(events, labels):
+    corpus = rows_corpus(*events)
+    assert data.dsw_degree(corpus) == oracles.dsw_degree(events)
+    want = oracles.cross_cluster_disjointness(events, labels)
+    assert data.cross_cluster_disjointness(corpus, labels) == want
+
+
+@given(EVENTS)
+def test_corpus_rows_and_csv_round_trip(tmp_path_factory, events):
+    corpus = rows_corpus(*events)
+    assert len(corpus) == len(events)
+    assert oracles.rows(corpus) == [e._replace(review=e.review or None) for e in events]
+    p = tmp_path_factory.mktemp("corpus") / "c.csv"
+    data.write_csv(p, corpus)
+    again, errors = data.ingest_csv(p)
+    # a rating off its rate row is written as it is, and read back as a fault
+    paired = [(e.action == "rate") == (e.rating is not None) for e in events]
+    assert [(e.line, e.message) for e in errors] == [
+        (k + 2, "rating must be present exactly when action is rate")
+        for k, ok in enumerate(paired) if not ok
+    ]
+    assert oracles.rows(again) == [
+        e._replace(review=(e.review or "").strip() or None)
+        for e, ok in zip(events, paired) if ok
+    ]
 
 
 @given(EVENTS)
 def test_dataset_equals_per_row_oracle(events):
-    ds = data.Dataset.from_interactions(events)
+    ds = data.Dataset.from_interactions(rows_corpus(*events))
     assert ds.sessions == oracles.sessionize(events)
     users = [e.user for e in events]
     items = [e.item for e in events]

@@ -479,7 +479,7 @@ class TestEvaluateRatings:
             data.Interaction("u1", "b", 1, "rate", 2.0),
             data.Interaction("u2", "a", 2, "rate", 3.0),
         ]
-        m = data.RatingMatrix.from_interactions(evs)
+        m = data.RatingMatrix.from_interactions(data.Corpus.from_rows(evs))
 
         class Const:
             def predict_rating(self, u, i):

@@ -107,9 +107,8 @@ class TestCategorize:
         assert personality.categorize(text, lex) == apar_oracles.categorize(text, lex)
 
     def test_demo_corpus_matches_per_token_oracle(self):
-        interactions, _ = data.synth_personality_clusters(2, 5, 4, rng=make_rng(3))
-        for e in interactions:
-            text = e.review or ""
+        corpus, _ = data.synth_personality_clusters(2, 5, 4, rng=make_rng(3))
+        for text in corpus.review:
             want = apar_oracles.categorize(text, personality.DEMO_LEXICON)
             assert personality.categorize(text, personality.DEMO_LEXICON) == want
 
@@ -257,6 +256,9 @@ class TestSimilarityMatrix:
 
 
 class TestKnowledgeLevels:
+    def levels(self, *rows):
+        return personality.knowledge_levels(data.Corpus.from_rows(rows))
+
     def ev(self, user, item, helpful, review="nice"):
         return data.Interaction(
             user=user,
@@ -269,34 +271,30 @@ class TestKnowledgeLevels:
         )
 
     def test_mean_votes(self):
-        evs = [self.ev("u1", "a", 2), self.ev("u1", "b", 4), self.ev("u2", "c", 0)]
-        kl = personality.knowledge_levels(evs)
+        kl = self.levels(self.ev("u1", "a", 2), self.ev("u1", "b", 4), self.ev("u2", "c", 0))
         assert kl["u1"].kl == pytest.approx(3.0)
 
     def test_single_user_constant_column_rule(self):
-        kl = personality.knowledge_levels([self.ev("u1", "a", 2)])
+        kl = self.levels(self.ev("u1", "a", 2))
         assert kl["u1"].kl_normalized == 0.5
 
     def test_min_max(self):
-        evs = [self.ev("u1", "a", 1), self.ev("u2", "b", 3), self.ev("u3", "c", 5)]
-        kl = personality.knowledge_levels(evs)
+        kl = self.levels(self.ev("u1", "a", 1), self.ev("u2", "b", 3), self.ev("u3", "c", 5))
         assert kl["u1"].kl_normalized == 0.0
         assert kl["u2"].kl_normalized == 0.5
         assert kl["u3"].kl_normalized == 1.0
 
     def test_zero_reviews_flagged(self):
-        evs = [
+        kl = self.levels(
             self.ev("u1", "a", 4),
             data.Interaction(user="u2", item="b", timestamp=0, action="view"),
-        ]
-        kl = personality.knowledge_levels(evs)
+        )
         assert kl["u2"].defined is False
         assert kl["u2"].kl_normalized == 0.0
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     def test_normalized_in_unit_interval(self, votes):
-        evs = [self.ev(f"u{i}", f"i{i}", v) for i, v in enumerate(votes)]
-        kl = personality.knowledge_levels(evs)
+        kl = self.levels(*(self.ev(f"u{i}", f"i{i}", v) for i, v in enumerate(votes)))
         for rec in kl.values():
             assert 0.0 <= rec.kl_normalized <= 1.0
 
