@@ -21,7 +21,6 @@ import datetime
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,18 +38,6 @@ _INT64 = range(-INT64_MAX - 1, INT64_MAX + 1)
 _BLOCK_ROWS = 4096  # rows the parser holds as lists at once
 _EPOCH = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
 _SECOND = datetime.timedelta(seconds=1)
-
-
-class Interaction(NamedTuple):
-    """One row of a log, as generators and tests write it for `Corpus.from_rows`."""
-
-    user: str
-    item: str
-    timestamp: int
-    action: str = "view"
-    rating: float | None = None
-    review: str | None = None
-    helpful: int | None = None
 
 
 def _index(vocab: list) -> dict:
@@ -79,7 +66,7 @@ class Corpus:
     """An interaction log as columns, one entry per row.
 
     `user` and `item` are int64 codes into the `users` and `items`
-    vocabularies. `ingest_csv` and `from_rows` list each token of the rows
+    vocabularies. `ingest_csv` and the generators list each token of the rows
     once, in order of first appearance; `take` keeps the vocabularies of the
     corpus it selects from. `timestamp` holds int64 seconds, `action`
     positions in `ACTIONS`, and `rating`, `helpful` and `review` hold NaN, -1
@@ -98,24 +85,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.user)
-
-    @classmethod
-    def from_rows(cls, rows) -> "Corpus":
-        """The `Interaction` rows as columns, in their order; nothing is checked."""
-        rows = list(rows)
-        user, item, stamp, action, rating, review, helpful = (
-            zip(*rows) if rows else [()] * len(Interaction._fields)
-        )
-        users, user_codes = _intern(user)
-        items, item_codes = _intern(item)
-        return cls(
-            users, items, user_codes, item_codes,
-            np.array(stamp, dtype=np.int64),
-            np.fromiter(map(ACTIONS.index, action), np.int8, len(action)),
-            np.array([np.nan if r is None else r for r in rating], dtype=np.float64),
-            np.array([-1 if h is None else h for h in helpful], dtype=np.int64),
-            [r or "" for r in review],
-        )
 
     def take(self, mask: np.ndarray) -> "Corpus":
         """The rows `mask` selects, in order, with this corpus's vocabularies."""
@@ -688,53 +657,50 @@ def synth_personality_clusters(
     def words_of(category: str) -> list[str]:
         return [w.rstrip("*") for w in lexicon[category]]
 
-    rows: list[Interaction] = []
+    background = [w for cat in BACKGROUND_CATEGORIES for w in words_of(cat)]
+    n_rated = max(1, round(rating_density * items_per_cluster))
+    n = users_per_cluster * n_rated  # rows per cluster
+    item_codes, ratings, reviews, helpful = [], [], [], []
     truth: dict[str, ClusterInfo] = {}
     for c in range(n_clusters):
         trait = TRAITS[c % len(TRAITS)]
-        own_words = words_of(PLANTED_TRAIT_CATEGORIES[trait])
-        other_words = [
-            w
-            for t, cat in PLANTED_TRAIT_CATEGORIES.items()
-            if t != trait
-            for w in words_of(cat)
-        ]
-        background = [w for cat in BACKGROUND_CATEGORIES for w in words_of(cat)]
-        item_ids = [f"c{c}_i{j:03d}" for j in range(items_per_cluster)]
-        base_quality = rng.uniform(1.2, 4.8, size=items_per_cluster)
+        own = words_of(PLANTED_TRAIT_CATEGORIES[trait])
+        other = [w for t, cat in PLANTED_TRAIT_CATEGORIES.items() if t != trait
+                 for w in words_of(cat)]
+        # pools 0, 1, 2 (own trait, other traits, background) laid end to end
+        words = np.array(own + other + background, dtype=object)
+        pool_size = np.array([len(own), len(other), len(background)])
+        pool_start = np.array([0, len(own), len(own) + len(other)])
         for k in range(users_per_cluster):
-            user = f"c{c}_u{k:03d}"
-            truth[user] = ClusterInfo(cluster=c, trait=trait)
-            offset = rng.normal(0.0, 0.2)
-            n_rated = max(1, round(rating_density * items_per_cluster))
-            rated = rng.choice(items_per_cluster, size=n_rated, replace=False)
-            day = c * users_per_cluster + k
-            for pos, j in enumerate(sorted(int(x) for x in rated)):
-                rating = float(
-                    np.clip(base_quality[j] + offset + rng.normal(0.0, 0.25), 1.0, 5.0)
-                )
-                review_words = []
-                for _ in range(8):
-                    r = rng.random()
-                    if r < 0.6:
-                        pool = own_words
-                    elif r < 0.7:
-                        pool = other_words
-                    else:
-                        pool = background
-                    review_words.append(pool[int(rng.integers(len(pool)))])
-                rows.append(
-                    Interaction(
-                        user=user,
-                        item=item_ids[j],
-                        timestamp=day * SECONDS_PER_DAY + pos,
-                        action="rate",
-                        rating=rating,
-                        review=" ".join(review_words),
-                        helpful=int(rng.integers(0, 6)),
-                    )
-                )
-    return Corpus.from_rows(rows), truth
+            truth[f"c{c}_u{k:03d}"] = ClusterInfo(cluster=c, trait=trait)
+
+        quality = rng.uniform(1.2, 4.8, size=items_per_cluster)
+        offset = rng.normal(0.0, 0.2, size=users_per_cluster)
+        # each user's subset: the items of their n_rated smallest keys, ascending
+        keys = rng.random((users_per_cluster, items_per_cluster))
+        rated = np.sort(np.argsort(keys, axis=1)[:, :n_rated], axis=1)
+        noise = rng.normal(0.0, 0.25, size=rated.shape)
+        ratings.append(np.clip(quality[rated] + offset[:, None] + noise, 1.0, 5.0).ravel())
+        item_codes.append(c * items_per_cluster + rated.ravel())
+        draw = rng.random((n, 8))
+        pool = (draw >= 0.6).astype(np.int64) + (draw >= 0.7)
+        word = pool_start[pool] + rng.integers(0, pool_size[pool])
+        reviews.extend(map(" ".join, words[word].tolist()))
+        helpful.append(rng.integers(0, 6, size=n))
+
+    n_users = n_clusters * users_per_cluster
+    items, item = _recode(
+        np.concatenate(item_codes),
+        [f"c{c}_i{j:03d}" for c in range(n_clusters) for j in range(items_per_cluster)],
+    )
+    # user u rates on day u, the p-th of their items p seconds into it
+    user = np.repeat(np.arange(n_users, dtype=np.int64), n_rated)
+    stamp = user * SECONDS_PER_DAY + np.tile(np.arange(n_rated, dtype=np.int64), n_users)
+    corpus = Corpus(
+        list(truth), items, user, item, stamp, np.full(len(user), RATE, np.int8),
+        np.concatenate(ratings), np.concatenate(helpful), reviews,
+    )
+    return corpus, truth
 
 
 def _touched(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:

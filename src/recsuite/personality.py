@@ -139,27 +139,45 @@ DEMO_WEIGHTS = parse_weights_text(DEMO_WEIGHTS_TEXT)
 # Scoring
 
 
-def categorize(text: str, lexicon: dict[str, list[str]]) -> dict[str, float]:
-    """Per-category proportion of tokens matching that category's words.
+class _Matcher:
+    """A lexicon compiled once: each distinct token is matched against it once.
 
-    Each distinct token is matched once per category and weighted by its
-    count: exact words by lookup, ``stem*`` words by one startswith call.
+    `categories(token)` lists the positions of the categories the token
+    matches, exactly or by a ``stem*`` word, each at most once.
     """
-    tokens = tokenize(text)
-    if not tokens:
-        return {cat: 0.0 for cat in lexicon}
-    counts = collections.Counter(tokens)
-    proportions = {}
-    for cat, words in lexicon.items():
-        exact = {w for w in words if not w.endswith("*")}
-        stems = tuple(w[:-1] for w in words if w.endswith("*"))
-        matched = sum(counts[w] for w in exact)
-        if stems:
-            matched += sum(
-                n for tok, n in counts.items() if tok not in exact and tok.startswith(stems)
-            )
-        proportions[cat] = matched / len(tokens)
-    return proportions
+
+    def __init__(self, lexicon: dict[str, list[str]]):
+        self.names = list(lexicon)
+        self.exact: dict[str, set[int]] = collections.defaultdict(set)
+        self.stems: list[tuple[int, tuple[str, ...]]] = []
+        for c, words in enumerate(lexicon.values()):
+            for w in words:
+                if not w.endswith("*"):
+                    self.exact[w].add(c)
+            stems = tuple(w[:-1] for w in words if w.endswith("*"))
+            if stems:
+                self.stems.append((c, stems))
+        self._matches: dict[str, tuple[int, ...]] = {}
+
+    def categories(self, token: str) -> tuple[int, ...]:
+        if token not in self._matches:
+            hits = {c for c, stems in self.stems if token.startswith(stems)}
+            self._matches[token] = tuple(hits | self.exact.get(token, set()))
+        return self._matches[token]
+
+    def proportions(self, text: str) -> dict[str, float]:
+        """Per-category proportion of the text's tokens matching that category."""
+        tokens = tokenize(text)
+        matched = [0] * len(self.names)
+        for token, n in collections.Counter(tokens).items():
+            for c in self.categories(token):
+                matched[c] += n
+        return {cat: m / len(tokens) if tokens else 0.0 for cat, m in zip(self.names, matched)}
+
+
+def categorize(text: str, lexicon: dict[str, list[str]]) -> dict[str, float]:
+    """Per-category proportion of tokens matching that category's words."""
+    return _Matcher(lexicon).proportions(text)
 
 
 def trait_score(
@@ -197,11 +215,14 @@ def profile_user(
     weights: dict[str, list[tuple[str, float]]],
 ) -> PersonalityProfile | None:
     """Concatenate reviews, categorize, score. None when there is no text."""
+    return _profile(user, reviews, _Matcher(lexicon), weights)
+
+
+def _profile(user, reviews, matcher: _Matcher, weights) -> PersonalityProfile | None:
     texts = [r for r in reviews if r and r.strip()]
     if not texts:
         return None
-    X = categorize(" ".join(texts), lexicon)
-    scores = trait_score(X, weights)
+    scores = trait_score(matcher.proportions(" ".join(texts)), weights)
     return PersonalityProfile(user=user, scores=scores, dominant=dominant_trait(scores))
 
 
@@ -210,14 +231,18 @@ def profile_all(
     lexicon: dict[str, list[str]],
     weights: dict[str, list[tuple[str, float]]],
 ) -> dict[str, PersonalityProfile]:
-    """Profiles of the corpus's users with review text, in vocabulary order."""
+    """Profiles of the corpus's users with review text, in vocabulary order.
+
+    The lexicon is compiled once, so each distinct token is matched once.
+    """
     reviews: list[list[str]] = [[] for _ in corpus.users]
     for u, text in zip(corpus.user.tolist(), corpus.review):
         if text:
             reviews[u].append(text)
+    matcher = _Matcher(lexicon)
     profiles = {}
     for user, texts in zip(corpus.users, reviews):
-        prof = profile_user(user, texts, lexicon, weights)
+        prof = _profile(user, texts, matcher, weights)
         if prof is not None:
             profiles[user] = prof
     return profiles

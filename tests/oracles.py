@@ -7,7 +7,9 @@ by record ordinal, which equals the file line only when no blank line and
 no multi-line field precedes the row. `ingest_rows` is the per-row
 `csv.reader` loop that `data.ingest_csv` ran before it checked whole
 columns; it numbers each row by the file line it starts on. Both return
-`Interaction` rows, and `rows` turns a `data.Corpus` into them.
+`Interaction` rows, the row form of a log that tests write; `from_rows`
+turns such rows into a `data.Corpus`, interning tokens in order of first
+appearance, and `rows` turns a `data.Corpus` back into them.
 `rating_matrix`, `sessionize`, `profile_all`, `knowledge_levels`,
 `dsw_degree` and `cross_cluster_disjointness` are the per-row loops over
 `Interaction` rows that the `data` and `personality` functions of those
@@ -25,10 +27,41 @@ lists before it took them as prefixes of one walk.
 
 import collections
 import csv
+from typing import NamedTuple
 
 import numpy as np
 
 from recsuite import baselines, data, personality
+
+
+class Interaction(NamedTuple):
+    """One row of a log."""
+
+    user: str
+    item: str
+    timestamp: int
+    action: str = "view"
+    rating: float | None = None
+    review: str | None = None
+    helpful: int | None = None
+
+
+def from_rows(rows) -> data.Corpus:
+    """The `Interaction` rows as columns, in their order; nothing is checked."""
+    rows = list(rows)
+    user, item, stamp, action, rating, review, helpful = (
+        zip(*rows) if rows else [()] * len(Interaction._fields)
+    )
+    users, user_codes = data._intern(user)
+    items, item_codes = data._intern(item)
+    return data.Corpus(
+        users, items, user_codes, item_codes,
+        np.array(stamp, dtype=np.int64),
+        np.fromiter(map(data.ACTIONS.index, action), np.int8, len(action)),
+        np.array([np.nan if r is None else r for r in rating], dtype=np.float64),
+        np.array([-1 if h is None else h for h in helpful], dtype=np.int64),
+        [r or "" for r in review],
+    )
 
 
 def rank_items(scores) -> np.ndarray:
@@ -83,7 +116,7 @@ def ingest_csv(path, schema=None):
                     raise ValueError("negative helpfulness votes")
                 review = col("review") or None
                 rows.append(
-                    data.Interaction(user, item, ts, action, rating, review, helpful)
+                    Interaction(user, item, ts, action, rating, review, helpful)
                 )
             except ValueError as exc:
                 errors.append(data.RowError(line=line_no, message=str(exc)))
@@ -133,7 +166,7 @@ def ingest_rows(path, schema=None):
                 if helpful is not None and helpful < 0:
                     raise ValueError("negative helpfulness votes")
                 rows.append(
-                    data.Interaction(user, item, ts, action, rating, review or None, helpful)
+                    Interaction(user, item, ts, action, rating, review or None, helpful)
                 )
             except ValueError as exc:
                 errors.append(data.RowError(line=start, message=str(exc)))
@@ -143,7 +176,7 @@ def ingest_rows(path, schema=None):
 def rows(corpus):
     """The corpus's rows as `Interaction`s, None where a row has no value."""
     return [
-        data.Interaction(
+        Interaction(
             corpus.users[u], corpus.items[i], t, data.ACTIONS[a],
             None if np.isnan(r) else r, v or None, None if h < 0 else h,
         )

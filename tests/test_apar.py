@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apar_oracles as dense
+import oracles
 from recsuite import apar, personality
 from recsuite.numeric import grad_check, make_rng
 
@@ -342,12 +343,12 @@ class TestTrainApar:
         from recsuite import data
 
         evs = [
-            data.Interaction("u1", "a", 0, "rate", 4.0),
-            data.Interaction("u1", "b", 1, "rate", 2.0),
-            data.Interaction("u2", "a", 2, "rate", 5.0),
-            data.Interaction("u2", "b", 3, "rate", 1.0),
+            oracles.Interaction("u1", "a", 0, "rate", 4.0),
+            oracles.Interaction("u1", "b", 1, "rate", 2.0),
+            oracles.Interaction("u2", "a", 2, "rate", 5.0),
+            oracles.Interaction("u2", "b", 3, "rate", 1.0),
         ]
-        m = data.RatingMatrix.from_interactions(data.Corpus.from_rows(evs))
+        m = data.RatingMatrix.from_interactions(oracles.from_rows(evs))
         cfg = apar.AparConfig(d=1, seed=0, max_iters=10, beta=0.25)
         state = apar.fit_ratings(m, m.triplets, np.arange(2), {"u1": 0.5}, cfg)
         assert list(state.gamma) == [0.75, 0.25]  # beta + kl, kl=0 fallback

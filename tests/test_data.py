@@ -373,11 +373,11 @@ def test_one_fault_among_clean_rows(tmp_path, body, items, errors):
 
 
 def I(user, item, ts, **kw):
-    return data.Interaction(user=user, item=item, timestamp=ts, **kw)
+    return oracles.Interaction(user=user, item=item, timestamp=ts, **kw)
 
 
 def rows_corpus(*rows):
-    return data.Corpus.from_rows(rows)
+    return oracles.from_rows(rows)
 
 
 class TestSessionize:
@@ -622,6 +622,86 @@ class TestSynthPersonalityClusters:
         ]
 
 
+COLUMNS = ("user", "item", "timestamp", "action", "rating", "helpful")
+
+
+def assert_same_corpus(got, want):
+    """Equal vocabularies, reviews and columns, dtypes included."""
+    assert (got.users, got.items, got.review) == (want.users, want.items, want.review)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+
+
+def planted_pools(trait):
+    """The words of a cluster's own-trait, other-trait and background pools."""
+    def words(categories):
+        return {w.rstrip("*") for cat in categories for w in personality.DEMO_LEXICON[cat]}
+
+    return (
+        words([data.PLANTED_TRAIT_CATEGORIES[trait]]),
+        words(cat for t, cat in data.PLANTED_TRAIT_CATEGORIES.items() if t != trait),
+        words(data.BACKGROUND_CATEGORIES),
+    )
+
+
+@given(
+    n_clusters=st.integers(2, 6),
+    users_per_cluster=st.integers(1, 8),
+    items_per_cluster=st.integers(1, 12),
+    density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_personality_generator_layout(tmp_path_factory, n_clusters, users_per_cluster,
+                                      items_per_cluster, density, seed):
+    corpus, truth = data.synth_personality_clusters(
+        n_clusters, users_per_cluster, items_per_cluster, rng=make_rng(seed),
+        rating_density=density,
+    )
+    n_rated = max(1, round(density * items_per_cluster))
+    assert len(corpus) == n_clusters * users_per_cluster * n_rated
+    assert list(truth) == [f"c{c}_u{k:03d}" for c in range(n_clusters)
+                           for k in range(users_per_cluster)]
+    by_user = collections.defaultdict(list)
+    for e in oracles.rows(corpus):
+        by_user[e.user].append(e)
+    assert list(by_user) == list(truth)
+    for day, (user, events) in enumerate(by_user.items()):
+        cluster = truth[user].cluster
+        assert truth[user].trait == data.TRAITS[cluster % len(data.TRAITS)]
+        assert [e.timestamp for e in events] == [
+            day * data.SECONDS_PER_DAY + p for p in range(n_rated)
+        ]
+        owner, _, j = zip(*(e.item.partition("_i") for e in events))
+        assert set(owner) == {f"c{cluster}"}
+        j = [int(x) for x in j]
+        assert j == sorted(set(j)) and 0 <= j[0] and j[-1] < items_per_cluster
+        pools = set().union(*planted_pools(truth[user].trait))
+        for e in events:
+            assert e.action == "rate" and 1.0 <= e.rating <= 5.0 and 0 <= e.helpful <= 5
+            words = e.review.split(" ")
+            assert len(words) == 8 and set(words) <= pools
+    # vocabularies in order of first appearance, as the row oracle interns them
+    assert_same_corpus(corpus, oracles.from_rows(oracles.rows(corpus)))
+    p = tmp_path_factory.mktemp("synth") / "corpus.csv"
+    data.write_csv(p, corpus)
+    again, errors = data.ingest_csv(p)
+    assert not errors
+    assert_same_corpus(again, corpus)
+
+
+def test_personality_generator_pool_shares():
+    corpus, truth = data.synth_personality_clusters(5, 200, 40, rng=make_rng(1))
+    assert len(corpus) == 24_000
+    drawn = np.zeros(3)
+    for u, review in zip(corpus.user.tolist(), corpus.review):
+        pools = planted_pools(truth[corpus.users[u]].trait)
+        for word in review.split(" "):
+            drawn[[word in pool for pool in pools].index(True)] += 1
+    assert drawn.sum() == 8 * len(corpus)
+    assert np.allclose(drawn / drawn.sum(), [0.6, 0.1, 0.3], rtol=0, atol=0.01)
+
+
 class TestRatingMatrix:
     def test_from_interactions(self):
         evs = [
@@ -659,7 +739,7 @@ class TestRatingMatrix:
 
 EVENTS = st.lists(
     st.builds(
-        data.Interaction,
+        oracles.Interaction,
         user=st.sampled_from(["u1", "u2", "u3"]),
         item=st.sampled_from(["a", "b", "c", "d"]),
         timestamp=st.one_of(

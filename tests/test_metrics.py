@@ -475,11 +475,11 @@ class TestChunkedEvaluate:
 class TestEvaluateRatings:
     def test_mae_rmse_rows(self):
         evs = [
-            data.Interaction("u1", "a", 0, "rate", 4.0),
-            data.Interaction("u1", "b", 1, "rate", 2.0),
-            data.Interaction("u2", "a", 2, "rate", 3.0),
+            oracles.Interaction("u1", "a", 0, "rate", 4.0),
+            oracles.Interaction("u1", "b", 1, "rate", 2.0),
+            oracles.Interaction("u2", "a", 2, "rate", 3.0),
         ]
-        m = data.RatingMatrix.from_interactions(data.Corpus.from_rows(evs))
+        m = data.RatingMatrix.from_interactions(oracles.from_rows(evs))
 
         class Const:
             def predict_rating(self, u, i):

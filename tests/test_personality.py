@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apar_oracles
+import oracles
 from recsuite import data, personality
 from recsuite.numeric import make_rng
 
@@ -84,6 +85,12 @@ class TestCategorize:
         lex = {"a": ["win"], "b": ["win"]}
         X = personality.categorize("win", lex)
         assert X["a"] == 1.0 and X["b"] == 1.0
+
+    def test_word_listed_twice_in_a_category_counts_once(self):
+        lex = {"a": ["win", "win", "wi*"], "b": ["hero"]}
+        X = personality.categorize("win hero win wine", lex)
+        assert X == apar_oracles.categorize("win hero win wine", lex)
+        assert X["a"] == 0.75 and X["b"] == 0.25
 
     @given(st.text(alphabet="ab cd", max_size=30))
     def test_repetition_invariance(self, text):
@@ -257,10 +264,10 @@ class TestSimilarityMatrix:
 
 class TestKnowledgeLevels:
     def levels(self, *rows):
-        return personality.knowledge_levels(data.Corpus.from_rows(rows))
+        return personality.knowledge_levels(oracles.from_rows(rows))
 
     def ev(self, user, item, helpful, review="nice"):
-        return data.Interaction(
+        return oracles.Interaction(
             user=user,
             item=item,
             timestamp=0,
@@ -287,7 +294,7 @@ class TestKnowledgeLevels:
     def test_zero_reviews_flagged(self):
         kl = self.levels(
             self.ev("u1", "a", 4),
-            data.Interaction(user="u2", item="b", timestamp=0, action="view"),
+            oracles.Interaction(user="u2", item="b", timestamp=0, action="view"),
         )
         assert kl["u2"].defined is False
         assert kl["u2"].kl_normalized == 0.0
