@@ -44,9 +44,7 @@ def main():
 
     runs = [("top", baselines.top_scorer(sp.train, ds.item_index, ds.n_items), 0.0)]
 
-    das_cfg = das.DasConfig(
-        k=24, lr=0.02, epochs=60, batch=50, seed=args.seed, init_std=0.5
-    )
+    das_cfg = das.DasConfig(k=24, lr=0.02, epochs=60, batch=50, seed=args.seed)
     t0 = time.perf_counter()
     runs.append(("das", das.train_das(sp, ds, das_cfg), time.perf_counter() - t0))
 

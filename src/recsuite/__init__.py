@@ -21,4 +21,7 @@ __version__ = "0.1.0"
 # 2: APAR checkpoints store one trait-group label per user ("groups") in
 # place of the n x n similarity matrix "L"
 # 3: DAS, CAN and BPR configs lose five fields that no command set
-CHECKPOINT_FORMAT_VERSION = 3
+# 4: CAN always has its own output table (no "tie_embeddings"), and nothing
+# the file can derive is stored: no "index_hash", no "n_items" for random,
+# no "by" for the mean predictors
+CHECKPOINT_FORMAT_VERSION = 4

@@ -45,13 +45,10 @@ class CanConfig:
     batch: int = 50
     epochs: int = 10
     seed: int = 0
-    tie_embeddings: bool = False  # V_out is E itself; requires N_f == D
 
     def validate(self) -> "CanConfig":
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("conv window must be odd and positive")
-        if self.tie_embeddings and self.N_f != self.D:
-            raise ValueError("tied output table needs N_f == D")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         return self
@@ -71,17 +68,15 @@ class CanState(metrics.Ranker):
     b3: np.ndarray
     W4: np.ndarray  # N_f x D_q
     b4: np.ndarray
-    V_out: np.ndarray  # n_items x N_f (alias of E when tied)
+    V_out: np.ndarray  # n_items x N_f
     config: CanConfig
     trace: list = field(default_factory=list)
 
     def params(self) -> list:
-        return [getattr(self, n) for n in param_names(self.config)]
+        return [getattr(self, n) for n in PARAM_NAMES]
 
     @classmethod
     def from_params(cls, plist, config: CanConfig) -> "CanState":
-        if config.tie_embeddings:
-            return cls(*plist, V_out=plist[0], config=config)
         return cls(*plist, config=config)
 
     def score_batch(self, users, longs, shorts) -> np.ndarray:
@@ -89,15 +84,10 @@ class CanState(metrics.Ranker):
         return u @ self.V_out.T
 
 
-def param_names(config: CanConfig) -> tuple:
-    """The names of params(): PARAM_NAMES without V_out when it is E itself."""
-    return PARAM_NAMES[:-1] if config.tie_embeddings else PARAM_NAMES
-
-
 def param_shapes(config: CanConfig, n_users: int, n_items: int) -> dict:
-    """The shape of each of params(), by name, in param_names(config) order."""
+    """The shape of each parameter, by name, in PARAM_NAMES order."""
     c = config.validate()
-    shape = {
+    return {
         "E": (n_items, c.D),
         "U": (c.D_u, n_users),
         "K_w": (c.N_f, c.window * c.D),
@@ -112,7 +102,6 @@ def param_shapes(config: CanConfig, n_users: int, n_items: int) -> dict:
         "b4": (c.N_f,),
         "V_out": (n_items, c.N_f),
     }
-    return {name: shape[name] for name in param_names(config)}
 
 
 def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanState:
@@ -121,7 +110,7 @@ def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanStat
         rng = make_rng(config.seed)
     E = init_normal(*shape["E"], 0.0, 0.01, rng)
     U = init_normal(*shape["U"], 0.0, 0.01, rng)
-    V_out = E if config.tie_embeddings else init_normal(*shape["V_out"], 0.0, 0.01, rng)
+    V_out = init_normal(*shape["V_out"], 0.0, 0.01, rng)
 
     def attn(name):
         rows, cols = shape[name]
@@ -240,19 +229,17 @@ def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, out=None):
     new arrays.
     """
     cfg = state.config
-    names = param_names(cfg)
     u, c = forward(state, batch.users, batch.longs, batch.shorts, rng)
     rp, rq = c.rp, c.rq
     grads = [np.empty_like(p) for p in state.params()] if out is None else out
-    g = dict(zip(names, grads))
+    g = dict(zip(PARAM_NAMES, grads))
     # every gradient starts as its L2 term; the data terms add to the rows
     # (or columns) the batch touched
     total = 0.0
-    for name, param, grad in zip(names, state.params(), grads):
+    for name, param, grad in zip(PARAM_NAMES, state.params(), grads):
         lam = cfg.lam_uv if name in ("E", "U", "V_out") else cfg.lam_a
         np.multiply(param, 2.0 * lam, out=grad)
         total += lam * np.vdot(param, param)
-    gV = g["E"] if cfg.tie_embeddings else g["V_out"]
     vout = state.V_out
     pos = np.asarray(batch.positives, dtype=np.int64)
     neg = np.asarray(batch.negatives, dtype=np.int64)
@@ -262,7 +249,7 @@ def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, out=None):
     total += -np.log(np.clip(sigmoid(x), 1e-12, 1.0 - 1e-12)).sum()
 
     s = (sigmoid(x) - 1.0)[:, None]  # d(-ln sigma(x))/dx
-    add_rows(gV, np.concatenate([pos, neg]), np.vstack([s * u, -s * u]))
+    add_rows(g["V_out"], np.concatenate([pos, neg]), np.vstack([s * u, -s * u]))
     dm = s * diff
 
     if rq:

@@ -2,9 +2,10 @@
 
 One ``.npz`` per trained model: the parameter arrays, the user/item
 token lists they were trained against, and a JSON metadata record
-(format version, model kind, hyperparameters, training trace). Saving
-the same state twice produces byte-identical files, and loading
-reconstructs the original state class ready to score or predict.
+(format version, model kind, hyperparameters, training trace), and
+nothing the kind and the list lengths imply. Saving the same state twice
+produces byte-identical files, and loading reconstructs the original
+state class ready to score or predict.
 
 `KINDS` describes each model kind once: its state and config classes, its
 arrays (name, dtype and shape in terms of the user count, the item count
@@ -19,11 +20,9 @@ ValueError whose message starts with the file's path for:
 * a config with keys its class does not have;
 * arrays that are missing, extra, not float64 (int64 for ``groups``),
   mis-shaped or non-finite;
-* user or item lists whose lengths disagree with the array shapes, or,
-  for ``random``, with its item count.
+* user or item lists whose lengths disagree with the array shapes.
 """
 
-import hashlib
 import json
 import lzma
 import math
@@ -35,12 +34,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION, apar, baselines, can, das
-
-
-def index_maps_hash(users, items) -> str:
-    """Order-sensitive digest of the interned token lists."""
-    payload = json.dumps([list(users), list(items)], ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -138,7 +131,7 @@ class Kind:
     arrays: Callable  # (config, n_users, n_items) -> {name: shape}, in save order
     fields: dict  # JSON field name -> Field, each a state attribute
     int64: tuple = ()  # arrays stored as int64; the others are float64
-    # field values that the kind and the list lengths (n_users, n_items) imply
+    # (n_users, n_items) -> the attributes they and the kind imply; not stored
     implied: Callable = lambda n_users, n_items: {}
 
 
@@ -150,7 +143,7 @@ def _no_arrays(config, n_users, n_items) -> dict:
     return {}
 
 
-_MEAN_FIELDS = {"by": _scalar(str), "global_mean": _scalar(float), "table": _TABLE}
+_MEAN_FIELDS = {"global_mean": _scalar(float), "table": _TABLE}
 
 KINDS = {
     "apar": Kind(
@@ -166,7 +159,7 @@ KINDS = {
     "top": Kind(baselines.TopScorer, None, lambda c, n_users, n_items: {"counts": (n_items,)},
                 {}),
     "random": Kind(baselines.RandomScorer, None, _no_arrays,
-                   {"seed": _scalar(int), "n_items": _scalar(int)},
+                   {"seed": _scalar(int)},
                    implied=lambda n_users, n_items: {"n_items": n_items}),
     "usermean": Kind(baselines.MeanPredictor, None, _no_arrays, _MEAN_FIELDS,
                      implied=lambda n_users, n_items: {"by": "user"}),
@@ -198,7 +191,6 @@ def save_checkpoint(path, state, users, items) -> None:
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": name,
-        "index_hash": index_maps_hash(users, items),
         **{f: field.dump(getattr(state, f)) for f, field in kind.fields.items()},
     }
     if config is not None:
@@ -286,30 +278,20 @@ def _decode(blobs) -> Checkpoint:
     if not isinstance(name, str) or name not in KINDS:
         raise ValueError(f"checkpoint has unknown model kind {name!r}")
     kind = KINDS[name]
-    if not isinstance(_get(meta, "index_hash"), str):
-        raise ValueError("index_hash is not a string")
     users = _tokens(blobs, "__users__", "user")
     items = _tokens(blobs, "__items__", "item")
 
-    values = {}
+    values = kind.implied(len(users), len(items))
     for f, field in kind.fields.items():
         value = _get(meta, f)
         try:
             values[f] = field.load(value)
         except ValueError as exc:
             raise ValueError(f"field {f}: {exc}") from None
-    for f, value in kind.implied(len(users), len(items)).items():
-        if values[f] != value:
-            raise ValueError(
-                f"field {f} is {values[f]!r} where the kind and its {len(users)} users "
-                f"and {len(items)} items imply {value!r}"
-            )
     config = None
     if kind.config:
         config = values["config"] = _load_config(kind.config, _get(meta, "config"))
     _check_arrays(kind, blobs, config, len(users), len(items))
-    if kind.state is can.CanState and config.tie_embeddings:
-        blobs["V_out"] = blobs["E"]  # the tied output table is E itself
     return Checkpoint(kind=name, state=kind.state(**blobs, **values), users=users,
                       items=items, meta=meta)
 
@@ -328,12 +310,14 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def verify_compatible(ckpt: Checkpoint, users, items) -> None:
-    """Raise unless the checkpoint was built against these exact index maps."""
-    current = index_maps_hash(users, items)
-    stored = ckpt.meta["index_hash"]
-    if current != stored:
-        raise ValueError(
-            f"checkpoint index maps (sha256 {stored}) do not match the "
-            f"dataset's (sha256 {current}); re-ingest with the original data "
-            "or retrain"
-        )
+    """Raise unless the checkpoint was built against these exact token lists."""
+    for what, stored, current in (("user", ckpt.users, list(users)),
+                                  ("item", ckpt.items, list(items))):
+        if stored != current:
+            at = next((i for i, (a, b) in enumerate(zip(stored, current)) if a != b),
+                      min(len(stored), len(current)))
+            raise ValueError(
+                f"the checkpoint's {what} list ({len(stored)} tokens) differs from "
+                f"the corpus's ({len(current)} tokens) first at position {at}; "
+                "re-ingest with the original data or retrain"
+            )

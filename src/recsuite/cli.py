@@ -37,6 +37,7 @@ METRIC_NAMES = ("precision", "recall", "mcan", "auc", "mae", "rmse")
 POSITIVE = click.IntRange(min=1)
 FRACTION = click.FloatRange(0, 1)
 NONNEGATIVE = click.FloatRange(min=0)
+SPLIT_POLICIES = click.Choice(["random-80-20", "last-week"])
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,8 @@ def _read_corpus(path, schema=None):
 def _ranking_context(corpus, policy, seed):
     ds = data.Dataset.from_interactions(corpus)
     sp = data.split(ds.sessions, policy, make_rng(seed))
+    for warning in sp.warnings:
+        click.echo(f"split: {warning}", err=True)
     return ds, sp
 
 
@@ -327,7 +330,6 @@ def _build_model_config(model, p):
             "window": p["window"], "dropout": p["dropout"], "lr": p["lr"],
             "epochs": p["epochs"], "batch": p["batch"], "lam_uv": p["lam_uv"],
             "lam_a": p["lam_at"], "seed": p["seed"],
-            "tie_embeddings": p["tie_embeddings"],
         }
         if p["k"] is not None:  # one knob scales every width
             mapping.update(D=p["k"], D_u=p["k"], N_f=p["k"], D_p=p["k"], D_q=p["k"])
@@ -363,10 +365,8 @@ def _build_model_config(model, p):
 @click.option("--gamma", type=FRACTION, help="apar: global blend override")
 @click.option("--window", type=int, help="can: conv window (odd)")
 @click.option("--dropout", type=click.FloatRange(0, 1, max_open=True), help="can: dropout")
-@click.option("--tie-embeddings/--no-tie-embeddings", default=None,
-              help="can: share the output table with the item embeddings")
-@click.option("--split-policy", default="random-80-20", show_default=True,
-              help="session split policy")
+@click.option("--split-policy", type=SPLIT_POLICIES, default="random-80-20",
+              show_default=True, help="session split policy")
 @click.option("--test-fraction", type=FRACTION, default=0.2, show_default=True,
               help="rating models: held-out fraction")
 @common_options
@@ -450,7 +450,8 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
               help="keep current-session items rankable instead of excluding them")
 @click.option("--auc-negatives", type=click.Choice(["all", "sampled-100"]),
               default="all", show_default=True)
-@click.option("--split-policy", default="random-80-20", show_default=True)
+@click.option("--split-policy", type=SPLIT_POLICIES, default="random-80-20",
+              show_default=True, help="session split policy")
 @click.option("--test-fraction", type=FRACTION, default=0.2, show_default=True)
 @common_options
 @out_option()
@@ -487,8 +488,8 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
             checkpoint.verify_compatible(ck, matrix.users, matrix.items)
             report = metrics.evaluate_ratings(ck.state, test_trips, ck.kind)
         else:
+            checkpoint.verify_compatible(ck, corpus.users, corpus.items)
             ds, sp = _ranking_context(corpus, split_policy, seed)
-            checkpoint.verify_compatible(ck, ds.users, ds.items)
             report = metrics.evaluate(
                 ck.state, ds, sp, cutoff_list, ck.kind,
                 exclude_context=not include_context,

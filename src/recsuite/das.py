@@ -37,7 +37,6 @@ class DasConfig:
     batch: int = 50
     epochs: int = 10
     seed: int = 0
-    init_std: float = 0.5  # W1, W2 spread; at 0.01 all items look alike
 
 
 @dataclass
@@ -95,9 +94,11 @@ def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasStat
         (k,) = shape[name]
         return init_uniform_attention(1, k, k, rng)[0]
 
+    # the embedding tables spread at 0.5, the dense layers at 0.1; at 0.01
+    # all items look alike
     return DasState(
-        W1=init_normal(*shape["W1"], 0.0, config.init_std, rng),
-        W2=init_normal(*shape["W2"], 0.0, config.init_std, rng),
+        W1=init_normal(*shape["W1"], 0.0, 0.5, rng),
+        W2=init_normal(*shape["W2"], 0.0, 0.5, rng),
         w_alpha=attention("w_alpha"),
         w_beta=attention("w_beta"),
         W=init_normal(*shape["W"], 0.0, 0.1, rng),

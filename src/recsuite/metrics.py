@@ -46,10 +46,13 @@ def precision_at_k(ranked, relevant, k: int) -> float:
     """Fraction of the first k ranked items that are relevant.
 
     When fewer than k items are available the available prefix is used
-    and a warning is emitted, so short catalogs degrade loudly.
+    and a warning is emitted, so short catalogs degrade loudly; an empty
+    ranking is a ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not len(ranked):
+        raise ValueError("nothing was ranked")
     if len(ranked) < k:
         _warnings.warn(f"only {len(ranked)} items ranked, wanted top-{k}")
         k = len(ranked)
@@ -238,10 +241,11 @@ def evaluate(
     context, and target; "sampled-100" caps that pool at 100 draws per
     instance, drawn from `rng` in instance order.
 
-    A lookup error (KeyError, IndexError: an unknown user or item) or a
-    score vector of the wrong length fails only its instance and is listed
-    in the report's failures, in instance order; any other exception
-    propagates.
+    A lookup error (KeyError, IndexError: an unknown user or item), a
+    score vector of the wrong length, or a context that covers the catalog
+    when it is excluded (nothing is left to rank) fails only its instance
+    and is listed in the report's failures, in instance order; any other
+    exception propagates.
     """
     if auc_negatives not in ("all", "sampled-100"):
         raise ValueError(f"unknown auc_negatives mode: {auc_negatives!r}")
@@ -286,6 +290,10 @@ def evaluate(
             _, _, ctx_idx, target = x
             if cutoffs:
                 ranked = top_k(scores, cutoffs[-1], ctx_idx if exclude_context else ())
+                if not ranked.size:
+                    failures.append(f"user {inst.user} day {inst.day}: no item left to "
+                                    "rank once its context is dropped")
+                    continue
             for k in cutoffs:
                 topk = list(ranked[:k])
                 per_user[("precision", k)].setdefault(inst.user, []).append(

@@ -199,9 +199,7 @@ def can_scores(state, user, long_items, short_items):
 def can_loss_and_grads(state, batch, rng=None):
     """Pairwise BPR loss + L2, gradients aligned with state.params()."""
     cfg = state.config
-    names = can.param_names(cfg)
-    g = {n: np.zeros_like(getattr(state, n)) for n in names}
-    gV = g["E"] if cfg.tie_embeddings else g["V_out"]
+    g = {n: np.zeros_like(getattr(state, n)) for n in can.PARAM_NAMES}
     vout = state.V_out
     K = (cfg.window - 1) // 2
     total = 0.0
@@ -245,8 +243,8 @@ def can_loss_and_grads(state, batch, rng=None):
         total += -np.log(np.clip(sigmoid(x), 1e-12, 1.0 - 1e-12))
 
         s = sigmoid(x) - 1.0  # d(-ln sigma(x))/dx
-        gV[pos] += s * u
-        gV[neg] -= s * u
+        g["V_out"][pos] += s * u
+        g["V_out"][neg] -= s * u
         du = s * (vout[pos] - vout[neg])
 
         if use_pref:
@@ -294,14 +292,13 @@ def can_loss_and_grads(state, batch, rng=None):
     total += cfg.lam_uv * ((state.E**2).sum() + (state.U**2).sum())
     g["E"] += 2.0 * cfg.lam_uv * state.E
     g["U"] += 2.0 * cfg.lam_uv * state.U
-    if not cfg.tie_embeddings:
-        total += cfg.lam_uv * (state.V_out**2).sum()
-        g["V_out"] += 2.0 * cfg.lam_uv * state.V_out
+    total += cfg.lam_uv * (state.V_out**2).sum()
+    g["V_out"] += 2.0 * cfg.lam_uv * state.V_out
     for n_ in ("K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4"):
         arr = getattr(state, n_)
         total += cfg.lam_a * (arr**2).sum()
         g[n_] += 2.0 * cfg.lam_a * arr
-    return float(total), [g[n_] for n_ in names]
+    return float(total), [g[n_] for n_ in can.PARAM_NAMES]
 
 
 def train_can(split, dataset, config):

@@ -46,7 +46,7 @@ def planted():
 @pytest.fixture(scope="module")
 def das_trained(planted):
     ds, sp = planted
-    cfg = das.DasConfig(k=24, lr=0.02, epochs=60, batch=50, seed=0, init_std=0.5)
+    cfg = das.DasConfig(k=24, lr=0.02, epochs=60, batch=50, seed=0)
     t0 = time.perf_counter()
     state = das.train_das(sp, ds, cfg)
     return state, cfg, time.perf_counter() - t0

@@ -82,15 +82,15 @@ def test_das_kernel_takes_single_negatives():
 
 
 @given(batches(items), st.integers(0, 1000), st.sampled_from([1, 3, 5]),
-       st.booleans(), st.sampled_from([0.0, 0.3]))
-@example(EMPTY_LISTS, 0, 3, False, 0.3)
-@example(EMPTY_LISTS, 1, 3, True, 0.0)
-def test_can_kernel_matches_loop(batch, seed, window, tie, dropout):
+       st.sampled_from([0.0, 0.3]))
+@example(EMPTY_LISTS, 0, 3, 0.3)
+@example(EMPTY_LISTS, 1, 3, 0.0)
+def test_can_kernel_matches_loop(batch, seed, window, dropout):
     if isinstance(batch.negatives[0], list):  # the shared example carries DAS lists
         batch = minibatch.Batch(**{**vars(batch),
                                    "negatives": [n[0] for n in batch.negatives]})
     cfg = can.CanConfig(D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=dropout,
-                        lam_uv=0.01, lam_a=0.02, seed=seed, tie_embeddings=tie)
+                        lam_uv=0.01, lam_a=0.02, seed=seed)
     state = perturbed(can.init_can(N_USERS, N_ITEMS, cfg), seed + 1)
     # dropout masks: both kernels draw from equally seeded generators and
     # must leave them in the same state
@@ -102,11 +102,11 @@ def test_can_kernel_matches_loop(batch, seed, window, tie, dropout):
 
 
 @given(st.integers(0, N_USERS - 1), item_lists, item_lists, st.integers(0, 1000),
-       st.sampled_from([1, 3, 5]), st.booleans())
-@example(0, [], [], 0, 3, False)
-@example(2, [1, 1, 4], [], 1, 3, True)
-@example(1, [], [3, 3], 2, 5, False)
-def test_score_items_match_per_instance_oracle(user, longs, shorts, seed, window, tie):
+       st.sampled_from([1, 3, 5]))
+@example(0, [], [], 0, 3)
+@example(2, [1, 1, 4], [], 1, 3)
+@example(1, [], [3, 3], 2, 5)
+def test_score_items_match_per_instance_oracle(user, longs, shorts, seed, window):
     def assert_scores(got, want):
         assert got.shape == (N_ITEMS,)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -116,7 +116,7 @@ def test_score_items_match_per_instance_oracle(user, longs, shorts, seed, window
     assert_scores(das_state.score_items(user, longs, shorts),
                   loop_oracles.das_scores(das_state, user, longs, shorts))
     cfg = can.CanConfig(D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=0.2,
-                        seed=seed, tie_embeddings=tie)
+                        seed=seed)
     can_state = perturbed(can.init_can(N_USERS, N_ITEMS, cfg), seed + 1)
     assert_scores(can_state.score_items(user, longs, shorts),
                   loop_oracles.can_scores(can_state, user, longs, shorts))
@@ -200,13 +200,12 @@ def assert_same_training(a, b):
 
 def test_das_shared_loop_reproduces_loop_trainer(corpus):
     ds, sp = corpus
-    cfg = das.DasConfig(k=6, lr=0.05, epochs=2, batch=10, seed=7, init_std=0.5)
+    cfg = das.DasConfig(k=6, lr=0.05, epochs=2, batch=10, seed=7)
     assert_same_training(das.train_das(sp, ds, cfg), loop_oracles.train_das(sp, ds, cfg))
 
 
-@pytest.mark.parametrize("tie", [False, True])
-def test_can_shared_loop_reproduces_loop_trainer(corpus, tie):
+def test_can_shared_loop_reproduces_loop_trainer(corpus):
     ds, sp = corpus
     cfg = can.CanConfig(D=4, D_u=3, N_f=4, D_p=3, D_q=3, lr=0.05, epochs=2, batch=8,
-                        dropout=0.2, seed=11, tie_embeddings=tie)
+                        dropout=0.2, seed=11)
     assert_same_training(can.train_can(sp, ds, cfg), loop_oracles.train_can(sp, ds, cfg))

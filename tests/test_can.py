@@ -264,9 +264,6 @@ class TestGradCheck:
     def test_empty_long_term(self):
         assert self._run(small_cfg(), G=()) < 1e-4
 
-    def test_tied_embeddings(self):
-        assert self._run(small_cfg(N_f=6, tie_embeddings=True)) < 1e-4
-
     def test_purpose_only(self):
         # an empty context leaves u = m: the purpose encoder alone
         assert self._run(small_cfg(), S=()) < 1e-4
@@ -325,10 +322,3 @@ class TestTrain:
         cfg = small_cfg(D=4, N_f=4, D_u=2, D_p=3, D_q=3, lr=1e155, epochs=4, batch=4)
         with pytest.raises(FloatingPointError):
             can.train_can(sp, ds, cfg)
-
-    def test_tied_embeddings_shared_table(self):
-        ds, sp = tiny_corpus()
-        cfg = small_cfg(D=4, N_f=4, D_u=2, D_p=3, D_q=3, lr=0.05, epochs=1,
-                        batch=8, tie_embeddings=True)
-        state = can.train_can(sp, ds, cfg)
-        assert state.V_out is state.E

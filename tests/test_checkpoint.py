@@ -16,6 +16,9 @@ def _users_items():
     return ["alice", "bob", "carol"], [f"i{n}" for n in range(8)]
 
 
+USERS, ITEMS = _users_items()
+
+
 def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
@@ -89,14 +92,6 @@ class TestRoundTripModels:
         assert np.array_equal(ck.state.V_out, st.V_out)
         assert ck.state.V_out is not ck.state.E
 
-    def test_can_tied_alias_restored(self, tmp_path):
-        cfg = can.CanConfig(D=4, D_u=2, N_f=4, D_p=3, D_q=2, tie_embeddings=True, seed=5)
-        st = can.init_can(3, 8, cfg)
-        p = tmp_path / "m.npz"
-        checkpoint.save_checkpoint(p, st, *_users_items())
-        ck = checkpoint.load_checkpoint(p)
-        assert ck.state.V_out is ck.state.E
-
 
 class TestRoundTripBaselines:
     def test_top(self, tmp_path):
@@ -168,7 +163,6 @@ class TestFormatGuards:
         users, items = _users_items()
         p = tmp_path / "v1.npz"
         meta = {"format_version": 1, "kind": "apar",
-                "index_hash": checkpoint.index_maps_hash(users, items),
                 "config": {"d": 2}, "trace": [], "converged": True, "fallback_steps": 0}
         np.savez(p, __meta__=np.array(json.dumps(meta)),
                  __users__=np.array(users), __items__=np.array(items),
@@ -176,7 +170,7 @@ class TestFormatGuards:
                  L=np.ones((3, 3)) - np.eye(3))
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 1" in str(err.value) and "version 3" in str(err.value)
+        assert "version 1" in str(err.value) and "version 4" in str(err.value)
 
     def test_v2_das_with_deleted_config_fields_rejected(self, tmp_path):
         # format 2 configs carried fields DasConfig no longer has; the version
@@ -193,7 +187,32 @@ class TestFormatGuards:
         np.savez(p, **blobs)
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 2" in str(err.value) and "version 3" in str(err.value)
+        assert "version 2" in str(err.value) and "version 4" in str(err.value)
+
+    def test_v3_can_with_index_hash_and_tie_flag_rejected(self, tmp_path):
+        # format 3 stored a hash of the token lists and CAN's tied-table flag;
+        # the version check names both versions before the fields are read
+        users, items = _users_items()
+        p = tmp_path / "v3.npz"
+        st = can.init_can(len(users), len(items),
+                          can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2))
+        checkpoint.save_checkpoint(p, st, users, items)
+        blobs = dict(np.load(p, allow_pickle=False))
+        meta = json.loads(str(blobs["__meta__"]))
+        meta.update(format_version=3, index_hash="0" * 64)
+        meta["config"]["tie_embeddings"] = False
+        blobs["__meta__"] = np.array(json.dumps(meta))
+        np.savez(p, **blobs)
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_checkpoint(p)
+        assert "version 3" in str(err.value) and "version 4" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["random", "usermean", "itemmean"])
+    def test_implied_fields_are_not_stored(self, name):
+        raw, _, meta = SAVED[name]
+        assert not {"index_hash", "n_items", "by"} & set(meta)
+        ck = checkpoint.load_checkpoint(io.BytesIO(raw))
+        _assert_same_state(STATES[name], ck.state)
 
     def test_unknown_version_rejected(self, tmp_path):
         st = baselines.TopScorer(counts=np.zeros(4))
@@ -227,24 +246,27 @@ class TestCompatibility:
         ck = checkpoint.load_checkpoint(p)
         checkpoint.verify_compatible(ck, users, items)  # no raise
 
-    def test_mismatch_names_both_hashes(self, tmp_path):
-        st = baselines.TopScorer(counts=np.zeros(8))
-        p = tmp_path / "m.npz"
-        users, items = _users_items()
-        checkpoint.save_checkpoint(p, st, users, items)
-        ck = checkpoint.load_checkpoint(p)
-        other_users = users + ["dave"]
-        with pytest.raises(ValueError) as ei:
-            checkpoint.verify_compatible(ck, other_users, items)
-        msg = str(ei.value)
-        assert checkpoint.index_maps_hash(users, items) in msg
-        assert checkpoint.index_maps_hash(other_users, items) in msg
+    def test_mismatch_names_the_differing_list(self):
+        ck = checkpoint.load_checkpoint(io.BytesIO(SAVED["top"][0]))
+        for users, items, named in (
+            (USERS + ["dave"], ITEMS, "user list (3 tokens) differs from the corpus's (4 tokens) "
+                                      "first at position 3"),
+            (USERS[:2], ITEMS, "user list (3 tokens) differs from the corpus's (2 tokens) "
+                               "first at position 2"),
+            (USERS, ITEMS[:3] + ["x"] + ITEMS[4:], "item list (8 tokens) differs from the "
+                                                   "corpus's (8 tokens) first at position 3"),
+            (USERS, ["i0"] + ITEMS, "item list (8 tokens) differs from the corpus's (9 tokens) "
+                                    "first at position 1"),
+        ):
+            with pytest.raises(ValueError) as ei:
+                checkpoint.verify_compatible(ck, users, items)
+            assert named in str(ei.value)
 
-    def test_hash_sensitive_to_order_and_side(self):
-        users, items = _users_items()
-        h = checkpoint.index_maps_hash
-        assert h(users, items) != h(list(reversed(users)), items)
-        assert h(users, items) != h(items, users)
+    def test_order_and_side_matter(self):
+        ck = checkpoint.load_checkpoint(io.BytesIO(SAVED["top"][0]))
+        for users, items in ((list(reversed(USERS)), ITEMS), (ITEMS, USERS)):
+            with pytest.raises(ValueError, match="user list"):
+                checkpoint.verify_compatible(ck, users, items)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +274,6 @@ class TestCompatibility:
 
 
 def _one_of_each_kind():
-    users, items = _users_items()
     rng = make_rng(0)
     states = {
         "apar": apar.AparState(
@@ -261,8 +282,6 @@ def _one_of_each_kind():
         ),
         "das": das.init_das(3, 8, das.DasConfig(k=2)),
         "can": can.init_can(3, 8, can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2)),
-        "can-tied": can.init_can(3, 8, can.CanConfig(D=4, D_u=2, N_f=4, D_p=3, D_q=2,
-                                                     tie_embeddings=True)),
         "bpr": baselines.init_bpr(3, 8, baselines.BprConfig(d=2)),
         "top": baselines.TopScorer(counts=np.arange(8.0)),
         "random": baselines.RandomScorer(n_items=8, seed=3),
@@ -270,15 +289,16 @@ def _one_of_each_kind():
                                             global_mean=2.25),
         "itemmean": baselines.MeanPredictor(by="item", table={"i0": 4.0}, global_mean=3.0),
     }
-    for name in ("das", "can", "can-tied", "bpr"):
+    for name in ("das", "can", "bpr"):
         states[name].trace.append(0.5)
-    return states, users, items
+    return states
 
 
-STATES, USERS, ITEMS = _one_of_each_kind()
+STATES = _one_of_each_kind()
 # the kinds none of whose arrays is sized by the user list or the item list
 NO_USER_ARRAYS = {"top", "random", "usermean", "itemmean"}
-NO_ITEM_ARRAYS = {"usermean", "itemmean"}
+NO_ITEM_ARRAYS = {"random", "usermean", "itemmean"}
+MEAN_KINDS = ("usermean", "itemmean")
 
 
 def _assert_same_state(saved, loaded):
@@ -290,8 +310,6 @@ def _assert_same_state(saved, loaded):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             else:
                 assert a == b
-    if isinstance(saved, can.CanState):
-        assert (loaded.V_out is loaded.E) == saved.config.tie_embeddings
 
 
 def _saved(state):
@@ -314,7 +332,7 @@ def damaged(draw, name, fault):
     blobs, meta = dict(blobs), json.loads(json.dumps(meta))
     floats = [a for a in blobs if not a.startswith("__") and a != "groups"]
     if fault == "version":
-        meta["format_version"] = draw(st.sampled_from([1, 2, 4, 99, "3", None]))
+        meta["format_version"] = draw(st.sampled_from([1, 2, 3, 99, "4", None]))
     elif fault == "kind":
         others = sorted(set(checkpoint.KINDS) - {meta["kind"]})
         meta["kind"] = draw(st.sampled_from(others + ["svd", "", 3, None, ["das"]]))
@@ -378,10 +396,19 @@ def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name
         if blobs is None:
             return
         np.savez(path, **blobs)
+        # only the kind tells user means from item means, so relabelling one
+        # mean predictor as the other leaves a sound file of the other kind
+        must_reject = not (how == "kind" and name in MEAN_KINDS
+                           and json.loads(str(blobs["__meta__"]))["kind"] in MEAN_KINDS)
     try:
         ck = checkpoint.load_checkpoint(path)
     except ValueError as err:
         assert str(err).startswith(f"{path}: "), err
         return
     assert not must_reject, f"{how} damage to a {name} file was accepted"
-    _assert_same_state(STATES[name], ck.state)
+    saved = STATES[name]
+    if name == "random":  # its item count is the length of the item list
+        saved = dataclasses.replace(saved, n_items=len(ck.items))
+    elif name in MEAN_KINDS:  # its `by` is named by the kind
+        saved = dataclasses.replace(saved, by=ck.kind.removesuffix("mean"))
+    _assert_same_state(saved, ck.state)

@@ -370,12 +370,15 @@ class TestConfigFile:
         cfg = self._manifest(tmp_path / "s", "synth")
         assert (cfg["users"], cfg["sessions_per_user"], cfg["session_len"]) == (2, 2, 3)
 
-    @pytest.mark.parametrize("word, tied", [("yes", True), ("off", False)])
-    def test_boolean_words(self, tmp_path, word, tied):
+    @pytest.mark.parametrize("word, included", [("yes", True), ("off", False)])
+    def test_boolean_words(self, tmp_path, word, included):
         corpus = synth_sequential(tmp_path / "s")
-        cfg = self._config(tmp_path, f"[train]\ntie_embeddings = {word}\n")
-        train(corpus, tmp_path / "t", "can", "--k", "4", "--epochs", "1", "--config", cfg)
-        assert self._manifest(tmp_path / "t", "train")["tie_embeddings"] is tied
+        ck = train(corpus, tmp_path / "t", "top")
+        cfg = self._config(tmp_path, f"[eval]\ninclude_context = {word}\n")
+        res = runner.invoke(main, ["eval", str(ck), str(corpus), "--config", cfg,
+                                   "--out", str(tmp_path / "e")])
+        assert res.exit_code == 0, res.output
+        assert self._manifest(tmp_path / "e", "eval")["exclude_context"] is not included
 
     def test_bad_value_names_the_flag(self, tmp_path):
         corpus = synth_sequential(tmp_path / "s")
@@ -384,6 +387,18 @@ class TestConfigFile:
                                    "--out", str(tmp_path / "t")])
         assert res.exit_code == 2
         assert "Invalid value for '--k'" in res.output
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unknown_split_policy_names_the_flag(self, tmp_path, command):
+        corpus = synth_sequential(tmp_path / "s", users=3, spu=2, items=6)
+        paths = [str(corpus)] * (2 if command == "eval" else 1)
+        model = ["--model", "usermean"] if command == "train" else []
+        res = runner.invoke(main, [command, *paths, *model, "--config",
+                                   self._config(tmp_path, "split-policy = bogus\n"),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--split-policy'" in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_repeatable_option_in_file_is_rejected(self, tmp_path):
         corpus = synth_sequential(tmp_path / "s")
@@ -488,7 +503,7 @@ class TestEval:
         metrics_present = {r[2] for r in self._report_rows(out)[1:]}
         assert metrics_present == {"mae", "rmse"}
 
-    def test_index_map_mismatch_names_both_hashes(self, tmp_path):
+    def test_index_map_mismatch_names_the_differing_list(self, tmp_path):
         corpus_a = synth_sequential(tmp_path / "a", seed=1)
         corpus_b = synth_sequential(tmp_path / "b", seed=2, users=7)
         ck = train(corpus_a, tmp_path / "t", "top")
@@ -496,9 +511,44 @@ class TestEval:
             main, ["eval", str(ck), str(corpus_b), "--out", str(tmp_path / "e")]
         )
         assert res.exit_code == 1
-        err = res.output + res.stderr
-        hashes = set(re.findall(r"[0-9a-f]{64}", err))
-        assert len(hashes) == 2  # checkpoint's and the dataset's
+        assert ("user list (6 tokens) differs from the corpus's (7 tokens) "
+                "first at position 6") in res.stderr
+        assert "Traceback" not in res.output
+
+    def test_split_warnings_reach_stderr(self, tmp_path):
+        # u2's only session holds one item, so it cannot be a test session
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("user,item,timestamp,action\n" + "".join(
+            f"{u},{i},{t},view\n" for u, i, t in [
+                ("u0", "a", 0), ("u0", "b", 1), ("u0", "c", 86400), ("u0", "a", 86401),
+                ("u1", "b", 0), ("u1", "c", 1), ("u1", "a", 86400), ("u1", "b", 86401),
+                ("u2", "c", 0)]))
+        warning = "split: user u2: single one-item session, excluded from test"
+        res = runner.invoke(main, ["train", str(corpus), "--model", "top",
+                                   "--out", str(tmp_path / "t")])
+        assert res.exit_code == 0, res.output
+        assert res.stderr.splitlines() == [warning]
+        res = runner.invoke(main, ["eval", str(tmp_path / "t" / "top.npz"), str(corpus),
+                                   "--out", str(tmp_path / "e")])
+        assert res.exit_code == 0, res.output
+        assert warning in res.stderr.splitlines()
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_context_covering_the_catalog_fails_its_instance(self, tmp_path, seed):
+        # u1 views a, b on day 0 and a, b, c, a on day 1; at these seeds the
+        # held-out item leaves a context with all three items
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("user,item,timestamp,action\n" + "".join(
+            f"u1,{i},{t},view\n" for i, t in [
+                ("a", 0), ("b", 1), ("a", 86400), ("b", 86401), ("c", 86402), ("a", 86403)]))
+        ck = train(corpus, tmp_path / "t", "top", "--seed", str(seed))
+        res = runner.invoke(main, ["eval", str(ck), str(corpus), "--seed", str(seed),
+                                   "--out", str(tmp_path / "e")])
+        assert res.exit_code == 1
+        assert "no test instance was scored" in res.stderr
+        assert "no item left to rank once its context is dropped" in res.stderr
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "e" / "report.csv").exists()
 
 
     def test_every_instance_failing_exits_nonzero(self, tmp_path, monkeypatch):
@@ -545,6 +595,8 @@ class TestEval:
     ("eval", ["--cutoffs", ","], "--cutoffs"),
     ("eval", ["--test-fraction", "1.5"], "--test-fraction"),
     ("eval", ["--test-fraction", "-1"], "--test-fraction"),
+    ("train", ["--model", "usermean", "--split-policy", "bogus"], "--split-policy"),
+    ("eval", ["--split-policy", "bogus"], "--split-policy"),
 ])
 def test_out_of_range_model_flag_is_usage_error(tmp_path, command, flags, named):
     corpus = synth_sequential(tmp_path / "s", users=3, spu=2, items=6)
@@ -554,6 +606,13 @@ def test_out_of_range_model_flag_is_usage_error(tmp_path, command, flags, named)
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{named}'" in res.output
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_help_lists_the_split_policies(command):
+    res = runner.invoke(main, [command, "--help"])
+    assert res.exit_code == 0, res.output
+    assert "[random-80-20|last-week]" in res.output
 
 
 class TestRecommend:

@@ -60,6 +60,10 @@ class TestPrecisionRecall:
     def test_precision_none(self):
         assert metrics.precision_at_k(["a", "b"], {"z"}, 2) == 0.0
 
+    def test_precision_of_an_empty_ranking_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nothing was ranked"):
+            metrics.precision_at_k([], {"a"}, 5)
+
     def test_precision_k_beyond_length_flags(self):
         with pytest.warns(UserWarning):
             v = metrics.precision_at_k(["a"], {"a"}, 5)
@@ -326,6 +330,66 @@ class TestEvaluate:
         assert lines[0] == "model,split,metric,cutoff,value"
         assert all(line.startswith("zero,") for line in lines[1:])
         assert "auc" in report.to_text()
+
+
+    def test_context_covering_the_catalog_fails_alone(self):
+        # u000 views a, b on day 0 and a, b, c, a on day 1: holding out the
+        # last a leaves a context with every item of the catalog
+        day0 = data.Session(user="u000", t=0, day=0, items=["a", "b"])
+        day1 = data.Session(user="u000", t=1, day=1, items=["a", "b", "c", "a"])
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions([day0, day1]))
+        covering = data.TestInstance(user="u000", day=1, t=1, context=["a", "b", "c"],
+                                     target="a")
+        partial = data.TestInstance(user="u000", day=1, t=1, context=["a", "c", "a"],
+                                    target="b")
+        sp = data.Split(train=[day0], test=[covering, partial], policy="random-80-20")
+        scorer = baselines.RandomScorer(ds.n_items, 0)
+        report = metrics.evaluate(scorer, ds, sp, [1], "random")
+        assert report.n_instances == 1
+        assert report.failures == [
+            "user u000 day 1: no item left to rank once its context is dropped"]
+        both = metrics.evaluate(scorer, ds, sp, [1], "random", exclude_context=False)
+        assert both.n_instances == 2 and not both.failures
+
+
+@st.composite
+def _sessions_and_split(draw):
+    """A catalog of 1-4 items, sessions that repeat items, and a split of them."""
+    n_items = draw(st.integers(1, 4))
+    tokens = st.sampled_from([data.item_token(j) for j in range(n_items)])
+    sessions = [
+        data.Session(user=data.user_token(u), t=t, day=t, items=items)
+        for u in range(draw(st.integers(1, 3)))
+        for t, items in enumerate(draw(st.lists(st.lists(tokens, min_size=1, max_size=5),
+                                                min_size=1, max_size=3)))
+    ]
+    train, test = [], []
+    for s in sessions:
+        if len(s.items) < 2 or not draw(st.booleans()):
+            train.append(s)
+            continue
+        hold = draw(st.integers(0, len(s.items) - 1))
+        test.append(data.TestInstance(user=s.user, day=s.day, t=s.t,
+                                      context=s.items[:hold] + s.items[hold + 1:],
+                                      target=s.items[hold]))
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
+    return ds, data.Split(train=train, test=test, policy="random-80-20")
+
+
+@pytest.mark.filterwarnings("ignore:only")
+@given(_sessions_and_split(), st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from(["all", "sampled-100"]), st.integers(0, 100))
+def test_evaluate_scores_or_lists_each_instance(ds_split, cutoffs, exclude, negatives, seed):
+    ds, sp = ds_split
+    report = metrics.evaluate(baselines.RandomScorer(ds.n_items, seed), ds, sp, cutoffs,
+                              "random", exclude_context=exclude, auc_negatives=negatives,
+                              rng=make_rng(seed))
+    covering = sum(exclude and len(set(inst.context)) == ds.n_items for inst in sp.test)
+    assert len(report.failures) == covering
+    assert report.n_instances + len(report.failures) == len(sp.test)
+    assert all(f.endswith("no item left to rank once its context is dropped")
+               for f in report.failures)
+    assert all(0.0 <= v <= 1.0 for _, _, v in report.rows)
 
 
 class _OneAtATime:
