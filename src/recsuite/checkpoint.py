@@ -24,16 +24,13 @@ ValueError whose message starts with the file's path for:
 """
 
 import json
-import lzma
 import math
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION, apar, baselines, can, das
+from . import CHECKPOINT_FORMAT_VERSION, apar, baselines, can, das, data
 
 
 @dataclass
@@ -209,19 +206,6 @@ def save_checkpoint(path, state, users, items) -> None:
 # Load
 
 
-def _read(path) -> dict:
-    """Every member of the archive at path, as arrays by name."""
-    npz = np.load(path, allow_pickle=False)
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise ValueError("it holds one .npy array")
-    with npz:
-        blobs = {name: npz[name] for name in npz.files}
-    for name, blob in blobs.items():
-        if not isinstance(blob, np.ndarray):
-            raise ValueError(f"member {name!r} is not a numpy array")
-    return blobs
-
-
 def _get(meta, name):
     if name not in meta:
         raise ValueError(f"metadata lacks the field {name!r}")
@@ -299,9 +283,8 @@ def _decode(blobs) -> Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read and check the checkpoint at path; see the module docstring."""
     try:
-        blobs = _read(path)
-    except (OSError, EOFError, ValueError, RuntimeError, NotImplementedError,
-            zipfile.BadZipFile, zlib.error, lzma.LZMAError) as exc:
+        blobs = data.read_npz(path)
+    except data.NPZ_ERRORS as exc:
         raise ValueError(f"{path}: not a readable .npz archive ({exc})") from None
     try:
         return _decode(blobs)

@@ -19,6 +19,7 @@ package version, wall time) next to its outputs, and the same inputs
 with the same seed produce byte-identical artifacts.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -117,13 +118,15 @@ def _sha256_file(path) -> str:
 
 
 def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s):
+    """Write `<command>_manifest.json`; `inputs` maps each input file to its
+    sha256, or to None to hash the file here."""
     config_json = json.dumps(config, sort_keys=True)
     record = {
         "command": command,
         "seed": seed,
         "config": config,
         "config_hash": hashlib.sha256(config_json.encode("utf-8")).hexdigest(),
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": {str(p): digest or _sha256_file(p) for p, digest in inputs.items()},
         "version": __version__,
         "wall_time_s": round(wall_time_s, 6),
     }
@@ -134,16 +137,57 @@ def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s):
 
 
 def _read_corpus(path, schema=None):
-    """(corpus, row errors); per-row problems go to stderr."""
+    """(corpus, row errors, the file's sha256); per-row problems go to stderr.
+
+    A file content is parsed once: the parse is kept beside the file `path`
+    resolves to, as `<file>.parsed.npz`, under a key naming the content's
+    sha256, `schema` and the parser's source, and read from there while the
+    key holds. Any other sidecar (stale, damaged, or of another schema) is
+    replaced by the new parse's; a directory that cannot be written keeps
+    what it has. A pipe or a device can be read only once, so it is parsed
+    and nothing is kept; its sha256 is then None.
+    """
     try:
-        corpus, errors = data.ingest_csv(path, schema)
+        real = os.path.realpath(path)
+        if os.path.isfile(real):
+            digest = _sha256_file(real)
+            key = data.sidecar_key(digest, schema)
+            sidecar = real + data.SIDECAR_SUFFIX
+            parsed = data.read_sidecar(sidecar, key)
+            if parsed is None:
+                parsed = data.ingest_csv(path, schema)
+                if _sha256_file(real) == digest:  # not rewritten while it was parsed
+                    with contextlib.suppress(OSError):
+                        data.write_sidecar(sidecar, key, *parsed)
+        else:
+            digest, parsed = None, data.ingest_csv(path, schema)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
+    corpus, errors = parsed
     for err in errors:
         click.echo(f"row {err.line}: {err.message}", err=True)
     if not len(corpus):
         raise click.ClickException(f"{path}: no valid interaction rows")
-    return corpus, errors
+    return corpus, errors, digest
+
+
+def _split_setting(model):
+    """{name: value} of the one split setting `model` reads.
+
+    Rating models hold out `test_fraction` of each user's ratings, ranking
+    models split sessions by `split_policy`. The other setting given on the
+    command line is a usage error (exit 2); from a config file it is ignored.
+    """
+    if model in RATING_MODELS:
+        read, unread, kind = "test_fraction", "split_policy", "rating"
+    else:
+        read, unread, kind = "split_policy", "test_fraction", "ranking"
+    ctx = click.get_current_context()
+    if ctx.get_parameter_source(unread) is click.core.ParameterSource.COMMANDLINE:
+        raise click.UsageError(
+            f"--{unread.replace('_', '-')} does not apply to {model}; a {kind} model "
+            f"reads --{read.replace('_', '-')} only", ctx)
+    return {read: ctx.params[read]}
 
 
 def _ranking_context(corpus, policy, seed):
@@ -233,7 +277,7 @@ def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
         cfg = {"kind": kind, "clusters": clusters, "users_per_cluster": users_per_cluster,
                "items_per_cluster": items_per_cluster, "rating_density": rating_density}
 
-    _write_manifest(out_dir, "synth", seed, cfg, [], time.perf_counter() - t0)
+    _write_manifest(out_dir, "synth", seed, cfg, {}, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +300,7 @@ def ingest(input_path, columns, seed, out_dir):
             raise click.BadParameter(f"--column needs LOGICAL=ACTUAL, got {pair!r}")
         logical, actual = pair.split("=", 1)
         schema[logical.strip()] = actual.strip()
-    corpus, errors = _read_corpus(input_path, schema)
+    corpus, errors, digest = _read_corpus(input_path, schema)
 
     ds = data.Dataset.from_interactions(corpus)
     os.makedirs(out_dir, exist_ok=True)
@@ -271,7 +315,7 @@ def ingest(input_path, columns, seed, out_dir):
     )
     if errors:
         click.echo(f"skipped {len(errors)} malformed rows", err=True)
-    _write_manifest(out_dir, "ingest", seed, {"columns": schema}, [input_path],
+    _write_manifest(out_dir, "ingest", seed, {"columns": schema}, {input_path: digest},
                     time.perf_counter() - t0)
 
 
@@ -290,7 +334,7 @@ def ingest(input_path, columns, seed, out_dir):
 def profile(input_path, lexicon_path, weights_path, seed, out_dir):
     """Score five-trait profiles from the review text in a corpus."""
     t0 = time.perf_counter()
-    corpus, _ = _read_corpus(input_path)
+    corpus, _, digest = _read_corpus(input_path)
     try:
         lexicon = (personality.load_lexicon(lexicon_path)
                    if lexicon_path else personality.DEMO_LEXICON)
@@ -305,7 +349,7 @@ def profile(input_path, lexicon_path, weights_path, seed, out_dir):
                                 os.path.join(out_dir, "profiles.csv"))
     click.echo(f"profiled {len(profiles)} users "
                f"({total_users - len(profiles)} with no usable text)")
-    inputs = [p for p in (input_path, lexicon_path, weights_path) if p]
+    inputs = {input_path: digest, **{p: None for p in (lexicon_path, weights_path) if p}}
     _write_manifest(out_dir, "profile", seed, {"lexicon": lexicon_path,
                     "weights": weights_path}, inputs, time.perf_counter() - t0)
 
@@ -377,7 +421,8 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
     Model flags left unset (None) keep the model's own default.
     """
     t0 = time.perf_counter()
-    corpus, _ = _read_corpus(input_path)
+    setting = _split_setting(model)
+    corpus, _, digest = _read_corpus(input_path)
     cfg = _build_model_config(model, click.get_current_context().params)
     try:
         if model in RATING_MODELS:
@@ -425,11 +470,10 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
         for i, v in enumerate(trace):
             fh.write(f"{i},{v:.17g}\n")
 
-    cfg_record = {"model": model, "split_policy": split_policy,
-                  "test_fraction": test_fraction}
+    cfg_record = {"model": model, **setting}
     if cfg is not None:
         cfg_record.update(asdict(cfg))
-    _write_manifest(out_dir, "train", seed, cfg_record, [input_path],
+    _write_manifest(out_dir, "train", seed, cfg_record, {input_path: digest},
                     time.perf_counter() - t0)
     click.echo(f"wrote {ck_path}"
                + (f" (trace: {len(trace)} rows)" if trace else ""))
@@ -480,7 +524,8 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
         ck = checkpoint.load_checkpoint(checkpoint_path)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    corpus, _ = _read_corpus(input_path)
+    setting = _split_setting(ck.kind)
+    corpus, _, digest = _read_corpus(input_path)
 
     try:
         if ck.kind in RATING_MODELS:
@@ -512,12 +557,15 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
     click.echo(text)
     for failure in report.failures:
         click.echo(f"instance failed: {failure}", err=True)
+    for k, n_short in report.short_rankings.items():
+        click.echo(f"{n_short} of {report.n_instances} instances ranked fewer than {k} "
+                   f"items; their precision@{k} is over the items ranked", err=True)
     _write_manifest(
         out_dir, "eval", seed,
         {"cutoffs": cutoff_list, "metrics": sorted(wanted) if wanted else "all",
-         "split_policy": split_policy, "test_fraction": test_fraction,
-         "auc_negatives": auc_negatives, "exclude_context": not include_context},
-        [checkpoint_path, input_path], time.perf_counter() - t0,
+         **setting, "auc_negatives": auc_negatives,
+         "exclude_context": not include_context},
+        {checkpoint_path: None, input_path: digest}, time.perf_counter() - t0,
     )
 
 
@@ -540,7 +588,7 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
         ck = checkpoint.load_checkpoint(checkpoint_path)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    corpus, _ = _read_corpus(input_path)
+    corpus, _, digest = _read_corpus(input_path)
 
     try:
         if ck.kind in RATING_MODELS:
@@ -585,7 +633,8 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_manifest(out_dir, "recommend", seed, {"user": user, "n": count},
-                        [checkpoint_path, input_path], time.perf_counter() - t0)
+                        {checkpoint_path: None, input_path: digest},
+                        time.perf_counter() - t0)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ A session is everything one user did in one calendar day, ordered by
 timestamp. Long-term context for session t is the deduplicated union of the
 user's earlier-day sessions; short-term context is session t itself, order
 kept. `Histories` answers every per-user question (long-term lists, touched items,
-negative pools) for the trainers, the evaluator and `recommend`.
+negative pools) for the trainers, the evaluator and `recommend`. A parse can
+be kept in a sidecar file (`write_sidecar`) and read back (`read_sidecar`)
+under a key that names the file's content, the schema and this module's
+source, so a file content is parsed once while its sidecar lasts.
 """
 
 from __future__ import annotations
@@ -18,8 +21,15 @@ import collections
 import contextlib
 import csv
 import datetime
+import functools
+import hashlib
 import itertools
+import json
+import lzma
 import operator
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,6 +373,139 @@ def write_csv(path, corpus: Corpus) -> None:
             corpus.review,
             np.where(corpus.helpful < 0, None, corpus.helpful).tolist(),
         ))
+
+
+# ---------------------------------------------------------------------------
+# .npz archives
+
+# what reading a missing, damaged or foreign file as an .npz archive raises
+NPZ_ERRORS = (OSError, EOFError, ValueError, RuntimeError, NotImplementedError,
+              zipfile.BadZipFile, zlib.error, lzma.LZMAError)
+
+
+def read_npz(path) -> dict:
+    """Every member of the .npz archive at `path`, as arrays by name.
+
+    Pickled members are refused; any failure raises one of `NPZ_ERRORS`.
+    """
+    npz = np.load(path, allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValueError("it holds one .npy array")
+    with npz:
+        blobs = {name: npz[name] for name in npz.files}
+    for name, blob in blobs.items():
+        if not isinstance(blob, np.ndarray):
+            raise ValueError(f"member {name!r} is not a numpy array")
+    return blobs
+
+
+# ---------------------------------------------------------------------------
+# Parsed-corpus sidecar
+
+SIDECAR_SUFFIX = ".parsed.npz"
+
+# the sidecar's members and their dtypes, in save order; every member is 1-d
+_SIDECAR = {
+    "key": np.uint8,  # UTF-8 of the key it was written under
+    "user": np.int64, "item": np.int64, "timestamp": np.int64, "action": np.int8,
+    "rating": np.float64, "helpful": np.int64,
+    "error_line": np.int64,
+    "vocab_sizes": np.int64,  # (users, items)
+    # every string, one UTF-8 blob: users, items, reviews, error messages;
+    # string k is the blob's text from character text_at[k] to text_at[k + 1]
+    "text": np.uint8, "text_at": np.int64,
+}
+_COLUMNS = ("user", "item", "timestamp", "action", "rating", "helpful")
+
+
+@functools.cache
+def _source_digest() -> str:
+    with open(__file__, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def sidecar_key(digest: str, schema: dict[str, str] | None) -> bytes:
+    """The key of the parse of a file whose sha256 is `digest` under `schema`.
+
+    It also names the sha256 of this module's source, so an edit to the
+    parser retires every sidecar written before it.
+    """
+    return json.dumps({"csv": digest, "schema": schema or {}, "source": _source_digest()},
+                      sort_keys=True).encode("utf-8")
+
+
+def write_sidecar(path, key: bytes, corpus: Corpus, errors: list[RowError]) -> None:
+    """Write the parse (corpus, errors) under `key` to `path`, atomically.
+
+    The archive goes to a temporary file beside `path`, then replaces it, so
+    a reader sees the old file or the whole new one. An OSError removes the
+    temporary file and propagates.
+    """
+    texts = [*corpus.users, *corpus.items, *corpus.review, *(e.message for e in errors)]
+    text_at = np.zeros(len(texts) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)), out=text_at[1:])
+    members = {
+        "key": np.frombuffer(key, np.uint8),
+        **{c: getattr(corpus, c) for c in _COLUMNS},
+        "error_line": np.array([e.line for e in errors], np.int64),
+        "vocab_sizes": np.array([len(corpus.users), len(corpus.items)], np.int64),
+        "text": np.frombuffer("".join(texts).encode("utf-8"), np.uint8),
+        "text_at": text_at,
+    }
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, **members)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def read_sidecar(path, key: bytes) -> tuple[Corpus, list[RowError]] | None:
+    """The parse the sidecar at `path` holds under `key`, or None.
+
+    None when the file is missing or unreadable as an archive, or was
+    written under another key, or a member fails a check: its dtype and
+    shape, equal column lengths, codes within their vocabularies and
+    `ACTIONS`, UTF-8 text, and string offsets that ascend from 0 to the end
+    of the text.
+    """
+    try:
+        m = read_npz(path)
+    except NPZ_ERRORS:
+        return None
+    if m.keys() != _SIDECAR.keys() or any(
+        m[name].dtype != dtype or m[name].ndim != 1 for name, dtype in _SIDECAR.items()
+    ):
+        return None
+    n, n_errors = len(m["user"]), len(m["error_line"])
+    sizes, text_at = m["vocab_sizes"], m["text_at"]
+    if not (
+        m["key"].tobytes() == key
+        and all(len(m[c]) == n for c in _COLUMNS)
+        and len(sizes) == 2 and (sizes >= 0).all()
+        and len(text_at) == sizes.sum() + n + n_errors + 1
+        and text_at[0] == 0 and (np.diff(text_at) >= 0).all()
+        and ((0 <= m["user"]) & (m["user"] < sizes[0])).all()
+        and ((0 <= m["item"]) & (m["item"] < sizes[1])).all()
+        and ((0 <= m["action"]) & (m["action"] < len(ACTIONS))).all()
+    ):
+        return None
+    try:
+        text = m["text"].tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if text_at[-1] != len(text):
+        return None
+    at = text_at.tolist()
+    texts = [text[a:b] for a, b in zip(at[:-1], at[1:])]
+    n_users, n_items = sizes.tolist()
+    r = n_users + n_items  # where the reviews start
+    corpus = Corpus(texts[:n_users], texts[n_users:r], *(m[c] for c in _COLUMNS),
+                    texts[r:r + n])
+    return corpus, list(map(RowError, m["error_line"].tolist(), texts[r + n:]))
 
 
 def sessionize(corpus: Corpus) -> list[Session]:
@@ -778,22 +921,23 @@ class RatingMatrix:
 
 
 def split_ratings(matrix: RatingMatrix, test_fraction: float, rng):
-    """Per-user random holdout of rating triplets; single-rating users stay in train."""
-    by_user: dict[int, list[tuple[int, int, float]]] = collections.defaultdict(list)
-    for trip in matrix.triplets:
-        by_user[trip[0]].append(trip)
-    train: list[tuple[int, int, float]] = []
-    test: list[tuple[int, int, float]] = []
-    for u in sorted(by_user):
-        trips = by_user[u]
-        if len(trips) < 2:
-            train.extend(trips)
-            continue
-        n_test = min(len(trips) - 1, max(1, round(test_fraction * len(trips))))
-        chosen = set(int(i) for i in rng.choice(len(trips), size=n_test, replace=False))
-        for pos, trip in enumerate(trips):
-            (test if pos in chosen else train).append(trip)
-    return train, test
+    """Per-user random holdout of rating triplets; single-rating users stay in train.
+
+    One stable sort groups the triplets by user, each user's in their
+    order; `rng.choice` then draws the test positions of each user with two
+    or more ratings, users in ascending order. Both lists keep that order.
+    """
+    trips = matrix.triplets
+    user = np.fromiter(map(operator.itemgetter(0), trips), np.int64, len(trips))
+    order = np.argsort(user, kind="stable")
+    _, starts, counts = np.unique(user[order], return_index=True, return_counts=True)
+    trips = [trips[k] for k in order.tolist()]
+    held = np.zeros(len(trips), bool)
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        if count >= 2:
+            n_test = min(count - 1, max(1, round(test_fraction * count)))
+            held[start + rng.choice(count, size=n_test, replace=False)] = True
+    return list(itertools.compress(trips, ~held)), list(itertools.compress(trips, held))
 
 
 # ---------------------------------------------------------------------------

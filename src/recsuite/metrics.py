@@ -6,7 +6,6 @@ ties broken by ascending item index.
 """
 
 import csv
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,17 +44,15 @@ def rmse(true, pred) -> float:
 def precision_at_k(ranked, relevant, k: int) -> float:
     """Fraction of the first k ranked items that are relevant.
 
-    When fewer than k items are available the available prefix is used
-    and a warning is emitted, so short catalogs degrade loudly; an empty
-    ranking is a ValueError.
+    When fewer than k items are ranked, the fraction is over the items
+    ranked (`evaluate` counts such instances per cutoff); an empty ranking
+    is a ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not len(ranked):
         raise ValueError("nothing was ranked")
-    if len(ranked) < k:
-        _warnings.warn(f"only {len(ranked)} items ranked, wanted top-{k}")
-        k = len(ranked)
+    k = min(k, len(ranked))
     topk = list(ranked)[:k]
     return sum(1 for it in topk if it in relevant) / k
 
@@ -145,6 +142,8 @@ class EvalReport:
     rows: list  # (metric, cutoff-or-None, value), fixed order
     n_instances: int = 0
     failures: list = field(default_factory=list)
+    # cutoff k -> scored instances that ranked fewer than k items, where any did
+    short_rankings: dict = field(default_factory=dict)
 
     def value(self, metric: str, cutoff: int | None = None) -> float:
         for name, c, v in self.rows:
@@ -237,9 +236,10 @@ def evaluate(
     a time for a scorer without it), each chunk at most 64 rows and 2**18
     scores. With exclude_context on, context items are dropped from the
     ranking before top-k metrics are taken (novelty is then 1 by
-    construction). AUC negatives are the items outside train history,
-    context, and target; "sampled-100" caps that pool at 100 draws per
-    instance, drawn from `rng` in instance order.
+    construction); an instance left with fewer than k items to rank is
+    counted in the report's `short_rankings[k]`. AUC negatives are the
+    items outside train history, context, and target; "sampled-100" caps
+    that pool at 100 draws per instance, drawn from `rng` in instance order.
 
     A lookup error (KeyError, IndexError: an unknown user or item), a
     score vector of the wrong length, or a context that covers the catalog
@@ -262,6 +262,7 @@ def evaluate(
         per_user[("mcan", k)] = {}
     per_user[("auc", None)] = {}
     failures: list[str] = []
+    short = dict.fromkeys(cutoffs, 0)
     n_done = 0
 
     chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // max(n, 1)))
@@ -295,6 +296,7 @@ def evaluate(
                                     "rank once its context is dropped")
                     continue
             for k in cutoffs:
+                short[k] += ranked.size < k
                 topk = list(ranked[:k])
                 per_user[("precision", k)].setdefault(inst.user, []).append(
                     precision_at_k(topk, {target}, k)
@@ -331,6 +333,7 @@ def evaluate(
         rows=rows,
         n_instances=n_done,
         failures=failures,
+        short_rankings={k: n for k, n in short.items() if n},
     )
 
 

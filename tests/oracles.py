@@ -14,6 +14,9 @@ appearance, and `rows` turns a `data.Corpus` back into them.
 `dsw_degree` and `cross_cluster_disjointness` are the per-row loops over
 `Interaction` rows that the `data` and `personality` functions of those
 names (`data.RatingMatrix.from_interactions` for the first) replaced.
+`split_ratings` groups rating triplets per user in a dict and splits each
+user's list in a Python loop, as `data.split_ratings` did before it grouped
+them with one stable sort.
 `bpr_loss_and_grad` sums the BPR trainer's own per-triple terms
 (`baselines._bpr_triple`) over a list of triples, so gradient checks gate
 the arithmetic training runs.
@@ -285,6 +288,24 @@ def rating_matrix(interactions) -> data.RatingMatrix:
             latest[key] = (e.timestamp, order, e.rating)
     triplets = [(u, i, r) for (u, i), (_, _, r) in sorted(latest.items())]
     return data.RatingMatrix(users, items, uidx, iidx, triplets)
+
+
+def split_ratings(matrix, test_fraction, rng):
+    """Per-user random holdout of rating triplets; single-rating users stay in train."""
+    by_user = collections.defaultdict(list)
+    for trip in matrix.triplets:
+        by_user[trip[0]].append(trip)
+    train, test = [], []
+    for u in sorted(by_user):
+        trips = by_user[u]
+        if len(trips) < 2:
+            train.extend(trips)
+            continue
+        n_test = min(len(trips) - 1, max(1, round(test_fraction * len(trips))))
+        chosen = set(int(i) for i in rng.choice(len(trips), size=n_test, replace=False))
+        for pos, trip in enumerate(trips):
+            (test if pos in chosen else train).append(trip)
+    return train, test
 
 
 def sessionize(events):

@@ -608,6 +608,69 @@ def test_out_of_range_model_flag_is_usage_error(tmp_path, command, flags, named)
     assert not (tmp_path / "o").exists()
 
 
+def _split_corpus(tmp_path, model):
+    """A corpus `model` can train and evaluate on: rated rows or sessions."""
+    if model == "usermean":
+        return synth_personality(tmp_path / "s", upc=4, ipc=3)[0]
+    return synth_sequential(tmp_path / "s")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("model, flag, value", [
+    ("usermean", "--split-policy", "last-week"),
+    ("top", "--test-fraction", "0.3"),
+])
+def test_split_flag_the_model_never_reads_is_usage_error(tmp_path, command, model, flag,
+                                                          value):
+    corpus = _split_corpus(tmp_path, model)
+    if command == "train":
+        args = ["train", str(corpus), "--model", model]
+    else:
+        args = ["eval", str(train(corpus, tmp_path / "t", model)), str(corpus)]
+    res = runner.invoke(main, [*args, flag, value, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert f"{flag} does not apply to {model}" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model, line, read", [
+    ("usermean", "split-policy = last-week", {"test_fraction": 0.2}),
+    ("top", "test-fraction = 0.3", {"split_policy": "random-80-20"}),
+])
+def test_split_key_the_model_never_reads_is_ignored_from_a_config_file(tmp_path, model,
+                                                                      line, read):
+    corpus = _split_corpus(tmp_path, model)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    train(corpus, tmp_path / "t", model, "--config", str(cfg))
+    res = runner.invoke(main, ["eval", str(tmp_path / "t" / f"{model}.npz"), str(corpus),
+                               "--config", str(cfg), "--out", str(tmp_path / "e")])
+    assert res.exit_code == 0, res.output
+    for out, command in ((tmp_path / "t", "train"), (tmp_path / "e", "eval")):
+        config = json.loads((out / f"{command}_manifest.json").read_text())["config"]
+        split = {k: v for k, v in config.items() if k in ("split_policy", "test_fraction")}
+        assert split == read
+
+
+def test_short_catalog_counts_short_rankings_without_a_python_warning(tmp_path):
+    # 3 users, 3 items: a test session of two items leaves two to rank
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("user,item,timestamp,action\n" + "".join(
+        f"{u},{i},{t},view\n" for u, items in (("u1", "abbc"), ("u2", "acab"),
+                                               ("u3", "bcca"))
+        for i, t in zip(items, (0, 1, 86400, 86401))))
+    ck = train(corpus, tmp_path / "t", "top")
+    res = runner.invoke(main, ["eval", str(ck), str(corpus), "--out", str(tmp_path / "e")])
+    assert res.exit_code == 0, res.output
+    assert res.stderr.splitlines() == [
+        f"1 of 1 instances ranked fewer than {k} items; their precision@{k} is over "
+        "the items ranked" for k in (5, 10, 20)
+    ]
+    precision = {line[3]: line[4] for line in csv.reader(open(tmp_path / "e" / "report.csv"))
+                 if line[2] == "precision"}
+    assert precision == {"5": "0.5", "10": "0.5", "20": "0.5"}
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_help_lists_the_split_policies(command):
     res = runner.invoke(main, [command, "--help"])

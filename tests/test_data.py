@@ -737,6 +737,19 @@ class TestRatingMatrix:
         assert test == test2
 
 
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9),
+                         st.sampled_from([1.0, 2.5, 5.0])), max_size=40),
+       st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_split_ratings_equals_per_user_loop_oracle(triplets, test_fraction, seed):
+    # triplets in any user order, so the grouping sort has work to do
+    m = data.RatingMatrix(users=[], items=[], user_index={}, item_index={},
+                          triplets=triplets)
+    rng, oracle_rng = make_rng(seed), make_rng(seed)
+    assert (data.split_ratings(m, test_fraction, rng)
+            == oracles.split_ratings(m, test_fraction, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 EVENTS = st.lists(
     st.builds(
         oracles.Interaction,

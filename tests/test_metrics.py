@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,8 +65,9 @@ class TestPrecisionRecall:
         with pytest.raises(ValueError, match="nothing was ranked"):
             metrics.precision_at_k([], {"a"}, 5)
 
-    def test_precision_k_beyond_length_flags(self):
-        with pytest.warns(UserWarning):
+    def test_precision_k_beyond_length_is_over_the_items_ranked(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             v = metrics.precision_at_k(["a"], {"a"}, 5)
         assert v == 1.0  # computed over the single available position
 
@@ -376,7 +378,6 @@ def _sessions_and_split(draw):
     return ds, data.Split(train=train, test=test, policy="random-80-20")
 
 
-@pytest.mark.filterwarnings("ignore:only")
 @given(_sessions_and_split(), st.lists(st.integers(1, 6), min_size=1, max_size=3),
        st.booleans(), st.sampled_from(["all", "sampled-100"]), st.integers(0, 100))
 def test_evaluate_scores_or_lists_each_instance(ds_split, cutoffs, exclude, negatives, seed):
@@ -390,6 +391,9 @@ def test_evaluate_scores_or_lists_each_instance(ds_split, cutoffs, exclude, nega
     assert all(f.endswith("no item left to rank once its context is dropped")
                for f in report.failures)
     assert all(0.0 <= v <= 1.0 for _, _, v in report.rows)
+    rankable = [ds.n_items - exclude * len(set(inst.context)) for inst in sp.test]
+    short = {k: sum(0 < r < k for r in rankable) for k in sorted(set(cutoffs))}
+    assert report.short_rankings == {k: n for k, n in short.items() if n}
 
 
 class _OneAtATime:
