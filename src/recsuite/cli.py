@@ -119,14 +119,18 @@ def _sha256_file(path) -> str:
 
 def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s):
     """Write `<command>_manifest.json`; `inputs` maps each input file to its
-    sha256, or to None to hash the file here."""
+    sha256, or to None to hash the file here.
+
+    An input that is not a regular file (a pipe, a device) has been read
+    already and cannot be read again; its digest is recorded as null."""
     config_json = json.dumps(config, sort_keys=True)
     record = {
         "command": command,
         "seed": seed,
         "config": config,
         "config_hash": hashlib.sha256(config_json.encode("utf-8")).hexdigest(),
-        "inputs": {str(p): digest or _sha256_file(p) for p, digest in inputs.items()},
+        "inputs": {str(p): digest or (_sha256_file(p) if os.path.isfile(p) else None)
+                   for p, digest in inputs.items()},
         "version": __version__,
         "wall_time_s": round(wall_time_s, 6),
     }
@@ -492,16 +496,13 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
               help=f"only report these (comma-separated from {','.join(METRIC_NAMES)})")
 @click.option("--include-context", is_flag=True,
               help="keep current-session items rankable instead of excluding them")
-@click.option("--auc-negatives", type=click.Choice(["all", "sampled-100"]),
-              default="all", show_default=True)
 @click.option("--split-policy", type=SPLIT_POLICIES, default="random-80-20",
               show_default=True, help="session split policy")
 @click.option("--test-fraction", type=FRACTION, default=0.2, show_default=True)
 @common_options
 @out_option()
 def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
-             include_context, auc_negatives, split_policy, test_fraction, seed,
-             out_dir):
+             include_context, split_policy, test_fraction, seed, out_dir):
     """Evaluate a checkpoint on a corpus; writes report.csv and report.txt."""
     t0 = time.perf_counter()
     try:
@@ -538,7 +539,6 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
             report = metrics.evaluate(
                 ck.state, ds, sp, cutoff_list, ck.kind,
                 exclude_context=not include_context,
-                auc_negatives=auc_negatives, rng=make_rng(seed),
             )
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -557,14 +557,16 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
     click.echo(text)
     for failure in report.failures:
         click.echo(f"instance failed: {failure}", err=True)
+    total = report.n_instances + len(report.failures)
+    for cause, n_failed in report.failure_causes.items():
+        click.echo(f"{n_failed} of {total} instances failed: {cause}", err=True)
     for k, n_short in report.short_rankings.items():
         click.echo(f"{n_short} of {report.n_instances} instances ranked fewer than {k} "
                    f"items; their precision@{k} is over the items ranked", err=True)
     _write_manifest(
         out_dir, "eval", seed,
         {"cutoffs": cutoff_list, "metrics": sorted(wanted) if wanted else "all",
-         **setting, "auc_negatives": auc_negatives,
-         "exclude_context": not include_context},
+         **setting, "exclude_context": not include_context},
         {checkpoint_path: None, input_path: digest}, time.perf_counter() - t0,
     )
 
@@ -592,12 +594,11 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
 
     try:
         if ck.kind in RATING_MODELS:
-            matrix = data.RatingMatrix.from_interactions(corpus)
-            checkpoint.verify_compatible(ck, matrix.users, matrix.items)
-            items = matrix.items
-            u_idx = matrix.user_index.get(user)
-            if u_idx is None:
+            _, (users, _), (items, _) = data.rated_vocabularies(corpus)
+            checkpoint.verify_compatible(ck, users, items)
+            if user not in users:
                 raise click.ClickException(f"unknown user {user!r}")
+            u_idx = users.index(user)
             if ck.kind == "apar":
                 scores = np.asarray(ck.state.score_items(u_idx, [], []))
             else:

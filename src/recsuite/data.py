@@ -884,6 +884,18 @@ def cross_cluster_disjointness(corpus: Corpus, labels: dict[str, int]) -> float:
 # Explicit-rating view
 
 
+def rated_vocabularies(corpus: Corpus):
+    """The rated rows (a rate action with a number), and their users and items.
+
+    Returns the row mask, then (tokens, codes) for users and for items: the
+    tokens the rated rows use, in order of first appearance, and each rated
+    row's code into them.
+    """
+    rated = (corpus.action == RATE) & ~np.isnan(corpus.rating)
+    return (rated, _recode(corpus.user[rated], corpus.users),
+            _recode(corpus.item[rated], corpus.items))
+
+
 @dataclass
 class RatingMatrix:
     """Observed (user, item, rating) triplets with dense index maps."""
@@ -905,9 +917,7 @@ class RatingMatrix:
     @classmethod
     def from_interactions(cls, corpus: Corpus) -> "RatingMatrix":
         """The rated rows' users and items, first appearance first, and their triplets."""
-        rated = (corpus.action == RATE) & ~np.isnan(corpus.rating)
-        users, u = _recode(corpus.user[rated], corpus.users)
-        items, i = _recode(corpus.item[rated], corpus.items)
+        rated, (users, u), (items, i) = rated_vocabularies(corpus)
         # the latest rating of each (user, item) wins, the later row on a tie:
         # lexsort is stable, so it is the last row of its pair's run
         pair = u * len(items) + i

@@ -1,8 +1,9 @@
 """Accuracy, ranking, and novelty metrics plus the shared evaluation loop.
 
-All ranking metrics consume an already-ordered item list produced by
-`top_k`, so every model is ranked under the same rule: descending score,
-ties broken by ascending item index.
+Every model is ranked under one rule: descending score, ties broken by
+ascending item index, NaN last. `top_k` lists the first k items under it
+(`recommend`); `evaluate` takes every ranking metric from the ranks it
+implies, one comparison of each score row with its target's score.
 """
 
 import csv
@@ -35,59 +36,6 @@ def mae(true, pred) -> float:
 def rmse(true, pred) -> float:
     t, p = _paired(true, pred)
     return float(np.sqrt(np.mean((t - p) ** 2)))
-
-
-# ---------------------------------------------------------------------------
-# Top-k hit metrics
-
-
-def precision_at_k(ranked, relevant, k: int) -> float:
-    """Fraction of the first k ranked items that are relevant.
-
-    When fewer than k items are ranked, the fraction is over the items
-    ranked (`evaluate` counts such instances per cutoff); an empty ranking
-    is a ValueError.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not len(ranked):
-        raise ValueError("nothing was ranked")
-    k = min(k, len(ranked))
-    topk = list(ranked)[:k]
-    return sum(1 for it in topk if it in relevant) / k
-
-
-def recall_at_k(ranked, relevant, k: int) -> float:
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    topk = list(ranked)[:k]
-    return sum(1 for it in topk if it in relevant) / len(relevant)
-
-
-def auc(pos_scores, neg_scores) -> float:
-    """Mean over (positive, negative) pairs of win=1 / tie=0.5 / loss=0."""
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("auc needs at least one positive and one negative")
-    wins = 0.0
-    for p in pos:
-        wins += np.count_nonzero(p > neg) + 0.5 * np.count_nonzero(p == neg)
-    return float(wins / (pos.size * neg.size))
-
-
-# ---------------------------------------------------------------------------
-# Novelty
-
-
-def can_novelty(recommended, consumed) -> float:
-    """1 - |R ∩ C| / |R|: share of the recommendation the user hasn't consumed."""
-    R = set(recommended)
-    if not R:
-        raise ValueError("empty recommendation set")
-    return 1.0 - len(R & set(consumed)) / len(R)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +90,8 @@ class EvalReport:
     rows: list  # (metric, cutoff-or-None, value), fixed order
     n_instances: int = 0
     failures: list = field(default_factory=list)
+    # cause -> failed instances, for each cause that occurred
+    failure_causes: dict = field(default_factory=dict)
     # cutoff k -> scored instances that ranked fewer than k items, where any did
     short_rankings: dict = field(default_factory=dict)
 
@@ -175,6 +125,11 @@ class _ShapeError(ValueError):
 # what fails a single instance (an unknown user or item, a wrong-length
 # score vector); any other exception is a bug and propagates
 _DATA_ERRORS = (KeyError, IndexError, _ShapeError)
+
+# the causes `EvalReport.failure_causes` counts
+UNKNOWN = "unknown user or item"
+WRONG_LENGTH = "wrong score length"
+COVERED = "context covers the catalog"
 
 
 # Most score rows, and most scores (2**18 float64 values, 2 MB), one chunk
@@ -212,9 +167,113 @@ def _score_rows(scorer, users, longs, shorts, n):
     return out
 
 
-def _user_mean_then_global(per_user: dict) -> float:
-    user_means = [sum(vals) / len(vals) for vals in per_user.values() if vals]
-    return sum(user_means) / len(user_means)
+def _user_mean_then_global(users: np.ndarray, values: np.ndarray) -> float:
+    """The mean over users, in order of first appearance, of each user's mean.
+
+    Python's `sum` adds each list in order, instances in instance order and
+    then users; numpy's pairwise sum would change the last bits.
+    """
+    per_user: dict[int, list[float]] = {}
+    for user, value in zip(users.tolist(), values.tolist()):
+        per_user.setdefault(user, []).append(value)
+    means = [sum(vals) / len(vals) for vals in per_user.values()]
+    return sum(means) / len(means)
+
+
+def _precedes(s, j, own, t):
+    """Whether an item scored `s` at index `j` ranks before one scored `own` at `t`.
+
+    The rule of `top_k`: a higher score, or an equal one at a lower index.
+    Behind a NaN score every number ranks first, then the NaNs by index.
+    Works elementwise on arrays that broadcast.
+    """
+    return (s > own) | ((s == own) & (j < t)) | (np.isnan(own) & (~np.isnan(s) | (j < t)))
+
+
+def _counts(S, cols):
+    """Per row b of S, counted over the whole row against item `cols[b]`:
+    the items that rank before it, the items scored below it, and the items
+    scored equal to it (itself among them unless its score is NaN)."""
+    B, n = S.shape
+    own = S[np.arange(B), cols][:, None]
+    above = np.count_nonzero(S > own, axis=1)
+    ties = np.flatnonzero(S == own)
+    tie_rows = ties // n
+    equal = np.bincount(tie_rows, minlength=B)
+    ahead = above + np.bincount(tie_rows[ties - tie_rows * n < cols[tie_rows]], minlength=B)
+    below = n - above - equal
+    # NaN compares false both ways; a row holding one (or both infinities) sums to NaN
+    with np.errstate(invalid="ignore"):
+        odd = np.flatnonzero(np.isnan(S.sum(axis=1)))
+    for b in odd:
+        below[b] = np.count_nonzero(S[b] < own[b])
+        ahead[b] = np.count_nonzero(_precedes(S[b], np.arange(n), own[b], cols[b]))
+    return ahead, below, equal
+
+
+def _flat(n, groups) -> np.ndarray:
+    """Positions `b * n + item` in a len(groups) x n block of each group's items."""
+    lengths = [len(g) for g in groups]
+    items = np.concatenate([np.zeros(0, np.int64)] + [np.asarray(g, np.int64) for g in groups])
+    return np.repeat(np.arange(len(groups)) * n, lengths) + items
+
+
+def _distinct(positions) -> np.ndarray:
+    """The distinct positions, ascending: one sort, a fraction of np.unique's cost."""
+    positions = np.sort(positions)
+    return positions[np.append(True, positions[1:] != positions[:-1])]
+
+
+def _chunk_values(S, contexts, targets, seen, cutoffs, exclude_context):
+    """Every metric of one chunk's instances, from one B x n score block.
+
+    Each count is taken over whole rows, one comparison with the target's
+    score, less the count over the few items a metric leaves out (the
+    context, the train history), which are compared one by one. Returns
+    {(metric, cutoff): B values} for the top-k metrics, each instance's
+    rankable item count, and the AUC of every instance as B values with
+    NaN where its negative pool is empty.
+    """
+    B, n = S.shape
+    rows = np.arange(B)
+    own = S[rows, targets]
+    in_ctx = _distinct(_flat(n, contexts))  # each (row, context item) once
+    ctx_rows, ctx_items = np.divmod(in_ctx, n)
+    rank, below, ties = _counts(S, targets)
+    values = {}
+    if exclude_context:
+        rankable = n - np.bincount(ctx_rows, minlength=B)
+        ahead = _precedes(S.ravel()[in_ctx], ctx_items, own[ctx_rows], targets[ctx_rows])
+        rank -= np.bincount(ctx_rows[ahead], minlength=B)
+        listed_target = np.bincount(ctx_rows[ctx_items == targets[ctx_rows]],
+                                    minlength=B) == 0
+    else:
+        rankable = np.full(B, n)
+        listed_target = np.ones(B, dtype=bool)
+        ctx_rank = np.concatenate([np.zeros(0, np.int64)] + [  # B context items at a time
+            _counts(S[ctx_rows[a:a + B]], ctx_items[a:a + B])[0]
+            for a in range(0, len(in_ctx), B)
+        ])
+    for k in cutoffs:
+        hit = listed_target & (rank < k)
+        listed = np.minimum(k, rankable)
+        values["precision", k] = hit / listed
+        values["recall", k] = hit.astype(np.float64)
+        if exclude_context:
+            values["mcan", k] = np.ones(B)
+        else:
+            values["mcan", k] = 1.0 - np.bincount(ctx_rows[ctx_rank < k], minlength=B) / listed
+
+    # the negative pool: everything outside the train history, context and target
+    left_out = _distinct(np.concatenate([in_ctx, _flat(n, seen), rows * n + targets]))
+    out_rows = left_out // n
+    out_scores, out_own = S.ravel()[left_out], own[out_rows]
+    below -= np.bincount(out_rows[out_scores < out_own], minlength=B)
+    ties -= np.bincount(out_rows[out_scores == out_own], minlength=B)
+    size = n - np.bincount(out_rows, minlength=B)
+    auc = np.full(B, np.nan)
+    auc[size > 0] = (below + 0.5 * ties)[size > 0] / size[size > 0]
+    return values, rankable, auc
 
 
 def evaluate(
@@ -224,8 +283,6 @@ def evaluate(
     cutoffs,
     model_name: str,
     exclude_context: bool = True,
-    auc_negatives: str = "all",
-    rng=None,
 ) -> EvalReport:
     """Score every held-out target and aggregate per user, then globally.
 
@@ -234,37 +291,34 @@ def evaluate(
     and must return one score per catalog item. Instances are scored in
     chunks of consecutive instances (`score_batch`, or `score_items` one at
     a time for a scorer without it), each chunk at most 64 rows and 2**18
-    scores. With exclude_context on, context items are dropped from the
-    ranking before top-k metrics are taken (novelty is then 1 by
-    construction); an instance left with fewer than k items to rank is
-    counted in the report's `short_rankings[k]`. AUC negatives are the
-    items outside train history, context, and target; "sampled-100" caps
-    that pool at 100 draws per instance, drawn from `rng` in instance order.
+    scores. Every metric follows from ranks under the rule of `top_k`,
+    taken with one comparison of each score row against its target's
+    score: precision@k and recall@k from the target's rank among the
+    rankable items, novelty (mcan@k) from how many distinct context items
+    rank within the first k, and AUC from the target's wins and ties over
+    its negatives, the items outside the user's train history, the
+    context and the target. With exclude_context on, context items are
+    not rankable (novelty is then 1 by construction); an instance left
+    with fewer than k items to rank has its precision@k taken over the
+    items ranked and is counted in the report's `short_rankings[k]`.
 
     A lookup error (KeyError, IndexError: an unknown user or item), a
     score vector of the wrong length, or a context that covers the catalog
     when it is excluded (nothing is left to rank) fails only its instance
-    and is listed in the report's failures, in instance order; any other
-    exception propagates.
+    and is listed in the report's failures, in instance order, and counted
+    under its cause in `failure_causes`; any other exception propagates.
     """
-    if auc_negatives not in ("all", "sampled-100"):
-        raise ValueError(f"unknown auc_negatives mode: {auc_negatives!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-
     history = data.Histories(split.train, dataset)
     cutoffs = sorted(set(int(k) for k in cutoffs))
     n = dataset.n_items
-    per_user: dict[tuple, dict[str, list[float]]] = {}
-    for k in cutoffs:
-        per_user[("precision", k)] = {}
-        per_user[("recall", k)] = {}
-        per_user[("mcan", k)] = {}
-    per_user[("auc", None)] = {}
-    failures: list[str] = []
-    short = dict.fromkeys(cutoffs, 0)
-    n_done = 0
+    report = EvalReport(model=model_name, rows=[])
 
+    def fail(inst, message, cause):
+        report.failures.append(f"user {inst.user} day {inst.day}: {message}")
+        report.failure_causes[cause] = report.failure_causes.get(cause, 0) + 1
+
+    users, rankable, aucs = [], [], []
+    values = {(name, k): [] for name in ("precision", "recall", "mcan") for k in cutoffs}
     chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // max(n, 1)))
     for start in range(0, len(split.test), chunk):
         part = split.test[start:start + chunk]
@@ -283,58 +337,44 @@ def evaluate(
         scored = iter(_score_rows(scorer, [x[0] for x in found], [x[1] for x in found],
                                   [x[2] for x in found], n) if found else ())
 
+        kept, rows = [], []  # the instances ranked: (instance, inputs), score row
         for inst, x in zip(part, inputs):
             scores = x if isinstance(x, Exception) else next(scored)
             if isinstance(scores, Exception):
-                failures.append(f"user {inst.user} day {inst.day}: {scores}")
-                continue
-            _, _, ctx_idx, target = x
-            if cutoffs:
-                ranked = top_k(scores, cutoffs[-1], ctx_idx if exclude_context else ())
-                if not ranked.size:
-                    failures.append(f"user {inst.user} day {inst.day}: no item left to "
-                                    "rank once its context is dropped")
-                    continue
-            for k in cutoffs:
-                short[k] += ranked.size < k
-                topk = list(ranked[:k])
-                per_user[("precision", k)].setdefault(inst.user, []).append(
-                    precision_at_k(topk, {target}, k)
-                )
-                per_user[("recall", k)].setdefault(inst.user, []).append(
-                    recall_at_k(topk, {target}, k)
-                )
-                per_user[("mcan", k)].setdefault(inst.user, []).append(
-                    can_novelty(topk, ctx_idx)
-                )
+                fail(inst, scores, WRONG_LENGTH if isinstance(scores, _ShapeError)
+                     else UNKNOWN)
+            elif exclude_context and cutoffs and len(set(x[2])) == n:
+                fail(inst, "no item left to rank once its context is dropped", COVERED)
+            else:
+                kept.append((inst, x))
+                rows.append(scores)
+        if not kept:
+            continue
+        chunk_values, chunk_rankable, auc = _chunk_values(
+            np.array(rows), [x[2] for _, x in kept], np.array([x[3] for _, x in kept]),
+            [history.seen(inst.user) for inst, _ in kept], cutoffs, exclude_context,
+        )
+        users.extend(x[0] for _, x in kept)
+        rankable.append(chunk_rankable)
+        aucs.append(auc)
+        for key, v in chunk_values.items():
+            values[key].append(v)
 
-            outside = np.ones(n, dtype=bool)
-            outside[history.seen(inst.user)] = False
-            outside[ctx_idx + [target]] = False
-            pool = np.flatnonzero(outside)
-            if pool.size:
-                if auc_negatives == "sampled-100" and pool.size > 100:
-                    pool = rng.choice(pool, size=100, replace=False)
-                per_user[("auc", None)].setdefault(inst.user, []).append(
-                    auc([scores[target]], scores[pool])
-                )
-            n_done += 1
-
-    rows = []
-    for name in ("precision", "recall", "mcan"):
-        for k in cutoffs:
-            if per_user[(name, k)]:
-                rows.append((name, k, _user_mean_then_global(per_user[(name, k)])))
-    if per_user[("auc", None)]:
-        rows.append(("auc", None, _user_mean_then_global(per_user[("auc", None)])))
-
-    return EvalReport(
-        model=model_name,
-        rows=rows,
-        n_instances=n_done,
-        failures=failures,
-        short_rankings={k: n for k, n in short.items() if n},
-    )
+    report.n_instances = len(users)
+    if not users:
+        return report
+    users, rankable, aucs = np.array(users), np.concatenate(rankable), np.concatenate(aucs)
+    for (name, k), v in values.items():
+        report.rows.append((name, k, _user_mean_then_global(users, np.concatenate(v))))
+    has_pool = ~np.isnan(aucs)
+    if has_pool.any():
+        report.rows.append(("auc", None, _user_mean_then_global(users[has_pool],
+                                                                aucs[has_pool])))
+    for k in cutoffs:
+        short = int(np.count_nonzero(rankable < k))
+        if short:
+            report.short_rankings[k] = short
+    return report
 
 
 def evaluate_ratings(predictor, triplets, model_name: str) -> EvalReport:
@@ -356,4 +396,5 @@ def evaluate_ratings(predictor, triplets, model_name: str) -> EvalReport:
         rows=rows,
         n_instances=len(true),
         failures=failures,
+        failure_causes={UNKNOWN: len(failures)} if failures else {},
     )

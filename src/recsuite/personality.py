@@ -208,17 +208,8 @@ def dominant_trait(scores: dict[str, float]) -> str:
     raise AssertionError("unreachable")
 
 
-def profile_user(
-    user: str,
-    reviews: list[str],
-    lexicon: dict[str, list[str]],
-    weights: dict[str, list[tuple[str, float]]],
-) -> PersonalityProfile | None:
-    """Concatenate reviews, categorize, score. None when there is no text."""
-    return _profile(user, reviews, _Matcher(lexicon), weights)
-
-
 def _profile(user, reviews, matcher: _Matcher, weights) -> PersonalityProfile | None:
+    """Concatenate reviews, categorize, score. None when there is no text."""
     texts = [r for r in reviews if r and r.strip()]
     if not texts:
         return None

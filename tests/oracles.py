@@ -26,6 +26,12 @@ complement per user, the way `data.prepared_instances` did before
 `data.Histories`. `long_term_before` re-sorts and re-walks a user's
 sessions for each day, the quadratic way `Histories.long_term` built its
 lists before it took them as prefixes of one walk.
+`profile_user` profiles one user with a lexicon compiled for them alone,
+as `personality.profile_all` did before it compiled the lexicon once.
+`evaluate` is the per-instance loop `metrics.evaluate` ran before it took
+every metric from ranks over a whole chunk: a `metrics.top_k` list per
+instance, then `precision_at_k`, `recall_at_k`, `can_novelty` and `auc` on
+it.
 """
 
 import collections
@@ -34,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from recsuite import baselines, data, personality
+from recsuite import baselines, data, metrics, personality
 
 
 class Interaction(NamedTuple):
@@ -191,6 +197,11 @@ def rows(corpus):
     ]
 
 
+def profile_user(user, reviews, lexicon, weights):
+    """One user's profile from their reviews, the lexicon compiled for them alone."""
+    return personality._profile(user, reviews, personality._Matcher(lexicon), weights)
+
+
 def profile_all(interactions, lexicon, weights):
     """user -> profile of each user with review text, first appearance first."""
     reviews = collections.defaultdict(list)
@@ -204,7 +215,7 @@ def profile_all(interactions, lexicon, weights):
             reviews.setdefault(e.user, [])
     profiles = {}
     for user in order:
-        prof = personality.profile_user(user, reviews[user], lexicon, weights)
+        prof = profile_user(user, reviews[user], lexicon, weights)
         if prof is not None:
             profiles[user] = prof
     return profiles
@@ -405,3 +416,111 @@ def prepared_instances(split, dataset):
             )
         )
     return prepared
+
+
+def precision_at_k(ranked, relevant, k: int) -> float:
+    """Fraction of the first k ranked items that are relevant.
+
+    When fewer than k items are ranked, the fraction is over the items
+    ranked; an empty ranking is a ValueError.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not len(ranked):
+        raise ValueError("nothing was ranked")
+    k = min(k, len(ranked))
+    topk = list(ranked)[:k]
+    return sum(1 for it in topk if it in relevant) / k
+
+
+def recall_at_k(ranked, relevant, k: int) -> float:
+    if not relevant:
+        raise ValueError("relevant set is empty")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    topk = list(ranked)[:k]
+    return sum(1 for it in topk if it in relevant) / len(relevant)
+
+
+def auc(pos_scores, neg_scores) -> float:
+    """Mean over (positive, negative) pairs of win=1 / tie=0.5 / loss=0."""
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    if pos.size == 0 or neg.size == 0:
+        raise ValueError("auc needs at least one positive and one negative")
+    wins = 0.0
+    for p in pos:
+        wins += np.count_nonzero(p > neg) + 0.5 * np.count_nonzero(p == neg)
+    return float(wins / (pos.size * neg.size))
+
+
+def can_novelty(recommended, consumed) -> float:
+    """1 - |R ∩ C| / |R|: share of the recommendation the user hasn't consumed."""
+    R = set(recommended)
+    if not R:
+        raise ValueError("empty recommendation set")
+    return 1.0 - len(R & set(consumed)) / len(R)
+
+
+def _user_mean_then_global(per_user: dict) -> float:
+    user_means = [sum(vals) / len(vals) for vals in per_user.values() if vals]
+    return sum(user_means) / len(user_means)
+
+
+def evaluate(scorer, dataset, split, cutoffs, model_name, exclude_context=True):
+    """`metrics.evaluate` one instance at a time: a top-k list, then each metric.
+
+    Each instance is scored alone (`metrics._score_rows` on a batch of
+    one), ranked by `metrics.top_k` without its context when that is
+    excluded, and scored by the per-instance metrics above; AUC pairs the
+    target with every item outside the train history, context and target.
+    """
+    history = data.Histories(split.train, dataset)
+    cutoffs = sorted(set(int(k) for k in cutoffs))
+    n = dataset.n_items
+    per_user = {(name, k): {} for name in ("precision", "recall", "mcan") for k in cutoffs}
+    per_user[("auc", None)] = {}
+    failures = []
+    short = dict.fromkeys(cutoffs, 0)
+    n_done = 0
+    for inst in split.test:
+        try:
+            user = dataset.user_index[inst.user]
+            long_items = history.long_term(inst.user, inst.day)
+            ctx_idx = [dataset.item_index[i] for i in inst.context]
+            target = dataset.item_index[inst.target]
+        except (KeyError, IndexError) as exc:
+            failures.append(f"user {inst.user} day {inst.day}: {exc}")
+            continue
+        scores = metrics._score_rows(scorer, [user], [long_items], [ctx_idx], n)[0]
+        if isinstance(scores, Exception):
+            failures.append(f"user {inst.user} day {inst.day}: {scores}")
+            continue
+        if cutoffs:
+            ranked = metrics.top_k(scores, cutoffs[-1], ctx_idx if exclude_context else ())
+            if not ranked.size:
+                failures.append(f"user {inst.user} day {inst.day}: no item left to "
+                                "rank once its context is dropped")
+                continue
+        for k in cutoffs:
+            short[k] += ranked.size < k
+            topk = list(ranked[:k])
+            per_user[("precision", k)].setdefault(inst.user, []).append(
+                precision_at_k(topk, {target}, k))
+            per_user[("recall", k)].setdefault(inst.user, []).append(
+                recall_at_k(topk, {target}, k))
+            per_user[("mcan", k)].setdefault(inst.user, []).append(
+                can_novelty(topk, ctx_idx))
+        outside = np.ones(n, dtype=bool)
+        outside[history.seen(inst.user)] = False
+        outside[ctx_idx + [target]] = False
+        pool = np.flatnonzero(outside)
+        if pool.size:
+            per_user[("auc", None)].setdefault(inst.user, []).append(
+                auc([scores[target]], scores[pool]))
+        n_done += 1
+    rows = [(name, k, _user_mean_then_global(v)) for (name, k), v in per_user.items() if v]
+    return metrics.EvalReport(
+        model=model_name, rows=rows, n_instances=n_done, failures=failures,
+        short_rankings={k: c for k, c in short.items() if c},
+    )

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import loop_oracles
 import oracles
-from recsuite import baselines, data, metrics
+from recsuite import baselines, data
 from recsuite.numeric import grad_check, make_rng
 
 
@@ -184,7 +184,7 @@ class TestBprTraining:
             own = [i for i in range(lo, lo + 10) if i not in seen[u]]
             other = [i for i in range(20) if not lo <= i < lo + 10]
             scores = state.score_items(u, [], [])
-            aucs.append(metrics.auc(scores[own], scores[other]))
+            aucs.append(oracles.auc(scores[own], scores[other]))
         assert np.mean(aucs) >= 0.9
         assert len(state.trace) == 20
         assert state.trace[-1] < state.trace[0]

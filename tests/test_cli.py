@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import threading
+import time
 
 import click
 import numpy as np
@@ -256,6 +259,35 @@ class TestTrain:
         assert "config_hash" in man and "wall_time_s" in man
         assert list(man["inputs"].values())[0] == _sha(corpus)
 
+    def test_piped_corpus_records_no_digest(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        fifo = tmp_path / "corpus.pipe"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(corpus.read_bytes())
+            # a second reader of the pipe would block for ever; give it an
+            # empty read instead, so a re-read fails the test and does not hang
+            while not done.is_set():
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:
+                    time.sleep(0.01)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            train(fifo, tmp_path / "t", "top")
+        finally:
+            done.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        man = json.loads((tmp_path / "t" / "train_manifest.json").read_text())
+        assert man["inputs"] == {str(fifo): None}
+        assert not os.path.exists(str(fifo) + data.SIDECAR_SUFFIX)
+
     def test_same_config_bit_identical_checkpoints(self, tmp_path):
         corpus = synth_sequential(tmp_path / "s")
         a = train(corpus, tmp_path / "a", "das", "--k", "4", "--epochs", "1", "--seed", "7")
@@ -339,6 +371,7 @@ class TestConfigFile:
         ("cutoffs = 2\n", [], [2]),
         ("cutoffs = 2\n[eval_cmd]\ncutoffs = 7\n[eval]\ncutoffs = 3\n", [], [3]),
         ("cutoffs = 2\n[eval]\ncutoffs = 3\n", ["--cutoffs", "4"], [4]),
+        ("auc-negatives = sampled-100\n", [], [5, 10, 20]),  # a deleted flag is ignored
     ])
     def test_eval_cutoffs_precedence(self, tmp_path, text, flags, cutoffs):
         corpus = synth_sequential(tmp_path / "s")
@@ -348,6 +381,7 @@ class TestConfigFile:
                                    "--config", self._config(tmp_path, text)])
         assert res.exit_code == 0, res.output
         assert self._manifest(out, "eval")["cutoffs"] == cutoffs
+        assert "auc_negatives" not in self._manifest(out, "eval")
 
     def test_bare_k_reaches_train_only(self, tmp_path):
         # `k` is train's latent width; eval names its cutoffs --cutoffs
@@ -550,6 +584,24 @@ class TestEval:
         assert "Traceback" not in res.output
         assert not (tmp_path / "e" / "report.csv").exists()
 
+
+    def test_failures_are_counted_by_cause_on_stderr(self, tmp_path, monkeypatch):
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", "top")
+        score_batch = baselines.TopScorer.score_batch
+
+        def one_too_many_for_even_users(self, users, longs, shorts):
+            rows = score_batch(self, users, longs, shorts)
+            even = any(u % 2 == 0 for u in users)
+            return np.zeros((len(users), rows.shape[1] + 1)) if even else rows
+
+        monkeypatch.setattr(baselines.TopScorer, "score_batch", one_too_many_for_even_users)
+        res = runner.invoke(main, ["eval", str(ck), str(corpus), "--out", str(tmp_path / "e")])
+        assert res.exit_code == 0, res.output
+        failed = [ln for ln in res.stderr.splitlines() if ln.startswith("instance failed: ")]
+        assert failed and all("expected (12,)" in ln for ln in failed)
+        total = len(failed) + int(re.search(r"instances=(\d+)", res.stdout).group(1))
+        assert f"{len(failed)} of {total} instances failed: wrong score length" in res.stderr
 
     def test_every_instance_failing_exits_nonzero(self, tmp_path, monkeypatch):
         corpus = synth_sequential(tmp_path / "s")
@@ -760,6 +812,36 @@ class TestRecommend:
         )
         assert res.exit_code == 0, res.output
         assert len(_lines(res.stdout)) == 2
+
+
+    @pytest.mark.parametrize("model", ["usermean", "itemmean", "apar"])
+    def test_rating_listing_equals_the_rating_matrix_path(self, tmp_path, model):
+        # viewed-only users and items come first, two rate rows are rejected
+        # (a NaN and a missing rating), and u2 rates b twice
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(
+            "user,item,timestamp,action,rating,review\n"
+            "v0,x,0,view,,\n" "u1,y,1,view,,\n"
+            "u1,a,2,rate,4,great hero\n" "u2,b,3,rate,nan,\n" "u2,b,4,rate,2,\n"
+            "u2,a,5,rate,3,sad\n" "u2,b,6,rate,5,friend\n" "u3,c,7,rate,,\n"
+            "u3,c,8,rate,1,\n" "u3,a,9,rate,2,\n" "u1,c,10,rate,5,\n")
+        ck = train(corpus, tmp_path / "t", model, "--epochs", "2")
+        matrix = data.RatingMatrix.from_interactions(data.ingest_csv(corpus)[0])
+        assert matrix.users == ["u1", "u2", "u3"] and matrix.items == ["a", "b", "c"]
+        state = checkpoint.load_checkpoint(ck).state
+        for user in matrix.users:
+            u = matrix.user_index[user]
+            scores = (state.score_items(u, [], []) if model == "apar" else
+                      np.array([state.predict_rating(u, j) for j in range(matrix.n_items)]))
+            res = runner.invoke(main, ["recommend", str(ck), str(corpus), "--user", user,
+                                       "-n", "3"])
+            assert res.exit_code == 0, res.output
+            assert _lines(res.stdout) == [
+                f"{rank},{matrix.items[j]},{scores[j]:.17g}"
+                for rank, j in enumerate(oracles.rank_items(scores), start=1)
+            ]
+        res = runner.invoke(main, ["recommend", str(ck), str(corpus), "--user", "v0"])
+        assert res.exit_code == 1 and "unknown user 'v0'" in res.stderr
 
 
 class TestReadmeWalkthrough:

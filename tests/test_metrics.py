@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,40 +54,40 @@ class TestRmse:
 
 class TestPrecisionRecall:
     def test_precision_example(self):
-        assert metrics.precision_at_k(["a", "b", "c"], {"b"}, 3) == pytest.approx(1 / 3)
+        assert oracles.precision_at_k(["a", "b", "c"], {"b"}, 3) == pytest.approx(1 / 3)
 
     def test_precision_all_relevant(self):
-        assert metrics.precision_at_k(["a", "b"], {"a", "b", "c"}, 2) == 1.0
+        assert oracles.precision_at_k(["a", "b"], {"a", "b", "c"}, 2) == 1.0
 
     def test_precision_none(self):
-        assert metrics.precision_at_k(["a", "b"], {"z"}, 2) == 0.0
+        assert oracles.precision_at_k(["a", "b"], {"z"}, 2) == 0.0
 
     def test_precision_of_an_empty_ranking_is_a_value_error(self):
         with pytest.raises(ValueError, match="nothing was ranked"):
-            metrics.precision_at_k([], {"a"}, 5)
+            oracles.precision_at_k([], {"a"}, 5)
 
     def test_precision_k_beyond_length_is_over_the_items_ranked(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v = metrics.precision_at_k(["a"], {"a"}, 5)
+            v = oracles.precision_at_k(["a"], {"a"}, 5)
         assert v == 1.0  # computed over the single available position
 
     def test_recall_leave_one_out_hit(self):
-        assert metrics.recall_at_k(["a", "b"], {"b"}, 2) == 1.0
+        assert oracles.recall_at_k(["a", "b"], {"b"}, 2) == 1.0
 
     def test_recall_miss(self):
-        assert metrics.recall_at_k(["a", "b"], {"z"}, 2) == 0.0
+        assert oracles.recall_at_k(["a", "b"], {"z"}, 2) == 0.0
 
     def test_recall_empty_relevant(self):
         with pytest.raises(ValueError):
-            metrics.recall_at_k(["a"], set(), 1)
+            oracles.recall_at_k(["a"], set(), 1)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
     def test_recall_monotone_in_k(self, k1, k2):
         ranked = list("abcdefgh")
         relevant = {"b", "e", "h"}
         lo, hi = sorted((k1, k2))
-        assert metrics.recall_at_k(ranked, relevant, lo) <= metrics.recall_at_k(
+        assert oracles.recall_at_k(ranked, relevant, lo) <= oracles.recall_at_k(
             ranked, relevant, hi
         )
 
@@ -97,27 +98,27 @@ class TestPrecisionRecall:
     def test_counting_identity(self, relevant, k):
         # precision*k == recall*|relevant| (both count |top-k ∩ relevant|)
         ranked = list("abcdefgh")
-        p = metrics.precision_at_k(ranked, relevant, k)
-        r = metrics.recall_at_k(ranked, relevant, k)
+        p = oracles.precision_at_k(ranked, relevant, k)
+        r = oracles.recall_at_k(ranked, relevant, k)
         assert p * k == pytest.approx(r * len(relevant), abs=1e-12)
 
 
 class TestAuc:
     def test_perfect_separation(self):
-        assert metrics.auc([0.9], [0.1, 0.5]) == 1.0
+        assert oracles.auc([0.9], [0.1, 0.5]) == 1.0
 
     def test_all_ties(self):
-        assert metrics.auc([0.3, 0.3], [0.3]) == 0.5
+        assert oracles.auc([0.3, 0.3], [0.3]) == 0.5
 
     def test_pairwise_enumeration(self):
         # pairs: (0.6 > 0.4) = 1, (0.6 < 0.7) = 0 -> mean 0.5
-        assert metrics.auc([0.6], [0.4, 0.7]) == 0.5
+        assert oracles.auc([0.6], [0.4, 0.7]) == 0.5
 
     def test_empty_side(self):
         with pytest.raises(ValueError):
-            metrics.auc([], [0.1])
+            oracles.auc([], [0.1])
         with pytest.raises(ValueError):
-            metrics.auc([0.1], [])
+            oracles.auc([0.1], [])
 
     @given(
         # eighths in [-5, 5]: binary fractions keep order exact under both maps
@@ -125,9 +126,9 @@ class TestAuc:
         st.lists(st.integers(-40, 40).map(lambda n: n / 8), min_size=1, max_size=6),
     )
     def test_invariant_under_increasing_transform(self, pos, neg):
-        base = metrics.auc(pos, neg)
-        affine = metrics.auc([2 * x + 1 for x in pos], [2 * x + 1 for x in neg])
-        expo = metrics.auc([math.exp(x) for x in pos], [math.exp(x) for x in neg])
+        base = oracles.auc(pos, neg)
+        affine = oracles.auc([2 * x + 1 for x in pos], [2 * x + 1 for x in neg])
+        expo = oracles.auc([math.exp(x) for x in pos], [math.exp(x) for x in neg])
         assert base == pytest.approx(affine, abs=1e-12)
         assert base == pytest.approx(expo, abs=1e-12)
 
@@ -140,24 +141,24 @@ class TestAuc:
         for p in pos:
             for n in neg:
                 total += 1.0 if p > n else (0.5 if p == n else 0.0)
-        assert metrics.auc(pos, neg) == pytest.approx(
+        assert oracles.auc(pos, neg) == pytest.approx(
             total / (len(pos) * len(neg)), abs=1e-12
         )
 
 
 class TestNovelty:
     def test_half_overlap(self):
-        assert metrics.can_novelty({"a", "b"}, {"a"}) == 0.5
+        assert oracles.can_novelty({"a", "b"}, {"a"}) == 0.5
 
     def test_fully_novel(self):
-        assert metrics.can_novelty({"a", "b"}, {"c"}) == 1.0
+        assert oracles.can_novelty({"a", "b"}, {"c"}) == 1.0
 
     def test_fully_seen(self):
-        assert metrics.can_novelty({"a"}, {"a", "b"}) == 0.0
+        assert oracles.can_novelty({"a"}, {"a", "b"}) == 0.0
 
     def test_empty_recommendation(self):
         with pytest.raises(ValueError):
-            metrics.can_novelty(set(), {"a"})
+            oracles.can_novelty(set(), {"a"})
 
 
 class TestRankItems:
@@ -355,9 +356,9 @@ class TestEvaluate:
 
 
 @st.composite
-def _sessions_and_split(draw):
-    """A catalog of 1-4 items, sessions that repeat items, and a split of them."""
-    n_items = draw(st.integers(1, 4))
+def _sessions_and_split(draw, max_items=4):
+    """A catalog of 1 to max_items items, sessions that repeat items, and a split."""
+    n_items = draw(st.integers(1, max_items))
     tokens = st.sampled_from([data.item_token(j) for j in range(n_items)])
     sessions = [
         data.Session(user=data.user_token(u), t=t, day=t, items=items)
@@ -379,12 +380,11 @@ def _sessions_and_split(draw):
 
 
 @given(_sessions_and_split(), st.lists(st.integers(1, 6), min_size=1, max_size=3),
-       st.booleans(), st.sampled_from(["all", "sampled-100"]), st.integers(0, 100))
-def test_evaluate_scores_or_lists_each_instance(ds_split, cutoffs, exclude, negatives, seed):
+       st.booleans(), st.integers(0, 100))
+def test_evaluate_scores_or_lists_each_instance(ds_split, cutoffs, exclude, seed):
     ds, sp = ds_split
     report = metrics.evaluate(baselines.RandomScorer(ds.n_items, seed), ds, sp, cutoffs,
-                              "random", exclude_context=exclude, auc_negatives=negatives,
-                              rng=make_rng(seed))
+                              "random", exclude_context=exclude)
     covering = sum(exclude and len(set(inst.context)) == ds.n_items for inst in sp.test)
     assert len(report.failures) == covering
     assert report.n_instances + len(report.failures) == len(sp.test)
@@ -394,6 +394,89 @@ def test_evaluate_scores_or_lists_each_instance(ds_split, cutoffs, exclude, nega
     rankable = [ds.n_items - exclude * len(set(inst.context)) for inst in sp.test]
     short = {k: sum(0 < r < k for r in rankable) for k in sorted(set(cutoffs))}
     assert report.short_rankings == {k: n for k, n in short.items() if n}
+
+
+class _TableScorer(metrics.Ranker):
+    """Scores each instance with the table row its inputs pick."""
+
+    def __init__(self, table):
+        self.table = np.array(table, dtype=np.float64)
+
+    def score_batch(self, users, longs, shorts):
+        return self.table[[(7 * u + 3 * len(g) + sum(c)) % len(self.table)
+                           for u, g, c in zip(users, longs, shorts)]]
+
+
+# few distinct values, so ties are the rule; ±0.0, ±inf and NaN among them
+_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan]) | st.floats(-2, 2)
+
+
+@st.composite
+def _ranking_case(draw):
+    """A split of up to 8 items with contexts that repeat items or hold the
+    target, unknown users and items among its instances, and a score table."""
+    ds, sp = draw(_sessions_and_split(max_items=8))
+    test = list(sp.test)
+    for inst in draw(st.lists(st.sampled_from([
+        data.TestInstance(user="nobody", day=1, t=0, context=[], target=ds.items[0]),
+        data.TestInstance(user=ds.users[0], day=1, t=0, context=["zz"], target=ds.items[0]),
+    ]), max_size=2)):
+        test.insert(draw(st.integers(0, len(test))), inst)
+    n = ds.n_items
+    table = draw(st.lists(st.lists(_SCORES, min_size=n, max_size=n), min_size=1, max_size=5))
+    return ds, data.Split(train=sp.train, test=test, policy=sp.policy), _TableScorer(table)
+
+
+@given(_ranking_case(), st.lists(st.integers(1, 10), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from([1, 5, 64]))
+@example(  # NaN target behind a NaN at a lower index, a context holding the target
+    (lambda ds: (ds, data.Split(train=[], test=[data.TestInstance(
+        user="u000", day=0, t=0, context=["i0", "i1", "i1"], target="i1")],
+        policy="fixed"), _TableScorer([[np.nan, np.nan, -0.0, 0.0]])))(
+        data.Dataset.from_interactions(data.sessions_to_interactions([data.Session(
+            user="u000", t=0, day=0, items=["i0", "i1", "i2", "i3"])]))),
+    [1, 3, 9], False, 1)
+def test_evaluate_equals_the_per_instance_oracle(case, cutoffs, exclude, chunk):
+    ds, sp, scorer = case
+    with mock.patch.object(metrics, "_CHUNK_ROWS", chunk):
+        got = metrics.evaluate(scorer, ds, sp, cutoffs, "table", exclude)
+    want = oracles.evaluate(scorer, ds, sp, cutoffs, "table", exclude)
+    assert got.rows == want.rows
+    assert got.n_instances == want.n_instances
+    assert got.failures == want.failures
+    assert got.short_rankings == want.short_rankings
+    assert sum(got.failure_causes.values()) == len(got.failures)
+
+
+def test_failures_are_counted_by_cause():
+    # a, b on day 0; a, b, c, a on day 1: holding out the last a leaves a
+    # context with every item of the catalog
+    day0 = data.Session(user="u000", t=0, day=0, items=["a", "b"])
+    day1 = data.Session(user="u000", t=1, day=1, items=["a", "b", "c", "a"])
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions([day0, day1]))
+
+    def inst(context, target, user="u000"):
+        return data.TestInstance(user=user, day=1, t=1, context=context, target=target)
+
+    test = [inst(["a", "b", "c"], "a"), inst(["a"], "b"), inst([], "a", user="nobody"),
+            inst(["b", "c"], "zz"), inst(["b", "c"], "a"), inst(["a", "c", "b"], "b")]
+
+    class OneLong(metrics.Ranker):
+        """One score too many for a context of one item."""
+
+        def score_batch(self, users, longs, shorts):
+            if any(len(c) == 1 for c in shorts):
+                raise IndexError("not in one batch")
+            return np.zeros((len(users), ds.n_items))
+
+        def score_items(self, user, long_items, short_items):
+            return np.zeros(ds.n_items + (len(short_items) == 1))
+
+    report = metrics.evaluate(OneLong(), ds, data.Split(train=[day0], test=test,
+                                                        policy="fixed"), [1], "m")
+    assert report.n_instances == 1 and len(report.failures) == 5
+    assert report.failure_causes == {metrics.COVERED: 2, metrics.WRONG_LENGTH: 1,
+                                     metrics.UNKNOWN: 2}
 
 
 class _OneAtATime:
@@ -474,10 +557,9 @@ class TestChunkedEvaluate:
     def test_rows_equal_per_instance_loop(self, wide, monkeypatch, kind, chunk):
         ds, sp = wide
         monkeypatch.setattr(metrics, "_CHUNK_ROWS", chunk)
-        kw = dict(cutoffs=[1, 5, 10], model_name=kind, auc_negatives="sampled-100")
-        got = metrics.evaluate(ranking_models()[kind], ds, sp, rng=make_rng(2), **kw)
-        want = metrics.evaluate(_OneAtATime(ranking_models()[kind]), ds, sp,
-                                rng=make_rng(2), **kw)
+        kw = dict(cutoffs=[1, 5, 10], model_name=kind)
+        got = metrics.evaluate(ranking_models()[kind], ds, sp, **kw)
+        want = metrics.evaluate(_OneAtATime(ranking_models()[kind]), ds, sp, **kw)
         assert got.n_instances == want.n_instances == len(sp.test) > chunk
         assert [r[:2] for r in got.rows] == [r[:2] for r in want.rows]
         for (_, _, a), (_, _, b) in zip(got.rows, want.rows):

@@ -166,20 +166,20 @@ class TestProfileUser:
     def test_o_linked_text_dominant_o(self):
         # words from every category the default table ties to openness
         text = "hero win hate kill daughter husband buddy friend arrive go"
-        prof = personality.profile_user(
+        prof = oracles.profile_user(
             "u1", [text], personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
         )
         assert prof.dominant == "O"
 
     def test_tie_breaks_to_first_trait_in_order(self):
-        prof = personality.profile_user(
+        prof = oracles.profile_user(
             "u1", ["zzz qqq"], personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
         )
         assert prof.dominant == "O"  # all scores zero, tie order O,C,E,A,N
 
     def test_zero_reviews_gives_no_profile(self):
         assert (
-            personality.profile_user(
+            oracles.profile_user(
                 "u1", [], personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
             )
             is None
