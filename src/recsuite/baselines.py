@@ -128,16 +128,34 @@ def _bpr_triple(pu, qi, qj, l2):
 
     The gradients (w.r.t. p_u, q_i, q_j) are those of the data loss plus
     l2(|p_u|^2 + |q_i|^2 + |q_j|^2), the per-step objective `train_bpr`
-    descends.
+    descends. Takes one triple (vectors) or a stack of them (B x d rows);
+    a stack's dot products are B matmuls of (1 x d) @ (d x 1), the same
+    dot product as one vector's `pu @ (qi - qj)`.
     """
-    x = pu @ (qi - qj)
+    diff = qi - qj
+    x = (pu[..., None, :] @ diff[..., :, None])[..., 0, 0]
     s = sigmoid(x) - 1.0  # dloss/dx
+    if np.ndim(s):
+        s = s[:, None]
     return (
         np.logaddexp(0.0, -x),
-        s * (qi - qj) + 2 * l2 * pu,
+        s * diff + 2 * l2 * pu,
         s * pu + 2 * l2 * qi,
         -s * pu + 2 * l2 * qj,
     )
+
+
+def _waves(users, pos, neg, n_users, n_items) -> np.ndarray:
+    """The wave of each (user, positive, negative) pair: one past the latest
+    wave of any earlier pair that shares its user row or either item row.
+    No two pairs of a wave share a row."""
+    user_wave, item_wave = [-1] * n_users, [-1] * n_items
+    waves = []
+    for u, i, j in zip(users, pos, neg):
+        w = max(user_wave[u], item_wave[i], item_wave[j]) + 1
+        user_wave[u] = item_wave[i] = item_wave[j] = w
+        waves.append(w)
+    return np.array(waves, dtype=np.int64)
 
 
 def init_bpr(n_users, n_items, config: BprConfig, rng=None) -> BprState:
@@ -154,22 +172,31 @@ def train_bpr(split, dataset, config: BprConfig) -> BprState:
     """SGD with one uniform negative per positive, drawn outside the user's history.
 
     The positives are the targets of `data.prepared_instances`. The whole
-    epoch is one `minibatch.train` batch, whose step updates pair by pair.
+    epoch is one `minibatch.train` batch, whose step updates pair by pair
+    in effect: the pairs go in waves (`_waves`), and since the rows within
+    a wave are disjoint, each wave updates as arrays, with the arithmetic
+    of one pair at a time. The epoch loss is summed in pair order.
     """
     rng = make_rng(config.seed)
     state = init_bpr(dataset.n_users, dataset.n_items, config, rng)
     P, Q, lr, l2 = state.P, state.Q, config.lr, config.l2
 
     def step(batch):
-        total = 0.0
-        for u, i, j in zip(batch.users, batch.positives, batch.negatives):
+        waves = _waves(batch.users, batch.positives, batch.negatives, len(P), len(Q))
+        order = np.argsort(waves, kind="stable")
+        sizes = np.bincount(waves)
+        ends = np.cumsum(sizes)
+        users, pos, neg = (np.asarray(col, dtype=np.int64)[order]
+                           for col in (batch.users, batch.positives, batch.negatives))
+        losses = np.empty(len(order))
+        for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+            u, i, j = users[lo:hi], pos[lo:hi], neg[lo:hi]
             pu, qi, qj = P[u], Q[i], Q[j]
-            data_loss, gp, gqi, gqj = _bpr_triple(pu, qi, qj, l2)
-            total += data_loss
+            losses[order[lo:hi]], gp, gqi, gqj = _bpr_triple(pu, qi, qj, l2)
             P[u] = pu - lr * gp
             Q[i] = qi - lr * gqi
             Q[j] = qj - lr * gqj
-        return float(total / len(batch.users))
+        return float(np.cumsum(losses)[-1] / len(order))
 
     prepared = data.prepared_instances(split, dataset)
     return minibatch.train(state, prepared, config.epochs, max(len(prepared), 1), rng, step)

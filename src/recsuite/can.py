@@ -18,7 +18,6 @@ import numpy as np
 
 from . import data, metrics, minibatch
 from .numeric import (
-    add_rows,
     init_normal,
     init_uniform_attention,
     make_rng,
@@ -220,69 +219,86 @@ def forward(state: CanState, users, longs, shorts, rng=None):
 # Loss and gradients
 
 
-def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, out=None):
-    """Pairwise BPR loss + L2, gradients aligned with state.params().
+def reads(batch: minibatch.Batch) -> list:
+    """The `minibatch.Rows` of each table a batch reads, aligned with params().
+
+    E is read at the long-term items, then the context items; U at the
+    users (by column); V_out at the positives, then the negatives.
+    `loss_and_grads` lists its table gradients in this order.
+    """
+    items = minibatch.Rows.of(np.concatenate([minibatch.flat(batch.longs),
+                                              minibatch.flat(batch.shorts)]))
+    outputs = minibatch.Rows.of(np.concatenate([batch.positives, batch.negatives]))
+    return [items, minibatch.Rows.of(batch.users, axis=1)] + [None] * 10 + [outputs]
+
+
+def l2_weights(config: CanConfig) -> tuple:
+    """The L2 weight of each parameter: lam_uv on the tables E, U and
+    V_out, lam_a on every other layer."""
+    return tuple(config.lam_uv if name in ("E", "U", "V_out") else config.lam_a
+                 for name in PARAM_NAMES)
+
+
+def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, rows=None):
+    """Pairwise BPR loss, with its gradients in params() order.
 
     `forward` encodes every instance at once; `rng` enables its dropout
-    (training), and rng=None gives the deterministic inference path.
-    `out`, arrays shaped like params(), receives the gradients in place of
-    new arrays.
+    (training), and rng=None gives the deterministic inference path. Each
+    table's gradient (E, U, V_out) comes as one row per entry of its
+    `reads(batch)` (or `rows`) index; the other gradients are whole. The L2
+    terms (`l2_weights`) are the trainer's, not part of this loss.
     """
     cfg = state.config
+    item_rows, user_rows, *_, out_rows = reads(batch) if rows is None else rows
     u, c = forward(state, batch.users, batch.longs, batch.shorts, rng)
     rp, rq = c.rp, c.rq
-    grads = [np.empty_like(p) for p in state.params()] if out is None else out
-    g = dict(zip(PARAM_NAMES, grads))
-    # every gradient starts as its L2 term; the data terms add to the rows
-    # (or columns) the batch touched
-    total = 0.0
-    for name, param, grad in zip(PARAM_NAMES, state.params(), grads):
-        lam = cfg.lam_uv if name in ("E", "U", "V_out") else cfg.lam_a
-        np.multiply(param, 2.0 * lam, out=grad)
-        total += lam * np.vdot(param, param)
     vout = state.V_out
     pos = np.asarray(batch.positives, dtype=np.int64)
     neg = np.asarray(batch.negatives, dtype=np.int64)
 
     diff = vout[pos] - vout[neg]
     x = (u * diff).sum(axis=1)
-    total += -np.log(np.clip(sigmoid(x), 1e-12, 1.0 - 1e-12)).sum()
+    total = float(-np.log(np.clip(sigmoid(x), 1e-12, 1.0 - 1e-12)).sum())
 
     s = (sigmoid(x) - 1.0)[:, None]  # d(-ln sigma(x))/dx
-    add_rows(g["V_out"], np.concatenate([pos, neg]), np.vstack([s * u, -s * u]))
     dm = s * diff
+    n_long = sum(map(len, batch.longs))  # E's reads: the long-term items, then the context
+    g = {"E": np.zeros((item_rows.index.size, cfg.D)),
+         "U": np.zeros((user_rows.index.size, cfg.D_u)),
+         "V_out": out_rows.sum(np.vstack([s * u, -s * u]))}
 
     if rq:
         dQ, dm[rq] = pooled_attention_backward(c.Q, c.m[rq], c.ap, dm[rq])
         dpre_q = dQ[c.s_mask] * (1.0 - c.Qv**2)
-        g["W4"] += dpre_q.T @ c.PD
-        g["b4"] += dpre_q.sum(axis=0)
+        g["W4"] = dpre_q.T @ c.PD
+        g["b4"] = dpre_q.sum(axis=0)
         dpre_pd = (dpre_q @ state.W4) * (c.pre_pd > 0)
-        g["W3"] += dpre_pd.T @ c.Es
-        g["b3"] += dpre_pd.sum(axis=0)
-        add_rows(g["E"], c.s_flat, dpre_pd @ state.W3)
+        g["W3"] = dpre_pd.T @ c.Es
+        g["b3"] = dpre_pd.sum(axis=0)
+        g["E"] += item_rows.sum(dpre_pd @ state.W3, slice(n_long, None))
 
     if rp:
         dCd, dt = pooled_attention_backward(c.Cd, c.t, c.alpha, dm[rp])
         dpre2 = dt * (1.0 - c.t**2)
-        g["W2"] += dpre2.T @ c.p
-        g["b2"] += dpre2.sum(axis=0)
+        g["W2"] = dpre2.T @ c.p
+        g["b2"] = dpre2.sum(axis=0)
         dpre1 = (dpre2 @ state.W2) * (c.pre1 > 0)
-        g["W1"] += dpre1.T @ c.u_emb
-        g["b1"] += dpre1.sum(axis=0)
-        add_rows(g["U"].T, c.users[rp], dpre1 @ state.W1)
+        g["W1"] = dpre1.T @ c.u_emb
+        g["b1"] = dpre1.sum(axis=0)
+        g["U"] = user_rows.sum(dpre1 @ state.W1, rp)
         dpre_c = dCd[c.g_mask] * c.M * (c.pre_c > 0)
-        g["K_w"] += dpre_c.T @ c.wins
-        g["b_w"] += dpre_c.sum(axis=0)
+        g["K_w"] = dpre_c.T @ c.wins
+        g["b_w"] = dpre_c.sum(axis=0)
         # each window slot's gradient lands on the position it read; within
         # one slot every position is read at most once, padding aside
         d_wins = (dpre_c @ state.K_w).reshape(len(c.src), cfg.window, cfg.D)
         dX = np.zeros((len(c.g_flat) + 1, cfg.D))  # row -1 collects the padding's
         for j in range(cfg.window):
             dX[c.src[:, j]] += d_wins[:, j]
-        add_rows(g["E"], c.g_flat, dX[:-1])
-
-    return float(total), grads
+        g["E"] += item_rows.sum(dX[:-1], slice(0, n_long))
+    # a layer that no instance of the batch reached has a zero gradient
+    return total, [g[n] if n in g else np.zeros_like(p)
+                   for n, p in zip(PARAM_NAMES, state.params())]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +316,8 @@ def train_can(split: data.Split, dataset: data.Dataset, config: CanConfig) -> Ca
     state = init_can(dataset.n_users, dataset.n_items, config, rng)
     prepared = data.prepared_instances(split, dataset)
     drop_rng = rng if config.dropout > 0 else None
-    step = minibatch.sgd(
-        state, lambda st, batch, out: loss_and_grads(st, batch, drop_rng, out), config.lr
-    )
-    return minibatch.train(state, prepared, config.epochs, config.batch, rng, step)
+    step = minibatch.Sgd(state, lambda st, batch, rows: loss_and_grads(st, batch, drop_rng, rows),
+                         reads, config.lr, l2_weights(config))
+    minibatch.train(state, prepared, config.epochs, config.batch, rng, step)
+    step.finish()
+    return state

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import data, metrics, minibatch
 from .numeric import (
-    add_rows,
     init_normal,
     init_uniform_attention,
     make_rng,
@@ -120,13 +119,12 @@ def _encode(items: np.ndarray, lists, w: np.ndarray):
     lists) and what the backward pass needs.
     """
     idx, mask = minibatch.pad(lists)
-    flat = idx[mask]
-    Hv = sigmoid(items[flat])
+    Hv = sigmoid(items[idx[mask]])
     H = np.zeros(mask.shape + (items.shape[1],))
     H[mask] = Hv
     q = np.broadcast_to(w, (len(lists), w.size))
     pooled, alpha = pooled_attention(H, q, mask)
-    return pooled, (H, q, alpha, mask, flat, Hv)
+    return pooled, (H, q, alpha, mask, Hv)
 
 
 def forward(state: DasState, users, longs, shorts):
@@ -147,63 +145,78 @@ def forward(state: DasState, users, longs, shorts):
     return z, (users, long_cache, short_cache, x, pre, h_u)
 
 
-def loss_and_grads(state: DasState, batch: minibatch.Batch, out=None):
-    """Batch pairwise cross-entropy + L2, with gradients in params() order.
+def _negative_lists(batch) -> list:
+    return [[n] if isinstance(n, (int, np.integer)) else n for n in batch.negatives]
+
+
+def reads(batch: minibatch.Batch) -> list:
+    """The `minibatch.Rows` of each table a batch reads, aligned with params().
+
+    W1 is read at the long-term items, then the context items, and W2 at
+    the users (both by column); Wout and bout at the positives, then the
+    negatives. `loss_and_grads` lists its table gradients in this order.
+    """
+    items = minibatch.Rows.of(np.concatenate([minibatch.flat(batch.longs),
+                                              minibatch.flat(batch.shorts)]), axis=1)
+    outputs = minibatch.Rows.of(np.concatenate([np.asarray(batch.positives, dtype=np.int64),
+                                                minibatch.flat(_negative_lists(batch))]))
+    return [items, minibatch.Rows.of(batch.users, axis=1), None, None, None, None,
+            outputs, outputs]
+
+
+def l2_weights(config: DasConfig) -> tuple:
+    """The L2 weight of each parameter: lam_uv on the embedding tables,
+    lam_at on the attention scorers, none on the dense and output layers."""
+    return (config.lam_uv, config.lam_uv, config.lam_at, config.lam_at, 0.0, 0.0, 0.0, 0.0)
+
+
+def loss_and_grads(state: DasState, batch: minibatch.Batch, rows=None):
+    """Batch pairwise cross-entropy, with its gradients in params() order.
 
     `forward` encodes every instance at once. The output layer computes
     logits only for the rows of each instance's positive and negatives
     (`batch.negatives` holds one index or a list per instance), the only
-    rows the loss reads, and adds gradients to those rows alone.
-    L2 covers the embedding tables (lam_uv) and the attention scorers
-    (lam_at), not the dense layers. It enters once per call, so this is the
-    exact objective a single SGD step descends. `out`, arrays shaped like
-    params(), receives the gradients in place of new arrays: the trainer
-    reuses one set, so no catalog-sized array is allocated per batch.
+    rows the loss reads. Each table's gradient (W1, W2, Wout, bout) comes
+    as one row per entry of its `reads(batch)` (or `rows`) index, so no
+    catalog-sized array is allocated; the other gradients are whole. The
+    L2 terms (`l2_weights`) are the trainer's, not part of this loss.
     """
-    cfg = state.config
-    k = cfg.k
+    k = state.config.k
+    item_rows, user_rows, *_, out_rows, _ = reads(batch) if rows is None else rows
     z, (users, long_cache, short_cache, x, pre, h_u) = forward(
         state, batch.users, batch.longs, batch.shorts
     )
 
-    negs, neg_mask = minibatch.pad(
-        [[n] if isinstance(n, (int, np.integer)) else n for n in batch.negatives]
-    )
-    rows = np.hstack([np.asarray(batch.positives, dtype=np.int64)[:, None], negs])
-    live = np.hstack([np.ones((len(users), 1), dtype=bool), neg_mask])
-    Wr = state.Wout[rows]
-    R = (Wr @ z[:, :, None])[:, :, 0] + state.bout[rows]
+    negs, neg_mask = minibatch.pad(_negative_lists(batch))
+    out = np.hstack([np.asarray(batch.positives, dtype=np.int64)[:, None], negs])
+    Wr = state.Wout[out]
+    R = (Wr @ z[:, :, None])[:, :, 0] + state.bout[out]
     sig = np.clip(sigmoid(R), 1e-12, 1.0 - 1e-12)
     total = float(-np.log(sig[:, 0]).sum() - np.log(1.0 - sig[:, 1:][neg_mask]).sum())
 
-    # every gradient starts as its L2 term; the data terms add to the rows
-    # (or columns) the batch touched
-    grads = [np.empty_like(p) for p in state.params()] if out is None else out
-    gW1, gW2, gwa, gwb, gW, gb, gWout, gbout = grads
-    l2 = (cfg.lam_uv, cfg.lam_uv, cfg.lam_at, cfg.lam_at, 0.0, 0.0, 0.0, 0.0)  # PARAM_NAMES
-    for p, g, lam in zip(state.params(), grads, l2):
-        if lam:
-            np.multiply(p, 2.0 * lam, out=g)
-            total += lam * np.vdot(p, p)
-        else:
-            g.fill(0.0)
-
+    live = np.hstack([np.ones((len(users), 1), dtype=bool), neg_mask])
     dR = sig * live
     dR[:, 0] -= 1.0
-    add_rows(gWout, rows[live], (dR[:, :, None] * z[:, None, :])[live])
-    add_rows(gbout, rows[live], dR[live])
+    # the output rows in reads' order: every positive, then the negatives
+    dR_read = np.concatenate([dR[:, 0], dR[:, 1:][neg_mask]])
+    z_read = np.vstack([z, np.repeat(z, neg_mask.sum(axis=1), axis=0)])
+    gWout = out_rows.sum(dR_read[:, None] * z_read)
+    gbout = out_rows.sum(dR_read)
     dz = (dR[:, None, :] @ Wr)[:, 0, :]
-    add_rows(gW2.T, users, dz[:, k:] * h_u * (1.0 - h_u))
+    gW2 = user_rows.sum(dz[:, k:] * h_u * (1.0 - h_u))
     dpre = dz[:, :k] * (pre > 0)
-    gW += dpre.T @ x
-    gb += dpre.sum(axis=0)
+    gW = dpre.T @ x
+    gb = dpre.sum(axis=0)
     dx = dpre @ state.W
-    for cache, d_pooled, gw in ((long_cache, dx[:, :k], gwa), (short_cache, dx[:, k:], gwb)):
-        H, q, alpha, mask, flat, Hv = cache
+    gW1, gw, start = np.zeros((item_rows.index.size, k)), [], 0
+    for cache, d_pooled in ((long_cache, dx[:, :k]), (short_cache, dx[:, k:])):
+        H, q, alpha, mask, Hv = cache
         dH, dq = pooled_attention_backward(H, q, alpha, d_pooled)
-        gw += dq.sum(axis=0)
-        add_rows(gW1.T, flat, dH[mask] * Hv * (1.0 - Hv))
-    return float(total), grads
+        gw.append(dq.sum(axis=0))
+        # W1's reads: the long-term items, then the context items
+        gW1 += item_rows.sum(dH[mask] * Hv * (1.0 - Hv), slice(start, start + len(Hv)))
+        start += len(Hv)
+    return total, [gW1, gW2, gw[0], gw[1], gW, gb, gWout, gbout]
 
 
 # ---------------------------------------------------------------------------
@@ -220,5 +233,7 @@ def train_das(split: data.Split, dataset: data.Dataset, config: DasConfig) -> Da
     rng = make_rng(config.seed)
     state = init_das(dataset.n_users, dataset.n_items, config, rng)
     prepared = data.prepared_instances(split, dataset)
-    return minibatch.train(state, prepared, config.epochs, config.batch, rng,
-                           minibatch.sgd(state, loss_and_grads, config.lr))
+    step = minibatch.Sgd(state, loss_and_grads, reads, config.lr, l2_weights(config))
+    minibatch.train(state, prepared, config.epochs, config.batch, rng, step)
+    step.finish()
+    return state

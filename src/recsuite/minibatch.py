@@ -5,9 +5,10 @@ All three train on the per-position holdout instances of
 owns everything they have in common: the epoch permutation, batch
 assembly, the negative draws, divergence checks and the per-epoch trace.
 Each model supplies the step that updates it from one batch. DAS and CAN
-step through `sgd` with their batched loss-and-gradients kernels, which
-read the ragged per-instance lists through `pad`; BPR takes the whole
-epoch as one batch and updates pair by pair.
+step through `Sgd` with their batched loss-and-gradients kernels, which
+read the ragged per-instance lists through `pad` and return gradients
+for only the table rows a batch reads (`Rows`); BPR takes the whole epoch
+as one batch and updates it in waves of pairs that share no row.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,11 @@ class Batch:
     negatives: list  # per instance: one negative item index (DAS also takes a list)
 
 
+def flat(lists) -> np.ndarray:
+    """Ragged index lists chained in order, as one int array."""
+    return np.fromiter(chain.from_iterable(lists), dtype=np.int64)
+
+
 def pad(lists):
     """Ragged index lists as a B x L int array and a B x L validity mask.
 
@@ -34,9 +40,45 @@ def pad(lists):
     lengths = np.array([len(x) for x in lists], dtype=np.int64)
     mask = np.arange(max(1, int(lengths.max(initial=0)))) < lengths[:, None]
     idx = np.zeros(mask.shape, dtype=np.int64)
-    idx[mask] = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
-                            count=int(lengths.sum()))
+    idx[mask] = flat(lists)
     return idx, mask
+
+
+@dataclass
+class Rows:
+    """The rows of one table that a batch reads.
+
+    `index` holds them ascending and distinct, and `inverse[n]` is the
+    position in `index` of the batch's n-th read. `axis` is 1 for a table
+    stored one row per column (k x n), whose rows are then its columns.
+    """
+
+    index: np.ndarray
+    inverse: np.ndarray
+    axis: int = 0
+
+    @classmethod
+    def of(cls, reads, axis: int = 0) -> "Rows":
+        index, inverse = np.unique(np.asarray(reads, dtype=np.int64), return_inverse=True)
+        return cls(index, inverse, axis)
+
+    def view(self, table: np.ndarray) -> np.ndarray:
+        """The table with one row per index entry along the first axis."""
+        return table.T if self.axis else table
+
+    def sum(self, values: np.ndarray, reads=None) -> np.ndarray:
+        """values[n] summed onto the row of read reads[n] (default: read n).
+
+        One output row per `index` entry; each row's terms are added in
+        input order, by one bincount.
+        """
+        inv = self.inverse if reads is None else self.inverse[reads]
+        if not inv.size:  # bincount would give ints
+            return np.zeros((self.index.size,) + values.shape[1:])
+        m = int(np.prod(values.shape[1:]))
+        sums = np.bincount((inv[:, None] * m + np.arange(m)).ravel(),
+                           weights=values.ravel(), minlength=self.index.size * m)
+        return sums.reshape((self.index.size,) + values.shape[1:])
 
 
 def train(state, prepared, epochs, batch_size, rng, step):
@@ -44,7 +86,9 @@ def train(state, prepared, epochs, batch_size, rng, step):
 
     Each epoch draws a permutation of `prepared`, then walks it in chunks
     of batch_size. Instances with an empty negative pool are skipped; the
-    others draw one negative from their pool, in chunk order, from `rng`.
+    others draw one negative from their pool, with one `rng.integers` call
+    per chunk over the pool sizes in chunk order (the same values, and the
+    same generator state after, as one call per instance).
     `step(batch)` updates the state from one batch and returns its loss.
     A ValueError from the step (a non-finite attention score) or a
     non-finite loss means training diverged and raises FloatingPointError.
@@ -56,11 +100,13 @@ def train(state, prepared, epochs, batch_size, rng, step):
             order = rng.permutation(len(prepared))
             epoch_total, n_batches = 0.0, 0
             for lo in range(0, len(order), batch_size):
-                rows = [prepared[i] for i in order[lo : lo + batch_size] if prepared[i][4].size]
+                chunk = order[lo : lo + batch_size].tolist()
+                rows = [prepared[i] for i in chunk if prepared[i][4].size]
                 if not rows:
                     continue
                 users, longs, shorts, positives, pools = map(list, zip(*rows))
-                negatives = [int(pool[rng.integers(pool.size)]) for pool in pools]
+                draws = rng.integers([pool.size for pool in pools]).tolist()
+                negatives = [pool.item(d) for pool, d in zip(pools, draws)]
                 batch = Batch(users, longs, shorts, positives, negatives)
                 try:
                     loss = step(batch)
@@ -78,22 +124,92 @@ def train(state, prepared, epochs, batch_size, rng, step):
     return state
 
 
-def sgd(state, kernel, lr):
+class Sgd:
     """A `train` step: plain SGD on state.params() at learning rate lr.
 
-    `kernel(state, batch, out)` returns (loss, grads aligned with
-    state.params()); from the second batch on, `out` is the previous
-    batch's grads, for the kernel to overwrite.
+    The objective of a step is the batch's data loss plus l2[n] * |p_n|^2
+    for each parameter p_n. `reads(batch)` lists, aligned with params(),
+    the `Rows` the batch reads of each table, or None for a parameter the
+    step updates whole. `kernel(state, batch, rows=...)` returns the data loss
+    and the data gradients: a full array per whole parameter, and for a
+    table one gradient row per `Rows.index` entry.
+
+    A step updates only the rows a batch reads. A table row the batch does
+    not read would only shrink by c = 1 - 2 * lr * l2; each table keeps the
+    step count its rows are current to, and a row takes c to the power of
+    the steps it missed when a batch next reads it. This equals the update
+    of every row in exact arithmetic. The loss keeps the whole table's L2
+    term, from a squared norm updated by the rows each step changes. Call
+    `finish` after the last step: it applies every pending decay.
     """
-    plist = state.params()
-    grads = None
 
-    def step(batch):
-        nonlocal grads
-        loss, grads = kernel(state, batch, grads)
-        for p, g in zip(plist, grads):
-            g *= lr  # the kernel overwrites g next batch
-            p -= g
-        return loss
+    def __init__(self, state, kernel, reads, lr: float, l2):
+        self.state, self.kernel, self.reads, self.lr, self.l2 = state, kernel, reads, lr, l2
+        self.params = state.params()
+        self.steps = 0
+        self.grads = None
+        self.tables = {}  # n -> [row view, step count per row, squared norm]
 
-    return step
+    def _table(self, n, rows):
+        if n not in self.tables:
+            p = self.params[n]
+            view = rows.view(p)
+            counts = np.full(view.shape[0], self.steps, dtype=np.int64)
+            self.tables[n] = [view, counts, float(np.vdot(p, p))]
+        return self.tables[n]
+
+    def _decay(self, n, counts) -> np.ndarray:
+        """c^(steps not yet applied) for rows current to `counts`, one per row."""
+        return (1.0 - 2.0 * self.lr * self.l2[n]) ** (self.steps - counts)
+
+    def __call__(self, batch) -> float:
+        rows = self.reads(batch)
+        penalty, current = 0.0, {}
+        for n, (p, r, lam) in enumerate(zip(self.params, rows, self.l2)):
+            if not lam:
+                continue
+            if r is None:
+                penalty += lam * np.vdot(p, p)
+                continue
+            view, counts, norm2 = self._table(n, r)
+            block, since = view[r.index], counts[r.index]
+            if since.min(initial=self.steps) < self.steps:
+                block *= self._decay(n, since).reshape((-1,) + (1,) * (block.ndim - 1))
+                view[r.index] = block
+            current[n] = block
+            penalty += lam * norm2
+        loss, grads = self.kernel(self.state, batch, rows=rows)
+        # held until the next step: freed at once, they leave the batch's
+        # working memory at the top of the heap, where the allocator hands
+        # it back to the system each step and faults it in again (about
+        # 500 page faults per CAN step on a 50-item catalog)
+        self.grads = grads
+        lr = self.lr
+        for n, (p, r, g, lam) in enumerate(zip(self.params, rows, grads, self.l2)):
+            if r is None:
+                if lam:
+                    g += (2.0 * lam) * p
+                g *= lr
+                p -= g
+            elif lam:
+                view, counts, norm2 = table = self.tables[n]
+                row = current[n]  # updated in place: c * row - lr * g
+                c = 1.0 - 2.0 * lr * lam
+                norm2 -= np.vdot(row, row)
+                row *= c
+                g *= lr
+                row -= g
+                view[r.index] = row
+                table[2] = c * c * norm2 + np.vdot(row, row)
+                counts[r.index] = self.steps + 1
+            else:
+                g *= lr
+                r.view(p)[r.index] -= g
+        self.steps += 1
+        return float(loss + penalty)
+
+    def finish(self) -> None:
+        """Apply every row's pending decay, so the state is the trained one."""
+        for n, (view, counts, _) in self.tables.items():
+            view *= self._decay(n, counts).reshape((-1,) + (1,) * (view.ndim - 1))
+            counts[:] = self.steps

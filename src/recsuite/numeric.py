@@ -2,13 +2,9 @@
 
 Plain float64 numpy arrays stand in for matrices and vectors. All random
 draws go through a seeded numpy Generator so reruns are bit-identical.
-Gradients elsewhere in the package are hand-derived; `grad_check` is the
-correctness gate for them.
+Gradients elsewhere in the package are hand-derived; the tests check them
+against central finite differences.
 """
-
-from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -61,20 +57,6 @@ def pooled_attention_backward(V, q, alpha, d_pooled):
     return dV, (d_logits[:, None, :] @ V)[:, 0, :]
 
 
-def add_rows(target: np.ndarray, index, values) -> None:
-    """target[index[i]] += values[i] along the first axis, repeats summed.
-
-    Like np.add.at, except that the terms of each row are summed first (in
-    input order, by one bincount) and then added to the row once. Touches
-    only the rows that occur in `index`.
-    """
-    rows, inv = np.unique(np.asarray(index, dtype=np.int64), return_inverse=True)
-    m = int(np.prod(values.shape[1:]))
-    sums = np.bincount((inv[:, None] * m + np.arange(m)).ravel(),
-                       weights=values.ravel(), minlength=rows.size * m)
-    target[rows] += sums.reshape((rows.size,) + values.shape[1:])
-
-
 def sigmoid(x):
     """Numerically stable logistic function; scalar in, scalar out."""
     arr = np.asarray(x, dtype=np.float64)
@@ -83,54 +65,6 @@ def sigmoid(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def grad_check(
-    loss_and_grad: Callable,
-    params,
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `params` is one array or a list of arrays; `loss_and_grad(params)` must
-    return (scalar loss, gradient(s) of the same shape(s)). Relative error
-    per entry is |a - n| / max(1e-8, |a| + |n|).
-    """
-    single = not isinstance(params, (list, tuple))
-    plist = [np.array(params, dtype=np.float64)] if single else [
-        np.array(p, dtype=np.float64) for p in params
-    ]
-
-    def call():
-        loss, grads = loss_and_grad(plist[0] if single else plist)
-        return loss, [grads] if single else list(grads)
-
-    loss0, analytic = call()
-    if not np.isfinite(loss0):
-        raise FloatingPointError("loss is not finite at the evaluation point")
-    analytic = [np.asarray(g, dtype=np.float64) for g in analytic]
-    if len(analytic) != len(plist) or any(
-        g.shape != p.shape for g, p in zip(analytic, plist)
-    ):
-        raise ValueError("gradient shape does not match parameter shape")
-    worst = 0.0
-    for p, a_arr in zip(plist, analytic):
-        flat = p.ravel()
-        a_flat = a_arr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up, _ = call()
-            flat[i] = orig - epsilon
-            down, _ = call()
-            flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise FloatingPointError(f"loss not finite at perturbed entry {i}")
-            numeric_g = (up - down) / (2.0 * epsilon)
-            a = a_flat[i]
-            err = abs(a - numeric_g) / max(1e-8, abs(a) + abs(numeric_g))
-            worst = max(worst, err)
-    return worst
 
 
 def init_normal(

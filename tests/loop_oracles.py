@@ -8,7 +8,13 @@ whole DAS catalog scored per instance, and one dropout draw per instance.
 `train_das` / `train_can` are the per-model trainers the shared minibatch
 loop replaced; they fix the order of every random draw. `train_bpr` is
 BPR's own per-pair epoch loop over (user, item) index pairs, with its
-set-difference negative pools, which `minibatch.train` replaced.
+set-difference negative pools, which `minibatch.train` and then the
+wave trainer of `baselines.train_bpr` replaced.
+`dense_objective` turns a kernel's data loss and row-block gradients into
+the per-step objective the kernels returned before the trainer took over
+L2: the L2 terms added and every gradient a full array. `dense_sgd` is the
+step `minibatch.Sgd` replaced: every parameter updated whole each batch,
+L2 decay included.
 """
 
 import numpy as np
@@ -26,6 +32,37 @@ def softmax(scores) -> np.ndarray:
         raise ValueError("softmax input must be finite")
     e = np.exp(x - x.max())
     return e / e.sum()
+
+
+# ---------------------------------------------------------------------------
+# The dense objective and step
+
+
+def dense_objective(model, state, batch, **kernel_args):
+    """`model.loss_and_grads` plus the L2 terms of `model.l2_weights`, with
+    every gradient a full array shaped like its parameter."""
+    rows = model.reads(batch)
+    loss, grads = model.loss_and_grads(state, batch, rows=rows, **kernel_args)
+    full = []
+    for p, r, g, lam in zip(state.params(), rows, grads, model.l2_weights(state.config)):
+        if r is not None:
+            whole = np.zeros_like(p)
+            r.view(whole)[r.index] = g
+            g = whole
+        full.append(g + 2.0 * lam * p)
+        loss += lam * np.vdot(p, p)
+    return float(loss), full
+
+
+def dense_sgd(model, state, lr, **kernel_args):
+    """A `minibatch.train` step: SGD on the dense objective, every array whole."""
+    def step(batch):
+        loss, grads = dense_objective(model, state, batch, **kernel_args)
+        for p, g in zip(state.params(), grads):
+            p -= lr * g
+        return loss
+
+    return step
 
 
 # ---------------------------------------------------------------------------

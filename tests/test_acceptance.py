@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gradcheck import grad_check
+import loop_oracles
 import oracles
 from recsuite import apar, baselines, can, das, data, metrics, minibatch, personality
 from recsuite.cli import main
-from recsuite.numeric import grad_check, make_rng, pooled_attention
+from recsuite.numeric import make_rng, pooled_attention
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,8 @@ def test_01_gradients_match_finite_differences():
         positives=[6, 7], negatives=[[8, 9], [10]],
     )
     err_das = grad_check(
-        lambda pl: das.loss_and_grads(das.DasState.from_params(pl, das_cfg), das_batch),
+        lambda pl: loop_oracles.dense_objective(das, das.DasState.from_params(pl, das_cfg),
+                                                das_batch),
         das_state.params(),
     )
 
@@ -101,7 +104,8 @@ def test_01_gradients_match_finite_differences():
         positives=[6], negatives=[7],
     )
     err_can = grad_check(
-        lambda pl: can.loss_and_grads(can.CanState.from_params(pl, can_cfg), can_batch),
+        lambda pl: loop_oracles.dense_objective(can, can.CanState.from_params(pl, can_cfg),
+                                                can_batch),
         can_state.params(),
     )
 

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apar_oracles as dense
+from gradcheck import grad_check
 import oracles
 from recsuite import apar, personality
-from recsuite.numeric import grad_check, make_rng
+from recsuite.numeric import make_rng
 
 
 class TestGamma:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
 import loop_oracles
 import oracles
 from recsuite import baselines, data
-from recsuite.numeric import grad_check, make_rng
+from recsuite.numeric import make_rng
 
 
 def sessions_of(counts):
@@ -209,6 +210,28 @@ class TestBprTraining:
         want = loop_oracles.train_bpr(pairs, 20, 20, cfg)
         assert np.array_equal(got.P, want.P) and np.array_equal(got.Q, want.Q)
         assert got.trace == want.trace and len(got.trace) == 5
+
+    @given(st.data(), st.integers(1, 3), st.integers(2, 5), st.integers(0, 1000),
+           st.sampled_from([0.05, 0.8]))
+    def test_waves_equal_per_pair_loop_oracle(self, draw, n_users, n_items, seed, lr):
+        # so few rows that most pairs share one with an earlier pair
+        pairs = draw.draw(st.lists(st.tuples(st.integers(0, n_users - 1),
+                                             st.integers(0, n_items - 1)),
+                                   min_size=1, max_size=40))
+        cfg = baselines.BprConfig(d=3, lr=lr, l2=0.01, epochs=3, seed=seed)
+        got = baselines.train_bpr(*bpr_inputs(pairs, n_users, n_items), cfg)
+        want = loop_oracles.train_bpr(pairs, n_users, n_items, cfg)
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.Q, want.Q)
+        assert got.trace == want.trace
+
+    def test_waves_share_no_row(self):
+        users, pos, neg = [0, 1, 0, 2, 1, 2], [3, 4, 5, 3, 3, 0], [0, 1, 2, 1, 5, 4]
+        waves = baselines._waves(users, pos, neg, 3, 6)
+        assert waves.tolist() == [0, 0, 1, 1, 2, 2]
+        for w in set(waves.tolist()):
+            at = np.flatnonzero(waves == w)
+            items = [pos[n] for n in at] + [neg[n] for n in at]
+            assert len({users[n] for n in at}) == len(at) and len(set(items)) == len(items)
 
     def test_ranking_invariant_under_rotation(self):
         rng = make_rng(11)

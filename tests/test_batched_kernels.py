@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import loop_oracles
 from recsuite import can, das, data, minibatch
-from recsuite.numeric import add_rows, make_rng
+from recsuite.numeric import make_rng
 
 N_USERS, N_ITEMS = 3, 7
 
@@ -68,7 +68,7 @@ EMPTY_LISTS = minibatch.Batch(
 def test_das_kernel_matches_loop(batch, seed):
     cfg = das.DasConfig(k=4, lam_uv=0.01, lam_at=0.02, seed=seed)
     state = perturbed(das.init_das(N_USERS, N_ITEMS, cfg), seed + 1)
-    assert_close(das.loss_and_grads(state, batch),
+    assert_close(loop_oracles.dense_objective(das, state, batch),
                  loop_oracles.das_loss_and_grads(state, batch), 1e-10)
 
 
@@ -95,7 +95,7 @@ def test_can_kernel_matches_loop(batch, seed, window, dropout):
     # dropout masks: both kernels draw from equally seeded generators and
     # must leave them in the same state
     rng_a, rng_b = (make_rng(seed), make_rng(seed)) if dropout else (None, None)
-    assert_close(can.loss_and_grads(state, batch, rng_a),
+    assert_close(loop_oracles.dense_objective(can, state, batch, rng=rng_a),
                  loop_oracles.can_loss_and_grads(state, batch, rng_b), 1e-10)
     if dropout:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -147,35 +147,38 @@ def test_pad_layout():
     assert idx.shape == mask.shape == (2, 1) and not mask.any()
 
 
-def test_kernels_overwrite_out_buffers():
+def test_table_gradients_hold_only_the_rows_read():
     batch = minibatch.Batch(users=[0, 0], longs=[[1, 2], []], shorts=[[3], [3, 3]],
                             positives=[4, 5], negatives=[6, 4])
     das_state = perturbed(das.init_das(N_USERS, N_ITEMS, das.DasConfig(k=3)), 3)
     can_cfg = can.CanConfig(D=4, D_u=3, N_f=4, D_p=3, D_q=5, dropout=0.0)
     can_state = perturbed(can.init_can(N_USERS, N_ITEMS, can_cfg), 4)
-    for kernel, state in ((das.loss_and_grads, das_state),
-                          (lambda st, b, out=None: can.loss_and_grads(st, b, None, out),
-                           can_state)):
-        loss, grads = kernel(state, batch)
-        stale = [np.full_like(g, np.nan) for g in grads]
-        loss2, grads2 = kernel(state, batch, out=stale)
-        assert loss2 == loss
-        assert all(g2 is s for g2, s in zip(grads2, stale))
-        assert all(np.array_equal(g2, g) for g2, g in zip(grads2, grads))
+    for model, state in ((das, das_state), (can, can_state)):
+        rows = model.reads(batch)
+        _, grads = model.loss_and_grads(state, batch)
+        for p, r, g in zip(state.params(), rows, grads):
+            if r is None:
+                assert g.shape == p.shape
+            else:
+                assert g.shape == (r.index.size,) + r.view(p).shape[1:]
+        assert [r.index.tolist() for r in rows if r is not None][:2] == [[1, 2, 3], [0]]
+        assert rows[-1].index.tolist() == [4, 5, 6]
 
 
-def test_add_rows_matches_add_at():
+def test_row_sums_match_add_at():
     rng = make_rng(6)
     index = np.array([3, 0, 3, 3, 1])
+    rows = minibatch.Rows.of(index)
     for values in (rng.normal(size=(5, 2)), rng.normal(size=5)):
-        got = rng.normal(size=(4,) + values.shape[1:])
-        want = got.copy()
-        add_rows(got, index, values)
+        want = np.zeros((4,) + values.shape[1:])
         np.add.at(want, index, values)
-        assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
-    untouched = np.ones((3, 2))
-    add_rows(untouched, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
-    assert np.array_equal(untouched, np.ones((3, 2)))
+        assert np.allclose(rows.sum(values), want[rows.index], rtol=1e-15, atol=1e-15)
+        # a subset of the reads lands on the same rows, the others stay zero
+        want = np.zeros_like(want)
+        np.add.at(want, index[[0, 4]], values[:2])
+        assert np.allclose(rows.sum(values[:2], [0, 4]), want[rows.index], rtol=1e-15, atol=0)
+    empty = minibatch.Rows.of(np.zeros(0, dtype=np.int64))
+    assert empty.sum(np.zeros((0, 2))).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
+import loop_oracles
 from recsuite import can, data, minibatch
-from recsuite.numeric import grad_check, make_rng, pooled_attention
+from recsuite.numeric import make_rng, pooled_attention
 
 
 def zeros_state(n_items=5, n_users=2, D=3, D_u=2, N_f=4, window=3, D_p=3, D_q=2, **kw):
@@ -221,14 +223,18 @@ class TestBprLoss:
         assert all(np.all(np.isfinite(g)) for g in grads)
 
     def test_regularizers_added_once(self):
+        # the kernel's loss is the data term; a training step adds the L2
+        # terms of whole parameters once, rows the batch does not read too
         st_ = zeros_state(lam_uv=0.5, lam_a=0.25)
-        st_.E[:] = 1.0  # 5*3 entries
+        st_.E[:] = 1.0  # 5*3 entries; items 3 and 4 are not read as inputs
         st_.W4[:] = 2.0  # 4*2 entries, sum sq 32
-        loss, _ = can.loss_and_grads(st_, one_triple())
         # E != 0 changes the data term too, so compare against a direct forward
         x = st_.score_items(0, [0, 1], [2])
         data_term = np.log(1 + np.exp(-(x[3] - x[4])))
-        assert loss == pytest.approx(data_term + 0.5 * 15 + 0.25 * 32, rel=1e-9)
+        loss, _ = can.loss_and_grads(st_, one_triple())
+        assert loss == pytest.approx(data_term, rel=1e-12)
+        step = minibatch.Sgd(st_, can.loss_and_grads, can.reads, 0.0, can.l2_weights(st_.config))
+        assert step(one_triple()) == pytest.approx(data_term + 0.5 * 15 + 0.25 * 32, rel=1e-9)
 
 
 def small_cfg(**kw):
@@ -254,7 +260,7 @@ class TestGradCheck:
 
         def f(plist):
             probe = can.CanState.from_params(plist, cfg)
-            return can.loss_and_grads(probe, batch)
+            return loop_oracles.dense_objective(can, probe, batch)
 
         return grad_check(f, st_.params())
 

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
 import loop_oracles
 import oracles
 from recsuite import das, data, metrics, minibatch
-from recsuite.numeric import grad_check, make_rng, pooled_attention, sigmoid
+from recsuite.numeric import make_rng, pooled_attention, sigmoid
 
 
 def zero_state(k=2, n_items=3, n_users=2, **cfg_kwargs):
@@ -168,13 +169,17 @@ class TestLoss:
         assert all(np.all(np.isfinite(g)) for g in grads)
 
     def test_regularizer_added_once(self):
-        st_ = zero_state(k=2, n_items=3, lam_uv=0.5, lam_at=0.25)
-        st_.W1[:] = 2.0  # sum of squares = 2*3*4 = 24
+        # the kernel's loss is the data term; a training step adds the L2
+        # terms of whole parameters once, rows the batch does not read too
+        st_ = zero_state(k=2, n_items=4, lam_uv=0.5, lam_at=0.25)
+        st_.W1[:] = 2.0  # sum of squares = 2*4*4 = 32; item 3 is not read
         st_.w_alpha[:] = [3.0, 0.0]  # sum sq 9
+        scores = st_.score_items(0, [0, 1], [2])
+        data_term = -np.log(sigmoid(scores[1])) - np.log(1 - sigmoid(scores[0]))
         loss, _ = das.loss_and_grads(st_, one_instance())
-        data_term = -np.log(sigmoid(st_.score_items(0, [0, 1], [2])[1]))
-        data_term += -np.log(1 - sigmoid(st_.score_items(0, [0, 1], [2])[0]))
-        assert loss == pytest.approx(data_term + 0.5 * 24 + 0.25 * 9, rel=1e-9)
+        assert loss == pytest.approx(data_term, rel=1e-12)
+        step = minibatch.Sgd(st_, das.loss_and_grads, das.reads, 0.0, das.l2_weights(st_.config))
+        assert step(one_instance()) == pytest.approx(data_term + 0.5 * 32 + 0.25 * 9, rel=1e-9)
 
 
 class TestGradCheck:
@@ -192,7 +197,7 @@ class TestGradCheck:
 
         def f(plist):
             probe = das.DasState.from_params(plist, cfg)
-            return das.loss_and_grads(probe, batch)
+            return loop_oracles.dense_objective(das, probe, batch)
 
         return grad_check(f, st_.params())
 

@@ -1,0 +1,164 @@
+"""The shared minibatch trainer: its negative draws and its lazy L2 decay.
+
+`minibatch.train` draws a batch's negatives with one `rng.integers` call
+over the pool sizes; the per-model trainers it replaced drew one at a
+time. `minibatch.Sgd` updates only the table rows a batch reads and
+applies the L2 decay of the others when they are next read; the dense
+step it replaced (`loop_oracles.dense_sgd`) updated every row each batch.
+"""
+
+import numpy as np
+import pytest
+
+import loop_oracles
+from recsuite import can, checkpoint, das, data, minibatch
+from recsuite.numeric import make_rng
+
+
+# ---------------------------------------------------------------------------
+# One draw per batch
+
+
+def assert_one_draw_equals_scalar_draws(sizes, seed):
+    whole, each = make_rng(seed), make_rng(seed)
+    drawn = whole.integers(sizes)
+    assert drawn.tolist() == [int(each.integers(n)) for n in sizes]
+    assert whole.bit_generator.state == each.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 2**31 + 5, 2**40])
+def test_a_batch_of_one_draws_as_one_scalar_call(size):
+    assert_one_draw_equals_scalar_draws([size], seed=size % 97)
+
+
+def test_a_whole_epoch_batch_draws_as_scalar_calls():
+    # BPR's batch: every instance of the epoch, each with its user's pool
+    rng = make_rng(0)
+    sessions = data.synth_sequential(40, 30, 4, data.make_successor_map(40, rng), 0.3, rng)
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
+    sp = data.split(ds.sessions, "random-80-20", make_rng(1))
+    sizes = [inst[4].size for inst in data.prepared_instances(sp, ds)]
+    assert len(sizes) > 300 and min(sizes) < max(sizes)
+    for seed in range(3):
+        assert_one_draw_equals_scalar_draws(sizes, seed)
+    assert_one_draw_equals_scalar_draws([1, 1, 3, 1, 2**33, 5], seed=4)  # mixed ranges
+
+
+# ---------------------------------------------------------------------------
+# Lazy L2 decay against the dense step
+
+N_USERS, N_ITEMS, HOT = 6, 300, 12
+N_BATCHES = 600
+
+
+def sparse_batches(seed):
+    """Batches over a catalog whose rows mostly go unread for long runs.
+
+    Most reads fall on the first HOT items; every 50th batch also reads
+    one of the others, so a cold row waits hundreds of steps between
+    reads and many are never read at all.
+    """
+    rng = make_rng(seed)
+    batches = []
+    for t in range(N_BATCHES):
+        n = int(rng.integers(1, 5))
+        items = lambda k: rng.integers(HOT, size=k).tolist()  # noqa: E731
+        longs = [items(int(rng.integers(0, 4))) for _ in range(n)]
+        if t % 50 == 0:
+            longs[0].append(int(rng.integers(HOT, N_ITEMS)))
+        batches.append(minibatch.Batch(
+            users=rng.integers(N_USERS, size=n).tolist(), longs=longs,
+            shorts=[items(int(rng.integers(0, 3))) for _ in range(n)],
+            positives=items(n),
+            negatives=rng.integers(N_ITEMS, size=n).tolist() if t % 7 == 0 else items(n),
+        ))
+    return batches
+
+
+def perturbed(state, seed):
+    rng = make_rng(seed)
+    for p in state.params():
+        p += rng.normal(0, 0.3, size=p.shape)
+    return state
+
+
+MODELS = {
+    "das": (das, lambda: perturbed(das.init_das(N_USERS, N_ITEMS, das.DasConfig(
+        k=4, lam_uv=0.05, lam_at=0.02, seed=1)), 2), {}),
+    "can": (can, lambda: perturbed(can.init_can(N_USERS, N_ITEMS, can.CanConfig(
+        D=4, D_u=3, N_f=4, D_p=3, D_q=5, dropout=0.0, lam_uv=0.05, lam_a=0.02, seed=3)), 4),
+        {"rng": None}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_lazy_decay_tracks_the_dense_step(name):
+    model, init, kernel_args = MODELS[name]
+    lr = 0.05
+    lazy, dense = init(), init()
+    def kernel(st, b, rows):
+        return model.loss_and_grads(st, b, rows=rows, **kernel_args)
+
+    step = minibatch.Sgd(lazy, kernel, model.reads, lr, model.l2_weights(lazy.config))
+    dense_step = loop_oracles.dense_sgd(model, dense, lr, **kernel_args)
+    losses = [(step(b), dense_step(b)) for b in sparse_batches(7)]
+    step.finish()
+
+    # the decay matters: an item row never read shrinks by c^600
+    c = 1.0 - 2.0 * lr * 0.05
+    read = {i for b in sparse_batches(7) for lists in (b.longs, b.shorts)
+            for x in lists for i in x}
+    unread = sorted(set(range(N_ITEMS)) - read)
+    assert len(unread) > N_ITEMS // 2 and c**N_BATCHES < 0.05
+    table = (lambda st: st.W1.T) if name == "das" else (lambda st: st.E)
+    assert np.allclose(table(lazy)[unread], c**N_BATCHES * table(init())[unread],
+                       rtol=1e-12, atol=0)
+
+    # Where the tolerance comes from: a row the dense step decays d times
+    # takes d roundings of p - lr*2*lam*p, and the lazy step one rounded
+    # power c^d of a rounded c, so the two drift apart by at most about
+    # d * 2**-53 in relative terms: 7e-14 over these 600 steps. The running
+    # squared norm behind each step's L2 term takes a few roundings per
+    # step in the same way. 1e-12 leaves a factor of ten for the feedback
+    # through the gradients between steps (measured: 4e-16 on the
+    # parameters, 7e-15 on the losses).
+    for a, b in zip(lazy.params(), dense.params()):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+    got, want = np.array(losses).T
+    # each step's loss carries the whole tables' L2 term, from a running norm
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_finish_leaves_no_pending_decay():
+    model, init, _ = MODELS["das"]
+    state = init()
+    step = minibatch.Sgd(state, model.loss_and_grads, model.reads, 0.05,
+                         model.l2_weights(state.config))
+    for b in sparse_batches(8)[:100]:
+        step(b)
+    step.finish()
+    done = [p.copy() for p in state.params()]
+    step.finish()
+    assert all(np.array_equal(a, b) for a, b in zip(done, state.params()))
+
+
+def tiny_corpus():
+    rng = make_rng(0)
+    sessions = data.synth_sequential(30, 8, 4, data.make_successor_map(30, rng), 0.3, rng,
+                                     session_len=4)
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
+    return ds, data.split(ds.sessions, "random-80-20", make_rng(1))
+
+
+@pytest.mark.parametrize("train", [
+    lambda sp, ds: das.train_das(sp, ds, das.DasConfig(k=4, lam_uv=0.05, epochs=3, batch=7)),
+    lambda sp, ds: can.train_can(sp, ds, can.CanConfig(D=4, D_u=3, N_f=4, D_p=3, D_q=3,
+                                                       lam_uv=0.05, epochs=3, batch=7)),
+], ids=["das", "can"])
+def test_a_trained_state_saves_the_same_bytes_twice(train, tmp_path):
+    ds, sp = tiny_corpus()
+    state = train(sp, ds)
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    checkpoint.save_checkpoint(first, state, ds.users, ds.items)
+    checkpoint.save_checkpoint(second, state, ds.users, ds.items)
+    assert first.read_bytes() == second.read_bytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
 from loop_oracles import softmax
 from recsuite import numeric
 
@@ -90,7 +91,7 @@ class TestGradCheck:
             return 0.5 * float(np.sum(p * p)), p.copy()
 
         params = np.array([0.3, -1.2, 2.0])
-        assert numeric.grad_check(fn, params) < 1e-6
+        assert grad_check(fn, params) < 1e-6
 
     def test_sigmoid_sum(self):
         def fn(p):
@@ -98,14 +99,14 @@ class TestGradCheck:
             return float(np.sum(s)), s * (1.0 - s)
 
         params = np.array([[0.1, -0.4], [1.3, 0.0]])
-        assert numeric.grad_check(fn, params) < 1e-4
+        assert grad_check(fn, params) < 1e-4
 
     def test_detects_doubled_gradient(self):
         def fn(p):
             return 0.5 * float(np.sum(p * p)), 2.0 * p
 
         params = np.array([1.0, 2.0])
-        err = numeric.grad_check(fn, params)
+        err = grad_check(fn, params)
         # |2g - g| / (|2g| + |g|) = 1/3
         assert abs(err - 1.0 / 3.0) < 1e-3
 
@@ -114,7 +115,7 @@ class TestGradCheck:
             return float("nan"), p
 
         with pytest.raises(FloatingPointError):
-            numeric.grad_check(fn, np.array([1.0]))
+            grad_check(fn, np.array([1.0]))
 
 
 class TestInits:
@@ -158,4 +159,4 @@ class TestSoftmaxBackward:
             alpha = softmax(z)
             return float(alpha @ v), numeric.softmax_backward(a, v)
 
-        assert numeric.grad_check(fn, logits) < 1e-6
+        assert grad_check(fn, logits) < 1e-6
