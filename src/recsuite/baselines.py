@@ -171,7 +171,7 @@ def init_bpr(n_users, n_items, config: BprConfig, rng=None) -> BprState:
 def train_bpr(split, dataset, config: BprConfig) -> BprState:
     """SGD with one uniform negative per positive, drawn outside the user's history.
 
-    The positives are the targets of `data.prepared_instances`. The whole
+    The positives are the training instances' targets. The whole
     epoch is one `minibatch.train` batch, whose step updates pair by pair
     in effect: the pairs go in waves (`_waves`), and since the rows within
     a wave are disjoint, each wave updates as arrays, with the arithmetic
@@ -182,12 +182,12 @@ def train_bpr(split, dataset, config: BprConfig) -> BprState:
     P, Q, lr, l2 = state.P, state.Q, config.lr, config.l2
 
     def step(batch):
-        waves = _waves(batch.users, batch.positives, batch.negatives, len(P), len(Q))
+        users, pos, neg = batch.users, batch.positives, batch.negatives.flat
+        waves = _waves(users.tolist(), pos.tolist(), neg.tolist(), len(P), len(Q))
         order = np.argsort(waves, kind="stable")
         sizes = np.bincount(waves)
         ends = np.cumsum(sizes)
-        users, pos, neg = (np.asarray(col, dtype=np.int64)[order]
-                           for col in (batch.users, batch.positives, batch.negatives))
+        users, pos, neg = users[order], pos[order], neg[order]
         losses = np.empty(len(order))
         for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
             u, i, j = users[lo:hi], pos[lo:hi], neg[lo:hi]
@@ -198,5 +198,5 @@ def train_bpr(split, dataset, config: BprConfig) -> BprState:
             Q[j] = qj - lr * gqj
         return float(np.cumsum(losses)[-1] / len(order))
 
-    prepared = data.prepared_instances(split, dataset)
-    return minibatch.train(state, prepared, config.epochs, max(len(prepared), 1), rng, step)
+    history = data.Histories(split.train, dataset)
+    return minibatch.train(state, history, config.epochs, max(history.items.size, 1), rng, step)

@@ -5,13 +5,13 @@ odd window) into contextual vectors; a user-conditioned attention head
 collapses them into one purpose vector m. Each short-term item is
 re-encoded through two small layers, attended against m, and the
 weighted sum u scores the catalog by inner product with an output item
-table. `forward` is the one forward pass: training runs it on a minibatch,
+table. `forward` is the one forward pass, on padded index lists
+(`minibatch.Lists`): training runs it on a minibatch,
 `CanState.score_batch` on the instances it scores. Training is pairwise
 BPR with inverted dropout on the conv outputs.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,24 +137,23 @@ def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanStat
 # Forward
 
 
-def _windows(state: CanState, lists):
+def _windows(state: CanState, items: np.ndarray, lengths: np.ndarray):
     """Conv windows over the positions of ragged ordered item lists.
 
-    Returns (windows, items, src). Row r of windows is position i of its
-    list: the concatenated embeddings of positions i-K..i+K, zero outside
-    the list. `items` is the lists concatenated, and src[r, j] indexes
-    into it the item window slot j reads, or is -1 for zero padding.
+    `items` holds the lists one after another, list b `lengths[b]` long.
+    Returns (windows, src). Row r of windows is entry r of `items`: the
+    concatenated embeddings of positions i-K..i+K of its list, i its own,
+    zero outside the list; src[r, j] indexes into `items` the item window
+    slot j reads, or is -1 for zero padding.
     """
     cfg = state.config
     K = (cfg.window - 1) // 2
-    lengths = np.array([len(x) for x in lists], dtype=np.int64)
-    items = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(lengths.sum()))
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     offset = np.arange(items.size)[:, None] - starts[:, None] + np.arange(cfg.window) - K
     inside = (offset >= 0) & (offset < np.repeat(lengths, lengths)[:, None])
     src = np.where(inside, starts[:, None] + offset, -1)
     X = np.vstack([state.E[items], np.zeros(cfg.D)])  # row -1: the zero padding
-    return X[src].reshape(items.size, -1), items, src
+    return X[src].reshape(items.size, -1), src
 
 
 def dropout_mask(rng, shape, rate: float) -> np.ndarray:
@@ -167,13 +166,14 @@ def dropout_mask(rng, shape, rate: float) -> np.ndarray:
 def forward(state: CanState, users, longs, shorts, rng=None):
     """User vectors u, one row per instance, and the cache of the backward pass.
 
-    `longs` (ordered) and `shorts` hold one ragged item-index list per
-    user. An instance with an empty long-term list gets m = 0, and one with
-    an empty context gets u = m, so withholding an input is the ablation of
-    its encoder. Pass a generator to enable
-    dropout on the conv outputs (training): one draw covers every conv row
-    of the batch, in instance order, which gives the same values as one
-    draw per instance. With rng=None the forward is deterministic.
+    `longs` (ordered) and `shorts` hold one item-index list per user, as
+    `minibatch.Lists` or padded here by `minibatch.pad`. An instance with an
+    empty long-term list gets m = 0, and one with an empty context gets
+    u = m, so withholding an input is the ablation of its encoder. Pass a
+    generator to enable dropout on the conv outputs (training): one draw
+    covers every conv row of the batch, in instance order, which gives the
+    same values as one draw per instance. With rng=None the forward is
+    deterministic.
 
     The cache holds `users`, `m`, the instances `rp` that run the purpose
     encoder and `rq` that run the preference encoder, and each encoder's
@@ -184,14 +184,15 @@ def forward(state: CanState, users, longs, shorts, rng=None):
     """
     cfg = state.config
     c = SimpleNamespace(users=np.asarray(users, dtype=np.int64))
-    c.rp = [b for b, G in enumerate(longs) if len(G)]
-    c.rq = [b for b, S in enumerate(shorts) if len(S)]
+    longs, shorts = minibatch.pad(longs), minibatch.pad(shorts)
+    # the lists that are not empty; their padding is the whole batch's
+    c.rp = np.flatnonzero(longs.mask[:, 0])
+    c.rq = np.flatnonzero(shorts.mask[:, 0])
 
     c.m = np.zeros((len(c.users), cfg.N_f))
-    if c.rp:
-        rp_longs = [longs[b] for b in c.rp]
-        _, c.g_mask = minibatch.pad(rp_longs)
-        c.wins, c.g_flat, c.src = _windows(state, rp_longs)
+    if c.rp.size:
+        c.g_mask = longs.mask[c.rp]
+        c.wins, c.src = _windows(state, longs.flat, c.g_mask.sum(axis=1))
         c.pre_c = c.wins @ state.K_w.T + state.b_w
         c.M = dropout_mask(rng, c.pre_c.shape, cfg.dropout) if rng is not None else 1.0
         c.Cd = np.zeros(c.g_mask.shape + (cfg.N_f,))
@@ -202,10 +203,9 @@ def forward(state: CanState, users, longs, shorts, rng=None):
         c.t = np.tanh(c.p @ state.W2.T + state.b2)
         c.m[c.rp], c.alpha = pooled_attention(c.Cd, c.t, c.g_mask)
     u = c.m.copy()
-    if c.rq:
-        s_idx, c.s_mask = minibatch.pad([shorts[b] for b in c.rq])
-        c.s_flat = s_idx[c.s_mask]
-        c.Es = state.E[c.s_flat]
+    if c.rq.size:
+        c.s_mask = shorts.mask[c.rq]
+        c.Es = state.E[shorts.flat]
         c.pre_pd = c.Es @ state.W3.T + state.b3
         c.PD = np.maximum(c.pre_pd, 0.0)
         c.Qv = np.tanh(c.PD @ state.W4.T + state.b4)
@@ -226,9 +226,8 @@ def reads(batch: minibatch.Batch) -> list:
     users (by column); V_out at the positives, then the negatives.
     `loss_and_grads` lists its table gradients in this order.
     """
-    items = minibatch.Rows.of(np.concatenate([minibatch.flat(batch.longs),
-                                              minibatch.flat(batch.shorts)]))
-    outputs = minibatch.Rows.of(np.concatenate([batch.positives, batch.negatives]))
+    items = minibatch.Rows.of(np.concatenate([batch.longs.flat, batch.shorts.flat]))
+    outputs = minibatch.Rows.of(np.concatenate([batch.positives, batch.negatives.flat]))
     return [items, minibatch.Rows.of(batch.users, axis=1)] + [None] * 10 + [outputs]
 
 
@@ -253,23 +252,20 @@ def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, rows=None)
     u, c = forward(state, batch.users, batch.longs, batch.shorts, rng)
     rp, rq = c.rp, c.rq
     vout = state.V_out
-    pos = np.asarray(batch.positives, dtype=np.int64)
-    neg = np.asarray(batch.negatives, dtype=np.int64)
+    diff = vout[batch.positives] - vout[batch.negatives.flat]  # one negative each
+    sig = sigmoid((u * diff).sum(axis=1))  # sigma(x), x = u · diff
+    total = float(-np.log(np.clip(sig, 1e-12, 1.0 - 1e-12)).sum())
 
-    diff = vout[pos] - vout[neg]
-    x = (u * diff).sum(axis=1)
-    total = float(-np.log(np.clip(sigmoid(x), 1e-12, 1.0 - 1e-12)).sum())
-
-    s = (sigmoid(x) - 1.0)[:, None]  # d(-ln sigma(x))/dx
+    s = (sig - 1.0)[:, None]  # d(-ln sigma(x))/dx
     dm = s * diff
-    n_long = sum(map(len, batch.longs))  # E's reads: the long-term items, then the context
+    n_long = batch.longs.flat.size  # E's reads: the long-term items, then the context
     g = {"E": np.zeros((item_rows.index.size, cfg.D)),
          "U": np.zeros((user_rows.index.size, cfg.D_u)),
          "V_out": out_rows.sum(np.vstack([s * u, -s * u]))}
 
-    if rq:
-        dQ, dm[rq] = pooled_attention_backward(c.Q, c.m[rq], c.ap, dm[rq])
-        dpre_q = dQ[c.s_mask] * (1.0 - c.Qv**2)
+    if rq.size:
+        dQ, dm[rq] = pooled_attention_backward(c.Q, c.m[rq], c.ap, dm[rq], c.s_mask)
+        dpre_q = dQ * (1.0 - c.Qv**2)
         g["W4"] = dpre_q.T @ c.PD
         g["b4"] = dpre_q.sum(axis=0)
         dpre_pd = (dpre_q @ state.W4) * (c.pre_pd > 0)
@@ -277,8 +273,8 @@ def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, rows=None)
         g["b3"] = dpre_pd.sum(axis=0)
         g["E"] += item_rows.sum(dpre_pd @ state.W3, slice(n_long, None))
 
-    if rp:
-        dCd, dt = pooled_attention_backward(c.Cd, c.t, c.alpha, dm[rp])
+    if rp.size:
+        dCd, dt = pooled_attention_backward(c.Cd, c.t, c.alpha, dm[rp], c.g_mask)
         dpre2 = dt * (1.0 - c.t**2)
         g["W2"] = dpre2.T @ c.p
         g["b2"] = dpre2.sum(axis=0)
@@ -286,13 +282,13 @@ def loss_and_grads(state: CanState, batch: minibatch.Batch, rng=None, rows=None)
         g["W1"] = dpre1.T @ c.u_emb
         g["b1"] = dpre1.sum(axis=0)
         g["U"] = user_rows.sum(dpre1 @ state.W1, rp)
-        dpre_c = dCd[c.g_mask] * c.M * (c.pre_c > 0)
+        dpre_c = dCd * c.M * (c.pre_c > 0)
         g["K_w"] = dpre_c.T @ c.wins
         g["b_w"] = dpre_c.sum(axis=0)
         # each window slot's gradient lands on the position it read; within
         # one slot every position is read at most once, padding aside
         d_wins = (dpre_c @ state.K_w).reshape(len(c.src), cfg.window, cfg.D)
-        dX = np.zeros((len(c.g_flat) + 1, cfg.D))  # row -1 collects the padding's
+        dX = np.zeros((len(c.src) + 1, cfg.D))  # row -1 collects the padding's
         for j in range(cfg.window):
             dX[c.src[:, j]] += d_wins[:, j]
         g["E"] += item_rows.sum(dX[:-1], slice(0, n_long))
@@ -314,10 +310,10 @@ def train_can(split: data.Split, dataset: data.Dataset, config: CanConfig) -> Ca
     config.validate()
     rng = make_rng(config.seed)
     state = init_can(dataset.n_users, dataset.n_items, config, rng)
-    prepared = data.prepared_instances(split, dataset)
+    history = data.Histories(split.train, dataset)
     drop_rng = rng if config.dropout > 0 else None
     step = minibatch.Sgd(state, lambda st, batch, rows: loss_and_grads(st, batch, drop_rng, rows),
                          reads, config.lr, l2_weights(config))
-    minibatch.train(state, prepared, config.epochs, config.batch, rng, step)
+    minibatch.train(state, history, config.epochs, config.batch, rng, step)
     step.finish()
     return state

@@ -39,6 +39,7 @@ POSITIVE = click.IntRange(min=1)
 FRACTION = click.FloatRange(0, 1)
 NONNEGATIVE = click.FloatRange(min=0)
 SPLIT_POLICIES = click.Choice(["random-80-20", "last-week"])
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,9 @@ def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s):
     sha256, or to None to hash the file here.
 
     An input that is not a regular file (a pipe, a device) has been read
-    already and cannot be read again; its digest is recorded as null."""
+    already and cannot be read again; its digest is recorded as null. The
+    numpy version, the BLAS thread settings (null where unset) and the core
+    count are recorded, as results of some models vary with them."""
     config_json = json.dumps(config, sort_keys=True)
     record = {
         "command": command,
@@ -132,6 +135,9 @@ def _write_manifest(out_dir, command, seed, config, inputs, wall_time_s):
         "inputs": {str(p): digest or (_sha256_file(p) if os.path.isfile(p) else None)
                    for p, digest in inputs.items()},
         "version": __version__,
+        "numpy": np.__version__,
+        "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+        "cpu_count": os.cpu_count(),
         "wall_time_s": round(wall_time_s, 6),
     }
     path = os.path.join(out_dir, f"{command}_manifest.json")

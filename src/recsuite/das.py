@@ -3,11 +3,13 @@
 Items and users live in sigmoid-squashed embedding tables. Two attention
 heads summarize the user's long-term item set and current session into
 one vector each; a relu mixture layer fuses them, and a per-item output
-layer scores the whole catalog at once. `forward` is the one forward pass:
-training runs it on a minibatch, `DasState.score_batch` on the instances
-it scores.
-Training is pairwise binary cross-entropy against sampled negatives and
-reads only the output rows of each instance's positive and negatives.
+layer scores the whole catalog at once. `forward` is the one forward pass,
+on padded index lists (`minibatch.Lists`): training runs it on a
+minibatch, `DasState.score_batch` on the instances it scores. It squashes
+each distinct item column and user column a batch reads once, then
+gathers. Training is pairwise binary cross-entropy against sampled
+negatives and reads only the output rows of each instance's positive and
+negatives.
 """
 
 from dataclasses import dataclass, field
@@ -112,41 +114,47 @@ def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasStat
 # Forward, loss and gradients
 
 
-def _encode(items: np.ndarray, lists, w: np.ndarray):
-    """Attention-pool the sigmoid-ed item columns of each ragged list.
-
-    `items` is W1.T. Returns the pooled B x k block (zero rows for empty
-    lists) and what the backward pass needs.
-    """
-    idx, mask = minibatch.pad(lists)
-    Hv = sigmoid(items[idx[mask]])
-    H = np.zeros(mask.shape + (items.shape[1],))
-    H[mask] = Hv
-    q = np.broadcast_to(w, (len(lists), w.size))
-    pooled, alpha = pooled_attention(H, q, mask)
-    return pooled, (H, q, alpha, mask, Hv)
+def _encode(H: np.ndarray, lists: minibatch.Lists, w: np.ndarray):
+    """Attention-pool the rows of H, the sigmoid-ed item columns of
+    `lists.flat`, per list. Returns the pooled B x k block (zero rows for
+    empty lists) and what the backward pass needs."""
+    Hp = np.zeros(lists.mask.shape + (H.shape[1],))
+    Hp[lists.mask] = H
+    q = np.broadcast_to(w, (len(Hp), w.size))
+    pooled, alpha = pooled_attention(Hp, q, lists.mask)
+    return pooled, (Hp, q, alpha, lists.mask, H)
 
 
-def forward(state: DasState, users, longs, shorts):
+def _input_rows(users, longs, shorts) -> tuple:
+    """The `minibatch.Rows` of W1 (the long-term items, then the context
+    items) and of W2 (the users), both read by column."""
+    return (minibatch.Rows.of(np.concatenate([longs.flat, shorts.flat]), axis=1),
+            minibatch.Rows.of(users, axis=1))
+
+
+def forward(state: DasState, users, longs, shorts, rows=None):
     """User representations z = [u_mix, h_u], one row per instance.
 
-    `longs` and `shorts` hold one ragged item-index list per user; an empty
-    list pools to the zero vector. Every layer runs on the whole batch at
-    once. Returns z (B x 2k) and the cache `loss_and_grads` backpropagates
-    through.
+    `longs` and `shorts` hold one item-index list per user, as
+    `minibatch.Lists` or padded here by `minibatch.pad`; an empty list pools
+    to the zero vector. `rows` are the W1 and W2 `Rows` of `reads`, found
+    here when not given: the sigmoid runs once on each distinct column
+    read, the same as once per read, as it is elementwise. Every layer runs
+    on the whole batch at once. Returns z (B x 2k) and the cache
+    `loss_and_grads` backpropagates through.
     """
     users = np.asarray(users, dtype=np.int64)
-    u_long, long_cache = _encode(state.W1.T, longs, state.w_alpha)
-    u_short, short_cache = _encode(state.W1.T, shorts, state.w_beta)
+    longs, shorts = minibatch.pad(longs), minibatch.pad(shorts)
+    items, user_rows = rows or _input_rows(users, longs, shorts)
+    H = sigmoid(state.W1.T[items.index])[items.inverse]
+    n_long = longs.flat.size
+    u_long, long_cache = _encode(H[:n_long], longs, state.w_alpha)
+    u_short, short_cache = _encode(H[n_long:], shorts, state.w_beta)
     x = np.hstack([u_long, u_short])
     pre = x @ state.W.T + state.b
-    h_u = sigmoid(state.W2[:, users].T)
+    h_u = sigmoid(state.W2.T[user_rows.index])[user_rows.inverse]
     z = np.hstack([np.maximum(pre, 0.0), h_u])
     return z, (users, long_cache, short_cache, x, pre, h_u)
-
-
-def _negative_lists(batch) -> list:
-    return [[n] if isinstance(n, (int, np.integer)) else n for n in batch.negatives]
 
 
 def reads(batch: minibatch.Batch) -> list:
@@ -156,11 +164,8 @@ def reads(batch: minibatch.Batch) -> list:
     the users (both by column); Wout and bout at the positives, then the
     negatives. `loss_and_grads` lists its table gradients in this order.
     """
-    items = minibatch.Rows.of(np.concatenate([minibatch.flat(batch.longs),
-                                              minibatch.flat(batch.shorts)]), axis=1)
-    outputs = minibatch.Rows.of(np.concatenate([np.asarray(batch.positives, dtype=np.int64),
-                                                minibatch.flat(_negative_lists(batch))]))
-    return [items, minibatch.Rows.of(batch.users, axis=1), None, None, None, None,
+    outputs = minibatch.Rows.of(np.concatenate([batch.positives, batch.negatives.flat]))
+    return [*_input_rows(batch.users, batch.longs, batch.shorts), None, None, None, None,
             outputs, outputs]
 
 
@@ -174,21 +179,20 @@ def loss_and_grads(state: DasState, batch: minibatch.Batch, rows=None):
     """Batch pairwise cross-entropy, with its gradients in params() order.
 
     `forward` encodes every instance at once. The output layer computes
-    logits only for the rows of each instance's positive and negatives
-    (`batch.negatives` holds one index or a list per instance), the only
-    rows the loss reads. Each table's gradient (W1, W2, Wout, bout) comes
-    as one row per entry of its `reads(batch)` (or `rows`) index, so no
-    catalog-sized array is allocated; the other gradients are whole. The
+    logits only for the rows of each instance's positive and negatives, the
+    only rows the loss reads. Each table's gradient (W1, W2, Wout, bout)
+    comes as one row per entry of its `reads(batch)` (or `rows`) index, so
+    no catalog-sized array is allocated; the other gradients are whole. The
     L2 terms (`l2_weights`) are the trainer's, not part of this loss.
     """
     k = state.config.k
     item_rows, user_rows, *_, out_rows, _ = reads(batch) if rows is None else rows
     z, (users, long_cache, short_cache, x, pre, h_u) = forward(
-        state, batch.users, batch.longs, batch.shorts
+        state, batch.users, batch.longs, batch.shorts, (item_rows, user_rows)
     )
 
-    negs, neg_mask = minibatch.pad(_negative_lists(batch))
-    out = np.hstack([np.asarray(batch.positives, dtype=np.int64)[:, None], negs])
+    negs, neg_mask = batch.negatives.idx, batch.negatives.mask
+    out = np.hstack([batch.positives[:, None], negs])
     Wr = state.Wout[out]
     R = (Wr @ z[:, :, None])[:, :, 0] + state.bout[out]
     sig = np.clip(sigmoid(R), 1e-12, 1.0 - 1e-12)
@@ -211,10 +215,10 @@ def loss_and_grads(state: DasState, batch: minibatch.Batch, rows=None):
     gW1, gw, start = np.zeros((item_rows.index.size, k)), [], 0
     for cache, d_pooled in ((long_cache, dx[:, :k]), (short_cache, dx[:, k:])):
         H, q, alpha, mask, Hv = cache
-        dH, dq = pooled_attention_backward(H, q, alpha, d_pooled)
+        dH, dq = pooled_attention_backward(H, q, alpha, d_pooled, mask)
         gw.append(dq.sum(axis=0))
         # W1's reads: the long-term items, then the context items
-        gW1 += item_rows.sum(dH[mask] * Hv * (1.0 - Hv), slice(start, start + len(Hv)))
+        gW1 += item_rows.sum(dH * Hv * (1.0 - Hv), slice(start, start + len(Hv)))
         start += len(Hv)
     return total, [gW1, gW2, gw[0], gw[1], gW, gb, gWout, gbout]
 
@@ -232,8 +236,8 @@ def train_das(split: data.Split, dataset: data.Dataset, config: DasConfig) -> Da
     """
     rng = make_rng(config.seed)
     state = init_das(dataset.n_users, dataset.n_items, config, rng)
-    prepared = data.prepared_instances(split, dataset)
+    history = data.Histories(split.train, dataset)
     step = minibatch.Sgd(state, loss_and_grads, reads, config.lr, l2_weights(config))
-    minibatch.train(state, prepared, config.epochs, config.batch, rng, step)
+    minibatch.train(state, history, config.epochs, config.batch, rng, step)
     step.finish()
     return state

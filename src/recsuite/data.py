@@ -8,7 +8,8 @@ A session is everything one user did in one calendar day, ordered by
 timestamp. Long-term context for session t is the deduplicated union of the
 user's earlier-day sessions; short-term context is session t itself, order
 kept. `Histories` answers every per-user question (long-term lists, touched items,
-negative pools) for the trainers, the evaluator and `recommend`. A parse can
+the d-th untouched item, the training instances as index arrays) for the
+trainers, the evaluator and `recommend`. A parse can
 be kept in a sidecar file (`write_sidecar`) and read back (`read_sidecar`)
 under a key that names the file's content, the schema and this module's
 source, so a file content is parsed once while its sidecar lasts.
@@ -16,7 +17,6 @@ source, so a file content is parsed once while its sidecar lasts.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import contextlib
 import csv
@@ -614,75 +614,75 @@ def split(sessions: list[Session], policy: str, rng, test_fraction: float = 0.2)
 class Histories:
     """Each user's sessions in (day, t) order, and what they say in index space.
 
-    `long_term(user, day)` is the long-term list before a day, `seen(user)`
-    the items the user touched and `unseen(user)` the rest of the catalog,
-    the pool every negative and every AUC comparison is drawn from. Answers
-    are cached, so equal questions share one object. A user with no session
-    has an empty history.
+    Held as flat arrays, user after user: user u's items first-seen first
+    in `first_seen[start[u]:start[u + 1]]`, the same items ascending in
+    that span of `_seen`. A long-term list is a prefix of the user's
+    first-seen items. `long_term(user, day)` is that list before a day,
+    cached so equal questions share one list; `seen(user)` lists the items
+    a user touched, and `unseen_items` the d-th item a user did not touch,
+    the pool negatives are drawn from. The sessions as given keep their
+    order: session i is user `user[i]`'s `items[offsets[i]:offsets[i + 1]]`,
+    and its long-term list is `long_len[i]` long. Training instance q holds
+    out `items[q]`, with the rest of its session as context. A user with no
+    session has an empty history.
     """
 
-    _NO_WALK = ([], [0], [])
-
     def __init__(self, sessions, dataset):
+        sessions, self.dataset, n = list(sessions), dataset, dataset.n_items
+        self.user, day, t, lengths = np.array(
+            [(dataset.user_index[s.user], s.day, s.t, len(s.items)) for s in sessions],
+            dtype=np.int64).reshape(-1, 4).T.copy()
+        rank = np.lexsort((t, day, self.user))  # stable: equal keys keep their order
         self.by_user: dict[str, list[Session]] = {}
-        for s in sorted(sessions, key=operator.attrgetter("day", "t")):
-            self.by_user.setdefault(s.user, []).append(s)
-        self.dataset = dataset
-        # one walk per user: session days, and items first-seen first, of which
-        # the first counts[j] come from the first j sessions; so a long-term
-        # list is a prefix
-        self._walks: dict[str, tuple] = {}
-        for user, user_sessions in self.by_user.items():
-            order, counts = {}, [0]
-            for s in user_sessions:
-                order.update(dict.fromkeys(s.items))
-                counts.append(len(order))
-            self._walks[user] = ([s.day for s in user_sessions], counts, list(order))
+        for i in rank.tolist():
+            self.by_user.setdefault(sessions[i].user, []).append(sessions[i])
+        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
+        self.items = np.fromiter(map(dataset.item_index.__getitem__, itertools.chain.from_iterable(
+            s.items for s in sessions)), np.int64, self.offsets[-1])
+        # the items, and their users and sessions, with the sessions in rank order
+        size, self._day, user = lengths[rank], day[rank], self.user[rank]
+        at = np.repeat(self.offsets[rank] - np.cumsum(size) + size, size)
+        at += np.arange(at.size)
+        items, who = self.items[at], np.repeat(user, size)
+        _, first = np.unique(who * n + items, return_index=True)  # each (user, item) once
+        self._seen, owner = items[first], who[first]
+        self.first_seen = items[np.sort(first)]
+        self.start, self._span = (np.concatenate(([0], np.cumsum(np.bincount(
+            x, minlength=dataset.n_users)))) for x in (owner, user))
+        # (user, item) pairs first seen before each ranked session, and in all
+        new = np.bincount(np.repeat(np.arange(rank.size), size)[first], minlength=rank.size)
+        self._known = np.concatenate((np.cumsum(new) - new, [first.size]))
+        # a session's long-term list ends where the first session of its day starts
+        new_day = (np.diff(user, prepend=-1) != 0) | (np.diff(self._day, prepend=0) != 0)
+        day_start = np.maximum.accumulate(np.where(new_day, np.arange(rank.size), 0))
+        self.long_len = np.empty_like(self.user)
+        self.long_len[rank] = self._known[day_start] - self.start[user]
+        # the untouched items below each touched one (seen[j] less its place in
+        # its user's span), offset per user so that the whole array ascends
+        self._gaps = self._seen - np.arange(first.size) + self.start[owner] + owner * (n + 1)
         self._long: dict[tuple, list[int]] = {}
-        self._seen: dict[str, np.ndarray] = {}
-        self._unseen: dict[str, np.ndarray] = {}
 
     def long_term(self, user, day) -> list[int]:
         """Indices of the user's items from sessions before `day`, first-seen first."""
         if (user, day) not in self._long:
-            days, counts, order = self._walks.get(user, self._NO_WALK)
-            head = order[:counts[bisect.bisect_left(days, day)]]
-            self._long[user, day] = [self.dataset.item_index[it] for it in head]
+            u, head = self.dataset.user_index.get(user), []
+            if u is not None:
+                lo, hi = self._span[u:u + 2]
+                end = self._known[lo + np.searchsorted(self._day[lo:hi], day)]
+                head = self.first_seen[self.start[u]:end].tolist()
+            self._long[user, day] = head
         return self._long[user, day]
 
     def seen(self, user) -> np.ndarray:
         """Indices of every item the user touched, ascending."""
-        if user not in self._seen:
-            order = self._walks.get(user, self._NO_WALK)[2]
-            touched = sorted(self.dataset.item_index[it] for it in order)
-            self._seen[user] = np.array(touched, dtype=np.int64)
-        return self._seen[user]
+        u = self.dataset.user_index.get(user)
+        return self._seen[:0] if u is None else self._seen[self.start[u]:self.start[u + 1]]
 
-    def unseen(self, user) -> np.ndarray:
-        """Indices of every catalog item the user did not touch, ascending."""
-        if user not in self._unseen:
-            outside = np.ones(self.dataset.n_items, dtype=bool)
-            outside[self.seen(user)] = False
-            self._unseen[user] = np.flatnonzero(outside)
-        return self._unseen[user]
-
-
-def prepared_instances(split: Split, dataset) -> list:
-    """Index-space training instances for the ranking trainers.
-
-    One tuple (user_idx, long_idx, context_idx, target_idx, negative_pool)
-    per position of each train session, in order: that item held out, the
-    rest as context. Long lists and pools come from the train `Histories`.
-    """
-    hist = Histories(split.train, dataset)
-    prepared = []
-    for s in split.train:
-        u = dataset.user_index[s.user]
-        long_items, pool = hist.long_term(s.user, s.day), hist.unseen(s.user)
-        items = [dataset.item_index[it] for it in s.items]
-        for p, target in enumerate(items):
-            prepared.append((u, long_items, items[:p] + items[p + 1:], target, pool))
-    return prepared
+    def unseen_items(self, users: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """For each b, the d[b]-th (from 0) ascending item users[b] did not touch:
+        d[b] plus the count of touched items with at most d[b] untouched below."""
+        keys = users * (self.dataset.n_items + 1) + d
+        return d + np.searchsorted(self._gaps, keys, "right") - self.start[users]
 
 
 # ---------------------------------------------------------------------------

@@ -1,47 +1,73 @@
 """Minibatch training shared by the ranking models (DAS, CAN and BPR).
 
-All three train on the per-position holdout instances of
-`data.prepared_instances` with one uniform negative per instance. `train`
-owns everything they have in common: the epoch permutation, batch
-assembly, the negative draws, divergence checks and the per-epoch trace.
-Each model supplies the step that updates it from one batch. DAS and CAN
-step through `Sgd` with their batched loss-and-gradients kernels, which
-read the ragged per-instance lists through `pad` and return gradients
-for only the table rows a batch reads (`Rows`); BPR takes the whole epoch
-as one batch and updates it in waves of pairs that share no row.
+All three train on the per-position holdout instances of the train
+sessions' `data.Histories`, with one uniform negative per instance.
+`train` owns everything they have in common: the epoch permutation, batch
+assembly (index arrays gathered from the history, `batch_of`), the
+negative draws, divergence checks and the per-epoch trace. Each model
+supplies the step that updates it from one batch. DAS and CAN step
+through `Sgd` with their batched loss-and-gradients kernels, which return
+gradients for only the table rows a batch reads (`Rows`); BPR takes the
+whole epoch as one batch and updates it in waves of pairs that share no
+row.
 """
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 
+class Lists(NamedTuple):
+    """Ragged index lists as a B x L array: L is the longest list's length,
+    at least 1. `mask` marks the entries, padded slots of `idx` hold index
+    0, and `flat` = idx[mask] lists every entry in instance order."""
+
+    idx: np.ndarray
+    mask: np.ndarray
+    flat: np.ndarray
+
+
+def gather(values, starts, lengths, skip=None) -> Lists:
+    """The lists values[starts[b]:starts[b] + lengths[b]] as `Lists`; with
+    `skip`, list b is one longer and leaves out its position skip[b]."""
+    j = np.arange(max(1, int(lengths.max(initial=0))))
+    mask = j < lengths[:, None]
+    src = starts[:, None] + j
+    if skip is not None:
+        src += j >= skip[:, None]
+    flat = values[src[mask]]
+    idx = np.zeros(mask.shape, dtype=np.int64)
+    idx[mask] = flat
+    return Lists(idx, mask, flat)
+
+
+def pad(lists) -> Lists:
+    """Ragged index lists (sequences of ints) as `Lists`; `Lists` as they are."""
+    if isinstance(lists, Lists):
+        return lists
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
+    return gather(flat, np.cumsum(lengths) - lengths, lengths)
+
+
 @dataclass
 class Batch:
-    users: list
-    longs: list  # per instance: long-term item indices in order (may be empty)
-    shorts: list  # per instance: context item indices (duplicates allowed)
-    positives: list
-    negatives: list  # per instance: one negative item index (DAS also takes a list)
+    """One minibatch in index space; given sequences, it pads them (`pad`)."""
 
+    users: np.ndarray
+    longs: Lists  # long-term item indices in order (may be empty)
+    shorts: Lists  # context item indices (duplicates allowed)
+    positives: np.ndarray
+    negatives: Lists  # several per instance for DAS, one for CAN and BPR (or a bare index)
 
-def flat(lists) -> np.ndarray:
-    """Ragged index lists chained in order, as one int array."""
-    return np.fromiter(chain.from_iterable(lists), dtype=np.int64)
-
-
-def pad(lists):
-    """Ragged index lists as a B x L int array and a B x L validity mask.
-
-    L is the longest list's length, at least 1; padded slots hold index 0,
-    and `idx[mask]` lists every entry in instance order.
-    """
-    lengths = np.array([len(x) for x in lists], dtype=np.int64)
-    mask = np.arange(max(1, int(lengths.max(initial=0)))) < lengths[:, None]
-    idx = np.zeros(mask.shape, dtype=np.int64)
-    idx[mask] = flat(lists)
-    return idx, mask
+    def __post_init__(self):
+        self.users, self.positives = (np.asarray(x, dtype=np.int64)
+                                      for x in (self.users, self.positives))
+        self.longs, self.shorts = pad(self.longs), pad(self.shorts)
+        if not isinstance(self.negatives, Lists):
+            self.negatives = pad([[n] if np.ndim(n) == 0 else n for n in self.negatives])
 
 
 @dataclass
@@ -75,39 +101,53 @@ class Rows:
         inv = self.inverse if reads is None else self.inverse[reads]
         if not inv.size:  # bincount would give ints
             return np.zeros((self.index.size,) + values.shape[1:])
-        m = int(np.prod(values.shape[1:]))
+        m = values.size // inv.size
         sums = np.bincount((inv[:, None] * m + np.arange(m)).ravel(),
                            weights=values.ravel(), minlength=self.index.size * m)
         return sums.reshape((self.index.size,) + values.shape[1:])
 
 
-def train(state, prepared, epochs, batch_size, rng, step):
+def batch_of(history, q, draws) -> Batch:
+    """The training instances at positions q of a `data.Histories`' items:
+    item q held out of its session, the rest of that session as context,
+    the session's long-term list, and the user's draws[b]-th untouched item
+    as negative."""
+    s = np.searchsorted(history.offsets, q, "right") - 1
+    users, start = history.user[s], history.offsets[s]
+    negatives = history.unseen_items(users, draws)
+    return Batch(users, gather(history.first_seen, history.start[users], history.long_len[s]),
+                 gather(history.items, start, history.offsets[s + 1] - start - 1, q - start),
+                 history.items[q],
+                 Lists(negatives[:, None], np.ones((q.size, 1), dtype=bool), negatives))
+
+
+def train(state, history, epochs, batch_size, rng, step):
     """Run `epochs` epochs of minibatch training on `state` in place.
 
-    Each epoch draws a permutation of `prepared`, then walks it in chunks
-    of batch_size. Instances with an empty negative pool are skipped; the
-    others draw one negative from their pool, with one `rng.integers` call
-    per chunk over the pool sizes in chunk order (the same values, and the
-    same generator state after, as one call per instance).
+    Each epoch draws a permutation of the instances of `history`, the
+    `data.Histories` of the train sessions, then walks it in chunks of
+    batch_size. Instances whose user touched every item are skipped; the
+    others draw one negative, with one `rng.integers` call per chunk over
+    the sizes of their pools, in chunk order (the same values, and the
+    same generator state after, as one call per instance); see `batch_of`.
     `step(batch)` updates the state from one batch and returns its loss.
     A ValueError from the step (a non-finite attention score) or a
     non-finite loss means training diverged and raises FloatingPointError.
     Appends the mean batch loss of each epoch to state.trace and returns
     state.
     """
+    users = np.repeat(history.user, np.diff(history.offsets))  # each instance's user
+    pool = history.dataset.n_items - np.diff(history.start)[users]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = rng.permutation(len(prepared))
+            order = rng.permutation(pool.size)
             epoch_total, n_batches = 0.0, 0
-            for lo in range(0, len(order), batch_size):
-                chunk = order[lo : lo + batch_size].tolist()
-                rows = [prepared[i] for i in chunk if prepared[i][4].size]
-                if not rows:
+            for lo in range(0, order.size, batch_size):
+                q = order[lo : lo + batch_size]
+                q = q[pool[q] > 0]
+                if not q.size:
                     continue
-                users, longs, shorts, positives, pools = map(list, zip(*rows))
-                draws = rng.integers([pool.size for pool in pools]).tolist()
-                negatives = [pool.item(d) for pool, d in zip(pools, draws)]
-                batch = Batch(users, longs, shorts, positives, negatives)
+                batch = batch_of(history, q, rng.integers(pool[q]))
                 try:
                     loss = step(batch)
                 except ValueError as exc:

@@ -49,22 +49,28 @@ def pooled_attention(V: np.ndarray, q: np.ndarray, mask: np.ndarray):
     return (alpha[:, None, :] @ V)[:, 0, :], alpha
 
 
-def pooled_attention_backward(V, q, alpha, d_pooled):
-    """Backprop d_pooled through `pooled_attention`: returns (dV, dq)."""
+def pooled_attention_backward(V, q, alpha, d_pooled, mask):
+    """Backprop d_pooled through `pooled_attention`: returns (dV, dq), dV
+    only at the entries `mask` holds, one row each, as V[mask] lists them."""
     d_logits = softmax_backward(alpha, (V @ d_pooled[:, :, None])[:, :, 0])
-    dV = alpha[:, :, None] * d_pooled[:, None, :]
-    dV += d_logits[:, :, None] * q[:, None, :]
+    rows = np.nonzero(mask)[0]
+    dV = alpha[mask][:, None] * d_pooled[rows]
+    dV += d_logits[mask][:, None] * q[rows]
     return dV, (d_logits[:, None, :] @ V)[:, 0, :]
 
 
 def sigmoid(x):
-    """Numerically stable logistic function; scalar in, scalar out."""
-    arr = np.asarray(x, dtype=np.float64)
-    t = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Numerically stable logistic function; scalar in, scalar out.
+
+    With t = exp(-|x|): 1 / (1 + t) where x >= 0, else t / (1 + t)."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.abs(x, out=np.empty(x.shape))
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    out = np.where(x >= 0, 1.0, t)
+    t += 1.0
+    out /= t
+    return float(out) if out.ndim == 0 else out
 
 
 def init_normal(

@@ -6,10 +6,14 @@ whole DAS catalog scored per instance, and one dropout draw per instance.
 `das_scores` / `can_scores` score one instance the way the models'
 `score_items` did before scoring went through the batched `forward`.
 `train_das` / `train_can` are the per-model trainers the shared minibatch
-loop replaced; they fix the order of every random draw. `train_bpr` is
+loop replaced; they fix the order of every random draw, and draw each
+negative from the set-difference pool of `oracles.prepared_instances`.
+`list_train` is the `minibatch.train` loop as it ran on those per-instance
+lists and pools, before the instances were index arrays. `train_bpr` is
 BPR's own per-pair epoch loop over (user, item) index pairs, with its
 set-difference negative pools, which `minibatch.train` and then the
-wave trainer of `baselines.train_bpr` replaced.
+wave trainer of `baselines.train_bpr` replaced. `instances` lists a
+`minibatch.Batch` back as per-instance Python lists for the loops here.
 `dense_objective` turns a kernel's data loss and row-block gradients into
 the per-step objective the kernels returned before the trainer took over
 L2: the L2 terms added and every gradient a full array. `dense_sgd` is the
@@ -19,7 +23,8 @@ L2 decay included.
 
 import numpy as np
 
-from recsuite import baselines, can, das, data, minibatch
+import oracles
+from recsuite import baselines, can, das, minibatch
 from recsuite.numeric import make_rng, sigmoid, softmax_backward
 
 
@@ -32,6 +37,41 @@ def softmax(scores) -> np.ndarray:
         raise ValueError("softmax input must be finite")
     e = np.exp(x - x.max())
     return e / e.sum()
+
+
+def instances(batch):
+    """A `minibatch.Batch` instance by instance: (user, long-term list,
+    context list, positive, negative list), every list as Python ints."""
+    lists = [[row[m].tolist() for row, m in zip(x.idx, x.mask)]
+             for x in (batch.longs, batch.shorts, batch.negatives)]
+    return zip(batch.users.tolist(), lists[0], lists[1], batch.positives.tolist(), lists[2])
+
+
+def list_train(prepared):
+    """A stand-in for `minibatch.train` that ignores its history and walks
+    the per-instance `prepared` tuples: per chunk, the instances with a
+    non-empty pool, one `rng.integers` draw over their pool sizes, each
+    negative taken from its pool, and a batch built from Python lists."""
+    def train(state, history, epochs, batch_size, rng, step):
+        assert len(prepared) == history.items.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(epochs):
+                order = rng.permutation(len(prepared))
+                total, n_batches = 0.0, 0
+                for lo in range(0, len(order), batch_size):
+                    rows = [prepared[i] for i in order[lo : lo + batch_size].tolist()
+                            if prepared[i][4].size]
+                    if not rows:
+                        continue
+                    users, longs, shorts, positives, pools = map(list, zip(*rows))
+                    draws = rng.integers([pool.size for pool in pools]).tolist()
+                    negatives = [pool.item(d) for pool, d in zip(pools, draws)]
+                    total += step(minibatch.Batch(users, longs, shorts, positives, negatives))
+                    n_batches += 1
+                state.trace.append(total / max(n_batches, 1))
+        return state
+
+    return train
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +152,7 @@ def das_loss_and_grads(state, batch):
     gW1, gW2, gwa, gwb, gW, gb, gWout, gbout = grads
     total = 0.0
 
-    for user, G, S, pos, negs in zip(
-        batch.users, batch.longs, batch.shorts, batch.positives, batch.negatives
-    ):
+    for user, G, S, pos, negs in instances(batch):
         if G:
             HG = sigmoid(state.W1[:, G])
             u_long, alpha = attend(HG, state.w_alpha)
@@ -133,7 +171,6 @@ def das_loss_and_grads(state, batch):
         R = state.Wout @ z + state.bout
         sig = np.clip(sigmoid(R), 1e-12, 1.0 - 1e-12)
 
-        negs = [negs] if np.ndim(negs) == 0 else list(negs)
         total += -np.log(sig[pos]) - np.log(1.0 - sig[negs]).sum()
 
         dR = np.zeros(n_items)
@@ -170,27 +207,21 @@ def train_das(split, dataset, config):
     """Minibatch SGD with one uniform negative per instance, drawn per batch."""
     rng = make_rng(config.seed)
     state = das.init_das(dataset.n_users, dataset.n_items, config, rng)
-    prepared = data.prepared_instances(split, dataset)
+    prepared = oracles.prepared_instances(split, dataset)
     plist = state.params()
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(len(prepared))
             epoch_total, n_batches = 0.0, 0
             for lo in range(0, len(order), config.batch):
-                chunk = order[lo : lo + config.batch]
-                batch = minibatch.Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
-                for idx in chunk:
+                rows = []
+                for idx in order[lo : lo + config.batch]:
                     u, G, S, pos, pool = prepared[idx]
-                    if pool.size == 0:
-                        continue
-                    batch.users.append(u)
-                    batch.longs.append(G)
-                    batch.shorts.append(S)
-                    batch.positives.append(pos)
-                    batch.negatives.append([int(pool[rng.integers(pool.size)])])
-                if not batch.users:
+                    if pool.size:
+                        rows.append((u, G, S, pos, [int(pool[rng.integers(pool.size)])]))
+                if not rows:
                     continue
-                loss, grads = das_loss_and_grads(state, batch)
+                loss, grads = das_loss_and_grads(state, minibatch.Batch(*zip(*rows)))
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"epoch {epoch}: loss is {loss}")
                 for p, g in zip(plist, grads):
@@ -241,9 +272,7 @@ def can_loss_and_grads(state, batch, rng=None):
     K = (cfg.window - 1) // 2
     total = 0.0
 
-    for user, G, S, pos, neg in zip(
-        batch.users, batch.longs, batch.shorts, batch.positives, batch.negatives
-    ):
+    for user, G, S, pos, (neg,) in instances(batch):
         use_purpose = bool(len(G))
         use_pref = bool(len(S))
         if use_purpose:
@@ -343,7 +372,7 @@ def train_can(split, dataset, config):
     config.validate()
     rng = make_rng(config.seed)
     state = can.init_can(dataset.n_users, dataset.n_items, config, rng)
-    prepared = data.prepared_instances(split, dataset)
+    prepared = oracles.prepared_instances(split, dataset)
     plist = state.params()
     drop_rng = rng if config.dropout > 0 else None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -351,19 +380,14 @@ def train_can(split, dataset, config):
             order = rng.permutation(len(prepared))
             epoch_total, n_batches = 0.0, 0
             for lo in range(0, len(order), config.batch):
-                batch = minibatch.Batch(users=[], longs=[], shorts=[], positives=[], negatives=[])
+                rows = []
                 for idx in order[lo : lo + config.batch]:
                     u, G, S, pos, pool = prepared[idx]
-                    if pool.size == 0:
-                        continue
-                    batch.users.append(u)
-                    batch.longs.append(G)
-                    batch.shorts.append(S)
-                    batch.positives.append(pos)
-                    batch.negatives.append(int(pool[rng.integers(pool.size)]))
-                if not batch.users:
+                    if pool.size:
+                        rows.append((u, G, S, pos, int(pool[rng.integers(pool.size)])))
+                if not rows:
                     continue
-                loss, grads = can_loss_and_grads(state, batch, drop_rng)
+                loss, grads = can_loss_and_grads(state, minibatch.Batch(*zip(*rows)), drop_rng)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"epoch {epoch}: loss is {loss}")
                 for p, gr in zip(plist, grads):

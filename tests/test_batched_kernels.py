@@ -86,9 +86,8 @@ def test_das_kernel_takes_single_negatives():
 @example(EMPTY_LISTS, 0, 3, 0.3)
 @example(EMPTY_LISTS, 1, 3, 0.0)
 def test_can_kernel_matches_loop(batch, seed, window, dropout):
-    if isinstance(batch.negatives[0], list):  # the shared example carries DAS lists
-        batch = minibatch.Batch(**{**vars(batch),
-                                   "negatives": [n[0] for n in batch.negatives]})
+    if batch.negatives.mask.shape[1] > 1:  # the shared example carries DAS lists
+        batch = minibatch.Batch(**{**vars(batch), "negatives": batch.negatives.idx[:, 0]})
     cfg = can.CanConfig(D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=dropout,
                         lam_uv=0.01, lam_a=0.02, seed=seed)
     state = perturbed(can.init_can(N_USERS, N_ITEMS, cfg), seed + 1)
@@ -140,11 +139,12 @@ def test_one_dropout_draw_equals_per_instance_draws():
 
 
 def test_pad_layout():
-    idx, mask = minibatch.pad([[4, 4], [], [1, 2, 3]])
+    idx, mask, flat = minibatch.pad([[4, 4], [], [1, 2, 3]])
     assert idx.tolist() == [[4, 4, 0], [0, 0, 0], [1, 2, 3]]
     assert mask.tolist() == [[True, True, False], [False] * 3, [True] * 3]
-    idx, mask = minibatch.pad([[], []])
-    assert idx.shape == mask.shape == (2, 1) and not mask.any()
+    assert flat.tolist() == [4, 4, 1, 2, 3]
+    idx, mask, flat = minibatch.pad([[], []])
+    assert idx.shape == mask.shape == (2, 1) and not mask.any() and flat.size == 0
 
 
 def test_table_gradients_hold_only_the_rows_read():

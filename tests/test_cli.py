@@ -156,6 +156,17 @@ class TestSynth:
         assert man["seed"] == 4
         assert man["version"]
 
+    def test_manifest_records_numpy_threads_and_cores(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        synth_sequential(tmp_path, seed=4)
+        man = json.loads((tmp_path / "synth_manifest.json").read_text())
+        assert man["numpy"] == np.__version__
+        assert man["threads"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                                  "MKL_NUM_THREADS": None}
+        assert man["cpu_count"] == os.cpu_count()
+
 
 class TestIngest:
     def test_artifacts_and_summary(self, tmp_path):

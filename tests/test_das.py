@@ -213,8 +213,11 @@ class TestInstancePlumbing:
         s = data.Session(user="u", t=0, day=0, items=["a", "b", "c"])
         ds = data.Dataset.from_interactions(data.sessions_to_interactions([s]))
         sp = data.Split(train=[s], test=[], policy="random-80-20")
-        inst = data.prepared_instances(sp, ds)
-        assert [(ds.items[i[3]], [ds.items[j] for j in i[2]]) for i in inst] == [
+        hist = data.Histories(sp.train, ds)
+        q = np.arange(hist.items.size)
+        batch = minibatch.batch_of(hist, q, np.zeros_like(q))  # no draw: u touched every item
+        assert [(ds.items[t], [ds.items[j] for j in c])
+                for _, _, c, t, _ in loop_oracles.instances(batch)] == [
             ("a", ["b", "c"]),
             ("b", ["a", "c"]),
             ("c", ["a", "b"]),

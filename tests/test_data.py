@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from recsuite import data, personality
+from recsuite import data, minibatch, personality
 from recsuite.numeric import make_rng
 
 
@@ -849,23 +849,56 @@ MANY_SESSIONS = [
 ]
 
 
+def padded_rows(lists) -> list:
+    return [row[m].tolist() for row, m in zip(lists.idx, lists.mask)]
+
+
 @given(TRAIN_SESSIONS, st.integers(0, 12))
 @example(MANY_SESSIONS, 200)
-def test_prepared_instances_equal_set_based_oracle(train, at):
+def test_instances_equal_set_based_oracle(train, at):
     # "all" touches the whole catalog, so its negative pool is empty
     train = train[:at] + [data.Session(user="all", t=0, day=2, items=list(CATALOG))] + train[at:]
     ds = data.Dataset.from_interactions(data.sessions_to_interactions(train))
     sp = data.Split(train=train, test=[], policy="random-80-20")
-    got = data.prepared_instances(sp, ds)
+    hist = data.Histories(sp.train, ds)
     want = oracles.prepared_instances(sp, ds)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g[:4] == w[:4]
-        assert g[4].dtype == w[4].dtype and np.array_equal(g[4], w[4])
-    # one pool per user and one long-term list per (user, day), shared
-    assert len({id(g[4]) for g in got}) == len({id(w[4]) for w in want})
-    assert len({id(g[1]) for g in got}) == len({id(w[1]) for w in want})
-    assert all(g[4].size == 0 for g in got if ds.users[g[0]] == "all")
+    # every instance at once, gathered as a training batch gathers them
+    q = np.arange(hist.items.size)
+    batch = minibatch.batch_of(hist, q, np.zeros_like(q))
+    assert list(zip(batch.users.tolist(), padded_rows(batch.longs), padded_rows(batch.shorts),
+                    batch.positives.tolist())) == [w[:4] for w in want]
+    for user, _, _, _, pool in want:
+        assert ds.n_items - hist.seen(ds.users[user]).size == pool.size
+        d = np.arange(pool.size)
+        assert np.array_equal(hist.unseen_items(np.full(d.size, user), d), pool)
+    assert hist.seen("all").size == ds.n_items
+
+
+@st.composite
+def touched_items(draw):
+    """A catalog size and, per user, the items they touched in order."""
+    n = draw(st.integers(1, 40))
+    return n, draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n), min_size=1,
+                            max_size=6))
+
+
+# users with no item, with every item but one, and with every item
+@given(touched_items())
+@example((5, [[], [3, 0, 4, 1], [4, 3, 2, 1, 0, 0]]))
+@example((1, [[0], [], [0]]))
+def test_unseen_items_are_the_complement(case):
+    n, touched = case
+    users, items = [f"u{k}" for k in range(len(touched))], [f"i{j}" for j in range(n)]
+    ds = data.Dataset(users, items, {u: k for k, u in enumerate(users)},
+                      {it: j for j, it in enumerate(items)}, [])
+    sessions = [data.Session(user=users[k], t=0, day=0, items=[items[j] for j in seq])
+                for k, seq in enumerate(touched) if seq]
+    hist = data.Histories(sessions, ds)
+    for k, seq in enumerate(touched):
+        complement = sorted(set(range(n)) - set(seq))
+        assert hist.seen(users[k]).tolist() == sorted(set(seq))
+        d = np.arange(len(complement))
+        assert hist.unseen_items(np.full(d.size, k), d).tolist() == complement
 
 
 class TestHistories:
@@ -893,9 +926,8 @@ class TestHistories:
     def test_seen_and_unseen_split_the_catalog(self):
         ds = data.Dataset.from_interactions(data.sessions_to_interactions(self.sessions()))
         hist = data.Histories(self.sessions(), ds)
-        seen, unseen = hist.seen("u"), hist.unseen("u")
+        seen = hist.seen("u")
         assert sorted(ds.items[i] for i in seen) == ["a", "b", "c"]
-        assert unseen.tolist() == [ds.item_index["d"]]
-        assert hist.unseen("u") is unseen
+        u = np.array([ds.user_index["u"]])
+        assert hist.unseen_items(u, np.array([0])).tolist() == [ds.item_index["d"]]
         assert hist.seen("nobody").size == 0
-        assert hist.unseen("nobody").tolist() == list(range(ds.n_items))

@@ -1,17 +1,21 @@
-"""The shared minibatch trainer: its negative draws and its lazy L2 decay.
+"""The shared minibatch trainer: its batches, negative draws and lazy L2 decay.
 
-`minibatch.train` draws a batch's negatives with one `rng.integers` call
-over the pool sizes; the per-model trainers it replaced drew one at a
-time. `minibatch.Sgd` updates only the table rows a batch reads and
-applies the L2 decay of the others when they are next read; the dense
-step it replaced (`loop_oracles.dense_sgd`) updated every row each batch.
+`minibatch.train` gathers each batch from the index arrays of the train
+`data.Histories`; the loop it replaced (`loop_oracles.list_train`) built
+per-instance lists and drew from explicit negative pools. It draws a
+batch's negatives with one `rng.integers` call over the pool sizes; the
+per-model trainers before it drew one at a time. `minibatch.Sgd` updates
+only the table rows a batch reads and applies the L2 decay of the others
+when they are next read; the dense step it replaced
+(`loop_oracles.dense_sgd`) updated every row each batch.
 """
 
 import numpy as np
 import pytest
 
 import loop_oracles
-from recsuite import can, checkpoint, das, data, minibatch
+import oracles
+from recsuite import baselines, can, checkpoint, das, data, minibatch
 from recsuite.numeric import make_rng
 
 
@@ -37,11 +41,63 @@ def test_a_whole_epoch_batch_draws_as_scalar_calls():
     sessions = data.synth_sequential(40, 30, 4, data.make_successor_map(40, rng), 0.3, rng)
     ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
     sp = data.split(ds.sessions, "random-80-20", make_rng(1))
-    sizes = [inst[4].size for inst in data.prepared_instances(sp, ds)]
+    hist = data.Histories(sp.train, ds)
+    users = np.repeat(hist.user, np.diff(hist.offsets))  # each instance's user
+    sizes = (ds.n_items - np.diff(hist.start)[users]).tolist()
     assert len(sizes) > 300 and min(sizes) < max(sizes)
     for seed in range(3):
         assert_one_draw_equals_scalar_draws(sizes, seed)
     assert_one_draw_equals_scalar_draws([1, 1, 3, 1, 2**33, 5], seed=4)  # mixed ranges
+
+
+# ---------------------------------------------------------------------------
+# Batches gathered from arrays train as list batches did
+
+
+def varied_corpus(seed=5, n_users=12, n_items=15):
+    """Sessions on five days per user, of one to five items drawn with
+    repeats, and one user who touches every item (whose instances are
+    skipped, having no negative)."""
+    rng = make_rng(seed)
+    sessions = [data.Session(user=f"u{u:02d}", t=d, day=d, items=[
+                    f"i{j:02d}" for j in rng.integers(n_items, size=int(rng.integers(1, 6)))])
+                for u in range(n_users) for d in range(5)]
+    sessions.append(data.Session(user="all", t=0, day=0,
+                                 items=[f"i{j:02d}" for j in range(n_items)]))
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
+    return ds, data.Split(train=ds.sessions, test=[], policy="random-80-20")
+
+
+TRAINERS = {
+    "das": lambda sp, ds: das.train_das(sp, ds, das.DasConfig(
+        k=5, lr=0.05, lam_uv=0.01, lam_at=0.02, epochs=3, batch=7, seed=2)),
+    "can": lambda sp, ds: can.train_can(sp, ds, can.CanConfig(
+        D=4, D_u=3, N_f=5, D_p=3, D_q=4, lr=0.05, lam_uv=0.01, lam_a=0.02, dropout=0.2,
+        epochs=3, batch=6, seed=3)),
+    "bpr": lambda sp, ds: baselines.train_bpr(sp, ds, baselines.BprConfig(
+        d=4, lr=0.05, epochs=4, seed=4)),
+}
+
+
+def test_varied_corpus_reaches_every_input_path():
+    ds, sp = varied_corpus()
+    prepared = oracles.prepared_instances(sp, ds)
+    assert sum(1 for p in prepared if p[1]) > len(prepared) // 2  # non-empty long-term lists
+    assert any(len(set(p[2])) < len(p[2]) for p in prepared)  # a context repeats an item
+    assert any(not p[2] for p in prepared)  # one-item sessions: an empty context
+    assert any(p[4].size == 0 for p in prepared)  # a user without negatives
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_array_batches_train_as_list_batches(name, monkeypatch):
+    ds, sp = varied_corpus()
+    got = TRAINERS[name](sp, ds)
+    monkeypatch.setattr(minibatch, "train",
+                        loop_oracles.list_train(oracles.prepared_instances(sp, ds)))
+    want = TRAINERS[name](sp, ds)
+    arrays = (lambda st: [st.P, st.Q]) if name == "bpr" else (lambda st: st.params())
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(got), arrays(want)))
+    assert got.trace == want.trace and len(got.trace) in (3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +163,7 @@ def test_lazy_decay_tracks_the_dense_step(name):
     # the decay matters: an item row never read shrinks by c^600
     c = 1.0 - 2.0 * lr * 0.05
     read = {i for b in sparse_batches(7) for lists in (b.longs, b.shorts)
-            for x in lists for i in x}
+            for i in lists.flat.tolist()}
     unread = sorted(set(range(N_ITEMS)) - read)
     assert len(unread) > N_ITEMS // 2 and c**N_BATCHES < 0.05
     table = (lambda st: st.W1.T) if name == "das" else (lambda st: st.E)

@@ -84,6 +84,24 @@ class TestSigmoid:
         out = numeric.sigmoid(np.array([0.0, 1.0]))
         np.testing.assert_allclose(out, [0.5, 1.0 / (1.0 + math.exp(-1.0))])
 
+    def test_bit_identical_to_the_two_branch_formula(self):
+        # the form sigmoid had before it worked in place on one scratch array
+        def two_branch(x):
+            t = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0]
+        x = np.concatenate([numeric.make_rng(0).normal(0.0, 20.0, 100_000), special])
+        before = x.copy()
+        got, want = numeric.sigmoid(x), two_branch(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # NaN bits too
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))  # input untouched
+        for v in special:
+            out = numeric.sigmoid(v)
+            assert type(out) is float
+            assert np.float64(out).view(np.int64) == two_branch(np.float64(v)).view(np.int64)
+
 
 class TestGradCheck:
     def test_quadratic_exact(self):
