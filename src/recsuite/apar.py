@@ -93,7 +93,8 @@ class AparConfig:
 
 @dataclass
 class AparProblem:
-    """Fixed quantities of one training problem: ratings, mask and trait graph."""
+    """Fixed quantities of one training problem, and the two users x items
+    buffers (`fitted`, `work`) that every n x m result of a step goes into."""
 
     W: np.ndarray  # observed ratings, 0 elsewhere
     mask: np.ndarray
@@ -103,6 +104,8 @@ class AparProblem:
     alpha1: float
     alpha2: float
     lam: float
+    fitted: np.ndarray = field(repr=False)
+    work: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, W, mask, groups, gamma, alpha1, alpha2, lam) -> "AparProblem":
@@ -123,12 +126,22 @@ class AparProblem:
             alpha1=alpha1,
             alpha2=alpha2,
             lam=lam,
+            fitted=np.empty(W.shape),
+            work=np.empty(W.shape),
         )
 
 
+def _masked_product(AP: np.ndarray, Q: np.ndarray, mask: np.ndarray, out: np.ndarray):
+    """mask * (AP.Q'), written into out."""
+    np.matmul(AP, Q.T, out=out)
+    return np.multiply(out, mask, out=out)
+
+
 def objective(P: np.ndarray, Q: np.ndarray, prob: AparProblem) -> float:
-    E = prob.mask * (prob.graph.mix(P) @ Q.T - prob.W)
-    val = 0.5 * float((E**2).sum())
+    """The objective at (P, Q); leaves mask * (A.P.Q') in prob.fitted."""
+    fitted = _masked_product(prob.graph.mix(P), Q, prob.mask, prob.fitted)
+    E = np.subtract(fitted, prob.W, out=prob.work)
+    val = 0.5 * float(np.square(E, out=E).sum())
     val += prob.alpha1 * float((P**2).sum()) + prob.alpha2 * float((Q**2).sum())
     if prob.lam:
         val += prob.lam * float((P * prob.graph.laplacian(P)).sum())  # tr(P'YP)
@@ -137,23 +150,26 @@ def objective(P: np.ndarray, Q: np.ndarray, prob: AparProblem) -> float:
 
 def objective_grads(P: np.ndarray, Q: np.ndarray, prob: AparProblem):
     AP = prob.graph.mix(P)
-    E = prob.mask * (AP @ Q.T - prob.W)
+    E = np.subtract(np.matmul(AP, Q.T, out=prob.work), prob.W, out=prob.work)
+    E *= prob.mask
     gP = prob.graph.mix_t(E @ Q) + 2.0 * prob.alpha1 * P
     gP += 2.0 * prob.lam * prob.graph.laplacian(P)
     gQ = E.T @ AP + 2.0 * prob.alpha2 * Q
     return gP, gQ
 
 
-def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem):
+def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, fitted=None):
     """One alternating multiplicative update; preserves nonnegativity by form.
 
     Each factor is scaled by (negative gradient part) / (positive gradient
-    part): entries with zero gradient keep ratio 1 and stay put.
+    part): entries with zero gradient keep ratio 1 and stay put. fitted is
+    mask * (A.P.Q') at this (P, Q), as `objective` leaves it in
+    prob.fitted; it is computed when not given.
     """
     g, mask, obs_W = prob.graph, prob.mask, prob.W
 
-    AP = g.mix(P)
-    fitted = mask * (AP @ Q.T)
+    if fitted is None:
+        fitted = _masked_product(g.mix(P), Q, mask, prob.fitted)
     num_P = g.mix_t(obs_W @ Q) + 2.0 * prob.lam * g.adjacent(P)
     den_P = (
         g.mix_t(fitted @ Q)
@@ -164,24 +180,27 @@ def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem):
     P2 = P * (num_P / den_P)
 
     AP2 = g.mix(P2)
-    fitted2 = mask * (AP2 @ Q.T)
+    fitted2 = _masked_product(AP2, Q, mask, prob.work)
     num_Q = obs_W.T @ AP2
     den_Q = fitted2.T @ AP2 + 2.0 * prob.alpha2 * Q + _EPS
     Q2 = Q * (num_Q / den_Q)
     return P2, Q2
 
 
-def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: float):
+def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: float,
+                 fitted=None):
     """Multiplicative step that never lets the objective rise.
 
-    Returns (P, Q, used_fallback, objective at the returned P, Q). If the
+    Returns (P, Q, used_fallback, objective at the returned P, Q), and
+    leaves mask * (A.P.Q') at the returned P, Q in prob.fitted. fitted is
+    that product at the given P, Q, or None to compute it. If the
     multiplicative proposal raises the objective, retries with a projected
     (clamped at 0) gradient step under backtracking halving; if even that
     finds no descent, stays put and returns prev_obj, the objective there.
     """
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise FloatingPointError("non-finite factor entries")
-    P2, Q2 = multiplicative_step(P, Q, prob)
+    P2, Q2 = multiplicative_step(P, Q, prob, fitted)
     if not (np.all(np.isfinite(P2)) and np.all(np.isfinite(Q2))):
         raise FloatingPointError("multiplicative update produced non-finite entries")
     val = objective(P2, Q2, prob)
@@ -197,7 +216,9 @@ def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: floa
         if np.isfinite(val) and val <= prev_obj:
             return P3, Q3, True, val
         step *= 0.5
-    return P, Q, True, prev_obj  # no descent direction small enough; hold position
+    # no descent direction small enough; hold position
+    _masked_product(prob.graph.mix(P), Q, prob.mask, prob.fitted)
+    return P, Q, True, prev_obj
 
 
 @dataclass
@@ -246,7 +267,8 @@ def train_apar(W, mask, groups, gamma, config: AparConfig) -> AparState:
     fallbacks = 0
     for t in range(config.max_iters):
         try:
-            P, Q, used_fallback, cur = guarded_step(P, Q, prob, prev)
+            # the objective just computed at (P, Q) left its product in prob.fitted
+            P, Q, used_fallback, cur = guarded_step(P, Q, prob, prev, prob.fitted)
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {t}: {exc}") from exc
         fallbacks += int(used_fallback)

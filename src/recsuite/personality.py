@@ -14,20 +14,20 @@ only relative and cluster behavior is meaningful.
 
 from __future__ import annotations
 
-import collections
 import csv
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 TRAIT_ORDER = ["O", "C", "E", "A", "N"]
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# bytes outside [a-z0-9] become spaces; UTF-8 writes non-ASCII as bytes >= 0x80
+_TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The maximal runs of [a-z0-9] in the lower-cased text."""
+    return text.lower().encode().translate(_TOKEN_BYTES).decode().split()
 
 
 # ---------------------------------------------------------------------------
@@ -139,57 +139,63 @@ DEMO_WEIGHTS = parse_weights_text(DEMO_WEIGHTS_TEXT)
 # Scoring
 
 
-class _Matcher:
-    """A lexicon compiled once: each distinct token is matched against it once.
+class _Classes(dict):
+    """token -> lexicon class; each distinct token is matched against the lexicon once.
 
-    `categories(token)` lists the positions of the categories the token
-    matches, exactly or by a ``stem*`` word, each at most once.
+    Tokens that match the same categories, exactly or by a ``stem*`` word,
+    share a class; `sets` maps the category positions of each class to its
+    number, and class 0 matches none.
     """
 
     def __init__(self, lexicon: dict[str, list[str]]):
-        self.names = list(lexicon)
-        self.exact: dict[str, set[int]] = collections.defaultdict(set)
-        self.stems: list[tuple[int, tuple[str, ...]]] = []
-        for c, words in enumerate(lexicon.values()):
-            for w in words:
-                if not w.endswith("*"):
-                    self.exact[w].add(c)
-            stems = tuple(w[:-1] for w in words if w.endswith("*"))
-            if stems:
-                self.stems.append((c, stems))
-        self._matches: dict[str, tuple[int, ...]] = {}
+        super().__init__()
+        self.words = [({w for w in words if not w.endswith("*")},
+                       tuple(w[:-1] for w in words if w.endswith("*")))
+                      for words in lexicon.values()]
+        self.sets: dict[tuple[int, ...], int] = {(): 0}
 
-    def categories(self, token: str) -> tuple[int, ...]:
-        if token not in self._matches:
-            hits = {c for c, stems in self.stems if token.startswith(stems)}
-            self._matches[token] = tuple(hits | self.exact.get(token, set()))
-        return self._matches[token]
+    def __missing__(self, token: str) -> int:
+        key = tuple(c for c, (exact, stems) in enumerate(self.words)
+                    if token in exact or token.startswith(stems))
+        k = self[token] = self.sets.setdefault(key, len(self.sets))
+        return k
 
-    def proportions(self, text: str) -> dict[str, float]:
-        """Per-category proportion of the text's tokens matching that category."""
+
+def _proportions(texts: list[str], lexicon: dict[str, list[str]]) -> np.ndarray:
+    """Row u: the share of texts[u]'s tokens that match each lexicon category (0
+    without tokens), from one bincount of the (text, token class) pairs."""
+    classes = _Classes(lexicon)
+    ids = [np.empty(0, dtype=np.int64)]
+    for text in texts:
         tokens = tokenize(text)
-        matched = [0] * len(self.names)
-        for token, n in collections.Counter(tokens).items():
-            for c in self.categories(token):
-                matched[c] += n
-        return {cat: m / len(tokens) if tokens else 0.0 for cat, m in zip(self.names, matched)}
+        ids.append(np.fromiter(map(classes.__getitem__, tokens), np.int64, len(tokens)))
+    lengths = [len(a) for a in ids[1:]]
+    n, k = len(texts), len(classes.sets)
+    members = np.zeros((k, len(lexicon)), dtype=np.int64)
+    for cats, j in classes.sets.items():
+        members[j, list(cats)] = 1
+    pairs = np.repeat(np.arange(n) * k, lengths) + np.concatenate(ids)
+    counts = np.bincount(pairs, minlength=n * k).reshape(n, k) @ members
+    return counts / np.maximum(lengths, 1)[:, None]
 
 
-def categorize(text: str, lexicon: dict[str, list[str]]) -> dict[str, float]:
-    """Per-category proportion of tokens matching that category's words."""
-    return _Matcher(lexicon).proportions(text)
-
-
-def trait_score(
-    X: dict[str, float], weights: dict[str, list[tuple[str, float]]]
-) -> dict[str, float]:
-    """Linear combination of category proportions, one score per trait."""
-    scores = {t: 0.0 for t in TRAIT_ORDER}
+def _weight_terms(lexicon, weights) -> list[tuple[int, int, float]]:
+    """(trait column, category column, weight) of each weight, in the weights' order."""
+    column = {c: j for j, c in enumerate(lexicon)}
+    terms = []
     for trait, pairs in weights.items():
         for category, w in pairs:
-            if category not in X:
+            if category not in column:
                 raise ValueError(f"weights reference unknown category {category!r}")
-            scores[trait] += w * X[category]
+            terms.append((TRAIT_ORDER.index(trait), column[category], w))
+    return terms
+
+
+def _trait_scores(X: np.ndarray, terms) -> np.ndarray:
+    """Row u, column t: the sum of weight * X[u, category] over trait t's terms."""
+    scores = np.zeros((len(X), len(TRAIT_ORDER)))
+    for t, c, w in terms:
+        scores[:, t] += w * X[:, c]
     return scores
 
 
@@ -208,15 +214,6 @@ def dominant_trait(scores: dict[str, float]) -> str:
     raise AssertionError("unreachable")
 
 
-def _profile(user, reviews, matcher: _Matcher, weights) -> PersonalityProfile | None:
-    """Concatenate reviews, categorize, score. None when there is no text."""
-    texts = [r for r in reviews if r and r.strip()]
-    if not texts:
-        return None
-    scores = trait_score(matcher.proportions(" ".join(texts)), weights)
-    return PersonalityProfile(user=user, scores=scores, dominant=dominant_trait(scores))
-
-
 def profile_all(
     corpus,
     lexicon: dict[str, list[str]],
@@ -224,19 +221,20 @@ def profile_all(
 ) -> dict[str, PersonalityProfile]:
     """Profiles of the corpus's users with review text, in vocabulary order.
 
-    The lexicon is compiled once, so each distinct token is matched once.
+    The weights are checked against the lexicon before any text is read.
+    Each user's reviews are joined and scored as one text; a user whose
+    reviews are all empty or whitespace gets no profile.
     """
+    terms = _weight_terms(lexicon, weights)
     reviews: list[list[str]] = [[] for _ in corpus.users]
     for u, text in zip(corpus.user.tolist(), corpus.review):
-        if text:
-            reviews[u].append(text)
-    matcher = _Matcher(lexicon)
-    profiles = {}
-    for user, texts in zip(corpus.users, reviews):
-        prof = _profile(user, texts, matcher, weights)
-        if prof is not None:
-            profiles[user] = prof
-    return profiles
+        reviews[u].append(text)
+    joined = {user: " ".join(texts) for user, texts in zip(corpus.users, reviews)}
+    joined = {user: text for user, text in joined.items() if text.strip()}
+    scores = _trait_scores(_proportions(list(joined.values()), lexicon), terms).tolist()
+    rows = [dict(zip(TRAIT_ORDER, row)) for row in scores]
+    return {user: PersonalityProfile(user=user, scores=s, dominant=dominant_trait(s))
+            for user, s in zip(joined, rows)}
 
 
 # ---------------------------------------------------------------------------

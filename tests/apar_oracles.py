@@ -6,13 +6,21 @@ share a dominant trait, the mixing matrix A and the Laplacian Y built from
 it, and the objective, gradients, multiplicative step and blended
 prediction as products with those matrices. `categorize` is the trait
 scorer that matches every token against every category word in turn.
+
+`group_objective`, `group_objective_grads`, `group_multiplicative_step`,
+`group_guarded_step` and `group_train` are the group-kernel originals of
+`apar.objective`, `objective_grads`, `multiplicative_step`, `guarded_step`
+and `train_apar` from before the workspace: each allocates every users x
+items array it needs and computes the masked product afresh, twice per
+step, where `apar` writes it into `AparProblem`'s buffers once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from recsuite import personality
+from recsuite import apar, personality
+from recsuite.numeric import make_rng
 
 _EPS = 1e-12
 
@@ -145,3 +153,79 @@ def blend_row(P, L, gamma, user):
         return own
     g = gamma[user]
     return g * own + (1.0 - g) * P[neigh].mean(axis=0)
+
+
+def group_objective(P, Q, prob):
+    E = prob.mask * (prob.graph.mix(P) @ Q.T - prob.W)
+    val = 0.5 * float((E**2).sum())
+    val += prob.alpha1 * float((P**2).sum()) + prob.alpha2 * float((Q**2).sum())
+    if prob.lam:
+        val += prob.lam * float((P * prob.graph.laplacian(P)).sum())  # tr(P'YP)
+    return val
+
+
+def group_objective_grads(P, Q, prob):
+    AP = prob.graph.mix(P)
+    E = prob.mask * (AP @ Q.T - prob.W)
+    gP = prob.graph.mix_t(E @ Q) + 2.0 * prob.alpha1 * P
+    gP += 2.0 * prob.lam * prob.graph.laplacian(P)
+    gQ = E.T @ AP + 2.0 * prob.alpha2 * Q
+    return gP, gQ
+
+
+def group_multiplicative_step(P, Q, prob):
+    g, mask, obs_W = prob.graph, prob.mask, prob.W
+
+    AP = g.mix(P)
+    fitted = mask * (AP @ Q.T)
+    num_P = g.mix_t(obs_W @ Q) + 2.0 * prob.lam * g.adjacent(P)
+    den_P = (
+        g.mix_t(fitted @ Q)
+        + 2.0 * prob.alpha1 * P
+        + 2.0 * prob.lam * (g.degree * P)
+        + _EPS
+    )
+    P2 = P * (num_P / den_P)
+
+    AP2 = g.mix(P2)
+    fitted2 = mask * (AP2 @ Q.T)
+    num_Q = obs_W.T @ AP2
+    den_Q = fitted2.T @ AP2 + 2.0 * prob.alpha2 * Q + _EPS
+    Q2 = Q * (num_Q / den_Q)
+    return P2, Q2
+
+
+def group_guarded_step(P, Q, prob, prev_obj):
+    P2, Q2 = group_multiplicative_step(P, Q, prob)
+    val = group_objective(P2, Q2, prob)
+    if val <= prev_obj + 1e-12:
+        return P2, Q2, False, val
+    gP, gQ = group_objective_grads(P, Q, prob)
+    step = 1.0
+    for _ in range(60):
+        P3 = np.maximum(P - step * gP, 0.0)
+        Q3 = np.maximum(Q - step * gQ, 0.0)
+        val = group_objective(P3, Q3, prob)
+        if np.isfinite(val) and val <= prev_obj:
+            return P3, Q3, True, val
+        step *= 0.5
+    return P, Q, True, prev_obj
+
+
+def group_train(W, mask, groups, gamma, config):
+    """(P, Q, trace, fallback count), as `train_apar` trains them."""
+    W = np.asarray(W, dtype=np.float64)
+    prob = apar.AparProblem.build(W, mask, groups, gamma, config.alpha1, config.alpha2,
+                                  config.lam)
+    rng = make_rng(config.seed)
+    P = 0.1 * (1.0 - rng.random((W.shape[0], config.d)))
+    Q = 0.1 * (1.0 - rng.random((W.shape[1], config.d)))
+    prev, trace, fallbacks = group_objective(P, Q, prob), [], 0
+    for _ in range(config.max_iters):
+        P, Q, used, cur = group_guarded_step(P, Q, prob, prev)
+        fallbacks += int(used)
+        trace.append(cur)
+        if abs(prev - cur) / max(prev, _EPS) < config.tol:
+            break
+        prev = cur
+    return P, Q, trace, fallbacks

@@ -27,7 +27,11 @@ complement per user, the way `data.prepared_instances` did before
 sessions for each day, the quadratic way `Histories.long_term` built its
 lists before it took them as prefixes of one walk.
 `profile_user` profiles one user with a lexicon compiled for them alone,
-as `personality.profile_all` did before it compiled the lexicon once.
+as `personality.profile_all` did before it compiled the lexicon once, and
+scores them through `Matcher` (a `collections.Counter` of tokens per text),
+`categorize` and `trait_score` (one dict per user), the per-user path that
+`profile_all` replaced with one pass over all users; `tokenize` is the
+regular expression that `personality.tokenize` replaced with a byte table.
 `evaluate` is the per-instance loop `metrics.evaluate` ran before it took
 every metric from ranks over a whole chunk: a `metrics.top_k` list per
 instance, then `precision_at_k`, `recall_at_k`, `can_novelty` and `auc` on
@@ -36,6 +40,7 @@ it.
 
 import collections
 import csv
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -197,9 +202,77 @@ def rows(corpus):
     ]
 
 
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def tokenize(text):
+    """The maximal runs of [a-z0-9] in the lower-cased text, by regular expression."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+class Matcher:
+    """A lexicon compiled once: each distinct token is matched against it once.
+
+    `categories(token)` lists the positions of the categories the token
+    matches, exactly or by a ``stem*`` word, each at most once.
+    """
+
+    def __init__(self, lexicon):
+        self.names = list(lexicon)
+        self.exact = collections.defaultdict(set)
+        self.stems = []
+        for c, words in enumerate(lexicon.values()):
+            for w in words:
+                if not w.endswith("*"):
+                    self.exact[w].add(c)
+            stems = tuple(w[:-1] for w in words if w.endswith("*"))
+            if stems:
+                self.stems.append((c, stems))
+        self._matches = {}
+
+    def categories(self, token):
+        if token not in self._matches:
+            hits = {c for c, stems in self.stems if token.startswith(stems)}
+            self._matches[token] = tuple(hits | self.exact.get(token, set()))
+        return self._matches[token]
+
+    def proportions(self, text):
+        """Per-category proportion of the text's tokens matching that category."""
+        tokens = tokenize(text)
+        matched = [0] * len(self.names)
+        for token, n in collections.Counter(tokens).items():
+            for c in self.categories(token):
+                matched[c] += n
+        return {cat: m / len(tokens) if tokens else 0.0 for cat, m in zip(self.names, matched)}
+
+
+def categorize(text, lexicon):
+    """Per-category proportion of tokens matching that category's words."""
+    return Matcher(lexicon).proportions(text)
+
+
+def trait_score(X, weights):
+    """Linear combination of category proportions, one score per trait."""
+    scores = {t: 0.0 for t in personality.TRAIT_ORDER}
+    for trait, pairs in weights.items():
+        for category, w in pairs:
+            if category not in X:
+                raise ValueError(f"weights reference unknown category {category!r}")
+            scores[trait] += w * X[category]
+    return scores
+
+
 def profile_user(user, reviews, lexicon, weights):
-    """One user's profile from their reviews, the lexicon compiled for them alone."""
-    return personality._profile(user, reviews, personality._Matcher(lexicon), weights)
+    """One user's profile from their reviews: concatenate, categorize, score.
+
+    None when there is no text.
+    """
+    texts = [r for r in reviews if r and r.strip()]
+    if not texts:
+        return None
+    scores = trait_score(categorize(" ".join(texts), lexicon), weights)
+    return personality.PersonalityProfile(
+        user=user, scores=scores, dominant=personality.dominant_trait(scores))
 
 
 def profile_all(interactions, lexicon, weights):

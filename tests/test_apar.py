@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -433,3 +435,66 @@ class TestGroupKernelsMatchDense:
             return val, list(apar.objective_grads(params[0], params[1], prob))
 
         assert grad_check(f, [P, Q]) < 1e-4
+
+
+def workspace_case(seed, n=12, m=10, d=3, low=1.0):
+    """(W, mask, groups, gamma, config) of a 50-step run; ratings below 0 make
+    the multiplicative update overshoot, so the guard falls back."""
+    rng = make_rng(seed)
+    W = rng.uniform(low, 5.0, size=(n, m))
+    mask = rng.random((n, m)) < 0.6
+    groups = rng.integers(0, 3, size=n)
+    cfg = apar.AparConfig(d=d, lam=0.3, seed=seed, max_iters=50, tol=0.0)
+    return W, mask, groups, rng.random(n), cfg
+
+
+class TestWorkspace:
+    """The step that writes into AparProblem's buffers, against the allocating one."""
+
+    # seed 2 takes multiplicative steps only, seed 4 accepts one projected-
+    # gradient step, seed 7 holds its position from some step on
+    @pytest.mark.parametrize("seed, low, fell_back, held", [
+        (2, 1.0, False, False), (4, -2.0, True, False), (7, -2.0, True, True)])
+    def test_fifty_steps_equal_the_allocating_loop_byte_for_byte(self, seed, low, fell_back,
+                                                                  held):
+        W, mask, groups, gamma, cfg = workspace_case(seed, low=low)
+        state = apar.train_apar(W, mask, groups, gamma, cfg)
+        P, Q, trace, fallbacks = dense.group_train(W, mask, groups, gamma, cfg)
+        assert len(state.trace) == 50
+        assert state.P.tobytes() == P.tobytes() and state.Q.tobytes() == Q.tobytes()
+        assert state.trace == trace
+        assert state.fallback_steps == fallbacks
+        assert (fallbacks > 0, any(a == b for a, b in zip(trace, trace[1:]))) == (fell_back,
+                                                                                  held)
+
+    def test_product_left_in_fitted_is_the_one_at_the_returned_factors(self):
+        W, mask, groups, gamma, cfg = workspace_case(7, low=-2.0)
+        prob = apar.AparProblem.build(W, mask, groups, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
+        rng = make_rng(0)
+        P, Q = rng.random((12, 3)), rng.random((10, 3))
+        prev = apar.objective(P, Q, prob)
+        for forced in (None, -1.0, None, -1.0):  # -1.0: no step can get there
+            P, Q, _used, prev = apar.guarded_step(
+                P, Q, prob, prev if forced is None else forced, prob.fitted)
+            want = prob.mask * (prob.graph.mix(P) @ Q.T)
+            assert prob.fitted.tobytes() == want.tobytes()
+
+    def test_a_step_allocates_no_users_by_items_array(self):
+        n, m, d = 200, 150, 2
+        W, mask, groups, gamma, cfg = workspace_case(5, n=n, m=m, d=d)
+        prob = apar.AparProblem.build(W, mask, groups, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
+        rng = make_rng(1)
+        P, Q = 0.1 * rng.random((n, d)), 0.1 * rng.random((m, d))
+        prev = apar.objective(P, Q, prob)
+        P, Q, _used, prev = apar.guarded_step(P, Q, prob, prev, prob.fitted)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                P, Q, used, prev = apar.guarded_step(P, Q, prob, prev, prob.fitted)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert not used
+                assert peak < W.nbytes // 2
+        finally:
+            tracemalloc.stop()

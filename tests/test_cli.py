@@ -253,6 +253,21 @@ class TestProfile:
         assert "dominant" in rows[0]
         assert "profiled 8" in res.output
 
+    @pytest.mark.parametrize("kind", ["sequential", "personality"])
+    def test_weights_naming_an_unknown_category_fail_with_or_without_text(
+            self, tmp_path, kind):
+        # the sequential corpus has no review text, so no user is ever scored
+        corpus = (synth_sequential(tmp_path / "s") if kind == "sequential"
+                  else synth_personality(tmp_path / "s")[0])
+        weights = tmp_path / "w.txt"
+        weights.write_text("O nosuchcat 1\n")
+        out = tmp_path / "p"
+        res = runner.invoke(main, ["profile", str(corpus), "--weights", str(weights),
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert "weights reference unknown category 'nosuchcat'" in res.output
+        assert not (out / "profiles.csv").exists()
+
 
 class TestTrain:
     def test_das_checkpoint_trace_manifest(self, tmp_path):

@@ -11,6 +11,34 @@ from recsuite.numeric import make_rng
 _WORD = st.text(alphabet="abc", min_size=1, max_size=4)
 
 
+def categorize(text, lex):
+    """One text's category proportions, computed as `profile_all` computes them."""
+    return dict(zip(lex, personality._proportions([text], lex)[0].tolist()))
+
+
+def trait_score(X, weights):
+    """One row of category proportions, scored as `profile_all` scores it."""
+    terms = personality._weight_terms(X, weights)
+    row = personality._trait_scores(np.array([list(X.values())]), terms)[0]
+    return dict(zip(personality.TRAIT_ORDER, row.tolist()))
+
+
+# Fragments of review text: case, digits, punctuation, stem completions, a
+# word in two categories ("friend", "with"), and non-ASCII characters. U+212A
+# KELVIN SIGN lower-cases to "k" and U+0130 to "i" and a combining dot, so
+# the text must be lower-cased before it is encoded.
+_FRAGMENTS = ["Win", "WINNER", "wine", "win42", "hero", "friend", "FRIENDS", "with",
+              "With,friend.", "42", "a1b2", "don't", "\u212aill", "\u212aILL",
+              "\u0130", "W\u0130N", "stra\u00dfe", "caf\u00e9", "\u00e9", "\U0001f600",
+              "\u00a0", "\u2003", "nasty!!", "hate-kill", "", " ", "\t\n"]
+_REVIEW = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=6).map(" ".join),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=6).map("".join),
+    st.text(max_size=12),
+    st.sampled_from(["", "   ", "\t", "\u2003"]),
+)
+
+
 class TestTokenize:
     def test_lowercase_and_split(self):
         assert personality.tokenize("Love:NICE, sweet!!") == ["love", "nice", "sweet"]
@@ -20,6 +48,13 @@ class TestTokenize:
 
     def test_numbers_kept(self):
         assert personality.tokenize("win 42 times") == ["win", "42", "times"]
+
+    def test_non_ascii_lower_cases_before_the_byte_table(self):
+        assert personality.tokenize("\u212aILL \u0130x caf\u00e9") == ["kill", "i", "x", "caf"]
+
+    @given(st.one_of(st.text(), _REVIEW))
+    def test_matches_the_regular_expression(self, text):
+        assert personality.tokenize(text) == oracles.tokenize(text)
 
 
 class TestLexiconParsing:
@@ -65,38 +100,38 @@ class TestCategorize:
     lex = {"pos": ["love", "nice", "sweet"], "ach": ["win", "hero"]}
 
     def test_full_match(self):
-        X = personality.categorize("love nice sweet", self.lex)
+        X = categorize("love nice sweet", self.lex)
         assert X["pos"] == 1.0 and X["ach"] == 0.0
 
     def test_empty_text(self):
-        X = personality.categorize("", self.lex)
+        X = categorize("", self.lex)
         assert all(v == 0.0 for v in X.values())
 
     def test_ratio(self):
         text = "love nice sweet x x x x x x x"  # 10 tokens, 3 matches
-        assert personality.categorize(text, self.lex)["pos"] == pytest.approx(0.3)
+        assert categorize(text, self.lex)["pos"] == pytest.approx(0.3)
 
     def test_wildcard_prefix(self):
         lex = {"fr": ["friend*"]}
-        X = personality.categorize("friends friendly foe", lex)
+        X = categorize("friends friendly foe", lex)
         assert X["fr"] == pytest.approx(2 / 3)
 
     def test_token_in_two_categories_counts_in_both(self):
         lex = {"a": ["win"], "b": ["win"]}
-        X = personality.categorize("win", lex)
+        X = categorize("win", lex)
         assert X["a"] == 1.0 and X["b"] == 1.0
 
     def test_word_listed_twice_in_a_category_counts_once(self):
         lex = {"a": ["win", "win", "wi*"], "b": ["hero"]}
-        X = personality.categorize("win hero win wine", lex)
+        X = categorize("win hero win wine", lex)
         assert X == apar_oracles.categorize("win hero win wine", lex)
         assert X["a"] == 0.75 and X["b"] == 0.25
 
     @given(st.text(alphabet="ab cd", max_size=30))
     def test_repetition_invariance(self, text):
         lex = {"x": ["ab"], "y": ["cd"]}
-        once = personality.categorize(text, lex)
-        twice = personality.categorize(text + " " + text, lex)
+        once = categorize(text, lex)
+        twice = categorize(text + " " + text, lex)
         for cat in lex:
             assert once[cat] == pytest.approx(twice[cat])
 
@@ -111,37 +146,37 @@ class TestCategorize:
         ),
     )
     def test_matches_per_token_oracle_exactly(self, text, lex):
-        assert personality.categorize(text, lex) == apar_oracles.categorize(text, lex)
+        assert categorize(text, lex) == apar_oracles.categorize(text, lex)
 
     def test_demo_corpus_matches_per_token_oracle(self):
         corpus, _ = data.synth_personality_clusters(2, 5, 4, rng=make_rng(3))
         for text in corpus.review:
             want = apar_oracles.categorize(text, personality.DEMO_LEXICON)
-            assert personality.categorize(text, personality.DEMO_LEXICON) == want
+            assert categorize(text, personality.DEMO_LEXICON) == want
 
 
 class TestTraitScore:
     def test_all_zero(self):
         X = {"a": 0.0, "b": 0.0}
-        scores = personality.trait_score(X, {"O": [("a", 1.0)], "N": [("b", 2.0)]})
+        scores = trait_score(X, {"O": [("a", 1.0)], "N": [("b", 2.0)]})
         assert all(v == 0.0 for v in scores.values())
 
     def test_single_term(self):
-        scores = personality.trait_score({"a": 0.3}, {"E": [("a", 0.2)]})
+        scores = trait_score({"a": 0.3}, {"E": [("a", 0.2)]})
         assert scores["E"] == pytest.approx(0.06)
 
     def test_two_terms_hand_sum(self):
         # 0.5*0.4 + (-0.2)*0.1 = 0.18
         X = {"c1": 0.4, "c2": 0.1}
-        scores = personality.trait_score(X, {"A": [("c1", 0.5), ("c2", -0.2)]})
+        scores = trait_score(X, {"A": [("c1", 0.5), ("c2", -0.2)]})
         assert scores["A"] == pytest.approx(0.18)
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):
-            personality.trait_score({"a": 0.1}, {"O": [("missing", 1.0)]})
+            trait_score({"a": 0.1}, {"O": [("missing", 1.0)]})
 
     def test_missing_traits_default_zero(self):
-        scores = personality.trait_score({"a": 1.0}, {"O": [("a", 1.0)]})
+        scores = trait_score({"a": 1.0}, {"O": [("a", 1.0)]})
         assert scores["C"] == 0.0 and set(scores) == set(personality.TRAIT_ORDER)
 
     @given(
@@ -154,9 +189,9 @@ class TestTraitScore:
         weights = {"O": [("c1", 0.7), ("c2", -0.3)]}
         Xa = {"c1": a * x1, "c2": a * x2}
         Xb = {"c1": b * x1, "c2": b * x2}
-        sa = personality.trait_score(Xa, weights)["O"]
-        sb = personality.trait_score(Xb, weights)["O"]
-        combined = personality.trait_score(
+        sa = trait_score(Xa, weights)["O"]
+        sb = trait_score(Xb, weights)["O"]
+        combined = trait_score(
             {"c1": a * x1 + b * x1, "c2": a * x2 + b * x2}, weights
         )["O"]
         assert combined == pytest.approx(sa + sb, abs=1e-9)
@@ -216,6 +251,48 @@ class TestProfileUser:
             gap = abs(np.mean(own) - np.mean(other))
             within = max(np.std(own), 1e-12)
             assert gap >= 2 * within
+
+
+def _profile_key(profiles):
+    """Everything of each profile, scores as exact bits, in the dict's order."""
+    return [(user, p.user, p.dominant, [(t, type(s), s.hex()) for t, s in p.scores.items()])
+            for user, p in profiles.items()]
+
+
+class TestProfileAll:
+    lexicon = dict(personality.DEMO_LEXICON, stems=["win*", "fr*", "hero"])
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]),
+                           st.one_of(st.none(), _REVIEW)), max_size=12),
+        st.lists(st.tuples(st.sampled_from(personality.TRAIT_ORDER),
+                           st.sampled_from(list(lexicon)),
+                           st.floats(-3, 3, allow_nan=False)), max_size=12),
+    )
+    def test_equals_the_per_user_oracle_bit_for_bit(self, reviews, triples):
+        rows = [oracles.Interaction(user, f"i{n}", n, "rate", 3.0, text, None)
+                for n, (user, text) in enumerate(reviews)]
+        weights = {t: [] for t in personality.TRAIT_ORDER}
+        for trait, category, w in triples:
+            weights[trait].append((category, w))
+        got = personality.profile_all(oracles.from_rows(rows), self.lexicon, weights)
+        want = oracles.profile_all(rows, self.lexicon, weights)
+        assert _profile_key(got) == _profile_key(want)
+
+    def test_demo_corpus_equals_the_oracle_bit_for_bit(self):
+        corpus, _ = data.synth_personality_clusters(3, 6, 4, rng=make_rng(5))
+        for weights in (personality.DEMO_WEIGHTS, data.planted_cluster_weights()):
+            got = personality.profile_all(corpus, personality.DEMO_LEXICON, weights)
+            want = oracles.profile_all(oracles.rows(corpus), personality.DEMO_LEXICON,
+                                       weights)
+            assert len(got) == 18
+            assert _profile_key(got) == _profile_key(want)
+
+    def test_unknown_category_rejected_without_review_text(self):
+        rows = [oracles.Interaction("u1", "a", 0, "view")]
+        with pytest.raises(ValueError, match="unknown category 'nosuchcat'"):
+            personality.profile_all(oracles.from_rows(rows), personality.DEMO_LEXICON,
+                                    {"O": [("nosuchcat", 1.0)]})
 
 
 class TestSimilarityMatrix:
