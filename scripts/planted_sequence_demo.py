@@ -10,6 +10,8 @@ the models cannot shortcut the task by memorizing per-user item sets.
 import argparse
 import time
 
+import numpy as np
+
 from recsuite import baselines, can, das, data, metrics
 from recsuite.numeric import make_rng
 
@@ -19,11 +21,16 @@ def build_corpus(n_items, noise, seed):
     successor = data.make_successor_map(n_items, rng)
     solo = data.synth_sequential(n_items, 1600, 1, successor, noise, rng)
     multi = data.synth_sequential(n_items, 100, 4, successor, noise, rng)
-    multi = [
-        data.Session(user="m" + s.user, t=s.t, day=s.day, items=s.items)
-        for s in multi
-    ]
-    ds = data.Dataset.from_interactions(data.sessions_to_interactions(solo + multi))
+    # the multi-session users, renamed "m<user>", after the solo users; both
+    # draw from one item vocabulary
+    both = data.Sessions(
+        solo.users + ["m" + u for u in multi.users], solo.items,
+        np.concatenate((solo.user, multi.user + len(solo.users))),
+        np.concatenate((solo.day, multi.day)), np.concatenate((solo.t, multi.t)),
+        np.concatenate((solo.offsets, multi.offsets[1:] + solo.offsets[-1])),
+        np.concatenate((solo.item, multi.item)),
+    )
+    ds = data.Dataset.from_interactions(data.sessions_to_interactions(both))
     sp = data.split(ds.sessions, "random-80-20", make_rng(seed + 1))
     return ds, sp
 
@@ -42,7 +49,7 @@ def main():
         f"({len(sp.train)} train / {len(sp.test)} test)"
     )
 
-    runs = [("top", baselines.top_scorer(sp.train, ds.item_index, ds.n_items), 0.0)]
+    runs = [("top", baselines.top_scorer(sp.train, ds.n_items), 0.0)]
 
     das_cfg = das.DasConfig(k=24, lr=0.02, epochs=60, batch=50, seed=args.seed)
     t0 = time.perf_counter()

@@ -30,14 +30,9 @@ class TopScorer(metrics.Ranker):
         return np.broadcast_to(self.counts.astype(np.float64), (len(users), self.counts.size))
 
 
-def top_scorer(train_sessions, item_index, n_items) -> TopScorer:
-    counts = np.zeros(n_items)
-    for s in train_sessions:
-        for it in s.items:
-            j = item_index.get(it)
-            if j is not None:
-                counts[j] += 1
-    return TopScorer(counts=counts)
+def top_scorer(train: data.Sessions, n_items) -> TopScorer:
+    """Each item's count among the items of the train sessions."""
+    return TopScorer(counts=np.bincount(train.item, minlength=n_items).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -199,4 +194,5 @@ def train_bpr(split, dataset, config: BprConfig) -> BprState:
         return float(np.cumsum(losses)[-1] / len(order))
 
     history = data.Histories(split.train, dataset)
-    return minibatch.train(state, history, config.epochs, max(history.items.size, 1), rng, step)
+    whole_epoch = max(split.train.item.size, 1)
+    return minibatch.train(state, history, config.epochs, whole_epoch, rng, step)

@@ -318,7 +318,7 @@ def ingest(input_path, columns, seed, out_dir):
     for fname, tokens in (("users.txt", ds.users), ("items.txt", ds.items)):
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
             fh.write("\n".join(tokens) + "\n")
-    avg_len = sum(len(s.items) for s in ds.sessions) / max(len(ds.sessions), 1)
+    avg_len = len(corpus) / max(len(ds.sessions), 1)
     click.echo(
         f"users={len(ds.users)} items={len(ds.items)} "
         f"sessions={len(ds.sessions)} avg-session-len={avg_len:.2f}"
@@ -464,7 +464,7 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
             elif model == "bpr":
                 state = baselines.train_bpr(sp, ds, cfg)
             elif model == "top":
-                state = baselines.top_scorer(sp.train, ds.item_index, ds.n_items)
+                state = baselines.top_scorer(sp.train, ds.n_items)
             else:  # random
                 state = baselines.RandomScorer(ds.n_items, seed)
     except (ValueError, FloatingPointError) as exc:
@@ -617,15 +617,14 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
             if user not in corpus.users:
                 raise click.ClickException(f"unknown user {user!r}")
             u_idx = corpus.users.index(user)
-            # only the user's own rows are sessionized
-            ds = data.Dataset.from_interactions(corpus.take(corpus.user == u_idx))
-            history = data.Histories(ds.sessions, ds)
-            last = history.by_user[user][-1]
+            # only the user's own rows are sessionized; the last session is the
+            # latest, and the items before it, first-seen first, its long-term list
+            sessions = data.sessionize(corpus.take(corpus.user == u_idx))
+            last = sessions.offsets[-2]
+            earlier = sessions.item[:last]
+            first = np.unique(earlier, return_index=True)[1]
             scores = np.asarray(ck.state.score_items(
-                u_idx,
-                history.long_term(user, last.day),
-                [ds.item_index[t] for t in last.items],
-            ))
+                u_idx, earlier[np.sort(first)], sessions.item[last:]))
     except ValueError as exc:
         raise click.ClickException(str(exc))
 

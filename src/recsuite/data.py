@@ -7,17 +7,18 @@ each faulty row, with its first fault, at the file line the row starts on.
 A session is everything one user did in one calendar day, ordered by
 timestamp. Long-term context for session t is the deduplicated union of the
 user's earlier-day sessions; short-term context is session t itself, order
-kept. `Histories` answers every per-user question (long-term lists, touched items,
-the d-th untouched item, the training instances as index arrays) for the
-trainers, the evaluator and `recommend`. A parse can
-be kept in a sidecar file (`write_sidecar`) and read back (`read_sidecar`)
-under a key that names the file's content, the schema and this module's
-source, so a file content is parsed once while its sidecar lasts.
+kept. Sessions are index arrays (`Sessions`; `HeldOut` for the test side
+of a `split`), and iterating them gives token `Session` or `TestInstance`
+objects. `Histories` answers every per-user question of the train sessions
+(long-term lists, touched items, the d-th untouched item, the training
+instances) for the trainers and the evaluator. A parse can be kept in a
+sidecar file (`write_sidecar`) and read back (`read_sidecar`) under a key
+that names the file's content, the schema and this module's source, so a
+file content is parsed once while its sidecar lasts.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import datetime
@@ -128,10 +129,56 @@ class TestInstance:
     target: str
 
 
+@dataclass(eq=False)
+class Sessions:
+    """Sessions as index arrays: session i is user `user[i]`'s session number
+    `t[i]` on day `day[i]`, with items `item[offsets[i]:offsets[i + 1]]`, all
+    codes into the `users` and `items` vocabularies. Iterating gives token
+    `Session` objects, in this order."""
+
+    users: list[str]
+    items: list[str]
+    user: np.ndarray
+    day: np.ndarray
+    t: np.ndarray
+    offsets: np.ndarray
+    item: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __iter__(self):
+        tokens = list(map(self.items.__getitem__, self.item.tolist()))
+        at = self.offsets.tolist()
+        for u, t, day, a, b in zip(self.user.tolist(), self.t.tolist(), self.day.tolist(),
+                                   at, at[1:]):
+            yield Session(self.users[u], t, day, tokens[a:b])
+
+    def take(self, index: np.ndarray) -> "Sessions":
+        """The sessions at positions `index`, in that order."""
+        lengths = np.diff(self.offsets)[index]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        at = np.repeat(self.offsets[index] - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return Sessions(self.users, self.items, self.user[index], self.day[index],
+                        self.t[index], offsets, self.item[at])
+
+
+@dataclass(eq=False)
+class HeldOut(Sessions):
+    """Test sessions, each holding out its item at position `hold[i]`; each
+    iterates as a token `TestInstance`, the rest of the session its context."""
+
+    hold: np.ndarray
+
+    def __iter__(self):
+        for s, h in zip(super().__iter__(), self.hold.tolist()):
+            yield TestInstance(s.user, s.day, s.t, s.items[:h] + s.items[h + 1:], s.items[h])
+
+
 @dataclass
 class Split:
-    train: list[Session]
-    test: list[TestInstance]
+    train: Sessions
+    test: HeldOut
     policy: str
     warnings: list[str] = field(default_factory=list)
 
@@ -508,35 +555,28 @@ def read_sidecar(path, key: bytes) -> tuple[Corpus, list[RowError]] | None:
     return corpus, list(map(RowError, m["error_line"].tolist(), texts[r + n:]))
 
 
-def sessionize(corpus: Corpus) -> list[Session]:
+def sessionize(corpus: Corpus) -> Sessions:
     """One session per (user, calendar day), items in timestamp order, duplicates kept.
 
     Sessions come user by user in token order; one stable sort on (user,
     timestamp) orders the rows, and a session ends wherever the user or the
-    day changes.
+    day changes. The sessions keep the corpus's vocabularies.
     """
-    if not len(corpus):
-        return []
     n_users = len(corpus.users)
     rank = np.empty(n_users, np.int64)
     rank[sorted(range(n_users), key=corpus.users.__getitem__)] = np.arange(n_users)
     order = np.lexsort((corpus.timestamp, rank[corpus.user]))
     user = corpus.user[order]
     day = corpus.timestamp[order] // SECONDS_PER_DAY
-    starts = np.flatnonzero(np.concatenate((
-        [True], (user[1:] != user[:-1]) | (day[1:] != day[:-1])
-    )))
-    ends = np.append(starts[1:], len(order))
-    owner = user[starts]
-    first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-    # each session's ordinal: its position minus that of its user's first
-    t = np.arange(len(starts)) - np.repeat(first, np.diff(np.append(first, len(starts))))
-    items = list(map(corpus.items.__getitem__, corpus.item[order].tolist()))
-    return [
-        Session(user=corpus.users[u], t=k, day=d, items=items[a:b])
-        for u, k, d, a, b in zip(owner.tolist(), t.tolist(), day[starts].tolist(),
-                                 starts.tolist(), ends.tolist())
-    ]
+    new = np.ones(order.size, bool)
+    new[1:] = (user[1:] != user[:-1]) | (day[1:] != day[:-1])
+    starts = np.flatnonzero(new)
+    owner, at = user[starts], np.arange(starts.size)
+    first = np.ones(starts.size, bool)  # a user's first session; t counts from it
+    first[1:] = owner[1:] != owner[:-1]
+    return Sessions(corpus.users, corpus.items, owner, day[starts],
+                    at - np.maximum.accumulate(np.where(first, at, 0)),
+                    np.append(starts, order.size), corpus.item[order])
 
 
 def ordered_dedup(items) -> list:
@@ -549,66 +589,45 @@ def ordered_dedup(items) -> list:
     return out
 
 
-def split(sessions: list[Session], policy: str, rng, test_fraction: float = 0.2) -> Split:
+def split(sessions: Sessions, policy: str, rng, test_fraction: float = 0.2) -> Split:
     """Carve test sessions out and hold one target item out of each.
 
     random-80-20 samples test sessions uniformly among the eligible ones
     (length >= 2, user has >= 2 sessions); last-week takes the final seven
     calendar days. Users whose only appearance is a single one-item session
-    are excluded from the test side with a warning.
+    are excluded from the test side with a warning, and so is a one-item
+    test session. One `rng.integers` call draws every held-out position.
     """
-    warnings: list[str] = []
-    per_user = collections.Counter(s.user for s in sessions)
-
+    lengths = np.diff(sessions.offsets)
     if policy == "random-80-20":
-        eligible = [
-            idx
-            for idx, s in enumerate(sessions)
-            if len(s.items) >= 2 and per_user[s.user] >= 2
-        ]
-        for s in sessions:
-            if per_user[s.user] == 1 and len(s.items) == 1:
-                warnings.append(
-                    f"user {s.user}: single one-item session, excluded from test"
-                )
-        n_test = min(len(eligible), max(1, round(test_fraction * len(sessions))))
-        if not eligible:
+        per_user = np.bincount(sessions.user, minlength=len(sessions.users))[sessions.user]
+        eligible = np.flatnonzero((lengths >= 2) & (per_user >= 2))
+        warnings = [f"user {sessions.users[u]}: single one-item session, excluded from test"
+                    for u in sessions.user[(per_user == 1) & (lengths == 1)].tolist()]
+        n_test = min(eligible.size, max(1, round(test_fraction * len(sessions))))
+        if not eligible.size:
             raise ValueError("no session is eligible for the test side")
-        chosen = set(
-            int(i) for i in rng.choice(len(eligible), size=n_test, replace=False)
-        )
-        test_idx = {eligible[i] for i in chosen}
+        test = np.zeros(len(sessions), bool)
+        test[eligible[rng.choice(eligible.size, size=n_test, replace=False)]] = True
     elif policy == "last-week":
-        max_day = max((s.day for s in sessions), default=None)
-        if max_day is None:
+        if not len(sessions):
             raise ValueError("cannot split an empty session list")
-        test_idx = {i for i, s in enumerate(sessions) if s.day > max_day - 7}
-        if len(test_idx) == len(sessions):
+        test = sessions.day > sessions.day.max() - 7
+        if test.all():
             raise ValueError("last-week split leaves the training side empty")
+        warnings = []
     else:
         raise ValueError(f"unknown split policy {policy!r}")
 
-    train: list[Session] = []
-    test: list[TestInstance] = []
-    for idx, s in enumerate(sessions):
-        if idx not in test_idx:
-            train.append(s)
-            continue
-        if len(s.items) < 2:
-            warnings.append(
-                f"user {s.user}: test session on day {s.day} has a single item, "
-                "cannot hold out a target; excluded"
-            )
-            if policy == "last-week":
-                continue  # too recent for train, too short for test
-            train.append(s)
-            continue
-        hold = int(rng.integers(len(s.items)))
-        context = s.items[:hold] + s.items[hold + 1 :]
-        test.append(
-            TestInstance(user=s.user, day=s.day, t=s.t, context=context, target=s.items[hold])
-        )
-    return Split(train=train, test=test, policy=policy, warnings=warnings)
+    # only last-week can pick a one-item session; it is too recent for train
+    short = test & (lengths < 2)
+    warnings += [f"user {sessions.users[u]}: test session on day {d} has a single item, "
+                 "cannot hold out a target; excluded"
+                 for u, d in zip(sessions.user[short].tolist(), sessions.day[short].tolist())]
+    held = sessions.take(np.flatnonzero(test & ~short))
+    return Split(train=sessions.take(np.flatnonzero(~test)),
+                 test=HeldOut(**vars(held), hold=rng.integers(np.diff(held.offsets))),
+                 policy=policy, warnings=warnings)
 
 
 class Histories:
@@ -616,67 +635,45 @@ class Histories:
 
     Held as flat arrays, user after user: user u's items first-seen first
     in `first_seen[start[u]:start[u + 1]]`, the same items ascending in
-    that span of `_seen`. A long-term list is a prefix of the user's
-    first-seen items. `long_term(user, day)` is that list before a day,
-    cached so equal questions share one list; `seen(user)` lists the items
-    a user touched, and `unseen_items` the d-th item a user did not touch,
-    the pool negatives are drawn from. The sessions as given keep their
-    order: session i is user `user[i]`'s `items[offsets[i]:offsets[i + 1]]`,
-    and its long-term list is `long_len[i]` long. Training instance q holds
-    out `items[q]`, with the rest of its session as context. A user with no
+    that span of `seen`. A long-term list is a prefix of the user's
+    first-seen items, as long as `long_lengths` says for a (user, day);
+    `unseen_items` gives the d-th item a user did not touch, the pool
+    negatives are drawn from. Session i of `sessions` has a long-term list
+    `long_len[i]` long, and training instance q holds out item q of the
+    sessions, with the rest of its session as context. A user with no
     session has an empty history.
     """
 
-    def __init__(self, sessions, dataset):
-        sessions, self.dataset, n = list(sessions), dataset, dataset.n_items
-        self.user, day, t, lengths = np.array(
-            [(dataset.user_index[s.user], s.day, s.t, len(s.items)) for s in sessions],
-            dtype=np.int64).reshape(-1, 4).T.copy()
-        rank = np.lexsort((t, day, self.user))  # stable: equal keys keep their order
-        self.by_user: dict[str, list[Session]] = {}
-        for i in rank.tolist():
-            self.by_user.setdefault(sessions[i].user, []).append(sessions[i])
-        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
-        self.items = np.fromiter(map(dataset.item_index.__getitem__, itertools.chain.from_iterable(
-            s.items for s in sessions)), np.int64, self.offsets[-1])
+    def __init__(self, sessions: Sessions, dataset):
+        self.sessions, self.dataset, n = sessions, dataset, dataset.n_items
+        lengths = np.diff(sessions.offsets)
+        rank = np.lexsort((sessions.t, sessions.day, sessions.user))  # stable: ties keep order
         # the items, and their users and sessions, with the sessions in rank order
-        size, self._day, user = lengths[rank], day[rank], self.user[rank]
-        at = np.repeat(self.offsets[rank] - np.cumsum(size) + size, size)
+        size, self._day, self._user = lengths[rank], sessions.day[rank], sessions.user[rank]
+        at = np.repeat(sessions.offsets[rank] - np.cumsum(size) + size, size)
         at += np.arange(at.size)
-        items, who = self.items[at], np.repeat(user, size)
+        items, who = sessions.item[at], np.repeat(self._user, size)
         _, first = np.unique(who * n + items, return_index=True)  # each (user, item) once
-        self._seen, owner = items[first], who[first]
+        self.seen, owner = items[first], who[first]
         self.first_seen = items[np.sort(first)]
-        self.start, self._span = (np.concatenate(([0], np.cumsum(np.bincount(
-            x, minlength=dataset.n_users)))) for x in (owner, user))
+        self.start = np.append(0, np.bincount(owner, minlength=dataset.n_users).cumsum())
         # (user, item) pairs first seen before each ranked session, and in all
         new = np.bincount(np.repeat(np.arange(rank.size), size)[first], minlength=rank.size)
         self._known = np.concatenate((np.cumsum(new) - new, [first.size]))
-        # a session's long-term list ends where the first session of its day starts
-        new_day = (np.diff(user, prepend=-1) != 0) | (np.diff(self._day, prepend=0) != 0)
-        day_start = np.maximum.accumulate(np.where(new_day, np.arange(rank.size), 0))
-        self.long_len = np.empty_like(self.user)
-        self.long_len[rank] = self._known[day_start] - self.start[user]
+        self.long_len = self.long_lengths(sessions.user, sessions.day)
         # the untouched items below each touched one (seen[j] less its place in
         # its user's span), offset per user so that the whole array ascends
-        self._gaps = self._seen - np.arange(first.size) + self.start[owner] + owner * (n + 1)
-        self._long: dict[tuple, list[int]] = {}
+        self._gaps = self.seen - np.arange(first.size) + self.start[owner] + owner * (n + 1)
 
-    def long_term(self, user, day) -> list[int]:
-        """Indices of the user's items from sessions before `day`, first-seen first."""
-        if (user, day) not in self._long:
-            u, head = self.dataset.user_index.get(user), []
-            if u is not None:
-                lo, hi = self._span[u:u + 2]
-                end = self._known[lo + np.searchsorted(self._day[lo:hi], day)]
-                head = self.first_seen[self.start[u]:end].tolist()
-            self._long[user, day] = head
-        return self._long[user, day]
-
-    def seen(self, user) -> np.ndarray:
-        """Indices of every item the user touched, ascending."""
-        u = self.dataset.user_index.get(user)
-        return self._seen[:0] if u is None else self._seen[self.start[u]:self.start[u + 1]]
+    def long_lengths(self, users: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """For each b, how many distinct items users[b] touched before day days[b]:
+        the length of that long-term list."""
+        # days as dense codes, so that (user, day) keys ascend with the ranked sessions
+        code = np.unique(np.concatenate((self._day, days)), return_inverse=True)[1]
+        width = code.max(initial=0) + 1
+        keys = self._user * width + code[:self._day.size]
+        ahead = np.searchsorted(keys, users * width + code[self._day.size:])
+        return self._known[ahead] - self.start[users]
 
     def unseen_items(self, users: np.ndarray, d: np.ndarray) -> np.ndarray:
         """For each b, the d[b]-th (from 0) ascending item users[b] did not touch:
@@ -712,34 +709,36 @@ def synth_sequential(
     noise_rate: float,
     rng,
     session_len: int = 5,
-) -> list[Session]:
-    """Sessions that walk a planted successor map with per-step noise."""
+) -> Sessions:
+    """Sessions that walk a planted successor map with per-step noise; user
+    u's session t falls on day t."""
     tokens = [item_token(j) for j in range(n_items)]
-    sessions = []
-    for u in range(n_users):
-        for t in range(n_sessions_per_user):
-            items = [tokens[int(rng.integers(n_items))]]
-            for _ in range(session_len - 1):
-                if rng.random() < noise_rate:
-                    items.append(tokens[int(rng.integers(n_items))])
-                else:
-                    items.append(transition[items[-1]])
-            sessions.append(Session(user=user_token(u), t=t, day=t, items=items))
-    return sessions
+    successor = list(map(_index(tokens).__getitem__, map(transition.__getitem__, tokens)))
+    item = []
+    for _ in range(n_users * n_sessions_per_user):
+        item.append(int(rng.integers(n_items)))
+        for _ in range(session_len - 1):
+            item.append(int(rng.integers(n_items)) if rng.random() < noise_rate
+                        else successor[item[-1]])
+    t = np.tile(np.arange(n_sessions_per_user, dtype=np.int64), n_users)
+    return Sessions(
+        [user_token(u) for u in range(n_users)], tokens,
+        np.repeat(np.arange(n_users, dtype=np.int64), n_sessions_per_user), t.copy(), t,
+        np.arange(t.size + 1, dtype=np.int64) * max(1, session_len), np.array(item, np.int64),
+    )
 
 
-def sessions_to_interactions(sessions: list[Session], action: str = "view") -> Corpus:
-    """The corpus of the sessions' items, the p-th of a session p seconds into its day."""
-    sessions = [s for s in sessions if s.items]
-    lengths = np.array([len(s.items) for s in sessions], dtype=np.int64)
-    n = int(lengths.sum())
-    users, user = _intern([s.user for s in sessions])
-    items, item = _intern([it for s in sessions for it in s.items])
-    days = np.array([s.day for s in sessions], dtype=np.int64)
-    position = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+def sessions_to_interactions(sessions: Sessions, action: str = "view") -> Corpus:
+    """The corpus of the sessions' items, the p-th of a session p seconds into its
+    day; its vocabularies hold the tokens the rows use, first appearance first."""
+    lengths = np.diff(sessions.offsets)
+    n = int(sessions.offsets[-1])
+    users, user = _recode(np.repeat(sessions.user, lengths), sessions.users)
+    items, item = _recode(sessions.item, sessions.items)
+    position = np.arange(n) - np.repeat(sessions.offsets[:-1], lengths)
     return Corpus(
-        users, items, np.repeat(user, lengths), item,
-        np.repeat(days * SECONDS_PER_DAY, lengths) + position,
+        users, items, user, item,
+        np.repeat(sessions.day * SECONDS_PER_DAY, lengths) + position,
         np.full(n, ACTIONS.index(action), np.int8), np.full(n, np.nan),
         np.full(n, -1, np.int64), [""] * n,
     )
@@ -962,7 +961,7 @@ class Dataset:
     items: list[str]
     user_index: dict[str, int]
     item_index: dict[str, int]
-    sessions: list[Session]
+    sessions: Sessions
 
     @classmethod
     def from_interactions(cls, corpus: Corpus) -> "Dataset":

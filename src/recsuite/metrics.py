@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data
+from . import data, minibatch
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ class _ShapeError(ValueError):
     """A scorer returned the wrong number of scores for one instance."""
 
 
-# what fails a single instance (an unknown user or item, a wrong-length
+# what fails a single instance (a scorer's lookup error, a wrong-length
 # score vector); any other exception is a bug and propagates
 _DATA_ERRORS = (KeyError, IndexError, _ShapeError)
 
@@ -211,11 +211,9 @@ def _counts(S, cols):
     return ahead, below, equal
 
 
-def _flat(n, groups) -> np.ndarray:
-    """Positions `b * n + item` in a len(groups) x n block of each group's items."""
-    lengths = [len(g) for g in groups]
-    items = np.concatenate([np.zeros(0, np.int64)] + [np.asarray(g, np.int64) for g in groups])
-    return np.repeat(np.arange(len(groups)) * n, lengths) + items
+def _flat(n, lists) -> np.ndarray:
+    """Positions `b * n + item` in a B x n block of the items of `minibatch.Lists`."""
+    return np.nonzero(lists.mask)[0] * n + lists.flat
 
 
 def _distinct(positions) -> np.ndarray:
@@ -229,7 +227,7 @@ def _chunk_values(S, contexts, targets, seen, cutoffs, exclude_context):
 
     Each count is taken over whole rows, one comparison with the target's
     score, less the count over the few items a metric leaves out (the
-    context, the train history), which are compared one by one. Returns
+    context, the train history: `minibatch.Lists`), compared one by one. Returns
     {(metric, cutoff): B values} for the top-k metrics, each instance's
     rankable item count, and the AUC of every instance as B values with
     NaN where its negative pool is empty.
@@ -291,79 +289,77 @@ def evaluate(
     and must return one score per catalog item. Instances are scored in
     chunks of consecutive instances (`score_batch`, or `score_items` one at
     a time for a scorer without it), each chunk at most 64 rows and 2**18
-    scores. Every metric follows from ranks under the rule of `top_k`,
-    taken with one comparison of each score row against its target's
-    score: precision@k and recall@k from the target's rank among the
-    rankable items, novelty (mcan@k) from how many distinct context items
-    rank within the first k, and AUC from the target's wins and ties over
-    its negatives, the items outside the user's train history, the
-    context and the target. With exclude_context on, context items are
-    not rankable (novelty is then 1 by construction); an instance left
-    with fewer than k items to rank has its precision@k taken over the
-    items ranked and is counted in the report's `short_rankings[k]`.
+    scores, gathered as `minibatch.Lists` from the split's index arrays.
+    Every metric follows from ranks under the rule of `top_k`, taken with
+    one comparison of each score row against its target's score:
+    precision@k and recall@k from the target's rank among the rankable
+    items, novelty (mcan@k) from how many distinct context items rank
+    within the first k, and AUC from the target's wins and ties over its
+    negatives, the items outside the user's train history, the context and
+    the target. With exclude_context on, context items are not rankable
+    (novelty is then 1 by construction); an instance left with fewer than k
+    items to rank has its precision@k taken over the items ranked and is
+    counted in the report's `short_rankings[k]`.
 
-    A lookup error (KeyError, IndexError: an unknown user or item), a
-    score vector of the wrong length, or a context that covers the catalog
-    when it is excluded (nothing is left to rank) fails only its instance
-    and is listed in the report's failures, in instance order, and counted
-    under its cause in `failure_causes`; any other exception propagates.
+    A scorer's lookup error (KeyError, IndexError: an unknown user or
+    item), a score vector of the wrong length, or a context that covers the
+    catalog when it is excluded (nothing is left to rank) fails only its
+    instance and is listed in the report's failures, in instance order, and
+    counted under its cause in `failure_causes`; any other exception
+    propagates.
     """
     history = data.Histories(split.train, dataset)
+    test = split.test
     cutoffs = sorted(set(int(k) for k in cutoffs))
     n = dataset.n_items
     report = EvalReport(model=model_name, rows=[])
+    long_len = history.long_lengths(test.user, test.day)
 
-    def fail(inst, message, cause):
-        report.failures.append(f"user {inst.user} day {inst.day}: {message}")
+    def inputs(q):
+        return minibatch.instances(history, test, q, test.hold[q], long_len[q])
+
+    def fail(i, message, cause):
+        report.failures.append(f"user {dataset.users[test.user[i]]} day {test.day[i]}: {message}")
         report.failure_causes[cause] = report.failure_causes.get(cause, 0) + 1
 
     users, rankable, aucs = [], [], []
     values = {(name, k): [] for name in ("precision", "recall", "mcan") for k in cutoffs}
     chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // max(n, 1)))
-    for start in range(0, len(split.test), chunk):
-        part = split.test[start:start + chunk]
-        inputs = []  # per instance: (user, long items, context, target) or its error
-        for inst in part:
-            try:
-                inputs.append((
-                    dataset.user_index[inst.user],
-                    history.long_term(inst.user, inst.day),
-                    [dataset.item_index[i] for i in inst.context],
-                    dataset.item_index[inst.target],
-                ))
-            except _DATA_ERRORS as exc:
-                inputs.append(exc)
-        found = [x for x in inputs if not isinstance(x, Exception)]
-        scored = iter(_score_rows(scorer, [x[0] for x in found], [x[1] for x in found],
-                                  [x[2] for x in found], n) if found else ())
-
-        kept, rows = [], []  # the instances ranked: (instance, inputs), score row
-        for inst, x in zip(part, inputs):
-            scores = x if isinstance(x, Exception) else next(scored)
+    for start in range(0, len(test), chunk):
+        q = np.arange(start, min(start + chunk, len(test)))
+        x = inputs(q)
+        scored = _score_rows(scorer, *x[:3], n)
+        covered = np.zeros(q.size, dtype=bool)
+        if exclude_context and cutoffs:
+            covered = np.bincount(_distinct(_flat(n, x[2])) // n, minlength=q.size) == n
+        kept = []  # the instances ranked, by place in the chunk
+        for b, scores in enumerate(scored):
             if isinstance(scores, Exception):
-                fail(inst, scores, WRONG_LENGTH if isinstance(scores, _ShapeError)
+                fail(q[b], scores, WRONG_LENGTH if isinstance(scores, _ShapeError)
                      else UNKNOWN)
-            elif exclude_context and cutoffs and len(set(x[2])) == n:
-                fail(inst, "no item left to rank once its context is dropped", COVERED)
+            elif covered[b]:
+                fail(q[b], "no item left to rank once its context is dropped", COVERED)
             else:
-                kept.append((inst, x))
-                rows.append(scores)
+                kept.append(b)
         if not kept:
             continue
+        if len(kept) < q.size:
+            x = inputs(q[kept])
         chunk_values, chunk_rankable, auc = _chunk_values(
-            np.array(rows), [x[2] for _, x in kept], np.array([x[3] for _, x in kept]),
-            [history.seen(inst.user) for inst, _ in kept], cutoffs, exclude_context,
+            np.array([scored[b] for b in kept]), x[2], x[3],
+            minibatch.gather(history.seen, history.start[x[0]], np.diff(history.start)[x[0]]),
+            cutoffs, exclude_context,
         )
-        users.extend(x[0] for _, x in kept)
+        users.append(x[0])
         rankable.append(chunk_rankable)
         aucs.append(auc)
         for key, v in chunk_values.items():
             values[key].append(v)
 
-    report.n_instances = len(users)
     if not users:
         return report
-    users, rankable, aucs = np.array(users), np.concatenate(rankable), np.concatenate(aucs)
+    users, rankable, aucs = (np.concatenate(a) for a in (users, rankable, aucs))
+    report.n_instances = len(users)
     for (name, k), v in values.items():
         report.rows.append((name, k, _user_mean_then_global(users, np.concatenate(v))))
     has_pool = ~np.isnan(aucs)

@@ -14,19 +14,23 @@ row.
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 
-class Lists(NamedTuple):
+@dataclass
+class Lists:
     """Ragged index lists as a B x L array: L is the longest list's length,
     at least 1. `mask` marks the entries, padded slots of `idx` hold index
-    0, and `flat` = idx[mask] lists every entry in instance order."""
+    0, and `flat` = idx[mask] lists every entry in instance order.
+    Iterating gives the B lists, each an index array."""
 
     idx: np.ndarray
     mask: np.ndarray
     flat: np.ndarray
+
+    def __iter__(self):
+        return map(np.ndarray.__getitem__, self.idx, self.mask)
 
 
 def gather(values, starts, lengths, skip=None) -> Lists:
@@ -107,18 +111,25 @@ class Rows:
         return sums.reshape((self.index.size,) + values.shape[1:])
 
 
+def instances(history, sessions, s, hold, long_len):
+    """(users, long-term lists, contexts, targets) of the instances holding out
+    item hold[b] of session s[b] of a `data.Sessions`, the long-term list the
+    first long_len[b] of the user's items in the `data.Histories`."""
+    users, start = sessions.user[s], sessions.offsets[s]
+    return (users, gather(history.first_seen, history.start[users], long_len),
+            gather(sessions.item, start, sessions.offsets[s + 1] - start - 1, hold),
+            sessions.item[start + hold])
+
+
 def batch_of(history, q, draws) -> Batch:
-    """The training instances at positions q of a `data.Histories`' items:
-    item q held out of its session, the rest of that session as context,
-    the session's long-term list, and the user's draws[b]-th untouched item
-    as negative."""
-    s = np.searchsorted(history.offsets, q, "right") - 1
-    users, start = history.user[s], history.offsets[s]
-    negatives = history.unseen_items(users, draws)
-    return Batch(users, gather(history.first_seen, history.start[users], history.long_len[s]),
-                 gather(history.items, start, history.offsets[s + 1] - start - 1, q - start),
-                 history.items[q],
-                 Lists(negatives[:, None], np.ones((q.size, 1), dtype=bool), negatives))
+    """The training instances at positions q of the items of a `data.Histories`'
+    sessions: item q held out of its session (`instances`), and the user's
+    draws[b]-th untouched item as negative."""
+    offsets = history.sessions.offsets
+    s = np.searchsorted(offsets, q, "right") - 1
+    x = instances(history, history.sessions, s, q - offsets[s], history.long_len[s])
+    negatives = history.unseen_items(x[0], draws)
+    return Batch(*x, Lists(negatives[:, None], np.ones((q.size, 1), dtype=bool), negatives))
 
 
 def train(state, history, epochs, batch_size, rng, step):
@@ -136,7 +147,8 @@ def train(state, history, epochs, batch_size, rng, step):
     Appends the mean batch loss of each epoch to state.trace and returns
     state.
     """
-    users = np.repeat(history.user, np.diff(history.offsets))  # each instance's user
+    sessions = history.sessions
+    users = np.repeat(sessions.user, np.diff(sessions.offsets))  # each instance's user
     pool = history.dataset.n_items - np.diff(history.start)[users]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):

@@ -122,7 +122,13 @@ def parse_weights_text(text: str) -> dict[str, list[tuple[str, float]]]:
         trait, category, weight = parts
         if trait not in TRAIT_ORDER:
             raise ValueError(f"weights line {line_no}: unknown trait {trait!r}")
-        weights[trait].append((category, float(weight)))
+        try:
+            value = float(weight)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise ValueError(f"weights line {line_no}: weight {weight!r} is not a finite number")
+        weights[trait].append((category, value))
     return weights
 
 
@@ -307,14 +313,3 @@ def profiles_to_csv(profiles: list[PersonalityProfile], path) -> None:
         w.writerow(["user"] + TRAIT_ORDER + ["dominant"])
         for p in profiles:
             w.writerow([p.user] + [p.scores[t] for t in TRAIT_ORDER] + [p.dominant])
-
-
-def profiles_from_csv(path) -> list[PersonalityProfile]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            scores = {t: float(row[t]) for t in TRAIT_ORDER}
-            out.append(
-                PersonalityProfile(user=row["user"], scores=scores, dominant=row["dominant"])
-            )
-    return out

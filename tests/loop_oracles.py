@@ -53,7 +53,7 @@ def list_train(prepared):
     non-empty pool, one `rng.integers` draw over their pool sizes, each
     negative taken from its pool, and a batch built from Python lists."""
     def train(state, history, epochs, batch_size, rng, step):
-        assert len(prepared) == history.items.size
+        assert len(prepared) == history.sessions.item.size
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
                 order = rng.permutation(len(prepared))

@@ -13,7 +13,13 @@ appearance, and `rows` turns a `data.Corpus` back into them.
 `rating_matrix`, `sessionize`, `profile_all`, `knowledge_levels`,
 `dsw_degree` and `cross_cluster_disjointness` are the per-row loops over
 `Interaction` rows that the `data` and `personality` functions of those
-names (`data.RatingMatrix.from_interactions` for the first) replaced.
+names (`data.RatingMatrix.from_interactions` for the first) replaced;
+`sessionize` returns the token `data.Session` objects that
+`data.sessionize` returned before it kept sessions as index arrays.
+`split` is the loop over token objects that `data.split` ran before it
+split index arrays, with one `rng.integers` call per held-out target.
+`sessions_of` turns hand-written `data.Session` objects into a
+`data.Sessions`, or `data.TestInstance` objects into a `data.HeldOut`.
 `split_ratings` groups rating triplets per user in a dict and splits each
 user's list in a Python loop, as `data.split_ratings` did before it grouped
 them with one stable sort.
@@ -24,8 +30,8 @@ the arithmetic training runs.
 `training_instances`, per-user `train_histories` sets and a set-difference
 complement per user, the way `data.prepared_instances` did before
 `data.Histories`. `long_term_before` re-sorts and re-walks a user's
-sessions for each day, the quadratic way `Histories.long_term` built its
-lists before it took them as prefixes of one walk.
+sessions for each day, the quadratic way long-term lists were built
+before `data.Histories` took them as prefixes of one walk.
 `profile_user` profiles one user with a lexicon compiled for them alone,
 as `personality.profile_all` did before it compiled the lexicon once, and
 scores them through `Matcher` (a `collections.Counter` of tokens per text),
@@ -35,7 +41,9 @@ regular expression that `personality.tokenize` replaced with a byte table.
 `evaluate` is the per-instance loop `metrics.evaluate` ran before it took
 every metric from ranks over a whole chunk: a `metrics.top_k` list per
 instance, then `precision_at_k`, `recall_at_k`, `can_novelty` and `auc` on
-it.
+it; it reads each instance as token objects, its long-term list through
+`long_term_before`, as `metrics.evaluate` did before it gathered them
+from index arrays.
 """
 
 import collections
@@ -409,6 +417,94 @@ def sessionize(events):
     return sessions
 
 
+def sessions_of(objects, users=None, items=None) -> data.Sessions:
+    """`data.Session` objects as a `data.Sessions`, in their order, or
+    `data.TestInstance` objects as a `data.HeldOut` whose sessions hold each
+    target out after its context.
+
+    The codes index the `users` and `items` vocabularies; one not given
+    lists the tokens of the objects in order of first appearance.
+    """
+    objects = list(objects)
+    held = bool(objects) and isinstance(objects[0], data.TestInstance)
+    lists = [o.context + [o.target] if held else o.items for o in objects]
+    if users is None:
+        users = list(dict.fromkeys(o.user for o in objects))
+    if items is None:
+        items = list(dict.fromkeys(it for lst in lists for it in lst))
+    user_index, item_index = data._index(users), data._index(items)
+    sessions = data.Sessions(
+        users, items,
+        np.array([user_index[o.user] for o in objects], dtype=np.int64),
+        np.array([o.day for o in objects], dtype=np.int64),
+        np.array([o.t for o in objects], dtype=np.int64),
+        np.cumsum([0] + [len(lst) for lst in lists], dtype=np.int64),
+        np.array([item_index[it] for lst in lists for it in lst], dtype=np.int64),
+    )
+    if not held:
+        return sessions
+    return data.HeldOut(**vars(sessions),
+                        hold=np.array([len(o.context) for o in objects], dtype=np.int64))
+
+
+def split(sessions, policy, rng, test_fraction=0.2):
+    """(train, test, warnings) of a list of `data.Session` objects: the
+    token-object loop `data.split` ran before it split index arrays, with
+    one `rng.integers` call per held-out target."""
+    warnings = []
+    per_user = collections.Counter(s.user for s in sessions)
+
+    if policy == "random-80-20":
+        eligible = [
+            idx
+            for idx, s in enumerate(sessions)
+            if len(s.items) >= 2 and per_user[s.user] >= 2
+        ]
+        for s in sessions:
+            if per_user[s.user] == 1 and len(s.items) == 1:
+                warnings.append(
+                    f"user {s.user}: single one-item session, excluded from test"
+                )
+        n_test = min(len(eligible), max(1, round(test_fraction * len(sessions))))
+        if not eligible:
+            raise ValueError("no session is eligible for the test side")
+        chosen = set(
+            int(i) for i in rng.choice(len(eligible), size=n_test, replace=False)
+        )
+        test_idx = {eligible[i] for i in chosen}
+    elif policy == "last-week":
+        max_day = max((s.day for s in sessions), default=None)
+        if max_day is None:
+            raise ValueError("cannot split an empty session list")
+        test_idx = {i for i, s in enumerate(sessions) if s.day > max_day - 7}
+        if len(test_idx) == len(sessions):
+            raise ValueError("last-week split leaves the training side empty")
+    else:
+        raise ValueError(f"unknown split policy {policy!r}")
+
+    train, test = [], []
+    for idx, s in enumerate(sessions):
+        if idx not in test_idx:
+            train.append(s)
+            continue
+        if len(s.items) < 2:
+            warnings.append(
+                f"user {s.user}: test session on day {s.day} has a single item, "
+                "cannot hold out a target; excluded"
+            )
+            if policy == "last-week":
+                continue  # too recent for train, too short for test
+            train.append(s)
+            continue
+        hold = int(rng.integers(len(s.items)))
+        context = s.items[:hold] + s.items[hold + 1 :]
+        test.append(
+            data.TestInstance(user=s.user, day=s.day, t=s.t, context=context,
+                              target=s.items[hold])
+        )
+    return train, test, warnings
+
+
 def long_term_before(user_sessions, day):
     """Deduplicated items of the user's sessions strictly before `day`."""
     ordered = sorted(user_sessions, key=lambda s: (s.day, s.t))
@@ -543,12 +639,16 @@ def _user_mean_then_global(per_user: dict) -> float:
 def evaluate(scorer, dataset, split, cutoffs, model_name, exclude_context=True):
     """`metrics.evaluate` one instance at a time: a top-k list, then each metric.
 
-    Each instance is scored alone (`metrics._score_rows` on a batch of
-    one), ranked by `metrics.top_k` without its context when that is
-    excluded, and scored by the per-instance metrics above; AUC pairs the
-    target with every item outside the train history, context and target.
+    Each instance is taken from token objects (the test instances, and
+    each user's train sessions with `long_term_before`), scored alone
+    (`metrics._score_rows` on a batch of one), ranked by `metrics.top_k`
+    without its context when that is excluded, and scored by the
+    per-instance metrics above; AUC pairs the target with every item
+    outside the train history, context and target.
     """
-    history = data.Histories(split.train, dataset)
+    train = {}
+    for s in split.train:
+        train.setdefault(s.user, []).append(s)
     cutoffs = sorted(set(int(k) for k in cutoffs))
     n = dataset.n_items
     per_user = {(name, k): {} for name in ("precision", "recall", "mcan") for k in cutoffs}
@@ -557,14 +657,11 @@ def evaluate(scorer, dataset, split, cutoffs, model_name, exclude_context=True):
     short = dict.fromkeys(cutoffs, 0)
     n_done = 0
     for inst in split.test:
-        try:
-            user = dataset.user_index[inst.user]
-            long_items = history.long_term(inst.user, inst.day)
-            ctx_idx = [dataset.item_index[i] for i in inst.context]
-            target = dataset.item_index[inst.target]
-        except (KeyError, IndexError) as exc:
-            failures.append(f"user {inst.user} day {inst.day}: {exc}")
-            continue
+        mine = train.get(inst.user, [])
+        user = dataset.user_index[inst.user]
+        long_items = [dataset.item_index[i] for i in long_term_before(mine, inst.day)]
+        ctx_idx = [dataset.item_index[i] for i in inst.context]
+        target = dataset.item_index[inst.target]
         scores = metrics._score_rows(scorer, [user], [long_items], [ctx_idx], n)[0]
         if isinstance(scores, Exception):
             failures.append(f"user {inst.user} day {inst.day}: {scores}")
@@ -585,7 +682,7 @@ def evaluate(scorer, dataset, split, cutoffs, model_name, exclude_context=True):
             per_user[("mcan", k)].setdefault(inst.user, []).append(
                 can_novelty(topk, ctx_idx))
         outside = np.ones(n, dtype=bool)
-        outside[history.seen(inst.user)] = False
+        outside[[dataset.item_index[i] for s in mine for i in s.items]] = False
         outside[ctx_idx + [target]] = False
         pool = np.flatnonzero(outside)
         if pool.size:

@@ -38,7 +38,7 @@ def planted():
         data.Session(user="m" + s.user, t=s.t, day=s.day, items=s.items)
         for s in multi
     ]
-    sessions = solo + multi
+    sessions = oracles.sessions_of([*solo, *multi])
     assert len(sessions) == 2000
     ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
     sp = data.split(ds.sessions, "random-80-20", make_rng(1))
@@ -192,8 +192,10 @@ def test_03_metrics_match_brute_force():
         data.TestInstance(user="d", day=1, t=1, context=["i0", "i2"], target="i1"),
         data.TestInstance(user="e", day=1, t=1, context=["i1", "i2"], target="i3"),
     ]
+    train = oracles.sessions_of(train)
     ds = data.Dataset.from_interactions(data.sessions_to_interactions(train))
-    sp = data.Split(train=train, test=tests, policy="fixed", warnings=[])
+    sp = data.Split(train=train, test=oracles.sessions_of(tests, ds.users, ds.items),
+                    policy="fixed", warnings=[])
     scores = {
         0: [0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
         1: [0.5, 0.5, 0.5, 0.2, 0.9, 0.2],
@@ -279,7 +281,7 @@ def test_04_null_calibration():
     auc = metrics.evaluate(rnd, ds, sp, [10], "random", exclude_context=False).value("auc")
     assert 0.48 <= auc <= 0.52
 
-    top = baselines.top_scorer(sp.train, ds.item_index, ds.n_items)
+    top = baselines.top_scorer(sp.train, ds.n_items)
     recall = metrics.evaluate(top, ds, sp, [10], "top", exclude_context=False).value(
         "recall", 10
     )
@@ -295,7 +297,7 @@ def test_05_planted_successor_recovery(planted, das_trained, can_trained):
     das_state, _, das_seconds = das_trained
     can_state, _, can_seconds = can_trained
 
-    top = baselines.top_scorer(sp.train, ds.item_index, ds.n_items)
+    top = baselines.top_scorer(sp.train, ds.n_items)
     assert _recall5(top, ds, sp, "top") <= 0.3
 
     assert _recall5(das_state, ds, sp, "das") >= 0.8
@@ -321,7 +323,8 @@ def test_06_training_order_shuffle_is_harmless(planted, das_trained):
         )
         for s in sp.train
     ]
-    sp2 = data.Split(train=shuffled, test=sp.test, policy=sp.policy,
+    sp2 = data.Split(train=oracles.sessions_of(shuffled, ds.users, ds.items), test=sp.test,
+                     policy=sp.policy,
                      warnings=list(sp.warnings))
     other = _recall5(das.train_das(sp2, ds, cfg), ds, sp2, "das")
     assert abs(base - other) < 0.05

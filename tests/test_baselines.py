@@ -10,7 +10,7 @@ from recsuite import baselines, data
 from recsuite.numeric import make_rng
 
 
-def sessions_of(counts):
+def sessions_of(counts, items=None):
     """One user, one session per item occurrence, for popularity fixtures."""
     out = []
     t = 0
@@ -18,36 +18,36 @@ def sessions_of(counts):
         for _ in range(c):
             out.append(data.Session(user="u", t=t, day=t, items=[item]))
             t += 1
-    return out
+    return oracles.sessions_of(out, items=items)
 
 
 class TestTop:
     def test_counts_rank_a_first(self):
         idx = {"a": 0, "b": 1}
-        s = baselines.top_scorer(sessions_of({"a": 3, "b": 1}), idx, 2)
+        s = baselines.top_scorer(sessions_of({"a": 3, "b": 1}, list(idx)), 2)
         order = oracles.rank_items(s.score_items(0, [], []))
         assert [list(idx)[i] for i in order] == ["a", "b"]
 
     def test_tie_breaks_by_index_then_leader_flips(self):
         idx = {"a": 0, "b": 1}
-        tied = baselines.top_scorer(sessions_of({"a": 3, "b": 3}), idx, 2)
+        tied = baselines.top_scorer(sessions_of({"a": 3, "b": 3}, list(idx)), 2)
         assert list(oracles.rank_items(tied.score_items(0, [], []))) == [0, 1]
-        ahead = baselines.top_scorer(sessions_of({"a": 3, "b": 4}), idx, 2)
+        ahead = baselines.top_scorer(sessions_of({"a": 3, "b": 4}, list(idx)), 2)
         assert list(oracles.rank_items(ahead.score_items(0, [], []))) == [1, 0]
 
     def test_unseen_item_scores_zero(self):
-        s = baselines.top_scorer(sessions_of({"a": 2}), {"a": 0, "b": 1}, 2)
+        s = baselines.top_scorer(sessions_of({"a": 2}, ["a", "b"]), 2)
         assert s.score_items(0, [], [])[1] == 0.0
 
     def test_counts_duplicate_within_session(self):
-        ses = [data.Session(user="u", t=0, day=0, items=["a", "a", "b"])]
-        s = baselines.top_scorer(ses, {"a": 0, "b": 1}, 2)
+        ses = oracles.sessions_of([data.Session(user="u", t=0, day=0, items=["a", "a", "b"])])
+        s = baselines.top_scorer(ses, 2)
         assert list(s.score_items(0, [], [])) == [2.0, 1.0]
 
     @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
     def test_same_ranking_for_every_user(self, u1, u2):
         idx = {"a": 0, "b": 1, "c": 2}
-        s = baselines.top_scorer(sessions_of({"a": 5, "b": 2, "c": 7}), idx, 3)
+        s = baselines.top_scorer(sessions_of({"a": 5, "b": 2, "c": 7}, list(idx)), 3)
         r1 = list(oracles.rank_items(s.score_items(u1, [], [])))
         r2 = list(oracles.rank_items(s.score_items(u2, [], ["a"])))
         assert r1 == r2
@@ -150,10 +150,10 @@ def bpr_inputs(pairs, n_users=20, n_items=20):
     """
     users = [f"u{u}" for u in range(n_users)]
     items = [f"i{i}" for i in range(n_items)]
-    train = [
+    train = oracles.sessions_of([
         data.Session(user=users[u], t=t, day=t, items=[items[i]])
         for t, (u, i) in enumerate(pairs)
-    ]
+    ], users, items)
     ds = data.Dataset(
         users=users, items=items,
         user_index={u: k for k, u in enumerate(users)},

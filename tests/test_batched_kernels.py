@@ -139,12 +139,14 @@ def test_one_dropout_draw_equals_per_instance_draws():
 
 
 def test_pad_layout():
-    idx, mask, flat = minibatch.pad([[4, 4], [], [1, 2, 3]])
-    assert idx.tolist() == [[4, 4, 0], [0, 0, 0], [1, 2, 3]]
-    assert mask.tolist() == [[True, True, False], [False] * 3, [True] * 3]
-    assert flat.tolist() == [4, 4, 1, 2, 3]
-    idx, mask, flat = minibatch.pad([[], []])
-    assert idx.shape == mask.shape == (2, 1) and not mask.any() and flat.size == 0
+    lists = minibatch.pad([[4, 4], [], [1, 2, 3]])
+    assert lists.idx.tolist() == [[4, 4, 0], [0, 0, 0], [1, 2, 3]]
+    assert lists.mask.tolist() == [[True, True, False], [False] * 3, [True] * 3]
+    assert lists.flat.tolist() == [4, 4, 1, 2, 3]
+    assert [row.tolist() for row in lists] == [[4, 4], [], [1, 2, 3]]
+    lists = minibatch.pad([[], []])
+    assert lists.idx.shape == lists.mask.shape == (2, 1)
+    assert not lists.mask.any() and lists.flat.size == 0
 
 
 def test_table_gradients_hold_only_the_rows_read():

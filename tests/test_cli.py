@@ -268,6 +268,19 @@ class TestProfile:
         assert "weights reference unknown category 'nosuchcat'" in res.output
         assert not (out / "profiles.csv").exists()
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "1e400", "abc"])
+    def test_a_weight_that_is_no_finite_number_is_named_by_line(self, tmp_path, weight):
+        corpus, _ = synth_personality(tmp_path / "s")
+        weights = tmp_path / "w.txt"
+        weights.write_text(f"# weights\nC achievement 1\nO anger {weight}\n")
+        out = tmp_path / "p"
+        res = runner.invoke(main, ["profile", str(corpus), "--weights", str(weights),
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert f"weights line 3: weight {weight!r} is not a finite number" in res.output
+        assert "Traceback" not in res.output and not isinstance(res.exception, AssertionError)
+        assert not (out / "profiles.csv").exists()
+
 
 class TestTrain:
     def test_das_checkpoint_trace_manifest(self, tmp_path):

@@ -210,11 +210,10 @@ class TestGradCheck:
 
 class TestInstancePlumbing:
     def test_every_position_held_out(self):
-        s = data.Session(user="u", t=0, day=0, items=["a", "b", "c"])
-        ds = data.Dataset.from_interactions(data.sessions_to_interactions([s]))
-        sp = data.Split(train=[s], test=[], policy="random-80-20")
-        hist = data.Histories(sp.train, ds)
-        q = np.arange(hist.items.size)
+        s = oracles.sessions_of([data.Session(user="u", t=0, day=0, items=["a", "b", "c"])])
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions(s))
+        hist = data.Histories(ds.sessions, ds)
+        q = np.arange(hist.sessions.item.size)
         batch = minibatch.batch_of(hist, q, np.zeros_like(q))  # no draw: u touched every item
         assert [(ds.items[t], [ds.items[j] for j in c])
                 for _, _, c, t, _ in loop_oracles.instances(batch)] == [
@@ -229,11 +228,10 @@ class TestInstancePlumbing:
             data.Session(user="u", t=1, day=1, items=["b", "a"]),
             data.Session(user="v", t=0, day=0, items=["c"]),
         ]
-        ds = data.Dataset.from_interactions(data.sessions_to_interactions(ss))
-        hist = data.Histories(ss, ds)
-        assert {u: {ds.items[i] for i in hist.seen(u)} for u in ("u", "v")} == {
-            "u": {"a", "b"}, "v": {"c"}
-        }
+        ds = data.Dataset.from_interactions(data.sessions_to_interactions(oracles.sessions_of(ss)))
+        hist = data.Histories(oracles.sessions_of(ss, ds.users, ds.items), ds)
+        assert {u: {ds.items[i] for i in hist.seen[hist.start[k]:hist.start[k + 1]]}
+                for k, u in enumerate(ds.users)} == {"u": {"a", "b"}, "v": {"c"}}
 
 
 def tiny_corpus(seed=0, n_items=8, n_users=4, spu=3):

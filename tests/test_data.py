@@ -380,22 +380,27 @@ def rows_corpus(*rows):
     return oracles.from_rows(rows)
 
 
+def sessionize(*rows):
+    return list(data.sessionize(rows_corpus(*rows)))
+
+
 class TestSessionize:
     def test_same_day_one_session(self):
-        out = data.sessionize(rows_corpus(I("u", "a", 100), I("u", "b", 50)))
+        out = sessionize(I("u", "a", 100), I("u", "b", 50))
         assert len(out) == 1
         assert out[0].items == ["b", "a"]  # timestamp order
 
     def test_different_days_two_sessions(self):
-        out = data.sessionize(rows_corpus(I("u", "a", 0), I("u", "b", data.SECONDS_PER_DAY)))
+        out = sessionize(I("u", "a", 0), I("u", "b", data.SECONDS_PER_DAY))
         assert len(out) == 2
         assert [s.t for s in out] == [0, 1]
 
     def test_empty(self):
-        assert data.sessionize(rows_corpus()) == []
+        assert sessionize() == []
+        assert len(data.sessionize(rows_corpus())) == 0
 
     def test_duplicates_retained(self):
-        out = data.sessionize(rows_corpus(I("u", "a", 1), I("u", "a", 2)))
+        out = sessionize(I("u", "a", 1), I("u", "a", 2))
         assert out[0].items == ["a", "a"]
 
     events = st.lists(
@@ -410,7 +415,7 @@ class TestSessionize:
     @given(events)
     def test_concat_reproduces_per_user_sequence(self, tuples):
         evs = [I(u, i, ts) for u, i, ts in tuples]
-        sessions = data.sessionize(rows_corpus(*evs))
+        sessions = sessionize(*evs)
         for user in {e.user for e in evs}:
             per_user = [s for s in sessions if s.user == user]
             assert [s.t for s in per_user] == list(range(len(per_user)))
@@ -432,9 +437,10 @@ class TestLongShort:
         ]
 
     def long_term(self, day, sessions=None):
-        sessions = sessions or self.sessions()
-        ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
-        return [ds.items[i] for i in data.Histories(sessions, ds).long_term("u", day)]
+        ds, hist = histories(sessions or self.sessions())
+        u = ds.user_index["u"]
+        length = hist.long_lengths(np.array([u]), np.array([day]))[0]
+        return [ds.items[i] for i in hist.first_seen[hist.start[u]:hist.start[u] + length]]
 
     def test_first_session_boundary(self):
         assert self.long_term(0) == []
@@ -464,6 +470,17 @@ class TestLongShort:
             assert set(G_next) == set(G) | set(sessions[day].items)
 
 
+def histories(sessions):
+    """The dataset of `Session` objects and the `Histories` of all of them."""
+    ds = data.Dataset.from_interactions(
+        data.sessions_to_interactions(oracles.sessions_of(sessions)))
+    return ds, data.Histories(oracles.sessions_of(sessions, ds.users, ds.items), ds)
+
+
+def split(sessions, policy, rng):
+    return data.split(oracles.sessions_of(sessions), policy, rng)
+
+
 def make_sessions(n_users, per_user, length=3, start_item=0, n_items=20):
     out = []
     k = start_item
@@ -478,8 +495,8 @@ def make_sessions(n_users, per_user, length=3, start_item=0, n_items=20):
 class TestSplit:
     def test_random_ratio_and_reproducibility(self):
         sessions = make_sessions(5, 2)  # 10 sessions
-        s1 = data.split(sessions, "random-80-20", make_rng(7))
-        s2 = data.split(sessions, "random-80-20", make_rng(7))
+        s1 = split(sessions, "random-80-20", make_rng(7))
+        s2 = split(sessions, "random-80-20", make_rng(7))
         assert len(s1.train) == 8 and len(s1.test) == 2
         assert [(t.user, t.target, t.context) for t in s1.test] == [
             (t.user, t.target, t.context) for t in s2.test
@@ -490,7 +507,7 @@ class TestSplit:
             data.Session(user="u", t=0, day=0, items=["a", "b", "c"]),
             data.Session(user="u", t=1, day=1, items=["a", "b", "c"]),
         ]
-        sp = data.split(sessions, "random-80-20", make_rng(0))
+        sp = split(sessions, "random-80-20", make_rng(0))
         for inst in sp.test:
             assert inst.target in {"a", "b", "c"}
             assert len(inst.context) == 2
@@ -499,34 +516,83 @@ class TestSplit:
     def test_last_week_all_same_week_errors(self):
         sessions = make_sessions(3, 2)  # days 0..1 only
         with pytest.raises(ValueError):
-            data.split(sessions, "last-week", make_rng(0))
+            split(sessions, "last-week", make_rng(0))
 
     def test_last_week_policy(self):
         old = [data.Session(user="u", t=0, day=0, items=["a", "b"])]
         recent = [data.Session(user="u", t=1, day=30, items=["c", "d"])]
-        sp = data.split(old + recent, "last-week", make_rng(1))
-        assert len(sp.train) == 1 and sp.train[0].day == 0
-        assert len(sp.test) == 1 and sp.test[0].day == 30
+        sp = split(old + recent, "last-week", make_rng(1))
+        assert [s.day for s in sp.train] == [0]
+        assert [inst.day for inst in sp.test] == [30]
 
     def test_single_one_item_session_user_excluded_with_warning(self):
         sessions = [data.Session(user="lonely", t=0, day=30, items=["a"])] + [
             data.Session(user="u", t=0, day=0, items=["a", "b"]),
             data.Session(user="u", t=1, day=30, items=["a", "b"]),
         ]
-        sp = data.split(sessions, "last-week", make_rng(1))
+        sp = split(sessions, "last-week", make_rng(1))
         assert all(inst.user != "lonely" for inst in sp.test)
         assert any("lonely" in w for w in sp.warnings)
 
     def test_train_test_disjoint(self):
         sessions = make_sessions(6, 4)
-        sp = data.split(sessions, "random-80-20", make_rng(3))
+        sp = split(sessions, "random-80-20", make_rng(3))
         test_keys = {(i.user, i.day) for i in sp.test}
         train_keys = {(s.user, s.day) for s in sp.train}
         assert not (test_keys & train_keys)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            data.split(make_sessions(2, 2), "bogus", make_rng(0))
+            split(make_sessions(2, 2), "bogus", make_rng(0))
+
+
+def _stamp(day, second):
+    return day * data.SECONDS_PER_DAY + second
+
+
+# user tokens whose order differs from their order of first appearance,
+# repeated items, one-item sessions, users with one session, and stamps on
+# and beside day boundaries over two weeks, so last-week has both sides
+SESSION_EVENTS = st.lists(
+    st.builds(
+        I,
+        st.sampled_from(["u3", "u1", "u2", "solo"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(
+            st.builds(_stamp, st.integers(0, 13),
+                      st.sampled_from([0, 1, data.SECONDS_PER_DAY - 1])),
+            st.integers(0, 14 * data.SECONDS_PER_DAY - 1),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@given(SESSION_EVENTS, st.sampled_from(["random-80-20", "last-week"]), st.floats(0, 1),
+       st.integers(0, 2**32 - 1))
+@example([I("u3", "a", 0), I("u3", "a", 5), I("u3", "b", _stamp(1, 0)),
+          I("solo", "c", _stamp(13, 0)), I("u1", "a", _stamp(13, 0)),
+          I("u1", "b", _stamp(14, -1)), I("u1", "c", _stamp(2, 0))],
+         "last-week", 0.2, 1)
+@example([I("u3", "a", 0), I("solo", "c", 0), I("u3", "b", _stamp(1, 0)),
+          I("u3", "c", _stamp(1, 1)), I("u2", "b", _stamp(0, -1))],
+         "random-80-20", 0.5, 2)
+def test_sessions_and_split_equal_object_oracles(events, policy, test_fraction, seed):
+    sessions = data.sessionize(rows_corpus(*events))
+    objects = oracles.sessionize(events)
+    assert list(sessions) == objects
+    rng, oracle_rng = make_rng(seed), make_rng(seed)
+    try:
+        want = oracles.split(objects, policy, oracle_rng, test_fraction)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            data.split(sessions, policy, rng, test_fraction)
+        assert str(got.value) == str(exc)
+    else:
+        sp = data.split(sessions, policy, rng, test_fraction)
+        assert (list(sp.train), list(sp.test), sp.warnings) == want
+        assert sp.policy == policy
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestSynthSequential:
@@ -817,7 +883,7 @@ def test_corpus_rows_and_csv_round_trip(tmp_path_factory, events):
 @given(EVENTS)
 def test_dataset_equals_per_row_oracle(events):
     ds = data.Dataset.from_interactions(rows_corpus(*events))
-    assert ds.sessions == oracles.sessionize(events)
+    assert list(ds.sessions) == oracles.sessionize(events)
     users = [e.user for e in events]
     items = [e.item for e in events]
     assert ds.users == sorted(set(users), key=users.index)
@@ -858,20 +924,20 @@ def padded_rows(lists) -> list:
 def test_instances_equal_set_based_oracle(train, at):
     # "all" touches the whole catalog, so its negative pool is empty
     train = train[:at] + [data.Session(user="all", t=0, day=2, items=list(CATALOG))] + train[at:]
-    ds = data.Dataset.from_interactions(data.sessions_to_interactions(train))
-    sp = data.Split(train=train, test=[], policy="random-80-20")
-    hist = data.Histories(sp.train, ds)
-    want = oracles.prepared_instances(sp, ds)
+    ds, hist = histories(train)
+    want = oracles.prepared_instances(data.Split(train=train, test=[], policy="random-80-20"),
+                                      ds)
     # every instance at once, gathered as a training batch gathers them
-    q = np.arange(hist.items.size)
+    q = np.arange(hist.sessions.item.size)
     batch = minibatch.batch_of(hist, q, np.zeros_like(q))
     assert list(zip(batch.users.tolist(), padded_rows(batch.longs), padded_rows(batch.shorts),
                     batch.positives.tolist())) == [w[:4] for w in want]
     for user, _, _, _, pool in want:
-        assert ds.n_items - hist.seen(ds.users[user]).size == pool.size
+        assert ds.n_items - (hist.start[user + 1] - hist.start[user]) == pool.size
         d = np.arange(pool.size)
         assert np.array_equal(hist.unseen_items(np.full(d.size, user), d), pool)
-    assert hist.seen("all").size == ds.n_items
+    u = ds.user_index["all"]
+    assert hist.seen[hist.start[u]:hist.start[u + 1]].tolist() == list(range(ds.n_items))
 
 
 @st.composite
@@ -889,14 +955,15 @@ def touched_items(draw):
 def test_unseen_items_are_the_complement(case):
     n, touched = case
     users, items = [f"u{k}" for k in range(len(touched))], [f"i{j}" for j in range(n)]
+    sessions = oracles.sessions_of(
+        [data.Session(user=users[k], t=0, day=0, items=[items[j] for j in seq])
+         for k, seq in enumerate(touched) if seq], users, items)
     ds = data.Dataset(users, items, {u: k for k, u in enumerate(users)},
-                      {it: j for j, it in enumerate(items)}, [])
-    sessions = [data.Session(user=users[k], t=0, day=0, items=[items[j] for j in seq])
-                for k, seq in enumerate(touched) if seq]
+                      {it: j for j, it in enumerate(items)}, sessions)
     hist = data.Histories(sessions, ds)
     for k, seq in enumerate(touched):
         complement = sorted(set(range(n)) - set(seq))
-        assert hist.seen(users[k]).tolist() == sorted(set(seq))
+        assert hist.seen[hist.start[k]:hist.start[k + 1]].tolist() == sorted(set(seq))
         d = np.arange(len(complement))
         assert hist.unseen_items(np.full(d.size, k), d).tolist() == complement
 
@@ -911,23 +978,23 @@ class TestHistories:
         ]
 
     def test_groups_each_user_in_day_order(self):
-        ds = data.Dataset.from_interactions(data.sessions_to_interactions(self.sessions()))
-        hist = data.Histories(self.sessions(), ds)
-        assert [s.day for s in hist.by_user["u"]] == [1, 3]
+        ds, hist = histories(self.sessions())
+        u = ds.user_index["u"]
+        first_seen = hist.first_seen[hist.start[u]:hist.start[u + 1]]
+        assert [ds.items[i] for i in first_seen] == ["b", "a", "c"]
+        assert hist.long_len.tolist() == [2, 0, 0]
 
-    def test_long_term_is_cached_and_in_index_space(self):
-        ds = data.Dataset.from_interactions(data.sessions_to_interactions(self.sessions()))
-        hist = data.Histories(self.sessions(), ds)
-        long_items = hist.long_term("u", 3)
-        assert [ds.items[i] for i in long_items] == ["b", "a"]
-        assert hist.long_term("u", 3) is long_items
-        assert hist.long_term("u", 1) == [] and hist.long_term("nobody", 9) == []
+    def test_long_term_is_in_index_space(self):
+        ds, hist = histories(self.sessions())
+        users = np.array([ds.user_index[u] for u in ("u", "u", "u", "v", "v")])
+        days = np.array([3, 1, 9, 0, 2])
+        assert hist.long_lengths(users, days).tolist() == [2, 0, 3, 0, 1]
+        u = ds.user_index["u"]
+        assert [ds.items[i] for i in hist.first_seen[hist.start[u]:][:2]] == ["b", "a"]
 
     def test_seen_and_unseen_split_the_catalog(self):
-        ds = data.Dataset.from_interactions(data.sessions_to_interactions(self.sessions()))
-        hist = data.Histories(self.sessions(), ds)
-        seen = hist.seen("u")
+        ds, hist = histories(self.sessions())
+        u = ds.user_index["u"]
+        seen = hist.seen[hist.start[u]:hist.start[u + 1]]
         assert sorted(ds.items[i] for i in seen) == ["a", "b", "c"]
-        u = np.array([ds.user_index["u"]])
-        assert hist.unseen_items(u, np.array([0])).tolist() == [ds.item_index["d"]]
-        assert hist.seen("nobody").size == 0
+        assert hist.unseen_items(np.array([u]), np.array([0])).tolist() == [ds.item_index["d"]]

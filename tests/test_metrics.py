@@ -221,7 +221,7 @@ def tiny_dataset():
         for t in range(3):
             items = [data.item_token((u + t + j) % 8) for j in range(3)]
             sessions.append(data.Session(user=data.user_token(u), t=t, day=t, items=items))
-    evs = data.sessions_to_interactions(sessions)
+    evs = data.sessions_to_interactions(oracles.sessions_of(sessions))
     return data.Dataset.from_interactions(evs)
 
 
@@ -277,7 +277,7 @@ class TestEvaluate:
     def test_failures_recorded_run_continues(self):
         ds = tiny_dataset()
         sp = data.split(ds.sessions, "random-80-20", make_rng(5))
-        bad_user = sp.test[0].user
+        bad_user = next(iter(sp.test)).user
 
         class Flaky:
             def score_items(self, user, long_items, short_items):
@@ -292,7 +292,7 @@ class TestEvaluate:
     def test_data_errors_fail_only_their_instance(self, broken):
         ds = tiny_dataset()
         sp = data.split(ds.sessions, "random-80-20", make_rng(5))
-        bad_user = ds.user_index[sp.test[0].user]
+        bad_user = ds.user_index[next(iter(sp.test)).user]
 
         class Broken:
             def score_items(self, user, long_items, short_items):
@@ -340,12 +340,12 @@ class TestEvaluate:
         # last a leaves a context with every item of the catalog
         day0 = data.Session(user="u000", t=0, day=0, items=["a", "b"])
         day1 = data.Session(user="u000", t=1, day=1, items=["a", "b", "c", "a"])
-        ds = data.Dataset.from_interactions(data.sessions_to_interactions([day0, day1]))
+        ds = dataset_of([day0, day1])
         covering = data.TestInstance(user="u000", day=1, t=1, context=["a", "b", "c"],
                                      target="a")
         partial = data.TestInstance(user="u000", day=1, t=1, context=["a", "c", "a"],
                                     target="b")
-        sp = data.Split(train=[day0], test=[covering, partial], policy="random-80-20")
+        sp = split_of(ds, [day0], [covering, partial])
         scorer = baselines.RandomScorer(ds.n_items, 0)
         report = metrics.evaluate(scorer, ds, sp, [1], "random")
         assert report.n_instances == 1
@@ -353,6 +353,18 @@ class TestEvaluate:
             "user u000 day 1: no item left to rank once its context is dropped"]
         both = metrics.evaluate(scorer, ds, sp, [1], "random", exclude_context=False)
         assert both.n_instances == 2 and not both.failures
+
+
+def dataset_of(sessions):
+    """The dataset of a list of `data.Session` objects."""
+    return data.Dataset.from_interactions(
+        data.sessions_to_interactions(oracles.sessions_of(sessions)))
+
+
+def split_of(ds, train, test, policy="fixed"):
+    """The split of `data.Session` and `data.TestInstance` lists over ds's vocabularies."""
+    return data.Split(train=oracles.sessions_of(train, ds.users, ds.items),
+                      test=oracles.sessions_of(test, ds.users, ds.items), policy=policy)
 
 
 @st.composite
@@ -375,8 +387,8 @@ def _sessions_and_split(draw, max_items=4):
         test.append(data.TestInstance(user=s.user, day=s.day, t=s.t,
                                       context=s.items[:hold] + s.items[hold + 1:],
                                       target=s.items[hold]))
-    ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
-    return ds, data.Split(train=train, test=test, policy="random-80-20")
+    ds = dataset_of(sessions)
+    return ds, split_of(ds, train, test, "random-80-20")
 
 
 @given(_sessions_and_split(), st.lists(st.integers(1, 6), min_size=1, max_size=3),
@@ -397,12 +409,20 @@ def test_evaluate_scores_or_lists_each_instance(ds_split, cutoffs, exclude, seed
 
 
 class _TableScorer(metrics.Ranker):
-    """Scores each instance with the table row its inputs pick."""
+    """Scores each instance with the table row its inputs pick. It knows no
+    user in `unknown_users` (a KeyError) and no context item in
+    `unknown_items` (an IndexError)."""
 
-    def __init__(self, table):
+    def __init__(self, table, unknown_users=(), unknown_items=()):
         self.table = np.array(table, dtype=np.float64)
+        self.unknown_users, self.unknown_items = set(unknown_users), set(unknown_items)
 
     def score_batch(self, users, longs, shorts):
+        for u, c in zip(users, shorts):
+            if u in self.unknown_users:
+                raise KeyError(f"user {int(u)}")
+            if self.unknown_items.intersection(c):
+                raise IndexError("an unknown item")
         return self.table[[(7 * u + 3 * len(g) + sum(c)) % len(self.table)
                            for u, g, c in zip(users, longs, shorts)]]
 
@@ -414,27 +434,23 @@ _SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan]) 
 @st.composite
 def _ranking_case(draw):
     """A split of up to 8 items with contexts that repeat items or hold the
-    target, unknown users and items among its instances, and a score table."""
+    target, and a score table whose scorer knows at most one user and one
+    item less than the split holds."""
     ds, sp = draw(_sessions_and_split(max_items=8))
-    test = list(sp.test)
-    for inst in draw(st.lists(st.sampled_from([
-        data.TestInstance(user="nobody", day=1, t=0, context=[], target=ds.items[0]),
-        data.TestInstance(user=ds.users[0], day=1, t=0, context=["zz"], target=ds.items[0]),
-    ]), max_size=2)):
-        test.insert(draw(st.integers(0, len(test))), inst)
     n = ds.n_items
     table = draw(st.lists(st.lists(_SCORES, min_size=n, max_size=n), min_size=1, max_size=5))
-    return ds, data.Split(train=sp.train, test=test, policy=sp.policy), _TableScorer(table)
+    unknown = (draw(st.sets(st.integers(0, ds.n_users - 1), max_size=1)),
+               draw(st.sets(st.integers(0, n - 1), max_size=1)))
+    return ds, sp, _TableScorer(table, *unknown)
 
 
 @given(_ranking_case(), st.lists(st.integers(1, 10), min_size=1, max_size=3),
        st.booleans(), st.sampled_from([1, 5, 64]))
 @example(  # NaN target behind a NaN at a lower index, a context holding the target
-    (lambda ds: (ds, data.Split(train=[], test=[data.TestInstance(
-        user="u000", day=0, t=0, context=["i0", "i1", "i1"], target="i1")],
-        policy="fixed"), _TableScorer([[np.nan, np.nan, -0.0, 0.0]])))(
-        data.Dataset.from_interactions(data.sessions_to_interactions([data.Session(
-            user="u000", t=0, day=0, items=["i0", "i1", "i2", "i3"])]))),
+    (lambda ds: (ds, split_of(ds, [], [data.TestInstance(
+        user="u000", day=0, t=0, context=["i0", "i1", "i1"], target="i1")]),
+        _TableScorer([[np.nan, np.nan, -0.0, 0.0]])))(
+        dataset_of([data.Session(user="u000", t=0, day=0, items=["i0", "i1", "i2", "i3"])])),
     [1, 3, 9], False, 1)
 def test_evaluate_equals_the_per_instance_oracle(case, cutoffs, exclude, chunk):
     ds, sp, scorer = case
@@ -453,27 +469,31 @@ def test_failures_are_counted_by_cause():
     # context with every item of the catalog
     day0 = data.Session(user="u000", t=0, day=0, items=["a", "b"])
     day1 = data.Session(user="u000", t=1, day=1, items=["a", "b", "c", "a"])
-    ds = data.Dataset.from_interactions(data.sessions_to_interactions([day0, day1]))
+    ds = dataset_of([day0, day1])
 
-    def inst(context, target, user="u000"):
-        return data.TestInstance(user=user, day=1, t=1, context=context, target=target)
+    def inst(context, target):
+        return data.TestInstance(user="u000", day=1, t=1, context=context, target=target)
 
-    test = [inst(["a", "b", "c"], "a"), inst(["a"], "b"), inst([], "a", user="nobody"),
-            inst(["b", "c"], "zz"), inst(["b", "c"], "a"), inst(["a", "c", "b"], "b")]
+    test = [inst(["a", "b", "c"], "a"), inst(["a"], "b"), inst([], "a"),
+            inst(["c", "b"], "a"), inst(["b", "c"], "a"), inst(["a", "c", "b"], "b")]
 
     class OneLong(metrics.Ranker):
-        """One score too many for a context of one item."""
+        """One score too many for a context of one item; a lookup error for
+        an empty context (KeyError) and for one that starts with c (IndexError)."""
 
         def score_batch(self, users, longs, shorts):
-            if any(len(c) == 1 for c in shorts):
+            if any(len(c) <= 1 or c[0] == ds.item_index["c"] for c in shorts):
                 raise IndexError("not in one batch")
             return np.zeros((len(users), ds.n_items))
 
         def score_items(self, user, long_items, short_items):
+            if not len(short_items):
+                raise KeyError("no context")
+            if short_items[0] == ds.item_index["c"]:
+                raise IndexError("no item c")
             return np.zeros(ds.n_items + (len(short_items) == 1))
 
-    report = metrics.evaluate(OneLong(), ds, data.Split(train=[day0], test=test,
-                                                        policy="fixed"), [1], "m")
+    report = metrics.evaluate(OneLong(), ds, split_of(ds, [day0], test), [1], "m")
     assert report.n_instances == 1 and len(report.failures) == 5
     assert report.failure_causes == {metrics.COVERED: 2, metrics.WRONG_LENGTH: 1,
                                      metrics.UNKNOWN: 2}
@@ -581,7 +601,7 @@ class TestChunkedEvaluate:
     @pytest.mark.parametrize("broken", ["index", "shape"])
     def test_a_failed_batch_is_rescored_one_at_a_time(self, wide, broken):
         ds, sp = wide
-        bad_user = ds.user_index[sp.test[3].user]
+        bad_user = ds.user_index[list(sp.test)[3].user]
 
         class Broken(metrics.Ranker):
             def score_batch(self, users, longs, shorts):
@@ -601,15 +621,20 @@ class TestChunkedEvaluate:
 
     def test_failures_stay_in_instance_order(self, wide):
         ds, sp = wide
-        bad_user = ds.user_index[sp.test[1].user]
-        unknown = data.TestInstance(user="nobody", day=9, t=0, context=[], target="i0")
-        test = list(sp.test[:6])
+        bad_user = ds.user_index[list(sp.test)[1].user]
+        # the scorer knows no instance without context
+        unknown = data.TestInstance(user=ds.users[0], day=9, t=0, context=[],
+                                    target=ds.items[0])
+        test = list(sp.test)[:6]
         test.insert(0, unknown)
         test.insert(4, unknown)
-        split = data.Split(train=sp.train, test=test, policy="fixed")
+        split = data.Split(train=sp.train, test=oracles.sessions_of(test, ds.users, ds.items),
+                           policy="fixed")
 
         class Flaky:
             def score_items(self, user, long_items, short_items):
+                if not len(short_items):
+                    raise KeyError("nobody")
                 if user == bad_user:
                     raise KeyError("boom")
                 return np.zeros(N_ITEMS)

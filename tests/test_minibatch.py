@@ -42,7 +42,7 @@ def test_a_whole_epoch_batch_draws_as_scalar_calls():
     ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
     sp = data.split(ds.sessions, "random-80-20", make_rng(1))
     hist = data.Histories(sp.train, ds)
-    users = np.repeat(hist.user, np.diff(hist.offsets))  # each instance's user
+    users = np.repeat(hist.sessions.user, np.diff(hist.sessions.offsets))  # each instance's user
     sizes = (ds.n_items - np.diff(hist.start)[users]).tolist()
     assert len(sizes) > 300 and min(sizes) < max(sizes)
     for seed in range(3):
@@ -64,7 +64,8 @@ def varied_corpus(seed=5, n_users=12, n_items=15):
                 for u in range(n_users) for d in range(5)]
     sessions.append(data.Session(user="all", t=0, day=0,
                                  items=[f"i{j:02d}" for j in range(n_items)]))
-    ds = data.Dataset.from_interactions(data.sessions_to_interactions(sessions))
+    ds = data.Dataset.from_interactions(
+        data.sessions_to_interactions(oracles.sessions_of(sessions)))
     return ds, data.Split(train=ds.sessions, test=[], policy="random-80-20")
 
 

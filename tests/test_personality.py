@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -94,6 +97,28 @@ class TestLexiconParsing:
             for cat, w in pairs:
                 assert cat in personality.DEMO_LEXICON
                 assert w == 1.0
+
+
+_WEIGHT_LINES = st.one_of(
+    st.text(max_size=20),
+    st.builds(" ".join, st.lists(st.one_of(
+        st.sampled_from(personality.TRAIT_ORDER + ["X", "#", "insight"]),
+        st.sampled_from(["1", "-0.5", "nan", "-inf", "1e400", "1e-400", "0x1", "1_0", "abc"]),
+        st.floats().map(repr), st.text(max_size=5),
+    ), max_size=4)),
+)
+
+
+@given(st.lists(_WEIGHT_LINES, max_size=6).map("\n".join))
+def test_any_weights_text_parses_or_names_its_line(text):
+    try:
+        weights = personality.parse_weights_text(text)
+    except ValueError as exc:
+        line = int(re.match(r"weights line (\d+): ", str(exc)).group(1))
+        assert 1 <= line <= len(text.splitlines())
+    else:
+        assert set(weights) == set(personality.TRAIT_ORDER)
+        assert all(np.isfinite(w) for pairs in weights.values() for _, w in pairs)
 
 
 class TestCategorize:
@@ -396,6 +421,7 @@ class TestProfilesCsv:
         personality.profiles_to_csv(profiles, path)
         header = path.read_text().splitlines()[0]
         assert header == "user,O,C,E,A,N,dominant"
-        again = personality.profiles_from_csv(path)
-        assert again[0].user == "u1" and again[0].dominant == "N"
-        assert again[0].scores["N"] == pytest.approx(0.5)
+        with open(path, newline="", encoding="utf-8") as fh:
+            again = list(csv.DictReader(fh))
+        assert again[0]["user"] == "u1" and again[0]["dominant"] == "N"
+        assert float(again[0]["N"]) == pytest.approx(0.5)
