@@ -42,24 +42,24 @@ def main():
     print(f"dominant trait matches the planted trait for {hit}/{len(profiles)} users")
 
     matrix = data.RatingMatrix.from_interactions(corpus)
-    train_t, test_t = data.split_ratings(matrix, 0.2, make_rng(args.seed + 1))
+    train, test = data.split_ratings(matrix, 0.2, make_rng(args.seed + 1))
 
     kl_map = {
         u: lvl.kl_normalized
         for u, lvl in personality.knowledge_levels(corpus).items()
     }
     state = apar.fit_ratings(
-        matrix, train_t, personality.trait_groups(profiles, matrix.users), kl_map,
+        train, personality.trait_groups(profiles, train.users), kl_map,
         apar.AparConfig(d=8, max_iters=800, seed=args.seed),
     )
 
     print(f"\n{'model':<10}{'mae':>8}{'rmse':>8}")
     for name, predictor in (
         ("apar", state),
-        ("usermean", baselines.user_mean(train_t)),
-        ("itemmean", baselines.item_mean(train_t)),
+        ("usermean", baselines.user_mean(train)),
+        ("itemmean", baselines.item_mean(train)),
     ):
-        rep = metrics.evaluate_ratings(predictor, test_t, name)
+        rep = metrics.evaluate_ratings(predictor, test, name)
         print(f"{name:<10}{rep.value('mae'):>8.4f}{rep.value('rmse'):>8.4f}")
 
 

@@ -24,4 +24,7 @@ __version__ = "0.1.0"
 # 4: CAN always has its own output table (no "tie_embeddings"), and nothing
 # the file can derive is stored: no "index_hash", no "n_items" for random,
 # no "by" for the mean predictors
-CHECKPOINT_FORMAT_VERSION = 4
+# 5: the mean predictors store one mean per user (or item) as the float64
+# array "means", in place of a JSON table of [key, mean] pairs and a global
+# mean
+CHECKPOINT_FORMAT_VERSION = 5

@@ -60,17 +60,19 @@ class CliqueGraph:
         """Row i holds S_g, the sum of X's rows over user i's group."""
         return np.add.reduceat(X[self._order], self._starts, axis=0)[self._index]
 
-    def adjacent(self, X):
+    # adjacent, laplacian and mix take S = sums(X) when the caller has it
+
+    def adjacent(self, X, S=None):
         """L.X: the sum over each user's neighbors."""
-        return self.sums(X) - X
+        return (self.sums(X) if S is None else S) - X
 
-    def laplacian(self, X):
+    def laplacian(self, X, S=None):
         """Y.X = n_g*X - S_g."""
-        return (self.degree + 1.0) * X - self.sums(X)
+        return (self.degree + 1.0) * X - (self.sums(X) if S is None else S)
 
-    def mix(self, X):
+    def mix(self, X, S=None):
         """A.X: each row blended with the mean of its neighbors' rows."""
-        return self._self_weight * X + self._coef * self.adjacent(X)
+        return self._self_weight * X + self._coef * self.adjacent(X, S)
 
     def mix_t(self, X):
         """A'.X, the product with A's transpose."""
@@ -93,8 +95,10 @@ class AparConfig:
 
 @dataclass
 class AparProblem:
-    """Fixed quantities of one training problem, and the two users x items
-    buffers (`fitted`, `work`) that every n x m result of a step goes into."""
+    """Fixed quantities of one training problem, the two users x items
+    buffers (`fitted`, `work`) that every n x m result of a step goes into,
+    and what the last step or objective leaves for the next one: the group
+    sums of its P (`sums`) and a step's A.P2 (`blended`)."""
 
     W: np.ndarray  # observed ratings, 0 elsewhere
     mask: np.ndarray
@@ -106,6 +110,8 @@ class AparProblem:
     lam: float
     fitted: np.ndarray = field(repr=False)
     work: np.ndarray = field(repr=False)
+    sums: np.ndarray | None = field(default=None, repr=False)
+    blended: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, W, mask, groups, gamma, alpha1, alpha2, lam) -> "AparProblem":
@@ -137,14 +143,20 @@ def _masked_product(AP: np.ndarray, Q: np.ndarray, mask: np.ndarray, out: np.nda
     return np.multiply(out, mask, out=out)
 
 
-def objective(P: np.ndarray, Q: np.ndarray, prob: AparProblem) -> float:
-    """The objective at (P, Q); leaves mask * (A.P.Q') in prob.fitted."""
-    fitted = _masked_product(prob.graph.mix(P), Q, prob.mask, prob.fitted)
+def objective(P: np.ndarray, Q: np.ndarray, prob: AparProblem, blended=None,
+              sums=None) -> float:
+    """The objective at (P, Q); leaves mask * (A.P.Q') in prob.fitted and
+    the group sums of P in prob.sums. blended (A.P) and sums are computed
+    when not given."""
+    g = prob.graph
+    prob.sums = S = g.sums(P) if sums is None else sums
+    AP = g.mix(P, S) if blended is None else blended
+    fitted = _masked_product(AP, Q, prob.mask, prob.fitted)
     E = np.subtract(fitted, prob.W, out=prob.work)
     val = 0.5 * float(np.square(E, out=E).sum())
     val += prob.alpha1 * float((P**2).sum()) + prob.alpha2 * float((Q**2).sum())
     if prob.lam:
-        val += prob.lam * float((P * prob.graph.laplacian(P)).sum())  # tr(P'YP)
+        val += prob.lam * float((P * g.laplacian(P, S)).sum())  # tr(P'YP)
     return val
 
 
@@ -158,19 +170,24 @@ def objective_grads(P: np.ndarray, Q: np.ndarray, prob: AparProblem):
     return gP, gQ
 
 
-def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, fitted=None):
+def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, fitted=None,
+                        sums=None):
     """One alternating multiplicative update; preserves nonnegativity by form.
 
     Each factor is scaled by (negative gradient part) / (positive gradient
     part): entries with zero gradient keep ratio 1 and stay put. fitted is
-    mask * (A.P.Q') at this (P, Q), as `objective` leaves it in
-    prob.fitted; it is computed when not given.
+    mask * (A.P.Q') at this (P, Q) and sums the group sums of P, as
+    `objective` leaves them in prob.fitted and prob.sums; each is computed
+    when not given. Leaves A.P2 in prob.blended and the group sums of P2 in
+    prob.sums, for the objective at the returned (P2, Q2).
     """
     g, mask, obs_W = prob.graph, prob.mask, prob.W
 
+    if sums is None:
+        sums = g.sums(P)
     if fitted is None:
-        fitted = _masked_product(g.mix(P), Q, mask, prob.fitted)
-    num_P = g.mix_t(obs_W @ Q) + 2.0 * prob.lam * g.adjacent(P)
+        fitted = _masked_product(g.mix(P, sums), Q, mask, prob.fitted)
+    num_P = g.mix_t(obs_W @ Q) + 2.0 * prob.lam * g.adjacent(P, sums)
     den_P = (
         g.mix_t(fitted @ Q)
         + 2.0 * prob.alpha1 * P
@@ -179,7 +196,8 @@ def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, fitted=
     )
     P2 = P * (num_P / den_P)
 
-    AP2 = g.mix(P2)
+    prob.sums = g.sums(P2)
+    prob.blended = AP2 = g.mix(P2, prob.sums)
     fitted2 = _masked_product(AP2, Q, mask, prob.work)
     num_Q = obs_W.T @ AP2
     den_Q = fitted2.T @ AP2 + 2.0 * prob.alpha2 * Q + _EPS
@@ -188,22 +206,23 @@ def multiplicative_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, fitted=
 
 
 def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: float,
-                 fitted=None):
+                 fitted=None, sums=None):
     """Multiplicative step that never lets the objective rise.
 
     Returns (P, Q, used_fallback, objective at the returned P, Q), and
-    leaves mask * (A.P.Q') at the returned P, Q in prob.fitted. fitted is
-    that product at the given P, Q, or None to compute it. If the
+    leaves mask * (A.P.Q') at the returned P, Q in prob.fitted and the
+    group sums of the returned P in prob.sums. fitted and sums are those
+    at the given P, Q, or None to compute them. If the
     multiplicative proposal raises the objective, retries with a projected
     (clamped at 0) gradient step under backtracking halving; if even that
     finds no descent, stays put and returns prev_obj, the objective there.
     """
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise FloatingPointError("non-finite factor entries")
-    P2, Q2 = multiplicative_step(P, Q, prob, fitted)
+    P2, Q2 = multiplicative_step(P, Q, prob, fitted, sums)
     if not (np.all(np.isfinite(P2)) and np.all(np.isfinite(Q2))):
         raise FloatingPointError("multiplicative update produced non-finite entries")
-    val = objective(P2, Q2, prob)
+    val = objective(P2, Q2, prob, prob.blended, prob.sums)
     if val <= prev_obj + 1e-12:
         return P2, Q2, False, val
 
@@ -217,7 +236,8 @@ def guarded_step(P: np.ndarray, Q: np.ndarray, prob: AparProblem, prev_obj: floa
             return P3, Q3, True, val
         step *= 0.5
     # no descent direction small enough; hold position
-    _masked_product(prob.graph.mix(P), Q, prob.mask, prob.fitted)
+    prob.sums = prob.graph.sums(P) if sums is None else sums
+    _masked_product(prob.graph.mix(P, prob.sums), Q, prob.mask, prob.fitted)
     return P, Q, True, prev_obj
 
 
@@ -237,6 +257,11 @@ class AparState(metrics.Ranker):
 
     def __post_init__(self):
         self.blended = CliqueGraph(self.groups, self.gamma).mix(self.P)
+
+    def predict_ratings(self, users, items) -> np.ndarray:
+        """One prediction per (user, item) pair; each pair's dot product is a
+        (1 x d) @ (d x 1) matmul, the same as `predict_rating`'s."""
+        return (self.blended[users][:, None, :] @ self.Q[items][:, :, None])[:, 0, 0]
 
     def predict_rating(self, user: int, item: int) -> float:
         return float(self.blended[user] @ self.Q[item])
@@ -267,8 +292,10 @@ def train_apar(W, mask, groups, gamma, config: AparConfig) -> AparState:
     fallbacks = 0
     for t in range(config.max_iters):
         try:
-            # the objective just computed at (P, Q) left its product in prob.fitted
-            P, Q, used_fallback, cur = guarded_step(P, Q, prob, prev, prob.fitted)
+            # the objective just computed at (P, Q) left its product in
+            # prob.fitted and the group sums of P in prob.sums
+            P, Q, used_fallback, cur = guarded_step(P, Q, prob, prev, prob.fitted,
+                                                    prob.sums)
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {t}: {exc}") from exc
         fallbacks += int(used_fallback)
@@ -290,17 +317,16 @@ def train_apar(W, mask, groups, gamma, config: AparConfig) -> AparState:
     )
 
 
-def fit_ratings(matrix, triplets, groups, kl_map, config: AparConfig) -> AparState:
-    """Train on (user, item, rating) triplets indexed by a RatingMatrix.
+def fit_ratings(ratings, groups, kl_map, config: AparConfig) -> AparState:
+    """Train on `data.Ratings` over their vocabularies.
 
-    groups holds one trait-group label per matrix user, and kl_map maps
-    user tokens to normalized knowledge levels for the blend weights.
+    groups holds one trait-group label per user of the vocabulary, and
+    kl_map maps user tokens to normalized knowledge levels for the blend
+    weights.
     """
-    W = np.zeros((matrix.n_users, matrix.n_items))
+    W = np.zeros((ratings.n_users, ratings.n_items))
     mask = np.zeros_like(W, dtype=bool)
-    if triplets:
-        users, items, ratings = zip(*triplets)
-        W[users, items] = ratings
-        mask[users, items] = True
-    gamma = gamma_vector(matrix.users, kl_map, config.beta, config.gamma_override)
+    W[ratings.user, ratings.item] = ratings.value
+    mask[ratings.user, ratings.item] = True
+    gamma = gamma_vector(ratings.users, kl_map, config.beta, config.gamma_override)
     return train_apar(W, mask, groups, gamma, config)

@@ -60,35 +60,34 @@ class RandomScorer(metrics.Ranker):
 @dataclass
 class MeanPredictor:
     by: str  # "user" or "item"
-    table: dict
-    global_mean: float
+    means: np.ndarray  # per user (or item) code; the global mean where none rated
+
+    def predict_ratings(self, users, items) -> np.ndarray:
+        return self.means[users if self.by == "user" else items]
 
     def predict_rating(self, user, item) -> float:
-        key = user if self.by == "user" else item
-        return self.table.get(key, self.global_mean)
+        return float(self.means[user if self.by == "user" else item])
 
 
-def _mean_predictor(triplets, pos: int, by: str) -> MeanPredictor:
-    triplets = list(triplets)
-    if not triplets:
+def _mean_predictor(ratings: data.Ratings, by: str) -> MeanPredictor:
+    """Each code's mean rating, every sum taken in rating order."""
+    if not len(ratings):
         raise ValueError("no ratings to average")
-    sums: dict = {}
-    ns: dict = {}
-    for t in triplets:
-        k = t[pos]
-        sums[k] = sums.get(k, 0.0) + t[2]
-        ns[k] = ns.get(k, 0) + 1
-    table = {k: sums[k] / ns[k] for k in sums}
-    global_mean = sum(t[2] for t in triplets) / len(triplets)
-    return MeanPredictor(by=by, table=table, global_mean=global_mean)
+    codes, size = (ratings.user, ratings.n_users) if by == "user" else (ratings.item,
+                                                                        ratings.n_items)
+    counts = np.bincount(codes, minlength=size)
+    means = np.full(len(counts), np.cumsum(ratings.value)[-1] / len(ratings))
+    np.divide(np.bincount(codes, ratings.value, len(counts)), counts, out=means,
+              where=counts > 0)
+    return MeanPredictor(by=by, means=means)
 
 
-def user_mean(triplets) -> MeanPredictor:
-    return _mean_predictor(triplets, 0, "user")
+def user_mean(ratings: data.Ratings) -> MeanPredictor:
+    return _mean_predictor(ratings, "user")
 
 
-def item_mean(triplets) -> MeanPredictor:
-    return _mean_predictor(triplets, 1, "item")
+def item_mean(ratings: data.Ratings) -> MeanPredictor:
+    return _mean_predictor(ratings, "item")
 
 
 # ---------------------------------------------------------------------------

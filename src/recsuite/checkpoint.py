@@ -83,20 +83,6 @@ _TRACE = Field(
 )
 
 
-def _load_table(value) -> dict:
-    table = {}
-    for pair in _list(value):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], (str, int)) and not isinstance(pair[0], bool)):
-            raise ValueError(f"table entry {pair!r} is not a [key, mean] pair")
-        table[pair[0]] = _NUMBER.load(pair[1])
-    return table
-
-
-# key/value pairs through JSON so int and str keys both survive
-_TABLE = Field(lambda table: [[k, float(v)] for k, v in table.items()], _load_table)
-
-
 def _load_config(cls, value):
     """The config object; each stored value has the JSON type of its default."""
     if not isinstance(value, dict):
@@ -140,8 +126,6 @@ def _no_arrays(config, n_users, n_items) -> dict:
     return {}
 
 
-_MEAN_FIELDS = {"global_mean": _scalar(float), "table": _TABLE}
-
 KINDS = {
     "apar": Kind(
         apar.AparState, apar.AparConfig,
@@ -158,9 +142,11 @@ KINDS = {
     "random": Kind(baselines.RandomScorer, None, _no_arrays,
                    {"seed": _scalar(int)},
                    implied=lambda n_users, n_items: {"n_items": n_items}),
-    "usermean": Kind(baselines.MeanPredictor, None, _no_arrays, _MEAN_FIELDS,
+    "usermean": Kind(baselines.MeanPredictor, None,
+                     lambda c, n_users, n_items: {"means": (n_users,)}, {},
                      implied=lambda n_users, n_items: {"by": "user"}),
-    "itemmean": Kind(baselines.MeanPredictor, None, _no_arrays, _MEAN_FIELDS,
+    "itemmean": Kind(baselines.MeanPredictor, None,
+                     lambda c, n_users, n_items: {"means": (n_items,)}, {},
                      implied=lambda n_users, n_items: {"by": "item"}),
 }
 

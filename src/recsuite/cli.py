@@ -209,11 +209,11 @@ def _ranking_context(corpus, policy, seed):
 
 
 def _rating_context(corpus, test_fraction, seed):
+    """(train, test) ratings of the corpus, over its rated vocabularies."""
     matrix = data.RatingMatrix.from_interactions(corpus)
-    if not matrix.triplets:
+    if not len(matrix):
         raise click.ClickException("input has no explicit ratings")
-    train_trips, test_trips = data.split_ratings(matrix, test_fraction, make_rng(seed))
-    return matrix, train_trips, test_trips
+    return data.split_ratings(matrix, test_fraction, make_rng(seed))
 
 
 @click.group()
@@ -436,12 +436,12 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
     cfg = _build_model_config(model, click.get_current_context().params)
     try:
         if model in RATING_MODELS:
-            matrix, train_trips, _ = _rating_context(corpus, test_fraction, seed)
-            users, items = matrix.users, matrix.items
+            train_ratings, _ = _rating_context(corpus, test_fraction, seed)
+            users, items = train_ratings.users, train_ratings.items
             if model == "usermean":
-                state = baselines.user_mean(train_trips)
+                state = baselines.user_mean(train_ratings)
             elif model == "itemmean":
-                state = baselines.item_mean(train_trips)
+                state = baselines.item_mean(train_ratings)
             else:
                 profiles = personality.profile_all(
                     corpus, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
@@ -451,8 +451,7 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
                     for u, lvl in personality.knowledge_levels(corpus).items()
                 }
                 state = apar.fit_ratings(
-                    matrix, train_trips, personality.trait_groups(profiles, users),
-                    kl_map, cfg,
+                    train_ratings, personality.trait_groups(profiles, users), kl_map, cfg
                 )
         else:
             ds, sp = _ranking_context(corpus, split_policy, seed)
@@ -536,9 +535,9 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
 
     try:
         if ck.kind in RATING_MODELS:
-            matrix, _, test_trips = _rating_context(corpus, test_fraction, seed)
-            checkpoint.verify_compatible(ck, matrix.users, matrix.items)
-            report = metrics.evaluate_ratings(ck.state, test_trips, ck.kind)
+            _, test = _rating_context(corpus, test_fraction, seed)
+            checkpoint.verify_compatible(ck, test.users, test.items)
+            report = metrics.evaluate_ratings(ck.state, test, ck.kind)
         else:
             checkpoint.verify_compatible(ck, corpus.users, corpus.items)
             ds, sp = _ranking_context(corpus, split_policy, seed)
@@ -608,9 +607,8 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
             if ck.kind == "apar":
                 scores = np.asarray(ck.state.score_items(u_idx, [], []))
             else:
-                scores = np.array([
-                    ck.state.predict_rating(u_idx, j) for j in range(len(items))
-                ])
+                scores = ck.state.predict_ratings(np.full(len(items), u_idx),
+                                                  np.arange(len(items)))
         else:
             checkpoint.verify_compatible(ck, corpus.users, corpus.items)
             items = corpus.items

@@ -11,10 +11,13 @@ kept. Sessions are index arrays (`Sessions`; `HeldOut` for the test side
 of a `split`), and iterating them gives token `Session` or `TestInstance`
 objects. `Histories` answers every per-user question of the train sessions
 (long-term lists, touched items, the d-th untouched item, the training
-instances) for the trainers and the evaluator. A parse can be kept in a
-sidecar file (`write_sidecar`) and read back (`read_sidecar`) under a key
-that names the file's content, the schema and this module's source, so a
-file content is parsed once while its sidecar lasts.
+instances) for the trainers and the evaluator. Explicit ratings are index
+arrays too (`Ratings`; `RatingMatrix` holds a corpus's latest rating of
+each pair), and `split_ratings` holds out each user's share in one draw.
+A parse can be kept in a sidecar file (`write_sidecar`) and read back
+(`read_sidecar`) under a key that names the file's content, the schema and
+this module's source, so a file content is parsed once while its sidecar
+lasts.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import hashlib
 import itertools
 import json
 import lzma
-import operator
 import os
 import zipfile
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +66,19 @@ def _intern(tokens) -> tuple[list, np.ndarray]:
     return vocab, codes
 
 
+class _TokenMaps:
+    """`user_index` and `item_index`, each token's position in `users` and
+    `items`, built when first read."""
+
+    @functools.cached_property
+    def user_index(self) -> dict[str, int]:
+        return _index(self.users)
+
+    @functools.cached_property
+    def item_index(self) -> dict[str, int]:
+        return _index(self.items)
+
+
 def _recode(codes: np.ndarray, vocab: list) -> tuple[list, np.ndarray]:
     """The tokens `codes` use, in order of first appearance, and the codes renumbered."""
     present, first = np.unique(codes, return_index=True)
@@ -81,7 +97,10 @@ class Corpus:
     once, in order of first appearance; `take` keeps the vocabularies of the
     corpus it selects from. `timestamp` holds int64 seconds, `action`
     positions in `ACTIONS`, and `rating`, `helpful` and `review` hold NaN, -1
-    and "" where a row has none.
+    and "" where a row has none. The reviews may be given as a function of no
+    arguments that returns their list; it is called when `review` is first
+    read, so a sidecar read or a `take` makes no review string that no one
+    reads.
     """
 
     users: list[str]
@@ -92,17 +111,24 @@ class Corpus:
     action: np.ndarray
     rating: np.ndarray
     helpful: np.ndarray
-    review: list[str]
+    _review: list[str] | Callable[[], list[str]] = field(repr=False)
+
+    @property
+    def review(self) -> list[str]:
+        if callable(self._review):
+            self._review = self._review()
+        return self._review
 
     def __len__(self) -> int:
         return len(self.user)
 
     def take(self, mask: np.ndarray) -> "Corpus":
         """The rows `mask` selects, in order, with this corpus's vocabularies."""
+        mask = np.array(mask, dtype=bool)
         return Corpus(
             self.users, self.items, self.user[mask], self.item[mask],
             self.timestamp[mask], self.action[mask], self.rating[mask],
-            self.helpful[mask], list(itertools.compress(self.review, mask)),
+            self.helpful[mask], lambda: list(itertools.compress(self.review, mask)),
         )
 
 
@@ -546,13 +572,16 @@ def read_sidecar(path, key: bytes) -> tuple[Corpus, list[RowError]] | None:
         return None
     if text_at[-1] != len(text):
         return None
-    at = text_at.tolist()
-    texts = [text[a:b] for a, b in zip(at[:-1], at[1:])]
+
+    def texts(first, last):
+        at = text_at[first:last + 1].tolist()
+        return [text[a:b] for a, b in zip(at, at[1:])]
+
     n_users, n_items = sizes.tolist()
     r = n_users + n_items  # where the reviews start
-    corpus = Corpus(texts[:n_users], texts[n_users:r], *(m[c] for c in _COLUMNS),
-                    texts[r:r + n])
-    return corpus, list(map(RowError, m["error_line"].tolist(), texts[r + n:]))
+    corpus = Corpus(texts(0, n_users), texts(n_users, r), *(m[c] for c in _COLUMNS),
+                    lambda: texts(r, r + n))
+    return corpus, list(map(RowError, m["error_line"].tolist(), texts(r + n, r + n + n_errors)))
 
 
 def sessionize(corpus: Corpus) -> Sessions:
@@ -895,15 +924,17 @@ def rated_vocabularies(corpus: Corpus):
             _recode(corpus.item[rated], corpus.items))
 
 
-@dataclass
-class RatingMatrix:
-    """Observed (user, item, rating) triplets with dense index maps."""
+@dataclass(eq=False)
+class Ratings(_TokenMaps):
+    """Explicit ratings as aligned arrays: rating k is user `user[k]`'s
+    `value[k]` for item `item[k]`, codes into the `users` and `items`
+    vocabularies. Iterating gives (user, item, value) tuples, in this order."""
 
     users: list[str]
     items: list[str]
-    user_index: dict[str, int]
-    item_index: dict[str, int]
-    triplets: list[tuple[int, int, float]]
+    user: np.ndarray
+    item: np.ndarray
+    value: np.ndarray
 
     @property
     def n_users(self) -> int:
@@ -913,9 +944,26 @@ class RatingMatrix:
     def n_items(self) -> int:
         return len(self.items)
 
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __iter__(self):
+        return zip(self.user.tolist(), self.item.tolist(), self.value.tolist())
+
+    def take(self, index: np.ndarray) -> "Ratings":
+        """The ratings `index` selects (positions or a mask), in its order."""
+        return Ratings(self.users, self.items, self.user[index], self.item[index],
+                       self.value[index])
+
+
+@dataclass(eq=False)
+class RatingMatrix(Ratings):
+    """The latest rating of each rated (user, item) pair of a corpus, in
+    (user, item) order, over the rated rows' vocabularies."""
+
     @classmethod
     def from_interactions(cls, corpus: Corpus) -> "RatingMatrix":
-        """The rated rows' users and items, first appearance first, and their triplets."""
+        """The rated rows' users and items, first appearance first, and their ratings."""
         rated, (users, u), (items, i) = rated_vocabularies(corpus)
         # the latest rating of each (user, item) wins, the later row on a tie:
         # lexsort is stable, so it is the last row of its pair's run
@@ -923,30 +971,26 @@ class RatingMatrix:
         order = np.lexsort((corpus.timestamp[rated], pair))
         pair = pair[order]
         last = order[np.append(pair[1:] != pair[:-1], True)] if len(pair) else order
-        triplets = list(zip(
-            u[last].tolist(), i[last].tolist(), corpus.rating[rated][last].tolist()
-        ))
-        return cls(users, items, _index(users), _index(items), triplets)
+        return cls(users, items, u[last], i[last], corpus.rating[rated][last])
 
 
-def split_ratings(matrix: RatingMatrix, test_fraction: float, rng):
-    """Per-user random holdout of rating triplets; single-rating users stay in train.
+def split_ratings(ratings: Ratings, test_fraction: float, rng) -> tuple[Ratings, Ratings]:
+    """(train, test): a random holdout of each user's ratings, both in `ratings`' order.
 
-    One stable sort groups the triplets by user, each user's in their
-    order; `rng.choice` then draws the test positions of each user with two
-    or more ratings, users in ascending order. Both lists keep that order.
+    One `rng.permutation` orders the ratings at random, and a stable sort
+    by user groups them, each user's in that random order. A user with
+    `count` ratings gives the first min(count - 1, max(1, round(test_fraction
+    * count))) of them to test, so a user with one rating keeps it in train.
     """
-    trips = matrix.triplets
-    user = np.fromiter(map(operator.itemgetter(0), trips), np.int64, len(trips))
-    order = np.argsort(user, kind="stable")
-    _, starts, counts = np.unique(user[order], return_index=True, return_counts=True)
-    trips = [trips[k] for k in order.tolist()]
-    held = np.zeros(len(trips), bool)
-    for start, count in zip(starts.tolist(), counts.tolist()):
-        if count >= 2:
-            n_test = min(count - 1, max(1, round(test_fraction * count)))
-            held[start + rng.choice(count, size=n_test, replace=False)] = True
-    return list(itertools.compress(trips, ~held)), list(itertools.compress(trips, held))
+    order = rng.permutation(len(ratings))
+    order = order[np.argsort(ratings.user[order], kind="stable")]
+    counts = np.bincount(ratings.user, minlength=ratings.n_users)
+    n_test = np.minimum(counts - 1, np.maximum(1, np.round(test_fraction * counts)))
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(len(order)) - np.repeat(starts, counts)
+    held = np.zeros(len(order), bool)
+    held[order[rank < np.repeat(n_test, counts)]] = True
+    return ratings.take(~held), ratings.take(held)
 
 
 # ---------------------------------------------------------------------------
@@ -954,25 +998,17 @@ def split_ratings(matrix: RatingMatrix, test_fraction: float, rng):
 
 
 @dataclass
-class Dataset:
-    """Interned token maps of an interaction log, and its sessions."""
+class Dataset(_TokenMaps):
+    """The vocabularies of an interaction log, and its sessions."""
 
     users: list[str]
     items: list[str]
-    user_index: dict[str, int]
-    item_index: dict[str, int]
     sessions: Sessions
 
     @classmethod
     def from_interactions(cls, corpus: Corpus) -> "Dataset":
-        """The corpus's vocabularies with their index maps, and its sessions."""
-        return cls(
-            users=corpus.users,
-            items=corpus.items,
-            user_index=_index(corpus.users),
-            item_index=_index(corpus.items),
-            sessions=sessionize(corpus),
-        )
+        """The corpus's vocabularies and its sessions."""
+        return cls(users=corpus.users, items=corpus.items, sessions=sessionize(corpus))
 
     @property
     def n_users(self) -> int:

@@ -373,20 +373,37 @@ def evaluate(
     return report
 
 
-def evaluate_ratings(predictor, triplets, model_name: str) -> EvalReport:
-    """MAE/RMSE of predictor.predict_rating over (user, item, rating) triplets.
+def _predictions(predictor, ratings) -> tuple:
+    """(true, predicted) values of the ratings predicted, and the failures.
 
-    A KeyError or IndexError fails only its triplet; no rows are reported
-    when no triplet was scored.
+    `predict_ratings` predicts every rating in one call. If it raises a
+    KeyError or IndexError, or the predictor has only `predict_rating`,
+    each rating is predicted on its own, so a bad rating fails alone.
     """
+    batch = getattr(predictor, "predict_ratings", None)
+    if batch is not None:
+        try:
+            return ratings.value, np.asarray(batch(ratings.user, ratings.item), np.float64), []
+        except (KeyError, IndexError):
+            pass
     true, pred, failures = [], [], []
-    for u, i, r in triplets:
+    for u, i, r in ratings:
         try:
             pred.append(float(predictor.predict_rating(u, i)))
             true.append(r)
         except (KeyError, IndexError) as exc:
             failures.append(f"user {u} item {i}: {exc}")
-    rows = [("mae", None, mae(true, pred)), ("rmse", None, rmse(true, pred))] if true else []
+    return true, pred, failures
+
+
+def evaluate_ratings(predictor, ratings: data.Ratings, model_name: str) -> EvalReport:
+    """MAE/RMSE of the predictor over `ratings`.
+
+    A KeyError or IndexError fails only its rating; no rows are reported
+    when no rating was scored.
+    """
+    true, pred, failures = _predictions(predictor, ratings)
+    rows = [("mae", None, mae(true, pred)), ("rmse", None, rmse(true, pred))] if len(true) else []
     return EvalReport(
         model=model_name,
         rows=rows,

@@ -20,9 +20,12 @@ names (`data.RatingMatrix.from_interactions` for the first) replaced;
 split index arrays, with one `rng.integers` call per held-out target.
 `sessions_of` turns hand-written `data.Session` objects into a
 `data.Sessions`, or `data.TestInstance` objects into a `data.HeldOut`.
-`split_ratings` groups rating triplets per user in a dict and splits each
-user's list in a Python loop, as `data.split_ratings` did before it grouped
-them with one stable sort.
+`split_ratings` walks one `rng.permutation` of the ratings once per user,
+giving each user's first ratings in that order to test, the rule
+`data.split_ratings` applies with one stable sort.
+`mean_predictor` averages rating triplets per user or item in dicts and
+`evaluate_ratings` predicts one triplet at a time, as `baselines.user_mean`,
+`item_mean` and `metrics.evaluate_ratings` did before ratings were arrays.
 `bpr_loss_and_grad` sums the BPR trainer's own per-triple terms
 (`baselines._bpr_triple`) over a list of triples, so gradient checks gate
 the arithmetic training runs.
@@ -361,8 +364,9 @@ def cross_cluster_disjointness(interactions, labels):
     return disjoint / len(by_user)
 
 
-def rating_matrix(interactions) -> data.RatingMatrix:
-    """The latest rating of each (user, item), the later row on a tie."""
+def rating_matrix(interactions):
+    """(users, items, triplets): the latest rating of each (user, item), the
+    later row on a tie, as (user, item, rating) triplets in (user, item) order."""
     users, items, uidx, iidx = [], [], {}, {}
     latest = {}
     for order, e in enumerate(interactions):
@@ -379,25 +383,60 @@ def rating_matrix(interactions) -> data.RatingMatrix:
         if key not in latest or stamp >= latest[key][:2]:
             latest[key] = (e.timestamp, order, e.rating)
     triplets = [(u, i, r) for (u, i), (_, _, r) in sorted(latest.items())]
-    return data.RatingMatrix(users, items, uidx, iidx, triplets)
+    return users, items, triplets
 
 
-def split_ratings(matrix, test_fraction, rng):
-    """Per-user random holdout of rating triplets; single-rating users stay in train."""
-    by_user = collections.defaultdict(list)
-    for trip in matrix.triplets:
-        by_user[trip[0]].append(trip)
-    train, test = [], []
-    for u in sorted(by_user):
-        trips = by_user[u]
-        if len(trips) < 2:
-            train.extend(trips)
-            continue
-        n_test = min(len(trips) - 1, max(1, round(test_fraction * len(trips))))
-        chosen = set(int(i) for i in rng.choice(len(trips), size=n_test, replace=False))
-        for pos, trip in enumerate(trips):
-            (test if pos in chosen else train).append(trip)
-    return train, test
+def split_ratings(triplets, test_fraction, rng):
+    """(train, test) triplets: per user, in ascending order, the user's first
+    min(count - 1, max(1, round(test_fraction * count))) triplets in the order
+    of one permutation go to test; both lists keep the triplets' order."""
+    order = rng.permutation(len(triplets)).tolist()
+    held = set()
+    for u in sorted({t[0] for t in triplets}):
+        mine = [k for k in order if triplets[k][0] == u]
+        if len(mine) >= 2:
+            held.update(mine[:min(len(mine) - 1, max(1, round(test_fraction * len(mine))))])
+    return ([t for k, t in enumerate(triplets) if k not in held],
+            [t for k, t in enumerate(triplets) if k in held])
+
+
+class TableMeanPredictor(NamedTuple):
+    table: dict  # key -> mean rating
+    global_mean: float
+    by: str
+
+    def predict_rating(self, user, item) -> float:
+        return self.table.get(user if self.by == "user" else item, self.global_mean)
+
+
+def mean_predictor(triplets, pos: int, by: str) -> TableMeanPredictor:
+    """Each key's mean rating, the key at position pos of its triplets."""
+    sums, ns = {}, {}
+    for t in triplets:
+        sums[t[pos]] = sums.get(t[pos], 0.0) + t[2]
+        ns[t[pos]] = ns.get(t[pos], 0) + 1
+    total = 0.0
+    for t in triplets:  # in order, one addition at a time
+        total += t[2]
+    return TableMeanPredictor({k: sums[k] / ns[k] for k in sums}, total / len(triplets), by)
+
+
+def evaluate_ratings(predictor, triplets, model_name):
+    """MAE/RMSE of predictor.predict_rating over (user, item, rating) triplets,
+    one triplet at a time; a KeyError or IndexError fails only its triplet."""
+    true, pred, failures = [], [], []
+    for u, i, r in triplets:
+        try:
+            pred.append(float(predictor.predict_rating(u, i)))
+            true.append(r)
+        except (KeyError, IndexError) as exc:
+            failures.append(f"user {u} item {i}: {exc}")
+    rows = ([("mae", None, metrics.mae(true, pred)), ("rmse", None, metrics.rmse(true, pred))]
+            if true else [])
+    return metrics.EvalReport(
+        model=model_name, rows=rows, n_instances=len(true), failures=failures,
+        failure_causes={metrics.UNKNOWN: len(failures)} if failures else {},
+    )
 
 
 def sessionize(events):

@@ -248,7 +248,9 @@ def test_03_metrics_match_brute_force():
                 (2, 1, 1.0), (3, 2, 3.0), (4, 0, 4.5), (4, 2, 2.5)]
     preds = {(0, 0): 3.5, (0, 1): 3.5, (1, 0): 2.5, (1, 2): 4.0,
              (2, 1): 1.5, (3, 2): 3.0, (4, 0): 4.0, (4, 2): 3.0}
-    rep = metrics.evaluate_ratings(_TablePredictor(preds), triplets, "fixture")
+    user, item, value = (np.array(col) for col in zip(*triplets))
+    rep = metrics.evaluate_ratings(_TablePredictor(preds),
+                                   data.Ratings([], [], user, item, value), "fixture")
     errs = [r - preds[(u, i)] for u, i, r in triplets]
     brute_mae = sum(abs(e) for e in errs) / len(errs)
     brute_rmse = (sum(e * e for e in errs) / len(errs)) ** 0.5
@@ -342,7 +344,7 @@ def test_07_cluster_transfer_beats_user_mean():
     assert data.cross_cluster_disjointness(interactions, labels) == 1.0
 
     matrix = data.RatingMatrix.from_interactions(interactions)
-    train_t, test_t = data.split_ratings(matrix, 0.2, make_rng(1))
+    train, test = data.split_ratings(matrix, 0.2, make_rng(1))
 
     t0 = time.perf_counter()
     profiles = personality.profile_all(
@@ -354,12 +356,12 @@ def test_07_cluster_transfer_beats_user_mean():
         for u, lvl in personality.knowledge_levels(interactions).items()
     }
     cfg = apar.AparConfig(d=8, max_iters=800, seed=0)
-    state = apar.fit_ratings(matrix, train_t, groups, kl_map, cfg)
+    state = apar.fit_ratings(train, groups, kl_map, cfg)
     elapsed = time.perf_counter() - t0
 
-    model_mae = metrics.evaluate_ratings(state, test_t, "apar").value("mae")
+    model_mae = metrics.evaluate_ratings(state, test, "apar").value("mae")
     null_mae = metrics.evaluate_ratings(
-        baselines.user_mean(train_t), test_t, "usermean"
+        baselines.user_mean(train), test, "usermean"
     ).value("mae")
     assert model_mae <= 0.9 * null_mae
     assert elapsed < 120.0

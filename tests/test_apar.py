@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,7 +354,7 @@ class TestTrainApar:
         ]
         m = data.RatingMatrix.from_interactions(oracles.from_rows(evs))
         cfg = apar.AparConfig(d=1, seed=0, max_iters=10, beta=0.25)
-        state = apar.fit_ratings(m, m.triplets, np.arange(2), {"u1": 0.5}, cfg)
+        state = apar.fit_ratings(m, np.arange(2), {"u1": 0.5}, cfg)
         assert list(state.gamma) == [0.75, 0.25]  # beta + kl, kl=0 fallback
 
 
@@ -478,6 +479,24 @@ class TestWorkspace:
                 P, Q, prob, prev if forced is None else forced, prob.fitted)
             want = prob.mask * (prob.graph.mix(P) @ Q.T)
             assert prob.fitted.tobytes() == want.tobytes()
+
+    def test_a_step_takes_three_group_sums(self):
+        # one for each mix_t, one for P2; the objective and the next step
+        # reuse the sums of P2
+        W, mask, groups, gamma, cfg = workspace_case(2)
+        prob = apar.AparProblem.build(W, mask, groups, gamma, cfg.alpha1, cfg.alpha2, cfg.lam)
+        rng = make_rng(3)
+        P, Q = 0.1 * rng.random((12, 3)), 0.1 * rng.random((10, 3))
+        prev = apar.objective(P, Q, prob)
+        sums = apar.CliqueGraph.sums
+        with mock.patch.object(apar.CliqueGraph, "sums", autospec=True,
+                               side_effect=sums) as counted:
+            for _ in range(5):
+                P, Q, used, prev = apar.guarded_step(P, Q, prob, prev, prob.fitted,
+                                                     prob.sums)
+                assert not used
+        assert counted.call_count == 15
+        assert prob.sums.tobytes() == prob.graph.sums(P).tobytes()
 
     def test_a_step_allocates_no_users_by_items_array(self):
         n, m, d = 200, 150, 2

@@ -74,35 +74,70 @@ class TestRandom:
         assert 0.48 <= wins / n_pairs <= 0.52
 
 
+def ratings_of(triplets, n_users=3, n_items=3):
+    """(user, item, rating) index triplets as `data.Ratings` over n_users
+    users and n_items items."""
+    user, item, value = (np.array(col) for col in zip(*triplets)) if triplets else [
+        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)]
+    return data.Ratings([f"u{u}" for u in range(n_users)], [f"i{i}" for i in range(n_items)],
+                        user, item, value.astype(np.float64))
+
+
 def rating_triplets():
-    # (user, item, rating) indices
-    return [(0, 0, 4.0), (0, 1, 2.0), (1, 0, 5.0)]
+    # (user, item, rating) indices; user 2 and item 2 have no rating
+    return ratings_of([(0, 0, 4.0), (0, 1, 2.0), (1, 0, 5.0)])
 
 
 class TestMeans:
     def test_user_mean_everywhere(self):
         p = baselines.user_mean(rating_triplets())
         assert p.predict_rating(0, 0) == 3.0
-        assert p.predict_rating(0, 99) == 3.0  # constant per user
+        assert p.predict_rating(0, 2) == 3.0  # constant per user
 
     def test_new_user_gets_global_mean(self):
         p = baselines.user_mean(rating_triplets())
-        assert p.predict_rating(42, 0) == pytest.approx((4 + 2 + 5) / 3)
+        assert p.predict_rating(2, 0) == pytest.approx((4 + 2 + 5) / 3)
 
     def test_item_mean(self):
         p = baselines.item_mean(rating_triplets())
-        assert p.predict_rating(7, 0) == pytest.approx(4.5)
+        assert p.predict_rating(2, 0) == pytest.approx(4.5)
         assert p.predict_rating(0, 1) == 2.0
-        assert p.predict_rating(0, 99) == pytest.approx((4 + 2 + 5) / 3)
+        assert p.predict_rating(0, 2) == pytest.approx((4 + 2 + 5) / 3)
 
     def test_single_rating_everywhere_five(self):
-        p = baselines.user_mean([(0, 0, 5.0)])
+        p = baselines.user_mean(ratings_of([(0, 0, 5.0)], n_users=4))
         assert p.predict_rating(0, 0) == 5.0
-        assert p.predict_rating(3, 9) == 5.0
+        assert p.predict_rating(3, 2) == 5.0
 
     def test_empty_ratings_rejected(self):
         with pytest.raises(ValueError):
-            baselines.user_mean([])
+            baselines.user_mean(ratings_of([]))
+
+    def test_batched_predictions_are_the_one_pair_ones(self):
+        ratings = rating_triplets()
+        users, items = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+        for p in (baselines.user_mean(ratings), baselines.item_mean(ratings)):
+            assert p.predict_ratings(users, items).tolist() == [
+                p.predict_rating(u, i) for u, i in zip(users.tolist(), items.tolist())]
+
+    def test_code_outside_the_table_is_an_index_error(self):
+        with pytest.raises(IndexError):
+            baselines.user_mean(rating_triplets()).predict_rating(3, 0)
+
+
+RATING_TRIPLETS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
+                                     st.floats(1.0, 5.0)), min_size=1, max_size=40)
+
+
+@given(RATING_TRIPLETS)
+def test_means_equal_the_per_rating_loop_bit_for_bit(triplets):
+    ratings = ratings_of(triplets, n_users=6, n_items=8)
+    for pos, by, fit in ((0, "user", baselines.user_mean), (1, "item", baselines.item_mean)):
+        want = oracles.mean_predictor(triplets, pos, by)
+        got = fit(ratings)
+        assert got.by == by and got.means.shape == (6 if by == "user" else 8,)
+        for code, mean in enumerate(got.means.tolist()):
+            assert mean == want.table.get(code, want.global_mean)
 
 
 class TestBprMath:
@@ -154,12 +189,7 @@ def bpr_inputs(pairs, n_users=20, n_items=20):
         data.Session(user=users[u], t=t, day=t, items=[items[i]])
         for t, (u, i) in enumerate(pairs)
     ], users, items)
-    ds = data.Dataset(
-        users=users, items=items,
-        user_index={u: k for k, u in enumerate(users)},
-        item_index={i: k for k, i in enumerate(items)},
-        sessions=train,
-    )
+    ds = data.Dataset(users=users, items=items, sessions=train)
     return data.Split(train=train, test=[], policy="random-80-20"), ds
 
 

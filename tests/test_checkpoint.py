@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from recsuite import apar, baselines, can, checkpoint, das
+from recsuite import apar, baselines, can, checkpoint, das, data
 from recsuite.numeric import make_rng
 
 
@@ -103,27 +103,35 @@ class TestRoundTripBaselines:
         assert np.array_equal(ck.state.counts, st.counts)
 
     def test_mean_predictors(self, tmp_path):
-        for by, kind in (("user", "usermean"), ("item", "itemmean")):
-            st = baselines.MeanPredictor(
-                by=by, table={"a": 3.5, "b": 1.0}, global_mean=2.25
-            )
+        # trained on ratings, so user 1 and most items hold the global mean
+        users, items = _users_items()
+        ratings = data.Ratings(users, items, np.array([0, 0, 2]), np.array([1, 3, 1]),
+                               np.array([4.5, 1.0, 2.0]))
+        for mean, by, kind, size in ((baselines.user_mean, "user", "usermean", 3),
+                                     (baselines.item_mean, "item", "itemmean", 8)):
+            st = mean(ratings)
             p = tmp_path / f"{by}.npz"
-            checkpoint.save_checkpoint(p, st, *_users_items())
+            checkpoint.save_checkpoint(p, st, users, items)
             ck = checkpoint.load_checkpoint(p)
-            assert ck.kind == kind
-            assert ck.state.table == st.table
-            assert ck.state.global_mean == 2.25
-            assert ck.state.predict_rating("a", "a") == 3.5
-            assert ck.state.predict_rating("zz", "zz") == 2.25
+            assert ck.kind == kind and ck.state.by == by
+            assert ck.state.means.dtype == np.float64 and ck.state.means.shape == (size,)
+            assert ck.state.means.tobytes() == st.means.tobytes()
+            assert ck.state.predict_rating(1, 0) == st.predict_rating(1, 0) == 2.5
+            assert ck.state.predict_rating(0, 1) == st.predict_rating(0, 1) == {
+                "user": 2.75, "item": 3.25}[by]
 
-    def test_mean_predictor_int_keys_survive(self, tmp_path):
-        # index-keyed tables (dense user/item ids) must not come back as strings
-        st = baselines.MeanPredictor(by="item", table={0: 4.5, 3: 1.25}, global_mean=3.0)
-        p = tmp_path / "m.npz"
-        checkpoint.save_checkpoint(p, st, *_users_items())
-        ck = checkpoint.load_checkpoint(p)
-        assert ck.state.table == {0: 4.5, 3: 1.25}
-        assert ck.state.predict_rating(9, 3) == 1.25
+    def test_format_4_mean_table_rejected_naming_version_and_path(self, tmp_path):
+        # format 4 stored a mean predictor as a JSON table of [key, mean] pairs
+        p = tmp_path / "v4.npz"
+        meta = {"format_version": 4, "kind": "usermean", "global_mean": 2.25,
+                "table": [[0, 3.5], [2, 1.0]]}
+        users, items = _users_items()
+        np.savez(p, __meta__=np.array(json.dumps(meta, sort_keys=True)),
+                 __users__=np.array(users), __items__=np.array(items))
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_checkpoint(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert "version 4" in str(err.value) and "version 5" in str(err.value)
 
     def test_random_round_trip_reproduces_stream(self, tmp_path):
         st = baselines.RandomScorer(n_items=8, seed=3)
@@ -170,7 +178,7 @@ class TestFormatGuards:
                  L=np.ones((3, 3)) - np.eye(3))
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 1" in str(err.value) and "version 4" in str(err.value)
+        assert "version 1" in str(err.value) and "version 5" in str(err.value)
 
     def test_v2_das_with_deleted_config_fields_rejected(self, tmp_path):
         # format 2 configs carried fields DasConfig no longer has; the version
@@ -187,7 +195,7 @@ class TestFormatGuards:
         np.savez(p, **blobs)
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 2" in str(err.value) and "version 4" in str(err.value)
+        assert "version 2" in str(err.value) and "version 5" in str(err.value)
 
     def test_v3_can_with_index_hash_and_tie_flag_rejected(self, tmp_path):
         # format 3 stored a hash of the token lists and CAN's tied-table flag;
@@ -205,7 +213,7 @@ class TestFormatGuards:
         np.savez(p, **blobs)
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 3" in str(err.value) and "version 4" in str(err.value)
+        assert "version 3" in str(err.value) and "version 5" in str(err.value)
 
     @pytest.mark.parametrize("name", ["random", "usermean", "itemmean"])
     def test_implied_fields_are_not_stored(self, name):
@@ -285,9 +293,8 @@ def _one_of_each_kind():
         "bpr": baselines.init_bpr(3, 8, baselines.BprConfig(d=2)),
         "top": baselines.TopScorer(counts=np.arange(8.0)),
         "random": baselines.RandomScorer(n_items=8, seed=3),
-        "usermean": baselines.MeanPredictor(by="user", table={"alice": 3.5, 1: 2.0},
-                                            global_mean=2.25),
-        "itemmean": baselines.MeanPredictor(by="item", table={"i0": 4.0}, global_mean=3.0),
+        "usermean": baselines.MeanPredictor(by="user", means=np.array([3.5, 2.0, 2.25])),
+        "itemmean": baselines.MeanPredictor(by="item", means=np.linspace(1.0, 4.5, 8)),
     }
     for name in ("das", "can", "bpr"):
         states[name].trace.append(0.5)
@@ -296,9 +303,8 @@ def _one_of_each_kind():
 
 STATES = _one_of_each_kind()
 # the kinds none of whose arrays is sized by the user list or the item list
-NO_USER_ARRAYS = {"top", "random", "usermean", "itemmean"}
-NO_ITEM_ARRAYS = {"random", "usermean", "itemmean"}
-MEAN_KINDS = ("usermean", "itemmean")
+NO_USER_ARRAYS = {"top", "random", "itemmean"}
+NO_ITEM_ARRAYS = {"random", "usermean"}
 
 
 def _assert_same_state(saved, loaded):
@@ -332,7 +338,7 @@ def damaged(draw, name, fault):
     blobs, meta = dict(blobs), json.loads(json.dumps(meta))
     floats = [a for a in blobs if not a.startswith("__") and a != "groups"]
     if fault == "version":
-        meta["format_version"] = draw(st.sampled_from([1, 2, 3, 99, "4", None]))
+        meta["format_version"] = draw(st.sampled_from([1, 2, 3, 4, 99, "5", None]))
     elif fault == "kind":
         others = sorted(set(checkpoint.KINDS) - {meta["kind"]})
         meta["kind"] = draw(st.sampled_from(others + ["svd", "", 3, None, ["das"]]))
@@ -396,10 +402,6 @@ def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name
         if blobs is None:
             return
         np.savez(path, **blobs)
-        # only the kind tells user means from item means, so relabelling one
-        # mean predictor as the other leaves a sound file of the other kind
-        must_reject = not (how == "kind" and name in MEAN_KINDS
-                           and json.loads(str(blobs["__meta__"]))["kind"] in MEAN_KINDS)
     try:
         ck = checkpoint.load_checkpoint(path)
     except ValueError as err:
@@ -409,6 +411,4 @@ def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name
     saved = STATES[name]
     if name == "random":  # its item count is the length of the item list
         saved = dataclasses.replace(saved, n_items=len(ck.items))
-    elif name in MEAN_KINDS:  # its `by` is named by the kind
-        saved = dataclasses.replace(saved, by=ck.kind.removesuffix("mean"))
     _assert_same_state(saved, ck.state)

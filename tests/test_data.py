@@ -778,8 +778,9 @@ class TestRatingMatrix:
         ]
         m = data.RatingMatrix.from_interactions(rows_corpus(*evs))
         assert m.n_users == 2 and m.n_items == 2  # c never rated
-        assert len(m.triplets) == 3
-        assert min(r for _, _, r in m.triplets) > 0
+        assert list(m) == [(0, 0, 4.0), (0, 1, 2.0), (1, 0, 5.0)]
+        assert m.user.dtype == m.item.dtype == np.int64 and m.value.dtype == np.float64
+        assert m.user_index == {"u1": 0, "u2": 1} and m.item_index == {"a": 0, "b": 1}
 
     def test_last_rating_wins(self):
         evs = [
@@ -787,7 +788,7 @@ class TestRatingMatrix:
             I("u1", "a", 5, action="rate", rating=3.0),
         ]
         m = data.RatingMatrix.from_interactions(rows_corpus(*evs))
-        assert m.triplets == [(0, 0, 3.0)]
+        assert list(m) == [(0, 0, 3.0)]
 
     def test_split_ratings(self):
         rng = make_rng(0)
@@ -799,21 +800,41 @@ class TestRatingMatrix:
         assert len(train) + len(test) == 11
         assert len(test) == 2  # 20% of u1's ten; u2 has one rating, stays in train
         assert not (set(train) & set(test))
+        assert train.users is m.users and test.items is m.items
         train2, test2 = data.split_ratings(m, 0.2, make_rng(0))
-        assert test == test2
+        assert list(test) == list(test2)
+
+
+def ratings_of(triplets) -> data.Ratings:
+    user, item, value = (zip(*triplets) if triplets else ((), (), ()))
+    return data.Ratings([], [], np.array(user, np.int64), np.array(item, np.int64),
+                        np.array(value, np.float64))
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9),
                          st.sampled_from([1.0, 2.5, 5.0])), max_size=40),
        st.floats(0, 1), st.integers(0, 2**32 - 1))
+@example([(0, 0, 1.0)], 0.5, 0)  # a single-rating user stays in train
+@example([(1, 0, 1.0), (0, 1, 2.5), (1, 2, 5.0), (0, 0, 1.0), (2, 4, 2.5)], 0.0, 3)
+@example([(1, 0, 1.0), (0, 1, 2.5), (1, 2, 5.0), (0, 0, 1.0), (1, 4, 2.5)], 1.0, 3)
 def test_split_ratings_equals_per_user_loop_oracle(triplets, test_fraction, seed):
     # triplets in any user order, so the grouping sort has work to do
-    m = data.RatingMatrix(users=[], items=[], user_index={}, item_index={},
-                          triplets=triplets)
     rng, oracle_rng = make_rng(seed), make_rng(seed)
-    assert (data.split_ratings(m, test_fraction, rng)
-            == oracles.split_ratings(m, test_fraction, oracle_rng))
+    train, test = data.split_ratings(ratings_of(triplets), test_fraction, rng)
+    assert (list(train), list(test)) == oracles.split_ratings(triplets, test_fraction,
+                                                              oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("test_fraction, n_test", [(0.0, [0, 1, 1, 1, 1]),
+                                                   (0.5, [0, 1, 2, 2, 2]),
+                                                   (1.0, [0, 1, 2, 3, 4])])
+def test_split_ratings_holds_out_the_rounded_share_of_each_user(test_fraction, n_test):
+    # user u has u + 1 ratings, users interleaved
+    triplets = [(u, k, 3.0) for k in range(5) for u in range(5) if k <= u]
+    train, test = data.split_ratings(ratings_of(triplets), test_fraction, make_rng(2))
+    assert np.bincount(test.user, minlength=5).tolist() == n_test
+    assert sorted(list(train) + list(test)) == sorted(triplets)
 
 
 EVENTS = st.lists(
@@ -839,7 +860,8 @@ EVENTS = st.lists(
 @given(EVENTS)
 def test_rating_matrix_equals_per_row_oracle(events):
     got = data.RatingMatrix.from_interactions(rows_corpus(*events))
-    assert got == oracles.rating_matrix(events)
+    assert not {"user_index", "item_index"} & set(vars(got))  # built when first read
+    assert (got.users, got.items, list(got)) == oracles.rating_matrix(events)
 
 
 @given(EVENTS)
@@ -883,6 +905,7 @@ def test_corpus_rows_and_csv_round_trip(tmp_path_factory, events):
 @given(EVENTS)
 def test_dataset_equals_per_row_oracle(events):
     ds = data.Dataset.from_interactions(rows_corpus(*events))
+    assert not {"user_index", "item_index"} & set(vars(ds))  # built when first read
     assert list(ds.sessions) == oracles.sessionize(events)
     users = [e.user for e in events]
     items = [e.item for e in events]
@@ -958,8 +981,7 @@ def test_unseen_items_are_the_complement(case):
     sessions = oracles.sessions_of(
         [data.Session(user=users[k], t=0, day=0, items=[items[j] for j in seq])
          for k, seq in enumerate(touched) if seq], users, items)
-    ds = data.Dataset(users, items, {u: k for k, u in enumerate(users)},
-                      {it: j for j, it in enumerate(items)}, sessions)
+    ds = data.Dataset(users, items, sessions)
     hist = data.Histories(sessions, ds)
     for k, seq in enumerate(touched):
         complement = sorted(set(range(n)) - set(seq))

@@ -647,6 +647,12 @@ class TestChunkedEvaluate:
         assert report.failures == want
 
 
+def ratings_of(triplets, users=(), items=()) -> data.Ratings:
+    user, item, value = zip(*triplets) if triplets else ((), (), ())
+    return data.Ratings(list(users), list(items), np.array(user, np.int64),
+                        np.array(item, np.int64), np.array(value, np.float64))
+
+
 class TestEvaluateRatings:
     def test_mae_rmse_rows(self):
         evs = [
@@ -660,7 +666,7 @@ class TestEvaluateRatings:
             def predict_rating(self, u, i):
                 return 3.0
 
-        report = metrics.evaluate_ratings(Const(), m.triplets, model_name="const")
+        report = metrics.evaluate_ratings(Const(), m, model_name="const")
         assert report.value("mae") == pytest.approx((1 + 1 + 0) / 3)
         assert report.value("rmse") == pytest.approx(math.sqrt(2 / 3))
 
@@ -669,7 +675,8 @@ class TestEvaluateRatings:
             def predict_rating(self, u, i):
                 return {(0, 0): 3.0}[(u, i)]
 
-        report = metrics.evaluate_ratings(Table(), [(0, 0, 4.0), (0, 1, 2.0)], "table")
+        report = metrics.evaluate_ratings(Table(), ratings_of([(0, 0, 4.0), (0, 1, 2.0)]),
+                                          "table")
         assert report.n_instances == 1 and report.value("mae") == 1.0
         assert len(report.failures) == 1 and "item 1" in report.failures[0]
 
@@ -678,7 +685,8 @@ class TestEvaluateRatings:
             def predict_rating(self, u, i):
                 return np.zeros(0)[i]
 
-        report = metrics.evaluate_ratings(Empty(), [(0, 0, 4.0), (1, 0, 2.0)], "empty")
+        report = metrics.evaluate_ratings(Empty(), ratings_of([(0, 0, 4.0), (1, 0, 2.0)]),
+                                          "empty")
         assert report.n_instances == 0 and report.rows == []
         assert len(report.failures) == 2
 
@@ -688,4 +696,71 @@ class TestEvaluateRatings:
                 raise TypeError("a bug, not a data error")
 
         with pytest.raises(TypeError):
-            metrics.evaluate_ratings(Buggy(), [(0, 0, 4.0)], "buggy")
+            metrics.evaluate_ratings(Buggy(), ratings_of([(0, 0, 4.0)]), "buggy")
+
+    def test_one_batched_call_when_every_rating_is_in_range(self):
+        predictor = baselines.user_mean(ratings_of([(0, 0, 4.0), (1, 1, 2.0)], "ab", "ab"))
+        with mock.patch.object(baselines.MeanPredictor, "predict_rating",
+                               side_effect=AssertionError("called per rating")):
+            report = metrics.evaluate_ratings(
+                predictor, ratings_of([(0, 1, 3.0), (1, 0, 1.0)]), "usermean")
+        assert report.value("mae") == 1.0 and report.failures == []
+
+
+def _rating_case(seed, n_users=7, n_items=9, n_ratings=30):
+    """Ratings over n_users x n_items, and the apar, usermean and itemmean
+    predictors trained on their first two thirds."""
+    rng = make_rng(seed)
+    pairs = rng.choice(n_users * n_items, size=n_ratings, replace=False)
+    ratings = data.Ratings([f"u{u}" for u in range(n_users)],
+                           [f"i{i}" for i in range(n_items)], pairs // n_items,
+                           pairs % n_items, rng.uniform(1.0, 5.0, n_ratings))
+    train = ratings.take(np.arange(2 * n_ratings // 3))
+    state = apar.fit_ratings(train, rng.integers(0, 3, n_users), {},
+                             apar.AparConfig(d=3, max_iters=30, seed=seed))
+    return ratings, {"apar": state, "usermean": baselines.user_mean(train),
+                     "itemmean": baselines.item_mean(train)}
+
+
+def _same_report(got, want):
+    assert got.rows == want.rows  # the values bit for bit
+    assert (got.n_instances, got.failures, got.failure_causes) == (
+        want.n_instances, want.failures, want.failure_causes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["apar", "usermean", "itemmean"])
+def test_evaluate_ratings_equals_the_per_rating_loop(seed, kind):
+    ratings, predictors = _rating_case(seed)
+    predictor = predictors[kind]
+    _same_report(metrics.evaluate_ratings(predictor, ratings, kind),
+                 oracles.evaluate_ratings(predictor, list(ratings), kind))
+    users, items = ratings.user, ratings.item
+    assert predictor.predict_ratings(users, items).tolist() == [
+        predictor.predict_rating(u, i) for u, i, _ in ratings]
+
+
+@pytest.mark.parametrize("kind", ["apar", "usermean", "itemmean"])
+def test_codes_outside_the_predictor_fail_alone_as_in_the_per_rating_loop(kind):
+    ratings, predictors = _rating_case(3)
+    # a user and an item past the end of every table
+    ratings = data.Ratings(ratings.users, ratings.items,
+                           np.append(ratings.user, [7, 0, 7]),
+                           np.append(ratings.item, [0, 9, 9]),
+                           np.append(ratings.value, [1.0, 2.0, 3.0]))
+    got = metrics.evaluate_ratings(predictors[kind], ratings, kind)
+    _same_report(got, oracles.evaluate_ratings(predictors[kind], list(ratings), kind))
+    assert got.failure_causes == {metrics.UNKNOWN: 2 if kind != "apar" else 3}
+    assert got.failures[-1] == ("user 7 item 9: index 7 is out of bounds for axis 0 with "
+                                "size 7" if kind != "itemmean" else
+                                "user 7 item 9: index 9 is out of bounds for axis 0 with "
+                                "size 9")
+
+
+def test_mean_model_ratings_equal_the_dict_mean_oracle():
+    ratings, predictors = _rating_case(4)
+    train = list(ratings)[:20]  # the ratings `_rating_case` trains on
+    for pos, by, kind in ((0, "user", "usermean"), (1, "item", "itemmean")):
+        _same_report(metrics.evaluate_ratings(predictors[kind], ratings, kind),
+                     oracles.evaluate_ratings(oracles.mean_predictor(train, pos, by),
+                                              list(ratings), kind))

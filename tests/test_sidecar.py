@@ -82,6 +82,22 @@ def test_warm_read_equals_cold_parse(tmp_path, monkeypatch):
     assert cold[2] == warm[2] == sha256(path)
 
 
+def test_reviews_are_sliced_only_when_read(tmp_path, monkeypatch):
+    path = write(tmp_path / "c.csv", RICH)
+    corpus, _ = data.ingest_csv(path)
+    cli._read_corpus(str(path))
+    slices = []
+    texts_of = data.Corpus.review.fget
+    monkeypatch.setattr(data.Corpus, "review",
+                        property(lambda c: slices.append(len(c)) or texts_of(c)))
+    warm, _ = data.read_sidecar(sidecar(path), data.sidecar_key(sha256(path), None))
+    mine = warm.take(warm.user == 0)  # a take leaves the reviews unread too
+    assert slices == []
+    assert mine.review == [r for r, u in zip(corpus.review, corpus.user) if u == 0]
+    assert warm.review == corpus.review
+    assert mine.review is mine.review  # made once
+
+
 def test_edit_of_same_size_and_mtime_is_a_miss(tmp_path):
     path = write(tmp_path / "c.csv", RICH)
     before = os.stat(path)
