@@ -22,34 +22,32 @@ def main():
     args = ap.parse_args()
 
     rng = make_rng(args.seed)
-    corpus, truth = data.synth_personality_clusters(
+    corpus, cluster = data.synth_personality_clusters(
         args.clusters, args.users_per_cluster, args.items_per_cluster, rng=rng
     )
-    labels = {u: info.cluster for u, info in truth.items()}
-    sep = data.cross_cluster_disjointness(corpus, labels)
+    sep = data.cross_cluster_disjointness(corpus, cluster)
     print(
-        f"{len(labels)} users in {args.clusters} clusters; "
+        f"{len(cluster)} users in {args.clusters} clusters; "
         f"cross-cluster item disjointness {sep:.0%}"
     )
 
     # the planted weight table gives each trait a dedicated category; the
     # shipped default table spreads categories across traits and cannot
     # recover a planted argmax winner
-    profiles = personality.profile_all(
+    scores, has_text = profiles = personality.profile_all(
         corpus, personality.DEMO_LEXICON, data.planted_cluster_weights()
     )
-    hit = sum(1 for u, prof in profiles.items() if prof.dominant == truth[u].trait)
-    print(f"dominant trait matches the planted trait for {hit}/{len(profiles)} users")
+    # data.TRAITS and personality.TRAIT_ORDER list the traits in one order
+    planted = cluster % len(data.TRAITS)
+    hit = int((scores.argmax(axis=1) == planted)[has_text].sum())
+    print(f"dominant trait matches the planted trait for {hit}/{has_text.sum()} users")
 
     matrix = data.RatingMatrix.from_interactions(corpus)
     train, test = data.split_ratings(matrix, 0.2, make_rng(args.seed + 1))
 
-    kl_map = {
-        u: lvl.kl_normalized
-        for u, lvl in personality.knowledge_levels(corpus).items()
-    }
     state = apar.fit_ratings(
-        train, personality.trait_groups(profiles, train.users), kl_map,
+        train, personality.trait_groups(corpus, profiles, train.users),
+        personality.knowledge_levels(corpus, train.users),
         apar.AparConfig(d=8, max_iters=800, seed=args.seed),
     )
 

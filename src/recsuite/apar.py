@@ -16,15 +16,14 @@ from .numeric import make_rng
 _EPS = 1e-12
 
 
-def gamma_value(beta: float, kl_norm: float) -> float:
-    return min(1.0, max(0.0, beta + kl_norm))
-
-
-def gamma_vector(users, kl_map, beta: float, override: float | None = None) -> np.ndarray:
-    """Per-user blend weights; a global override replaces the knowledge-based rule."""
+def gamma_vector(kl, beta: float, override: float | None = None) -> np.ndarray:
+    """Per-user blend weights beta + kl, clipped to [0, 1], from one knowledge
+    level per user; a global override replaces the knowledge-based rule."""
+    kl = np.asarray(kl, dtype=np.float64)
     if override is not None:
-        return np.full(len(users), float(override))
-    return np.array([gamma_value(beta, kl_map.get(u, 0.0)) for u in users])
+        return np.full(len(kl), float(override))
+    # fmax and fmin skip a NaN where clip keeps it: a NaN beta gives weight 0
+    return np.fmin(1.0, np.fmax(0.0, beta + kl))
 
 
 class CliqueGraph:
@@ -317,16 +316,15 @@ def train_apar(W, mask, groups, gamma, config: AparConfig) -> AparState:
     )
 
 
-def fit_ratings(ratings, groups, kl_map, config: AparConfig) -> AparState:
+def fit_ratings(ratings, groups, kl, config: AparConfig) -> AparState:
     """Train on `data.Ratings` over their vocabularies.
 
-    groups holds one trait-group label per user of the vocabulary, and
-    kl_map maps user tokens to normalized knowledge levels for the blend
-    weights.
+    groups holds one trait-group label and kl one normalized knowledge level
+    per user of the vocabulary; the knowledge levels give the blend weights.
     """
     W = np.zeros((ratings.n_users, ratings.n_items))
     mask = np.zeros_like(W, dtype=bool)
     W[ratings.user, ratings.item] = ratings.value
     mask[ratings.user, ratings.item] = True
-    gamma = gamma_vector(ratings.users, kl_map, config.beta, config.gamma_override)
+    gamma = gamma_vector(kl, config.beta, config.gamma_override)
     return train_apar(W, mask, groups, gamma, config)

@@ -113,9 +113,6 @@ class BprState(metrics.Ranker):
     def score_batch(self, users, longs, shorts):
         return self.P[np.asarray(users, dtype=np.int64)] @ self.Q.T
 
-    def predict_rating(self, user, item) -> float:
-        return float(self.P[user] @ self.Q[item])
-
 
 def _bpr_triple(pu, qi, qj, l2):
     """Data loss softplus(-x), x = p_u·(q_i - q_j), and the triple's gradients.

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import data, metrics, minibatch
 from .numeric import (
-    init_normal,
     init_uniform_attention,
     make_rng,
     pooled_attention,
@@ -74,10 +73,6 @@ class CanState(metrics.Ranker):
     def params(self) -> list:
         return [getattr(self, n) for n in PARAM_NAMES]
 
-    @classmethod
-    def from_params(cls, plist, config: CanConfig) -> "CanState":
-        return cls(*plist, config=config)
-
     def score_batch(self, users, longs, shorts) -> np.ndarray:
         u, _ = forward(self, users, longs, shorts)
         return u @ self.V_out.T
@@ -107,9 +102,9 @@ def init_can(n_users: int, n_items: int, config: CanConfig, rng=None) -> CanStat
     shape = param_shapes(config, n_users, n_items)
     if rng is None:
         rng = make_rng(config.seed)
-    E = init_normal(*shape["E"], 0.0, 0.01, rng)
-    U = init_normal(*shape["U"], 0.0, 0.01, rng)
-    V_out = init_normal(*shape["V_out"], 0.0, 0.01, rng)
+    E = rng.normal(0.0, 0.01, size=shape["E"])
+    U = rng.normal(0.0, 0.01, size=shape["U"])
+    V_out = rng.normal(0.0, 0.01, size=shape["V_out"])
 
     def attn(name):
         rows, cols = shape[name]

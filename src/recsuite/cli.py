@@ -265,7 +265,7 @@ def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
                "sessions_per_user": sessions_per_user, "session_len": session_len,
                "noise": noise}
     else:
-        corpus, truth = data.synth_personality_clusters(
+        corpus, cluster = data.synth_personality_clusters(
             clusters, users_per_cluster, items_per_cluster, rng=rng,
             rating_density=rating_density,
         )
@@ -273,11 +273,9 @@ def synth(kind, items, users, sessions_per_user, session_len, noise, clusters,
         labels_path = os.path.join(out_dir, "clusters.csv")
         with open(labels_path, "w", encoding="utf-8") as fh:
             fh.write("user,cluster,trait\n")
-            for user, info in truth.items():
-                fh.write(f"{user},{info.cluster},{info.trait}\n")
-        separation = data.cross_cluster_disjointness(
-            corpus, {u: info.cluster for u, info in truth.items()}
-        )
+            for user, c in zip(corpus.users, cluster.tolist()):
+                fh.write(f"{user},{c},{data.TRAITS[c % len(data.TRAITS)]}\n")
+        separation = data.cross_cluster_disjointness(corpus, cluster)
         isolated = data.dsw_degree(corpus)
         click.echo(f"wrote {corpus_path}: {len(corpus)} events")
         click.echo(f"cluster separation (no items shared across clusters): "
@@ -353,12 +351,13 @@ def profile(input_path, lexicon_path, weights_path, seed, out_dir):
         profiles = personality.profile_all(corpus, lexicon, weights)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
-    total_users = len(corpus.users)
     os.makedirs(out_dir, exist_ok=True)
-    personality.profiles_to_csv(list(profiles.values()),
+    personality.profiles_to_csv(corpus.users, profiles,
                                 os.path.join(out_dir, "profiles.csv"))
-    click.echo(f"profiled {len(profiles)} users "
-               f"({total_users - len(profiles)} with no usable text)")
+    _, has_text = profiles
+    n_profiled = int(has_text.sum())
+    click.echo(f"profiled {n_profiled} users "
+               f"({len(corpus.users) - n_profiled} with no usable text)")
     inputs = {input_path: digest, **{p: None for p in (lexicon_path, weights_path) if p}}
     _write_manifest(out_dir, "profile", seed, {"lexicon": lexicon_path,
                     "weights": weights_path}, inputs, time.perf_counter() - t0)
@@ -446,12 +445,9 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
                 profiles = personality.profile_all(
                     corpus, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
                 )
-                kl_map = {
-                    u: lvl.kl_normalized
-                    for u, lvl in personality.knowledge_levels(corpus).items()
-                }
                 state = apar.fit_ratings(
-                    train_ratings, personality.trait_groups(profiles, users), kl_map, cfg
+                    train_ratings, personality.trait_groups(corpus, profiles, users),
+                    personality.knowledge_levels(corpus, users), cfg
                 )
         else:
             ds, sp = _ranking_context(corpus, split_policy, seed)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import data, metrics, minibatch
 from .numeric import (
-    init_normal,
     init_uniform_attention,
     make_rng,
     pooled_attention,
@@ -55,10 +54,6 @@ class DasState(metrics.Ranker):
 
     def params(self) -> list:
         return [getattr(self, n) for n in PARAM_NAMES]
-
-    @classmethod
-    def from_params(cls, plist, config: DasConfig) -> "DasState":
-        return cls(*plist, config=config)
 
     @property
     def n_items(self) -> int:
@@ -98,13 +93,13 @@ def init_das(n_users: int, n_items: int, config: DasConfig, rng=None) -> DasStat
     # the embedding tables spread at 0.5, the dense layers at 0.1; at 0.01
     # all items look alike
     return DasState(
-        W1=init_normal(*shape["W1"], 0.0, 0.5, rng),
-        W2=init_normal(*shape["W2"], 0.0, 0.5, rng),
+        W1=rng.normal(0.0, 0.5, size=shape["W1"]),
+        W2=rng.normal(0.0, 0.5, size=shape["W2"]),
         w_alpha=attention("w_alpha"),
         w_beta=attention("w_beta"),
-        W=init_normal(*shape["W"], 0.0, 0.1, rng),
+        W=rng.normal(0.0, 0.1, size=shape["W"]),
         b=np.zeros(shape["b"]),
-        Wout=init_normal(*shape["Wout"], 0.0, 0.1, rng),
+        Wout=rng.normal(0.0, 0.1, size=shape["Wout"]),
         bout=np.zeros(shape["bout"]),
         config=config,
     )

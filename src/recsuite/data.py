@@ -790,12 +790,6 @@ PLANTED_TRAIT_CATEGORIES = {
 BACKGROUND_CATEGORIES = ["prepositions", "humans", "past_tense_verbs"]
 
 
-@dataclass(frozen=True)
-class ClusterInfo:
-    cluster: int
-    trait: str
-
-
 def planted_cluster_weights() -> dict[str, list[tuple[str, float]]]:
     """Weight table that makes each planted trait the strict argmax."""
     return {t: [(cat, 1.0)] for t, cat in PLANTED_TRAIT_CATEGORIES.items()}
@@ -813,8 +807,9 @@ def synth_personality_clusters(
 
     Users of one cluster rate only that cluster's items (zero co-rated items
     across clusters) and write reviews dominated by one lexicon category, so
-    trait scoring separates the clusters. Returns (corpus, truth) with truth
-    mapping user token -> ClusterInfo.
+    trait scoring separates the clusters. Returns (corpus, cluster): the
+    planted cluster of each user of `corpus.users`, whose trait is
+    `TRAITS[cluster % len(TRAITS)]`.
     """
     if n_clusters < 2:
         raise ValueError("need at least 2 clusters")
@@ -832,7 +827,6 @@ def synth_personality_clusters(
     n_rated = max(1, round(rating_density * items_per_cluster))
     n = users_per_cluster * n_rated  # rows per cluster
     item_codes, ratings, reviews, helpful = [], [], [], []
-    truth: dict[str, ClusterInfo] = {}
     for c in range(n_clusters):
         trait = TRAITS[c % len(TRAITS)]
         own = words_of(PLANTED_TRAIT_CATEGORIES[trait])
@@ -842,8 +836,6 @@ def synth_personality_clusters(
         words = np.array(own + other + background, dtype=object)
         pool_size = np.array([len(own), len(other), len(background)])
         pool_start = np.array([0, len(own), len(own) + len(other)])
-        for k in range(users_per_cluster):
-            truth[f"c{c}_u{k:03d}"] = ClusterInfo(cluster=c, trait=trait)
 
         quality = rng.uniform(1.2, 4.8, size=items_per_cluster)
         offset = rng.normal(0.0, 0.2, size=users_per_cluster)
@@ -868,10 +860,11 @@ def synth_personality_clusters(
     user = np.repeat(np.arange(n_users, dtype=np.int64), n_rated)
     stamp = user * SECONDS_PER_DAY + np.tile(np.arange(n_rated, dtype=np.int64), n_users)
     corpus = Corpus(
-        list(truth), items, user, item, stamp, np.full(len(user), RATE, np.int8),
+        [f"c{c}_u{k:03d}" for c in range(n_clusters) for k in range(users_per_cluster)],
+        items, user, item, stamp, np.full(len(user), RATE, np.int8),
         np.concatenate(ratings), np.concatenate(helpful), reviews,
     )
-    return corpus, truth
+    return corpus, np.repeat(np.arange(n_clusters, dtype=np.int64), users_per_cluster)
 
 
 def _touched(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -896,10 +889,11 @@ def dsw_degree(corpus: Corpus) -> float:
     return _share_of_users_without(user, holders[item] > 1)
 
 
-def cross_cluster_disjointness(corpus: Corpus, labels: dict[str, int]) -> float:
-    """Fraction of users sharing no item with any user of another cluster."""
+def cross_cluster_disjointness(corpus: Corpus, cluster: np.ndarray) -> float:
+    """Fraction of users sharing no item with any user of another cluster;
+    `cluster` holds one label per user of `corpus.users`."""
     user, item = _touched(corpus)
-    label = np.array([labels[u] for u in corpus.users], dtype=np.int64)[user]
+    label = np.asarray(cluster, dtype=np.int64)[user]
     # an item is shared across clusters when its users' labels differ
     lowest = np.full(len(corpus.items), INT64_MAX)
     highest = np.full(len(corpus.items), -INT64_MAX - 1)

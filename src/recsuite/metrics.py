@@ -42,23 +42,19 @@ def rmse(true, pred) -> float:
 # Shared ranking rule
 
 
-def top_k(scores, k: int, drop=()) -> np.ndarray:
-    """The first k items of the ranking of `scores`, leaving out `drop`.
+def top_k(scores, k: int) -> np.ndarray:
+    """The first k items of the ranking of `scores`.
 
     The ranking is by descending score, ties by ascending index, NaN last.
     A partition finds the k-th best score without sorting the catalog; only
     the items at least as good as it, every tie with it included, are then
-    sorted under the exact rule. Returns fewer than k items when fewer
-    remain.
+    sorted under the exact rule. Returns every item when the catalog holds
+    fewer than k.
     """
     key = -np.asarray(scores, dtype=np.float64)
     items = np.arange(key.size)
     if k < 1:
         return items[:0]
-    if len(drop):
-        keep = np.ones(key.size, dtype=bool)
-        keep[drop] = False
-        items, key = items[keep], key[keep]
     if k < key.size:
         kth = np.partition(key, k - 1)[k - 1]
         if not np.isnan(kth):  # a NaN k-th key: fewer than k numbers, keep all

@@ -73,14 +73,6 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-def init_normal(
-    rows: int, cols: int, mean: float, std: float, rng: np.random.Generator
-) -> np.ndarray:
-    if std < 0:
-        raise ValueError("std must be nonnegative")
-    return rng.normal(mean, std, size=(rows, cols))
-
-
 def init_uniform_attention(
     rows: int, cols: int, k: int, rng: np.random.Generator
 ) -> np.ndarray:

@@ -15,7 +15,6 @@ only relative and cluster behavior is meaningful.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,111 +204,99 @@ def _trait_scores(X: np.ndarray, terms) -> np.ndarray:
     return scores
 
 
-@dataclass
-class PersonalityProfile:
-    user: str
-    scores: dict[str, float]
-    dominant: str
-
-
-def dominant_trait(scores: dict[str, float]) -> str:
-    best = max(scores[t] for t in TRAIT_ORDER)
-    for t in TRAIT_ORDER:  # declared tie order
-        if scores[t] == best:
-            return t
-    raise AssertionError("unreachable")
-
-
 def profile_all(
     corpus,
     lexicon: dict[str, list[str]],
     weights: dict[str, list[tuple[str, float]]],
-) -> dict[str, PersonalityProfile]:
-    """Profiles of the corpus's users with review text, in vocabulary order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, has_text): the trait scores of each user of `corpus.users`, in
+    TRAIT_ORDER columns, and a mask of the users with review text.
 
     The weights are checked against the lexicon before any text is read.
     Each user's reviews are joined and scored as one text; a user whose
-    reviews are all empty or whitespace gets no profile.
+    reviews are all empty or whitespace has no text, and a score row of 0.
+    A user's dominant trait is `scores.argmax(axis=1)`: the first maximum,
+    so ties go in TRAIT_ORDER.
     """
     terms = _weight_terms(lexicon, weights)
     reviews: list[list[str]] = [[] for _ in corpus.users]
     for u, text in zip(corpus.user.tolist(), corpus.review):
         reviews[u].append(text)
-    joined = {user: " ".join(texts) for user, texts in zip(corpus.users, reviews)}
-    joined = {user: text for user, text in joined.items() if text.strip()}
-    scores = _trait_scores(_proportions(list(joined.values()), lexicon), terms).tolist()
-    rows = [dict(zip(TRAIT_ORDER, row)) for row in scores]
-    return {user: PersonalityProfile(user=user, scores=s, dominant=dominant_trait(s))
-            for user, s in zip(joined, rows)}
+    joined = [" ".join(texts) for texts in reviews]
+    has_text = np.fromiter((bool(text.strip()) for text in joined), bool, len(joined))
+    return _trait_scores(_proportions(joined, lexicon), terms), has_text
+
+
+def _positions(corpus, users) -> np.ndarray:
+    """The position of each token of `users` in `corpus.users`, -1 where absent."""
+    index = dict(zip(corpus.users, range(len(corpus.users))))
+    return np.fromiter((index.get(u, -1) for u in users), np.int64, len(users))
 
 
 # ---------------------------------------------------------------------------
 # Trait groups over users
 
 
-def trait_groups(profiles: dict[str, PersonalityProfile], users) -> np.ndarray:
-    """One integer label per user; users sharing a dominant trait share a label.
+def trait_groups(corpus, profiles, users) -> np.ndarray:
+    """One integer label per token of `users`; users sharing a dominant trait
+    share a label.
 
-    profiles maps user tokens to profiles, as `profile_all` returns them. A
-    user with no profile gets a label of their own, a group of one. Each
-    label is the position in `users` of the group's first member.
+    profiles is `profile_all`'s (scores, has_text) over `corpus.users`. A
+    user without review text, or absent from the corpus, gets a label of
+    their own, a group of one. Each label is the position in `users` of the
+    group's first member.
     """
-    first: dict[str, int] = {}
-    labels = np.empty(len(users), dtype=np.int64)
-    for i, user in enumerate(users):
-        prof = profiles.get(user)
-        labels[i] = i if prof is None else first.setdefault(prof.dominant, i)
-    return labels
+    scores, has_text = profiles
+    # one trait per corpus user, -1 without text; the appended -1 is the trait
+    # of a user absent from the corpus, position -1
+    dominant = np.append(np.where(has_text, scores.argmax(axis=1), -1), -1)
+    key = dominant[_positions(corpus, users)]
+    # each user without a trait is a key of their own, below every trait's
+    key = np.where(key >= 0, key, -1 - np.arange(len(users)))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first[inverse].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Knowledge levels from helpfulness votes
 
 
-@dataclass
-class KnowledgeLevel:
-    user: str
-    kl: float
-    kl_normalized: float
-    defined: bool
+def knowledge_levels(corpus, users) -> np.ndarray:
+    """The normalized knowledge level of each token of `users`: the user's
+    mean helpfulness votes, min-max normalized across the corpus's users.
 
-
-def knowledge_levels(corpus) -> dict[str, KnowledgeLevel]:
-    """Mean helpfulness votes per user, min-max normalized across users.
-
-    Every user of the corpus's vocabulary gets a level, and the mean runs
-    over the user's reviewed rows, a row without votes counting 0. Users with
-    no reviewed row get kl 0, normalized 0, defined=False. A constant column
+    The mean runs over the user's reviewed rows, a row without votes
+    counting 0. A user with no reviewed row, or absent from the corpus,
+    gets level 0 and takes no part in the min and max. A constant column
     (everyone equal, or a single reviewer) normalizes to 0.5.
     """
     reviewed = np.fromiter(map(bool, corpus.review), bool, len(corpus))
     user = corpus.user[reviewed]
     n_users = len(corpus.users)
-    counts = np.bincount(user, minlength=n_users).tolist()
+    counts = np.bincount(user, minlength=n_users)
     sums = np.bincount(user, weights=np.maximum(corpus.helpful[reviewed], 0),
-                       minlength=n_users).tolist()
-    raw = [total / count if count else None for total, count in zip(sums, counts)]
-    defined_vals = [v for v in raw if v is not None]
-    out = {}
-    lo = min(defined_vals) if defined_vals else 0.0
-    hi = max(defined_vals) if defined_vals else 0.0
-    for u, v in zip(corpus.users, raw):
-        if v is None:
-            out[u] = KnowledgeLevel(u, 0.0, 0.0, defined=False)
-        elif hi == lo:
-            out[u] = KnowledgeLevel(u, v, 0.5, defined=True)
-        else:
-            out[u] = KnowledgeLevel(u, v, (v - lo) / (hi - lo), defined=True)
-    return out
+                       minlength=n_users)
+    defined = counts > 0
+    level = np.zeros(n_users + 1)  # the last, position -1: users absent from the corpus
+    if defined.any():
+        mean = sums[defined] / counts[defined]
+        lo, hi = mean.min(), mean.max()
+        level[:n_users][defined] = 0.5 if hi == lo else (mean - lo) / (hi - lo)
+    return level[_positions(corpus, users)]
 
 
 # ---------------------------------------------------------------------------
 # Profiles CSV
 
 
-def profiles_to_csv(profiles: list[PersonalityProfile], path) -> None:
+def profiles_to_csv(users, profiles, path) -> None:
+    """One row per user with review text: the token, the trait scores and
+    the dominant trait; profiles is `profile_all`'s (scores, has_text) over
+    `users`."""
+    scores, has_text = profiles
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["user"] + TRAIT_ORDER + ["dominant"])
-        for p in profiles:
-            w.writerow([p.user] + [p.scores[t] for t in TRAIT_ORDER] + [p.dominant])
+        for i in np.flatnonzero(has_text).tolist():
+            row = scores[i]
+            w.writerow([users[i]] + row.tolist() + [TRAIT_ORDER[row.argmax()]])

@@ -44,13 +44,13 @@ def categorize(text, lexicon):
 
 
 def similarity(profiles, users):
-    """L[a, b] = 1 iff users a != b both have a profile with the same dominant trait."""
-    by_user = {p.user: p for p in profiles}
+    """L[a, b] = 1 iff users a != b both have a profile with the same dominant
+    trait; profiles maps user tokens to `oracles.PersonalityProfile`s."""
     L = np.zeros((len(users), len(users)))
     for a, ua in enumerate(users):
         for b, ub in enumerate(users):
-            if a != b and ua in by_user and ub in by_user:
-                L[a, b] = float(by_user[ua].dominant == by_user[ub].dominant)
+            if a != b and ua in profiles and ub in profiles:
+                L[a, b] = float(profiles[ua].dominant == profiles[ub].dominant)
     return L
 
 

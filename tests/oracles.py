@@ -41,17 +41,25 @@ scores them through `Matcher` (a `collections.Counter` of tokens per text),
 `categorize` and `trait_score` (one dict per user), the per-user path that
 `profile_all` replaced with one pass over all users; `tokenize` is the
 regular expression that `personality.tokenize` replaced with a byte table.
+Profiles are `PersonalityProfile` records keyed by user token, with the
+dominant trait of `dominant_trait`, as `personality` kept them before it
+kept per-user arrays; `profiles_of` turns `personality.profile_all`'s
+arrays into those records, and `with_dominants` plants profiles with given
+dominant traits. `knowledge_levels`, `trait_groups` and `gamma_vector` are
+the dicts keyed by user token that knowledge levels, trait groups and blend
+weights passed through before they were arrays over a user vocabulary.
 `evaluate` is the per-instance loop `metrics.evaluate` ran before it took
-every metric from ranks over a whole chunk: a `metrics.top_k` list per
-instance, then `precision_at_k`, `recall_at_k`, `can_novelty` and `auc` on
-it; it reads each instance as token objects, its long-term list through
-`long_term_before`, as `metrics.evaluate` did before it gathered them
-from index arrays.
+every metric from ranks over a whole chunk: a full ranking per instance
+(`rank_items`) without its context items, then `precision_at_k`,
+`recall_at_k`, `can_novelty` and `auc` on its top; it reads each instance
+as token objects, its long-term list through `long_term_before`, as
+`metrics.evaluate` did before it gathered them from index arrays.
 """
 
 import collections
 import csv
 import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -273,6 +281,45 @@ def trait_score(X, weights):
     return scores
 
 
+@dataclass
+class PersonalityProfile:
+    user: str
+    scores: dict[str, float]
+    dominant: str
+
+
+def dominant_trait(scores):
+    """The trait of the highest score, the first in TRAIT_ORDER on a tie."""
+    best = max(scores[t] for t in personality.TRAIT_ORDER)
+    return next(t for t in personality.TRAIT_ORDER if scores[t] == best)
+
+
+def profiles_of(users, profiles):
+    """`personality.profile_all`'s (scores, has_text) over `users` as
+    {user: PersonalityProfile} of the users with text, in `users`' order."""
+    scores, has_text = profiles
+    out = {}
+    for user, row, texted in zip(users, scores.tolist(), has_text.tolist()):
+        if texted:
+            row = dict(zip(personality.TRAIT_ORDER, row))
+            out[user] = PersonalityProfile(user=user, scores=row, dominant=dominant_trait(row))
+    return out
+
+
+def with_dominants(dominants):
+    """(corpus, profiles): one user `u<i>` per entry of `dominants`, whose
+    trait scores are 1 at the trait `dominants[i]` names and 0 elsewhere; a
+    user marked "-" has no review text."""
+    users = [f"u{i}" for i in range(len(dominants))]
+    corpus = from_rows(Interaction(u, "a", 0) for u in users)
+    scores = np.zeros((len(users), len(personality.TRAIT_ORDER)))
+    has_text = np.array([d != "-" for d in dominants], dtype=bool)
+    for i, d in enumerate(dominants):
+        if d != "-":
+            scores[i, personality.TRAIT_ORDER.index(d)] = 1.0
+    return corpus, (scores, has_text)
+
+
 def profile_user(user, reviews, lexicon, weights):
     """One user's profile from their reviews: concatenate, categorize, score.
 
@@ -282,8 +329,7 @@ def profile_user(user, reviews, lexicon, weights):
     if not texts:
         return None
     scores = trait_score(categorize(" ".join(texts), lexicon), weights)
-    return personality.PersonalityProfile(
-        user=user, scores=scores, dominant=personality.dominant_trait(scores))
+    return PersonalityProfile(user=user, scores=scores, dominant=dominant_trait(scores))
 
 
 def profile_all(interactions, lexicon, weights):
@@ -306,7 +352,8 @@ def profile_all(interactions, lexicon, weights):
 
 
 def knowledge_levels(interactions):
-    """user -> min-max normalized mean votes over the user's reviewed rows."""
+    """user -> min-max normalized mean votes over the user's reviewed rows, 0
+    for a user without one."""
     votes = collections.defaultdict(list)
     seen = []
     for e in interactions:
@@ -323,12 +370,28 @@ def knowledge_levels(interactions):
     for u in seen:
         v = raw[u]
         if v is None:
-            out[u] = personality.KnowledgeLevel(u, 0.0, 0.0, defined=False)
+            out[u] = 0.0
         elif hi == lo:
-            out[u] = personality.KnowledgeLevel(u, v, 0.5, defined=True)
+            out[u] = 0.5
         else:
-            out[u] = personality.KnowledgeLevel(u, v, (v - lo) / (hi - lo), defined=True)
+            out[u] = (v - lo) / (hi - lo)
     return out
+
+
+def trait_groups(profiles, users):
+    """One label per user of `users`: the position of the first user with the
+    same dominant trait in `profiles`, or the user's own without a profile."""
+    first = {}
+    return [i if user not in profiles else first.setdefault(profiles[user].dominant, i)
+            for i, user in enumerate(users)]
+
+
+def gamma_vector(users, kl_map, beta, override=None):
+    """Each user's blend weight: the override, else beta plus the user's level
+    in kl_map (0 when absent), clamped to [0, 1]."""
+    if override is not None:
+        return [float(override)] * len(users)
+    return [min(1.0, max(0.0, beta + kl_map.get(u, 0.0))) for u in users]
 
 
 def _items_by_user(interactions):
@@ -706,7 +769,10 @@ def evaluate(scorer, dataset, split, cutoffs, model_name, exclude_context=True):
             failures.append(f"user {inst.user} day {inst.day}: {scores}")
             continue
         if cutoffs:
-            ranked = metrics.top_k(scores, cutoffs[-1], ctx_idx if exclude_context else ())
+            ranked = rank_items(scores)
+            if exclude_context:
+                ranked = ranked[~np.isin(ranked, ctx_idx)]
+            ranked = ranked[:cutoffs[-1]]
             if not ranked.size:
                 failures.append(f"user {inst.user} day {inst.day}: no item left to "
                                 "rank once its context is dropped")

@@ -87,7 +87,7 @@ def test_01_gradients_match_finite_differences():
         positives=[6, 7], negatives=[[8, 9], [10]],
     )
     err_das = grad_check(
-        lambda pl: loop_oracles.dense_objective(das, das.DasState.from_params(pl, das_cfg),
+        lambda pl: loop_oracles.dense_objective(das, das.DasState(*pl, config=das_cfg),
                                                 das_batch),
         das_state.params(),
     )
@@ -104,7 +104,7 @@ def test_01_gradients_match_finite_differences():
         positives=[6], negatives=[7],
     )
     err_can = grad_check(
-        lambda pl: loop_oracles.dense_objective(can, can.CanState.from_params(pl, can_cfg),
+        lambda pl: loop_oracles.dense_objective(can, can.CanState(*pl, config=can_cfg),
                                                 can_batch),
         can_state.params(),
     )
@@ -339,9 +339,8 @@ def test_06_training_order_shuffle_is_harmless(planted, das_trained):
 
 def test_07_cluster_transfer_beats_user_mean():
     rng = make_rng(0)
-    interactions, truth = data.synth_personality_clusters(2, 20, 10, rng=rng)
-    labels = {u: info.cluster for u, info in truth.items()}
-    assert data.cross_cluster_disjointness(interactions, labels) == 1.0
+    interactions, cluster = data.synth_personality_clusters(2, 20, 10, rng=rng)
+    assert data.cross_cluster_disjointness(interactions, cluster) == 1.0
 
     matrix = data.RatingMatrix.from_interactions(interactions)
     train, test = data.split_ratings(matrix, 0.2, make_rng(1))
@@ -350,13 +349,10 @@ def test_07_cluster_transfer_beats_user_mean():
     profiles = personality.profile_all(
         interactions, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
     )
-    groups = personality.trait_groups(profiles, matrix.users)
-    kl_map = {
-        u: lvl.kl_normalized
-        for u, lvl in personality.knowledge_levels(interactions).items()
-    }
+    groups = personality.trait_groups(interactions, profiles, matrix.users)
+    kl = personality.knowledge_levels(interactions, matrix.users)
     cfg = apar.AparConfig(d=8, max_iters=800, seed=0)
-    state = apar.fit_ratings(train, groups, kl_map, cfg)
+    state = apar.fit_ratings(train, groups, kl, cfg)
     elapsed = time.perf_counter() - t0
 
     model_mae = metrics.evaluate_ratings(state, test, "apar").value("mae")

@@ -15,22 +15,23 @@ from recsuite.numeric import make_rng
 
 class TestGamma:
     def test_plain_sum(self):
-        assert apar.gamma_value(0.5, 0.0) == 0.5
-        assert apar.gamma_value(0.0, 0.3) == 0.3
+        assert apar.gamma_vector([0.0], 0.5).tolist() == [0.5]
+        assert apar.gamma_vector([0.3], 0.0).tolist() == [0.3]
 
     def test_clamped_above(self):
-        assert apar.gamma_value(0.5, 0.8) == 1.0
+        assert apar.gamma_vector([0.8], 0.5).tolist() == [1.0]
 
     def test_clamped_below(self):
-        assert apar.gamma_value(-0.2, 0.1) == 0.0
+        assert apar.gamma_vector([0.1], -0.2).tolist() == [0.0]
+        assert apar.gamma_vector([0.1], np.nan).tolist() == [0.0]
 
     def test_vector_with_override(self):
-        g = apar.gamma_vector(["u1", "u2"], {"u1": 0.9, "u2": 0.1}, beta=0.5, override=0.5)
-        assert list(g) == [0.5, 0.5]
+        g = apar.gamma_vector(np.array([0.9, 0.1]), beta=0.5, override=0.5)
+        assert g.tolist() == [0.5, 0.5]
 
     def test_vector_from_knowledge(self):
-        g = apar.gamma_vector(["u1", "u2", "u3"], {"u1": 0.9, "u2": 0.1}, beta=0.5)
-        assert list(g) == [1.0, 0.6, 0.5]  # missing user falls back to beta
+        g = apar.gamma_vector(np.array([0.9, 0.1, 0.0]), beta=0.5)
+        assert g.tolist() == [1.0, 0.6, 0.5]  # level 0 leaves beta
 
 
 def two_user_state(gamma, neighbors=True):
@@ -284,7 +285,7 @@ class TestTrainApar:
         mask = rng.random((10, 12)) < 0.6
         cfg = apar.AparConfig(d=2, alpha1=0.01, alpha2=0.01, lam=0.0, seed=1,
                               gamma_override=1.0, max_iters=2000)
-        gamma = apar.gamma_vector(range(10), {}, cfg.beta, cfg.gamma_override)
+        gamma = apar.gamma_vector(np.zeros(10), cfg.beta, cfg.gamma_override)
         state = apar.train_apar(W, mask, np.arange(10), gamma, cfg)
         tr = np.array(state.trace)
         assert np.all(np.isfinite(tr))
@@ -319,7 +320,7 @@ class TestTrainApar:
         W = rng.random((5, 6)) * 4 + 1
         mask = np.ones_like(W, dtype=bool)
         cfg = apar.AparConfig(d=2, seed=0, max_iters=2, tol=0.0)
-        gamma = apar.gamma_vector(range(5), {}, cfg.beta, cfg.gamma_override)
+        gamma = apar.gamma_vector(np.zeros(5), cfg.beta, cfg.gamma_override)
         state = apar.train_apar(W, mask, np.arange(5), gamma, cfg)
         assert not state.converged
         assert len(state.trace) == 2
@@ -329,7 +330,7 @@ class TestTrainApar:
         W = rng.random((5, 6)) * 4 + 1
         mask = rng.random((5, 6)) < 0.7
         cfg = apar.AparConfig(d=2, seed=3, max_iters=20)
-        gamma = apar.gamma_vector(range(5), {}, cfg.beta, cfg.gamma_override)
+        gamma = apar.gamma_vector(np.zeros(5), cfg.beta, cfg.gamma_override)
         a = apar.train_apar(W, mask, np.arange(5), gamma, cfg)
         b = apar.train_apar(W, mask, np.arange(5), gamma, cfg)
         assert np.array_equal(a.P, b.P) and np.array_equal(a.Q, b.Q)
@@ -354,15 +355,15 @@ class TestTrainApar:
         ]
         m = data.RatingMatrix.from_interactions(oracles.from_rows(evs))
         cfg = apar.AparConfig(d=1, seed=0, max_iters=10, beta=0.25)
-        state = apar.fit_ratings(m, np.arange(2), {"u1": 0.5}, cfg)
-        assert list(state.gamma) == [0.75, 0.25]  # beta + kl, kl=0 fallback
+        state = apar.fit_ratings(m, np.arange(2), np.array([0.5, 0.0]), cfg)
+        assert list(state.gamma) == [0.75, 0.25]  # beta + kl
 
 
 @st.composite
 def group_problems(draw):
     """A random problem over a clique partition with singletons and unprofiled users.
 
-    Users draw a dominant trait or none (no profile); trait_groups turns
+    Users draw a dominant trait or none (no review text); trait_groups turns
     that into labels and the dense oracle into L. Returns (groups, L, W,
     mask, gamma, alpha1, alpha2, lam, P, Q).
     """
@@ -374,13 +375,9 @@ def group_problems(draw):
     lam = draw(st.sampled_from([0.0, 0.3]))
     rng = make_rng(draw(st.integers(min_value=0, max_value=10_000)))
 
-    users = [f"u{i}" for i in range(n)]
-    profiles = {
-        u: personality.PersonalityProfile(user=u, scores={}, dominant=t)
-        for u, t in zip(users, dominants) if t != "-"
-    }
-    groups = personality.trait_groups(profiles, users)
-    L = dense.similarity(profiles.values(), users)
+    corpus, profiles = oracles.with_dominants(dominants)
+    groups = personality.trait_groups(corpus, profiles, corpus.users)
+    L = dense.similarity(oracles.profiles_of(corpus.users, profiles), corpus.users)
     W = rng.uniform(1.0, 5.0, size=(n, m))
     mask = rng.random((n, m)) < 0.6
     P = rng.uniform(0.1, 1.0, size=(n, d))

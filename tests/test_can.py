@@ -259,7 +259,7 @@ class TestGradCheck:
         )
 
         def f(plist):
-            probe = can.CanState.from_params(plist, cfg)
+            probe = can.CanState(*plist, config=cfg)
             return loop_oracles.dense_objective(can, probe, batch)
 
         return grad_check(f, st_.params())
@@ -278,7 +278,7 @@ class TestGradCheck:
 class TestDropout:
     def test_inference_ignores_dropout_rate(self):
         a = can.init_can(3, 8, small_cfg(dropout=0.0, seed=1))
-        b = can.CanState.from_params(a.params(), small_cfg(dropout=0.2, seed=1))
+        b = can.CanState(*a.params(), config=small_cfg(dropout=0.2, seed=1))
         sa = a.score_items(0, [0, 1, 2], [3])
         sb = b.score_items(0, [0, 1, 2], [3])
         assert np.allclose(sa, sb)

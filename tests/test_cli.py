@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from recsuite import baselines, checkpoint, data
 from recsuite.cli import _load_config_file, main
+from recsuite.numeric import make_rng
 
 runner = CliRunner()
 
@@ -133,6 +134,16 @@ class TestSynth:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
         assert {r["cluster"] for r in rows} == {"0", "1"}
+
+    def test_personality_clusters_csv_is_the_planted_array(self, tmp_path):
+        # six clusters, so the sixth's trait wraps around to the first
+        synth_personality(tmp_path, clusters=6, upc=3, ipc=2, seed=4)
+        corpus, cluster = data.synth_personality_clusters(6, 3, 2, rng=make_rng(4))
+        with open(tmp_path / "clusters.csv", newline="", encoding="utf-8") as fh:
+            rows = [(r["user"], int(r["cluster"]), r["trait"]) for r in csv.DictReader(fh)]
+        assert rows == [(user, c, data.TRAITS[c % len(data.TRAITS)])
+                        for user, c in zip(corpus.users, cluster.tolist())]
+        assert rows[-1][1:] == (5, "O")
 
     def test_unknown_kind_usage_error(self, tmp_path):
         res = runner.invoke(main, ["synth", "--kind", "nope", "--out", str(tmp_path)])

@@ -196,7 +196,7 @@ class TestGradCheck:
         )
 
         def f(plist):
-            probe = das.DasState.from_params(plist, cfg)
+            probe = das.DasState(*plist, config=cfg)
             return loop_oracles.dense_objective(das, probe, batch)
 
         return grad_check(f, st_.params())

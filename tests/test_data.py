@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from recsuite import data, minibatch, personality
+from recsuite import apar, data, minibatch, personality
 from recsuite.numeric import make_rng
 
 
@@ -649,16 +649,15 @@ class TestSynthPersonalityClusters:
         return data.synth_personality_clusters(2, 8, 10, rng=make_rng(0))
 
     def test_disjoint_item_blocks(self):
-        corpus, truth = self.corpus()
+        corpus, cluster = self.corpus()
         by_cluster = collections.defaultdict(set)
-        for e in oracles.rows(corpus):
-            by_cluster[truth[e.user].cluster].add(e.item)
+        for u, item in zip(corpus.user.tolist(), corpus.item.tolist()):
+            by_cluster[cluster[u]].add(item)
         assert not (by_cluster[0] & by_cluster[1])
 
     def test_cross_cluster_disjointness_is_total(self):
-        evs, truth = self.corpus()
-        labels = {u: info.cluster for u, info in truth.items()}
-        assert data.cross_cluster_disjointness(evs, labels) == 1.0
+        evs, cluster = self.corpus()
+        assert data.cross_cluster_disjointness(evs, cluster) == 1.0
 
     def test_strict_dsw_degree_zero_with_sharing(self):
         evs, _ = self.corpus()
@@ -720,29 +719,31 @@ def planted_pools(trait):
 )
 def test_personality_generator_layout(tmp_path_factory, n_clusters, users_per_cluster,
                                       items_per_cluster, density, seed):
-    corpus, truth = data.synth_personality_clusters(
+    corpus, cluster = data.synth_personality_clusters(
         n_clusters, users_per_cluster, items_per_cluster, rng=make_rng(seed),
         rating_density=density,
     )
     n_rated = max(1, round(density * items_per_cluster))
     assert len(corpus) == n_clusters * users_per_cluster * n_rated
-    assert list(truth) == [f"c{c}_u{k:03d}" for c in range(n_clusters)
-                           for k in range(users_per_cluster)]
+    assert corpus.users == [f"c{c}_u{k:03d}" for c in range(n_clusters)
+                            for k in range(users_per_cluster)]
+    assert cluster.dtype == np.int64
+    assert cluster.tolist() == [c for c in range(n_clusters) for _ in range(users_per_cluster)]
     by_user = collections.defaultdict(list)
     for e in oracles.rows(corpus):
         by_user[e.user].append(e)
-    assert list(by_user) == list(truth)
+    assert list(by_user) == corpus.users
     for day, (user, events) in enumerate(by_user.items()):
-        cluster = truth[user].cluster
-        assert truth[user].trait == data.TRAITS[cluster % len(data.TRAITS)]
+        c = cluster[day]
+        trait = data.TRAITS[c % len(data.TRAITS)]
         assert [e.timestamp for e in events] == [
             day * data.SECONDS_PER_DAY + p for p in range(n_rated)
         ]
         owner, _, j = zip(*(e.item.partition("_i") for e in events))
-        assert set(owner) == {f"c{cluster}"}
+        assert set(owner) == {f"c{c}"}
         j = [int(x) for x in j]
         assert j == sorted(set(j)) and 0 <= j[0] and j[-1] < items_per_cluster
-        pools = set().union(*planted_pools(truth[user].trait))
+        pools = set().union(*planted_pools(trait))
         for e in events:
             assert e.action == "rate" and 1.0 <= e.rating <= 5.0 and 0 <= e.helpful <= 5
             words = e.review.split(" ")
@@ -757,11 +758,11 @@ def test_personality_generator_layout(tmp_path_factory, n_clusters, users_per_cl
 
 
 def test_personality_generator_pool_shares():
-    corpus, truth = data.synth_personality_clusters(5, 200, 40, rng=make_rng(1))
+    corpus, cluster = data.synth_personality_clusters(5, 200, 40, rng=make_rng(1))
     assert len(corpus) == 24_000
     drawn = np.zeros(3)
     for u, review in zip(corpus.user.tolist(), corpus.review):
-        pools = planted_pools(truth[corpus.users[u]].trait)
+        pools = planted_pools(data.TRAITS[cluster[u] % len(data.TRAITS)])
         for word in review.split(" "):
             drawn[[word in pool for pool in pools].index(True)] += 1
     assert drawn.sum() == 8 * len(corpus)
@@ -864,14 +865,30 @@ def test_rating_matrix_equals_per_row_oracle(events):
     assert (got.users, got.items, list(got)) == oracles.rating_matrix(events)
 
 
-@given(EVENTS)
-def test_profiles_and_knowledge_levels_equal_per_row_oracles(events):
+@given(EVENTS,
+       # a ratings vocabulary in any order, with users the corpus may lack
+       st.lists(st.sampled_from(["u1", "u2", "u3", "u4"]), unique=True),
+       st.one_of(st.floats(-1.5, 1.5), st.sampled_from([np.nan, np.inf, -np.inf])),
+       st.one_of(st.none(), st.floats(0, 1)))
+@example([oracles.Interaction("u1", "a", 0, "rate", 4.0, "love nice", 3),
+          oracles.Interaction("u2", "a", 1, "rate", 2.0, " ", 5),
+          oracles.Interaction("u3", "b", 2, "view", None, "sad crying", 1),
+          oracles.Interaction("u1", "b", 3, "rate", 1.0, None, None)],
+         ["u4", "u3", "u2", "u1"], 0.25, None)
+def test_profiles_and_knowledge_levels_equal_per_row_oracles(events, users, beta, override):
     corpus = rows_corpus(*events)
     lexicon, weights = personality.DEMO_LEXICON, data.planted_cluster_weights()
-    got = personality.profile_all(corpus, lexicon, weights)
-    assert list(got.items()) == list(oracles.profile_all(events, lexicon, weights).items())
-    got = personality.knowledge_levels(corpus)
-    assert list(got.items()) == list(oracles.knowledge_levels(events).items())
+    profiles = personality.profile_all(corpus, lexicon, weights)
+    want = oracles.profile_all(events, lexicon, weights)
+    assert list(oracles.profiles_of(corpus.users, profiles).items()) == list(want.items())
+    groups = personality.trait_groups(corpus, profiles, users)
+    assert groups.dtype == np.int64
+    assert groups.tolist() == oracles.trait_groups(want, users)
+    kl_map = oracles.knowledge_levels(events)
+    kl = personality.knowledge_levels(corpus, users)
+    assert kl.tolist() == [kl_map.get(u, 0.0) for u in users]
+    gamma = apar.gamma_vector(kl, beta, override)
+    assert gamma.tolist() == oracles.gamma_vector(users, kl_map, beta, override)
 
 
 @given(EVENTS, st.fixed_dictionaries({u: st.integers(0, 2) for u in ["u1", "u2", "u3"]}))
@@ -879,7 +896,8 @@ def test_overlap_measures_equal_per_row_oracles(events, labels):
     corpus = rows_corpus(*events)
     assert data.dsw_degree(corpus) == oracles.dsw_degree(events)
     want = oracles.cross_cluster_disjointness(events, labels)
-    assert data.cross_cluster_disjointness(corpus, labels) == want
+    cluster = np.array([labels[u] for u in corpus.users], dtype=np.int64)
+    assert data.cross_cluster_disjointness(corpus, cluster) == want
 
 
 @given(EVENTS)

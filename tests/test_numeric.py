@@ -137,21 +137,6 @@ class TestGradCheck:
 
 
 class TestInits:
-    def test_normal_degenerate_std(self):
-        rng = numeric.make_rng(0)
-        out = numeric.init_normal(3, 4, mean=0.7, std=0.0, rng=rng)
-        assert out.shape == (3, 4)
-        np.testing.assert_allclose(out, 0.7)
-
-    def test_normal_deterministic(self):
-        a = numeric.init_normal(5, 5, 0.0, 0.01, numeric.make_rng(42))
-        b = numeric.init_normal(5, 5, 0.0, 0.01, numeric.make_rng(42))
-        assert np.array_equal(a, b)
-
-    def test_normal_sample_mean_clt_bound(self):
-        out = numeric.init_normal(100, 100, 0.0, 0.01, numeric.make_rng(7))
-        assert -0.001 <= out.mean() <= 0.001
-
     def test_uniform_attention_bounds_k3(self):
         out = numeric.init_uniform_attention(10, 10, k=3, rng=numeric.make_rng(1))
         assert np.all(out >= -1.0) and np.all(out <= 1.0)

@@ -222,57 +222,46 @@ class TestTraitScore:
         assert combined == pytest.approx(sa + sb, abs=1e-9)
 
 
+def profile_one(*reviews):
+    """(scores row, has text) of one user with these reviews, under the demo tables."""
+    rows = [oracles.Interaction("u1", f"i{n}", n, "rate", 3.0, text)
+            for n, text in enumerate(reviews)] or [oracles.Interaction("u1", "a", 0)]
+    scores, has_text = personality.profile_all(
+        oracles.from_rows(rows), personality.DEMO_LEXICON, personality.DEMO_WEIGHTS)
+    return scores[0], bool(has_text[0])
+
+
 class TestProfileUser:
     def test_o_linked_text_dominant_o(self):
         # words from every category the default table ties to openness
-        text = "hero win hate kill daughter husband buddy friend arrive go"
-        prof = oracles.profile_user(
-            "u1", [text], personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
-        )
-        assert prof.dominant == "O"
+        scores, _ = profile_one("hero win hate kill daughter husband buddy friend arrive go")
+        assert personality.TRAIT_ORDER[scores.argmax()] == "O"
 
     def test_tie_breaks_to_first_trait_in_order(self):
-        prof = oracles.profile_user(
-            "u1", ["zzz qqq"], personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
-        )
-        assert prof.dominant == "O"  # all scores zero, tie order O,C,E,A,N
+        scores, has_text = profile_one("zzz qqq")
+        assert has_text and not scores.any()
+        assert personality.TRAIT_ORDER[scores.argmax()] == "O"  # tie order O,C,E,A,N
 
     def test_zero_reviews_gives_no_profile(self):
-        assert (
-            oracles.profile_user(
-                "u1", [], personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
-            )
-            is None
-        )
+        for reviews in ((), ("", "  \t")):
+            scores, has_text = profile_one(*reviews)
+            assert not has_text and not scores.any()
 
     def test_planted_clusters_recovered(self):
-        evs, truth = data.synth_personality_clusters(5, 6, 8, rng=make_rng(3))
+        evs, cluster = data.synth_personality_clusters(5, 6, 8, rng=make_rng(3))
         weights = data.planted_cluster_weights()
-        profiles = personality.profile_all(evs, personality.DEMO_LEXICON, weights)
-        hits = sum(
-            profiles[u].dominant == info.trait
-            for u, info in truth.items()
-            if u in profiles
-        )
-        assert len(profiles) == len(truth)
-        assert hits / len(truth) >= 0.9
+        scores, has_text = personality.profile_all(evs, personality.DEMO_LEXICON, weights)
+        assert has_text.all() and len(scores) == len(cluster) == 30
+        hits = (scores.argmax(axis=1) == cluster % len(data.TRAITS)).sum()
+        assert hits / len(cluster) >= 0.9
 
     def test_trait_separation_at_least_twice_within_std(self):
-        evs, truth = data.synth_personality_clusters(2, 10, 8, rng=make_rng(4))
+        evs, cluster = data.synth_personality_clusters(2, 10, 8, rng=make_rng(4))
         weights = data.planted_cluster_weights()
-        profiles = personality.profile_all(evs, personality.DEMO_LEXICON, weights)
+        scores, _ = personality.profile_all(evs, personality.DEMO_LEXICON, weights)
         for c in (0, 1):
-            trait = data.TRAITS[c]
-            own = [
-                profiles[u].scores[trait]
-                for u, info in truth.items()
-                if info.cluster == c
-            ]
-            other = [
-                profiles[u].scores[trait]
-                for u, info in truth.items()
-                if info.cluster != c
-            ]
+            trait = personality.TRAIT_ORDER.index(data.TRAITS[c])
+            own, other = scores[cluster == c, trait], scores[cluster != c, trait]
             gap = abs(np.mean(own) - np.mean(other))
             within = max(np.std(own), 1e-12)
             assert gap >= 2 * within
@@ -300,14 +289,16 @@ class TestProfileAll:
         weights = {t: [] for t in personality.TRAIT_ORDER}
         for trait, category, w in triples:
             weights[trait].append((category, w))
-        got = personality.profile_all(oracles.from_rows(rows), self.lexicon, weights)
+        corpus = oracles.from_rows(rows)
+        got = personality.profile_all(corpus, self.lexicon, weights)
         want = oracles.profile_all(rows, self.lexicon, weights)
-        assert _profile_key(got) == _profile_key(want)
+        assert _profile_key(oracles.profiles_of(corpus.users, got)) == _profile_key(want)
 
     def test_demo_corpus_equals_the_oracle_bit_for_bit(self):
         corpus, _ = data.synth_personality_clusters(3, 6, 4, rng=make_rng(5))
         for weights in (personality.DEMO_WEIGHTS, data.planted_cluster_weights()):
-            got = personality.profile_all(corpus, personality.DEMO_LEXICON, weights)
+            got = oracles.profiles_of(corpus.users, personality.profile_all(
+                corpus, personality.DEMO_LEXICON, weights))
             want = oracles.profile_all(oracles.rows(corpus), personality.DEMO_LEXICON,
                                        weights)
             assert len(got) == 18
@@ -323,19 +314,9 @@ class TestProfileAll:
 class TestSimilarityMatrix:
     """trait_groups labels: users share a label iff they share a dominant trait."""
 
-    def mk(self, dominants):
-        return [
-            personality.PersonalityProfile(
-                user=f"u{i}",
-                scores={t: 0.0 for t in personality.TRAIT_ORDER},
-                dominant=d,
-            )
-            for i, d in enumerate(dominants)
-        ]
-
     def groups(self, dominants):
-        users = [f"u{i}" for i in range(len(dominants))]
-        return personality.trait_groups({p.user: p for p in self.mk(dominants)}, users)
+        corpus, profiles = oracles.with_dominants(dominants)
+        return personality.trait_groups(corpus, profiles, corpus.users)
 
     def test_same_dominant_connected(self):
         g = self.groups(["E", "E"])
@@ -353,20 +334,23 @@ class TestSimilarityMatrix:
     @given(st.lists(st.sampled_from("OCEAN-"), min_size=1, max_size=12))
     def test_clique_partition(self, dominants):
         # "-" marks a user without a profile: a group of their own
-        users = [f"u{i}" for i in range(len(dominants))]
-        profiles = {p.user: p for p in self.mk(dominants) if p.dominant != "-"}
-        g = personality.trait_groups(profiles, users)
+        corpus, profiles = oracles.with_dominants(dominants)
+        g = personality.trait_groups(corpus, profiles, corpus.users)
         for j in range(len(dominants)):
             for k in range(len(dominants)):
                 same = dominants[j] == dominants[k] != "-"
                 assert (g[j] == g[k]) == (j == k or same)
-        assert np.array_equal(apar_oracles.clique_matrix(g),
-                              apar_oracles.similarity(profiles.values(), users))
+        assert np.array_equal(
+            apar_oracles.clique_matrix(g),
+            apar_oracles.similarity(oracles.profiles_of(corpus.users, profiles),
+                                    corpus.users))
 
 
 class TestKnowledgeLevels:
-    def levels(self, *rows):
-        return personality.knowledge_levels(oracles.from_rows(rows))
+    def levels(self, *rows, users=None):
+        corpus = oracles.from_rows(rows)
+        return dict(zip(users or corpus.users,
+                        personality.knowledge_levels(corpus, users or corpus.users).tolist()))
 
     def ev(self, user, item, helpful, review="nice"):
         return oracles.Interaction(
@@ -380,48 +364,44 @@ class TestKnowledgeLevels:
         )
 
     def test_mean_votes(self):
-        kl = self.levels(self.ev("u1", "a", 2), self.ev("u1", "b", 4), self.ev("u2", "c", 0))
-        assert kl["u1"].kl == pytest.approx(3.0)
+        # u1's mean, 3, lies halfway between u2's 0 and u3's 6
+        kl = self.levels(self.ev("u1", "a", 2), self.ev("u1", "b", 4), self.ev("u2", "c", 0),
+                         self.ev("u3", "c", 6))
+        assert kl["u1"] == 0.5
 
     def test_single_user_constant_column_rule(self):
         kl = self.levels(self.ev("u1", "a", 2))
-        assert kl["u1"].kl_normalized == 0.5
+        assert kl["u1"] == 0.5
 
     def test_min_max(self):
         kl = self.levels(self.ev("u1", "a", 1), self.ev("u2", "b", 3), self.ev("u3", "c", 5))
-        assert kl["u1"].kl_normalized == 0.0
-        assert kl["u2"].kl_normalized == 0.5
-        assert kl["u3"].kl_normalized == 1.0
+        assert kl == {"u1": 0.0, "u2": 0.5, "u3": 1.0}
 
     def test_zero_reviews_flagged(self):
+        # u2 has no reviewed row and u3 no row at all: level 0, outside the min-max
         kl = self.levels(
             self.ev("u1", "a", 4),
             oracles.Interaction(user="u2", item="b", timestamp=0, action="view"),
+            users=["u3", "u2", "u1"],
         )
-        assert kl["u2"].defined is False
-        assert kl["u2"].kl_normalized == 0.0
+        assert kl == {"u3": 0.0, "u2": 0.0, "u1": 0.5}
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     def test_normalized_in_unit_interval(self, votes):
         kl = self.levels(*(self.ev(f"u{i}", f"i{i}", v) for i, v in enumerate(votes)))
-        for rec in kl.values():
-            assert 0.0 <= rec.kl_normalized <= 1.0
+        for level in kl.values():
+            assert 0.0 <= level <= 1.0
 
 
 class TestProfilesCsv:
     def test_round_trip(self, tmp_path):
-        profiles = [
-            personality.PersonalityProfile(
-                user="u1",
-                scores={"O": 0.1, "C": 0.2, "E": 0.0, "A": 0.0, "N": 0.5},
-                dominant="N",
-            )
-        ]
+        scores = np.array([[0.1, 0.2, 0.0, 0.0, 0.5], [0.3, 0.0, 0.0, 0.0, 0.0]])
         path = tmp_path / "profiles.csv"
-        personality.profiles_to_csv(profiles, path)
+        personality.profiles_to_csv(["u1", "u2"], (scores, np.array([True, False])), path)
         header = path.read_text().splitlines()[0]
         assert header == "user,O,C,E,A,N,dominant"
         with open(path, newline="", encoding="utf-8") as fh:
             again = list(csv.DictReader(fh))
+        assert len(again) == 1  # u2 has no text
         assert again[0]["user"] == "u1" and again[0]["dominant"] == "N"
         assert float(again[0]["N"]) == pytest.approx(0.5)
