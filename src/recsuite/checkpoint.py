@@ -9,9 +9,11 @@ state class ready to score or predict.
 
 `KINDS` describes each model kind once: its state and config classes, its
 arrays (name, dtype and shape in terms of the user count, the item count
-and the config, in save order) and its JSON metadata fields. Saving,
-loading and the load-time check all read it. `load_checkpoint` raises a
-ValueError whose message starts with the file's path for:
+and the config, in save order), its JSON metadata fields, its trainer,
+whether it rates or ranks, and its train flags named unlike their config
+fields. Saving, loading, the load-time check and the CLI all read it.
+`load_checkpoint` raises a ValueError whose message starts with the file's
+path for:
 
 * a file numpy cannot read as an ``.npz`` archive;
 * a format version other than this build's, or an unknown model kind;
@@ -25,12 +27,12 @@ ValueError whose message starts with the file's path for:
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION, apar, baselines, can, das, data
+from . import CHECKPOINT_FORMAT_VERSION, apar, baselines, can, das, data, personality
 
 
 @dataclass
@@ -107,12 +109,20 @@ def _load_config(cls, value):
 
 @dataclass(frozen=True)
 class Kind:
-    """How one model kind is stored; the state is built by keyword from the rest."""
+    """How one model kind is trained and stored; the state is built by keyword."""
 
     state: type
     config: type | None  # stored as the "config" field and passed to `arrays`
     arrays: Callable  # (config, n_users, n_items) -> {name: shape}, in save order
     fields: dict  # JSON field name -> Field, each a state attribute
+    # (corpus, fit, config, seed) -> state, fit the training ratings of a kind
+    # that rates, the (split, dataset) of one that ranks; it looks the trainer
+    # up per call, so a module attribute swapped in later (a wrapper) runs
+    train: Callable
+    rates: bool = False  # predicts ratings, and is split and scored as ratings
+    # config field -> the train flag that sets it, where the names differ; the
+    # other fields are set by the flag of their own name, if there is one
+    flags: dict = field(default_factory=dict)
     int64: tuple = ()  # arrays stored as int64; the others are float64
     # (n_users, n_items) -> the attributes they and the kind imply; not stored
     implied: Callable = lambda n_users, n_items: {}
@@ -126,28 +136,50 @@ def _no_arrays(config, n_users, n_items) -> dict:
     return {}
 
 
+def _train_apar(corpus, ratings, config, seed):
+    """APAR on the trait groups of the demo lexicon and weights."""
+    profiles = personality.profile_all(corpus, personality.DEMO_LEXICON,
+                                       personality.DEMO_WEIGHTS)
+    return apar.fit_ratings(ratings, personality.trait_groups(corpus, profiles, ratings.users),
+                            personality.knowledge_levels(corpus, ratings.users), config)
+
+
+# in the order `train --model` lists them
 KINDS = {
     "apar": Kind(
         apar.AparState, apar.AparConfig,
         lambda c, n_users, n_items: {**_factors(c, n_users, n_items),
                                      "gamma": (n_users,), "groups": (n_users,)},
         {"trace": _TRACE, "converged": _scalar(bool), "fallback_steps": _scalar(int)},
+        train=_train_apar, rates=True,
+        flags={"d": "k", "gamma_override": "gamma", "max_iters": "epochs"},
         int64=("groups",),
     ),
-    "das": Kind(das.DasState, das.DasConfig, das.param_shapes, {"trace": _TRACE}),
-    "can": Kind(can.CanState, can.CanConfig, can.param_shapes, {"trace": _TRACE}),
-    "bpr": Kind(baselines.BprState, baselines.BprConfig, _factors, {"trace": _TRACE}),
+    "das": Kind(das.DasState, das.DasConfig, das.param_shapes, {"trace": _TRACE},
+                train=lambda corpus, fit, c, seed: das.train_das(*fit, c)),
+    "can": Kind(can.CanState, can.CanConfig, can.param_shapes, {"trace": _TRACE},
+                train=lambda corpus, fit, c, seed: can.train_can(*fit, c),
+                # one --k scales every width
+                flags={"D": "k", "D_u": "k", "N_f": "k", "D_p": "k", "D_q": "k",
+                       "lam_a": "lam_at"}),
     "top": Kind(baselines.TopScorer, None, lambda c, n_users, n_items: {"counts": (n_items,)},
-                {}),
-    "random": Kind(baselines.RandomScorer, None, _no_arrays,
-                   {"seed": _scalar(int)},
+                {}, train=lambda corpus, fit, c, seed: baselines.top_scorer(
+                    fit[0].train, fit[1].n_items)),
+    "random": Kind(baselines.RandomScorer, None, _no_arrays, {"seed": _scalar(int)},
+                   train=lambda corpus, fit, c, seed: baselines.RandomScorer(
+                       fit[1].n_items, seed),
                    implied=lambda n_users, n_items: {"n_items": n_items}),
     "usermean": Kind(baselines.MeanPredictor, None,
                      lambda c, n_users, n_items: {"means": (n_users,)}, {},
+                     train=lambda corpus, fit, c, seed: baselines.user_mean(fit), rates=True,
                      implied=lambda n_users, n_items: {"by": "user"}),
     "itemmean": Kind(baselines.MeanPredictor, None,
                      lambda c, n_users, n_items: {"means": (n_items,)}, {},
+                     train=lambda corpus, fit, c, seed: baselines.item_mean(fit), rates=True,
                      implied=lambda n_users, n_items: {"by": "item"}),
+    "bpr": Kind(baselines.BprState, baselines.BprConfig, _factors, {"trace": _TRACE},
+                train=lambda corpus, fit, c, seed: baselines.train_bpr(*fit, c),
+                flags={"d": "k"}),
 }
 
 

@@ -22,22 +22,37 @@ with the same seed produce byte-identical artifacts.
 import contextlib
 import hashlib
 import json
+import math
 import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
 
-from . import __version__, apar, baselines, can, checkpoint, das, data, metrics, personality
+from . import __version__, checkpoint, data, metrics, personality
 from .numeric import make_rng
 
-MODELS = ("apar", "das", "can", "top", "random", "usermean", "itemmean", "bpr")
-RATING_MODELS = ("apar", "usermean", "itemmean")
+
+class FiniteFloat(click.types.FloatParamType):
+    """A float other than NaN and +-inf, which float() parses."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number.", param, ctx)
+        return value
+
+
+class FiniteRange(click.FloatRange, FiniteFloat):
+    """A float range of finite floats; a click range alone lets NaN through,
+    and infinity on an unbounded side."""
+
+
 METRIC_NAMES = ("precision", "recall", "mcan", "auc", "mae", "rmse")
 POSITIVE = click.IntRange(min=1)
-FRACTION = click.FloatRange(0, 1)
-NONNEGATIVE = click.FloatRange(min=0)
+FRACTION = FiniteRange(0, 1)
+NONNEGATIVE = FiniteRange(min=0)
 SPLIT_POLICIES = click.Choice(["random-80-20", "last-week"])
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -188,7 +203,7 @@ def _split_setting(model):
     models split sessions by `split_policy`. The other setting given on the
     command line is a usage error (exit 2); from a config file it is ignored.
     """
-    if model in RATING_MODELS:
+    if checkpoint.KINDS[model].rates:
         read, unread, kind = "test_fraction", "split_policy", "rating"
     else:
         read, unread, kind = "split_policy", "test_fraction", "ranking"
@@ -367,45 +382,20 @@ def profile(input_path, lexicon_path, weights_path, seed, out_dir):
 # train
 
 
-def _build_model_config(model, p):
-    """Per-model config from the shared flag namespace; None means default."""
-
-    def fill(cls, mapping):
-        return cls(**{k: v for k, v in mapping.items() if v is not None})
-
-    if model == "das":
-        return fill(das.DasConfig, {
-            "k": p["k"], "lr": p["lr"], "epochs": p["epochs"], "batch": p["batch"],
-            "lam_uv": p["lam_uv"], "lam_at": p["lam_at"], "seed": p["seed"],
-        })
-    if model == "can":
-        mapping = {
-            "window": p["window"], "dropout": p["dropout"], "lr": p["lr"],
-            "epochs": p["epochs"], "batch": p["batch"], "lam_uv": p["lam_uv"],
-            "lam_a": p["lam_at"], "seed": p["seed"],
-        }
-        if p["k"] is not None:  # one knob scales every width
-            mapping.update(D=p["k"], D_u=p["k"], N_f=p["k"], D_p=p["k"], D_q=p["k"])
-        return fill(can.CanConfig, mapping)
-    if model == "bpr":
-        return fill(baselines.BprConfig, {
-            "d": p["k"], "lr": p["lr"], "l2": p["l2"], "epochs": p["epochs"],
-            "seed": p["seed"],
-        })
-    if model == "apar":
-        return fill(apar.AparConfig, {
-            "d": p["k"], "alpha1": p["alpha1"], "alpha2": p["alpha2"],
-            "lam": p["lam"], "beta": p["beta"], "gamma_override": p["gamma"],
-            "max_iters": p["epochs"], "seed": p["seed"],
-        })
-    return None
+def _model_config(kind, flags):
+    """The config the train flags set, None for a kind without one; a flag
+    that is None keeps its field's default."""
+    if kind.config is None:
+        return None
+    values = {f.name: flags.get(kind.flags.get(f.name, f.name)) for f in fields(kind.config)}
+    return kind.config(**{k: v for k, v in values.items() if v is not None})
 
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", type=click.Choice(MODELS), required=True)
+@click.option("--model", type=click.Choice(list(checkpoint.KINDS)), required=True)
 @click.option("--k", type=POSITIVE, help="latent dimension / model width")
-@click.option("--lr", type=click.FloatRange(min=0, min_open=True), help="learning rate")
+@click.option("--lr", type=FiniteRange(min=0, min_open=True), help="learning rate")
 @click.option("--epochs", type=POSITIVE, help="training epochs (iteration cap for apar)")
 @click.option("--batch", type=POSITIVE, help="minibatch size")
 @click.option("--l2", type=NONNEGATIVE, help="bpr: L2 penalty")
@@ -414,10 +404,10 @@ def _build_model_config(model, p):
 @click.option("--alpha1", type=NONNEGATIVE, help="apar: user-factor penalty")
 @click.option("--alpha2", type=NONNEGATIVE, help="apar: item-factor penalty")
 @click.option("--lam", type=NONNEGATIVE, help="apar: trait-similarity penalty")
-@click.option("--beta", type=float, help="apar: blend-weight floor")
+@click.option("--beta", type=FiniteFloat(), help="apar: blend-weight floor")
 @click.option("--gamma", type=FRACTION, help="apar: global blend override")
 @click.option("--window", type=int, help="can: conv window (odd)")
-@click.option("--dropout", type=click.FloatRange(0, 1, max_open=True), help="can: dropout")
+@click.option("--dropout", type=FiniteRange(0, 1, max_open=True), help="can: dropout")
 @click.option("--split-policy", type=SPLIT_POLICIES, default="random-80-20",
               show_default=True, help="session split policy")
 @click.option("--test-fraction", type=FRACTION, default=0.2, show_default=True,
@@ -430,44 +420,23 @@ def train(input_path, model, split_policy, test_fraction, seed, out_dir, **_mode
     Model flags left unset (None) keep the model's own default.
     """
     t0 = time.perf_counter()
+    kind = checkpoint.KINDS[model]
     setting = _split_setting(model)
     corpus, _, digest = _read_corpus(input_path)
-    cfg = _build_model_config(model, click.get_current_context().params)
+    cfg = _model_config(kind, click.get_current_context().params)
     try:
-        if model in RATING_MODELS:
-            train_ratings, _ = _rating_context(corpus, test_fraction, seed)
-            users, items = train_ratings.users, train_ratings.items
-            if model == "usermean":
-                state = baselines.user_mean(train_ratings)
-            elif model == "itemmean":
-                state = baselines.item_mean(train_ratings)
-            else:
-                profiles = personality.profile_all(
-                    corpus, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS
-                )
-                state = apar.fit_ratings(
-                    train_ratings, personality.trait_groups(corpus, profiles, users),
-                    personality.knowledge_levels(corpus, users), cfg
-                )
+        if kind.rates:
+            vocab = fit = _rating_context(corpus, test_fraction, seed)[0]
         else:
-            ds, sp = _ranking_context(corpus, split_policy, seed)
-            users, items = ds.users, ds.items
-            if model == "das":
-                state = das.train_das(sp, ds, cfg)
-            elif model == "can":
-                state = can.train_can(sp, ds, cfg)
-            elif model == "bpr":
-                state = baselines.train_bpr(sp, ds, cfg)
-            elif model == "top":
-                state = baselines.top_scorer(sp.train, ds.n_items)
-            else:  # random
-                state = baselines.RandomScorer(ds.n_items, seed)
+            vocab, sp = _ranking_context(corpus, split_policy, seed)
+            fit = sp, vocab
+        state = kind.train(corpus, fit, cfg, seed)
     except (ValueError, FloatingPointError) as exc:
         raise click.ClickException(f"training failed: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
     ck_path = os.path.join(out_dir, f"{model}.npz")
-    checkpoint.save_checkpoint(ck_path, state, users, items)
+    checkpoint.save_checkpoint(ck_path, state, vocab.users, vocab.items)
     trace = getattr(state, "trace", [])
     with open(os.path.join(out_dir, f"{model}_trace.csv"), "w",
               encoding="utf-8") as fh:
@@ -530,7 +499,7 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
     corpus, _, digest = _read_corpus(input_path)
 
     try:
-        if ck.kind in RATING_MODELS:
+        if checkpoint.KINDS[ck.kind].rates:
             _, test = _rating_context(corpus, test_fraction, seed)
             checkpoint.verify_compatible(ck, test.users, test.items)
             report = metrics.evaluate_ratings(ck.state, test, ck.kind)
@@ -594,23 +563,21 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
     corpus, _, digest = _read_corpus(input_path)
 
     try:
-        if ck.kind in RATING_MODELS:
+        rates = checkpoint.KINDS[ck.kind].rates
+        if rates:
             _, (users, _), (items, _) = data.rated_vocabularies(corpus)
-            checkpoint.verify_compatible(ck, users, items)
-            if user not in users:
-                raise click.ClickException(f"unknown user {user!r}")
-            u_idx = users.index(user)
-            if ck.kind == "apar":
-                scores = np.asarray(ck.state.score_items(u_idx, [], []))
-            else:
-                scores = ck.state.predict_ratings(np.full(len(items), u_idx),
-                                                  np.arange(len(items)))
         else:
-            checkpoint.verify_compatible(ck, corpus.users, corpus.items)
-            items = corpus.items
-            if user not in corpus.users:
-                raise click.ClickException(f"unknown user {user!r}")
-            u_idx = corpus.users.index(user)
+            users, items = corpus.users, corpus.items
+        checkpoint.verify_compatible(ck, users, items)
+        if user not in users:
+            raise click.ClickException(f"unknown user {user!r}")
+        u_idx = users.index(user)
+        if not isinstance(ck.state, metrics.Ranker):
+            scores = ck.state.predict_ratings(np.full(len(items), u_idx),
+                                              np.arange(len(items)))
+        elif rates:  # rated, so ranked from the user alone
+            scores = np.asarray(ck.state.score_items(u_idx, [], []))
+        else:
             # only the user's own rows are sessionized; the last session is the
             # latest, and the items before it, first-seen first, its long-term list
             sessions = data.sessionize(corpus.take(corpus.user == u_idx))

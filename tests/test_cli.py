@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from recsuite import baselines, checkpoint, data
+from recsuite import apar, baselines, can, checkpoint, das, data, metrics, personality
 from recsuite.cli import _load_config_file, main
 from recsuite.numeric import make_rng
 
@@ -153,6 +153,10 @@ class TestSynth:
         (["--users", "0"], "--users"),
         (["--items", "-3"], "--items"),
         (["--kind", "personality", "--clusters", "1"], "--clusters"),
+        (["--noise", "nan"], "--noise"),
+        (["--noise", "inf"], "--noise"),
+        (["--kind", "personality", "--rating-density", "nan"], "--rating-density"),
+        (["--kind", "personality", "--rating-density", "-inf"], "--rating-density"),
     ])
     def test_out_of_range_size_is_usage_error(self, tmp_path, flags, named):
         res = runner.invoke(main, ["synth", *flags, "--out", str(tmp_path / "o")])
@@ -699,6 +703,22 @@ class TestEval:
     ("eval", ["--test-fraction", "-1"], "--test-fraction"),
     ("train", ["--model", "usermean", "--split-policy", "bogus"], "--split-policy"),
     ("eval", ["--split-policy", "bogus"], "--split-policy"),
+    # no float option takes NaN or an infinity
+    ("train", ["--model", "usermean", "--test-fraction", "nan"], "--test-fraction"),
+    ("train", ["--model", "apar", "--beta", "nan"], "--beta"),
+    ("train", ["--model", "apar", "--beta", "inf"], "--beta"),
+    ("train", ["--model", "apar", "--beta", "-inf"], "--beta"),
+    ("train", ["--model", "apar", "--alpha1", "inf"], "--alpha1"),
+    ("train", ["--model", "apar", "--alpha2", "nan"], "--alpha2"),
+    ("train", ["--model", "apar", "--lam", "inf"], "--lam"),
+    ("train", ["--model", "apar", "--gamma", "nan"], "--gamma"),
+    ("train", ["--model", "das", "--lr", "nan"], "--lr"),
+    ("train", ["--model", "das", "--lr", "inf"], "--lr"),
+    ("train", ["--model", "bpr", "--l2", "nan"], "--l2"),
+    ("train", ["--model", "das", "--lam-uv", "inf"], "--lam-uv"),
+    ("train", ["--model", "can", "--lam-at", "nan"], "--lam-at"),
+    ("train", ["--model", "can", "--dropout", "nan"], "--dropout"),
+    ("eval", ["--test-fraction", "nan"], "--test-fraction"),
 ])
 def test_out_of_range_model_flag_is_usage_error(tmp_path, command, flags, named):
     corpus = synth_sequential(tmp_path / "s", users=3, spu=2, items=6)
@@ -892,6 +912,89 @@ class TestRecommend:
             ]
         res = runner.invoke(main, ["recommend", str(ck), str(corpus), "--user", "v0"])
         assert res.exit_code == 1 and "unknown user 'v0'" in res.stderr
+
+
+# What the library alone does for each model kind that `train` names: the
+# corpus it is fitted on, its train flags, and its state from the corpus, the
+# training data (the training ratings of a rating model, the (dataset, split)
+# of a ranking one) and the seed, built with the config those flags set.
+LIBRARY = {
+    "apar": ("personality", ["--k", "2", "--epochs", "20"], lambda corpus, train, seed:
+             apar.fit_ratings(
+                 train,
+                 # the demo lexicon and weights, as `train` uses today, not the
+                 # profiles the `profile` command writes (ROADMAP item 3)
+                 personality.trait_groups(corpus, personality.profile_all(
+                     corpus, personality.DEMO_LEXICON, personality.DEMO_WEIGHTS), train.users),
+                 personality.knowledge_levels(corpus, train.users),
+                 apar.AparConfig(d=2, max_iters=20, seed=seed))),
+    "das": ("sequential", ["--k", "4", "--epochs", "2"], lambda corpus, fit, seed:
+            das.train_das(fit[1], fit[0], das.DasConfig(k=4, epochs=2, seed=seed))),
+    "can": ("sequential", ["--k", "4", "--epochs", "1"], lambda corpus, fit, seed:
+            can.train_can(fit[1], fit[0], can.CanConfig(D=4, D_u=4, N_f=4, D_p=4, D_q=4,
+                                                        epochs=1, seed=seed))),
+    "top": ("sequential", [], lambda corpus, fit, seed:
+            baselines.top_scorer(fit[1].train, fit[0].n_items)),
+    "random": ("sequential", [], lambda corpus, fit, seed:
+               baselines.RandomScorer(fit[0].n_items, seed)),
+    "usermean": ("personality", [], lambda corpus, train, seed: baselines.user_mean(train)),
+    "itemmean": ("personality", [], lambda corpus, train, seed: baselines.item_mean(train)),
+    "bpr": ("sequential", ["--k", "4", "--epochs", "2"], lambda corpus, fit, seed:
+            baselines.train_bpr(fit[1], fit[0], baselines.BprConfig(d=4, epochs=2, seed=seed))),
+}
+
+
+@pytest.mark.parametrize("model", list(checkpoint.KINDS))
+def test_cli_report_equals_the_library_report(tmp_path, model):
+    # a kind `train` names with no entry above fails here
+    corpus_kind, flags, fit_state = LIBRARY[model]
+    seed = 2
+    path = (synth_personality(tmp_path / "s", upc=4, ipc=3)[0] if corpus_kind == "personality"
+            else synth_sequential(tmp_path / "s"))
+    ck = train(path, tmp_path / "t", model, *flags, "--seed", str(seed))
+    res = runner.invoke(main, ["eval", str(ck), str(path), "--seed", str(seed),
+                               "--out", str(tmp_path / "e")])
+    assert res.exit_code == 0, res.output
+
+    corpus = data.ingest_csv(path)[0]
+    if corpus_kind == "personality":
+        ratings = data.RatingMatrix.from_interactions(corpus)
+        fit, test = data.split_ratings(ratings, 0.2, make_rng(seed))
+        report = metrics.evaluate_ratings(fit_state(corpus, fit, seed), test, model)
+    else:
+        ds = data.Dataset.from_interactions(corpus)
+        sp = data.split(ds.sessions, "random-80-20", make_rng(seed))
+        report = metrics.evaluate(fit_state(corpus, (ds, sp), seed), ds, sp, [5, 10, 20],
+                                  model)
+    assert report.n_instances
+    report.to_csv(tmp_path / "library.csv")
+    assert (tmp_path / "e" / "report.csv").read_text() == (tmp_path / "library.csv").read_text()
+
+
+@pytest.mark.parametrize("model, flags, config", [
+    ("das", ["--k", "3", "--lr", "0.03", "--epochs", "2", "--batch", "7", "--lam-uv", "0.001",
+             "--lam-at", "0.002"],
+     {"k": 3, "lr": 0.03, "epochs": 2, "batch": 7, "lam_uv": 0.001, "lam_at": 0.002,
+      "split_policy": "random-80-20"}),
+    ("can", ["--k", "3", "--window", "5", "--dropout", "0.3", "--lr", "0.04", "--epochs", "2",
+             "--batch", "6", "--lam-uv", "0.003", "--lam-at", "0.004"],
+     {"D": 3, "D_u": 3, "N_f": 3, "D_p": 3, "D_q": 3, "window": 5, "dropout": 0.3, "lr": 0.04,
+      "epochs": 2, "batch": 6, "lam_uv": 0.003, "lam_a": 0.004, "split_policy": "random-80-20"}),
+    ("bpr", ["--k", "3", "--lr", "0.07", "--l2", "0.02", "--epochs", "2"],
+     {"d": 3, "lr": 0.07, "l2": 0.02, "epochs": 2, "split_policy": "random-80-20"}),
+    ("apar", ["--k", "2", "--alpha1", "0.2", "--alpha2", "0.3", "--lam", "0.4", "--beta", "-0.1",
+              "--gamma", "0.7", "--epochs", "5", "--test-fraction", "0.3"],
+     {"d": 2, "alpha1": 0.2, "alpha2": 0.3, "lam": 0.4, "beta": -0.1, "gamma_override": 0.7,
+      "max_iters": 5, "tol": 1e-05, "test_fraction": 0.3}),
+])
+def test_train_flags_set_the_config_fields(tmp_path, model, flags, config):
+    # each flag a model reads, at a value other than its default, lands in the
+    # field it names; --k sets every CAN width, --gamma APAR's override
+    path = (synth_personality(tmp_path / "s", upc=4, ipc=3)[0] if model == "apar"
+            else synth_sequential(tmp_path / "s"))
+    train(path, tmp_path / "t", model, *flags, "--seed", "5")
+    man = json.loads((tmp_path / "t" / "train_manifest.json").read_text())
+    assert man["config"] == {"model": model, "seed": 5, **config}
 
 
 class TestReadmeWalkthrough:
