@@ -310,5 +310,4 @@ def train_can(split: data.Split, dataset: data.Dataset, config: CanConfig) -> Ca
     step = minibatch.Sgd(state, lambda st, batch, rows: loss_and_grads(st, batch, drop_rng, rows),
                          reads, config.lr, l2_weights(config))
     minibatch.train(state, history, config.epochs, config.batch, rng, step)
-    step.finish()
     return state

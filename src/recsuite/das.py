@@ -234,5 +234,4 @@ def train_das(split: data.Split, dataset: data.Dataset, config: DasConfig) -> Da
     history = data.Histories(split.train, dataset)
     step = minibatch.Sgd(state, loss_and_grads, reads, config.lr, l2_weights(config))
     minibatch.train(state, history, config.epochs, config.batch, rng, step)
-    step.finish()
     return state

@@ -457,15 +457,19 @@ NPZ_ERRORS = (OSError, EOFError, ValueError, RuntimeError, NotImplementedError,
 
 
 def read_npz(path) -> dict:
-    """Every member of the .npz archive at `path`, as arrays by name.
+    """Every member of the .npz archive at `path` (or an open binary file),
+    as arrays by name.
 
-    Pickled members are refused; any failure raises one of `NPZ_ERRORS`.
+    A file that does not start with a zip signature is refused before numpy
+    reads it (numpy would take it for a pickle), and so are pickled members;
+    any failure raises one of `NPZ_ERRORS`.
     """
-    npz = np.load(path, allow_pickle=False)
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise ValueError("it holds one .npy array")
-    with npz:
-        blobs = {name: npz[name] for name in npz.files}
+    with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as fh:
+        if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):  # a member, or an empty archive
+            raise ValueError("not a zip archive")
+        fh.seek(-4, 1)
+        with np.load(fh, allow_pickle=False) as npz:
+            blobs = {name: npz[name] for name in npz.files}
     for name, blob in blobs.items():
         if not isinstance(blob, np.ndarray):
             raise ValueError(f"member {name!r} is not a numpy array")

@@ -179,89 +179,38 @@ def train(state, history, epochs, batch_size, rng, step):
 class Sgd:
     """A `train` step: plain SGD on state.params() at learning rate lr.
 
-    The objective of a step is the batch's data loss plus l2[n] * |p_n|^2
-    for each parameter p_n. `reads(batch)` lists, aligned with params(),
-    the `Rows` the batch reads of each table, or None for a parameter the
-    step updates whole. `kernel(state, batch, rows=...)` returns the data loss
-    and the data gradients: a full array per whole parameter, and for a
-    table one gradient row per `Rows.index` entry.
-
-    A step updates only the rows a batch reads. A table row the batch does
-    not read would only shrink by c = 1 - 2 * lr * l2; each table keeps the
-    step count its rows are current to, and a row takes c to the power of
-    the steps it missed when a batch next reads it. This equals the update
-    of every row in exact arithmetic. The loss keeps the whole table's L2
-    term, from a squared norm updated by the rows each step changes. Call
-    `finish` after the last step: it applies every pending decay.
+    `reads(batch)` lists, aligned with params(), the `Rows` the batch reads
+    of each table, or None for a parameter the step updates whole.
+    `kernel(state, batch, rows=...)` returns the data loss and the data
+    gradients: a full array per whole parameter, and for a table one
+    gradient row per `Rows.index` entry. A step updates only the rows a
+    batch reads, and its objective is the batch's data loss plus
+    l2[n] * |b_n|^2, where b_n is the whole parameter p_n, or for a table
+    the block of rows the batch reads: L2 in the sparse form, as BPR's
+    per-triple step has it. A row no batch reads keeps its value.
     """
 
     def __init__(self, state, kernel, reads, lr: float, l2):
         self.state, self.kernel, self.reads, self.lr, self.l2 = state, kernel, reads, lr, l2
         self.params = state.params()
-        self.steps = 0
         self.grads = None
-        self.tables = {}  # n -> [row view, step count per row, squared norm]
-
-    def _table(self, n, rows):
-        if n not in self.tables:
-            p = self.params[n]
-            view = rows.view(p)
-            counts = np.full(view.shape[0], self.steps, dtype=np.int64)
-            self.tables[n] = [view, counts, float(np.vdot(p, p))]
-        return self.tables[n]
-
-    def _decay(self, n, counts) -> np.ndarray:
-        """c^(steps not yet applied) for rows current to `counts`, one per row."""
-        return (1.0 - 2.0 * self.lr * self.l2[n]) ** (self.steps - counts)
 
     def __call__(self, batch) -> float:
         rows = self.reads(batch)
-        penalty, current = 0.0, {}
-        for n, (p, r, lam) in enumerate(zip(self.params, rows, self.l2)):
-            if not lam:
-                continue
-            if r is None:
-                penalty += lam * np.vdot(p, p)
-                continue
-            view, counts, norm2 = self._table(n, r)
-            block, since = view[r.index], counts[r.index]
-            if since.min(initial=self.steps) < self.steps:
-                block *= self._decay(n, since).reshape((-1,) + (1,) * (block.ndim - 1))
-                view[r.index] = block
-            current[n] = block
-            penalty += lam * norm2
         loss, grads = self.kernel(self.state, batch, rows=rows)
         # held until the next step: freed at once, they leave the batch's
         # working memory at the top of the heap, where the allocator hands
         # it back to the system each step and faults it in again (about
         # 500 page faults per CAN step on a 50-item catalog)
         self.grads = grads
-        lr = self.lr
-        for n, (p, r, g, lam) in enumerate(zip(self.params, rows, grads, self.l2)):
-            if r is None:
-                if lam:
-                    g += (2.0 * lam) * p
-                g *= lr
-                p -= g
-            elif lam:
-                view, counts, norm2 = table = self.tables[n]
-                row = current[n]  # updated in place: c * row - lr * g
-                c = 1.0 - 2.0 * lr * lam
-                norm2 -= np.vdot(row, row)
-                row *= c
-                g *= lr
-                row -= g
-                view[r.index] = row
-                table[2] = c * c * norm2 + np.vdot(row, row)
-                counts[r.index] = self.steps + 1
-            else:
-                g *= lr
-                r.view(p)[r.index] -= g
-        self.steps += 1
+        penalty = 0.0
+        for p, r, g, lam in zip(self.params, rows, grads, self.l2):
+            block = p if r is None else r.view(p)[r.index]
+            if lam:
+                penalty += lam * np.vdot(block, block)
+                g += (2.0 * lam) * block
+            g *= self.lr
+            block -= g
+            if r is not None:
+                r.view(p)[r.index] = block
         return float(loss + penalty)
-
-    def finish(self) -> None:
-        """Apply every row's pending decay, so the state is the trained one."""
-        for n, (view, counts, _) in self.tables.items():
-            view *= self._decay(n, counts).reshape((-1,) + (1,) * (view.ndim - 1))
-            counts[:] = self.steps

@@ -15,10 +15,10 @@ set-difference negative pools, which `minibatch.train` and then the
 wave trainer of `baselines.train_bpr` replaced. `instances` lists a
 `minibatch.Batch` back as per-instance Python lists for the loops here.
 `dense_objective` turns a kernel's data loss and row-block gradients into
-the per-step objective the kernels returned before the trainer took over
-L2: the L2 terms added and every gradient a full array. `dense_sgd` is the
-step `minibatch.Sgd` replaced: every parameter updated whole each batch,
-L2 decay included.
+the per-step objective `minibatch.Sgd` descends: the data loss plus the L2
+of every whole parameter and of the table rows the batch reads, with every
+gradient a full array. `dense_sgd` steps on it with every parameter updated
+whole, so a table row the batch does not read takes a zero step.
 """
 
 import numpy as np
@@ -79,23 +79,27 @@ def list_train(prepared):
 
 
 def dense_objective(model, state, batch, **kernel_args):
-    """`model.loss_and_grads` plus the L2 terms of `model.l2_weights`, with
-    every gradient a full array shaped like its parameter."""
+    """`model.loss_and_grads` plus the L2 terms of `model.l2_weights`, over
+    each whole parameter and the rows each table's `model.reads` lists,
+    with every gradient a full array shaped like its parameter."""
     rows = model.reads(batch)
     loss, grads = model.loss_and_grads(state, batch, rows=rows, **kernel_args)
-    full = []
+    full, penalty = [], 0.0
     for p, r, g, lam in zip(state.params(), rows, grads, model.l2_weights(state.config)):
-        if r is not None:
+        if r is None:
+            full.append(g + 2.0 * lam * p)
+            block = p
+        else:
+            block = r.view(p)[r.index]
             whole = np.zeros_like(p)
-            r.view(whole)[r.index] = g
-            g = whole
-        full.append(g + 2.0 * lam * p)
-        loss += lam * np.vdot(p, p)
-    return float(loss), full
+            r.view(whole)[r.index] = g + 2.0 * lam * block
+            full.append(whole)
+        penalty += lam * np.vdot(block, block)
+    return float(loss + penalty), full
 
 
 def dense_sgd(model, state, lr, **kernel_args):
-    """A `minibatch.train` step: SGD on the dense objective, every array whole."""
+    """A `minibatch.train` step: SGD on `dense_objective`, every array whole."""
     def step(batch):
         loss, grads = dense_objective(model, state, batch, **kernel_args)
         for p, g in zip(state.params(), grads):
@@ -144,7 +148,8 @@ def _attention_backward(H, w, alpha, d_out, gw):
 
 
 def das_loss_and_grads(state, batch):
-    """Batch pairwise cross-entropy + L2, with gradients in params() order."""
+    """Batch pairwise cross-entropy + L2 on the item and user columns the
+    batch reads and on the attention scorers, gradients in params() order."""
     cfg = state.config
     k = cfg.k
     n_items = state.n_items
@@ -194,10 +199,14 @@ def das_loss_and_grads(state, batch):
             dHS = _attention_backward(HS, state.w_beta, beta, du_short, gwb)
             np.add.at(gW1, (slice(None), S), dHS * HS * (1.0 - HS))
 
-    total += cfg.lam_uv * ((state.W1**2).sum() + (state.W2**2).sum())
+    # L2 on the item and user columns the batch reads
+    read_items = sorted({i for _, G, S, _, _ in instances(batch) for i in G + S})
+    read_users = sorted(set(batch.users.tolist()))
+    W1r, W2r = state.W1[:, read_items], state.W2[:, read_users]
+    total += cfg.lam_uv * ((W1r**2).sum() + (W2r**2).sum())
     total += cfg.lam_at * ((state.w_alpha**2).sum() + (state.w_beta**2).sum())
-    gW1 += 2.0 * cfg.lam_uv * state.W1
-    gW2 += 2.0 * cfg.lam_uv * state.W2
+    gW1[:, read_items] += 2.0 * cfg.lam_uv * W1r
+    gW2[:, read_users] += 2.0 * cfg.lam_uv * W2r
     gwa += 2.0 * cfg.lam_at * state.w_alpha
     gwb += 2.0 * cfg.lam_at * state.w_beta
     return float(total), grads
@@ -265,7 +274,8 @@ def can_scores(state, user, long_items, short_items):
 
 
 def can_loss_and_grads(state, batch, rng=None):
-    """Pairwise BPR loss + L2, gradients aligned with state.params()."""
+    """Pairwise BPR loss + L2 on the table rows the batch reads and on every
+    other layer, gradients aligned with state.params()."""
     cfg = state.config
     g = {n: np.zeros_like(getattr(state, n)) for n in can.PARAM_NAMES}
     vout = state.V_out
@@ -355,11 +365,15 @@ def can_loss_and_grads(state, batch, rng=None):
                 dXp[i : i + cfg.window] += dWins[i].reshape(cfg.window, cfg.D)
             np.add.at(g["E"], G, dXp[K : K + n] if K else dXp)
 
-    total += cfg.lam_uv * ((state.E**2).sum() + (state.U**2).sum())
-    g["E"] += 2.0 * cfg.lam_uv * state.E
-    g["U"] += 2.0 * cfg.lam_uv * state.U
-    total += cfg.lam_uv * (state.V_out**2).sum()
-    g["V_out"] += 2.0 * cfg.lam_uv * state.V_out
+    # L2 on the input, user and output rows the batch reads
+    read_items = sorted({i for _, G, S, _, _ in instances(batch) for i in G + S})
+    read_users = sorted(set(batch.users.tolist()))
+    read_outputs = sorted(set(batch.positives.tolist() + batch.negatives.flat.tolist()))
+    Er, Ur, Vr = state.E[read_items], state.U[:, read_users], state.V_out[read_outputs]
+    total += cfg.lam_uv * ((Er**2).sum() + (Ur**2).sum() + (Vr**2).sum())
+    g["E"][read_items] += 2.0 * cfg.lam_uv * Er
+    g["U"][:, read_users] += 2.0 * cfg.lam_uv * Ur
+    g["V_out"][read_outputs] += 2.0 * cfg.lam_uv * Vr
     for n_ in ("K_w", "b_w", "W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4"):
         arr = getattr(state, n_)
         total += cfg.lam_a * (arr**2).sum()

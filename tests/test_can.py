@@ -224,9 +224,10 @@ class TestBprLoss:
 
     def test_regularizers_added_once(self):
         # the kernel's loss is the data term; a training step adds the L2
-        # terms of whole parameters once, rows the batch does not read too
+        # terms once: of whole parameters, and of the table rows the batch
+        # reads, so not of E's rows 3 and 4 (read only as outputs)
         st_ = zeros_state(lam_uv=0.5, lam_a=0.25)
-        st_.E[:] = 1.0  # 5*3 entries; items 3 and 4 are not read as inputs
+        st_.E[:] = 1.0  # rows 0-2 are read as inputs: 3*3 entries
         st_.W4[:] = 2.0  # 4*2 entries, sum sq 32
         # E != 0 changes the data term too, so compare against a direct forward
         x = st_.score_items(0, [0, 1], [2])
@@ -234,7 +235,7 @@ class TestBprLoss:
         loss, _ = can.loss_and_grads(st_, one_triple())
         assert loss == pytest.approx(data_term, rel=1e-12)
         step = minibatch.Sgd(st_, can.loss_and_grads, can.reads, 0.0, can.l2_weights(st_.config))
-        assert step(one_triple()) == pytest.approx(data_term + 0.5 * 15 + 0.25 * 32, rel=1e-9)
+        assert step(one_triple()) == pytest.approx(data_term + 0.5 * 9 + 0.25 * 32, rel=1e-9)
 
 
 def small_cfg(**kw):

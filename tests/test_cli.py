@@ -92,13 +92,15 @@ class TestUnreadableInput:
                                    "--config", str(cfg), "--out", str(tmp_path / "t")])
         self._fails_cleanly(res, "run.cfg: not UTF-8 text")
 
-    @pytest.mark.parametrize("damage", ["truncated", "without Wout"])
+    @pytest.mark.parametrize("damage", ["truncated", "without Wout", "a corpus CSV"])
     def test_damaged_checkpoint(self, tmp_path, damage):
         corpus = synth_sequential(tmp_path / "s", items=20)
         ck = train(corpus, tmp_path / "t", "das", "--k", "4", "--epochs", "1")
         bad = tmp_path / "bad.npz"
         if damage == "truncated":
             bad.write_bytes(ck.read_bytes()[:3000])
+        elif damage == "a corpus CSV":
+            bad.write_bytes(corpus.read_bytes())
         else:
             with np.load(ck) as npz:
                 np.savez(bad, **{k: npz[k] for k in npz.files if k != "Wout"})
@@ -108,6 +110,9 @@ class TestUnreadableInput:
             res = runner.invoke(main, args)
             self._fails_cleanly(res, f"{bad}: ")
             assert "Traceback" not in res.output
+            # numpy reads a file without a zip signature as a pickle, and its
+            # advice to load it unsafely must not reach the user
+            assert "allow_pickle" not in res.stderr and "unsafely" not in res.stderr
         assert not (out / "report.csv").exists()
 
 

@@ -170,16 +170,17 @@ class TestLoss:
 
     def test_regularizer_added_once(self):
         # the kernel's loss is the data term; a training step adds the L2
-        # terms of whole parameters once, rows the batch does not read too
+        # terms once: of whole parameters, and of the table rows the batch
+        # reads, so not of item 3
         st_ = zero_state(k=2, n_items=4, lam_uv=0.5, lam_at=0.25)
-        st_.W1[:] = 2.0  # sum of squares = 2*4*4 = 32; item 3 is not read
+        st_.W1[:] = 2.0  # items 0-2 are read: sum of squares = 2*3*4 = 24
         st_.w_alpha[:] = [3.0, 0.0]  # sum sq 9
         scores = st_.score_items(0, [0, 1], [2])
         data_term = -np.log(sigmoid(scores[1])) - np.log(1 - sigmoid(scores[0]))
         loss, _ = das.loss_and_grads(st_, one_instance())
         assert loss == pytest.approx(data_term, rel=1e-12)
         step = minibatch.Sgd(st_, das.loss_and_grads, das.reads, 0.0, das.l2_weights(st_.config))
-        assert step(one_instance()) == pytest.approx(data_term + 0.5 * 32 + 0.25 * 9, rel=1e-9)
+        assert step(one_instance()) == pytest.approx(data_term + 0.5 * 24 + 0.25 * 9, rel=1e-9)
 
 
 class TestGradCheck:
