@@ -126,10 +126,12 @@ def out_option(required=True):
 
 
 def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    # hashlib.file_digest's loop (3.11+) through 1 MiB: freeing that much lifts glibc's mmap
+    # threshold above the mid-size arrays training makes, so they reuse heap pages, unfaulted
+    h, buf = hashlib.sha256(), bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh, memoryview(buf) as view:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -583,9 +585,8 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
             sessions = data.sessionize(corpus.take(corpus.user == u_idx))
             last = sessions.offsets[-2]
             earlier = sessions.item[:last]
-            first = np.unique(earlier, return_index=True)[1]
             scores = np.asarray(ck.state.score_items(
-                u_idx, earlier[np.sort(first)], sessions.item[last:]))
+                u_idx, data.first_appearance(earlier, len(items)), sessions.item[last:]))
     except ValueError as exc:
         raise click.ClickException(str(exc))
 

@@ -79,10 +79,17 @@ class _TokenMaps:
         return _index(self.items)
 
 
+def first_appearance(codes: np.ndarray, n: int) -> np.ndarray:
+    """The distinct values of `codes`, each in range(n), first appearance first. One linear
+    pass (`np.minimum.at`) finds each one's earliest row; only they are sorted, by that row."""
+    first = np.full(n, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return codes[np.sort(first[first < len(codes)])]
+
+
 def _recode(codes: np.ndarray, vocab: list) -> tuple[list, np.ndarray]:
     """The tokens `codes` use, in order of first appearance, and the codes renumbered."""
-    present, first = np.unique(codes, return_index=True)
-    kept = present[np.argsort(first)]
+    kept = first_appearance(codes, len(vocab))
     remap = np.zeros(len(vocab), np.int64)
     remap[kept] = np.arange(len(kept))
     return [vocab[c] for c in kept.tolist()], remap[codes]
@@ -975,20 +982,22 @@ class RatingMatrix(Ratings):
 def split_ratings(ratings: Ratings, test_fraction: float, rng) -> tuple[Ratings, Ratings]:
     """(train, test): a random holdout of each user's ratings, both in `ratings`' order.
 
-    One `rng.permutation` orders the ratings at random, and a stable sort
-    by user groups them, each user's in that random order. A user with
-    `count` ratings gives the first min(count - 1, max(1, round(test_fraction
-    * count))) of them to test, so a user with one rating keeps it in train.
+    One `rng.permutation` orders the ratings at random, and a stable sort by user
+    (a linear radix sort of `uint16` keys, up to 65,536 users) groups them, each
+    user's in that random order. A user with `count` ratings gives the first
+    min(count - 1, max(1, round(test_fraction * count))) of them to test, so a user
+    with one rating keeps it in train. Both sides are gathered by position, not mask.
     """
-    order = rng.permutation(len(ratings))
-    order = order[np.argsort(ratings.user[order], kind="stable")]
     counts = np.bincount(ratings.user, minlength=ratings.n_users)
+    order = rng.permutation(len(ratings))
+    key = ratings.user[order].astype(np.uint16 if len(counts) <= 1 << 16 else np.int64)
+    order = order[np.argsort(key, kind="stable")]
     n_test = np.minimum(counts - 1, np.maximum(1, np.round(test_fraction * counts)))
     starts = np.cumsum(counts) - counts
     rank = np.arange(len(order)) - np.repeat(starts, counts)
     held = np.zeros(len(order), bool)
     held[order[rank < np.repeat(n_test, counts)]] = True
-    return ratings.take(~held), ratings.take(held)
+    return ratings.take(np.flatnonzero(~held)), ratings.take(np.flatnonzero(held))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ split index arrays, with one `rng.integers` call per held-out target.
 `data.Sessions`, or `data.TestInstance` objects into a `data.HeldOut`.
 `split_ratings` walks one `rng.permutation` of the ratings once per user,
 giving each user's first ratings in that order to test, the rule
-`data.split_ratings` applies with one stable sort.
+`data.split_ratings` applies with one stable sort. `split_ratings_int64`
+is `data.split_ratings` as it was when that sort's key was always int64
+(a timsort), before it sorted `uint16` keys (a radix sort), and `recode`
+is `data._recode` as it was when it found first appearances with
+`np.unique(..., return_index=True)` (a mergesort) and `np.argsort`, before
+`data.first_appearance`'s linear pass.
 `mean_predictor` averages rating triplets per user or item in dicts and
 `evaluate_ratings` predicts one triplet at a time, as `baselines.user_mean`,
 `item_mean` and `metrics.evaluate_ratings` did before ratings were arrays.
@@ -461,6 +466,29 @@ def split_ratings(triplets, test_fraction, rng):
             held.update(mine[:min(len(mine) - 1, max(1, round(test_fraction * len(mine))))])
     return ([t for k, t in enumerate(triplets) if k not in held],
             [t for k, t in enumerate(triplets) if k in held])
+
+
+def split_ratings_int64(ratings, test_fraction, rng):
+    """(train, test) `data.Ratings`: `data.split_ratings` with an int64 sort key."""
+    order = rng.permutation(len(ratings))
+    order = order[np.argsort(ratings.user[order], kind="stable")]
+    counts = np.bincount(ratings.user, minlength=ratings.n_users)
+    n_test = np.minimum(counts - 1, np.maximum(1, np.round(test_fraction * counts)))
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(len(order)) - np.repeat(starts, counts)
+    held = np.zeros(len(order), bool)
+    held[order[rank < np.repeat(n_test, counts)]] = True
+    return ratings.take(~held), ratings.take(held)
+
+
+def recode(codes, vocab):
+    """`data._recode` through `np.unique`: the tokens `codes` use, first
+    appearance first, and the codes renumbered."""
+    present, first = np.unique(codes, return_index=True)
+    kept = present[np.argsort(first)]
+    remap = np.zeros(len(vocab), np.int64)
+    remap[kept] = np.arange(len(kept))
+    return [vocab[c] for c in kept.tolist()], remap[codes]
 
 
 class TableMeanPredictor(NamedTuple):

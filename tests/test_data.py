@@ -838,6 +838,77 @@ def test_split_ratings_holds_out_the_rounded_share_of_each_user(test_fraction, n
     assert sorted(list(train) + list(test)) == sorted(triplets)
 
 
+def test_first_appearance_lists_each_code_once_earliest_first():
+    codes = np.array([3, 1, 3, 0, 1, 4])
+    assert data.first_appearance(codes, 6).tolist() == [3, 1, 0, 4]
+    empty = data.first_appearance(np.zeros(0, np.int64), 4)
+    assert empty.tolist() == [] and empty.dtype == np.int64
+
+
+# (n, codes): codes in range(n), none when n is 0
+CODES = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, max(n - 1, 0)),
+                                             max_size=0 if n == 0 else 40)))
+
+
+@given(CODES)
+def test_first_appearance_equals_dict_order(case):
+    n, codes = case
+    assert data.first_appearance(np.array(codes, np.int64), n).tolist() == \
+        list(dict.fromkeys(codes))
+
+
+@given(CODES)
+@example((0, []))  # an empty vocabulary and no rows
+@example((5, []))  # no rows, so no token is used
+@example((9, [7, 2, 7]))  # tokens no row uses, before and after those used
+def test_recode_equals_unique_oracle(case):
+    n, codes = case
+    vocab = [f"t{k}" for k in range(n)]
+    tokens, recoded = data._recode(np.array(codes, np.int64), vocab)
+    want_tokens, want = oracles.recode(np.array(codes, np.int64), vocab)
+    assert tokens == want_tokens
+    assert recoded.dtype == want.dtype and np.array_equal(recoded, want)
+
+
+# up to 65,536 users the grouping sort's key is uint16, beyond it int64
+USER_COUNTS = [1, 7, 2**16, 2**16 + 1, 70_000]
+
+
+@st.composite
+def user_ratings(draw):
+    """`data.Ratings` over one of `USER_COUNTS` users: codes near both ends of
+    the range, so most users rate once or not at all and a few rate often."""
+    n_users = draw(st.sampled_from(USER_COUNTS))
+    code = st.one_of(st.integers(0, min(3, n_users - 1)),
+                     st.integers(max(0, n_users - 3), n_users - 1),
+                     st.integers(0, n_users - 1))
+    user = draw(st.lists(code, max_size=60))
+    item = draw(st.lists(st.integers(0, 9), min_size=len(user), max_size=len(user)))
+    value = draw(st.lists(st.floats(0, 5), min_size=len(user), max_size=len(user)))
+    return data.Ratings(["u"] * n_users, [], np.array(user, np.int64),
+                        np.array(item, np.int64), np.array(value, np.float64))
+
+
+@given(user_ratings(), st.one_of(st.sampled_from([0.0, 0.999, 1 - 1e-12, 1.0]),
+                                 st.floats(0, 1)), st.integers(0, 2**32 - 1))
+@example(data.Ratings(["u"] * 70_000, [], np.array([0, 65_536, 0, 65_536, 69_999], np.int64),
+                      np.arange(5), np.linspace(1, 5, 5)), 0.5, 1)  # 65,536 wraps to 0 as uint16
+@example(data.Ratings(["u"] * 2**16, [], np.array([65_535, 0, 65_535, 0], np.int64),
+                      np.arange(4), np.linspace(1, 4, 4)), 0.5, 2)  # the largest uint16 code
+@example(data.Ratings([], [], np.zeros(0, np.int64), np.zeros(0, np.int64),
+                      np.zeros(0)), 0.2, 0)  # no ratings
+def test_split_ratings_equals_int64_sort_oracle(ratings, test_fraction, seed):
+    rng, oracle_rng = make_rng(seed), make_rng(seed)
+    got = data.split_ratings(ratings, test_fraction, rng)
+    want = oracles.split_ratings_int64(ratings, test_fraction, oracle_rng)
+    for g, w in zip(got, want):
+        for name in ("user", "item", "value"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 EVENTS = st.lists(
     st.builds(
         oracles.Interaction,

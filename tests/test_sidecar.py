@@ -230,6 +230,14 @@ def test_warm_command_hashes_the_corpus_once(tmp_path, monkeypatch):
     assert manifest["inputs"] == {str(path): sha256(path)}
 
 
+@pytest.mark.parametrize("size", [0, 1, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5])
+def test_file_digest_equals_the_digest_of_the_bytes(tmp_path, size):
+    # sizes around the one 1 MiB buffer the file is read through
+    payload = np.random.default_rng(size).bytes(size)
+    (tmp_path / "f").write_bytes(payload)
+    assert cli._sha256_file(tmp_path / "f") == hashlib.sha256(payload).hexdigest()
+
+
 def test_warm_eval_and_recommend_repeat_the_cold_outputs(tmp_path):
     path = write(tmp_path / "c.csv", "user,item,timestamp\n" + "".join(
         f"u{u},i{(u + d + p) % 7},{d * 86400 + p}\n"
