@@ -167,7 +167,7 @@ def _read_corpus(path, schema=None):
     """(corpus, row errors, the file's sha256); per-row problems go to stderr.
 
     A file content is parsed once: the parse is kept beside the file `path`
-    resolves to, as `<file>.parsed.npz`, under a key naming the content's
+    resolves to, as `<file>.parsed`, under a key naming the content's
     sha256, `schema` and the parser's source, and read from there while the
     key holds. Any other sidecar (stale, damaged, or of another schema) is
     replaced by the new parse's; a directory that cannot be written keeps

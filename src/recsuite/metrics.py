@@ -135,7 +135,8 @@ _CHUNK_SCORES = 1 << 18
 
 
 def _score_rows(scorer, users, longs, shorts, n):
-    """One score row per instance of a chunk, or the data error it raised.
+    """A chunk's B x n score block, and the data error of each instance that
+    raised one, by its place in the chunk; a failed instance's row is unset.
 
     A scorer with `score_batch` scores the chunk at once. If that raises a
     data error or returns the wrong shape, or the scorer has only
@@ -147,32 +148,34 @@ def _score_rows(scorer, users, longs, shorts, n):
         try:
             rows = np.asarray(batch(users, longs, shorts), dtype=np.float64)
             if rows.shape == (len(users), n):
-                return list(rows)
+                return rows, {}
         except _DATA_ERRORS:
             pass
-    out = []
-    for user, long_items, short_items in zip(users, longs, shorts):
+    rows, errors = np.empty((len(users), n)), {}
+    for b, (user, long_items, short_items) in enumerate(zip(users, longs, shorts)):
         try:
             row = np.asarray(scorer.score_items(user, long_items, short_items),
                              dtype=np.float64)
             if row.shape != (n,):
                 raise _ShapeError(f"scorer returned shape {row.shape}, expected ({n},)")
-            out.append(row)
+            rows[b] = row
         except _DATA_ERRORS as exc:
-            out.append(exc)
-    return out
+            errors[b] = exc
+    return rows, errors
 
 
 def _user_mean_then_global(users: np.ndarray, values: np.ndarray) -> float:
     """The mean over users, in order of first appearance, of each user's mean.
 
-    Python's `sum` adds each list in order, instances in instance order and
-    then users; numpy's pairwise sum would change the last bits.
+    `users` are dense codes (from `np.unique`'s inverse). Each user's values
+    are summed in instance order by one bincount, as Python's `sum` adds
+    them, and the user means by Python's `sum` in order of first appearance;
+    numpy's pairwise sum would change the last bits.
     """
-    per_user: dict[int, list[float]] = {}
-    for user, value in zip(users.tolist(), values.tolist()):
-        per_user.setdefault(user, []).append(value)
-    means = [sum(vals) / len(vals) for vals in per_user.values()]
+    n = int(users.max(initial=-1)) + 1
+    order = data.first_appearance(users, n)
+    sums = np.bincount(users, weights=values, minlength=n)
+    means = (sums[order] / np.bincount(users, minlength=n)[order]).tolist()
     return sum(means) / len(means)
 
 
@@ -193,10 +196,12 @@ def _counts(S, cols):
     B, n = S.shape
     own = S[np.arange(B), cols][:, None]
     above = np.count_nonzero(S > own, axis=1)
-    ties = np.flatnonzero(S == own)
-    tie_rows = ties // n
-    equal = np.bincount(tie_rows, minlength=B)
-    ahead = above + np.bincount(tie_rows[ties - tie_rows * n < cols[tie_rows]], minlength=B)
+    tie = S == own
+    equal = np.count_nonzero(tie, axis=1)
+    # the ties ahead of the target, in the rows where it ties with another item
+    shared = np.flatnonzero(equal > 1)
+    ahead = above.copy()
+    ahead[shared] += np.count_nonzero(tie[shared] & (np.arange(n) < cols[shared, None]), axis=1)
     below = n - above - equal
     # NaN compares false both ways; a row holding one (or both infinities) sums to NaN
     with np.errstate(invalid="ignore"):
@@ -324,14 +329,14 @@ def evaluate(
     for start in range(0, len(test), chunk):
         q = np.arange(start, min(start + chunk, len(test)))
         x = inputs(q)
-        scored = _score_rows(scorer, *x[:3], n)
+        S, errors = _score_rows(scorer, *x[:3], n)
         covered = np.zeros(q.size, dtype=bool)
         if exclude_context and cutoffs:
             covered = np.bincount(_distinct(_flat(n, x[2])) // n, minlength=q.size) == n
         kept = []  # the instances ranked, by place in the chunk
-        for b, scores in enumerate(scored):
-            if isinstance(scores, Exception):
-                fail(q[b], scores, WRONG_LENGTH if isinstance(scores, _ShapeError)
+        for b in range(q.size):
+            if b in errors:
+                fail(q[b], errors[b], WRONG_LENGTH if isinstance(errors[b], _ShapeError)
                      else UNKNOWN)
             elif covered[b]:
                 fail(q[b], "no item left to rank once its context is dropped", COVERED)
@@ -340,9 +345,9 @@ def evaluate(
         if not kept:
             continue
         if len(kept) < q.size:
-            x = inputs(q[kept])
+            x, S = inputs(q[kept]), S[kept]
         chunk_values, chunk_rankable, auc = _chunk_values(
-            np.array([scored[b] for b in kept]), x[2], x[3],
+            S, x[2], x[3],
             minibatch.gather(history.seen, history.start[x[0]], np.diff(history.start)[x[0]]),
             cutoffs, exclude_context,
         )
@@ -356,6 +361,7 @@ def evaluate(
         return report
     users, rankable, aucs = (np.concatenate(a) for a in (users, rankable, aucs))
     report.n_instances = len(users)
+    users = np.unique(users, return_inverse=True)[1]
     for (name, k), v in values.items():
         report.rows.append((name, k, _user_mean_then_global(users, np.concatenate(v))))
     has_pool = ~np.isnan(aucs)

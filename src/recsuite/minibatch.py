@@ -12,6 +12,7 @@ whole epoch as one batch and updates it in waves of pairs that share no
 row.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
@@ -111,25 +112,54 @@ class Rows:
         return sums.reshape((self.index.size,) + values.shape[1:])
 
 
+def _longs(history, users, long_len) -> Lists:
+    """The long-term lists: the first long_len[b] of user users[b]'s items in
+    the `data.Histories`."""
+    return gather(history.first_seen, history.start[users], long_len)
+
+
+def _contexts(sessions, s, hold) -> Lists:
+    """Session s[b] of a `data.Sessions` without its item at position hold[b]."""
+    start = sessions.offsets[s]
+    return gather(sessions.item, start, sessions.offsets[s + 1] - start - 1, hold)
+
+
 def instances(history, sessions, s, hold, long_len):
     """(users, long-term lists, contexts, targets) of the instances holding out
     item hold[b] of session s[b] of a `data.Sessions`, the long-term list the
     first long_len[b] of the user's items in the `data.Histories`."""
-    users, start = sessions.user[s], sessions.offsets[s]
-    return (users, gather(history.first_seen, history.start[users], long_len),
-            gather(sessions.item, start, sessions.offsets[s + 1] - start - 1, hold),
-            sessions.item[start + hold])
+    users = sessions.user[s]
+    return (users, _longs(history, users, long_len), _contexts(sessions, s, hold),
+            sessions.item[sessions.offsets[s] + hold])
+
+
+class _Drawn(Batch):
+    """A `Batch` of training instances of a `data.Histories` (see `batch_of`),
+    whose long-term lists and contexts are gathered when first read: BPR
+    reads neither."""
+
+    def __init__(self, history, q, draws):
+        offsets, self._history = history.sessions.offsets, history
+        self._s = np.searchsorted(offsets, q, "right") - 1
+        self._hold = q - offsets[self._s]
+        self.users, self.positives = history.sessions.user[self._s], history.sessions.item[q]
+        negatives = history.unseen_items(self.users, draws)
+        self.negatives = Lists(negatives[:, None], np.ones((q.size, 1), dtype=bool), negatives)
+
+    @functools.cached_property
+    def longs(self) -> Lists:
+        return _longs(self._history, self.users, self._history.long_len[self._s])
+
+    @functools.cached_property
+    def shorts(self) -> Lists:
+        return _contexts(self._history.sessions, self._s, self._hold)
 
 
 def batch_of(history, q, draws) -> Batch:
     """The training instances at positions q of the items of a `data.Histories`'
     sessions: item q held out of its session (`instances`), and the user's
     draws[b]-th untouched item as negative."""
-    offsets = history.sessions.offsets
-    s = np.searchsorted(offsets, q, "right") - 1
-    x = instances(history, history.sessions, s, q - offsets[s], history.long_len[s])
-    negatives = history.unseen_items(x[0], draws)
-    return Batch(*x, Lists(negatives[:, None], np.ones((q.size, 1), dtype=bool), negatives))
+    return _Drawn(history, q, draws)
 
 
 def train(state, history, epochs, batch_size, rng, step):

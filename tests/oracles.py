@@ -28,6 +28,8 @@ is `data.split_ratings` as it was when that sort's key was always int64
 is `data._recode` as it was when it found first appearances with
 `np.unique(..., return_index=True)` (a mergesort) and `np.argsort`, before
 `data.first_appearance`'s linear pass.
+`user_mean_then_global` is the dict loop `metrics._user_mean_then_global`
+ran before it summed each user's values by one bincount.
 `mean_predictor` averages rating triplets per user or item in dicts and
 `evaluate_ratings` predicts one triplet at a time, as `baselines.user_mean`,
 `item_mean` and `metrics.evaluate_ratings` did before ratings were arrays.
@@ -766,6 +768,15 @@ def _user_mean_then_global(per_user: dict) -> float:
     return sum(user_means) / len(user_means)
 
 
+def user_mean_then_global(users, values) -> float:
+    """`metrics._user_mean_then_global` as a dict loop: each user's values
+    listed in instance order, the user means in order of first appearance."""
+    per_user: dict[int, list[float]] = {}
+    for user, value in zip(np.asarray(users).tolist(), np.asarray(values).tolist()):
+        per_user.setdefault(user, []).append(value)
+    return _user_mean_then_global(per_user)
+
+
 def evaluate(scorer, dataset, split, cutoffs, model_name, exclude_context=True):
     """`metrics.evaluate` one instance at a time: a top-k list, then each metric.
 
@@ -792,10 +803,11 @@ def evaluate(scorer, dataset, split, cutoffs, model_name, exclude_context=True):
         long_items = [dataset.item_index[i] for i in long_term_before(mine, inst.day)]
         ctx_idx = [dataset.item_index[i] for i in inst.context]
         target = dataset.item_index[inst.target]
-        scores = metrics._score_rows(scorer, [user], [long_items], [ctx_idx], n)[0]
-        if isinstance(scores, Exception):
-            failures.append(f"user {inst.user} day {inst.day}: {scores}")
+        rows, errors = metrics._score_rows(scorer, [user], [long_items], [ctx_idx], n)
+        if errors:
+            failures.append(f"user {inst.user} day {inst.day}: {errors[0]}")
             continue
+        scores = rows[0]
         if cutoffs:
             ranked = rank_items(scores)
             if exclude_context:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -412,3 +413,118 @@ def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name
     if name == "random":  # its item count is the length of the item list
         saved = dataclasses.replace(saved, n_items=len(ck.items))
     _assert_same_state(saved, ck.state)
+
+
+# ---------------------------------------------------------------------------
+# The archive reader against np.load
+
+
+def _assert_same_members(got, path_or_bytes):
+    raw = path_or_bytes if isinstance(path_or_bytes, bytes) else open(path_or_bytes, "rb").read()
+    with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
+        want = {name: npz[name] for name in npz.files}
+    assert list(got) == list(want)
+    for name, a in want.items():
+        b = got[name]
+        assert (b.dtype, b.shape) == (a.dtype, a.shape), name
+        assert (b.flags.c_contiguous, b.flags.f_contiguous) == (
+            a.flags.c_contiguous, a.flags.f_contiguous), name
+        assert b.tobytes(order="A") == a.tobytes(order="A"), name
+
+
+ODD_MEMBERS = {
+    "zero_d": np.array(2.5), "text": np.array('{"a": 1}'), "empty": np.zeros((0, 3)),
+    "empty_strings": np.array([], dtype=str), "fortran": np.asfortranarray(
+        np.arange(12, dtype=np.int64).reshape(3, 4)),
+    "big_endian": np.arange(5, dtype=">i4"), "bools": np.array([True, False, True]),
+    "records": np.zeros(2, dtype=[("x", "<i4"), ("y", "<f8")]), "strings": np.array(["ab", "ü"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_read_npz_equals_np_load_on_every_kind(name):
+    raw = SAVED[name][0]
+    _assert_same_members(data.read_npz(io.BytesIO(raw)), raw)
+
+
+@pytest.mark.parametrize("savez", [np.savez, np.savez_compressed])
+def test_read_npz_equals_np_load_on_odd_members(tmp_path, savez):
+    path = tmp_path / "odd.npz"
+    savez(path, **ODD_MEMBERS)
+    _assert_same_members(data.read_npz(path), path)
+    with open(path, "rb") as fh:  # an open file object
+        _assert_same_members(data.read_npz(fh), path)
+
+
+def test_read_npz_of_an_empty_archive_is_empty():
+    buf = io.BytesIO()
+    np.savez(buf)
+    assert data.read_npz(io.BytesIO(buf.getvalue())) == {}
+
+
+def _stored_spans(raw):
+    """Per member of the archive `raw`: (name, start of its .npy bytes, their end,
+    where the data starts after the .npy header)."""
+    spans = []
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        for info in archive.infolist():
+            assert info.compress_type == zipfile.ZIP_STORED
+            at = info.header_offset
+            name_length, extra_length = np.frombuffer(raw, "<u2", 2, at + 26).tolist()
+            start = at + 30 + name_length + extra_length
+            with archive.open(info) as member:
+                np.lib.format.read_magic(member)
+                np.lib.format.read_array_header_1_0(member)
+                header = member.tell()
+            spans.append((info.filename, start, start + info.file_size, start + header))
+    return spans
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_a_flipped_byte_in_any_member_is_refused(name):
+    raw = SAVED[name][0]
+    for member, start, end, data_start in _stored_spans(raw):
+        offsets = {start, start + 6, start + 8, (start + data_start) // 2, data_start - 1,
+                   data_start, (data_start + end) // 2, end - 1}
+        for at in sorted(o for o in offsets if o < end):
+            for mask in (0x01, 0x80):
+                flipped = bytearray(raw)
+                flipped[at] ^= mask
+                with pytest.raises(data.NPZ_ERRORS):
+                    data.read_npz(io.BytesIO(bytes(flipped)))
+
+
+def np_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def test_object_and_non_array_members_are_refused(tmp_path):
+    path = tmp_path / "object.npz"
+    np.savez(path, ok=np.zeros(2), obj=np.array([{"a": 1}], dtype=object))
+    with pytest.raises(data.NPZ_ERRORS, match="Object arrays"):
+        data.read_npz(path)
+    with zipfile.ZipFile(tmp_path / "text.npz", "w") as archive:
+        archive.writestr("ok.npy", np_bytes(np.zeros(2)))
+        archive.writestr("notes.txt", b"not an array")
+    with pytest.raises(data.NPZ_ERRORS, match="'notes.txt' is not a numpy array"):
+        data.read_npz(tmp_path / "text.npz")
+
+
+def test_read_npz_refuses_what_is_not_a_zip_archive(tmp_path):
+    (tmp_path / "pickle.npz").write_bytes(b"\x80\x04K\x01.")
+    with pytest.raises(ValueError, match="not a zip archive"):
+        data.read_npz(tmp_path / "pickle.npz")
+
+
+def test_an_unparsable_npy_header_is_refused_naming_the_file(tmp_path):
+    # an unclosed brace: numpy's header parse fails with a tokenize.TokenError
+    header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (1,), \n"
+    member = b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + bytes(8)
+    path = tmp_path / "header.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("__meta__.npy", member)
+    with pytest.raises(ValueError, match="not a readable .npz archive") as err:
+        checkpoint.load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")

@@ -460,6 +460,25 @@ def test_evaluate_equals_the_per_instance_oracle(case, cutoffs, exclude, chunk):
     assert sum(got.failure_causes.values()) == len(got.failures)
 
 
+@given(st.lists(st.tuples(st.integers(0, 6), st.floats(-1e6, 1e6)), min_size=1,
+                max_size=80))
+@example([(3, 0.1), (0, 0.7), (3, 0.2), (5, 1e-17), (0, 0.3), (3, 0.3)])
+def test_user_means_equal_the_dict_loop_oracle_bit_for_bit(pairs):
+    users, values = (np.array(a) for a in zip(*pairs))
+    codes = np.unique(users, return_inverse=True)[1]
+    assert (metrics._user_mean_then_global(codes, values)
+            == oracles.user_mean_then_global(users, values))
+
+
+def test_user_means_of_an_eval_sized_run_equal_the_dict_loop_oracle():
+    rng = make_rng(5)
+    users, values = rng.integers(0, 400, 2030), rng.random(2030) / 7
+    codes = np.unique(users, return_inverse=True)[1]
+    for v in (values, np.floor(values * 10) / 10, values[::-1].copy()):
+        assert (metrics._user_mean_then_global(codes, v)
+                == oracles.user_mean_then_global(users, v))
+
+
 def test_failures_are_counted_by_cause():
     # a, b on day 0; a, b, c, a on day 1: holding out the last a leaves a
     # context with every item of the catalog

@@ -101,6 +101,20 @@ def test_array_batches_train_as_list_batches(name, monkeypatch):
     assert got.trace == want.trace and len(got.trace) in (3, 4)
 
 
+def test_bpr_trains_without_gathering_long_term_lists_or_contexts(monkeypatch):
+    ds, sp = varied_corpus()
+    want = TRAINERS["bpr"](sp, ds)
+
+    def unread(*args):
+        raise AssertionError("BPR gathered lists it does not read")
+
+    monkeypatch.setattr(minibatch, "_longs", unread)
+    monkeypatch.setattr(minibatch, "_contexts", unread)
+    got = TRAINERS["bpr"](sp, ds)
+    assert np.array_equal(got.P, want.P) and np.array_equal(got.Q, want.Q)
+    assert got.trace == want.trace
+
+
 # ---------------------------------------------------------------------------
 # The sparse step against the dense step
 
