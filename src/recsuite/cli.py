@@ -49,7 +49,7 @@ class FiniteRange(click.FloatRange, FiniteFloat):
     and infinity on an unbounded side."""
 
 
-METRIC_NAMES = ("precision", "recall", "mcan", "auc", "mae", "rmse")
+METRIC_NAMES = metrics.RANKING_METRICS + metrics.RATING_METRICS
 POSITIVE = click.IntRange(min=1)
 FRACTION = FiniteRange(0, 1)
 NONNEGATIVE = FiniteRange(min=0)
@@ -498,6 +498,18 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
     except ValueError as exc:
         raise click.ClickException(str(exc))
     setting = _split_setting(ck.kind)
+    # a name of the family the model is not reported on is a usage error on
+    # the command line, and dropped from a config file
+    rates = checkpoint.KINDS[ck.kind].rates
+    family = metrics.RATING_METRICS if rates else metrics.RANKING_METRICS
+    if wanted is not None and not wanted <= set(family):
+        ctx = click.get_current_context()
+        if ctx.get_parameter_source("metrics_filter") is click.core.ParameterSource.COMMANDLINE:
+            raise click.UsageError(
+                f"--metrics {','.join(sorted(wanted - set(family)))} does not apply to "
+                f"{ck.kind}; a {'rating' if rates else 'ranking'} model reports "
+                f"{','.join(family)} only", ctx)
+        wanted &= set(family)
     corpus, _, digest = _read_corpus(input_path)
 
     try:
@@ -521,6 +533,8 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
 
     if wanted is not None:
         report.rows = [row for row in report.rows if row[0] in wanted]
+    if not report.rows:
+        raise click.ClickException(f"--metrics {metrics_filter!r} leaves no row to report")
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "report.csv"))
     text = report.to_text()

@@ -14,6 +14,12 @@ import numpy as np
 from . import data, minibatch
 
 
+# The metrics each family of model is reported on: `evaluate` gives a
+# ranking model's, `evaluate_ratings` a rating model's.
+RANKING_METRICS = ("precision", "recall", "mcan", "auc")
+RATING_METRICS = ("mae", "rmse")
+
+
 # ---------------------------------------------------------------------------
 # Pointwise rating error
 
@@ -290,7 +296,8 @@ def evaluate(
     and must return one score per catalog item. Instances are scored in
     chunks of consecutive instances (`score_batch`, or `score_items` one at
     a time for a scorer without it), each chunk at most 64 rows and 2**18
-    scores, gathered as `minibatch.Lists` from the split's index arrays.
+    scores and read as a `minibatch.Batch` of the test sessions, with the
+    long-term lists the train `data.Histories` gives for each test day.
     Every metric follows from ranks under the rule of `top_k`, taken with
     one comparison of each score row against its target's score:
     precision@k and recall@k from the target's rank among the rankable
@@ -316,8 +323,8 @@ def evaluate(
     report = EvalReport(model=model_name, rows=[])
     long_len = history.long_lengths(test.user, test.day)
 
-    def inputs(q):
-        return minibatch.instances(history, test, q, test.hold[q], long_len[q])
+    def batch(q):
+        return minibatch.Batch(history, test, q, test.hold[q], long_len[q])
 
     def fail(i, message, cause):
         report.failures.append(f"user {dataset.users[test.user[i]]} day {test.day[i]}: {message}")
@@ -328,11 +335,11 @@ def evaluate(
     chunk = max(1, min(_CHUNK_ROWS, _CHUNK_SCORES // max(n, 1)))
     for start in range(0, len(test), chunk):
         q = np.arange(start, min(start + chunk, len(test)))
-        x = inputs(q)
-        S, errors = _score_rows(scorer, *x[:3], n)
+        x = batch(q)
+        S, errors = _score_rows(scorer, x.users, x.longs, x.shorts, n)
         covered = np.zeros(q.size, dtype=bool)
         if exclude_context and cutoffs:
-            covered = np.bincount(_distinct(_flat(n, x[2])) // n, minlength=q.size) == n
+            covered = np.bincount(_distinct(_flat(n, x.shorts)) // n, minlength=q.size) == n
         kept = []  # the instances ranked, by place in the chunk
         for b in range(q.size):
             if b in errors:
@@ -345,13 +352,14 @@ def evaluate(
         if not kept:
             continue
         if len(kept) < q.size:
-            x, S = inputs(q[kept]), S[kept]
+            x, S = batch(q[kept]), S[kept]
         chunk_values, chunk_rankable, auc = _chunk_values(
-            S, x[2], x[3],
-            minibatch.gather(history.seen, history.start[x[0]], np.diff(history.start)[x[0]]),
+            S, x.shorts, x.positives,
+            minibatch.gather(history.seen, history.start[x.users],
+                             np.diff(history.start)[x.users]),
             cutoffs, exclude_context,
         )
-        users.append(x[0])
+        users.append(x.users)
         rankable.append(chunk_rankable)
         aucs.append(auc)
         for key, v in chunk_values.items():

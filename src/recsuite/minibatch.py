@@ -1,15 +1,15 @@
 """Minibatch training shared by the ranking models (DAS, CAN and BPR).
 
 All three train on the per-position holdout instances of the train
-sessions' `data.Histories`, with one uniform negative per instance.
-`train` owns everything they have in common: the epoch permutation, batch
-assembly (index arrays gathered from the history, `batch_of`), the
-negative draws, divergence checks and the per-epoch trace. Each model
-supplies the step that updates it from one batch. DAS and CAN step
-through `Sgd` with their batched loss-and-gradients kernels, which return
-gradients for only the table rows a batch reads (`Rows`); BPR takes the
-whole epoch as one batch and updates it in waves of pairs that share no
-row.
+sessions' `data.Histories`, with one uniform negative per instance, read
+as a `Batch`, the type `metrics.evaluate` scores test instances as.
+`train` owns everything the trainers have in common: the epoch
+permutation, batch assembly (`batch_of`), the negative draws, divergence
+checks and the per-epoch trace. Each model supplies the step that updates
+it from one batch. DAS and CAN step through `Sgd` with their batched
+loss-and-gradients kernels, which return gradients for only the table
+rows a batch reads (`Rows`); BPR takes the whole epoch as one batch and
+updates it in waves of pairs that share no row.
 """
 
 import functools
@@ -57,22 +57,31 @@ def pad(lists) -> Lists:
     return gather(flat, np.cumsum(lengths) - lengths, lengths)
 
 
-@dataclass
 class Batch:
-    """One minibatch in index space; given sequences, it pads them (`pad`)."""
+    """Instances of a `data.Sessions`, each one of its items held out.
 
-    users: np.ndarray
-    longs: Lists  # long-term item indices in order (may be empty)
-    shorts: Lists  # context item indices (duplicates allowed)
-    positives: np.ndarray
-    negatives: Lists  # several per instance for DAS, one for CAN and BPR (or a bare index)
+    Instance b holds out item hold[b] of session s[b]: `users` and
+    `positives` are arrays, and the user's long-term list (the first
+    long_len[b] of their first-seen items in the `data.Histories`) and the
+    rest of the session as context are `Lists` in `longs` and `shorts`,
+    gathered when first read: BPR reads neither. The trainer sets
+    `negatives` (`batch_of`); the evaluator leaves it None.
+    """
 
-    def __post_init__(self):
-        self.users, self.positives = (np.asarray(x, dtype=np.int64)
-                                      for x in (self.users, self.positives))
-        self.longs, self.shorts = pad(self.longs), pad(self.shorts)
-        if not isinstance(self.negatives, Lists):
-            self.negatives = pad([[n] if np.ndim(n) == 0 else n for n in self.negatives])
+    def __init__(self, history, sessions, s, hold, long_len):
+        self.users, start = sessions.user[s], sessions.offsets[s]
+        self.positives = sessions.item[start + hold]
+        self.negatives = None
+        self._long_args = (history.first_seen, history.start[self.users], long_len)
+        self._short_args = (sessions.item, start, sessions.offsets[s + 1] - start - 1, hold)
+
+    @functools.cached_property
+    def longs(self) -> Lists:
+        return gather(*self._long_args)
+
+    @functools.cached_property
+    def shorts(self) -> Lists:
+        return gather(*self._short_args)
 
 
 @dataclass
@@ -112,54 +121,16 @@ class Rows:
         return sums.reshape((self.index.size,) + values.shape[1:])
 
 
-def _longs(history, users, long_len) -> Lists:
-    """The long-term lists: the first long_len[b] of user users[b]'s items in
-    the `data.Histories`."""
-    return gather(history.first_seen, history.start[users], long_len)
-
-
-def _contexts(sessions, s, hold) -> Lists:
-    """Session s[b] of a `data.Sessions` without its item at position hold[b]."""
-    start = sessions.offsets[s]
-    return gather(sessions.item, start, sessions.offsets[s + 1] - start - 1, hold)
-
-
-def instances(history, sessions, s, hold, long_len):
-    """(users, long-term lists, contexts, targets) of the instances holding out
-    item hold[b] of session s[b] of a `data.Sessions`, the long-term list the
-    first long_len[b] of the user's items in the `data.Histories`."""
-    users = sessions.user[s]
-    return (users, _longs(history, users, long_len), _contexts(sessions, s, hold),
-            sessions.item[sessions.offsets[s] + hold])
-
-
-class _Drawn(Batch):
-    """A `Batch` of training instances of a `data.Histories` (see `batch_of`),
-    whose long-term lists and contexts are gathered when first read: BPR
-    reads neither."""
-
-    def __init__(self, history, q, draws):
-        offsets, self._history = history.sessions.offsets, history
-        self._s = np.searchsorted(offsets, q, "right") - 1
-        self._hold = q - offsets[self._s]
-        self.users, self.positives = history.sessions.user[self._s], history.sessions.item[q]
-        negatives = history.unseen_items(self.users, draws)
-        self.negatives = Lists(negatives[:, None], np.ones((q.size, 1), dtype=bool), negatives)
-
-    @functools.cached_property
-    def longs(self) -> Lists:
-        return _longs(self._history, self.users, self._history.long_len[self._s])
-
-    @functools.cached_property
-    def shorts(self) -> Lists:
-        return _contexts(self._history.sessions, self._s, self._hold)
-
-
 def batch_of(history, q, draws) -> Batch:
     """The training instances at positions q of the items of a `data.Histories`'
-    sessions: item q held out of its session (`instances`), and the user's
-    draws[b]-th untouched item as negative."""
-    return _Drawn(history, q, draws)
+    sessions: item q held out of its session, and the user's draws[b]-th
+    untouched item as its one negative."""
+    offsets = history.sessions.offsets
+    s = np.searchsorted(offsets, q, "right") - 1
+    batch = Batch(history, history.sessions, s, q - offsets[s], history.long_len[s])
+    negatives = history.unseen_items(batch.users, draws)
+    batch.negatives = Lists(negatives[:, None], np.ones((q.size, 1), dtype=bool), negatives)
+    return batch
 
 
 def train(state, history, epochs, batch_size, rng, step):
@@ -170,8 +141,9 @@ def train(state, history, epochs, batch_size, rng, step):
     batch_size. Instances whose user touched every item are skipped; the
     others draw one negative, with one `rng.integers` call per chunk over
     the sizes of their pools, in chunk order (the same values, and the
-    same generator state after, as one call per instance); see `batch_of`.
-    `step(batch)` updates the state from one batch and returns its loss.
+    same generator state after, as one call per instance). Each chunk is
+    one `Batch` (`batch_of`), and `step(batch)` updates the state from it
+    and returns its loss.
     A ValueError from the step (a non-finite attention score) or a
     non-finite loss means training diverged and raises FloatingPointError.
     Appends the mean batch loss of each epoch to state.trace and returns

@@ -12,14 +12,18 @@ negative from the set-difference pool of `oracles.prepared_instances`.
 lists and pools, before the instances were index arrays. `train_bpr` is
 BPR's own per-pair epoch loop over (user, item) index pairs, with its
 set-difference negative pools, which `minibatch.train` and then the
-wave trainer of `baselines.train_bpr` replaced. `instances` lists a
-`minibatch.Batch` back as per-instance Python lists for the loops here.
+wave trainer of `baselines.train_bpr` replaced. `list_batch` builds a
+batch from per-instance Python lists, with the attributes the kernels
+read of a `minibatch.Batch`; `instances` lists a batch back as
+per-instance Python lists for the loops here.
 `dense_objective` turns a kernel's data loss and row-block gradients into
 the per-step objective `minibatch.Sgd` descends: the data loss plus the L2
 of every whole parameter and of the table rows the batch reads, with every
 gradient a full array. `dense_sgd` steps on it with every parameter updated
 whole, so a table row the batch does not read takes a zero step.
 """
+
+import types
 
 import numpy as np
 
@@ -37,6 +41,19 @@ def softmax(scores) -> np.ndarray:
         raise ValueError("softmax input must be finite")
     e = np.exp(x - x.max())
     return e / e.sum()
+
+
+def list_batch(users, longs, shorts, positives, negatives):
+    """A batch of per-instance lists as the kernels read a `minibatch.Batch`:
+    `users` and `positives` as index arrays, the lists padded into
+    `minibatch.Lists` (`minibatch.pad`), and a bare negative index taken as
+    a one-item list."""
+    if not isinstance(negatives, minibatch.Lists):
+        negatives = minibatch.pad([[n] if np.ndim(n) == 0 else n for n in negatives])
+    return types.SimpleNamespace(
+        users=np.asarray(users, dtype=np.int64), longs=minibatch.pad(longs),
+        shorts=minibatch.pad(shorts), positives=np.asarray(positives, dtype=np.int64),
+        negatives=negatives)
 
 
 def instances(batch):
@@ -66,7 +83,7 @@ def list_train(prepared):
                     users, longs, shorts, positives, pools = map(list, zip(*rows))
                     draws = rng.integers([pool.size for pool in pools]).tolist()
                     negatives = [pool.item(d) for pool, d in zip(pools, draws)]
-                    total += step(minibatch.Batch(users, longs, shorts, positives, negatives))
+                    total += step(list_batch(users, longs, shorts, positives, negatives))
                     n_batches += 1
                 state.trace.append(total / max(n_batches, 1))
         return state
@@ -230,7 +247,7 @@ def train_das(split, dataset, config):
                         rows.append((u, G, S, pos, [int(pool[rng.integers(pool.size)])]))
                 if not rows:
                     continue
-                loss, grads = das_loss_and_grads(state, minibatch.Batch(*zip(*rows)))
+                loss, grads = das_loss_and_grads(state, list_batch(*zip(*rows)))
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"epoch {epoch}: loss is {loss}")
                 for p, g in zip(plist, grads):
@@ -401,7 +418,7 @@ def train_can(split, dataset, config):
                         rows.append((u, G, S, pos, int(pool[rng.integers(pool.size)])))
                 if not rows:
                     continue
-                loss, grads = can_loss_and_grads(state, minibatch.Batch(*zip(*rows)), drop_rng)
+                loss, grads = can_loss_and_grads(state, list_batch(*zip(*rows)), drop_rng)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"epoch {epoch}: loss is {loss}")
                 for p, gr in zip(plist, grads):

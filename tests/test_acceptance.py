@@ -82,7 +82,7 @@ def test_01_gradients_match_finite_differences():
     das_state = das.init_das(3, 12, das_cfg)
     for p in das_state.params():
         p += perturb.normal(0, 0.3, size=p.shape)
-    das_batch = minibatch.Batch(
+    das_batch = loop_oracles.list_batch(
         users=[0, 2], longs=[[0, 1, 2], []], shorts=[[3, 4], [5, 5]],
         positives=[6, 7], negatives=[[8, 9], [10]],
     )
@@ -99,7 +99,7 @@ def test_01_gradients_match_finite_differences():
     can_state = can.init_can(2, 8, can_cfg)
     for p in can_state.params():
         p += perturb.normal(0, 0.3, size=p.shape)
-    can_batch = minibatch.Batch(
+    can_batch = loop_oracles.list_batch(
         users=[1], longs=[[0, 1, 2, 3]], shorts=[[4, 4, 5]],
         positives=[6], negatives=[7],
     )

@@ -48,7 +48,7 @@ def batches(draw, negatives):
     def per_instance(strategy):
         return draw(st.lists(strategy, min_size=n, max_size=n))
 
-    return minibatch.Batch(
+    return loop_oracles.list_batch(
         users=per_instance(st.integers(0, N_USERS - 1)),
         longs=per_instance(item_lists),
         shorts=per_instance(item_lists),
@@ -57,7 +57,7 @@ def batches(draw, negatives):
     )
 
 
-EMPTY_LISTS = minibatch.Batch(
+EMPTY_LISTS = loop_oracles.list_batch(
     users=[1, 1, 0], longs=[[], [], [2, 2]], shorts=[[], [3], []],
     positives=[4, 4, 0], negatives=[[5], [5, 5, 0], [4]],
 )
@@ -74,9 +74,9 @@ def test_das_kernel_matches_loop(batch, seed):
 
 def test_das_kernel_takes_single_negatives():
     state = perturbed(das.init_das(N_USERS, N_ITEMS, das.DasConfig(k=3)), 2)
-    as_lists = minibatch.Batch(users=[0, 2], longs=[[1], []], shorts=[[2, 3], [4]],
-                               positives=[5, 6], negatives=[[0], [6]])
-    as_ints = minibatch.Batch(**{**vars(as_lists), "negatives": [0, 6]})
+    as_lists = loop_oracles.list_batch(users=[0, 2], longs=[[1], []], shorts=[[2, 3], [4]],
+                                       positives=[5, 6], negatives=[[0], [6]])
+    as_ints = loop_oracles.list_batch(**{**vars(as_lists), "negatives": [0, 6]})
     assert_close(das.loss_and_grads(state, as_ints),
                  das.loss_and_grads(state, as_lists), 0.0)
 
@@ -87,7 +87,8 @@ def test_das_kernel_takes_single_negatives():
 @example(EMPTY_LISTS, 1, 3, 0.0)
 def test_can_kernel_matches_loop(batch, seed, window, dropout):
     if batch.negatives.mask.shape[1] > 1:  # the shared example carries DAS lists
-        batch = minibatch.Batch(**{**vars(batch), "negatives": batch.negatives.idx[:, 0]})
+        batch = loop_oracles.list_batch(**{**vars(batch),
+                                           "negatives": batch.negatives.idx[:, 0]})
     cfg = can.CanConfig(D=4, D_u=3, N_f=4, window=window, D_p=3, D_q=5, dropout=dropout,
                         lam_uv=0.01, lam_a=0.02, seed=seed)
     state = perturbed(can.init_can(N_USERS, N_ITEMS, cfg), seed + 1)
@@ -150,8 +151,8 @@ def test_pad_layout():
 
 
 def test_table_gradients_hold_only_the_rows_read():
-    batch = minibatch.Batch(users=[0, 0], longs=[[1, 2], []], shorts=[[3], [3, 3]],
-                            positives=[4, 5], negatives=[6, 4])
+    batch = loop_oracles.list_batch(users=[0, 0], longs=[[1, 2], []], shorts=[[3], [3, 3]],
+                                    positives=[4, 5], negatives=[6, 4])
     das_state = perturbed(das.init_das(N_USERS, N_ITEMS, das.DasConfig(k=3)), 3)
     can_cfg = can.CanConfig(D=4, D_u=3, N_f=4, D_p=3, D_q=5, dropout=0.0)
     can_state = perturbed(can.init_can(N_USERS, N_ITEMS, can_cfg), 4)

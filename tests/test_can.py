@@ -190,7 +190,7 @@ class TestScore:
 
 
 def one_triple(user=0, G=(0, 1), S=(2,), pos=3, neg=4):
-    return minibatch.Batch(
+    return loop_oracles.list_batch(
         users=[user], longs=[list(G)], shorts=[list(S)],
         positives=[pos], negatives=[neg],
     )
@@ -254,7 +254,7 @@ class TestGradCheck:
         rng = make_rng(11)
         for p in st_.params():
             p += rng.normal(0, 0.3, size=p.shape)
-        batch = minibatch.Batch(
+        batch = loop_oracles.list_batch(
             users=[1], longs=[list(G)], shorts=[list(S)],
             positives=[pos], negatives=[neg],
         )

@@ -779,6 +779,51 @@ def test_split_key_the_model_never_reads_is_ignored_from_a_config_file(tmp_path,
         assert split == read
 
 
+@pytest.mark.parametrize("model, names, foreign", [
+    ("top", "mae", "mae"),
+    ("usermean", "recall,auc", "auc,recall"),
+    ("top", "precision,rmse", "rmse"),
+])
+def test_metric_the_model_is_not_reported_on_is_usage_error(tmp_path, model, names, foreign):
+    corpus = _split_corpus(tmp_path, model)
+    ck = train(corpus, tmp_path / "t", model)
+    res = runner.invoke(main, ["eval", str(ck), str(corpus), "--metrics", names,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert f"--metrics {foreign} does not apply to {model}" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_metric_the_model_is_not_reported_on_is_dropped_from_a_config_file(tmp_path):
+    corpus = _split_corpus(tmp_path, "top")
+    ck = train(corpus, tmp_path / "t", "top")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("metrics = mae,recall\n")
+    res = runner.invoke(main, ["eval", str(ck), str(corpus), "--config", str(cfg),
+                               "--out", str(tmp_path / "e")])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.reader(open(tmp_path / "e" / "report.csv")))[1:]
+    assert {r[2] for r in rows} == {"recall"}
+    config = json.loads((tmp_path / "e" / "eval_manifest.json").read_text())["config"]
+    assert config["metrics"] == ["recall"]
+
+
+@pytest.mark.parametrize("model, line", [
+    ("top", "metrics = mae"),
+    ("usermean", "metrics = recall,auc"),
+])
+def test_metrics_that_leave_no_row_write_no_report(tmp_path, model, line):
+    corpus = _split_corpus(tmp_path, model)
+    ck = train(corpus, tmp_path / "t", model)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    res = runner.invoke(main, ["eval", str(ck), str(corpus), "--config", str(cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1, res.output
+    assert "leaves no row to report" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_short_catalog_counts_short_rankings_without_a_python_warning(tmp_path):
     # 3 users, 3 items: a test session of two items leaves two to rank
     corpus = tmp_path / "c.csv"

@@ -141,7 +141,7 @@ class TestScoreAll:
 
 
 def one_instance(user=0, G=(0, 1), S=(2,), pos=1, negs=(0,)):
-    return minibatch.Batch(
+    return loop_oracles.list_batch(
         users=[user], longs=[list(G)], shorts=[list(S)],
         positives=[pos], negatives=[list(negs)],
     )
@@ -191,7 +191,7 @@ class TestGradCheck:
         rng = make_rng(11)
         st_.W += rng.normal(0, 0.3, size=st_.W.shape)
         st_.Wout += rng.normal(0, 0.3, size=st_.Wout.shape)
-        batch = minibatch.Batch(
+        batch = loop_oracles.list_batch(
             users=[1], longs=[list(G)], shorts=[list(S)],
             positives=[4], negatives=[[5, 0]],
         )

@@ -8,6 +8,7 @@ per-model trainers before it drew one at a time. `minibatch.Sgd` updates
 only the table rows a batch reads, with L2 on those rows; the dense step
 (`loop_oracles.dense_sgd`) updates every array whole on the same
 objective, so a row the batch does not read takes a zero step there.
+`metrics.evaluate` reads the test instances as the same `minibatch.Batch`.
 """
 
 import numpy as np
@@ -108,11 +109,38 @@ def test_bpr_trains_without_gathering_long_term_lists_or_contexts(monkeypatch):
     def unread(*args):
         raise AssertionError("BPR gathered lists it does not read")
 
-    monkeypatch.setattr(minibatch, "_longs", unread)
-    monkeypatch.setattr(minibatch, "_contexts", unread)
+    monkeypatch.setattr(minibatch, "gather", unread)
     got = TRAINERS["bpr"](sp, ds)
     assert np.array_equal(got.P, want.P) and np.array_equal(got.Q, want.Q)
     assert got.trace == want.trace
+
+
+# ---------------------------------------------------------------------------
+# The evaluator's batches hold the test instances
+
+
+def test_evaluator_batches_hold_the_oracle_instances():
+    ds, _ = varied_corpus()
+    sp = data.split(ds.sessions, "random-80-20", make_rng(0))
+    hist, test = data.Histories(sp.train, ds), sp.test
+    train = {}
+    for s in sp.train:
+        train.setdefault(s.user, []).append(s)
+    want = [(ds.user_index[inst.user],
+             [ds.item_index[i] for i in oracles.long_term_before(train.get(inst.user, []),
+                                                                 inst.day)],
+             [ds.item_index[i] for i in inst.context], ds.item_index[inst.target])
+            for inst in test]
+    assert any(not w[1] for w in want)  # an empty long-term list
+    assert any(len(w[2]) == 1 for w in want)  # a one-item context
+    long_len = hist.long_lengths(test.user, test.day)
+    # every instance, as a chunk is gathered; then every other one, as the
+    # instances a chunk keeps after some fail
+    for q in (np.arange(len(test)), np.arange(1, len(test), 2)):
+        batch = minibatch.Batch(hist, test, q, test.hold[q], long_len[q])
+        got = zip(batch.users.tolist(), [x.tolist() for x in batch.longs],
+                  [x.tolist() for x in batch.shorts], batch.positives.tolist())
+        assert list(got) == [want[i] for i in q.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +165,7 @@ def sparse_batches(seed):
         longs = [items(int(rng.integers(0, 4))) for _ in range(n)]
         if t % 50 == 0:
             longs[0].append(int(rng.integers(HOT, N_ITEMS)))
-        batches.append(minibatch.Batch(
+        batches.append(loop_oracles.list_batch(
             users=rng.integers(N_USERS, size=n).tolist(), longs=longs,
             shorts=[items(int(rng.integers(0, 3))) for _ in range(n)],
             positives=items(n),
