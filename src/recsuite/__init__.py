@@ -27,4 +27,6 @@ __version__ = "0.1.0"
 # 5: the mean predictors store one mean per user (or item) as the float64
 # array "means", in place of a JSON table of [key, mean] pairs and a global
 # mean
-CHECKPOINT_FORMAT_VERSION = 5
+# 6: the same members in the flat layout of `container` (magic line,
+# lengths, CRC-32, JSON head, aligned members) in place of an .npz zip archive
+CHECKPOINT_FORMAT_VERSION = 6

@@ -1,11 +1,13 @@
 """Single-file model checkpoints.
 
-One ``.npz`` per trained model: the parameter arrays, the user/item
-token lists they were trained against, and a JSON metadata record
-(format version, model kind, hyperparameters, training trace), and
-nothing the kind and the list lengths imply. Saving the same state twice
-produces byte-identical files, and loading reconstructs the original
-state class ready to score or predict.
+One file per trained model, in the flat layout of `container` (the CLI
+names it ``<model>.npz``, but it is not a zip archive): the parameter
+arrays, the user/item token lists they were trained against, and a JSON
+metadata record (format version, model kind, hyperparameters, training
+trace), and nothing the kind and the list lengths imply. Saving the same
+state twice produces byte-identical files, a save replaces the file whole,
+and loading reconstructs the original state class ready to score or
+predict.
 
 `KINDS` describes each model kind once: its state and config classes, its
 arrays (name, dtype and shape in terms of the user count, the item count
@@ -15,7 +17,9 @@ fields. Saving, loading, the load-time check and the CLI all read it.
 `load_checkpoint` raises a ValueError whose message starts with the file's
 path for:
 
-* a file numpy cannot read as an ``.npz`` archive;
+* a file that is not a whole flat file of arrays (truncated, damaged in
+  any byte, or holding object arrays), and by name a zip archive, the
+  ``.npz`` of format 5 or earlier;
 * a format version other than this build's, or an unknown model kind;
 * metadata that is not a JSON object, lacks a field, or holds a field of
   the wrong JSON type;
@@ -25,6 +29,7 @@ path for:
 * user or item lists whose lengths disagree with the array shapes.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -32,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION, apar, baselines, can, das, data, personality
+from . import CHECKPOINT_FORMAT_VERSION, apar, baselines, can, container, das, personality
 
 
 @dataclass
@@ -42,6 +47,14 @@ class Checkpoint:
     users: list
     items: list
     meta: dict
+    read: list = field(repr=False)  # the file's bytes as they were read, in order
+
+    def sha256(self) -> str:
+        """The sha256 of the file as it was loaded."""
+        h = hashlib.sha256()
+        for chunk in self.read:
+            h.update(chunk)
+        return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +224,12 @@ def save_checkpoint(path, state, users, items) -> None:
     if config is not None:
         meta["config"] = asdict(config)
     arrays = {a: getattr(state, a) for a in kind.arrays(config, len(users), len(items))}
-    np.savez(
-        path,
-        __meta__=np.array(json.dumps(meta, sort_keys=True)),
-        __users__=np.array(list(users), dtype=str),
-        __items__=np.array(list(items), dtype=str),
+    container.write(path, {
+        "__meta__": np.array(json.dumps(meta, sort_keys=True)),
+        "__users__": np.array(list(users), dtype=str),
+        "__items__": np.array(list(items), dtype=str),
         **arrays,
-    )
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +273,7 @@ def _check_arrays(kind, blobs, config, n_users, n_items) -> None:
             raise ValueError(f"array {a} holds non-finite values")
 
 
-def _decode(blobs) -> Checkpoint:
+def _decode(blobs, read) -> Checkpoint:
     if "__meta__" not in blobs:
         raise ValueError("is not a model checkpoint (no metadata record)")
     try:
@@ -295,17 +307,24 @@ def _decode(blobs) -> Checkpoint:
         config = values["config"] = _load_config(kind.config, _get(meta, "config"))
     _check_arrays(kind, blobs, config, len(users), len(items))
     return Checkpoint(kind=name, state=kind.state(**blobs, **values), users=users,
-                      items=items, meta=meta)
+                      items=items, meta=meta, read=read)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read and check the checkpoint at path; see the module docstring."""
     try:
-        blobs = data.read_npz(path)
-    except data.NPZ_ERRORS as exc:
-        raise ValueError(f"{path}: not a readable .npz archive ({exc})") from None
-    try:
-        return _decode(blobs)
+        with open(path, "rb") as fh:
+            try:
+                blobs, read = container.read(fh)
+            except ValueError as exc:
+                fh.seek(0)
+                if fh.read(4) != b"PK\x03\x04":
+                    raise ValueError(f"not a readable checkpoint file ({exc})") from None
+                raise ValueError("an .npz checkpoint of format 5 or earlier; this build reads "
+                                 f"format {CHECKPOINT_FORMAT_VERSION}; retrain") from None
+        return _decode(blobs, read)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot be read ({exc})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

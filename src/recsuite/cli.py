@@ -553,7 +553,7 @@ def eval_cmd(checkpoint_path, input_path, cutoffs, metrics_filter,
         out_dir, "eval", seed,
         {"cutoffs": cutoff_list, "metrics": sorted(wanted) if wanted else "all",
          **setting, "exclude_context": not include_context},
-        {checkpoint_path: None, input_path: digest}, time.perf_counter() - t0,
+        {checkpoint_path: ck.sha256(), input_path: digest}, time.perf_counter() - t0,
     )
 
 
@@ -615,7 +615,7 @@ def recommend(checkpoint_path, input_path, user, count, seed, out_dir):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_manifest(out_dir, "recommend", seed, {"user": user, "n": count},
-                        {checkpoint_path: None, input_path: digest},
+                        {checkpoint_path: ck.sha256(), input_path: digest},
                         time.perf_counter() - t0)
 
 

@@ -17,9 +17,8 @@ each pair), and `split_ratings` holds out each user's share in one draw.
 A parse can be kept in a sidecar file (`write_sidecar`) and read back
 (`read_sidecar`) under a key that names the file's content, the schema and
 this module's source, so a file content is parsed once while its sidecar
-lasts. The sidecar is one flat file under one CRC-32, its columns read back
-as aligned views of one buffer. `read_npz` reads an `.npz` archive (a
-checkpoint) in one pass, each stored member straight into its array.
+lasts. The sidecar is one `container` file, its columns read back as
+aligned views of one buffer.
 """
 
 from __future__ import annotations
@@ -31,18 +30,12 @@ import functools
 import hashlib
 import itertools
 import json
-import lzma
-import math
-import os
-import struct
-import tokenize
-import zipfile
-import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.lib.format as npy
+
+from . import container
 
 SECONDS_PER_DAY = 86_400
 
@@ -462,105 +455,6 @@ def write_csv(path, corpus: Corpus) -> None:
 
 
 # ---------------------------------------------------------------------------
-# .npz archives
-
-# what reading a missing, damaged or foreign file as an .npz archive raises; a
-# damaged `.npy` header can fail numpy's parse of it with SyntaxError or TokenError
-NPZ_ERRORS = (OSError, EOFError, ValueError, RuntimeError, NotImplementedError,
-              SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error,
-              lzma.LZMAError)
-
-
-def read_npz(path) -> dict:
-    """Every member of the .npz archive at `path` (or an open binary file),
-    as arrays by name, as `np.load` reads them.
-
-    The zip directory is read once. A stored member is read in place: its
-    `.npy` header is parsed, and its data is read straight into the array
-    and checked against the directory's CRC-32, header included. A
-    compressed member is read through `zipfile`. A file that does not start
-    with a zip signature is refused before numpy reads it (numpy would take
-    it for a pickle), and so are object members and members that are not
-    arrays; any failure raises one of `NPZ_ERRORS`.
-    """
-    with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as fh:
-        if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):  # a member, or an empty archive
-            raise ValueError("not a zip archive")
-        with zipfile.ZipFile(fh) as archive:
-            return {info.filename.removesuffix(".npy"): _member(fh, archive, info)
-                    for info in archive.infolist()}
-
-
-class _Crc:
-    """Reads `fh` and keeps the CRC-32 of every byte read."""
-
-    def __init__(self, fh):
-        self.fh, self.crc = fh, 0
-
-    def read(self, size: int) -> bytes:
-        chunk = self.fh.read(size)
-        self.crc = zlib.crc32(chunk, self.crc)
-        return chunk
-
-
-_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")  # a zip member's local file header
-_READ_HEADER = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
-
-
-def _member(fh, archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
-    """One member of `archive` (open on `fh`) as an array."""
-    name = info.filename
-    # flag bits 0, 5 and 6 (encrypted, patched, strongly encrypted): zipfile refuses them
-    if info.compress_type == zipfile.ZIP_STORED and not info.flag_bits & 0x61:
-        fh.seek(info.header_offset)
-        local = fh.read(_LOCAL_HEADER.size)
-        if len(local) != _LOCAL_HEADER.size:
-            raise zipfile.BadZipFile("Truncated file header")
-        fields = _LOCAL_HEADER.unpack(local)
-        signature, flags, name_length, extra_length = fields[0], fields[3], *fields[-2:]
-        if signature != b"PK\x03\x04":
-            raise zipfile.BadZipFile("Bad magic number for file header")
-        local_name = fh.read(name_length).decode("utf-8" if flags & 0x800 else "cp437")
-        if local_name != info.orig_filename:
-            raise zipfile.BadZipFile(f"File name in directory {info.orig_filename!r} "
-                                     f"and header {local_name!r} differ.")
-        fh.seek(extra_length, 1)
-        start, reader = fh.tell(), _Crc(fh)
-        try:
-            version = npy.read_magic(reader)
-        except ValueError:
-            raise ValueError(f"member {name!r} is not a numpy array") from None
-        if version in _READ_HEADER:
-            shape, fortran_order, dtype = _READ_HEADER[version](reader)
-            return _stored_array(fh, info, shape, fortran_order, dtype, fh.tell() - start,
-                                 reader.crc)
-    with archive.open(info) as member:
-        if member.read(len(npy.MAGIC_PREFIX)) != npy.MAGIC_PREFIX:
-            raise ValueError(f"member {name!r} is not a numpy array")
-    with archive.open(info) as member:
-        return npy.read_array(member, allow_pickle=False)
-
-
-def _stored_array(fh, info, shape, fortran_order, dtype, header_size, crc) -> np.ndarray:
-    """The data of a stored member, read from `fh` where its `.npy` header ends."""
-    count = math.prod(shape)
-    if dtype.hasobject:
-        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
-    if (min(shape, default=0) < 0 or info.compress_size != info.file_size
-            or header_size + count * dtype.itemsize != info.file_size):
-        raise ValueError(f"member {info.filename!r} is not as long as its header says")
-    flat = np.empty(count, dtype)
-    if flat.nbytes:
-        data = flat.view(np.uint8)
-        if fh.readinto(data) != data.size:
-            raise EOFError(f"member {info.filename!r} is truncated")
-        crc = zlib.crc32(data, crc)
-    if crc != info.CRC:
-        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
-    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
 # Parsed-corpus sidecar
 
 SIDECAR_SUFFIX = ".parsed"
@@ -578,16 +472,6 @@ _SIDECAR = {
     "text_at": np.int64, "text": np.uint8,
 }
 _COLUMNS = ("user", "item", "timestamp", "action", "rating", "helpful")
-_ITEMSIZES = [np.dtype(dtype).itemsize for dtype in _SIDECAR.values()]
-_MAGIC = b"recsuite parsed\n"
-# the magic line, then as int64: each member's length, the payload's length,
-# and the CRC-32 of those lengths and the payload
-_HEAD = len(_MAGIC) + 8 * (len(_SIDECAR) + 2)
-
-
-def _padded(nbytes: int) -> int:
-    """`nbytes` rounded up to a multiple of 8, the alignment of every member."""
-    return nbytes + -nbytes % 8
 
 
 @functools.cache
@@ -609,12 +493,10 @@ def sidecar_key(digest: str, schema: dict[str, str] | None) -> bytes:
 def write_sidecar(path, key: bytes, corpus: Corpus, errors: list[RowError]) -> None:
     """Write the parse (corpus, errors) under `key` to `path`, atomically.
 
-    The file is the magic line, the lengths and the CRC-32 (`_HEAD` bytes),
-    then the payload: the members in `_SIDECAR` order, in this machine's byte
-    order, each padded with zeros to a multiple of 8 bytes. It goes to a
-    temporary file beside `path`, then replaces it, so a reader sees the old
-    file or the whole new one. An OSError removes the temporary file and
-    propagates.
+    The file is a `container` file of the members in `_SIDECAR` order. It
+    goes to a temporary file beside `path`, then replaces it, so a reader
+    sees the old file or the whole new one. An OSError removes the
+    temporary file and propagates.
     """
     texts = [*corpus.users, *corpus.items, *corpus.review, *(e.message for e in errors)]
     text_at = np.zeros(len(texts) + 1, np.int64)
@@ -627,66 +509,29 @@ def write_sidecar(path, key: bytes, corpus: Corpus, errors: list[RowError]) -> N
         "text_at": text_at,
         "text": np.frombuffer("".join(texts).encode("utf-8"), np.uint8),
     }
-    payload = []
-    for name, dtype in _SIDECAR.items():
-        data = np.ascontiguousarray(members[name], dtype).tobytes()
-        payload += [data, bytes(_padded(len(data)) - len(data))]
-    lengths = np.array([members[name].size for name in _SIDECAR]
-                       + [sum(map(len, payload))], np.int64).tobytes()
-    crc = functools.reduce(lambda crc, data: zlib.crc32(data, crc), payload, zlib.crc32(lengths))
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(_MAGIC + lengths + np.int64(crc).tobytes())
-            fh.writelines(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-def _read_members(path) -> dict | None:
-    """The members of the sidecar at `path`, or None if it cannot be read whole
-    or fails its CRC-32. The text is bytes; every other member is an aligned
-    view of one buffer, which holds no text."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEAD)
-        if len(head) != _HEAD or not head.startswith(_MAGIC):
-            return None
-        *lengths, size, crc = np.frombuffer(head, np.int64, offset=len(_MAGIC)).tolist()
-        if min(lengths) < 0:
-            return None
-        ends = list(itertools.accumulate(_padded(n * k) for n, k in zip(lengths, _ITEMSIZES)))
-        if ends[-1] != size or os.fstat(fh.fileno()).st_size != _HEAD + size:
-            return None
-        columns = np.empty(ends[-2], np.uint8)
-        if fh.readinto(columns) != columns.size:
-            return None
-        text = fh.read(size - columns.size)
-    if zlib.crc32(text, zlib.crc32(columns, zlib.crc32(head[len(_MAGIC):-8]))) != crc:
-        return None
-    m = {name: np.frombuffer(columns, dtype, n, start)
-         for (name, dtype), n, start in zip(list(_SIDECAR.items())[:-1], lengths, [0, *ends])}
-    m["text"] = memoryview(text)[:lengths[-1]]
-    return m
+    container.write(path, {name: np.asarray(members[name], dtype)
+                           for name, dtype in _SIDECAR.items()})
 
 
 def read_sidecar(path, key: bytes) -> tuple[Corpus, list[RowError]] | None:
     """The parse the sidecar at `path` holds under `key`, or None.
 
-    None when the file is missing or unreadable, its lengths disagree with
-    its size or its dtypes, its CRC-32 fails, it was written under another
-    key, or a member fails a check: equal column lengths, codes within
-    their vocabularies and `ACTIONS`, UTF-8 text, and string offsets that
-    ascend from 0 to the end of the text. The columns are views of the
-    buffer the file was read into.
+    None when the file is missing or not a whole `container` file (no magic
+    line, lengths that disagree with its size, a failed CRC-32), its
+    members are not `_SIDECAR`'s in order, each 1-d and of its dtype, it
+    was written under another key, or a member fails a check: equal column
+    lengths, codes within their vocabularies and `ACTIONS`, UTF-8 text, and
+    string offsets that ascend from 0 to the end of the text. The columns
+    are views of the buffer the file was read into; the text is read apart
+    from them, so its bytes go once it is decoded.
     """
     try:
-        m = _read_members(path)
-    except OSError:
+        with open(path, "rb") as fh:
+            m, _ = container.read(fh, last_apart=True)
+    except (OSError, ValueError):
         return None
-    if m is None:
+    if list(m) != list(_SIDECAR) or any(
+            m[name].dtype != dtype or m[name].ndim != 1 for name, dtype in _SIDECAR.items()):
         return None
     n, n_errors = len(m["user"]), len(m["error_line"])
     sizes, text_at = m["vocab_sizes"], m["text_at"]

@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from recsuite import apar, baselines, can, checkpoint, das, data, metrics, personality
+from recsuite import (apar, baselines, can, checkpoint, cli, container, das, data, metrics,
+                      personality)
 from recsuite.cli import _load_config_file, main
 from recsuite.numeric import make_rng
 
@@ -102,8 +103,9 @@ class TestUnreadableInput:
         elif damage == "a corpus CSV":
             bad.write_bytes(corpus.read_bytes())
         else:
-            with np.load(ck) as npz:
-                np.savez(bad, **{k: npz[k] for k in npz.files if k != "Wout"})
+            with open(ck, "rb") as fh:
+                members, _ = container.read(fh)
+            container.write(bad, {k: a for k, a in members.items() if k != "Wout"})
         out = tmp_path / "e"
         for args in (["eval", str(bad), str(corpus), "--out", str(out)],
                      ["recommend", str(bad), str(corpus), "--user", "u000"]):
@@ -114,6 +116,24 @@ class TestUnreadableInput:
             # advice to load it unsafely must not reach the user
             assert "allow_pickle" not in res.stderr and "unsafely" not in res.stderr
         assert not (out / "report.csv").exists()
+
+    def test_npz_checkpoint_of_an_older_format_is_refused_by_name(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s", items=20)
+        ck = train(corpus, tmp_path / "t", "top")
+        with open(ck, "rb") as fh:
+            members, _ = container.read(fh)
+        meta = {**json.loads(str(members["__meta__"])), "format_version": 5}
+        old = tmp_path / "old.npz"
+        np.savez(old, **{**members, "__meta__": np.array(json.dumps(meta))})
+        out = tmp_path / "e"
+        for args in (["eval", str(old), str(corpus), "--out", str(out)],
+                     ["recommend", str(old), str(corpus), "--user", "u000"]):
+            res = runner.invoke(main, args)
+            self._fails_cleanly(res, f"{old}: an .npz checkpoint of format 5 or earlier; "
+                                     "this build reads format 6; retrain")
+            assert "Traceback" not in res.output
+            assert "allow_pickle" not in res.stderr and "unsafely" not in res.stderr
+        assert not out.exists()
 
 
 class TestSynth:
@@ -848,6 +868,46 @@ def test_help_lists_the_split_policies(command):
     res = runner.invoke(main, [command, "--help"])
     assert res.exit_code == 0, res.output
     assert "[random-80-20|last-week]" in res.output
+
+
+@pytest.mark.parametrize("command", ["eval", "recommend"])
+def test_manifest_records_the_checkpoint_as_it_was_loaded(tmp_path, monkeypatch, command):
+    # the file is replaced right after it is loaded: the manifest names the
+    # bytes that were scored, and the checkpoint is not read a second time
+    corpus = synth_sequential(tmp_path / "s")
+    ck = train(corpus, tmp_path / "t", "top")
+    loaded = ck.read_bytes()
+    other = train(corpus, tmp_path / "u", "top", "--seed", "5")
+    assert other.read_bytes() != loaded
+    load = checkpoint.load_checkpoint
+
+    def load_then_replace(path):
+        got = load(path)
+        os.replace(other, path)
+        return got
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", load_then_replace)
+    hashed = []
+    sha256_file = cli._sha256_file
+    monkeypatch.setattr(cli, "_sha256_file", lambda p: hashed.append(p) or sha256_file(p))
+    args = {"eval": [], "recommend": ["--user", "u000"]}[command]
+    res = runner.invoke(main, [command, str(ck), str(corpus), *args, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    man = json.loads((tmp_path / "o" / f"{command}_manifest.json").read_text())
+    assert man["inputs"][str(ck)] == hashlib.sha256(loaded).hexdigest()
+    assert str(ck) not in map(str, hashed)
+
+
+def test_recommend_without_out_hashes_no_checkpoint(tmp_path, monkeypatch):
+    corpus = synth_sequential(tmp_path / "s")
+    ck = train(corpus, tmp_path / "t", "top")
+
+    def refuse(self):
+        raise AssertionError("the checkpoint was hashed")
+
+    monkeypatch.setattr(checkpoint.Checkpoint, "sha256", refuse)
+    res = runner.invoke(main, ["recommend", str(ck), str(corpus), "--user", "u000"])
+    assert res.exit_code == 0, res.output
 
 
 class TestRecommend:

@@ -10,7 +10,6 @@ import hashlib
 import json
 import os
 import shutil
-import zlib
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recsuite import cli, data
+from recsuite import cli, container, data
 from recsuite.cli import main
 
 runner = CliRunner()
@@ -53,24 +52,15 @@ def sha256(path):
 
 
 def read_members(path):
-    """The members of the sidecar at `path` by name, as arrays of their own,
-    read from the layout `data.write_sidecar` documents."""
-    blob = path.read_bytes()
-    lengths = np.frombuffer(blob, np.int64, len(data._SIDECAR), len(data._MAGIC)).tolist()
-    at, members = data._HEAD, {}
-    for (name, dtype), n in zip(data._SIDECAR.items(), lengths):
-        members[name] = np.frombuffer(blob, dtype, n, at).copy()
-        at += -(-members[name].nbytes // 8) * 8
-    return members
+    """The members of the sidecar at `path` by name, as arrays of their own."""
+    with open(path, "rb") as fh:
+        members, _ = container.read(fh)
+    return {name: a.copy() for name, a in members.items()}
 
 
 def write_members(path, members):
-    """Write `members` in the sidecar layout, in their order, with a CRC-32 that
-    holds: each one's length (`len`) and its bytes, padded to 8."""
-    payload = b"".join(a.tobytes() + bytes(-a.nbytes % 8) for a in members.values())
-    lengths = np.array([len(a) for a in members.values()] + [len(payload)], np.int64).tobytes()
-    crc = zlib.crc32(payload, zlib.crc32(lengths))
-    path.write_bytes(data._MAGIC + lengths + np.int64(crc).tobytes() + payload)
+    """Write `members` in the sidecar's layout, in their order."""
+    container.write(path, members)
 
 
 def assert_same_parse(got, want):
@@ -181,7 +171,7 @@ def test_sidecar_failing_a_check_is_a_miss(tmp_path, fault):
         m["text_at"][-1] += 1
     elif fault == "int32 timestamps":
         m["timestamp"] = m["timestamp"].astype(np.int32)
-    elif fault == "2-d column":  # two values a row: twice the bytes its length says
+    elif fault == "2-d column":  # two values a row
         m["helpful"] = np.repeat(m["helpful"][:, None], 2, axis=1)
     elif fault == "extra member":
         m["extra"] = np.zeros(1)
@@ -351,10 +341,16 @@ def test_damaged_sidecar_acts_as_none(reference, tmp_path_factory, damage):
     got = run_ingest(path, work / "out")
     stdout, stderr, files, inputs, config = ref["outputs"]
     assert got == (stdout, stderr, files, {str(path): inputs[str(ref["path"])]}, config)
-    after = sidecar(path).read_bytes()
-    if kind == "flip" and after == damaged:
-        # the flip missed every byte a read checks, so the sidecar was a hit
-        assert_same_parse(data.read_sidecar(sidecar(path), ref["key"]),
-                          data.ingest_csv(path))
-    else:
-        assert after == clean
+    assert damaged != clean
+    assert sidecar(path).read_bytes() == clean  # the damage was a miss, and rewritten
+
+
+def test_a_flipped_byte_anywhere_is_a_miss(reference, tmp_path):
+    clean = reference["clean"]
+    path = tmp_path / "c.csv.parsed"
+    for at in range(len(clean)):
+        for mask in (0x01, 0x80):
+            path.write_bytes(clean[:at] + bytes([clean[at] ^ mask]) + clean[at + 1:])
+            assert data.read_sidecar(path, reference["key"]) is None, (at, mask)
+    path.write_bytes(clean)
+    assert data.read_sidecar(path, reference["key"]) is not None
