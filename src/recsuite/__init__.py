@@ -29,4 +29,7 @@ __version__ = "0.1.0"
 # mean
 # 6: the same members in the flat layout of `container` (magic line,
 # lengths, CRC-32, JSON head, aligned members) in place of an .npz zip archive
-CHECKPOINT_FORMAT_VERSION = 6
+# 7: the metadata record holds the user and item lists and is stored as one
+# uint8 member of its UTF-8 JSON, in place of three fixed-width UTF-32
+# numpy strings ("__meta__", "__users__", "__items__")
+CHECKPOINT_FORMAT_VERSION = 7

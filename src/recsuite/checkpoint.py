@@ -2,12 +2,13 @@
 
 One file per trained model, in the flat layout of `container` (the CLI
 names it ``<model>.npz``, but it is not a zip archive): the parameter
-arrays, the user/item token lists they were trained against, and a JSON
-metadata record (format version, model kind, hyperparameters, training
-trace), and nothing the kind and the list lengths imply. Saving the same
-state twice produces byte-identical files, a save replaces the file whole,
-and loading reconstructs the original state class ready to score or
-predict.
+arrays and the uint8 member ``__meta__``, the UTF-8 of one JSON metadata
+record (format version, model kind, hyperparameters, training trace, and
+the user and item token lists the arrays were trained against), and
+nothing the kind and the list lengths imply. Saving the same state twice
+produces byte-identical files, a save replaces the file whole, and loading
+reconstructs the original state class ready to score or predict. A token
+UTF-8 cannot encode is refused at save with a ValueError.
 
 `KINDS` describes each model kind once: its state and config classes, its
 arrays (name, dtype and shape in terms of the user count, the item count
@@ -21,8 +22,10 @@ path for:
   any byte, or holding object arrays), and by name a zip archive, the
   ``.npz`` of format 5 or earlier;
 * a format version other than this build's, or an unknown model kind;
-* metadata that is not a JSON object, lacks a field, or holds a field of
-  the wrong JSON type;
+* metadata that is not UTF-8 JSON of an object, lacks a field, or holds a
+  field of the wrong JSON type (user and item lists of anything but
+  strings among them); the numpy string metadata of format 6 and earlier
+  is read only for its version;
 * a config with keys its class does not have;
 * arrays that are missing, extra, not float64 (int64 for ``groups``),
   mis-shaped or non-finite;
@@ -223,13 +226,12 @@ def save_checkpoint(path, state, users, items) -> None:
     }
     if config is not None:
         meta["config"] = asdict(config)
+    meta.update(users=list(users), items=list(items))
+    text = json.dumps(meta, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    # a token UTF-8 cannot encode (a lone surrogate) raises here, before a file is opened
+    encoded = np.frombuffer(text.encode("utf-8"), np.uint8)
     arrays = {a: getattr(state, a) for a in kind.arrays(config, len(users), len(items))}
-    container.write(path, {
-        "__meta__": np.array(json.dumps(meta, sort_keys=True)),
-        "__users__": np.array(list(users), dtype=str),
-        "__items__": np.array(list(items), dtype=str),
-        **arrays,
-    })
+    container.write(path, {"__meta__": encoded, **arrays})
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +244,34 @@ def _get(meta, name):
     return meta[name]
 
 
-def _tokens(blobs, key, what) -> list:
-    tokens = blobs.pop(key, None)
-    if tokens is None or tokens.ndim != 1 or tokens.dtype.kind != "U":
-        raise ValueError(f"has no {what} list of strings ({key})")
-    return tokens.tolist()
+def _token_list(meta, name) -> list:
+    """meta[name], removed from meta, checked to be a list of strings."""
+    tokens = meta.pop(name, None)
+    if isinstance(tokens, list):
+        try:
+            "".join(tokens)  # one pass in C; a TypeError at the first token not a str
+            return tokens
+        except TypeError:
+            pass
+    raise ValueError(f"metadata has no {name} list of strings")
+
+
+def _read_meta(blob) -> tuple[dict, bool]:
+    """The metadata record and whether it is in the numpy string form of
+    formats 6 and earlier, which is read only far enough to name its version."""
+    legacy = blob.dtype.kind == "U" and blob.ndim == 0
+    if not (legacy or (blob.dtype == np.uint8 and blob.ndim == 1)):
+        raise ValueError(f"metadata is a {blob.dtype} array of shape {blob.shape}, "
+                         "not UTF-8 bytes")
+    try:
+        meta = json.loads(str(blob) if legacy else blob.tobytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"metadata is not UTF-8 ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"metadata is not JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata is not a JSON object but {type(meta).__name__}")
+    return meta, legacy
 
 
 def _check_arrays(kind, blobs, config, n_users, n_items) -> None:
@@ -276,24 +301,21 @@ def _check_arrays(kind, blobs, config, n_users, n_items) -> None:
 def _decode(blobs, read) -> Checkpoint:
     if "__meta__" not in blobs:
         raise ValueError("is not a model checkpoint (no metadata record)")
-    try:
-        meta = json.loads(str(blobs.pop("__meta__")))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"metadata is not JSON ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"metadata is not a JSON object but {type(meta).__name__}")
+    meta, legacy = _read_meta(blobs.pop("__meta__"))
     version = _get(meta, "format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(
             f"checkpoint format version {version} is not supported "
             f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
         )
+    if legacy:
+        raise ValueError(f"metadata of format {version} is a numpy string, not UTF-8 bytes")
     name = _get(meta, "kind")
     if not isinstance(name, str) or name not in KINDS:
         raise ValueError(f"checkpoint has unknown model kind {name!r}")
     kind = KINDS[name]
-    users = _tokens(blobs, "__users__", "user")
-    items = _tokens(blobs, "__items__", "item")
+    users = _token_list(meta, "users")
+    items = _token_list(meta, "items")
 
     values = kind.implied(len(users), len(items))
     for f, field in kind.fields.items():

@@ -20,6 +20,7 @@ with the same seed produce byte-identical artifacts.
 """
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -233,7 +234,26 @@ def _rating_context(corpus, test_fraction, seed):
     return data.split_ratings(matrix, test_fraction, make_rng(seed))
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose OSError (an output it cannot write) ends it with one
+    `Error:` line naming the path, exit 1; a closed stdout is left to click."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            # os.replace names its target second; a failed write names no file
+            path = exc.filename2 or exc.filename or ctx.params.get("out_dir")
+            raise click.ClickException(f"{path}: {exc.strerror or exc}") from None
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main():
     """Recommender-systems engine: data, personality profiles, models, metrics."""
 

@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from recsuite import apar, baselines, can, checkpoint, container, das, data
@@ -34,6 +34,25 @@ def _members(path) -> dict:
     with open(path, "rb") as fh:
         members, _ = container.read(fh)
     return {name: a.copy() for name, a in members.items()}
+
+
+def _meta_member(meta) -> np.ndarray:
+    """`meta` as a format-7 ``__meta__`` member: the UTF-8 bytes of its JSON."""
+    return np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
+
+
+def _meta_of(blobs) -> dict:
+    return json.loads(blobs["__meta__"].tobytes().decode("utf-8"))
+
+
+def _format_6_members(meta, arrays) -> dict:
+    """The members as the format-6 writer stored them: the metadata record
+    without the token lists, and it and the lists as numpy strings."""
+    meta = dict(meta)
+    users, items = meta.pop("users", USERS), meta.pop("items", ITEMS)
+    return {"__meta__": np.array(json.dumps(meta, sort_keys=True)),
+            "__users__": np.array(users, dtype=str), "__items__": np.array(items, dtype=str),
+            **arrays}
 
 
 def _load_bytes(tmp_path, raw):
@@ -150,7 +169,7 @@ class TestRoundTripBaselines:
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
         assert str(err.value).startswith(f"{p}: ")
-        assert "version 4" in str(err.value) and "version 6" in str(err.value)
+        assert "version 4" in str(err.value) and "version 7" in str(err.value)
 
     def test_random_round_trip_reproduces_stream(self, tmp_path):
         st = baselines.RandomScorer(n_items=8, seed=3)
@@ -197,7 +216,7 @@ class TestFormatGuards:
                             "L": np.ones((3, 3)) - np.eye(3)})
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 1" in str(err.value) and "version 6" in str(err.value)
+        assert "version 1" in str(err.value) and "version 7" in str(err.value)
 
     def test_v2_das_with_deleted_config_fields_rejected(self, tmp_path):
         # format 2 configs carried fields DasConfig no longer has; the version
@@ -207,14 +226,14 @@ class TestFormatGuards:
         st = das.init_das(len(users), len(items), das.DasConfig(k=2))
         checkpoint.save_checkpoint(p, st, users, items)
         blobs = _members(p)
-        meta = json.loads(str(blobs["__meta__"]))
+        meta = _meta_of(blobs)
         meta["format_version"] = 2
         meta["config"].update(reg_dense=False, dense_init_std=0.1)
-        blobs["__meta__"] = np.array(json.dumps(meta))
-        container.write(p, blobs)
+        del blobs["__meta__"]
+        container.write(p, _format_6_members(meta, blobs))
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 2" in str(err.value) and "version 6" in str(err.value)
+        assert "version 2" in str(err.value) and "version 7" in str(err.value)
 
     def test_v3_can_with_index_hash_and_tie_flag_rejected(self, tmp_path):
         # format 3 stored a hash of the token lists and CAN's tied-table flag;
@@ -225,14 +244,14 @@ class TestFormatGuards:
                           can.CanConfig(D=3, D_u=2, N_f=4, D_p=3, D_q=2))
         checkpoint.save_checkpoint(p, st, users, items)
         blobs = _members(p)
-        meta = json.loads(str(blobs["__meta__"]))
+        meta = _meta_of(blobs)
         meta.update(format_version=3, index_hash="0" * 64)
         meta["config"]["tie_embeddings"] = False
-        blobs["__meta__"] = np.array(json.dumps(meta))
-        container.write(p, blobs)
+        del blobs["__meta__"]
+        container.write(p, _format_6_members(meta, blobs))
         with pytest.raises(ValueError) as err:
             checkpoint.load_checkpoint(p)
-        assert "version 3" in str(err.value) and "version 6" in str(err.value)
+        assert "version 3" in str(err.value) and "version 7" in str(err.value)
 
     @pytest.mark.parametrize("name", ["random", "usermean", "itemmean"])
     def test_implied_fields_are_not_stored(self, tmp_path, name):
@@ -246,12 +265,33 @@ class TestFormatGuards:
         p = tmp_path / "m.npz"
         checkpoint.save_checkpoint(p, st, *_users_items())
         blobs = _members(p)
-        meta = json.loads(str(blobs["__meta__"]))
+        meta = _meta_of(blobs)
         meta["format_version"] = 99
-        blobs["__meta__"] = np.array(json.dumps(meta))
+        blobs["__meta__"] = _meta_member(meta)
         container.write(p, blobs)
         with pytest.raises(ValueError, match="99"):
             checkpoint.load_checkpoint(p)
+
+    @pytest.mark.parametrize("name", sorted(checkpoint.KINDS))
+    def test_a_format_6_file_is_rejected_naming_both_versions(self, tmp_path, name):
+        blobs = dict(SAVED[name][1])
+        meta = {**_meta_of(blobs), "format_version": 6}
+        del blobs["__meta__"]
+        p = tmp_path / "v6.npz"
+        container.write(p, _format_6_members(meta, blobs))
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_checkpoint(p)
+        assert str(err.value) == (f"{p}: checkpoint format version 6 is not supported "
+                                  "(this build reads version 7)")
+
+    def test_numpy_string_metadata_of_this_format_is_rejected(self, tmp_path):
+        # the string form is read only for its version; format 7 is UTF-8 bytes
+        blobs = dict(SAVED["top"][1])
+        p = tmp_path / "m.npz"
+        container.write(p, {**blobs, "__meta__": np.array(json.dumps(_meta_of(blobs)))})
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_checkpoint(p)
+        assert str(err.value) == f"{p}: metadata of format 7 is a numpy string, not UTF-8 bytes"
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         p = tmp_path / "m.npz"
@@ -344,12 +384,12 @@ def _saved(state):
         with open(path, "rb") as fh:
             raw = fh.read()
         blobs = _members(path)
-    return raw, blobs, json.loads(str(blobs["__meta__"]))
+    return raw, blobs, _meta_of(blobs)
 
 
 SAVED = {name: _saved(state) for name, state in STATES.items()}
-FAULTS = ("version", "kind", "meta-not-object", "meta-not-json", "field", "config", "missing",
-          "extra", "dtype", "shape", "non-finite")
+FAULTS = ("version", "kind", "meta-not-object", "meta-not-json", "field", "field-type", "config",
+          "missing", "extra", "dtype", "shape", "non-finite")
 
 
 @st.composite
@@ -366,9 +406,20 @@ def damaged(draw, name, fault):
     elif fault == "meta-not-object":
         meta = draw(st.sampled_from([[meta], "das", 3, None]))
     elif fault == "meta-not-json":
-        return {**blobs, "__meta__": np.array(json.dumps(meta)[:-1])}
+        text = json.dumps(meta).encode("utf-8")
+        member = draw(st.sampled_from([
+            np.frombuffer(text[:-1], np.uint8),  # truncated JSON
+            np.frombuffer(b"\xff" + text, np.uint8),  # not UTF-8
+            np.frombuffer(text, np.uint8)[None],  # 2-d
+            np.frombuffer(text, np.uint8).astype(np.int64),  # not bytes
+        ]))
+        return {**blobs, "__meta__": member}
     elif fault == "field":
         del meta[draw(st.sampled_from(sorted(meta)))]
+    elif fault == "field-type":
+        # a value of the wrong JSON type for every field, the token lists too
+        meta[draw(st.sampled_from(sorted(meta)))] = draw(
+            st.sampled_from([None, {"a": 1}, [None], 1.5, "x", ["x", 3]]))
     elif fault == "config" and "config" in meta:
         meta["config"][draw(st.sampled_from(["reg_dense", "K", "extra"]))] = 1
     elif fault == "missing":
@@ -376,12 +427,12 @@ def damaged(draw, name, fault):
         return blobs
     elif fault == "extra":
         blobs[draw(st.sampled_from(["extra", "L", "V_out"]))] = np.zeros(8)
-    elif fault == "dtype" and len(blobs) > 3:
-        a = draw(st.sampled_from(sorted(set(blobs) - {"__meta__", "__users__", "__items__"})))
+    elif fault == "dtype" and len(blobs) > 1:
+        a = draw(st.sampled_from(sorted(set(blobs) - {"__meta__"})))
         wrong = [np.float32, np.int32, np.float64 if a == "groups" else np.int64]
         blobs[a] = blobs[a].astype(draw(st.sampled_from(wrong)))
-    elif fault == "shape" and len(blobs) > 3:
-        a = draw(st.sampled_from(sorted(set(blobs) - {"__meta__", "__users__", "__items__"})))
+    elif fault == "shape" and len(blobs) > 1:
+        a = draw(st.sampled_from(sorted(set(blobs) - {"__meta__"})))
         arr = blobs[a]
         blobs[a] = [arr[:-1], np.concatenate([arr, arr[:1]]), arr.reshape(-1)[:, None],
                     arr[None], arr.reshape(-1)[0], arr[:0]][draw(st.integers(0, 5))]
@@ -392,7 +443,7 @@ def damaged(draw, name, fault):
             st.sampled_from([np.nan, np.inf, -np.inf]))
     else:
         return None  # the kind has no part this fault can damage
-    return {**blobs, "__meta__": np.array(json.dumps(meta))}
+    return {**blobs, "__meta__": _meta_member(meta)}
 
 
 def _forged(head, payload: bytes) -> bytes:
@@ -460,7 +511,7 @@ def forged_head(draw, raw):
 @given(data=st.data(), name=st.sampled_from(sorted(STATES)),
        how=st.sampled_from(("truncate", "flip", "append", "head", "users", "items") + FAULTS))
 def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name, how):
-    raw, blobs, _ = SAVED[name]
+    raw, blobs, meta = SAVED[name]
     path = tmp_path / "damaged.npz"
     must_reject = True
     if how == "truncate":
@@ -476,11 +527,10 @@ def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name
         path.write_bytes(data.draw(forged_head(raw), label="file"))
         must_reject = False  # a head that still describes the same members loads them
     elif how in ("users", "items"):
-        key = f"__{how}__"
-        tokens = blobs[key].tolist()
+        tokens = meta[how]
         longer = data.draw(st.booleans(), label="longer")
-        blobs = {**blobs, key: np.array(tokens + ["new"] if longer else tokens[:-1])}
-        container.write(path, blobs)
+        meta = {**meta, how: tokens + ["new"] if longer else tokens[:-1]}
+        container.write(path, {**blobs, "__meta__": _meta_member(meta)})
         must_reject = name not in (NO_USER_ARRAYS if how == "users" else NO_ITEM_ARRAYS)
     else:
         blobs = data.draw(damaged(name, how), label="members")
@@ -497,6 +547,21 @@ def test_damaged_file_loads_intact_or_is_rejected_naming_it(tmp_path, data, name
     if name == "random":  # its item count is the length of the item list
         saved = dataclasses.replace(saved, n_items=len(ck.items))
     _assert_same_state(saved, ck.state)
+
+
+@pytest.mark.parametrize("side", ["users", "items"])
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_token_lists_of_anything_but_strings_are_refused(tmp_path, name, side):
+    # each as long as the saved list, so no array shape can refuse it instead
+    _, blobs, meta = SAVED[name]
+    tokens = meta[side]
+    path = tmp_path / "m.npz"
+    for bad in ("".join(tokens), dict.fromkeys(tokens), [*tokens[:-1], 3],
+                [*tokens[:-1], None], [*tokens[:-1], [tokens[-1]]]):
+        container.write(path, {**blobs, "__meta__": _meta_member({**meta, side: bad})})
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_checkpoint(path)
+        assert str(err.value) == f"{path}: metadata has no {side} list of strings"
 
 
 @pytest.mark.parametrize("name", sorted(STATES))
@@ -541,6 +606,50 @@ def test_an_unparsable_npy_header_is_refused_naming_the_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The token lists: UTF-8 JSON, so any text round-trips at its UTF-8 size
+
+TOKENS = st.lists(st.text(max_size=12) | st.sampled_from(["", "\x00", "a\nb", '"', ",", "é"]),
+                  max_size=6)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(users=TOKENS, items=TOKENS)
+@example(users=["", "\x00", "line\nbreak", 'say "hi"', "a,b", "ü€𝄞"], items=["x" * 1000])
+@example(users=[], items=[])
+def test_any_token_lists_round_trip(tmp_path, users, items):
+    state = baselines.init_bpr(len(users), len(items), baselines.BprConfig(d=2))
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(path, state, users, items)
+    ck = checkpoint.load_checkpoint(path)
+    assert (ck.users, ck.items) == (users, items)
+    assert all(type(t) is str for t in ck.users + ck.items)
+    _assert_same_state(state, ck.state)
+
+
+def test_a_long_token_costs_its_utf8_length_only(tmp_path):
+    # fixed-width UTF-32 strings cost 4 bytes per character of the longest
+    # token for every token: here about 4 MB more
+    sizes = []
+    for long in ("é", "é" * 1000):
+        items = [long] + [chr(0x41 + n % 26) for n in range(1000)]
+        path = tmp_path / f"{len(long)}.npz"
+        checkpoint.save_checkpoint(path, baselines.RandomScorer(len(items), seed=3), USERS, items)
+        sizes.append(path.stat().st_size)
+    assert 0 <= sizes[1] - sizes[0] - len("é".encode("utf-8")) * 999 < 8
+
+
+@pytest.mark.parametrize("side", ["users", "items"])
+def test_a_token_utf8_cannot_encode_is_refused_at_save(tmp_path, side):
+    tokens = {"users": USERS, "items": ITEMS}
+    tokens[side] = [*tokens[side][:-1], "lone \ud800 surrogate"]
+    with pytest.raises(ValueError):
+        checkpoint.save_checkpoint(tmp_path / "m.npz", STATES["bpr"],
+                                   tokens["users"], tokens["items"])
+    assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
 # The container
 
 
@@ -568,7 +677,8 @@ def test_the_readme_reader_reads_every_kind(tmp_path, name):
     path = tmp_path / "m.npz"
     path.write_bytes(raw)
     got = readme_reader(path)
-    assert {"__meta__", "__users__", "__items__"} <= set(got)
+    meta = json.loads(got["__meta__"].tobytes())  # as the README reads the token lists
+    assert (meta["users"], meta["items"]) == (USERS, ITEMS)
     _assert_same_members(got, _members(path))
     with open(path, "rb") as fh:
         members, read = container.read(fh)

@@ -1,5 +1,7 @@
 import csv
+import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -122,7 +124,7 @@ class TestUnreadableInput:
         ck = train(corpus, tmp_path / "t", "top")
         with open(ck, "rb") as fh:
             members, _ = container.read(fh)
-        meta = {**json.loads(str(members["__meta__"])), "format_version": 5}
+        meta = {**json.loads(members["__meta__"].tobytes()), "format_version": 5}
         old = tmp_path / "old.npz"
         np.savez(old, **{**members, "__meta__": np.array(json.dumps(meta))})
         out = tmp_path / "e"
@@ -130,10 +132,101 @@ class TestUnreadableInput:
                      ["recommend", str(old), str(corpus), "--user", "u000"]):
             res = runner.invoke(main, args)
             self._fails_cleanly(res, f"{old}: an .npz checkpoint of format 5 or earlier; "
-                                     "this build reads format 6; retrain")
+                                     "this build reads format 7; retrain")
             assert "Traceback" not in res.output
             assert "allow_pickle" not in res.stderr and "unsafely" not in res.stderr
         assert not out.exists()
+
+    def test_format_6_checkpoint_is_refused_naming_both_versions(self, tmp_path):
+        # as the format-6 writer stored it: the metadata without the token
+        # lists, and it and the lists as numpy strings
+        corpus = synth_sequential(tmp_path / "s", items=20)
+        ck = train(corpus, tmp_path / "t", "das", "--k", "4", "--epochs", "1")
+        with open(ck, "rb") as fh:
+            members, _ = container.read(fh)
+        meta = {**json.loads(members.pop("__meta__").tobytes()), "format_version": 6}
+        users, items = meta.pop("users"), meta.pop("items")
+        old = tmp_path / "v6.npz"
+        container.write(old, {"__meta__": np.array(json.dumps(meta, sort_keys=True)),
+                              "__users__": np.array(users), "__items__": np.array(items),
+                              **members})
+        out = tmp_path / "e"
+        for args in (["eval", str(old), str(corpus), "--out", str(out)],
+                     ["recommend", str(old), str(corpus), "--user", "u000"]):
+            res = runner.invoke(main, args)
+            self._fails_cleanly(res, f"{old}: checkpoint format version 6 is not supported "
+                                     "(this build reads version 7)")
+            assert "Traceback" not in res.output
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An output the command cannot write ends it with one `Error:` line
+    naming the path, exit 1, not a traceback."""
+
+    def _fails_naming(self, args, path):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        assert res.stderr == f"Error: {path}: Is a directory\n"
+        return res
+
+    def _blocked(self, path):
+        """Put a directory, with a file in it, where the output `path` goes."""
+        (path / "kept").mkdir(parents=True)
+        return path
+
+    def test_synth(self, tmp_path):
+        path = self._blocked(tmp_path / "s" / "corpus.csv")
+        self._fails_naming(["synth", "--out", str(tmp_path / "s")], path)
+
+    def test_ingest(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        path = self._blocked(tmp_path / "i" / "interactions.csv")
+        self._fails_naming(["ingest", str(corpus), "--out", str(tmp_path / "i")], path)
+
+    def test_profile(self, tmp_path):
+        corpus, _ = synth_personality(tmp_path / "s")
+        path = self._blocked(tmp_path / "p" / "profiles.csv")
+        self._fails_naming(["profile", str(corpus), "--out", str(tmp_path / "p")], path)
+
+    def test_train(self, tmp_path, monkeypatch):
+        corpus = synth_sequential(tmp_path / "s")
+        out = tmp_path / "t"
+        path = self._blocked(out / "top.npz")
+        self._fails_naming(["train", str(corpus), "--model", "top", "--out", str(out)], path)
+        assert os.listdir(out) == ["top.npz"] and os.listdir(path) == ["kept"]
+        # a write that fails midway names the output directory, and the old
+        # checkpoint stays whole
+        path.joinpath("kept").rmdir()
+        path.rmdir()
+        old = train(corpus, out, "top").read_bytes()
+
+        class Full(io.FileIO):
+            def write(self, b):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(container, "open", raising=False, value=lambda p, mode: (
+            Full if p.startswith(str(path)) else io.FileIO)(p, mode.replace("b", "")))
+        res = runner.invoke(main, ["train", str(corpus), "--model", "top", "--out", str(out)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        assert res.stderr == f"Error: {out}: No space left on device\n"
+        assert path.read_bytes() == old
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+
+    def test_eval(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", "top")
+        path = self._blocked(tmp_path / "e" / "report.csv")
+        self._fails_naming(["eval", str(ck), str(corpus), "--out", str(tmp_path / "e")], path)
+        assert sorted(os.listdir(tmp_path / "e")) == ["report.csv"]
+
+    def test_recommend(self, tmp_path):
+        corpus = synth_sequential(tmp_path / "s")
+        ck = train(corpus, tmp_path / "t", "top")
+        path = self._blocked(tmp_path / "r" / "recommend_manifest.json")
+        res = self._fails_naming(["recommend", str(ck), str(corpus), "--user", "u000",
+                                  "--out", str(tmp_path / "r")], path)
+        assert len(_lines(res.stdout)) == 10  # the listing is printed before the manifest
 
 
 class TestSynth:
